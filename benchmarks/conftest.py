@@ -30,7 +30,7 @@ from repro.workloads.generator import generate_uniform, selectivity_to_groups
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 
-# The Figure-2 evaluation tuple both throughput benches sweep: 100-byte
+# The Figure-2 evaluation tuple bench_columnar.py sweeps: 100-byte
 # tuples (group key, float value, padding), uniform groups, declustered
 # round-robin.  ``STR_KEY_FORMAT`` turns the int key into the 16-byte
 # dictionary-coded string key of the columnar experiments.
@@ -43,20 +43,15 @@ def fig2_workload(
     num_nodes: int,
     seed: int = 42,
     key_format: str | None = None,
-    columnar: bool = True,
 ):
-    """The shared Fig-2 workload (uniform, round-robin, exact groups).
-
-    ``columnar=False`` materializes row tuples at generation time — the
-    seed/reference data path; the default emits block-born fragments.
-    """
+    """The Fig-2 workload (uniform, round-robin, exact groups), emitted
+    as block-born fragments."""
     return generate_uniform(
         num_tuples=num_tuples,
         num_groups=selectivity_to_groups(selectivity, num_tuples),
         num_nodes=num_nodes,
         seed=seed,
         key_format=key_format,
-        columnar=columnar,
     )
 
 

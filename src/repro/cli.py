@@ -750,10 +750,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--strategy",
-        choices=("pool", "spawn", "global", "rep", "auto"),
+        choices=("pool", "global", "rep", "auto"),
         default="pool",
-        help="mp substrate dispatch strategy: pool/spawn = partitioned "
-        "2P, global = shared global hash table with packed merges, "
+        help="mp substrate strategy: pool = partitioned 2P on the worker "
+        "pool, global = shared global hash table with packed merges, "
         "rep = two-round repartitioning, auto = cost-model choice",
     )
     p_run.add_argument(
@@ -987,8 +987,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--strategy", default="pool",
-        choices=("pool", "spawn", "global", "rep", "auto"),
-        help="execution strategy for every admitted query",
+        choices=("pool", "global", "rep", "auto"),
+        help="execution strategy for every admitted query: pool = "
+        "partitioned 2P, global = packed global-hash merge, rep = "
+        "two-round repartitioning, auto = cost-model choice",
     )
     p_serve.add_argument(
         "--faults", default=None, metavar="SPEC",

@@ -6,22 +6,21 @@ partial-aggregate states compose across *real* process boundaries — the
 states are picklable by construction — while the simulator remains the
 source of timing results (see DESIGN.md on the GIL/1-core substitution).
 
-Dispatch (``strategy="pool"``, the default) runs through a persistent
-worker pool: workers are forked once and reused across fragments, retries
-and runs, and each fragment's rows travel as one fixed-width
-:class:`~repro.storage.RowBlock` encoding in a ``repro_mp_``-named
-``multiprocessing.shared_memory`` segment — only a small job descriptor
-(segment name, row count, query, schema) is pickled over the pipe.  When
-the query has no WHERE predicate and the caller did not substitute a
-``phase_fn``, rows are projected to the key + aggregate columns before
-encoding, so an evaluation-schema tuple ships 16 of its 100 bytes.
+Dispatch runs through a persistent worker pool: workers are forked once
+and reused across fragments, retries and runs, and every non-empty
+fragment travels as one serialized
+:class:`~repro.storage.ColumnBlock` (dictionary-encoded columns) in a
+``repro_mp_``-named ``multiprocessing.shared_memory`` segment — only a
+small job descriptor (segment name, byte and row counts, query, schema)
+is pickled over the pipe.  When the query has no WHERE predicate and the
+caller did not substitute a ``phase_fn``, the block is projected to the
+key + aggregate columns first, so an evaluation-schema tuple ships 16 of
+its 100 bytes.  Empty fragments, and rows the block codec rejects (an
+int outside int64, a mistyped value), are pickled inline instead.
 Segments are owned by the parent and unlinked on *every* exit path
 (success, worker error, timeout, dead worker, FragmentFailedError).
-``strategy="spawn"`` keeps the pre-pool dispatch — one freshly spawned
-process per fragment attempt with the whole row list pickled to it — as
-the comparison baseline for ``benchmarks/bench_throughput.py``.
 
-Either way the parent detects a worker that raises, dies, or exceeds
+The parent detects a worker that raises, dies, or exceeds
 ``timeout`` seconds and retries that one fragment (in a fresh or
 replacement worker) up to ``max_retries`` times.  A fragment that
 still fails raises :class:`FragmentFailedError` carrying the partial
@@ -60,8 +59,9 @@ The pool path is chaos-hardened end to end:
   ``poison_threshold`` workers fails fast as a ``PoisonFragment`` with
   the full cause chain; repeated infrastructure-level run failures trip
   a module-level breaker that rebuilds the shared pool once and then
-  degrades ``strategy="pool"`` to the spawn path, surfaced in
-  ``mp.breaker.*`` metrics and trace events.
+  degrades: every later run gets a private pool of fresh workers, shut
+  down when the run ends.  Surfaced in ``mp.breaker.*`` metrics and
+  trace events.
 
 The fault-free path is byte-identical to the pre-chaos executor; the
 golden parity tests pin that.
@@ -90,7 +90,6 @@ import random
 import secrets
 import signal
 import statistics
-import struct
 import threading
 import time
 from collections import deque
@@ -117,14 +116,9 @@ from repro.sim.faults import (
     INJECT_SLOW,
     INJECT_STALL,
 )
-from repro.storage.columnblock import (
-    ColumnBlock,
-    StringDictionary,
-    have_numpy,
-)
+from repro.storage.columnblock import ColumnBlock, StringDictionary
 from repro.storage.hashing import stable_hash
 from repro.storage.relation import DistributedRelation
-from repro.storage.serialization import RowCodec
 
 _JOIN_GRACE_SECONDS = 5.0
 
@@ -207,9 +201,8 @@ class WorkerFailure(RuntimeError):
     Worker exceptions arrive as ``{"type", "message"}`` dicts — the
     original object cannot cross the pipe — so the final
     :class:`FragmentFailedError` chains from one of these (``raise …
-    from WorkerFailure(error)``), giving pool and spawn dispatch the
-    same cause-chain shape the in-process path gets from the real
-    exception.
+    from WorkerFailure(error)``), giving pool dispatch the same
+    cause-chain shape the in-process path gets from the real exception.
     """
 
     def __init__(self, error: dict) -> None:
@@ -353,103 +346,7 @@ def _disarm_resource_tracker() -> None:
         tracker.ensure_running = _tracker_noop
 
 
-def _child_main(fn, job, conn) -> None:
-    """Worker entry: run the phase, self-profile, and report back.
-
-    The reply is ``(status, payload, profile)``: status "ok" carries the
-    result, status "error" a ``{"type", "message"}`` dict preserving the
-    exception's type so the parent can classify the failure; ``profile``
-    is the worker's self-measurement (wall/CPU seconds, high-water RSS).
-    """
-    _disarm_resource_tracker()
-    started = profile_start()
-    try:
-        result = fn(job)
-    except BaseException as exc:  # report, don't let the child hang
-        try:
-            conn.send(
-                (
-                    "error",
-                    {"type": type(exc).__name__, "message": str(exc)},
-                    profile_finish(started),
-                )
-            )
-        finally:
-            conn.close()
-        return
-    conn.send(("ok", result, profile_finish(started)))
-    conn.close()
-
-
-# -- shared-memory row-block transfer ----------------------------------------
-
-_NP_FORMATS = {"int": "<i8", "float": "<f8"}
-
-# Ship fragments as dictionary-encoded ColumnBlocks whenever the query
-# shape allows (GROUP BY, no WHERE, default phase).  The toggle exists
-# for the benchmarks: bench_columnar.py measures the columnar kernel
-# against the PR 5 row-block path by flipping it off.
-_COLUMNAR_ENABLED = True
-
-
-def set_columnar_shipping(enabled: bool) -> bool:
-    """Enable/disable columnar block shipping; returns the previous value."""
-    global _COLUMNAR_ENABLED
-    previous = _COLUMNAR_ENABLED
-    _COLUMNAR_ENABLED = bool(enabled)
-    return previous
-
-
-def _block_dtype(schema):
-    """The numpy structured dtype matching RowCodec's packed layout, or
-    None when numpy is unavailable (str columns become opaque void
-    fields, so any schema maps)."""
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - numpy is a test/bench dep
-        return None
-    return np.dtype(
-        {
-            "names": [c.name for c in schema.columns],
-            "formats": [
-                _NP_FORMATS.get(c.kind, f"V{c.size_bytes}")
-                for c in schema.columns
-            ],
-        }
-    )
-
-
-def _encode_rows_columnwise(rows, schema, idx=None):
-    """Row-block encoding via one numpy array fill per column.
-
-    ``idx`` maps schema column ``i`` to source-row position ``idx[i]``,
-    so projection happens during column extraction — the projected
-    tuples are never materialized.  ~4x faster than per-row struct
-    packing for the numeric schemas the executor ships.  Returns None
-    when the shape is outside the fast subset (str columns, values a C
-    int64/double cannot hold, no numpy) — the caller then falls back to
-    ``RowCodec.encode_many``.
-    """
-    if any(c.kind == "str" for c in schema.columns):
-        return None
-    dtype = _block_dtype(schema)
-    if dtype is None:
-        return None
-    try:
-        import numpy as np
-
-        arr = np.empty(len(rows), dtype=dtype)
-        for i, col in enumerate(schema.columns):
-            j = i if idx is None else idx[i]
-            values = np.asarray([row[j] for row in rows])
-            if col.kind == "int" and values.dtype.kind != "i":
-                return None  # bools/objects: let struct decide exactness
-            if col.kind == "float":
-                values = values.astype("<f8", copy=False)
-            arr[col.name] = values
-        return arr.tobytes()
-    except (OverflowError, TypeError, ValueError, IndexError):
-        return None
+# -- shared-memory block transfer ----------------------------------------------
 
 
 def _projection_for(query: AggregateQuery, schema):
@@ -475,104 +372,44 @@ def _encode_fragment(rows, query, schema, segments: list, project: bool = True):
     """Encode one fragment into a shared-memory segment; returns the job
     descriptor for the pool worker.
 
-    The descriptor is ``("shm_col", name, nbytes, num_rows, query,
-    schema)`` when the fragment ships as a dictionary-encoded
-    :class:`~repro.storage.ColumnBlock` (the default for GROUP BY
-    queries without WHERE — the shape the columnar kernel covers), or
-    ``("shm", name, num_rows, query, schema)`` for the fixed-width
-    row-block encoding.  Either way the segment (appended to
-    ``segments``, which the caller owns and unlinks) holds one
-    contiguous buffer.  Rows neither codec can encode (a value wider
-    than its column, an int outside int64) fall back to an
-    ``("inline", job)`` descriptor pickled over the pipe, preserving the
-    legacy behavior for them.  ``project=False`` ships the full rows —
-    required when a substituted ``phase_fn`` inspects raw tuples.
+    Every non-empty fragment — ``rows`` is a row list or a block-born
+    :class:`~repro.storage.ColumnBlock` — ships as one
+    ``ColumnBlock.to_bytes()`` buffer in one segment (appended to
+    ``segments``, which the caller owns and unlinks):
+    ``("shm_col", name, nbytes, num_rows, query, schema, as_rows)``.
+    Empty fragments (``SharedMemory`` cannot be zero-sized) and rows the
+    block codec rejects (an int outside int64, a mistyped value) fall
+    back to an ``("inline", job)`` descriptor pickled over the pipe.
 
-    ``rows`` may also be a :class:`~repro.storage.ColumnBlock` (a
-    block-born fragment): the shippable shape projects and serializes
-    the block columnwise — zero row round-trips from generator to
-    worker — and anything else (columnar shipping off, WHERE, no
-    GROUP BY) decodes once and takes the legacy row paths below.
+    ``project=True`` says a built-in phase will run the fragment: the
+    block is projected to the key + aggregate columns when that is safe
+    (:func:`_projection_for`) and the worker hands the phase the block
+    itself.  ``project=False`` ships the full tuples and sets
+    ``as_rows`` — a substituted ``phase_fn`` inspects raw row lists.
     """
-    if isinstance(rows, ColumnBlock):
-        block = rows
-        if (
-            _COLUMNAR_ENABLED
-            and project
-            and block.num_rows
-            and query.group_by
-            and query.where is None
-            and have_numpy()
-        ):
-            proj = _projection_for(query, block.schema)
-            if proj is not None:
-                ship_schema, idx = proj
-                block = block.project(idx, ship_schema)
-            else:
-                ship_schema = block.schema
-            data = block.to_bytes()
-            shm = shared_memory.SharedMemory(
-                create=True, size=len(data),
-                name=SHM_PREFIX + secrets.token_hex(8),
-            )
-            segments.append(shm)
-            shm.buf[: len(data)] = data
-            return (
-                "shm_col", shm.name, len(data), block.num_rows, query,
-                ship_schema,
-            )
-        rows = block.to_rows()
-    proj = None if not (rows and project) else _projection_for(query, schema)
-    if proj is not None:
-        ship_schema, idx = proj
-    else:
-        ship_schema, idx = schema, None
-    if (
-        _COLUMNAR_ENABLED
-        and project
-        and rows
-        and query.group_by
-        and query.where is None
-        and have_numpy()
-    ):
-        try:
-            data = ColumnBlock.from_rows(ship_schema, rows, idx=idx).to_bytes()
-        except (ValueError, OverflowError, TypeError):
-            data = None  # fall through to the row-block path
-        if data:
-            shm = shared_memory.SharedMemory(
-                create=True, size=len(data),
-                name=SHM_PREFIX + secrets.token_hex(8),
-            )
-            segments.append(shm)
-            shm.buf[: len(data)] = data
-            return (
-                "shm_col", shm.name, len(data), len(rows), query, ship_schema
-            )
-    data = _encode_rows_columnwise(rows, ship_schema, idx)
-    if data is None:
-        if idx is not None:
-            if len(idx) == 1:
-                k = idx[0]
-                rows = [(row[k],) for row in rows]
-            else:
-                rows = [tuple(row[i] for i in idx) for row in rows]
-        try:
-            data = RowCodec(ship_schema).encode_many(rows)
-        except (ValueError, TypeError, AttributeError, struct.error):
-            # The rows were already projected above, so the inline job
-            # must carry the projected schema — pairing them with the
-            # full schema would bind key/aggregate columns to the wrong
-            # positions.
-            return ("inline", (rows, query, ship_schema))
-    if not data:  # SharedMemory cannot be zero-sized
-        return ("inline", (rows, query, ship_schema))
+    if not len(rows):
+        return ("inline", ([], query, schema))
+    proj = _projection_for(query, schema) if project else None
+    ship_schema, idx = proj if proj is not None else (schema, None)
+    try:
+        if not isinstance(rows, ColumnBlock):
+            block = ColumnBlock.from_rows(ship_schema, rows, idx=idx)
+        elif idx is not None:
+            block = rows.project(idx, ship_schema)
+        else:
+            block = rows
+        data = block.to_bytes()
+    except (ValueError, OverflowError, TypeError, AttributeError):
+        return ("inline", (rows, query, schema))
     shm = shared_memory.SharedMemory(
         create=True, size=len(data), name=SHM_PREFIX + secrets.token_hex(8)
     )
     segments.append(shm)
     shm.buf[: len(data)] = data
-    return ("shm", shm.name, len(rows), query, ship_schema)
+    return (
+        "shm_col", shm.name, len(data), block.num_rows, query, ship_schema,
+        not project,
+    )
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
@@ -594,149 +431,29 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
     return shm
 
 
-def _segment_bytes(descriptor) -> bytes:
-    """Copy a descriptor's block payload out of its segment."""
-    if descriptor[0] == "shm_col":
-        _kind, name, nbytes = descriptor[:3]
-    else:
-        _kind, name, num_rows, _query, schema = descriptor
-        nbytes = num_rows * RowCodec(schema).row_bytes
+def _load_job(descriptor):
+    """Worker side: a descriptor back into ``(source, query, schema)``.
+
+    ``source`` is the shipped :class:`~repro.storage.ColumnBlock` for a
+    built-in phase, decoded row tuples when the descriptor says
+    ``as_rows`` (a substituted ``phase_fn``), and whatever the parent
+    pickled for an inline descriptor.
+    """
+    if descriptor[0] == "inline":
+        return descriptor[1]
+    _kind, name, nbytes, num_rows, query, schema, as_rows = descriptor
     shm = _attach_segment(name)
     try:
-        return bytes(shm.buf[:nbytes])
+        data = bytes(shm.buf[:nbytes])
     finally:
         shm.close()
-
-
-def _load_block(descriptor) -> ColumnBlock:
-    """Worker side: parse an shm_col descriptor's ColumnBlock."""
-    _kind, _name, _nbytes, num_rows, _query, schema = descriptor
-    block = ColumnBlock.from_bytes(schema, _segment_bytes(descriptor))
+    block = ColumnBlock.from_bytes(schema, data)
     if block.num_rows != num_rows:
         raise ValueError(
             f"columnar segment holds {block.num_rows} rows, "
             f"descriptor says {num_rows}"
         )
-    return block
-
-
-def _load_job(descriptor):
-    """Worker side: materialize a descriptor back into (rows, query, schema)."""
-    if descriptor[0] == "inline":
-        return descriptor[1]
-    if descriptor[0] == "shm_col":
-        _kind, _name, _nbytes, _num_rows, query, schema = descriptor
-        return (_load_block(descriptor).to_rows(), query, schema)
-    _kind, _name, _num_rows, query, schema = descriptor
-    rows = RowCodec(schema).decode_many(_segment_bytes(descriptor))
-    return (rows, query, schema)
-
-
-def _vectorized_local_phase(data, num_rows, query, schema):
-    """Phase 1 straight off the block encoding — no per-row decode.
-
-    Views the fixed-width buffer as a numpy structured array and folds
-    each fragment with ``np.unique`` + ``np.bincount``.  Returns the
-    (key, GroupState) partials, or None when the query shape is outside
-    the vectorized subset — single int grouping column, no WHERE, and
-    count/sum/min/max/avg/var/stddev over float columns — in which case
-    the caller decodes and runs the per-row phase.
-
-    Results are identical to the per-row phase, not merely close:
-    ``bincount`` accumulates weights in input order, exactly the order
-    the sequential loop adds them, so float sums agree bit for bit
-    (min/max/count are order-insensitive anyway).  The one deliberate
-    deviation: SUM/AVG/VAR over *int* columns fall back, because the
-    per-row path keeps Python arbitrary-precision sums.
-    """
-    if query.where is not None or not query.group_by:
-        return None
-    bq = query.bind(schema)
-    key_idx = bq.key_indexes
-    if len(key_idx) != 1:
-        return None
-    columns = schema.columns
-    if columns[key_idx[0]].kind != "int":
-        return None
-    plans: list[tuple[str, int | None]] = []
-    for spec, col_idx in zip(query.aggregates, bq.agg_indexes):
-        func = spec.func
-        if func == "count":
-            # Codec rows never carry NULL, so COUNT(col) == COUNT(*).
-            plans.append(("count", None))
-            continue
-        if func not in ("sum", "min", "max", "avg", "var", "stddev"):
-            return None
-        kind = columns[col_idx].kind
-        if kind == "str" or (func not in ("min", "max") and kind != "float"):
-            return None
-        plans.append((func, col_idx))
-    dtype = _block_dtype(schema)
-    if dtype is None or dtype.itemsize * num_rows != len(data):
-        return None
-
-    import numpy as np
-
-    arr = np.frombuffer(data, dtype=dtype, count=num_rows)
-    uniq, inv = np.unique(arr[columns[key_idx[0]].name], return_inverse=True)
-    n_groups = len(uniq)
-    counts = np.bincount(inv, minlength=n_groups)
-    spec_states: list[list] = []
-    for (func, col_idx), spec in zip(plans, query.aggregates):
-        states = [spec.new_state() for _ in range(n_groups)]
-        if func == "count":
-            for state, c in zip(states, counts.tolist()):
-                state.count = c
-            spec_states.append(states)
-            continue
-        values = arr[columns[col_idx].name]
-        if func in ("min", "max"):
-            ufunc = np.minimum if func == "min" else np.maximum
-            if columns[col_idx].kind == "int":
-                # Accumulate in int64, not float: a float accumulator
-                # would round extremes beyond 2**53 where the per-row
-                # path keeps exact ints.
-                info = np.iinfo(np.int64)
-                acc = np.full(
-                    n_groups,
-                    info.max if func == "min" else info.min,
-                    dtype=np.int64,
-                )
-                ufunc.at(acc, inv, values)
-                extremes = acc.tolist()
-            else:
-                acc = np.full(n_groups, np.inf if func == "min" else -np.inf)
-                ufunc.at(acc, inv, values)
-                extremes = acc.tolist()
-            for state, v in zip(states, extremes):
-                state.value = v
-        elif func == "sum":
-            totals = np.bincount(inv, weights=values, minlength=n_groups)
-            for state, t in zip(states, totals.tolist()):
-                state.total = t
-                state.seen = True
-        elif func == "avg":
-            totals = np.bincount(inv, weights=values, minlength=n_groups)
-            for state, t, c in zip(states, totals.tolist(), counts.tolist()):
-                state.total = t
-                state.count = c
-        else:  # var / stddev share VarianceState's three moments
-            totals = np.bincount(inv, weights=values, minlength=n_groups)
-            sq = np.bincount(inv, weights=values * values, minlength=n_groups)
-            for state, t, s, c in zip(
-                states, totals.tolist(), sq.tolist(), counts.tolist()
-            ):
-                state.total = t
-                state.total_sq = s
-                state.count = c
-        spec_states.append(states)
-
-    out = []
-    for g, key in enumerate(uniq.tolist()):
-        group = GroupState.__new__(GroupState)
-        group.states = [states[g] for states in spec_states]
-        out.append(((key,), group))
-    return out
+    return (block.to_rows() if as_rows else block, query, schema)
 
 
 # -- the columnar kernel ------------------------------------------------------
@@ -913,7 +630,7 @@ def _columnar_local_phase(cblock, query, packed=False):
     add does; MIN/MAX ties are only distinguishable for signed zeros,
     which are guarded.
     """
-    if query.where is not None or not query.group_by or not have_numpy():
+    if query.where is not None or not query.group_by:
         return None
 
     import numpy as np
@@ -1357,12 +1074,11 @@ def _merge_packed(payloads, query):
 
 
 def _global_phase(job):
-    """Phase 1 for ``strategy="global"`` on inline/per-row inputs.
+    """Phase 1 for ``strategy="global"``: packed columnar partials.
 
-    Block descriptors take the packed columnar path in
-    :func:`_run_worker_job`, and a block-born in-process job packs right
-    here; anything else degrades to ordinary partials, which the parent
-    merge accepts (it unpacks mixed results).
+    A block source packs through the columnar kernel; a row source, or a
+    block a kernel guard declines, degrades to ordinary partials, which
+    the parent merge accepts (it unpacks mixed results).
     """
     source = job[0]
     if isinstance(source, ColumnBlock):
@@ -1371,26 +1087,6 @@ def _global_phase(job):
             return result
         job = (source.to_rows(), job[1], job[2])
     return _local_phase(job)
-
-
-def _local_phase_block(descriptor, pack=False):
-    """The pool's default phase 1 for shm descriptors: vectorize when the
-    query shape allows, decode + per-row otherwise.  ``pack=True`` asks
-    the columnar kernel for a packed payload (``strategy="global"``);
-    fallback paths still return ordinary partials."""
-    if descriptor[0] == "shm_col":
-        _kind, _name, _nbytes, _num_rows, query, schema = descriptor
-        block = _load_block(descriptor)
-        result = _columnar_local_phase(block, query, packed=pack)
-        if result is not None:
-            return result
-        return _local_phase((block.to_rows(), query, schema))
-    data = _segment_bytes(descriptor)
-    _kind, _name, num_rows, query, schema = descriptor
-    result = _vectorized_local_phase(data, num_rows, query, schema)
-    if result is not None:
-        return result
-    return _local_phase((RowCodec(schema).decode_many(data), query, schema))
 
 
 # -- the Rep strategy's two worker phases -------------------------------------
@@ -1412,8 +1108,9 @@ class _RepPartitionPhase:
         rows, query, schema = job
         if isinstance(rows, ColumnBlock):
             block = rows
-            # Project exactly like the pool's shipping path so round-2
-            # chunks decode against the same rep schema either way.
+            # Project exactly like the pool's shipping path (a no-op on
+            # a block that already shipped projected) so round-2 chunks
+            # decode against the same rep schema either way.
             proj = _projection_for(query, block.schema)
             if proj is not None:
                 ship_schema, idx = proj
@@ -1436,15 +1133,6 @@ class _RepPartitionPhase:
                 memo[key] = b
             buckets[b].append(row)
         return ("rep_rows", [chunk or None for chunk in buckets])
-
-    def from_block(self, descriptor):
-        """Vectorized partition of an shm_col fragment."""
-        _kind, _name, _nbytes, _num_rows, query, schema = descriptor
-        block = _load_block(descriptor)
-        out = self._partition_block(block, query, schema)
-        if out is not None:
-            return out
-        return self((block.to_rows(), query, schema))
 
     def _partition_block(self, block, query, schema):
         """Vectorized partition of a ColumnBlock; None to go per-row.
@@ -1560,6 +1248,8 @@ def _slow_job(fn, descriptor, factor: float, progress: list):
     """
     if fn is _local_phase:
         rows, query, schema = _load_job(descriptor)
+        if isinstance(rows, ColumnBlock):
+            rows = rows.to_rows()
         bq = query.bind(schema)
         table: dict[tuple, GroupState] = {}
         for start in range(0, len(rows), _SLOW_CHUNK_ROWS):
@@ -1604,22 +1294,18 @@ def _run_worker_job(fn, descriptor, inject: dict, progress: list):
     slow = inject.get(INJECT_SLOW)
     if slow:
         return _slow_job(fn, descriptor, slow, progress)
-    if descriptor[0] in ("shm", "shm_col") and (
-        fn is _local_phase or fn is _global_phase
-    ):
-        return _local_phase_block(descriptor, pack=fn is _global_phase)
-    if isinstance(fn, _RepPartitionPhase) and descriptor[0] == "shm_col":
-        return fn.from_block(descriptor)
     return fn(_load_job(descriptor))
 
 
 def _pool_worker_main(conn) -> None:
     """Long-lived worker loop: recv (fn, descriptor, opts), one reply each.
 
-    The final reply is ``(status, payload, profile)`` exactly like the
-    legacy one-shot worker's, so the parent-side classification (ok /
-    typed error / dead worker on EOF) is shared; ``("beat", …)``
-    messages may precede it when ``opts["heartbeat"]`` asks for them.
+    The final reply is ``(status, payload, profile)``: status "ok"
+    carries the result, status "error" a ``{"type", "message"}`` dict
+    preserving the exception's type so the parent can classify the
+    failure, and ``profile`` is the worker's self-measurement (wall/CPU
+    seconds, high-water RSS); ``("beat", …)`` messages may precede it
+    when ``opts["heartbeat"]`` asks for them.
     ``opts["inject"]`` carries the fault directive for this job
     (self-SIGKILL, self-SIGSTOP limplock, an injected exception, or a
     slowdown factor).  ``None`` is the shutdown
@@ -1677,9 +1363,9 @@ class WorkerPool:
 
     Workers survive across fragments, retries, and whole
     :func:`multiprocessing_aggregate` calls (the module keeps one shared
-    instance), which is where the pool strategy's throughput comes from:
-    the per-attempt fork/exec and module re-import of the spawn strategy
-    is paid once per worker instead of once per fragment.
+    instance), which is where the pool's throughput comes from: the
+    fork and module import are paid once per worker instead of once per
+    fragment attempt.
 
     A worker that died or was terminated mid-job (timeout, crash) is
     *discarded* and a fresh one forked on demand — the pool never hands
@@ -1867,7 +1553,7 @@ def shutdown_worker_pool() -> None:
         pool.shutdown()
 
 
-# -- circuit breaker: pool -> rebuild -> spawn degradation --------------------
+# -- circuit breaker: pool -> rebuild -> private-pool degradation ------------
 
 # Failure cause types that indicate executor infrastructure sickness
 # rather than a user phase function's exception.
@@ -1880,7 +1566,7 @@ _INFRA_DEATHS = ("WorkerDied", "HeartbeatLost")
 # Breaker states, in classic circuit-breaker vocabulary.  ``closed``
 # is healthy pooled dispatch; ``open`` means infrastructure failures
 # reached the threshold (the rebuild is pending its backoff, or the
-# breaker has degraded to spawn for good); ``half_open`` is probation —
+# breaker has degraded for good); ``half_open`` is probation —
 # the pool was just rebuilt and the next run's outcome decides.
 BREAKER_CLOSED = "closed"
 BREAKER_HALF_OPEN = "half_open"
@@ -1906,8 +1592,9 @@ class PoolCircuitBreaker:
     into the same grinder.  When the backoff elapses the next pooled
     run rebuilds and enters probation (``half_open``); if failures
     reach the threshold again the breaker *degrades* — every later
-    ``strategy="pool"`` call silently takes the spawn path, which needs
-    no long-lived infrastructure.  A successful run fully closes the
+    pooled run stops trusting the shared pool and forks a private one
+    for itself, shut down when the run ends (fresh processes, still
+    isolated from the parent).  A successful run fully closes the
     breaker.  State is surfaced as :attr:`state` /
     :meth:`state_code` (gauge ``mp.breaker.state``: 0 closed,
     1 half-open, 2 open) so health endpoints can report it, and all
@@ -2183,8 +1870,15 @@ def _run_jobs_in_pool(
     run_deadline: float | None = None,
     on_complete=None,
 ) -> dict[int, list]:
-    """Pool dispatch: same retry/timeout/death semantics as the spawn
-    path, but jobs go to persistent workers as small descriptors.
+    """Pool dispatch: jobs go to persistent workers as small
+    descriptors; returns index -> result.
+
+    ``fn_for(attempt)`` resolves the phase function for a given attempt
+    number — how the memory ladder swaps in a reduced-budget spill phase
+    on retry.  A worker that raises, dies (closed pipe without a
+    result), goes silent or exceeds ``timeout`` fails that attempt; the
+    fragment is retried up to ``max_retries`` times before
+    :class:`FragmentFailedError` aborts the run.
 
     ``on_complete(index, payload)`` fires once per fragment, on its
     *first* successful payload (speculative losers and duplicate
@@ -2288,7 +1982,7 @@ def _run_jobs_in_pool(
         if (
             reencode is not None
             and cause_type == "FileNotFoundError"
-            and descriptors[record.index][0] in ("shm", "shm_col")
+            and descriptors[record.index][0] == "shm_col"
         ):
             # The segment vanished (injected shm loss): re-encode the
             # fragment into a fresh one before the retry ships.
@@ -2670,144 +2364,6 @@ class _ObsSink:
         )
 
 
-class _Attempt:
-    __slots__ = ("index", "attempt", "proc", "conn", "deadline", "started")
-
-    def __init__(self, index, attempt, proc, conn, deadline, started) -> None:
-        self.index = index
-        self.attempt = attempt
-        self.proc = proc
-        self.conn = conn
-        self.deadline = deadline
-        self.started = started
-
-
-def _reap(attempt: _Attempt) -> None:
-    attempt.conn.close()
-    attempt.proc.join(_JOIN_GRACE_SECONDS)
-    if attempt.proc.is_alive():  # pragma: no cover - stuck after close
-        attempt.proc.terminate()
-        attempt.proc.join(_JOIN_GRACE_SECONDS)
-
-
-def _run_jobs_in_processes(
-    fn_for,
-    jobs: list,
-    processes: int,
-    max_retries: int,
-    timeout: float | None,
-    obs: _ObsSink,
-    run_deadline: float | None = None,
-) -> dict[int, list]:
-    """Run every job in its own worker; returns index -> result.
-
-    ``fn_for(attempt)`` resolves the phase function for a given attempt
-    number — how the memory ladder swaps in a reduced-budget spill phase
-    on retry.  Detects raised exceptions, dead workers (closed pipe
-    without a result), and per-attempt timeouts; each failed job is
-    retried in a fresh process up to ``max_retries`` times before
-    :class:`FragmentFailedError` aborts the run.
-    """
-    ctx = multiprocessing.get_context()
-    pending: deque[tuple[int, int]] = deque((i, 0) for i in range(len(jobs)))
-    running: dict[object, _Attempt] = {}
-    completed: dict[int, list] = {}
-
-    def launch(index: int, attempt: int) -> None:
-        recv_conn, send_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_child_main,
-            args=(fn_for(attempt), jobs[index], send_conn),
-            daemon=True,
-        )
-        proc.start()
-        send_conn.close()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        running[recv_conn] = _Attempt(index, attempt, proc, recv_conn,
-                                      deadline, obs.now())
-
-    def fail_or_retry(attempt: _Attempt, error: dict) -> None:
-        cause = f"{error.get('type')}: {error.get('message')}"
-        if attempt.attempt + 1 > max_retries:
-            raise FragmentFailedError(
-                attempt.index,
-                attempt.attempt + 1,
-                cause,
-                dict(completed),
-                cause_type=error.get("type"),
-            ) from WorkerFailure(error)
-        obs.retry(attempt.index, attempt.attempt, error)
-        pending.append((attempt.index, attempt.attempt + 1))
-
-    try:
-        while running or pending:
-            if run_deadline is not None and time.monotonic() >= run_deadline:
-                obs.deadline_exceeded(len(completed), len(jobs))
-                raise DeadlineExceededError(
-                    obs.now(), len(completed), len(jobs)
-                )
-            while pending and len(running) < processes:
-                launch(*pending.popleft())
-            next_deadline = min(
-                (a.deadline for a in running.values()
-                 if a.deadline is not None),
-                default=run_deadline,
-            )
-            if run_deadline is not None and next_deadline is not None:
-                next_deadline = min(next_deadline, run_deadline)
-            wait_for = (
-                None if next_deadline is None
-                else max(0.0, next_deadline - time.monotonic())
-            )
-            ready = _connection_wait(list(running), timeout=wait_for)
-            for conn in ready:
-                attempt = running.pop(conn)
-                profile = None
-                error = None
-                try:
-                    status, payload, profile = conn.recv()
-                except (EOFError, OSError):
-                    status = "error"
-                    payload = {
-                        "type": "WorkerDied",
-                        "message": (
-                            "worker died without a result "
-                            f"(exitcode={attempt.proc.exitcode})"
-                        ),
-                    }
-                _reap(attempt)
-                if status == "ok":
-                    completed[attempt.index] = payload
-                else:
-                    error = payload
-                obs.attempt_done(
-                    attempt.index, attempt.attempt, attempt.started,
-                    status == "ok", profile, error,
-                )
-                if error is not None:
-                    fail_or_retry(attempt, error)
-            now = time.monotonic()
-            for conn, attempt in list(running.items()):
-                if attempt.deadline is not None and now >= attempt.deadline:
-                    del running[conn]
-                    attempt.proc.terminate()
-                    _reap(attempt)
-                    error = {
-                        "type": "Timeout",
-                        "message": f"timed out after {timeout:g}s",
-                    }
-                    obs.attempt_done(
-                        attempt.index, attempt.attempt, attempt.started,
-                        False, None, error,
-                    )
-                    fail_or_retry(attempt, error)
-    finally:
-        for attempt in running.values():
-            attempt.proc.terminate()
-            _reap(attempt)
-    return completed
-
-
 def _run_jobs_in_process(
     fn_for, jobs: list, max_retries: int, obs: _ObsSink,
     run_deadline: float | None = None,
@@ -2815,7 +2371,7 @@ def _run_jobs_in_process(
 ) -> dict[int, list]:
     """The single-CPU path: same retry semantics, no processes.
 
-    Failures are classified like the process path's:
+    Failures are classified like the pool path's:
     :class:`~repro.resources.MemoryExceededError` is the budget ladder's
     *expected* trigger (the retry reruns with spilling), anything else
     is an unexpected fragment error — and either way the exception of a
@@ -2958,7 +2514,7 @@ def _auto_params(dist):
     from repro.costmodel.params import SystemParameters
 
     total = sum(len(f.relation) for f in dist.fragments)
-    tuple_bytes = max(1, RowCodec(dist.schema).row_bytes)
+    tuple_bytes = max(1, dist.schema.tuple_bytes)
     return SystemParameters.implementation().with_(
         num_nodes=max(1, len(dist.fragments)),
         num_tuples=max(1, total),
@@ -3188,10 +2744,8 @@ def multiprocessing_aggregate(
 
     * ``"pool"`` (the default): partitioned two-phase on the module's
       persistent worker pool, fragments shipped as shared-memory
-      columnar blocks (row blocks when the columnar codec declines).
-    * ``"spawn"``: the same two-phase, but one fresh process per
-      fragment attempt with pickled rows (the pre-pool behavior, kept
-      as the benchmark baseline).
+      columnar blocks (pickled inline when empty or when the block
+      codec rejects a value).
     * ``"global"``: the shared global-hash-table discipline — workers
       return *packed* columnar partials (raw per-group arrays) and the
       parent folds them all into one table vectorized, instead of
@@ -3219,7 +2773,7 @@ def multiprocessing_aggregate(
       ``memory_budget_bytes`` also disable it.
 
     Results are bit-identical across all strategies.  ``phase_fn`` is
-    pool/spawn-only; ``memory_budget_bytes`` excludes ``"rep"``; fault
+    pool-only; ``memory_budget_bytes`` excludes ``"rep"``; fault
     injection and speculation require ``"pool"`` or ``"global"``.
 
     ``memory_budget_bytes`` puts each fragment's phase-1 table under a
@@ -3262,8 +2816,9 @@ def multiprocessing_aggregate(
     fast as a ``PoisonFragment`` instead of grinding the pool down.
     Runs that repeatedly fail with infrastructure causes trip a
     module-level circuit breaker (see :class:`PoolCircuitBreaker`):
-    the pool is rebuilt once, then ``strategy="pool"`` degrades to the
-    spawn path (fault injection is skipped while degraded).
+    the pool is rebuilt once, then every run degrades to a private pool
+    of fresh workers that is shut down when the run ends (fault
+    injection is skipped while degraded).
     """
     if max_retries < 0:
         raise ValueError("max_retries must be non-negative")
@@ -3279,15 +2834,13 @@ def multiprocessing_aggregate(
             )
         if memory_budget_bytes < 1:
             raise ValueError("memory_budget_bytes must be positive")
-    if strategy not in ("pool", "spawn", "global", "rep", "auto"):
+    if strategy not in ("pool", "global", "rep", "auto"):
         raise ValueError(
-            "strategy must be 'pool', 'spawn', 'global', 'rep' or "
-            f"'auto', got {strategy!r}"
+            "strategy must be 'pool', 'global', 'rep' or 'auto', "
+            f"got {strategy!r}"
         )
-    if phase_fn is not None and strategy not in ("pool", "spawn"):
-        raise ValueError(
-            "phase_fn substitution requires strategy='pool' or 'spawn'"
-        )
+    if phase_fn is not None and strategy != "pool":
+        raise ValueError("phase_fn substitution requires strategy='pool'")
     if memory_budget_bytes is not None and strategy == "rep":
         raise ValueError(
             "memory_budget_bytes is not supported with strategy='rep' "
@@ -3363,13 +2916,12 @@ def multiprocessing_aggregate(
     # Block-born fragments stay columnar end to end: the job carries the
     # ColumnBlock itself and rows are never materialized on the default
     # phases (encode ships the block; the in-process kernel reads it
-    # directly).  The spawn baseline and substituted phase functions
-    # keep their row-list contract — BlockRelation decodes lazily.
-    want_blocks = strategy != "spawn" and phase_fn is None and have_numpy()
+    # directly).  Substituted phase functions keep their row-list
+    # contract — BlockRelation decodes lazily.
     jobs = [
         (
             frag.relation.block
-            if want_blocks
+            if phase_fn is None
             and getattr(frag.relation, "block", None) is not None
             else frag.relation.rows,
             query,
@@ -3404,25 +2956,22 @@ def multiprocessing_aggregate(
                 fn_for, jobs, max_retries, obs, run_deadline=deadline,
                 on_complete=on_complete,
             )
-        elif strategy == "spawn":
-            completed = _run_jobs_in_processes(
-                fn_for, jobs, processes, max_retries, timeout, obs,
-                run_deadline=deadline,
-            )
-        elif breaker.degraded:
-            # The breaker gave up on pool infrastructure: degrade to the
-            # spawn path (correct, just slower); injection is skipped.
-            obs.pool_degraded()
-            completed = _run_jobs_in_processes(
-                fn_for, jobs, processes, max_retries, timeout, obs,
-                run_deadline=deadline,
-            )
         else:
-            if breaker.take_rebuild():
-                shutdown_worker_pool()
-                obs.pool_rebuild()
+            degraded = breaker.degraded
+            if degraded:
+                # The breaker gave up on the shared pool: this run forks
+                # a private one (fresh workers, still isolated from the
+                # parent) and shuts it down on the way out; injection is
+                # skipped.
+                obs.pool_degraded()
+                pool = WorkerPool()
+            else:
+                if breaker.take_rebuild():
+                    shutdown_worker_pool()
+                    obs.pool_rebuild()
+                pool = _get_shared_pool()
             injector = None
-            if faults_active:
+            if faults_active and not degraded:
                 injector = MpFaultInjector(faults, len(jobs),
                                            max_retries + 1)
             segments: list = []
@@ -3433,7 +2982,7 @@ def multiprocessing_aggregate(
                 desc = _encode_fragment(
                     rows, q, schema, segments, project=phase_fn is None
                 )
-                if desc[0] in ("shm", "shm_col"):
+                if desc[0] == "shm_col":
                     shm_owner[index] = segments[-1]
                 return desc
 
@@ -3462,7 +3011,7 @@ def multiprocessing_aggregate(
                 descriptors = [encode(i) for i in range(len(jobs))]
                 completed = _run_jobs_in_pool(
                     fn_for, descriptors, processes, max_retries, timeout,
-                    obs, _get_shared_pool(), chaos=chaos, reencode=encode,
+                    obs, pool, chaos=chaos, reencode=encode,
                     run_deadline=deadline, on_complete=on_complete,
                 )
             except FragmentFailedError as exc:
@@ -3471,6 +3020,8 @@ def multiprocessing_aggregate(
             else:
                 breaker.record_success()
             finally:
+                if degraded:
+                    pool.shutdown()
                 obs.breaker_state(breaker.state_code())
                 if injector is not None and faults_log is not None:
                     faults_log.extend(injector.injected)

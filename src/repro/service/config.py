@@ -80,9 +80,9 @@ class ServiceConfig:
             raise ValueError(
                 "need 0 < reduced_load <= cache_only_load <= 1"
             )
-        if self.strategy not in ("pool", "spawn", "global", "rep", "auto"):
+        if self.strategy not in ("pool", "global", "rep", "auto"):
             raise ValueError(
-                f"strategy must be pool/spawn/global/rep/auto, "
+                f"strategy must be pool/global/rep/auto, "
                 f"got {self.strategy!r}"
             )
         if self.query_log_capacity < 1:

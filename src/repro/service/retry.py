@@ -9,7 +9,7 @@ failure burns the latency budget for nothing.
 The policy composes with, not fights, the breaker: each retry
 re-enters ``multiprocessing_aggregate``, which consults the breaker —
 so a retry after a rebuild lands on the fresh pool, and a retry after
-degradation quietly takes the spawn path.  Backoff gives the pool time
+degradation runs on a private pool of its own.  Backoff gives the pool time
 to rebuild instead of hammering it.
 """
 

@@ -9,9 +9,8 @@ untouched, and adds/refreshes only the ``mp_strategies`` section: for
 each workload shape, the exact result rows (sha256 over the same
 canonical encoding the simulator goldens use, floats as hex) of
 ``multiprocessing_aggregate``.  One digest per workload — the whole
-point is that every strategy (pool / spawn / global / rep), with
-columnar shipping on or off, must reproduce it bit for bit.
-``tests/test_mp_columnar.py`` asserts exactly that.
+point is that every strategy (pool / global / rep) must reproduce it
+bit for bit.  ``tests/test_mp_columnar.py`` asserts exactly that.
 
 The workloads deliberately cover what the columnar kernel added: string
 group keys (dictionary codes), multi-column keys, and AVG/VAR/STDDEV
@@ -105,13 +104,12 @@ WORKLOADS = {
     "strkey_mp": strkey_workload,
 }
 
-STRATEGIES = ("pool", "spawn", "global", "rep")
+STRATEGIES = ("pool", "global", "rep")
 
 
 def run_case(builder):
     from repro.parallel.mp_executor import (
         multiprocessing_aggregate,
-        set_columnar_shipping,
         shutdown_worker_pool,
     )
 
@@ -119,16 +117,13 @@ def run_case(builder):
     digests = set()
     reference = None
     try:
-        for columnar in (True, False):
-            set_columnar_shipping(columnar)
-            for strategy in STRATEGIES:
-                rows = multiprocessing_aggregate(
-                    dist, query, 4, strategy=strategy
-                )
-                reference = rows
-                digests.add(rows_digest(rows))
+        for strategy in STRATEGIES:
+            rows = multiprocessing_aggregate(
+                dist, query, 4, strategy=strategy
+            )
+            reference = rows
+            digests.add(rows_digest(rows))
     finally:
-        set_columnar_shipping(True)
         shutdown_worker_pool()
     if len(digests) != 1:
         raise AssertionError(

@@ -131,13 +131,12 @@ WORKLOADS = {
     "packed_zipf_strkey": packed_zipf_strkey_workload,
 }
 
-STRATEGIES = ("pool", "spawn", "global", "rep", "auto")
+STRATEGIES = ("pool", "global", "rep", "auto")
 
 
 def run_case(builder):
     from repro.parallel.mp_executor import (
         multiprocessing_aggregate,
-        set_columnar_shipping,
         shutdown_worker_pool,
     )
 
@@ -145,17 +144,14 @@ def run_case(builder):
     digests = set()
     reference = None
     try:
-        for columnar in (True, False):
-            set_columnar_shipping(columnar)
-            for strategy in STRATEGIES:
-                for processes in (1, 4):
-                    rows = multiprocessing_aggregate(
-                        dist, query, processes, strategy=strategy
-                    )
-                    reference = rows
-                    digests.add(rows_digest(rows))
+        for strategy in STRATEGIES:
+            for processes in (1, 4):
+                rows = multiprocessing_aggregate(
+                    dist, query, processes, strategy=strategy
+                )
+                reference = rows
+                digests.add(rows_digest(rows))
     finally:
-        set_columnar_shipping(True)
         shutdown_worker_pool()
     if len(digests) != 1:
         raise AssertionError(

@@ -165,15 +165,28 @@ class TestRunMp:
         assert "verified against reference: OK" in text
         assert "injected=" in text
 
-    def test_mp_rejects_spawn_with_faults(self):
+    def test_mp_rejects_faults_without_injection_shim(self):
         code, text = run_cli(
             "run",
-            "--substrate", "mp", "--strategy", "spawn",
+            "--substrate", "mp", "--strategy", "rep",
             "--tuples", "400", "--groups", "20", "--nodes", "2",
             "--faults", "seed=1,kill=1",
         )
         assert code == 2
         assert "strategy='pool'" in text
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--substrate", "mp", "--strategy", "spawn"),
+        ("serve", "--strategy", "spawn"),
+    ], ids=["run", "serve"])
+    def test_spawn_strategy_is_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(*argv)
+        assert info.value.code == 2
+        message = capsys.readouterr().err
+        assert "spawn" in message
+        for strategy in ("pool", "global", "rep", "auto"):
+            assert strategy in message
 
     @pytest.mark.parametrize("flag", ["--timeline", "--save-run"])
     def test_mp_rejects_simulator_only_flags(self, flag, tmp_path):

@@ -31,6 +31,7 @@ from repro.obs.decisions import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import (
+    DeadlineExceededError,
     FragmentFailedError,
     WorkerFailure,
     multiprocessing_aggregate,
@@ -146,7 +147,7 @@ class TestChaosMatrix:
     def test_faults_require_pool_strategy(self, dist, query):
         with pytest.raises(ValueError, match="strategy='pool'"):
             multiprocessing_aggregate(
-                dist, query, processes=2, strategy="spawn",
+                dist, query, processes=2, strategy="rep",
                 faults=PLANS["kill"],
             )
 
@@ -232,7 +233,7 @@ class TestSpeculation:
     def test_speculation_requires_pool_strategy(self, dist, query):
         with pytest.raises(ValueError, match="speculat"):
             multiprocessing_aggregate(
-                dist, query, processes=2, strategy="spawn", speculate=True
+                dist, query, processes=2, strategy="rep", speculate=True
             )
 
 
@@ -273,7 +274,8 @@ class TestQuarantine:
 
 
 class TestCircuitBreaker:
-    def test_rebuild_once_then_degrade_to_spawn(self, dist, query):
+    def test_rebuild_once_then_degrade_to_private_pool(self, dist, query):
+        baseline = multiprocessing_aggregate(dist, query, processes=2)
         # Zero backoff: the third failing run may rebuild immediately,
         # preserving the original rebuild-once-then-degrade sequence.
         reset_pool_breaker(threshold=2, rebuild_backoff_seconds=0.0)
@@ -304,21 +306,20 @@ class TestCircuitBreaker:
         assert pool_breaker_state().rebuilds == 1
         assert metrics.value("mp.breaker.rebuilds") == 1
 
-        # Still failing after the rebuild: degrade pool -> spawn.
+        # Still failing after the rebuild: degrade to a private pool.
         fail_once()
         assert pool_breaker_state().degraded
 
-        # A degraded run takes the spawn path (no pool forks), still
-        # produces correct results, and surfaces the state in metrics.
+        # A degraded run leaves the shared pool alone (no forks there),
+        # still produces correct results, and surfaces the state in
+        # metrics.
         pool = mp_executor._get_shared_pool()
         spawned_before = pool.spawned
         metrics = MetricsRegistry()
         got = multiprocessing_aggregate(
             dist, query, processes=2, metrics=metrics
         )
-        assert got == multiprocessing_aggregate(
-            dist, query, processes=2, strategy="spawn"
-        )
+        assert got == baseline
         assert pool.spawned == spawned_before
         assert metrics.value("mp.breaker.degraded_runs") == 1
         assert metrics.value("mp.breaker.degraded") == 1
@@ -351,6 +352,53 @@ class TestCircuitBreaker:
         # RuntimeError is the user's bug, not pool sickness.
         assert pool_breaker_state().consecutive_infra_failures == 0
         assert not pool_breaker_state().degraded
+
+
+class TestDegradedMode:
+    """Degraded = stop trusting the shared pool, keep process isolation:
+    the run forks a private pool and takes it down on the way out."""
+
+    @pytest.fixture(autouse=True)
+    def degraded(self):
+        mp_executor.shutdown_worker_pool()
+        reset_pool_breaker(threshold=1, rebuild_backoff_seconds=0.0)
+        breaker = pool_breaker_state()
+        breaker.record_failure("WorkerDied")
+        assert breaker.take_rebuild()
+        breaker.record_failure("WorkerDied")
+        assert breaker.degraded
+
+    def test_private_pool_leaves_nothing_behind(self, dist, query):
+        import multiprocessing as mp
+
+        shared = mp_executor._get_shared_pool()
+        metrics = MetricsRegistry()
+        got = multiprocessing_aggregate(
+            dist, query, processes=2, metrics=metrics,
+            faults=PLANS["kill"],  # skipped while degraded
+        )
+        assert got == multiprocessing_aggregate(dist, query, processes=1)
+        assert shared.spawned == 0
+        assert metrics.value("mp.breaker.degraded_runs") == 1
+        assert metrics.value("mp.breaker.state") == 2  # the one loop
+        assert metrics.value("mp.attempts") == len(dist.fragments)
+        assert mp.active_children() == []
+        assert _segments() == []
+
+    def test_run_deadline_holds_on_the_private_pool(self, dist, query):
+        import multiprocessing as mp
+
+        from tests.test_mp_executor_faults import _wedge
+
+        start = time.monotonic()
+        with pytest.raises(DeadlineExceededError):
+            multiprocessing_aggregate(
+                dist, query, processes=2, phase_fn=_wedge,
+                deadline=time.monotonic() + 0.3,
+            )
+        assert time.monotonic() - start < 15
+        assert mp.active_children() == []
+        assert _segments() == []
 
 
 class TestBreakerBackoffAndState:

@@ -6,8 +6,7 @@ Three layers of guarantees:
   ``tests/golden/block_parity.json`` (written additively by
   ``tests/golden/make_mp_strategies.py``; the pre-existing simulator
   vectors are never regenerated) pins the executor's exact result rows.
-  Every strategy — pool, spawn, global, rep — with columnar shipping on
-  or off must reproduce the same digest.
+  Every strategy — pool, global, rep — must reproduce the same digest.
 
 * **Kernel parity** — ``_columnar_local_phase`` against the per-row
   reference on adversarial shapes: multi-column keys, dictionary
@@ -16,9 +15,9 @@ Three layers of guarantees:
   *decline* rather than drift.
 
 * **Regression pins** — the trailing-NUL corruption fix (fixed-width
-  codec now rejects what it used to corrupt; the dictionary path
-  round-trips it), and AVG/VAR/STDDEV merge results pinned as exact hex
-  floats, not tolerances.
+  codec now rejects what it used to corrupt; the dictionary path, the
+  only one the executor ships, round-trips it), and AVG/VAR/STDDEV
+  merge results pinned as exact hex floats, not tolerances.
 """
 
 import glob
@@ -34,10 +33,9 @@ from repro.parallel.mp_executor import (
     _columnar_local_phase,
     _local_phase,
     multiprocessing_aggregate,
-    set_columnar_shipping,
     shutdown_worker_pool,
 )
-from repro.storage.columnblock import ColumnBlock, have_numpy
+from repro.storage.columnblock import ColumnBlock
 from repro.storage.hashing import bucket_of, bucket_of_block
 from repro.storage.relation import DistributedRelation
 from repro.storage.rowblock import RowBlock
@@ -50,17 +48,6 @@ _GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "block_parity.json")
     .read_text()
 )
-
-pytestmark = pytest.mark.skipif(
-    not have_numpy(), reason="the columnar path requires numpy"
-)
-
-
-@pytest.fixture(autouse=True)
-def _columnar_default():
-    yield
-    set_columnar_shipping(True)
-
 
 @pytest.fixture(scope="module", autouse=True)
 def _pool_teardown():
@@ -81,13 +68,11 @@ def _load_mp_workload(name):
 
 
 class TestGoldenStrategyParity:
-    @pytest.mark.parametrize("columnar", [True, False])
-    @pytest.mark.parametrize("strategy", ["pool", "spawn", "global", "rep"])
+    @pytest.mark.parametrize("strategy", ["pool", "global", "rep"])
     @pytest.mark.parametrize("workload", sorted(_GOLDEN["mp_strategies"]))
-    def test_strategy_matches_golden(self, workload, strategy, columnar):
+    def test_strategy_matches_golden(self, workload, strategy):
         dist, query = _load_mp_workload(workload)
         want = _GOLDEN["mp_strategies"][workload]
-        set_columnar_shipping(columnar)
         rows = multiprocessing_aggregate(dist, query, 4, strategy=strategy)
         assert len(rows) == want["num_rows"]
         assert _GEN.rows_digest(rows) == want["rows_sha256"]
@@ -243,7 +228,7 @@ class TestKernelParity:
         ))
         results = [
             multiprocessing_aggregate(dist, query, 2, strategy=s)
-            for s in ("pool", "spawn", "global", "rep")
+            for s in ("pool", "global", "rep")
         ]
         base = results[0]
         for rows_s in results[1:]:
@@ -273,9 +258,8 @@ _MOMENT_GOLDEN = {
 
 
 class TestMomentMergeGolden:
-    @pytest.mark.parametrize("strategy", ["pool", "spawn", "global", "rep"])
-    @pytest.mark.parametrize("columnar", [True, False])
-    def test_avg_var_stddev_bits(self, strategy, columnar):
+    @pytest.mark.parametrize("strategy", ["pool", "global", "rep"])
+    def test_avg_var_stddev_bits(self, strategy):
         schema = Schema([
             Column("k", "str", 8), Column("x", "float"), Column("n", "int"),
         ])
@@ -290,7 +274,6 @@ class TestMomentMergeGolden:
             AggregateSpec("var", "x"), AggregateSpec("stddev", "x"),
             AggregateSpec("var", "n"),
         ))
-        set_columnar_shipping(columnar)
         result = multiprocessing_aggregate(
             dist, query, 2, strategy=strategy
         )
@@ -335,12 +318,8 @@ class TestTrailingNulRegression:
         ]
 
     def test_mp_executor_handles_trailing_nul_keys(self):
-        """Trailing-NUL keys flow through every strategy identically.
-
-        Columnar shipping carries them in the dictionary; with columnar
-        off, the fixed-width encode *fails fast* and the fragment falls
-        back to an inline descriptor — either way the results match.
-        """
+        """Trailing-NUL keys flow through every strategy identically:
+        the block dictionary carries them length-exact."""
         schema = Schema([Column("k", "str", 8), Column("v", "int")])
         rows = [
             ("a\x00", 1), ("a", 2), ("b\x00\x00", 3), ("a\x00", 4),
@@ -350,14 +329,13 @@ class TestTrailingNulRegression:
         query = AggregateQuery(("k",), (
             AggregateSpec("sum", "v"), AggregateSpec("count", None),
         ))
-        results = {}
-        for columnar in (True, False):
-            set_columnar_shipping(columnar)
-            for strategy in ("pool", "spawn", "global", "rep"):
-                results[(columnar, strategy)] = multiprocessing_aggregate(
-                    dist, query, 2, strategy=strategy
-                )
-        base = results[(True, "pool")]
+        results = {
+            strategy: multiprocessing_aggregate(
+                dist, query, 2, strategy=strategy
+            )
+            for strategy in ("pool", "global", "rep")
+        }
+        base = results["pool"]
         keys = [row[0] for row in base]
         assert "a\x00" in keys and "b\x00\x00" in keys and "" in keys
         for got in results.values():

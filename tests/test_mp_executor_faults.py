@@ -2,9 +2,11 @@
 
 Covers the hardened dispatch loop: raising workers, workers that die
 without reporting, wedged workers hitting the per-attempt timeout, the
-bounded retry policy, the in-process fallback's retry path, and the
-result-merge aliasing regression (same DistributedRelation run twice
-must give identical results).
+bounded retry policy, the in-process fallback's retry path, the error
+surface a caller branches on (``cause_type``, the ``raise … from
+WorkerFailure`` chain, the ``mp.retries`` / ``mp.errors.<Type>``
+metrics), and the result-merge aliasing regression (same
+DistributedRelation run twice must give identical results).
 """
 
 import functools
@@ -13,10 +15,13 @@ import time
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.parallel import (
     FragmentFailedError,
+    WorkerFailure,
     multiprocessing_aggregate,
     reference_aggregate,
+    reset_pool_breaker,
 )
 from repro.parallel.mp_executor import _local_phase
 from repro.workloads.generator import generate_uniform
@@ -56,6 +61,10 @@ def _fail_on_marker_row(marker_row, job):
 
 def _wedge(job):
     time.sleep(60)
+
+
+def _always_die(job):
+    os._exit(31)
 
 
 class TestMergeAliasing:
@@ -150,6 +159,64 @@ class TestWorkerFailures:
             dist, sum_query, processes=1, max_retries=1, phase_fn=fn
         )
         assert_rows_close(got, reference_aggregate(dist, sum_query))
+
+
+class TestFailureSurface:
+    """What a caller sees when a pooled fragment fails for good: the
+    typed ``cause_type``, the ``WorkerFailure`` cause chain and the
+    retry metrics, per failure class."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_breaker(self):
+        reset_pool_breaker()
+        yield
+        reset_pool_breaker()
+
+    @staticmethod
+    def _fail(query, error_type, **kwargs):
+        # One fragment: the retry metric counts are deterministic.
+        dist = generate_uniform(400, 8, 1, seed=0)
+        metrics = MetricsRegistry()
+        with pytest.raises(FragmentFailedError) as info:
+            multiprocessing_aggregate(
+                dist, query, processes=2, max_retries=1, metrics=metrics,
+                **kwargs,
+            )
+        err = info.value
+        assert err.cause_type == error_type
+        assert err.attempts == 2
+        assert err.fragment_index == 0
+        assert isinstance(err.__cause__, WorkerFailure)
+        assert err.__cause__.error_type == error_type
+        assert metrics.value("mp.retries") == 1
+        assert metrics.value(f"mp.errors.{error_type}") == 1
+        return err
+
+    def test_worker_error(self, sum_query):
+        err = self._fail(sum_query, "RuntimeError", phase_fn=_always_raise)
+        assert err.cause == "RuntimeError: injected failure"
+        assert str(err.__cause__) == err.cause
+
+    def test_timeout(self, sum_query):
+        err = self._fail(
+            sum_query, "Timeout", timeout=0.5, phase_fn=_wedge
+        )
+        assert "timed out after 0.5s" in err.cause
+
+    def test_worker_death(self, sum_query):
+        err = self._fail(sum_query, "WorkerDied", phase_fn=_always_die)
+        assert "died without a result" in err.cause
+
+    def test_death_recovery_is_counted(self, sum_query, tmp_path):
+        dist = generate_uniform(400, 8, 1, seed=0)
+        fn = functools.partial(_die_once_then_work, str(tmp_path / "died"))
+        metrics = MetricsRegistry()
+        got = multiprocessing_aggregate(
+            dist, sum_query, processes=2, max_retries=2, phase_fn=fn,
+            metrics=metrics,
+        )
+        assert got == multiprocessing_aggregate(dist, sum_query, 1)
+        assert metrics.value("mp.errors.WorkerDied") == 1
 
 
 class TestArgumentValidation:

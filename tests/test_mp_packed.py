@@ -50,18 +50,14 @@ from repro.obs.decisions import (
 from repro.parallel.mp_executor import (
     _AUTO_SAMPLE_ROWS,
     _auto_params,
+    _local_phase,
     multiprocessing_aggregate,
-    set_columnar_shipping,
     shutdown_worker_pool,
 )
-from repro.storage.columnblock import ColumnBlock, have_numpy
+from repro.storage.columnblock import ColumnBlock
 from repro.storage.relation import BlockRelation, DistributedRelation
 from repro.storage.schema import Column, Schema
 from repro.workloads.generator import generate_zipf
-
-pytestmark = pytest.mark.skipif(
-    not have_numpy(), reason="the packed columnar path requires numpy"
-)
 
 _GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "block_parity.json")
@@ -69,16 +65,16 @@ _GOLDEN = json.loads(
 )
 
 
-@pytest.fixture(autouse=True)
-def _columnar_default():
-    yield
-    set_columnar_shipping(True)
-
-
 @pytest.fixture(scope="module", autouse=True)
 def _pool_teardown():
     yield
     shutdown_worker_pool()
+
+
+def _per_row(dist, query):
+    """The per-row oracle: a substituted ``phase_fn`` is handed decoded
+    rows, so ``_local_phase`` runs its row loop, never the kernel."""
+    return multiprocessing_aggregate(dist, query, 1, phase_fn=_local_phase)
 
 
 def _block_dist(schema, parts):
@@ -114,7 +110,7 @@ def _digest(rows):
 
 
 class TestPackedMergeGolden:
-    @pytest.mark.parametrize("strategy", ["pool", "spawn", "global", "rep"])
+    @pytest.mark.parametrize("strategy", ["pool", "global", "rep"])
     @pytest.mark.parametrize("workload", sorted(_GOLDEN["packed_merge"]))
     def test_strategy_matches_golden(self, workload, strategy):
         dist, query = _load_packed_workload(workload)
@@ -179,9 +175,7 @@ if HAVE_HYPOTHESIS:
             if not any(parts):
                 return
             dist = _block_dist(_SCHEMA, parts)
-            reference = multiprocessing_aggregate(
-                dist, _QUERY, 1, strategy="spawn"
-            )
+            reference = _per_row(dist, _QUERY)
             packed = multiprocessing_aggregate(
                 dist, _QUERY, 1, strategy="global"
             )
@@ -192,9 +186,7 @@ if HAVE_HYPOTHESIS:
         def test_single_fragment_degenerate(self, rows):
             """One fragment: the merge folds exactly one packed payload."""
             dist = _block_dist(_SCHEMA, [rows])
-            reference = multiprocessing_aggregate(
-                dist, _QUERY, 1, strategy="spawn"
-            )
+            reference = _per_row(dist, _QUERY)
             packed = multiprocessing_aggregate(
                 dist, _QUERY, 1, strategy="global"
             )
@@ -210,9 +202,7 @@ class TestPackedEdgeShapes:
             [],
         ]
         dist = _block_dist(_SCHEMA, parts)
-        reference = multiprocessing_aggregate(
-            dist, _QUERY, 1, strategy="spawn"
-        )
+        reference = _per_row(dist, _QUERY)
         assert (
             multiprocessing_aggregate(dist, _QUERY, 1, strategy="global")
             == reference
@@ -227,9 +217,7 @@ class TestPackedEdgeShapes:
         ]
         dist = _block_dist(_SCHEMA, parts)
         rows = multiprocessing_aggregate(dist, _QUERY, 1, strategy="global")
-        assert rows == multiprocessing_aggregate(
-            dist, _QUERY, 1, strategy="spawn"
-        )
+        assert rows == _per_row(dist, _QUERY)
         (row,) = rows
         assert row[1] == "aa" and row[2] == "é" and row[3] == 4
 
@@ -268,10 +256,7 @@ class TestMidRunResample:
             dist, query, 1, strategy="auto", ledger=ledger,
             auto_resample_after=1,
         )
-        reference = multiprocessing_aggregate(
-            dist, query, 1, strategy="spawn"
-        )
-        assert rows == reference
+        assert rows == _per_row(dist, query)
 
         by_kind = {e.kind: e for e in ledger.events}
         choice = by_kind[MP_STRATEGY_CHOICE]
@@ -305,9 +290,7 @@ class TestMidRunResample:
             dist, query, 1, strategy="auto", ledger=ledger,
             auto_resample_after=2,
         )
-        assert rows == multiprocessing_aggregate(
-            dist, query, 1, strategy="spawn"
-        )
+        assert rows == _per_row(dist, query)
         resample = next(
             e for e in ledger.events if e.kind == MP_STRATEGY_RESAMPLE
         )

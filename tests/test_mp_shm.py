@@ -6,10 +6,10 @@ runs, raising workers, hard worker deaths, wedged-worker timeouts, and
 budgeted OOM-retry ladders.  The chaos matrix here drives each of those
 paths with real processes and counts segments after every one.
 
-The parity half pins that the pooled path (vectorized kernel, shm
-blocks, columnwise encode) and its fallbacks (string keys, WHERE
-clauses, multi-column keys, arbitrary-precision int sums) all produce
-results identical to the spawn baseline and the in-process path.
+The parity half pins that the pooled path (columnar kernel off shm
+blocks) and the shapes that leave the kernel for the per-row loop
+(WHERE clauses, a substituted phase) produce results identical to the
+in-process path.
 """
 
 import functools
@@ -150,18 +150,26 @@ class TestPoolBehaviour:
             multiprocessing_aggregate(
                 dist, query, processes=2, strategy="threads"
             )
+        with pytest.raises(
+            ValueError, match="'pool', 'global', 'rep' or 'auto'"
+        ):
+            multiprocessing_aggregate(
+                dist, query, processes=2, strategy="spawn"
+            )
 
     def test_strategies_agree_exactly(self, dist, query):
         pool = multiprocessing_aggregate(
             dist, query, processes=2, strategy="pool"
         )
-        spawn = multiprocessing_aggregate(
-            dist, query, processes=2, strategy="spawn"
+        # A substituted phase is shipped full rows and runs the per-row
+        # loop in the worker.
+        per_row = multiprocessing_aggregate(
+            dist, query, processes=2, phase_fn=mp_executor._local_phase
         )
         inproc = multiprocessing_aggregate(dist, query, processes=1)
         # Bit-identical, not merely close: the vectorized kernel must
         # accumulate in the same order as the per-row loop.
-        assert pool == spawn == inproc
+        assert pool == per_row == inproc
 
 
 class TestPoolHealth:
@@ -339,8 +347,8 @@ class TestPoolLifecycleUnderReuse:
 
 
 class TestVectorizedFallbackParity:
-    """Shapes the vectorized kernel refuses must take the decode
-    fallback and still match the other dispatch paths exactly."""
+    """Every key and aggregate shape, kernel-covered or declined to the
+    per-row loop, must match the in-process path exactly."""
 
     @staticmethod
     def _agree(dist, query):

@@ -1,0 +1,197 @@
+"""One wire format, one phase-1 entry.
+
+Two contracts:
+
+* **The wire** — ``_encode_fragment`` ships every non-empty fragment,
+  whatever the statement shape and whoever runs it, as one serialized
+  ``ColumnBlock`` in one shared-memory segment (``"shm_col"``); only
+  empty fragments and rows the block codec rejects travel inline.
+  Projection happens exactly when a built-in phase runs a query without
+  a WHERE predicate.
+
+* **The shape matrix** — the six statement shapes of the benchmark's
+  ``shape_cliffs`` workload return bit-identical rows under every
+  strategy, in-process and pooled, governed or not: a pool worker runs
+  the same phase function on the same source type as ``processes=1``.
+"""
+
+import glob
+
+import pytest
+
+from repro.core.aggregates import AggregateSpec
+from repro.core.query import AggregateQuery
+from repro.parallel import multiprocessing_aggregate, reference_aggregate
+from repro.parallel.mp_executor import (
+    SHM_PREFIX,
+    _encode_fragment,
+    _load_job,
+    _local_phase,
+    shutdown_worker_pool,
+)
+from repro.sql import parse_query
+from repro.storage.columnblock import ColumnBlock
+from repro.storage.schema import Column, Schema
+from repro.workloads.generator import generate_uniform
+
+from tests.conftest import assert_rows_close
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _pool_teardown():
+    yield
+    shutdown_worker_pool()
+
+
+# -- the wire -----------------------------------------------------------------
+
+_SCHEMA = Schema(
+    [Column("gkey", "int"), Column("val", "float"), Column("pad", "str", 8)]
+)
+_ROWS = [(i % 5, float(i), f"p{i % 3}") for i in range(40)]
+
+
+def _val_at_least_ten(row):
+    return row["val"] >= 10.0
+
+
+_GROUPED = AggregateQuery(("gkey",), (AggregateSpec("sum", "val"),))
+_WHERE = AggregateQuery(
+    ("gkey",), (AggregateSpec("sum", "val"),), where=_val_at_least_ten
+)
+_SCALAR = AggregateQuery((), (AggregateSpec("sum", "val"),))
+_COUNT_STAR = AggregateQuery((), (AggregateSpec("count", None),))
+
+
+@pytest.fixture
+def segments():
+    owned: list = []
+    yield owned
+    for shm in owned:
+        shm.close()
+        shm.unlink()
+    assert glob.glob("/dev/shm/" + SHM_PREFIX + "*") == []
+
+
+class TestEncodeFragment:
+    @pytest.mark.parametrize("born", ["rows", "block"])
+    @pytest.mark.parametrize("query, project, shipped", [
+        (_GROUPED, True, ("gkey", "val")),
+        (_WHERE, True, ("gkey", "val", "pad")),
+        (_SCALAR, True, ("val",)),
+        (_COUNT_STAR, True, ("gkey", "val", "pad")),
+        (_GROUPED, False, ("gkey", "val", "pad")),
+    ], ids=["grouped", "where", "scalar", "count_star", "phase_fn"])
+    def test_every_shape_ships_one_column_block(
+        self, segments, born, query, project, shipped
+    ):
+        source = (
+            _ROWS if born == "rows"
+            else ColumnBlock.from_rows(_SCHEMA, _ROWS)
+        )
+        desc = _encode_fragment(
+            source, query, _SCHEMA, segments, project=project
+        )
+        kind, name, nbytes, num_rows, _query, schema, as_rows = desc
+        assert kind == "shm_col"
+        assert [shm.name for shm in segments] == [name]
+        assert num_rows == len(_ROWS)
+        assert tuple(c.name for c in schema.columns) == shipped
+        # A substituted phase_fn is handed rows, a built-in the block.
+        assert as_rows is (not project)
+        loaded, _query, loaded_schema = _load_job(desc)
+        assert loaded_schema is schema
+        idx = _SCHEMA.indexes_of(shipped)
+        want = [tuple(row[i] for i in idx) for row in _ROWS]
+        if as_rows:
+            assert loaded == want
+        else:
+            assert isinstance(loaded, ColumnBlock)
+            assert loaded.to_rows() == want
+
+    @pytest.mark.parametrize("source", [
+        [], ColumnBlock.from_rows(_SCHEMA, []),
+    ], ids=["rows", "block"])
+    def test_empty_fragment_is_inline(self, segments, source):
+        desc = _encode_fragment(source, _GROUPED, _SCHEMA, segments)
+        assert desc == ("inline", ([], _GROUPED, _SCHEMA))
+        assert segments == []
+
+    @pytest.mark.parametrize("bad_row", [
+        (2**63, 1.0, "x"),     # int outside int64
+        (1.5, 1.0, "x"),       # float in an int column
+        (1, 1.0, 7),           # int in a str column
+    ], ids=["int64_overflow", "float_as_int", "int_as_str"])
+    def test_rejected_rows_are_inline_with_the_full_schema(
+        self, segments, bad_row
+    ):
+        rows = _ROWS + [bad_row]
+        query = AggregateQuery(
+            ("gkey",), (AggregateSpec("count", None),
+                        AggregateSpec("max", "pad"))
+        )
+        desc = _encode_fragment(rows, query, _SCHEMA, segments)
+        assert desc == ("inline", (rows, query, _SCHEMA))
+        assert segments == []
+
+
+# -- the shape matrix ---------------------------------------------------------
+
+_SHAPES = {
+    "where": ("int", "SELECT gkey, SUM(val), COUNT(*) FROM r "
+                     "WHERE val >= 50 GROUP BY gkey"),
+    "scalar": ("int", "SELECT SUM(val), COUNT(*), MIN(val), MAX(val) "
+                      "FROM r"),
+    "multikey": ("int", "SELECT gkey, pad, SUM(val), COUNT(*) FROM r "
+                        "GROUP BY gkey, pad"),
+    "distinct": ("int", "SELECT gkey, COUNT(DISTINCT val) FROM r "
+                        "GROUP BY gkey"),
+    "strkey": ("str", "SELECT gkey, MIN(val), MAX(val), AVG(val) FROM r "
+                      "GROUP BY gkey"),
+    "havingvar": ("int", "SELECT gkey, VAR(val), STDDEV(val), COUNT(*) "
+                         "FROM r GROUP BY gkey HAVING COUNT(*) > 10"),
+}
+
+
+@pytest.fixture(scope="module")
+def tables():
+    size = dict(num_tuples=4000, num_groups=60, num_nodes=4, seed=17)
+    return {
+        "int": generate_uniform(**size),
+        "str": generate_uniform(key_format="g{:08d}", **size),
+    }
+
+
+@pytest.fixture(scope="module")
+def oracle(tables):
+    """Per shape: the per-row loop's rows (a substituted ``phase_fn`` is
+    handed decoded rows), checked once against the reference."""
+    out = {}
+    for shape, (table, sql) in _SHAPES.items():
+        _name, query = parse_query(sql)
+        rows = multiprocessing_aggregate(
+            tables[table], query, 1, phase_fn=_local_phase
+        )
+        assert_rows_close(rows, reference_aggregate(tables[table], query))
+        out[shape] = (tables[table], query, rows)
+    return out
+
+
+class TestShapeMatrixParity:
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize("strategy", ["pool", "global", "rep", "auto"])
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_bit_identical_rows(self, oracle, shape, strategy, processes):
+        dist, query, want = oracle[shape]
+        got = multiprocessing_aggregate(
+            dist, query, processes, strategy=strategy
+        )
+        assert got == want
+
+    @pytest.mark.parametrize("shape", sorted(_SHAPES))
+    def test_governed_leg(self, oracle, shape):
+        dist, query, want = oracle[shape]
+        got = multiprocessing_aggregate(
+            dist, query, 2, memory_budget_bytes=600
+        )
+        assert got == want

@@ -290,6 +290,8 @@ class TestServiceConfig:
             ServiceConfig(reduced_load=0.9, cache_only_load=0.5)
         with pytest.raises(ValueError):
             ServiceConfig(strategy="turbo")
+        with pytest.raises(ValueError, match="pool/global/rep/auto"):
+            ServiceConfig(strategy="spawn")
         with pytest.raises(ValueError):
             ServiceConfig(slow_trace_threshold_seconds=-1.0)
         with pytest.raises(ValueError):
