@@ -1,0 +1,119 @@
+"""A real multiprocessing Two Phase executor, hardened against failures.
+
+Each worker process aggregates one node's fragment (phase 1); the parent
+merges the partial states (phase 2).  This demonstrates the library's
+partial-aggregate states compose across *real* process boundaries — the
+states are picklable by construction — while the simulator remains the
+source of timing results (see DESIGN.md on the GIL/1-core substitution).
+
+Dispatch runs through a persistent worker pool: workers are forked once
+and reused across fragments, retries and runs, and every non-empty
+fragment travels as one serialized
+:class:`~repro.storage.ColumnBlock` (dictionary-encoded columns) in a
+``repro_mp_``-named ``multiprocessing.shared_memory`` segment — only a
+small job descriptor (segment name, byte and row counts, query, schema)
+is pickled over the pipe.  When the query has no WHERE predicate and the
+caller did not substitute a ``phase_fn``, the block is projected to the
+key + aggregate columns first, so an evaluation-schema tuple ships 16 of
+its 100 bytes.  Empty fragments, and rows the block codec rejects (an
+int outside int64, a mistyped value), are pickled inline instead.
+Segments are owned by the parent and unlinked on *every* exit path
+(success, worker error, timeout, dead worker, FragmentFailedError).
+
+The parent detects a worker that raises, dies, or exceeds
+``timeout`` seconds and retries that one fragment (in a fresh or
+replacement worker) up to ``max_retries`` times.  A fragment that
+still fails raises :class:`FragmentFailedError` carrying the partial
+progress (every fragment that *did* complete) — the executor never hangs
+on a dead or wedged worker.
+
+``processes=0`` (the default) sizes the pool to the fragment count but
+falls back to in-process execution when the host has a single CPU, so the
+test suite stays fast everywhere.
+
+The pool path is chaos-hardened end to end:
+
+- **Unified fault injection** — the same seedable
+  :class:`~repro.sim.faults.FaultPlan` that drives the simulator drives
+  real-process injection here (``faults=plan``): a ``CrashFault``
+  SIGKILLs the fragment's worker at job start (the worker shim delivers
+  the signal to itself, so the crash always lands on the scheduled
+  fragment), a ``Straggler`` limps it with an artificial per-row
+  slowdown, a ``WorkerStall`` self-SIGSTOPs it until the parent's
+  scheduled SIGCONT (the limplock scenario), ``read_error_rate`` raises
+  :class:`InjectedFaultError` inside the worker, and ``message_loss``
+  unlinks the fragment's shared-memory segment before dispatch.  Which
+  faults fire where is the plan's deterministic
+  ``injection_schedule`` — identical (kind, target, ordinal) tuples on
+  the sim and mp substrates for a given seed.
+- **Heartbeats** — workers emit liveness + progress beats mid-job over
+  their pipes; the dispatcher declares a silent worker ``HeartbeatLost``
+  after ``heartbeat_timeout`` seconds instead of waiting out the full
+  job timeout, and detects workers that died while *idle* eagerly.
+- **Speculative re-execution** — with ``speculate=True``, a fragment
+  running longer than a robust multiple of the median attempt time gets
+  a backup attempt on another worker; first result wins, the loser is
+  cancelled, and every speculation is recorded through the
+  :class:`~repro.obs.decisions.DecisionLedger` with a post-hoc verdict.
+- **Quarantine + circuit breaker** — a fragment that kills
+  ``poison_threshold`` workers fails fast as a ``PoisonFragment`` with
+  the full cause chain; repeated infrastructure-level run failures trip
+  a module-level breaker that rebuilds the shared pool once and then
+  degrades: every later run gets a private pool of fresh workers, shut
+  down when the run ends.  Surfaced in ``mp.breaker.*`` metrics and
+  trace events.
+
+The fault-free path is byte-identical to the pre-chaos executor; the
+golden parity tests pin that.
+
+The executor is also safe for **concurrent multi-threaded callers**
+(the long-lived query service in :mod:`repro.service` is the first):
+the shared pool hands out each worker to exactly one dispatcher at a
+time under a pool lock, idle-pipe watching is restricted to a sole
+dispatcher (concurrent runs detect idle deaths at acquire instead),
+worker forks are serialized, and a pool that was shut down while
+another run still held its workers discards them on release instead of
+resurrecting them as orphans.  ``deadline=`` (an absolute
+``time.monotonic()`` value) bounds a whole run: when it expires the
+dispatcher cancels every in-flight attempt through the same
+discard-on-timeout path, unlinks all shared-memory segments, and
+raises :class:`DeadlineExceededError` — cooperative cancellation for
+callers that serve queries under latency budgets.
+"""
+
+from repro.parallel.mp_executor.api import multiprocessing_aggregate
+from repro.parallel.mp_executor.pool import WorkerPool, shutdown_worker_pool
+from repro.parallel.mp_executor.resilience import (
+    BREAKER_CLOSED,
+    BREAKER_HALF_OPEN,
+    BREAKER_OPEN,
+    ChaosOptions,
+    DeadlineExceededError,
+    FragmentFailedError,
+    InjectedFaultError,
+    MpFaultInjector,
+    PoolCircuitBreaker,
+    WorkerFailure,
+    pool_breaker_state,
+    reset_pool_breaker,
+)
+from repro.parallel.mp_executor.wire import SHM_PREFIX
+
+__all__ = [
+    "BREAKER_CLOSED",
+    "BREAKER_HALF_OPEN",
+    "BREAKER_OPEN",
+    "ChaosOptions",
+    "DeadlineExceededError",
+    "FragmentFailedError",
+    "InjectedFaultError",
+    "MpFaultInjector",
+    "PoolCircuitBreaker",
+    "SHM_PREFIX",
+    "WorkerFailure",
+    "WorkerPool",
+    "multiprocessing_aggregate",
+    "pool_breaker_state",
+    "reset_pool_breaker",
+    "shutdown_worker_pool",
+]

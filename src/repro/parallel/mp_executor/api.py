@@ -1,0 +1,614 @@
+"""The entry point, :func:`multiprocessing_aggregate`, and the sink its
+dispatch loops report through."""
+
+from __future__ import annotations
+
+import os
+import time
+from multiprocessing import shared_memory
+
+from repro.core.aggregates import GroupState
+from repro.core.query import AggregateQuery
+from repro.obs.profile import WorkerProfile
+from repro.obs.tracer import PHASE as _CAT_PHASE
+from repro.parallel.mp_executor.kernel import (
+    _global_phase,
+    _GovernedPhase,
+    _local_phase,
+)
+from repro.parallel.mp_executor.merge import (
+    _is_packed,
+    _merge_packed,
+    _unpack_packed,
+)
+from repro.parallel.mp_executor.pool import (
+    WorkerPool,
+    _get_shared_pool,
+    _run_jobs_in_pool,
+    _run_jobs_in_process,
+    shutdown_worker_pool,
+)
+from repro.parallel.mp_executor.resilience import (
+    ChaosOptions,
+    DeadlineExceededError,
+    FragmentFailedError,
+    MpFaultInjector,
+    pool_breaker_state,
+)
+from repro.parallel.mp_executor.strategies import (
+    _auto_params,
+    _AutoStrategyController,
+    _resolve_auto_strategy,
+    _run_rep_strategy,
+)
+from repro.parallel.mp_executor.wire import _encode_fragment
+from repro.storage.relation import DistributedRelation
+
+
+class _ObsSink:
+    """Collects the executor's observability: spans, counters, profiles.
+
+    Wraps an optional tracer and metrics registry behind unconditional
+    method calls, so the dispatch loops stay readable; with neither
+    attached only the ``profiles`` list is maintained.  Times are wall
+    seconds relative to the sink's creation (the run start), keeping the
+    exported trace starting at zero like a simulated one.
+    """
+
+    def __init__(self, tracer=None, metrics=None) -> None:
+        self.tracer = tracer
+        self.metrics = metrics
+        self.t0 = time.perf_counter()
+        self.profiles: list[WorkerProfile] = []
+
+    def now(self) -> float:
+        return time.perf_counter() - self.t0
+
+    def attempt_done(
+        self,
+        index: int,
+        attempt: int,
+        start: float,
+        ok: bool,
+        profile: dict | None,
+        error: dict | None = None,
+    ) -> None:
+        """One fragment attempt finished (either way) at ``self.now()``."""
+        end = self.now()
+        if profile:
+            self.profiles.append(
+                WorkerProfile.from_dict(index, attempt, profile, ok=ok)
+            )
+        if self.metrics is not None:
+            m = self.metrics
+            m.counter("mp.attempts").inc()
+            if not ok:
+                m.counter("mp.failed_attempts").inc()
+            if profile:
+                m.histogram("mp.worker_wall_seconds").observe(
+                    profile.get("wall_seconds", 0.0)
+                )
+                m.histogram("mp.worker_cpu_seconds").observe(
+                    profile.get("cpu_seconds", 0.0)
+                )
+                m.gauge("mp.worker_max_rss_bytes", mode="max").set(
+                    profile.get("max_rss_bytes", 0)
+                )
+        if self.tracer is not None:
+            args = {"attempt": attempt, "ok": ok}
+            if profile:
+                args["cpu_seconds"] = profile.get("cpu_seconds", 0.0)
+                args["max_rss_bytes"] = profile.get("max_rss_bytes", 0)
+            if error is not None:
+                args["error_type"] = error.get("type")
+                args["error"] = error.get("message")
+            self.tracer.complete(
+                f"fragment {index}", index, start, end,
+                cat=_CAT_PHASE, **args,
+            )
+
+    def retry(self, index: int, attempt: int, error: dict) -> None:
+        """A failed attempt is being re-dispatched — the exception the
+        retry loop would otherwise discard goes on the record here."""
+        if self.metrics is not None:
+            self.metrics.counter("mp.retries").inc()
+            self.metrics.counter(
+                f"mp.errors.{error.get('type', 'Unknown')}"
+            ).inc()
+        if self.tracer is not None:
+            self.tracer.instant(
+                "fragment_retry", index, self.now(),
+                attempt=attempt,
+                error_type=error.get("type"),
+                error=error.get("message"),
+            )
+
+    # -- chaos / robustness events -------------------------------------------
+
+    def _count(self, name: str) -> None:
+        if self.metrics is not None:
+            self.metrics.counter(name).inc()
+
+    def _instant(self, name: str, track: int, **args) -> None:
+        if self.tracer is not None:
+            self.tracer.instant(name, track, self.now(), **args)
+
+    def beat(self) -> None:
+        self._count("mp.heartbeat.beats")
+
+    def heartbeat_lost(self, index: int, attempt: int) -> None:
+        self._count("mp.heartbeat.lost")
+        self._instant("heartbeat_lost", index, attempt=attempt)
+
+    def idle_death(self) -> None:
+        self._count("mp.pool.idle_deaths")
+        self._instant("idle_worker_death", -1)
+
+    def fault_injected(self, kind: str, index: int, attempt: int) -> None:
+        self._count(f"mp.faults.injected.{kind}")
+        self._instant("fault_injected", index, kind=kind, attempt=attempt)
+
+    def speculation_launched(self, index: int, attempt: int,
+                             elapsed: float, threshold: float) -> None:
+        self._count("mp.speculative.launched")
+        self._instant(
+            "speculative_launch", index, attempt=attempt,
+            elapsed_seconds=round(elapsed, 6),
+            threshold_seconds=round(threshold, 6),
+        )
+
+    def speculation_resolved(self, index: int, backup_won: bool) -> None:
+        self._count(
+            "mp.speculative.backup_wins" if backup_won
+            else "mp.speculative.primary_wins"
+        )
+        self._instant("speculation_resolved", index, backup_won=backup_won)
+
+    def speculation_cancelled(self, index: int, attempt: int,
+                              backup: bool) -> None:
+        self._count("mp.speculative.cancelled")
+        self._instant(
+            "speculation_cancelled", index, attempt=attempt, backup=backup
+        )
+
+    def worker_death(self, index: int) -> None:
+        self._count("mp.quarantine.worker_deaths")
+
+    def quarantined(self, index: int, death_count: int) -> None:
+        self._count("mp.quarantine.poisoned")
+        self._instant("quarantine", index, deaths=death_count)
+
+    def reencoded(self, index: int) -> None:
+        self._count("mp.shm.reencoded")
+
+    def pool_rebuild(self) -> None:
+        self._count("mp.breaker.rebuilds")
+        self._instant("pool_rebuild", -1)
+
+    def pool_degraded(self) -> None:
+        self._count("mp.breaker.degraded_runs")
+        if self.metrics is not None:
+            self.metrics.gauge("mp.breaker.degraded", mode="max").set(1)
+        self._instant("pool_degraded", -1)
+
+    def breaker_state(self, code: int) -> None:
+        """The breaker's state after this run (0 closed, 1 half-open,
+        2 open) — health endpoints read this gauge."""
+        if self.metrics is not None:
+            self.metrics.gauge("mp.breaker.state", mode="last").set(code)
+
+    def deadline_exceeded(self, completed: int, total: int) -> None:
+        self._count("mp.deadline_exceeded")
+        self._instant(
+            "run_deadline_exceeded", -1, completed=completed, total=total
+        )
+
+
+def multiprocessing_aggregate(
+    dist: DistributedRelation,
+    query: AggregateQuery,
+    processes: int = 0,
+    *,
+    max_retries: int = 2,
+    timeout: float | None = None,
+    phase_fn=None,
+    memory_budget_bytes: int | None = None,
+    tracer=None,
+    metrics=None,
+    profiles: list | None = None,
+    strategy: str = "pool",
+    faults=None,
+    faults_log: list | None = None,
+    speculate: bool = False,
+    speculation_multiplier: float = 3.0,
+    speculation_min_seconds: float = 0.05,
+    heartbeat_interval: float | None = 0.5,
+    heartbeat_timeout: float | None = None,
+    poison_threshold: int = 3,
+    ledger=None,
+    deadline: float | None = None,
+    auto_resample_after: int | None = None,
+) -> list[tuple]:
+    """Two Phase over real processes; returns sorted result rows.
+
+    ``timeout`` bounds each worker attempt in wall-clock seconds
+    (process dispatch only — the in-process fallback cannot preempt
+    itself); ``max_retries`` bounds re-dispatches per fragment;
+    ``phase_fn`` substitutes the phase-1 worker function (picklable —
+    used by the fault-injection tests).
+
+    ``deadline`` bounds the *whole run* with an absolute
+    ``time.monotonic()`` value: when it passes, in-flight attempts are
+    cancelled (workers discarded, segments unlinked) and
+    :class:`DeadlineExceededError` is raised.  Unlike ``timeout`` it is
+    not retried around — it is the caller's latency budget, threaded
+    down from the query service's per-query deadline or the CLI's
+    ``--timeout``.  A deadline miss does not count toward the circuit
+    breaker.
+
+    ``strategy`` picks the aggregation discipline and dispatch
+    mechanism:
+
+    * ``"pool"`` (the default): partitioned two-phase on the module's
+      persistent worker pool, fragments shipped as shared-memory
+      columnar blocks (pickled inline when empty or when the block
+      codec rejects a value).
+    * ``"global"``: the shared global-hash-table discipline — workers
+      return *packed* columnar partials (raw per-group arrays) and the
+      parent folds them all into one table vectorized, instead of
+      re-materializing per-key states.  Cheapest at high selectivity,
+      where 2P's per-fragment partials approach fragment size.
+    * ``"rep"``: the paper's Repartitioning — round 1 hash-partitions
+      every fragment into ``len(fragments)`` disjoint key buckets,
+      round 2 aggregates each bucket on one worker, so no group is
+      touched by two workers and the parent merge is a concatenation.
+    * ``"auto"``: takes a stratified prefix sample across all
+      fragments, estimates selectivity, and picks ``"pool"`` or
+      ``"global"`` from the cost model
+      (:func:`repro.costmodel.globalhash.choose_mp_strategy`); the
+      choice and both modeled costs are recorded in ``ledger``.  The
+      choice is then *re-sampled mid-run* (the paper's A-2P move):
+      after the first ``auto_resample_after`` fragments complete
+      (default: a quarter of the fragments, at least one), the cost
+      model re-runs on their observed group cardinality and a flipped
+      winner switches global ↔ pool for the fragments not yet
+      dispatched.  The re-decision lands in ``ledger`` as an
+      ``mp_strategy_resample`` event; both auto events get post-hoc
+      verdicts against the true group count once the run finishes.
+      ``auto_resample_after=0`` disables the mid-run re-estimate
+      (pre-run choice only); substituted ``phase_fn`` and
+      ``memory_budget_bytes`` also disable it.
+
+    Results are bit-identical across all strategies.  ``phase_fn`` is
+    pool-only; ``memory_budget_bytes`` excludes ``"rep"``; fault
+    injection and speculation require ``"pool"`` or ``"global"``.
+
+    ``memory_budget_bytes`` puts each fragment's phase-1 table under a
+    byte budget: the first attempt aggregates in memory but raises
+    :class:`~repro.resources.MemoryExceededError` on overrun, and each
+    retry reruns the fragment out-of-core at *half* the previous budget
+    (rung 4 of the degradation ladder) — so an over-budget fragment
+    completes exactly, just slower, instead of failing the run.
+    Mutually exclusive with ``phase_fn``; ``None`` leaves the executor
+    byte-identical to ungoverned behavior.
+
+    Observability (all optional, zero overhead when omitted):
+    ``tracer`` (a :class:`repro.obs.Tracer`) records one wall-clock span
+    per fragment attempt — including failed ones, with the error type in
+    the span args — under a run-wide query span; ``metrics`` (a
+    :class:`repro.obs.MetricsRegistry`) collects attempt/retry counters,
+    per-error-type counters, and worker wall/CPU/RSS distributions from
+    the workers' self-profiles; ``profiles`` (a list) is extended with
+    one :class:`repro.obs.WorkerProfile` per attempt that reported back.
+
+    Chaos / robustness (pool strategy only):
+
+    ``faults`` (a :class:`~repro.sim.faults.FaultPlan`) injects the
+    plan's deterministic fault schedule into the real workers — kills,
+    limplock stalls, slowdowns, in-worker exceptions, shm-segment loss
+    (see the module docstring for the mapping).  Requires real
+    processes: a run that would fall back in-process is bumped to two
+    workers.  ``faults_log`` (a list) receives the injected
+    ``(kind, fragment, attempt)`` entries in firing order.
+    ``speculate`` enables speculative re-execution: a fragment running
+    longer than ``max(speculation_min_seconds, speculation_multiplier ×
+    median attempt time)`` gets a backup attempt on a free worker;
+    first result wins, the loser is killed, and each speculation is
+    recorded in ``ledger`` (a :class:`~repro.obs.DecisionLedger`) with
+    a post-hoc verdict.  ``heartbeat_interval`` makes workers emit
+    liveness beats mid-job (``None`` disables); a worker silent for
+    ``heartbeat_timeout`` seconds (default ``max(8×interval, 5)``) is
+    declared lost without waiting out ``timeout``.  A fragment whose
+    attempts kill ``poison_threshold`` workers is quarantined: it fails
+    fast as a ``PoisonFragment`` instead of grinding the pool down.
+    Runs that repeatedly fail with infrastructure causes trip a
+    module-level circuit breaker (see :class:`PoolCircuitBreaker`):
+    the pool is rebuilt once, then every run degrades to a private pool
+    of fresh workers that is shut down when the run ends (fault
+    injection is skipped while degraded).
+    """
+    if max_retries < 0:
+        raise ValueError("max_retries must be non-negative")
+    if timeout is not None and timeout <= 0:
+        raise ValueError("timeout must be positive")
+    if deadline is not None and time.monotonic() >= deadline:
+        # Already out of budget: fail before any work is dispatched.
+        raise DeadlineExceededError(0.0, 0, len(dist.fragments))
+    if memory_budget_bytes is not None:
+        if phase_fn is not None:
+            raise ValueError(
+                "pass either phase_fn or memory_budget_bytes, not both"
+            )
+        if memory_budget_bytes < 1:
+            raise ValueError("memory_budget_bytes must be positive")
+    if strategy not in ("pool", "global", "rep", "auto"):
+        raise ValueError(
+            "strategy must be 'pool', 'global', 'rep' or 'auto', "
+            f"got {strategy!r}"
+        )
+    if phase_fn is not None and strategy != "pool":
+        raise ValueError("phase_fn substitution requires strategy='pool'")
+    if memory_budget_bytes is not None and strategy == "rep":
+        raise ValueError(
+            "memory_budget_bytes is not supported with strategy='rep' "
+            "(the budget ladder governs the two-phase local phase)"
+        )
+    faults_active = faults is not None and faults.active
+    if strategy not in ("pool", "global"):
+        if faults_active:
+            raise ValueError(
+                "fault injection requires strategy='pool' or 'global' "
+                "(other paths have no injection shim)"
+            )
+        if speculate:
+            raise ValueError(
+                "speculative re-execution requires strategy='pool' or "
+                "'global'"
+            )
+    if auto_resample_after is not None and auto_resample_after < 0:
+        raise ValueError("auto_resample_after must be non-negative")
+    strategy_inputs = None
+    controller = None
+    if strategy == "auto":
+        strategy, strategy_inputs, auto_event = _resolve_auto_strategy(
+            dist, query, ledger
+        )
+        resample_after = (
+            max(1, len(dist.fragments) // 4)
+            if auto_resample_after is None else auto_resample_after
+        )
+        if (
+            resample_after
+            and phase_fn is None
+            and memory_budget_bytes is None
+        ):
+            controller = _AutoStrategyController(
+                strategy,
+                sum(len(f.relation) for f in dist.fragments),
+                _auto_params(dist),
+                ledger,
+                resample_after,
+            )
+            controller.initial_event = auto_event
+    if speculation_multiplier < 1.0:
+        raise ValueError("speculation_multiplier must be >= 1")
+    if speculation_min_seconds <= 0:
+        raise ValueError("speculation_min_seconds must be positive")
+    if heartbeat_interval is not None and heartbeat_interval <= 0:
+        raise ValueError("heartbeat_interval must be positive (or None)")
+    if heartbeat_timeout is not None and heartbeat_timeout <= 0:
+        raise ValueError("heartbeat_timeout must be positive")
+    if poison_threshold < 1:
+        raise ValueError("poison_threshold must be positive")
+    if phase_fn is not None:
+        fn = phase_fn
+    elif strategy == "global":
+        fn = _global_phase
+    else:
+        fn = _local_phase
+
+    def fn_for(attempt: int):
+        if memory_budget_bytes is None:
+            # Resolved at dispatch time, so the mid-run controller's
+            # switch reaches fragments not yet handed to a worker.
+            if controller is not None:
+                return controller.phase_fn()
+            return fn
+        if attempt == 0:
+            return _GovernedPhase(memory_budget_bytes, spill=False)
+        return _GovernedPhase(
+            max(1, memory_budget_bytes >> attempt), spill=True
+        )
+
+    # Block-born fragments stay columnar end to end: the job carries the
+    # ColumnBlock itself and rows are never materialized on the default
+    # phases (encode ships the block; the in-process kernel reads it
+    # directly).  Substituted phase functions keep their row-list
+    # contract — BlockRelation decodes lazily.
+    jobs = [
+        (
+            frag.relation.block
+            if phase_fn is None
+            and getattr(frag.relation, "block", None) is not None
+            else frag.relation.rows,
+            query,
+            dist.schema,
+        )
+        for frag in dist.fragments
+    ]
+    on_complete = controller.on_complete if controller is not None else None
+    cpu_count = os.cpu_count() or 1
+    if processes == 0:
+        processes = min(len(jobs), cpu_count)
+    if faults_active and processes == 1:
+        # Injection needs real worker processes; the in-process fallback
+        # has nothing to kill, stall, or starve.
+        processes = 2
+    obs = _ObsSink(tracer, metrics)
+    run_span = None
+    if tracer is not None:
+        run_span = tracer.begin(
+            "mp_aggregate", track=-1, t=0.0, cat="query",
+            fragments=len(jobs), processes=processes,
+        )
+    breaker = pool_breaker_state()
+    try:
+        if strategy == "rep":
+            completed = _run_rep_strategy(
+                jobs, query, dist.schema, processes, max_retries,
+                timeout, obs, deadline,
+            )
+        elif processes <= 1:
+            completed = _run_jobs_in_process(
+                fn_for, jobs, max_retries, obs, run_deadline=deadline,
+                on_complete=on_complete,
+            )
+        else:
+            degraded = breaker.degraded
+            if degraded:
+                # The breaker gave up on the shared pool: this run forks
+                # a private one (fresh workers, still isolated from the
+                # parent) and shuts it down on the way out; injection is
+                # skipped.
+                obs.pool_degraded()
+                pool = WorkerPool()
+            else:
+                if breaker.take_rebuild():
+                    shutdown_worker_pool()
+                    obs.pool_rebuild()
+                pool = _get_shared_pool()
+            injector = None
+            if faults_active and not degraded:
+                injector = MpFaultInjector(faults, len(jobs),
+                                           max_retries + 1)
+            segments: list = []
+            shm_owner: dict[int, shared_memory.SharedMemory] = {}
+
+            def encode(index: int):
+                rows, q, schema = jobs[index]
+                desc = _encode_fragment(
+                    rows, q, schema, segments, project=phase_fn is None
+                )
+                if desc[0] == "shm_col":
+                    shm_owner[index] = segments[-1]
+                return desc
+
+            def lose_segment(index: int) -> bool:
+                shm = shm_owner.get(index)
+                if shm is None:
+                    return False  # inline descriptor: nothing to lose
+                try:
+                    shm.unlink()
+                except FileNotFoundError:  # pragma: no cover - lost twice
+                    pass
+                return True
+
+            chaos = ChaosOptions(
+                injector=injector,
+                heartbeat_interval=heartbeat_interval,
+                heartbeat_timeout=heartbeat_timeout,
+                speculate=speculate,
+                speculation_multiplier=speculation_multiplier,
+                speculation_min_seconds=speculation_min_seconds,
+                poison_threshold=poison_threshold,
+                ledger=ledger,
+                lose_segment=lose_segment,
+            )
+            try:
+                descriptors = [encode(i) for i in range(len(jobs))]
+                completed = _run_jobs_in_pool(
+                    fn_for, descriptors, processes, max_retries, timeout,
+                    obs, pool, chaos=chaos, reencode=encode,
+                    run_deadline=deadline, on_complete=on_complete,
+                )
+            except FragmentFailedError as exc:
+                breaker.record_failure(exc.cause_type)
+                raise
+            else:
+                breaker.record_success()
+            finally:
+                if degraded:
+                    pool.shutdown()
+                obs.breaker_state(breaker.state_code())
+                if injector is not None and faults_log is not None:
+                    faults_log.extend(injector.injected)
+                # The parent owns every segment: unlink on success,
+                # worker error, timeout, death, and FragmentFailedError
+                # alike, so /dev/shm never accumulates repro_mp_* files.
+                for shm in segments:
+                    shm.close()
+                    try:
+                        shm.unlink()
+                    except FileNotFoundError:
+                        pass
+    except (FragmentFailedError, DeadlineExceededError):
+        if tracer is not None:
+            tracer.close_all(obs.now())
+        if profiles is not None:
+            profiles.extend(obs.profiles)
+        raise
+    if profiles is not None:
+        profiles.extend(obs.profiles)
+    if metrics is not None:
+        metrics.counter("mp.fragments").inc(len(jobs))
+        if strategy_inputs is not None:
+            metrics.counter("mp.auto_strategy." + strategy).inc()
+        if controller is not None and controller.resampled:
+            metrics.counter("mp.auto_strategy.resampled").inc()
+            if controller.switched_to is not None:
+                metrics.counter(
+                    "mp.auto_strategy.switched_to."
+                    + controller.switched_to
+                ).inc()
+
+    merge_start = obs.now()
+    bq = query.bind(dist.schema)
+    # Merge into states owned by this function: never mutate (or shallow-
+    # copy) the pooled partials, so re-running over the same inputs can
+    # never see aliased state from an earlier merge.
+    merged: dict[tuple, GroupState] | None = None
+    if strategy == "global" or controller is not None:
+        # A mid-run switch leaves a mix of packed (global) and unpacked
+        # (pool) partials; all-packed folds vectorized, anything else
+        # unpacks and takes the sequential merge.
+        ordered = [completed[i] for i in range(len(jobs))]
+        if all(_is_packed(p) for p in ordered):
+            merged = _merge_packed(ordered, query)
+        if merged is None:
+            # Mixed or guard-failed payloads: unpack everything and use
+            # the sequential merge below (same result, just slower).
+            completed = {
+                i: _unpack_packed(p, query) if _is_packed(p) else p
+                for i, p in completed.items()
+            }
+    if merged is None:
+        merged = {}
+        for index in range(len(jobs)):
+            for key, state in completed[index]:
+                mine = merged.get(key)
+                if mine is None:
+                    mine = GroupState(query.aggregates)
+                    merged[key] = mine
+                mine.merge(state)
+    if controller is not None:
+        # The merged table's size is the run's true group count: judge
+        # both auto decisions (pre-run sample, mid-run re-sample) now.
+        controller.annotate(len(merged))
+    rows = (bq.result_row(key, state) for key, state in merged.items())
+    result = sorted(row for row in rows if bq.passes_having(row))
+    if tracer is not None:
+        tracer.complete(
+            "merge", -1, merge_start, obs.now(), cat=_CAT_PHASE,
+            groups=len(result),
+        )
+        tracer.end(run_span, obs.now())
+    if metrics is not None:
+        metrics.gauge("mp.elapsed_seconds", mode="max").set(obs.now())
+        metrics.counter("mp.groups_output").inc(len(result))
+        # Worker-vs-merge wall split, consumed by the drift layer
+        # (repro.obs.drift.compare_model_to_mp).
+        metrics.gauge("mp.phase_seconds.local", mode="max").set(merge_start)
+        metrics.gauge("mp.phase_seconds.merge", mode="max").set(
+            obs.now() - merge_start
+        )
+    return result

@@ -1,0 +1,859 @@
+"""Where jobs run: the worker main loop, the persistent
+:class:`WorkerPool`, the pooled dispatch loop and its in-process twin."""
+
+from __future__ import annotations
+
+import atexit
+import multiprocessing
+import os
+import signal
+import statistics
+import threading
+import time
+from collections import deque
+from multiprocessing import resource_tracker
+from multiprocessing.connection import wait as _connection_wait
+
+from repro.core.aggregates import GroupState
+from repro.obs.decisions import (
+    SPECULATIVE_EXECUTION,
+    VERDICT_CORRECT,
+    VERDICT_WRONG_CHEAP,
+)
+from repro.obs.profile import profile_finish, profile_start
+from repro.parallel.mp_executor.kernel import _local_phase
+from repro.parallel.mp_executor.resilience import (
+    _INFRA_DEATHS,
+    ChaosOptions,
+    DeadlineExceededError,
+    FragmentFailedError,
+    InjectedFaultError,
+    WorkerFailure,
+)
+from repro.parallel.mp_executor.wire import _load_job
+from repro.resources.governor import MemoryExceededError
+from repro.sim.faults import (
+    INJECT_ERROR,
+    INJECT_KILL,
+    INJECT_SHM_LOSS,
+    INJECT_SLOW,
+    INJECT_STALL,
+)
+from repro.storage.columnblock import ColumnBlock
+
+
+_JOIN_GRACE_SECONDS = 5.0
+
+
+def _tracker_noop(*_args, **_kwargs) -> None:
+    return None
+
+
+def _disarm_resource_tracker() -> None:
+    """Fork-safety: neuter the inherited resource tracker in a worker.
+
+    Must run first thing in every forked child.  The parent's tracker
+    lock may be *held by another thread* at fork time — concurrent
+    dispatchers encode segments (``SharedMemory(create=True)`` registers
+    with the tracker) while ``WorkerPool.acquire`` forks — and a lock
+    captured mid-hold never unlocks in the child, because its owner
+    thread does not exist there.  On this Python, merely *attaching* a
+    segment also registers with the tracker, so the worker's first shm
+    attach would deadlock forever and hang its dispatcher.
+
+    Workers never own segments — the parent creates and unlinks all of
+    them — so the tracker has no business in a worker at all: make
+    register/unregister no-ops instead of trying to repair the lock.
+    """
+    resource_tracker.register = _tracker_noop
+    resource_tracker.unregister = _tracker_noop
+    resource_tracker.ensure_running = _tracker_noop
+    tracker = getattr(resource_tracker, "_resource_tracker", None)
+    if tracker is not None:
+        tracker.register = _tracker_noop
+        tracker.unregister = _tracker_noop
+        tracker.ensure_running = _tracker_noop
+
+
+_SLOW_CHUNK_ROWS = 128
+
+
+class _HeartbeatSender(threading.Thread):
+    """Worker-side beat emitter: one ``("beat", {"rows_done": n}, None)``
+    per interval while a job runs, sharing the reply pipe under a lock
+    so beats never interleave with the final reply."""
+
+    def __init__(self, conn, lock, interval: float, progress: list) -> None:
+        super().__init__(daemon=True)
+        self.conn = conn
+        self.lock = lock
+        self.interval = interval
+        self.progress = progress
+        self._done = threading.Event()
+
+    def run(self) -> None:
+        while not self._done.wait(self.interval):
+            try:
+                with self.lock:
+                    self.conn.send(
+                        ("beat", {"rows_done": self.progress[0]}, None)
+                    )
+            except Exception:  # pragma: no cover - parent went away
+                return
+
+    def stop(self) -> None:
+        self._done.set()
+        self.join()
+
+
+def _slow_job(fn, descriptor, factor: float, progress: list):
+    """Injected straggler: run the job ``factor`` times slower.
+
+    For the default phase the rows run through the per-row loop in
+    chunks, sleeping off ``(factor - 1)`` of each chunk's elapsed time
+    and advancing ``progress`` — a limping-but-alive worker whose beats
+    show partial progress.  The accumulation order is exactly the
+    sequential loop's, so results stay bit-identical to the fault-free
+    run.  Substituted phase functions are opaque: they run whole, then
+    sleep off the multiplier.
+    """
+    if fn is _local_phase:
+        rows, query, schema = _load_job(descriptor)
+        if isinstance(rows, ColumnBlock):
+            rows = rows.to_rows()
+        bq = query.bind(schema)
+        table: dict[tuple, GroupState] = {}
+        for start in range(0, len(rows), _SLOW_CHUNK_ROWS):
+            t0 = time.perf_counter()
+            for row in rows[start:start + _SLOW_CHUNK_ROWS]:
+                if not bq.matches(row):
+                    continue
+                key = bq.key_of(row)
+                state = table.get(key)
+                if state is None:
+                    state = GroupState(query.aggregates)
+                    table[key] = state
+                state.update(bq.values_of(row))
+            progress[0] = min(start + _SLOW_CHUNK_ROWS, len(rows))
+            time.sleep((factor - 1.0) * (time.perf_counter() - t0))
+        return list(table.items())
+    t0 = time.perf_counter()
+    result = fn(_load_job(descriptor))
+    time.sleep((factor - 1.0) * (time.perf_counter() - t0))
+    return result
+
+
+def _run_worker_job(fn, descriptor, inject: dict, progress: list):
+    """Run one job under the (possibly empty) injection directive.
+
+    Kill and stall are delivered *here*, by the worker to itself, so
+    the fault lands on the fragment it was scheduled for — a parent
+    signal sent after dispatch can race a fast job and hit whatever
+    runs on this worker next instead.
+    """
+    if inject.get(INJECT_KILL):
+        # A real crash: no exception, no reply, the parent sees EOF.
+        os.kill(os.getpid(), signal.SIGKILL)
+    if inject.get(INJECT_STALL) is not None:
+        # Limplock: freeze (heartbeats included) until the parent's
+        # scheduled SIGCONT — or its heartbeat-loss recovery — ends it.
+        os.kill(os.getpid(), signal.SIGSTOP)
+    if inject.get(INJECT_ERROR):
+        raise InjectedFaultError(
+            "injected worker fault (FaultPlan.read_error_rate)"
+        )
+    slow = inject.get(INJECT_SLOW)
+    if slow:
+        return _slow_job(fn, descriptor, slow, progress)
+    return fn(_load_job(descriptor))
+
+
+def _pool_worker_main(conn) -> None:
+    """Long-lived worker loop: recv (fn, descriptor, opts), one reply each.
+
+    The final reply is ``(status, payload, profile)``: status "ok"
+    carries the result, status "error" a ``{"type", "message"}`` dict
+    preserving the exception's type so the parent can classify the
+    failure, and ``profile`` is the worker's self-measurement (wall/CPU
+    seconds, high-water RSS); ``("beat", …)`` messages may precede it
+    when ``opts["heartbeat"]`` asks for them.
+    ``opts["inject"]`` carries the fault directive for this job
+    (self-SIGKILL, self-SIGSTOP limplock, an injected exception, or a
+    slowdown factor).  ``None`` is the shutdown
+    sentinel; a closed pipe means the parent is gone.
+    """
+    _disarm_resource_tracker()
+    lock = threading.Lock()
+    while True:
+        try:
+            request = conn.recv()
+        except (EOFError, OSError):
+            return
+        if request is None:
+            conn.close()
+            return
+        fn, descriptor, opts = request
+        progress = [0]
+        beat = None
+        interval = opts.get("heartbeat")
+        if interval:
+            beat = _HeartbeatSender(conn, lock, interval, progress)
+            beat.start()
+        started = profile_start()
+        try:
+            result = _run_worker_job(
+                fn, descriptor, opts.get("inject") or {}, progress
+            )
+        except BaseException as exc:
+            reply = (
+                "error",
+                {"type": type(exc).__name__, "message": str(exc)},
+                profile_finish(started),
+            )
+        else:
+            reply = ("ok", result, profile_finish(started))
+        if beat is not None:
+            beat.stop()  # joins: no beat can trail the final reply
+        try:
+            with lock:
+                conn.send(reply)
+        except Exception:  # pragma: no cover - parent went away
+            return
+
+
+class _PoolWorker:
+    __slots__ = ("proc", "conn")
+
+    def __init__(self, proc, conn) -> None:
+        self.proc = proc
+        self.conn = conn
+
+
+class WorkerPool:
+    """A lazily grown pool of persistent, replaceable worker processes.
+
+    Workers survive across fragments, retries, and whole
+    :func:`multiprocessing_aggregate` calls (the module keeps one shared
+    instance), which is where the pool's throughput comes from: the
+    fork and module import are paid once per worker instead of once per
+    fragment attempt.
+
+    A worker that died or was terminated mid-job (timeout, crash) is
+    *discarded* and a fresh one forked on demand — the pool never hands
+    out a worker in an unknown state.
+
+    The pool is thread-safe: the idle list, fork, and dispatcher
+    bookkeeping are guarded by one re-entrant lock, so concurrent
+    :func:`multiprocessing_aggregate` calls (the query service runs one
+    per request thread) can share it.  Each worker is held by exactly
+    one dispatcher between ``acquire`` and ``release``/``discard``, so
+    two runs never read the same pipe; idle-pipe *watching* is the one
+    single-dispatcher privilege (see :meth:`watch_idle`).
+    """
+
+    def __init__(self, ctx=None) -> None:
+        self._ctx = ctx or multiprocessing.get_context()
+        self._idle: list[_PoolWorker] = []
+        self._lock = threading.RLock()
+        self._dispatchers = 0
+        self.closed = False
+        self.spawned = 0
+
+    def acquire(self) -> _PoolWorker:
+        with self._lock:
+            while self._idle:
+                worker = self._idle.pop()
+                if worker.proc.is_alive():
+                    return worker
+                self.discard(worker)  # died while idle: reap, fork fresh
+            # Fork under the lock: forking from several threads at once
+            # is where fork-safety bugs live, and the fork is cheap
+            # relative to the fragment it will run.
+            parent_conn, child_conn = self._ctx.Pipe()
+            proc = self._ctx.Process(
+                target=_pool_worker_main, args=(child_conn,), daemon=True
+            )
+            proc.start()
+            child_conn.close()
+            self.spawned += 1
+            return _PoolWorker(proc, parent_conn)
+
+    def release(self, worker: _PoolWorker) -> None:
+        """Return a healthy worker for reuse.
+
+        A pool that was shut down while this worker was busy (circuit-
+        breaker rebuild, service drain) must not resurrect it as an
+        orphan nobody will ever stop — discard it instead.
+        """
+        with self._lock:
+            if self.closed:
+                self.discard(worker)
+                return
+            self._idle.append(worker)
+
+    def register_dispatcher(self) -> None:
+        """A dispatch loop is starting to use this pool."""
+        with self._lock:
+            self._dispatchers += 1
+
+    def unregister_dispatcher(self) -> None:
+        with self._lock:
+            self._dispatchers -= 1
+
+    def idle_workers(self) -> list[_PoolWorker]:
+        """A snapshot of the idle set."""
+        with self._lock:
+            return list(self._idle)
+
+    def watch_idle(self) -> list[_PoolWorker]:
+        """The idle workers this dispatcher may wait on for eager
+        idle-death detection — only when it is the *sole* dispatcher.
+
+        With concurrent dispatchers the privilege is withdrawn: two
+        loops waiting on the same idle pipe would race to ``recv`` the
+        message (or steal a freshly dispatched job's reply), so idle
+        deaths are instead caught at the next ``acquire``.
+        """
+        with self._lock:
+            if self._dispatchers > 1:
+                return []
+            return list(self._idle)
+
+    def recv_idle(self, worker: _PoolWorker) -> str:
+        """Consume a ready message from a watched idle worker, safely.
+
+        Re-checks idle membership under the pool lock before reading:
+        between the dispatcher's wait and this call another thread may
+        have acquired the worker, in which case the ready data is *that
+        run's* reply and must not be stolen.  Returns ``"acquired"``
+        (not ours anymore), ``"beat"`` (stale heartbeat from a finished
+        job), or ``"dead"`` (EOF — the worker was retired).
+        """
+        with self._lock:
+            if worker not in self._idle:
+                return "acquired"
+            try:
+                message = worker.conn.recv()
+            except (EOFError, OSError):
+                message = None
+            if (isinstance(message, tuple) and message
+                    and message[0] == "beat"):
+                return "beat"
+            self._idle.remove(worker)
+            self.discard(worker)
+            return "dead"
+
+    def remove_idle(self, worker: _PoolWorker) -> None:
+        """Retire a specific idle worker (it died or sent nonsense)."""
+        with self._lock:
+            try:
+                self._idle.remove(worker)
+            except ValueError:  # pragma: no cover - already gone
+                return
+            self.discard(worker)
+
+    def discard(self, worker: _PoolWorker, hard: bool = False) -> None:
+        """Terminate and reap a worker that cannot be reused.
+
+        ``hard`` skips SIGTERM and kills outright — required for
+        SIGSTOPped (stalled) workers, which would never see the TERM
+        and would eat the full join grace, and used for cancelled
+        speculation losers where promptness matters.
+        """
+        try:
+            worker.conn.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+        if hard:
+            worker.proc.kill()
+        else:
+            worker.proc.terminate()
+        worker.proc.join(_JOIN_GRACE_SECONDS)
+        if worker.proc.is_alive():  # pragma: no cover - stuck after kill
+            worker.proc.kill()
+            worker.proc.join(_JOIN_GRACE_SECONDS)
+
+    def shutdown(self) -> None:
+        """Stop every idle worker (busy ones are the dispatcher's to
+        kill) and mark the pool closed so late releases discard."""
+        with self._lock:
+            self.closed = True
+            idle, self._idle = self._idle, []
+        for worker in idle:
+            try:
+                worker.conn.send(None)
+            except (OSError, ValueError):
+                pass
+            self.discard(worker)
+
+
+_shared_pool: WorkerPool | None = None
+_atexit_registered = False
+# Guards the module pool slot against concurrent get/shutdown — the
+# query service calls multiprocessing_aggregate from many threads.
+_pool_mutex = threading.Lock()
+
+
+def _get_shared_pool() -> WorkerPool:
+    global _shared_pool, _atexit_registered
+    with _pool_mutex:
+        if _shared_pool is None:
+            _shared_pool = WorkerPool()
+            if not _atexit_registered:
+                # One hook for the module, not one per pool instance: an
+                # explicit shutdown followed by a fresh pool must not
+                # leave stale atexit entries resurrecting dead pools.
+                atexit.register(shutdown_worker_pool)
+                _atexit_registered = True
+        return _shared_pool
+
+
+def shutdown_worker_pool() -> None:
+    """Terminate the module's shared pool; idempotent, safe anytime.
+
+    Clears the module slot, so the next pooled run forks a fresh pool —
+    this is also how the circuit breaker rebuilds a sick pool.  Runs
+    still holding workers from the old pool finish normally; their
+    workers are discarded on release (the pool is marked closed) rather
+    than leaked as orphans.
+    """
+    global _shared_pool
+    with _pool_mutex:
+        pool, _shared_pool = _shared_pool, None
+    if pool is not None:
+        pool.shutdown()
+
+
+class _PoolAttempt:
+    """One in-flight fragment attempt on a pool worker."""
+
+    __slots__ = (
+        "index", "attempt", "worker", "deadline", "started",
+        "mono_started", "last_beat", "backup", "stall_resume", "rows_done",
+    )
+
+    def __init__(self, index, attempt, worker, deadline, started,
+                 backup=False) -> None:
+        self.index = index
+        self.attempt = attempt
+        self.worker = worker
+        self.deadline = deadline
+        self.started = started
+        self.mono_started = time.monotonic()
+        self.last_beat = self.mono_started
+        self.backup = backup
+        self.stall_resume = None
+        self.rows_done = 0
+
+
+def _run_jobs_in_pool(
+    fn_for,
+    descriptors: list,
+    processes: int,
+    max_retries: int,
+    timeout: float | None,
+    obs,
+    pool: WorkerPool,
+    chaos: ChaosOptions | None = None,
+    reencode=None,
+    run_deadline: float | None = None,
+    on_complete=None,
+) -> dict[int, list]:
+    """Pool dispatch: jobs go to persistent workers as small
+    descriptors; returns index -> result.
+
+    ``fn_for(attempt)`` resolves the phase function for a given attempt
+    number — how the memory ladder swaps in a reduced-budget spill phase
+    on retry.  A worker that raises, dies (closed pipe without a
+    result), goes silent or exceeds ``timeout`` fails that attempt; the
+    fragment is retried up to ``max_retries`` times before
+    :class:`FragmentFailedError` aborts the run.
+
+    ``on_complete(index, payload)`` fires once per fragment, on its
+    *first* successful payload (speculative losers and duplicate
+    replies never re-fire it) — the mid-run strategy controller's
+    observation hook.
+
+    Timeout, heartbeat-loss and death handling must discard the worker
+    (its loop may be wedged or gone); a clean "error" reply leaves it
+    reusable.  ``chaos`` bundles the robustness machinery: heartbeat
+    monitoring, fault injection, speculative re-execution and poison-
+    fragment quarantine (see :class:`ChaosOptions`); ``reencode(index)``
+    rebuilds a fragment's shm descriptor after injected segment loss.
+    ``run_deadline`` (absolute monotonic) cancels the whole dispatch
+    cooperatively: every in-flight worker is discarded and
+    :class:`DeadlineExceededError` raised.
+    """
+    chaos = chaos if chaos is not None else ChaosOptions()
+    injector = chaos.injector
+    hb_timeout = chaos.heartbeat_timeout
+
+    pending: deque[tuple[int, int]] = deque(
+        (i, 0) for i in range(len(descriptors))
+    )
+    busy: dict[object, _PoolAttempt] = {}
+    completed: dict[int, list] = {}
+    durations: list[float] = []      # completed attempt wall seconds
+    deaths: dict[int, list[str]] = {}  # fragment -> infra-death causes
+    outstanding: dict[int, int] = {}   # fragment -> in-flight attempts
+    spec_open: dict[int, dict] = {}    # fragment -> open speculation
+
+    def drop(record: _PoolAttempt) -> None:
+        busy.pop(record.worker.conn, None)
+        outstanding[record.index] -= 1
+
+    def dispatch(index: int, attempt: int, backup: bool = False) -> None:
+        worker = pool.acquire()
+        inject = None
+        actions: dict = {}
+        if injector is not None and not backup:
+            # Backups model re-execution on a healthy node: they skip
+            # injection, otherwise a straggler would limp its own rescue.
+            inject = injector.worker_inject(index, attempt)
+            actions = injector.parent_actions(index, attempt)
+        if actions.get(INJECT_SHM_LOSS) and chaos.lose_segment is not None:
+            if chaos.lose_segment(index):
+                obs.fault_injected(INJECT_SHM_LOSS, index, attempt)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        record = _PoolAttempt(index, attempt, worker, deadline, obs.now(),
+                              backup)
+        busy[worker.conn] = record
+        outstanding[index] = outstanding.get(index, 0) + 1
+        opts = {"inject": inject, "heartbeat": chaos.heartbeat_interval}
+        try:
+            worker.conn.send((fn_for(attempt), descriptors[index], opts))
+        except (OSError, ValueError):  # pragma: no cover - died pre-send
+            drop(record)
+            pool.discard(worker)
+            attempt_failed(record, {
+                "type": "WorkerDied",
+                "message": "worker pipe closed before dispatch",
+            })
+            return
+        if inject:
+            for kind in inject:
+                obs.fault_injected(kind, index, attempt)
+            if inject.get(INJECT_STALL) is not None:
+                # The worker self-SIGSTOPs at job start; the parent
+                # owns the SIGCONT that ends the limplock.
+                record.stall_resume = (
+                    time.monotonic() + inject[INJECT_STALL]
+                )
+
+    def fail_or_retry(record: _PoolAttempt, error: dict) -> None:
+        cause = f"{error.get('type')}: {error.get('message')}"
+        cause_type = error.get("type")
+        if cause_type in _INFRA_DEATHS:
+            chain = deaths.setdefault(record.index, [])
+            chain.append(cause)
+            obs.worker_death(record.index)
+            if len(chain) >= chaos.poison_threshold:
+                # Quarantine: this fragment is grinding the pool down —
+                # fail fast with the whole chain, retries be damned.
+                obs.quarantined(record.index, len(chain))
+                raise FragmentFailedError(
+                    record.index,
+                    record.attempt + 1,
+                    f"poison fragment: killed {len(chain)} worker(s) "
+                    "[" + " <- ".join(chain) + "]",
+                    dict(completed),
+                    cause_type="PoisonFragment",
+                ) from WorkerFailure(error)
+        if record.attempt + 1 > max_retries:
+            raise FragmentFailedError(
+                record.index,
+                record.attempt + 1,
+                cause,
+                dict(completed),
+                cause_type=cause_type,
+            ) from WorkerFailure(error)
+        obs.retry(record.index, record.attempt, error)
+        if (
+            reencode is not None
+            and cause_type == "FileNotFoundError"
+            and descriptors[record.index][0] == "shm_col"
+        ):
+            # The segment vanished (injected shm loss): re-encode the
+            # fragment into a fresh one before the retry ships.
+            descriptors[record.index] = reencode(record.index)
+            obs.reencoded(record.index)
+        pending.append((record.index, record.attempt + 1))
+
+    def attempt_failed(record: _PoolAttempt, error: dict,
+                       profile=None) -> None:
+        obs.attempt_done(record.index, record.attempt, record.started,
+                         False, profile, error)
+        if record.index in completed:
+            return  # a speculative sibling already won
+        if outstanding.get(record.index, 0) > 0:
+            return  # a sibling is still running; it decides the outcome
+        fail_or_retry(record, error)
+
+    def wake_if_stalled(record: _PoolAttempt) -> None:
+        # A fast job can reply before the injected SIGSTOP lands; the
+        # worker then sits stopped while its stall deadline dies with
+        # the finished record.  Wake it before it rejoins the idle list
+        # or the next fragment dispatched to it hangs until heartbeat
+        # loss.
+        if record.stall_resume is not None:
+            try:
+                os.kill(record.worker.proc.pid, signal.SIGCONT)
+            except ProcessLookupError:  # pragma: no cover - already dead
+                pass
+            record.stall_resume = None
+
+    def resolve_ok(record: _PoolAttempt, payload, profile) -> None:
+        drop(record)
+        durations.append(time.monotonic() - record.mono_started)
+        wake_if_stalled(record)
+        pool.release(record.worker)
+        first = record.index not in completed
+        if first:
+            completed[record.index] = payload
+            if on_complete is not None:
+                on_complete(record.index, payload)
+        obs.attempt_done(record.index, record.attempt, record.started,
+                         True, profile)
+        if outstanding.get(record.index, 0) > 0:
+            # First result wins: cancel the losing sibling(s) outright.
+            for other in [r for r in busy.values()
+                          if r.index == record.index]:
+                drop(other)
+                pool.discard(other.worker, hard=True)
+                obs.speculation_cancelled(other.index, other.attempt,
+                                          other.backup)
+        marker = spec_open.pop(record.index, None)
+        if marker is not None and first:
+            obs.speculation_resolved(record.index, record.backup)
+            event = marker.get("event")
+            if event is not None:
+                # Post-hoc verdict: a speculation whose backup won was
+                # the right call; one the primary beat was wasted work
+                # but cost only an idle-slot fork.
+                event.truth = {
+                    "backup_won": record.backup,
+                    "verdict": (VERDICT_CORRECT if record.backup
+                                else VERDICT_WRONG_CHEAP),
+                }
+
+    def maybe_speculate() -> None:
+        if pending or len(busy) >= processes or len(durations) < 2:
+            return
+        median = statistics.median(durations)
+        threshold = max(chaos.speculation_min_seconds,
+                        chaos.speculation_multiplier * median)
+        now = time.monotonic()
+        for record in list(busy.values()):
+            if len(busy) >= processes:
+                break
+            if record.backup or record.index in spec_open:
+                continue
+            elapsed = now - record.mono_started
+            if elapsed < threshold:
+                continue
+            obs.speculation_launched(record.index, record.attempt,
+                                     elapsed, threshold)
+            event = None
+            if chaos.ledger is not None:
+                event = chaos.ledger.record(
+                    SPECULATIVE_EXECUTION, record.index, obs.now(),
+                    data={
+                        "attempt": record.attempt,
+                        "elapsed_seconds": round(elapsed, 6),
+                        "threshold_seconds": round(threshold, 6),
+                        "median_seconds": round(median, 6),
+                    },
+                )
+            spec_open[record.index] = {"event": event}
+            dispatch(record.index, record.attempt, backup=True)
+
+    pool.register_dispatcher()
+    try:
+        while busy or pending:
+            if run_deadline is not None and time.monotonic() >= run_deadline:
+                obs.deadline_exceeded(len(completed), len(descriptors))
+                raise DeadlineExceededError(
+                    obs.now(), len(completed), len(descriptors)
+                )
+            while pending and len(busy) < processes:
+                dispatch(*pending.popleft())
+            if chaos.speculate:
+                maybe_speculate()
+            now = time.monotonic()
+            wait_until: list[float] = []
+            if run_deadline is not None:
+                wait_until.append(run_deadline)
+            for record in busy.values():
+                if record.deadline is not None:
+                    wait_until.append(record.deadline)
+                if hb_timeout is not None:
+                    wait_until.append(record.last_beat + hb_timeout)
+                if record.stall_resume is not None:
+                    wait_until.append(record.stall_resume)
+            if (chaos.speculate and not pending
+                    and len(busy) < processes and len(durations) >= 2):
+                threshold = max(
+                    chaos.speculation_min_seconds,
+                    chaos.speculation_multiplier
+                    * statistics.median(durations),
+                )
+                wait_until.extend(
+                    r.mono_started + threshold
+                    for r in busy.values()
+                    if not r.backup and r.index not in spec_open
+                )
+            wait_for = (
+                None if not wait_until
+                else max(0.0, min(wait_until) - now)
+            )
+            idle = {w.conn: w for w in pool.watch_idle()}
+            ready = _connection_wait(
+                list(busy) + list(idle), timeout=wait_for
+            )
+            for conn in ready:
+                if conn in idle:
+                    if pool.recv_idle(idle[conn]) == "dead":
+                        obs.idle_death()
+                    continue
+                record = busy.get(conn)
+                if record is None:
+                    continue  # cancelled earlier in this very batch
+                profile = None
+                try:
+                    status, payload, profile = conn.recv()
+                except (EOFError, OSError):
+                    status, payload = "died", None
+                if status == "beat":
+                    record.last_beat = time.monotonic()
+                    record.rows_done = payload.get(
+                        "rows_done", record.rows_done
+                    )
+                    obs.beat()
+                    continue
+                if status == "ok":
+                    resolve_ok(record, payload, profile)
+                    continue
+                drop(record)
+                if status == "died":
+                    error = {
+                        "type": "WorkerDied",
+                        "message": (
+                            "worker died without a result "
+                            f"(exitcode={record.worker.proc.exitcode})"
+                        ),
+                    }
+                    pool.discard(record.worker)
+                else:
+                    error = payload
+                    wake_if_stalled(record)
+                    pool.release(record.worker)
+                attempt_failed(record, error, profile)
+            now = time.monotonic()
+            for record in list(busy.values()):
+                if (record.stall_resume is not None
+                        and now >= record.stall_resume):
+                    # The injected limplock ends: wake the worker.
+                    try:
+                        os.kill(record.worker.proc.pid, signal.SIGCONT)
+                    except ProcessLookupError:  # pragma: no cover
+                        pass
+                    record.stall_resume = None
+                    record.last_beat = now  # grace until beats resume
+            if hb_timeout is not None:
+                for record in list(busy.values()):
+                    silence = now - record.last_beat
+                    if silence >= hb_timeout:
+                        drop(record)
+                        # hard: a SIGSTOPped worker never sees SIGTERM.
+                        pool.discard(record.worker, hard=True)
+                        obs.heartbeat_lost(record.index, record.attempt)
+                        attempt_failed(record, {
+                            "type": "HeartbeatLost",
+                            "message": (
+                                f"no heartbeat for {silence:.2f}s "
+                                "(worker stalled, starved, or wedged)"
+                            ),
+                        })
+            for record in list(busy.values()):
+                if record.deadline is not None and now >= record.deadline:
+                    drop(record)
+                    pool.discard(
+                        record.worker,
+                        hard=record.stall_resume is not None,
+                    )
+                    attempt_failed(record, {
+                        "type": "Timeout",
+                        "message": f"timed out after {timeout:g}s",
+                    })
+    finally:
+        for record in busy.values():
+            pool.discard(
+                record.worker, hard=record.stall_resume is not None
+            )
+        pool.unregister_dispatcher()
+    return completed
+
+
+def _run_jobs_in_process(
+    fn_for, jobs: list, max_retries: int, obs,
+    run_deadline: float | None = None,
+    on_complete=None,
+) -> dict[int, list]:
+    """The single-CPU path: same retry semantics, no processes.
+
+    Failures are classified like the pool path's:
+    :class:`~repro.resources.MemoryExceededError` is the budget ladder's
+    *expected* trigger (the retry reruns with spilling), anything else
+    is an unexpected fragment error — and either way the exception of a
+    retried attempt is logged through the sink, never discarded, and
+    the final :class:`FragmentFailedError` chains from its cause.
+    The run deadline is checked between fragments and between attempts
+    (a running fragment cannot preempt itself without a process).
+    """
+    completed: dict[int, list] = {}
+    for index, job in enumerate(jobs):
+        attempts = 0
+        while True:
+            if (run_deadline is not None
+                    and time.monotonic() >= run_deadline):
+                obs.deadline_exceeded(len(completed), len(jobs))
+                raise DeadlineExceededError(
+                    obs.now(), len(completed), len(jobs)
+                )
+            attempts += 1
+            started = profile_start()
+            span_start = obs.now()
+            try:
+                completed[index] = fn_for(attempts - 1)(job)
+                if on_complete is not None:
+                    on_complete(index, completed[index])
+            except MemoryExceededError as exc:
+                cause = exc
+                error = {
+                    "type": "MemoryExceededError",
+                    "message": str(exc),
+                    "expected": True,
+                }
+            except Exception as exc:
+                cause = exc
+                error = {"type": type(exc).__name__, "message": str(exc)}
+            else:
+                obs.attempt_done(
+                    index, attempts - 1, span_start, True,
+                    profile_finish(started),
+                )
+                break
+            obs.attempt_done(
+                index, attempts - 1, span_start, False,
+                profile_finish(started), error,
+            )
+            if attempts > max_retries:
+                raise FragmentFailedError(
+                    index,
+                    attempts,
+                    f"{error['type']}: {error['message']}",
+                    dict(completed),
+                    cause_type=error["type"],
+                ) from cause
+            obs.retry(index, attempts - 1, error)
+    return completed

@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import random
 
-from repro.parallel.mp_executor import (
-    _INFRA_CAUSES,
-    FragmentFailedError,
-)
+from repro.parallel.mp_executor import FragmentFailedError
+from repro.parallel.mp_executor.resilience import _INFRA_CAUSES
 
 
 class RetryPolicy:

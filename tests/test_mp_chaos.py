@@ -39,7 +39,8 @@ from repro.parallel import (
     reset_pool_breaker,
 )
 from repro.parallel import mp_executor
-from repro.parallel.mp_executor import _local_phase
+from repro.parallel.mp_executor.kernel import _local_phase
+from repro.parallel.mp_executor.pool import _get_shared_pool
 from repro.sim.faults import CrashFault, FaultPlan, Straggler, WorkerStall
 from repro.workloads.generator import generate_uniform
 
@@ -295,14 +296,14 @@ class TestCircuitBreaker:
 
         # Third call trips the rebuild: the shared pool is torn down and
         # reforked before dispatch.
-        old_pool = mp_executor._get_shared_pool()
+        old_pool = _get_shared_pool()
         metrics = MetricsRegistry()
         with pytest.raises(FragmentFailedError):
             multiprocessing_aggregate(
                 dist, query, processes=2, max_retries=0,
                 phase_fn=_always_exit, metrics=metrics,
             )
-        assert mp_executor._get_shared_pool() is not old_pool
+        assert _get_shared_pool() is not old_pool
         assert pool_breaker_state().rebuilds == 1
         assert metrics.value("mp.breaker.rebuilds") == 1
 
@@ -313,7 +314,7 @@ class TestCircuitBreaker:
         # A degraded run leaves the shared pool alone (no forks there),
         # still produces correct results, and surfaces the state in
         # metrics.
-        pool = mp_executor._get_shared_pool()
+        pool = _get_shared_pool()
         spawned_before = pool.spawned
         metrics = MetricsRegistry()
         got = multiprocessing_aggregate(
@@ -371,7 +372,7 @@ class TestDegradedMode:
     def test_private_pool_leaves_nothing_behind(self, dist, query):
         import multiprocessing as mp
 
-        shared = mp_executor._get_shared_pool()
+        shared = _get_shared_pool()
         metrics = MetricsRegistry()
         got = multiprocessing_aggregate(
             dist, query, processes=2, metrics=metrics,

@@ -30,10 +30,12 @@ import pytest
 from repro.core.aggregates import AggregateSpec
 from repro.core.query import AggregateQuery
 from repro.parallel.mp_executor import (
-    _columnar_local_phase,
-    _local_phase,
     multiprocessing_aggregate,
     shutdown_worker_pool,
+)
+from repro.parallel.mp_executor.kernel import (
+    _columnar_local_phase,
+    _local_phase,
 )
 from repro.storage.columnblock import ColumnBlock
 from repro.storage.hashing import bucket_of, bucket_of_block

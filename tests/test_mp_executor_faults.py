@@ -23,7 +23,7 @@ from repro.parallel import (
     reference_aggregate,
     reset_pool_breaker,
 )
-from repro.parallel.mp_executor import _local_phase
+from repro.parallel.mp_executor.kernel import _local_phase
 from repro.workloads.generator import generate_uniform
 
 from tests.conftest import assert_rows_close

@@ -7,7 +7,8 @@ from tests.conftest import assert_rows_close
 from repro.core.aggregates import AggregateSpec
 from repro.core.query import AggregateQuery
 from repro.parallel import multiprocessing_aggregate, reference_aggregate
-from repro.parallel.mp_executor import FragmentFailedError, _GovernedPhase
+from repro.parallel.mp_executor import FragmentFailedError
+from repro.parallel.mp_executor.kernel import _GovernedPhase
 from repro.resources import MemoryExceededError
 from repro.workloads.generator import generate_uniform
 

@@ -48,11 +48,13 @@ from repro.obs.decisions import (
     VERDICT_CORRECT,
 )
 from repro.parallel.mp_executor import (
-    _AUTO_SAMPLE_ROWS,
-    _auto_params,
-    _local_phase,
     multiprocessing_aggregate,
     shutdown_worker_pool,
+)
+from repro.parallel.mp_executor.kernel import _local_phase
+from repro.parallel.mp_executor.strategies import (
+    _AUTO_SAMPLE_ROWS,
+    _auto_params,
 )
 from repro.storage.columnblock import ColumnBlock
 from repro.storage.relation import BlockRelation, DistributedRelation

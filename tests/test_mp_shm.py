@@ -35,6 +35,8 @@ from repro.parallel import (
     reference_aggregate,
 )
 from repro.parallel import mp_executor
+from repro.parallel.mp_executor.kernel import _local_phase
+from repro.parallel.mp_executor.pool import _get_shared_pool
 from repro.storage.schema import Column, Schema
 from repro.storage.relation import DistributedRelation
 from repro.workloads.generator import generate_uniform
@@ -77,7 +79,7 @@ def _gkey_at_least_ten(row):
 def _sleep_then_work(job):
     # Long enough for the test to kill an idle worker mid-run.
     time.sleep(0.6)
-    return mp_executor._local_phase(job)
+    return _local_phase(job)
 
 
 def _str_keyed_dist():
@@ -138,7 +140,7 @@ class TestChaosMatrixLeavesNoSegments:
 class TestPoolBehaviour:
     def test_workers_are_reused_across_runs(self, dist, query):
         multiprocessing_aggregate(dist, query, processes=2)
-        pool = mp_executor._get_shared_pool()
+        pool = _get_shared_pool()
         spawned_after_first = pool.spawned
         assert spawned_after_first >= 1
         for _ in range(3):
@@ -164,7 +166,7 @@ class TestPoolBehaviour:
         # A substituted phase is shipped full rows and runs the per-row
         # loop in the worker.
         per_row = multiprocessing_aggregate(
-            dist, query, processes=2, phase_fn=mp_executor._local_phase
+            dist, query, processes=2, phase_fn=_local_phase
         )
         inproc = multiprocessing_aggregate(dist, query, processes=1)
         # Bit-identical, not merely close: the vectorized kernel must
@@ -177,7 +179,7 @@ class TestPoolHealth:
 
     def test_acquire_discards_worker_that_died_while_idle(self, dist, query):
         multiprocessing_aggregate(dist, query, processes=2)
-        pool = mp_executor._get_shared_pool()
+        pool = _get_shared_pool()
         idle = pool.idle_workers()
         assert len(idle) >= 2
         # acquire pops from the end, so the last idle worker is the one
@@ -199,7 +201,7 @@ class TestPoolHealth:
         warm = generate_uniform(num_tuples=900, num_groups=12, num_nodes=3,
                                 seed=7)
         multiprocessing_aggregate(warm, query, processes=3)
-        pool = mp_executor._get_shared_pool()
+        pool = _get_shared_pool()
         assert len(pool.idle_workers()) >= 3
 
         dist = generate_uniform(num_tuples=800, num_groups=12, num_nodes=2,
@@ -224,11 +226,11 @@ class TestPoolHealth:
 
     def test_explicit_shutdown_forks_fresh_pool(self, dist, query):
         multiprocessing_aggregate(dist, query, processes=2)
-        old_pool = mp_executor._get_shared_pool()
+        old_pool = _get_shared_pool()
         mp_executor.shutdown_worker_pool()
         got = multiprocessing_aggregate(dist, query, processes=2)
         assert_rows_close(got, reference_aggregate(dist, query))
-        new_pool = mp_executor._get_shared_pool()
+        new_pool = _get_shared_pool()
         assert new_pool is not old_pool
         assert new_pool.spawned >= 1
         # A stale handle's shutdown is harmless to the fresh pool.
@@ -305,7 +307,7 @@ class TestPoolLifecycleUnderReuse:
         dist = generate_uniform(num_tuples=1200, num_groups=30,
                                 num_nodes=3, seed=11)
         multiprocessing_aggregate(dist, query, processes=2)  # warm
-        pool = mp_executor._get_shared_pool()
+        pool = _get_shared_pool()
         barrier = threading.Barrier(3)
         errors: list = []
 
@@ -323,7 +325,7 @@ class TestPoolLifecycleUnderReuse:
         for t in threads:
             t.join(timeout=60)
         assert not errors, errors
-        assert mp_executor._get_shared_pool() is pool
+        assert _get_shared_pool() is pool
         # Every fork is serialized under the pool lock and every worker
         # is either reacquired or parked idle — never orphaned.
         assert pool.spawned <= 6  # 3 callers x 2 workers worst case
@@ -336,7 +338,7 @@ class TestPoolLifecycleUnderReuse:
         import multiprocessing as mp
 
         multiprocessing_aggregate(dist, query, processes=2)
-        pool = mp_executor._get_shared_pool()
+        pool = _get_shared_pool()
         worker = pool.acquire()
         mp_executor.shutdown_worker_pool()
         assert pool.closed

@@ -22,13 +22,9 @@ import pytest
 from repro.core.aggregates import AggregateSpec
 from repro.core.query import AggregateQuery
 from repro.parallel import multiprocessing_aggregate, reference_aggregate
-from repro.parallel.mp_executor import (
-    SHM_PREFIX,
-    _encode_fragment,
-    _load_job,
-    _local_phase,
-    shutdown_worker_pool,
-)
+from repro.parallel.mp_executor import SHM_PREFIX, shutdown_worker_pool
+from repro.parallel.mp_executor.kernel import _local_phase
+from repro.parallel.mp_executor.wire import _encode_fragment, _load_job
 from repro.sql import parse_query
 from repro.storage.columnblock import ColumnBlock
 from repro.storage.schema import Column, Schema

@@ -9,7 +9,7 @@ import pytest
 from repro.costmodel.params import SystemParameters
 from repro.obs import MetricsRegistry, Tracer
 from repro.parallel import FragmentFailedError, multiprocessing_aggregate
-from repro.parallel.mp_executor import _local_phase
+from repro.parallel.mp_executor.kernel import _local_phase
 from repro.resources import MemoryExceededError
 from repro.sim.engine import Engine, _NodeState
 from repro.sim.events import Compute
