@@ -54,8 +54,8 @@ def _disarm_resource_tracker() -> None:
 
     Must run first thing in every forked child.  The parent's tracker
     lock may be *held by another thread* at fork time — concurrent
-    dispatchers encode segments (``SharedMemory(create=True)`` registers
-    with the tracker) while ``WorkerPool.acquire`` forks — and a lock
+    dispatchers encode segments (creating one registers with the
+    tracker) while ``WorkerPool.acquire`` forks — and a lock
     captured mid-hold never unlocks in the child, because its owner
     thread does not exist there.  On this Python, merely *attaching* a
     segment also registers with the tracker, so the worker's first shm

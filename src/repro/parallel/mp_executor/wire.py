@@ -72,9 +72,8 @@ def _encode_fragment(rows, query, schema, segments: list, project: bool = True):
         data = block.to_bytes()
     except (ValueError, OverflowError, TypeError, AttributeError):
         return ("inline", (rows, query, schema))
-    shm = shared_memory.SharedMemory(
-        create=True, size=len(data), name=SHM_PREFIX + secrets.token_hex(8)
-    )
+    name = SHM_PREFIX + secrets.token_hex(8)
+    shm = shared_memory.SharedMemory(create=True, size=len(data), name=name)
     segments.append(shm)
     shm.buf[: len(data)] = data
     return (

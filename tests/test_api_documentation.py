@@ -24,6 +24,7 @@ PACKAGES = [
     "repro.workloads",
     "repro.sampling",
     "repro.parallel",
+    "repro.parallel.mp_executor",
     "repro.bench",
     "repro.engine",
     "repro.sql",

@@ -6,7 +6,9 @@ Three layers of guarantees:
   ``tests/golden/block_parity.json`` (written additively by
   ``tests/golden/make_mp_strategies.py``; the pre-existing simulator
   vectors are never regenerated) pins the executor's exact result rows.
-  Every strategy — pool, global, rep — must reproduce the same digest.
+  Every strategy — pool, global, rep — must reproduce the same digest
+  whether the fragments are born columnar (``ColumnBlock``s, shipped
+  as they are) or as row lists (columnarized at the wire).
 
 * **Kernel parity** — ``_columnar_local_phase`` against the per-row
   reference on adversarial shapes: multi-column keys, dictionary
@@ -39,7 +41,7 @@ from repro.parallel.mp_executor.kernel import (
 )
 from repro.storage.columnblock import ColumnBlock
 from repro.storage.hashing import bucket_of, bucket_of_block
-from repro.storage.relation import DistributedRelation
+from repro.storage.relation import BlockRelation, DistributedRelation
 from repro.storage.rowblock import RowBlock
 from repro.storage.schema import Column, Schema
 from repro.storage.serialization import RowCodec
@@ -69,11 +71,27 @@ def _load_mp_workload(name):
     return module.WORKLOADS[name]()
 
 
+def _born(dist, columnar):
+    """``dist`` with every fragment born as a ``ColumnBlock``
+    (``columnar=True``) or as a row list — the two sources the one wire
+    format has to carry."""
+    schema = dist.schema
+    parts = [list(frag.relation.rows) for frag in dist.fragments]
+    if columnar:
+        parts = [
+            BlockRelation(schema, ColumnBlock.from_rows(schema, part))
+            for part in parts
+        ]
+    return DistributedRelation(schema, parts)
+
+
 class TestGoldenStrategyParity:
+    @pytest.mark.parametrize("columnar", [True, False])
     @pytest.mark.parametrize("strategy", ["pool", "global", "rep"])
     @pytest.mark.parametrize("workload", sorted(_GOLDEN["mp_strategies"]))
-    def test_strategy_matches_golden(self, workload, strategy):
+    def test_strategy_matches_golden(self, workload, strategy, columnar):
         dist, query = _load_mp_workload(workload)
+        dist = _born(dist, columnar)
         want = _GOLDEN["mp_strategies"][workload]
         rows = multiprocessing_aggregate(dist, query, 4, strategy=strategy)
         assert len(rows) == want["num_rows"]
@@ -261,7 +279,8 @@ _MOMENT_GOLDEN = {
 
 class TestMomentMergeGolden:
     @pytest.mark.parametrize("strategy", ["pool", "global", "rep"])
-    def test_avg_var_stddev_bits(self, strategy):
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_avg_var_stddev_bits(self, strategy, columnar):
         schema = Schema([
             Column("k", "str", 8), Column("x", "float"), Column("n", "int"),
         ])
@@ -270,7 +289,9 @@ class TestMomentMergeGolden:
             ("b", 3.75, 11), ("a", -0.6, 5), ("b", 1e-3, 2),
             ("a", 123.456, 9), ("b", -7.875, -6),
         ]
-        dist = DistributedRelation(schema, [rows[0::2], rows[1::2]])
+        dist = _born(
+            DistributedRelation(schema, [rows[0::2], rows[1::2]]), columnar
+        )
         query = AggregateQuery(("k",), (
             AggregateSpec("avg", "x"), AggregateSpec("avg", "n"),
             AggregateSpec("var", "x"), AggregateSpec("stddev", "x"),
