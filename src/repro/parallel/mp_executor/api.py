@@ -41,7 +41,10 @@ from repro.parallel.mp_executor.strategies import (
     _resolve_auto_strategy,
     _run_rep_strategy,
 )
-from repro.parallel.mp_executor.wire import _encode_fragment
+from repro.parallel.mp_executor.wire import (
+    _encode_fragment,
+    _unlink_segments,
+)
 from repro.storage.relation import DistributedRelation
 
 
@@ -535,12 +538,7 @@ def multiprocessing_aggregate(
                 # The parent owns every segment: unlink on success,
                 # worker error, timeout, death, and FragmentFailedError
                 # alike, so /dev/shm never accumulates repro_mp_* files.
-                for shm in segments:
-                    shm.close()
-                    try:
-                        shm.unlink()
-                    except FileNotFoundError:
-                        pass
+                _unlink_segments(segments)
     except (FragmentFailedError, DeadlineExceededError):
         if tracer is not None:
             tracer.close_all(obs.now())

@@ -26,10 +26,10 @@ _MIN_SPILL_ENTRIES = 8
 def _local_phase(args) -> list[tuple[tuple, GroupState]]:
     """Phase 1 for one fragment: (source, query, schema) -> partials.
 
-    ``source`` is a row list, or — for block-born fragments on the
-    in-process path — a :class:`~repro.storage.ColumnBlock`, which runs
-    through the columnar kernel and only decodes to rows when a kernel
-    guard declines the shape.
+    ``source`` is a row list, or a :class:`~repro.storage.ColumnBlock`
+    — what a pool worker loads from its segment and what a block-born
+    fragment is in-process — which runs through the columnar kernel and
+    only decodes to rows when the kernel declines the shape.
     """
     rows, query, schema = args
     if isinstance(rows, ColumnBlock):
@@ -77,8 +77,8 @@ class _GovernedPhase:
     def __call__(self, job) -> list[tuple[tuple, GroupState]]:
         rows, query, schema = job
         if isinstance(rows, ColumnBlock):
-            # The budget ladder governs the per-row table; a block-born
-            # fragment decodes first so accounting stays identical.
+            # The budget ladder governs the per-row table; a block
+            # source decodes first so accounting stays identical.
             rows = rows.to_rows()
         bq = query.bind(schema)
         entry_bytes = self._entry_bytes(bq)

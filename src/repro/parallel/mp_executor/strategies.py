@@ -23,7 +23,11 @@ from repro.parallel.mp_executor.pool import (
     _run_jobs_in_pool,
     _run_jobs_in_process,
 )
-from repro.parallel.mp_executor.wire import _encode_fragment, _projection_for
+from repro.parallel.mp_executor.wire import (
+    _encode_fragment,
+    _projection_for,
+    _unlink_segments,
+)
 from repro.storage.columnblock import ColumnBlock
 from repro.storage.hashing import stable_hash
 
@@ -176,12 +180,7 @@ def _run_rep_strategy(
                 run_deadline=deadline,
             )
         finally:
-            for shm in segments:
-                shm.close()
-                try:
-                    shm.unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass
+            _unlink_segments(segments)
 
     proj = _projection_for(query, schema)
     rep_schema = proj[0] if proj is not None else schema

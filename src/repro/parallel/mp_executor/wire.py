@@ -82,6 +82,17 @@ def _encode_fragment(rows, query, schema, segments: list, project: bool = True):
     )
 
 
+def _unlink_segments(segments: list) -> None:
+    """Parent side: close and unlink every segment a run created.  A
+    segment already gone (injected shm loss) is not an error."""
+    for shm in segments:
+        shm.close()
+        try:
+            shm.unlink()
+        except FileNotFoundError:
+            pass
+
+
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
     """Attach to a parent-owned segment without adopting its lifecycle.
 

@@ -16,6 +16,7 @@ the pool circuit breaker's rebuild-then-degrade ladder.
 
 import functools
 import glob
+import multiprocessing as mp
 import os
 import random
 import time
@@ -370,8 +371,6 @@ class TestDegradedMode:
         assert breaker.degraded
 
     def test_private_pool_leaves_nothing_behind(self, dist, query):
-        import multiprocessing as mp
-
         shared = _get_shared_pool()
         metrics = MetricsRegistry()
         got = multiprocessing_aggregate(
@@ -387,8 +386,6 @@ class TestDegradedMode:
         assert _segments() == []
 
     def test_run_deadline_holds_on_the_private_pool(self, dist, query):
-        import multiprocessing as mp
-
         from tests.test_mp_executor_faults import _wedge
 
         start = time.monotonic()
