@@ -423,15 +423,24 @@ def multiprocessing_aggregate(
             max(1, memory_budget_bytes >> attempt), spill=True
         )
 
+    cpu_count = os.cpu_count() or 1
+    if processes == 0:
+        processes = min(len(dist.fragments), cpu_count)
+    if faults_active and processes == 1:
+        # Injection needs real worker processes; the in-process fallback
+        # has nothing to kill, stall, or starve.
+        processes = 2
     # Block-born fragments stay columnar end to end: the job carries the
     # ColumnBlock itself and rows are never materialized on the default
     # phases (encode ships the block; the in-process kernel reads it
-    # directly).  Substituted phase functions keep their row-list
-    # contract — BlockRelation decodes lazily.
+    # directly).  A substituted phase function keeps its row-list
+    # contract: the pool ships the block as it is and the worker decodes
+    # it (``as_rows``); only the in-process runner decodes here.
+    keep_blocks = phase_fn is None or processes > 1
     jobs = [
         (
             frag.relation.block
-            if phase_fn is None
+            if keep_blocks
             and getattr(frag.relation, "block", None) is not None
             else frag.relation.rows,
             query,
@@ -440,13 +449,6 @@ def multiprocessing_aggregate(
         for frag in dist.fragments
     ]
     on_complete = controller.on_complete if controller is not None else None
-    cpu_count = os.cpu_count() or 1
-    if processes == 0:
-        processes = min(len(jobs), cpu_count)
-    if faults_active and processes == 1:
-        # Injection needs real worker processes; the in-process fallback
-        # has nothing to kill, stall, or starve.
-        processes = 2
     obs = _ObsSink(tracer, metrics)
     run_span = None
     if tracer is not None:

@@ -46,20 +46,24 @@ class _RepPartitionPhase:
 
     def __call__(self, job):
         rows, query, schema = job
+        # Every chunk leaves in the projected rep schema — whether the
+        # fragment arrived as a block that shipped projected, a full
+        # block in-process, or full-width rows (row-born in-process, or
+        # an inline fallback) — so round 2 decodes one shape.
         if isinstance(rows, ColumnBlock):
             block = rows
-            # Project exactly like the pool's shipping path (a no-op on
-            # a block that already shipped projected) so round-2 chunks
-            # decode against the same rep schema either way.
             proj = _projection_for(query, block.schema)
             if proj is not None:
-                ship_schema, idx = proj
-                block = block.project(idx, ship_schema)
-                schema = ship_schema
+                schema, idx = proj
+                block = block.project(idx, schema)
             out = self._partition_block(block, query, schema)
             if out is not None:
                 return out
             rows = block.to_rows()
+            idx = None
+        else:
+            proj = _projection_for(query, schema)
+            idx = proj[1] if proj is not None else None
         bq = query.bind(schema)
         buckets: list[list] = [[] for _ in range(self.num_buckets)]
         memo: dict[tuple, int] = {}
@@ -71,6 +75,8 @@ class _RepPartitionPhase:
             if b is None:
                 b = stable_hash(key) % self.num_buckets
                 memo[key] = b
+            if idx is not None:
+                row = tuple(row[i] for i in idx)
             buckets[b].append(row)
         return ("rep_rows", [chunk or None for chunk in buckets])
 

@@ -11,8 +11,10 @@ Two contracts:
 
 * **The shape matrix** — the six statement shapes of the benchmark's
   ``shape_cliffs`` workload return bit-identical rows under every
-  strategy, in-process and pooled, governed or not: a pool worker runs
-  the same phase function on the same source type as ``processes=1``.
+  strategy, in-process and pooled, governed or not, over block-born and
+  row-born fragments: a pool worker runs the same phase function on the
+  same source type as ``processes=1``.  A fragment that travels inline
+  (a row the block codec rejects) joins the same matrix.
 """
 
 import glob
@@ -27,6 +29,7 @@ from repro.parallel.mp_executor.kernel import _local_phase
 from repro.parallel.mp_executor.wire import _encode_fragment, _load_job
 from repro.sql import parse_query
 from repro.storage.columnblock import ColumnBlock
+from repro.storage.relation import DistributedRelation
 from repro.storage.schema import Column, Schema
 from repro.workloads.generator import generate_uniform
 
@@ -153,41 +156,109 @@ _SHAPES = {
 def tables():
     size = dict(num_tuples=4000, num_groups=60, num_nodes=4, seed=17)
     return {
-        "int": generate_uniform(**size),
-        "str": generate_uniform(key_format="g{:08d}", **size),
+        (key, born): generate_uniform(
+            key_format=key_format, columnar=born == "block", **size
+        )
+        for key, key_format in [("int", None), ("str", "g{:08d}")]
+        for born in ("block", "rows")
     }
 
 
 @pytest.fixture(scope="module")
 def oracle(tables):
     """Per shape: the per-row loop's rows (a substituted ``phase_fn`` is
-    handed decoded rows), checked once against the reference."""
+    handed decoded rows), checked once against the reference.  Block-
+    and row-born tables hold the same tuples, so one oracle serves both.
+    """
     out = {}
-    for shape, (table, sql) in _SHAPES.items():
+    for shape, (key, sql) in _SHAPES.items():
         _name, query = parse_query(sql)
-        rows = multiprocessing_aggregate(
-            tables[table], query, 1, phase_fn=_local_phase
-        )
-        assert_rows_close(rows, reference_aggregate(tables[table], query))
-        out[shape] = (tables[table], query, rows)
+        dist = tables[key, "block"]
+        rows = multiprocessing_aggregate(dist, query, 1, phase_fn=_local_phase)
+        assert_rows_close(rows, reference_aggregate(dist, query))
+        out[shape] = (key, query, rows)
     return out
 
 
 class TestShapeMatrixParity:
     @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize("born", ["block", "rows"])
     @pytest.mark.parametrize("strategy", ["pool", "global", "rep", "auto"])
     @pytest.mark.parametrize("shape", sorted(_SHAPES))
-    def test_bit_identical_rows(self, oracle, shape, strategy, processes):
-        dist, query, want = oracle[shape]
+    def test_bit_identical_rows(
+        self, tables, oracle, shape, strategy, born, processes
+    ):
+        key, query, want = oracle[shape]
         got = multiprocessing_aggregate(
-            dist, query, processes, strategy=strategy
+            tables[key, born], query, processes, strategy=strategy
         )
         assert got == want
 
     @pytest.mark.parametrize("shape", sorted(_SHAPES))
-    def test_governed_leg(self, oracle, shape):
-        dist, query, want = oracle[shape]
+    def test_governed_leg(self, tables, oracle, shape):
+        key, query, want = oracle[shape]
         got = multiprocessing_aggregate(
-            dist, query, 2, memory_budget_bytes=600
+            tables[key, "block"], query, 2, memory_budget_bytes=600
         )
         assert got == want
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize("born", ["block", "rows"])
+    def test_substituted_phase_sees_full_rows(self, tables, born, processes):
+        """A substituted ``phase_fn`` gets decoded full-width tuples from
+        either runner, whichever way the fragment was born."""
+        dist = tables["str", born]
+        query = AggregateQuery(("gkey",), (AggregateSpec("count", None),))
+        got = multiprocessing_aggregate(
+            dist, query, processes, phase_fn=_full_width_rows_phase
+        )
+        assert got == reference_aggregate(dist, query)
+
+    def test_pool_ships_a_block_born_fragment_undecoded(self):
+        """With a substituted phase the *worker* decodes: the parent
+        never materializes a block-born fragment's row view."""
+        dist = generate_uniform(
+            num_tuples=400, num_groups=8, num_nodes=4, seed=3
+        )
+        query = AggregateQuery(("gkey",), (AggregateSpec("count", None),))
+        got = multiprocessing_aggregate(
+            dist, query, 2, phase_fn=_full_width_rows_phase
+        )
+        assert all(f.relation._rows is None for f in dist.fragments)
+        assert got == reference_aggregate(dist, query)
+
+
+def _full_width_rows_phase(job):
+    rows, _query, schema = job
+    assert isinstance(rows, list)
+    assert all(len(row) == len(schema.columns) for row in rows)
+    return _local_phase(job)
+
+
+class TestInlineFragmentParity:
+    """A fragment the block codec rejects travels inline with full-width
+    rows; every strategy must still bind key and aggregate columns to
+    the right positions (rep's round 2 decodes the *projected* schema)."""
+
+    _SCHEMA = Schema(
+        [Column("pad0", "int"), Column("gkey", "int"), Column("val", "int")]
+    )
+
+    @pytest.fixture(scope="class")
+    def dist(self):
+        rows = [(7 * i, i % 10, i) for i in range(400)]
+        rows[123] = (0, 3, 2**70)  # outside int64, in a used column
+        return DistributedRelation(
+            self._SCHEMA, [rows[n::4] for n in range(4)]
+        )
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize("strategy", ["pool", "global", "rep", "auto"])
+    def test_matches_reference(self, dist, strategy, processes):
+        _name, query = parse_query(
+            "SELECT gkey, SUM(val), COUNT(*) FROM r GROUP BY gkey"
+        )
+        got = multiprocessing_aggregate(
+            dist, query, processes, strategy=strategy
+        )
+        assert got == reference_aggregate(dist, query)
