@@ -12,9 +12,10 @@ fragment travels as one serialized
 :class:`~repro.storage.ColumnBlock` (dictionary-encoded columns) in a
 ``repro_mp_``-named ``multiprocessing.shared_memory`` segment — only a
 small job descriptor (segment name, byte and row counts, query, schema)
-is pickled over the pipe.  When the query has no WHERE predicate and the
-caller did not substitute a ``phase_fn``, the block is projected to the
-key + aggregate columns first, so an evaluation-schema tuple ships 16 of
+is pickled over the pipe.  Unless the caller substituted a ``phase_fn``
+(or passed an opaque callable as WHERE), the block is projected to the
+columns the query reads first — group keys, aggregate inputs, the
+columns a parsed WHERE names — so an evaluation-schema tuple ships 16 of
 its 100 bytes.  Empty fragments, and rows the block codec rejects (an
 int outside int64, a mistyped value), are pickled inline instead.
 Segments are owned by the parent and unlinked on *every* exit path

@@ -97,6 +97,8 @@ class _ObsSink:
                 m.gauge("mp.worker_max_rss_bytes", mode="max").set(
                     profile.get("max_rss_bytes", 0)
                 )
+                for reason, n in profile.get("kernel_declined", {}).items():
+                    m.counter(f"mp.kernel.declined.{reason}").inc(n)
         if self.tracer is not None:
             args = {"attempt": attempt, "ok": ok}
             if profile:
@@ -287,11 +289,14 @@ def multiprocessing_aggregate(
     injection and speculation require ``"pool"`` or ``"global"``.
 
     ``memory_budget_bytes`` puts each fragment's phase-1 table under a
-    byte budget: the first attempt aggregates in memory but raises
-    :class:`~repro.resources.MemoryExceededError` on overrun, and each
-    retry reruns the fragment out-of-core at *half* the previous budget
-    (rung 4 of the degradation ladder) — so an over-budget fragment
-    completes exactly, just slower, instead of failing the run.
+    byte budget: the first attempt is the ordinary phase (the columnar
+    kernel on a block) under a ceiling of ``budget // entry_bytes``
+    groups and raises :class:`~repro.resources.MemoryExceededError` on
+    overrun, and each retry reruns the fragment per-row and out-of-core
+    at *half* the previous budget (rung 4 of the degradation ladder) —
+    so a fragment that fits costs what it costs ungoverned, and an
+    over-budget one completes exactly, just slower, instead of failing
+    the run.
     Mutually exclusive with ``phase_fn``; ``None`` leaves the executor
     byte-identical to ungoverned behavior.
 
@@ -300,8 +305,10 @@ def multiprocessing_aggregate(
     per fragment attempt — including failed ones, with the error type in
     the span args — under a run-wide query span; ``metrics`` (a
     :class:`repro.obs.MetricsRegistry`) collects attempt/retry counters,
-    per-error-type counters, and worker wall/CPU/RSS distributions from
-    the workers' self-profiles; ``profiles`` (a list) is extended with
+    per-error-type counters, worker wall/CPU/RSS distributions from
+    the workers' self-profiles, and ``mp.kernel.declined.<reason>`` for
+    every fragment attempt that left the columnar kernel for the
+    per-row phase; ``profiles`` (a list) is extended with
     one :class:`repro.obs.WorkerProfile` per attempt that reported back.
 
     Chaos / robustness (pool strategy only):

@@ -1,16 +1,30 @@
 """Phase 1: one fragment in, partial aggregate states out.
 
-The per-row loop (:func:`_local_phase` on a row list) is the oracle;
-the columnar kernel must match it bit for bit or decline.
-:class:`_GovernedPhase` is the same loop under a byte budget.
+One implementation for every statement the SQL front end produces: the
+columnar kernel (:func:`_columnar_local_phase`) takes WHERE as a column
+mask (:mod:`~repro.parallel.mp_executor.mask`), scalar aggregation as
+the one-group case and the memory budget as a group ceiling.  The
+per-row loop (:func:`_per_row_phase`) is the oracle the kernel must
+match bit for bit, the fallback when a kernel guard declines a block,
+and — through :class:`_GovernedPhase` — the over-budget spill retry.
+Every time a fragment leaves the kernel the reason is recorded
+(:func:`_decline`) and travels back with the attempt's profile.
 """
 
 from __future__ import annotations
 
+import threading
+
 from repro.core.aggregates import GroupState
+from repro.parallel.mp_executor.mask import (
+    compiled_predicate,
+    predicate_mask,
+)
 from repro.parallel.mp_executor.merge import (
+    _EXACT_FLOAT_INT,
     _INT64_LIMIT,
     _int_magnitude,
+    _key_tuples,
     _states_from_payload,
 )
 from repro.resources.governor import MemoryExceededError
@@ -23,20 +37,38 @@ _ENTRY_OVERHEAD_BYTES = 8
 _MIN_SPILL_ENTRIES = 8
 
 
-def _local_phase(args) -> list[tuple[tuple, GroupState]]:
-    """Phase 1 for one fragment: (source, query, schema) -> partials.
+# -- declines -----------------------------------------------------------------
+#
+# Why the current fragment attempt left the kernel, as reason -> count.
+# A phase function's contract is ``fn(job) -> partials`` (substituted
+# phases rely on it), so the reasons travel beside the result: the
+# runner clears them before the attempt and puts them in the attempt's
+# profile after it.  Thread-local because the in-process runner serves
+# concurrent service threads; a pool worker runs one job at a time.
 
-    ``source`` is a row list, or a :class:`~repro.storage.ColumnBlock`
-    — what a pool worker loads from its segment and what a block-born
-    fragment is in-process — which runs through the columnar kernel and
-    only decodes to rows when the kernel declines the shape.
-    """
-    rows, query, schema = args
-    if isinstance(rows, ColumnBlock):
-        result = _columnar_local_phase(rows, query)
-        if result is not None:
-            return result
-        rows = rows.to_rows()
+_declined = threading.local()
+
+
+def _decline(reason: str) -> None:
+    """Record one departure from the kernel; returns the ``None`` the
+    declining guard hands its caller."""
+    counts = _declined.__dict__.setdefault("counts", {})
+    counts[reason] = counts.get(reason, 0) + 1
+    return None
+
+
+def _take_declines() -> dict[str, int]:
+    """This thread's recorded reasons, cleared."""
+    return _declined.__dict__.pop("counts", {})
+
+
+# -- the per-row oracle -------------------------------------------------------
+
+
+def _per_row_phase(rows, query, schema, admit=None):
+    """The sequential loop over row tuples: (key, GroupState) partials
+    in first-seen order.  ``admit(n)`` is asked before the table grows
+    to ``n`` groups (the budget watchdog)."""
     bq = query.bind(schema)
     table: dict[tuple, GroupState] = {}
     for row in rows:
@@ -45,10 +77,33 @@ def _local_phase(args) -> list[tuple[tuple, GroupState]]:
         key = bq.key_of(row)
         state = table.get(key)
         if state is None:
+            if admit is not None:
+                admit(len(table) + 1)
             state = GroupState(query.aggregates)
             table[key] = state
         state.update(bq.values_of(row))
     return list(table.items())
+
+
+def _local_phase(job, packed=False, admit=None):
+    """Phase 1 for one fragment: (source, query, schema) -> partials —
+    kernel first, per-row on a counted decline.
+
+    ``source`` is a :class:`~repro.storage.ColumnBlock` — what a pool
+    worker loads from its segment and what a block-born fragment is
+    in-process — or a row list, which never enters the kernel.
+    ``packed`` and ``admit`` are the kernel's (see
+    :func:`_columnar_local_phase`); the dispatch loops call ``fn(job)``.
+    """
+    source, query, schema = job
+    if isinstance(source, ColumnBlock):
+        result = _columnar_local_phase(source, query, packed, admit)
+        if result is not None:
+            return result
+        source = source.to_rows()
+    else:
+        _decline("row_source")
+    return _per_row_phase(source, query, schema, admit)
 
 
 class _GovernedPhase:
@@ -56,13 +111,14 @@ class _GovernedPhase:
 
     Picklable (a plain instance of a module-level class), so it crosses
     the worker-process boundary like any ``phase_fn``.  First attempt
-    (``spill=False``): aggregate in memory with a watchdog that raises
-    :class:`~repro.resources.MemoryExceededError` — carrying the
-    high-water mark — the moment the table would outgrow the budget.
-    Retry attempts (``spill=True``): rerun out-of-core at the reduced
-    budget, spooling overflow groups through a
-    :class:`~repro.storage.spill.FileSpillStore`, which completes under
-    any budget without losing tuples.
+    (``spill=False``): the same kernel (or, on a decline, the same
+    per-row loop) as the ungoverned phase, under a group ceiling of
+    ``budget_bytes // entry_bytes`` — one more group raises
+    :class:`~repro.resources.MemoryExceededError` carrying the
+    high-water mark.  Retry attempts (``spill=True``): rerun per-row and
+    out-of-core at the reduced budget, spooling overflow groups through
+    a :class:`~repro.storage.spill.FileSpillStore`, which completes
+    under any budget without losing tuples.
     """
 
     def __init__(self, budget_bytes: int, spill: bool) -> None:
@@ -71,41 +127,27 @@ class _GovernedPhase:
         self.budget_bytes = budget_bytes
         self.spill = spill
 
-    def _entry_bytes(self, bq) -> int:
-        return max(1, bq.projected_bytes) + _ENTRY_OVERHEAD_BYTES
-
     def __call__(self, job) -> list[tuple[tuple, GroupState]]:
         rows, query, schema = job
-        if isinstance(rows, ColumnBlock):
-            # The budget ladder governs the per-row table; a block
-            # source decodes first so accounting stays identical.
-            rows = rows.to_rows()
         bq = query.bind(schema)
-        entry_bytes = self._entry_bytes(bq)
+        entry_bytes = max(1, bq.projected_bytes) + _ENTRY_OVERHEAD_BYTES
         if self.spill:
+            _decline("spill_retry")
+            if isinstance(rows, ColumnBlock):
+                rows = rows.to_rows()
             return self._spill_phase(rows, query, bq, entry_bytes)
-        return self._watchdog_phase(rows, query, bq, entry_bytes)
+        ceiling = self.budget_bytes // entry_bytes
 
-    def _watchdog_phase(self, rows, query, bq, entry_bytes):
-        table: dict[tuple, GroupState] = {}
-        for row in rows:
-            if not bq.matches(row):
-                continue
-            key = bq.key_of(row)
-            state = table.get(key)
-            if state is None:
-                used = len(table) * entry_bytes
-                if used + entry_bytes > self.budget_bytes:
-                    raise MemoryExceededError(
-                        "mp_local_phase",
-                        self.budget_bytes,
-                        high_water_bytes=used,
-                        requested_bytes=entry_bytes,
-                    )
-                state = GroupState(query.aggregates)
-                table[key] = state
-            state.update(bq.values_of(row))
-        return list(table.items())
+        def admit(n_groups: int) -> None:
+            if n_groups > ceiling:
+                raise MemoryExceededError(
+                    "mp_local_phase",
+                    self.budget_bytes,
+                    high_water_bytes=ceiling * entry_bytes,
+                    requested_bytes=entry_bytes,
+                )
+
+        return _local_phase(job, admit=admit)
 
     def _spill_phase(self, rows, query, bq, entry_bytes):
         from repro.core.hashtable import HashAggregator
@@ -129,13 +171,36 @@ class _GovernedPhase:
 
 # -- the columnar kernel ------------------------------------------------------
 #
-# Works directly on a ColumnBlock's buffers: group keys of any type and
-# arity via per-column ``np.unique`` codes (string columns group over
-# their int32 dictionary codes), aggregates via ``bincount``/``ufunc.at``
-# folds.  Every guard below exists to keep the kernel *bit-identical* to
-# the per-row phase, not merely close — when a shape could diverge
-# (NaN keys, signed-zero ties, int sums past exact float range) the
-# kernel refuses and the caller runs the per-row loop instead.
+# Works directly on a ColumnBlock's buffers: WHERE as a boolean mask
+# over them, group keys of any type and arity via per-column
+# ``np.unique`` codes (string columns group over their int32 dictionary
+# codes; no key column at all is the one-group case), aggregates via
+# ``bincount``/``ufunc.at`` folds.  Every guard below exists to keep the
+# kernel *bit-identical* to the per-row phase, not merely close — when a
+# shape could diverge (NaN keys, signed-zero ties, int sums past exact
+# float range, a predicate Python would evaluate differently) the kernel
+# declines, naming the reason, and the caller runs the per-row loop.
+
+
+def _filter_block(cblock, query):
+    """The rows of ``cblock`` that pass ``query.where``, as a block
+    sharing its dictionaries (``cblock`` itself when every row passes);
+    None when the predicate has no exact mask."""
+    if query.where is None:
+        return cblock
+    node = compiled_predicate(query.where)
+    if node is None:
+        return _decline("opaque_predicate")
+    mask = predicate_mask(cblock, node)
+    if mask is None:
+        return _decline("predicate_type")
+    keep = mask.nonzero()[0]
+    if len(keep) == cblock.num_rows:
+        return cblock
+    return ColumnBlock(
+        cblock.schema, len(keep),
+        [arr[keep] for arr in cblock.columns], cblock.dictionaries,
+    )
 
 
 def _decode_unique(cblock, col_idx, kind, uniq):
@@ -150,25 +215,31 @@ def _columnar_group_keys(cblock, query):
     """Group-key codes for a block: (decoded key columns, inv, n_groups).
 
     ``decoded[j][g]`` is key column ``j``'s Python value for group ``g``
-    and ``inv[r]`` is row ``r``'s group index.  Returns None when the
-    per-row path's key semantics cannot be reproduced vectorized: NaN
-    keys (Python dicts keep distinct NaN objects distinct, ``np.unique``
-    collapses them) and signed-zero float keys (the dict keeps the
-    first-seen representative, the sort may not).
+    and ``inv[r]`` is row ``r``'s group index.  Scalar aggregation is
+    the degenerate case: no key columns, every row in group 0 — and no
+    group at all over zero rows, where the per-row loop emits no
+    partial either.  Returns None when the per-row path's key semantics
+    cannot be reproduced vectorized: NaN keys (Python dicts keep
+    distinct NaN objects distinct, ``np.unique`` collapses them) and
+    signed-zero float keys (the dict keeps the first-seen
+    representative, the sort may not).
     """
     import numpy as np
 
     bq = query.bind(cblock.schema)
+    if not bq.key_indexes:
+        n = cblock.num_rows
+        return [], np.zeros(n, dtype=np.intp), 1 if n else 0
     columns = cblock.schema.columns
     per_col = []
     for i in bq.key_indexes:
         col = cblock.columns[i]
         if columns[i].kind == "float" and len(col):
             if np.isnan(col).any():
-                return None
+                return _decline("nan_key")
             zeros = col == 0.0
             if zeros.any() and np.signbit(col[zeros]).any():
-                return None
+                return _decline("signed_zero_key")
         uniq, codes = np.unique(col, return_inverse=True)
         per_col.append((i, columns[i].kind, uniq, codes.reshape(-1)))
     if len(per_col) == 1:
@@ -200,7 +271,7 @@ def _distinct_pairs(cblock, col_idx, inv, n_groups):
     kind = cblock.schema.columns[col_idx].kind
     col = cblock.columns[col_idx]
     if kind == "float" and len(col) and np.isnan(col).any():
-        return None
+        return _decline("nan_distinct")
     rec = np.empty(len(col), dtype=[("g", np.int64), ("v", col.dtype)])
     rec["g"] = inv
     rec["v"] = col
@@ -258,25 +329,26 @@ def _str_extremes(cblock, col_idx, inv, n_groups, func, as_codes=False):
     return [dvals[order[r]] for r in acc.tolist()]
 
 
-# The VAR/STDDEV square kernel must refuse when a value's square could
-# round differently than Python's exact int multiply.
-_EXACT_FLOAT_INT = 2**53
-
-
-def _columnar_local_phase(cblock, query, packed=False):
-    """Phase 1 on a ColumnBlock: every key type, every aggregate.
+def _columnar_local_phase(cblock, query, packed=False, admit=None):
+    """Phase 1 on a ColumnBlock: every statement shape — WHERE, any key
+    type and arity including none (scalar), every aggregate.
 
     Returns (key, GroupState) partials like :func:`_local_phase`, or —
     with ``packed=True`` — a
     ``("packed", n_groups, key_columns, state_columns)`` payload of raw
-    arrays for the parent's vectorized global merge.  Every aggregate
+    arrays for the parent's vectorized global merge (``key_columns`` is
+    empty for a scalar query).  Every aggregate
     has a packed wire form: count_distinct ships sorted-unique
     ``(group, value)`` pair arrays (codes + the block dictionary for
     str columns) and str MIN/MAX ships per-group winner *codes* plus
     the dictionary, so the parent merges via LUT unions instead of
-    unpacking to per-row states.  Returns None when
+    unpacking to per-row states.  ``admit(n_groups)`` is the memory
+    budget's group ceiling: called once the block's group count is
+    known, it raises what the per-row watchdog raises on the same
+    input.  Returns None when
     a guard detects a shape whose vectorized result could differ from
-    the per-row loop's (see the section comment); the caller then
+    the per-row loop's (see the section comment) — each such return
+    records its reason through :func:`_decline`; the caller then
     decodes and runs per-row.
 
     Bit-parity notes: ``bincount`` accumulates weights in input order —
@@ -286,15 +358,17 @@ def _columnar_local_phase(cblock, query, packed=False):
     add does; MIN/MAX ties are only distinguishable for signed zeros,
     which are guarded.
     """
-    if query.where is not None or not query.group_by:
-        return None
-
     import numpy as np
 
+    cblock = _filter_block(cblock, query)
+    if cblock is None:
+        return None
     comp = _columnar_group_keys(cblock, query)
     if comp is None:
         return None
     decoded_cols, inv, n_groups = comp
+    if admit is not None:
+        admit(n_groups)
     counts = np.bincount(inv, minlength=n_groups).astype(np.int64)
     bq = query.bind(cblock.schema)
     columns = cblock.schema.columns
@@ -328,12 +402,12 @@ def _columnar_local_phase(cblock, query, packed=False):
                 state_payload.append(("distinct", sets))
             continue
         if func not in ("sum", "avg", "min", "max", "var", "stddev"):
-            return None
+            return _decline("aggregate_type")
         kind = columns[col_idx].kind
         values = cblock.columns[col_idx]
         if kind == "str":
             if func not in ("min", "max"):
-                return None
+                return _decline("aggregate_type")
             if packed:
                 state_payload.append(
                     (func + "_str_codes",
@@ -350,10 +424,12 @@ def _columnar_local_phase(cblock, query, packed=False):
             if func in ("min", "max"):
                 if len(values):
                     if np.isnan(values).any():
-                        return None  # per-row keeps first, np propagates
+                        # per-row keeps first, np propagates
+                        return _decline("nan_extreme")
                     zeros = values == 0.0
                     if zeros.any() and np.signbit(values[zeros]).any():
-                        return None  # -0.0/0.0 tie winner differs
+                        # -0.0/0.0 tie winner differs
+                        return _decline("signed_zero_extreme")
                 if func == "min":
                     acc = np.full(n_groups, np.inf)
                     np.minimum.at(acc, inv, values)
@@ -392,7 +468,8 @@ def _columnar_local_phase(cblock, query, packed=False):
                 state_payload.append((func + "_int", acc))
             elif func in ("sum", "avg"):
                 if _int_magnitude(values) * len(values) >= _INT64_LIMIT:
-                    return None  # per-row Python ints cannot overflow
+                    # per-row Python ints cannot overflow
+                    return _decline("int_sum_overflow")
                 acc = np.zeros(n_groups, dtype=np.int64)
                 np.add.at(acc, inv, values)
                 if func == "sum":
@@ -401,7 +478,8 @@ def _columnar_local_phase(cblock, query, packed=False):
                     state_payload.append(("avg_int", acc, counts))
             else:  # var / stddev over ints
                 if _int_magnitude(values) > _EXACT_FLOAT_INT:
-                    return None  # float64(v)**2 != float64(v*v)
+                    # float64(v)**2 != float64(v*v)
+                    return _decline("int_var_precision")
                 vf = values.astype(np.float64)
                 state_payload.append(
                     ("var",
@@ -423,7 +501,7 @@ def _columnar_local_phase(cblock, query, packed=False):
                 )
         return ("packed", n_groups, key_payload, state_payload)
 
-    keys = list(zip(*decoded_cols))
+    keys = _key_tuples(decoded_cols, n_groups)
     per_spec = [
         _states_from_payload(spec, payload[0], payload[1:], n_groups)
         for spec, payload in zip(query.aggregates, state_payload)
@@ -443,10 +521,4 @@ def _global_phase(job):
     block a kernel guard declines, degrades to ordinary partials, which
     the parent merge accepts (it unpacks mixed results).
     """
-    source = job[0]
-    if isinstance(source, ColumnBlock):
-        result = _columnar_local_phase(source, job[1], packed=True)
-        if result is not None:
-            return result
-        job = (source.to_rows(), job[1], job[2])
-    return _local_phase(job)
+    return _local_phase(job, packed=True)

@@ -10,6 +10,9 @@ from repro.storage.columnblock import StringDictionary
 # SUM/AVG over int columns stay exact Python ints on the per-row path;
 # an int64 fold must refuse when a sum could leave int64.
 _INT64_LIMIT = 2**63
+# Past this an int64 -> float64 cast rounds: int VAR's float square, and
+# numpy's int-against-float comparison, stop being Python's exact ones.
+_EXACT_FLOAT_INT = 2**53
 
 
 def _aslist(data):
@@ -22,6 +25,14 @@ def _int_magnitude(values) -> int:
     if not len(values):
         return 0
     return max(-int(values.min()), int(values.max()))
+
+
+def _key_tuples(decoded_cols, n_groups: int) -> list[tuple]:
+    """Per-group key tuples from per-column value lists; with no key
+    column (scalar aggregation) every group's key is ``()``."""
+    if not decoded_cols:
+        return [()] * n_groups
+    return list(zip(*decoded_cols))
 
 
 def _states_from_payload(spec, tag, data, n_groups):
@@ -75,7 +86,9 @@ def _is_packed(result) -> bool:
 def _unpack_packed(payload, query):
     """Expand a packed worker payload into (key, GroupState) partials."""
     _tag, n_groups, key_payload, state_payload = payload
-    keys = list(zip(*[_aslist(data) for _kind, data in key_payload]))
+    keys = _key_tuples(
+        [_aslist(data) for _kind, data in key_payload], n_groups
+    )
     per_spec = [
         _states_from_payload(spec, p[0], p[1:], n_groups)
         for spec, p in zip(query.aggregates, state_payload)
@@ -93,7 +106,8 @@ def _merge_packed(payloads, query):
 
     ``payloads`` must be every fragment's packed result in fragment
     order.  Re-groups the concatenated per-fragment group keys with the
-    same unique/codes machinery the kernel uses, then folds each
+    same unique/codes machinery the kernel uses (a scalar query's
+    payloads carry no key columns: one group), then folds each
     aggregate's arrays — in concatenation (= fragment) order, so float
     accumulation matches the sequential merge bit for bit.  Returns the
     merged ``{key: GroupState}`` table, or None when exactness cannot
@@ -118,7 +132,12 @@ def _merge_packed(payloads, query):
             )
         uniq, codes = np.unique(full, return_inverse=True)
         cols.append((kind, uniq, codes.reshape(-1)))
-    if num_keys == 1:
+    if not num_keys:
+        # Scalar: every fragment's (at most one) group is the one group.
+        inv = np.zeros(sum(p[1] for p in payloads), dtype=np.intp)
+        n_groups = 1
+        decoded = []
+    elif num_keys == 1:
         kind, uniq, inv = cols[0]
         n_groups = len(uniq)
         decoded = [uniq.tolist()]
@@ -133,7 +152,7 @@ def _merge_packed(payloads, query):
         for j, (kind, uniq, _codes) in enumerate(cols):
             vals = uniq.tolist()
             decoded.append([vals[c] for c in uniq_rows[:, j].tolist()])
-    keys = list(zip(*decoded))
+    keys = _key_tuples(decoded, n_groups)
     # Fragment f's local group g sits at position offsets[f] + g in the
     # concatenated key arrays, so inv[offsets[f] + g] is its global
     # group — the LUT the pair-array and code-array merges fold through.

@@ -21,7 +21,11 @@ from repro.obs.decisions import (
     VERDICT_WRONG_CHEAP,
 )
 from repro.obs.profile import profile_finish, profile_start
-from repro.parallel.mp_executor.kernel import _local_phase
+from repro.parallel.mp_executor.kernel import (
+    _decline,
+    _local_phase,
+    _take_declines,
+)
 from repro.parallel.mp_executor.resilience import (
     _INFRA_DEATHS,
     ChaosOptions,
@@ -75,6 +79,16 @@ def _disarm_resource_tracker() -> None:
         tracker.ensure_running = _tracker_noop
 
 
+def _attempt_profile(started) -> dict:
+    """The attempt's self-measurement plus, under ``kernel_declined``,
+    why it left the columnar kernel (reason -> count) if it did."""
+    profile = profile_finish(started)
+    declined = _take_declines()
+    if declined:
+        profile["kernel_declined"] = declined
+    return profile
+
+
 _SLOW_CHUNK_ROWS = 128
 
 
@@ -119,6 +133,7 @@ def _slow_job(fn, descriptor, factor: float, progress: list):
     """
     if fn is _local_phase:
         rows, query, schema = _load_job(descriptor)
+        _decline("injected_slow")
         if isinstance(rows, ColumnBlock):
             rows = rows.to_rows()
         bq = query.bind(schema)
@@ -200,6 +215,7 @@ def _pool_worker_main(conn) -> None:
             beat = _HeartbeatSender(conn, lock, interval, progress)
             beat.start()
         started = profile_start()
+        _take_declines()  # the forking thread's, inherited at fork
         try:
             result = _run_worker_job(
                 fn, descriptor, opts.get("inject") or {}, progress
@@ -208,10 +224,10 @@ def _pool_worker_main(conn) -> None:
             reply = (
                 "error",
                 {"type": type(exc).__name__, "message": str(exc)},
-                profile_finish(started),
+                _attempt_profile(started),
             )
         else:
-            reply = ("ok", result, profile_finish(started))
+            reply = ("ok", result, _attempt_profile(started))
         if beat is not None:
             beat.stop()  # joins: no beat can trail the final reply
         try:
@@ -823,6 +839,7 @@ def _run_jobs_in_process(
             attempts += 1
             started = profile_start()
             span_start = obs.now()
+            _take_declines()  # whatever this thread ran before the attempt
             try:
                 completed[index] = fn_for(attempts - 1)(job)
                 if on_complete is not None:
@@ -840,12 +857,12 @@ def _run_jobs_in_process(
             else:
                 obs.attempt_done(
                     index, attempts - 1, span_start, True,
-                    profile_finish(started),
+                    _attempt_profile(started),
                 )
                 break
             obs.attempt_done(
                 index, attempts - 1, span_start, False,
-                profile_finish(started), error,
+                _attempt_profile(started), error,
             )
             if attempts > max_retries:
                 raise FragmentFailedError(

@@ -13,11 +13,12 @@ from repro.obs.decisions import (
 )
 from repro.parallel.mp_executor.kernel import (
     _columnar_group_keys,
-    _columnar_local_phase,
+    _decline,
+    _filter_block,
     _global_phase,
     _local_phase,
 )
-from repro.parallel.mp_executor.merge import _is_packed
+from repro.parallel.mp_executor.merge import _is_packed, _key_tuples
 from repro.parallel.mp_executor.pool import (
     _get_shared_pool,
     _run_jobs_in_pool,
@@ -62,6 +63,7 @@ class _RepPartitionPhase:
             rows = block.to_rows()
             idx = None
         else:
+            _decline("row_source")
             proj = _projection_for(query, schema)
             idx = proj[1] if proj is not None else None
         bq = query.bind(schema)
@@ -81,25 +83,27 @@ class _RepPartitionPhase:
         return ("rep_rows", [chunk or None for chunk in buckets])
 
     def _partition_block(self, block, query, schema):
-        """Vectorized partition of a ColumnBlock; None to go per-row.
+        """Vectorized partition of a ColumnBlock; None (the kernel's
+        guards recorded why) to go per-row.
 
-        Computes each row's bucket through the same ``stable_hash(key)``
-        the per-row path uses (so a retried fragment that falls back
-        per-row lands every group in the same bucket) and slices the
-        block columns by bucket mask — each chunk re-serializes with the
-        parent dictionary, codes untouched.
+        Keeps the rows that pass WHERE, computes each one's bucket
+        through the same ``stable_hash(key)`` the per-row path uses (so
+        a retried fragment that falls back per-row lands every group in
+        the same bucket) and slices the block columns by bucket mask —
+        each chunk re-serializes with the parent dictionary, codes
+        untouched.
         """
-        if query.where is not None or not query.group_by:
-            return None
-
         import numpy as np
 
+        block = _filter_block(block, query)
+        if block is None:
+            return None
         comp = _columnar_group_keys(block, query)
         if comp is None:
             return None
         decoded_cols, inv, n_groups = comp
         lut = np.empty(max(n_groups, 1), dtype=np.int64)
-        for g, key in enumerate(zip(*decoded_cols)):
+        for g, key in enumerate(_key_tuples(decoded_cols, n_groups)):
             lut[g] = stable_hash(key) % self.num_buckets
         row_buckets = lut[inv]
         chunks = []
@@ -123,22 +127,17 @@ def _rep_bucket_phase(job):
     ``job`` is ``(chunks, query, schema)`` with one chunk per source
     fragment, in fragment order: ``("block", bytes)`` for a columnar
     slice or ``("rows", rows)`` for a per-row slice.  Each chunk is
-    aggregated exactly like a 2P fragment (columnar kernel first,
-    per-row fallback) and the per-chunk partials merged in fragment
-    order — reproducing the 2P merge's operation order bit for bit,
+    aggregated exactly like a 2P fragment (:func:`_local_phase`: kernel
+    first, per-row on a decline) and the per-chunk partials merged in
+    fragment order — reproducing the 2P merge's operation order bit for bit,
     just sharded by key range.
     """
     chunks, query, schema = job
     merged: dict[tuple, GroupState] = {}
     for kind, payload in chunks:
         if kind == "block":
-            block = ColumnBlock.from_bytes(schema, payload)
-            partial = _columnar_local_phase(block, query)
-            if partial is None:
-                partial = _local_phase((block.to_rows(), query, schema))
-        else:
-            partial = _local_phase((payload, query, schema))
-        for key, state in partial:
+            payload = ColumnBlock.from_bytes(schema, payload)
+        for key, state in _local_phase((payload, query, schema)):
             mine = merged.get(key)
             if mine is None:
                 mine = GroupState(query.aggregates)

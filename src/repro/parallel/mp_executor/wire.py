@@ -12,6 +12,7 @@ import secrets
 from multiprocessing import resource_tracker, shared_memory
 
 from repro.core.query import AggregateQuery
+from repro.parallel.mp_executor.mask import predicate_columns
 from repro.storage.columnblock import ColumnBlock
 
 
@@ -21,18 +22,24 @@ SHM_PREFIX = "repro_mp_"
 
 
 def _projection_for(query: AggregateQuery, schema):
-    """(subschema, column indexes) shipping only key + aggregate columns.
+    """(subschema, column indexes) shipping only the columns a built-in
+    phase reads: key + aggregate + WHERE-predicate columns.
 
-    Returns None when projection is unsafe or useless: a WHERE predicate
-    may read any column, and a COUNT(*)-only query has no needed columns
-    (an empty schema cannot exist — ship the full rows).
+    Returns None when projection is unsafe or useless: an opaque
+    callable WHERE may read any column, a predicate naming a column the
+    schema lacks must fail against the full column list, and a
+    COUNT(*)-only query has no needed columns (an empty schema cannot
+    exist — ship the full rows).
     """
-    if query.where is not None:
-        return None
     used = set(query.group_by)
     used.update(
         spec.column for spec in query.aggregates if spec.column is not None
     )
+    if query.where is not None:
+        read = predicate_columns(query.where)
+        if read is None or not all(name in schema for name in read):
+            return None
+        used.update(read)
     needed = [c.name for c in schema.columns if c.name in used]
     if not needed or len(needed) == len(schema.columns):
         return None
@@ -53,7 +60,7 @@ def _encode_fragment(rows, query, schema, segments: list, project: bool = True):
     back to an ``("inline", job)`` descriptor pickled over the pipe.
 
     ``project=True`` says a built-in phase will run the fragment: the
-    block is projected to the key + aggregate columns when that is safe
+    block is projected to the columns the query reads when that is safe
     (:func:`_projection_for`) and the worker hands the phase the block
     itself.  ``project=False`` ships the full tuples and sets
     ``as_rows`` — a substituted ``phase_fn`` inspects raw row lists.

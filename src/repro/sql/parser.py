@@ -18,7 +18,7 @@ against the SELECT list, alias or not).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 from repro.core.aggregates import AggregateSpec
 from repro.core.query import AggregateQuery
@@ -140,6 +140,20 @@ class CompiledPredicate:
 
     def __call__(self, env) -> bool:
         return bool(self.node.eval(env))
+
+    def columns(self) -> frozenset[str]:
+        """Every column name the predicate reads."""
+        names: set[str] = set()
+        _collect_columns(self.node, names)
+        return frozenset(names)
+
+
+def _collect_columns(node, names: set) -> None:
+    if isinstance(node, ColumnRef):
+        names.add(node.name)
+    elif is_dataclass(node):
+        for f in fields(node):
+            _collect_columns(getattr(node, f.name), names)
 
 
 def _compile(node):

@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.core.aggregates import AggregateSpec
 from repro.core.query import AggregateQuery
 from repro.workloads.generator import generate_uniform
+
+
+# CI's chaos-matrix and low-memory jobs rerun the differential harness
+# (tests/test_mp_kernel_differential.py) under this example budget:
+# ``--hypothesis-profile=stress``.  Tests that fix their own
+# ``max_examples`` keep it.
+settings.register_profile("stress", max_examples=1500, deadline=None)
 
 
 def rows_close(actual, expected, tol: float = 1e-9) -> bool:
@@ -41,6 +49,49 @@ def assert_rows_close(actual, expected, tol: float = 1e-9) -> None:
                 )
             else:
                 assert a == e, f"row {i}: {row_a} != {row_e}"
+
+
+def assert_partials_equal(kernel, reference):
+    """Bit-level comparison of (key, GroupState) partial lists."""
+    def canon(partials):
+        out = {}
+        for key, group in partials:
+            fields = []
+            for state in group.states:
+                slots = {
+                    name: getattr(state, name)
+                    for name in dir(state)
+                    if name in (
+                        "count", "total", "total_sq", "value", "seen",
+                        "values",
+                    )
+                }
+                fields.append(sorted(slots.items(), key=lambda kv: kv[0]))
+            out[key] = fields
+        return out
+
+    got, want = canon(kernel), canon(reference)
+    assert sorted(got) == sorted(want)
+    for key in want:
+        for f_got, f_want in zip(got[key], want[key]):
+            for (name_g, v_got), (name_w, v_want) in zip(f_got, f_want):
+                assert name_g == name_w
+                if isinstance(v_want, float):
+                    assert isinstance(v_got, float)
+                    assert v_got.hex() == v_want.hex(), (key, name_w)
+                else:
+                    assert v_got == v_want, (key, name_w)
+                    assert type(v_got) is type(v_want), (key, name_w)
+
+
+def kernel_declines(registry) -> dict:
+    """``reason -> count`` of a run's ``mp.kernel.declined.*`` counters."""
+    prefix = "mp.kernel.declined."
+    return {
+        name[len(prefix):]: metric["value"]
+        for name, metric in registry.snapshot().items()
+        if name.startswith(prefix)
+    }
 
 
 @pytest.fixture

@@ -46,6 +46,7 @@ from repro.storage.rowblock import RowBlock
 from repro.storage.schema import Column, Schema
 from repro.storage.serialization import RowCodec
 
+from tests.conftest import assert_partials_equal
 from tests.test_block_parity import _GEN  # reuse digest + workloads
 
 _GOLDEN = json.loads(
@@ -111,39 +112,6 @@ class TestGoldenStrategyParity:
 # -- kernel vs per-row parity -------------------------------------------------
 
 
-def _assert_partials_equal(kernel, reference):
-    """Bit-level comparison of (key, GroupState) partial lists."""
-    def canon(partials):
-        out = {}
-        for key, group in partials:
-            fields = []
-            for state in group.states:
-                slots = {
-                    name: getattr(state, name)
-                    for name in dir(state)
-                    if name in (
-                        "count", "total", "total_sq", "value", "seen",
-                        "values",
-                    )
-                }
-                fields.append(sorted(slots.items(), key=lambda kv: kv[0]))
-            out[key] = fields
-        return out
-
-    got, want = canon(kernel), canon(reference)
-    assert sorted(got) == sorted(want)
-    for key in want:
-        for f_got, f_want in zip(got[key], want[key]):
-            for (name_g, v_got), (name_w, v_want) in zip(f_got, f_want):
-                assert name_g == name_w
-                if isinstance(v_want, float):
-                    assert isinstance(v_got, float)
-                    assert v_got.hex() == v_want.hex(), (key, name_w)
-                else:
-                    assert v_got == v_want, (key, name_w)
-                    assert type(v_got) is type(v_want), (key, name_w)
-
-
 def _kernel_case(schema, rows, query):
     block = ColumnBlock.from_rows(schema, rows)
     kernel = _columnar_local_phase(block, query)
@@ -187,7 +155,7 @@ class TestKernelParity:
         ))
         kernel, reference = _kernel_case(schema, rows, query)
         assert kernel is not None
-        _assert_partials_equal(kernel, reference)
+        assert_partials_equal(kernel, reference)
 
     def test_int_sums_stay_python_ints(self):
         schema = Schema([Column("g", "int"), Column("n", "int")])
@@ -197,7 +165,7 @@ class TestKernelParity:
         ))
         kernel, reference = _kernel_case(schema, rows, query)
         assert kernel is not None
-        _assert_partials_equal(kernel, reference)
+        assert_partials_equal(kernel, reference)
 
     def test_empty_block(self):
         schema = Schema([Column("g", "int"), Column("x", "float")])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tests.conftest import assert_rows_close
+from tests.conftest import assert_rows_close, kernel_declines
 
 from repro.core.aggregates import AggregateSpec
 from repro.core.query import AggregateQuery
@@ -50,6 +50,66 @@ class TestWatchdog:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             _GovernedPhase(0, spill=False)
+
+
+class TestKernelCeiling:
+    """The first attempt on a block is the columnar kernel under a group
+    ceiling: it must refuse exactly where, and exactly how, the per-row
+    watchdog refuses the same tuples."""
+
+    QUERIES = {
+        "grouped": "SELECT gkey, SUM(val) FROM r GROUP BY gkey",
+        "where": "SELECT gkey, COUNT(*) FROM r WHERE val >= 50 "
+                 "GROUP BY gkey",
+        "multikey": "SELECT gkey, pad, AVG(val) FROM r GROUP BY gkey, pad",
+        "scalar": "SELECT SUM(val), COUNT(*) FROM r",
+    }
+
+    @staticmethod
+    def _outcome(phase, job):
+        try:
+            return sorted(key for key, _state in phase(job))
+        except MemoryExceededError as exc:
+            return (
+                exc.operator, exc.budget_bytes, exc.high_water_bytes,
+                exc.requested_bytes, str(exc),
+            )
+
+    @pytest.mark.parametrize("budget", [1, 16, 17, 24, TIGHT_BUDGET, 10**9])
+    @pytest.mark.parametrize("shape", sorted(QUERIES))
+    def test_same_error_or_same_groups_as_the_watchdog(
+        self, dist, shape, budget
+    ):
+        from repro.parallel.mp_executor.kernel import _take_declines
+        from repro.sql import parse_query
+
+        _name, query = parse_query(self.QUERIES[shape])
+        relation = dist.fragments[0].relation
+        phase = _GovernedPhase(budget, spill=False)
+        per_row = self._outcome(phase, (relation.rows, query, dist.schema))
+        _take_declines()
+        kernel = self._outcome(phase, (relation.block, query, dist.schema))
+        assert _take_declines() == {}  # the block never left the kernel
+        assert kernel == per_row
+        if shape == "scalar":
+            # One 16-byte entry (8 projected + 8 overhead) fits exactly.
+            assert (kernel == [()]) is (budget >= 16)
+        elif budget <= TIGHT_BUDGET:
+            assert kernel[0] == "mp_local_phase"
+
+    def test_spill_retry_is_a_counted_decline(self, dist, query):
+        from repro.obs.metrics import MetricsRegistry
+
+        for processes in (1, 2):
+            registry = MetricsRegistry()
+            got = multiprocessing_aggregate(
+                dist, query, processes=processes, metrics=registry,
+                memory_budget_bytes=TIGHT_BUDGET,
+            )
+            assert_rows_close(got, reference_aggregate(dist, query))
+            retries = registry.snapshot()["mp.retries"]["value"]
+            assert retries >= len(dist.fragments)
+            assert kernel_declines(registry) == {"spill_retry": retries}
 
 
 class TestRetryLadder:

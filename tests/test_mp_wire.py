@@ -6,15 +6,19 @@ Two contracts:
   whatever the statement shape and whoever runs it, as one serialized
   ``ColumnBlock`` in one shared-memory segment (``"shm_col"``); only
   empty fragments and rows the block codec rejects travel inline.
-  Projection happens exactly when a built-in phase runs a query without
-  a WHERE predicate.
+  A built-in phase is shipped only the columns its query reads — group
+  keys, aggregate inputs and the columns a parsed WHERE names; an
+  opaque callable WHERE may read anything and ships full width.
 
 * **The shape matrix** — the six statement shapes of the benchmark's
   ``shape_cliffs`` workload return bit-identical rows under every
   strategy, in-process and pooled, governed or not, over block-born and
   row-born fragments: a pool worker runs the same phase function on the
   same source type as ``processes=1``.  A fragment that travels inline
-  (a row the block codec rejects) joins the same matrix.
+  (a row the block codec rejects) joins the same matrix.  None of those
+  statements, nor the service benchmark's eight, leaves the columnar
+  kernel: ``mp.kernel.declined.*`` stays empty with and without a
+  memory budget.
 """
 
 import glob
@@ -23,17 +27,23 @@ import pytest
 
 from repro.core.aggregates import AggregateSpec
 from repro.core.query import AggregateQuery
+from repro.obs.metrics import MetricsRegistry
 from repro.parallel import multiprocessing_aggregate, reference_aggregate
 from repro.parallel.mp_executor import SHM_PREFIX, shutdown_worker_pool
 from repro.parallel.mp_executor.kernel import _local_phase
-from repro.parallel.mp_executor.wire import _encode_fragment, _load_job
+from repro.parallel.mp_executor.strategies import _RepPartitionPhase
+from repro.parallel.mp_executor.wire import (
+    _encode_fragment,
+    _load_job,
+    _projection_for,
+)
 from repro.sql import parse_query
 from repro.storage.columnblock import ColumnBlock
 from repro.storage.relation import DistributedRelation
 from repro.storage.schema import Column, Schema
 from repro.workloads.generator import generate_uniform
 
-from tests.conftest import assert_rows_close
+from tests.conftest import assert_rows_close, kernel_declines
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -58,6 +68,15 @@ _GROUPED = AggregateQuery(("gkey",), (AggregateSpec("sum", "val"),))
 _WHERE = AggregateQuery(
     ("gkey",), (AggregateSpec("sum", "val"),), where=_val_at_least_ten
 )
+_PARSED_WHERE = parse_query(
+    "SELECT gkey, SUM(val) FROM r WHERE val >= 10 GROUP BY gkey"
+)[1]
+_WHERE_ON_PAD = parse_query(
+    "SELECT gkey, COUNT(*) FROM r WHERE NOT pad IN ('p1') GROUP BY gkey"
+)[1]
+_WHERE_UNKNOWN = parse_query(
+    "SELECT gkey, COUNT(*) FROM r WHERE nope = 1 GROUP BY gkey"
+)[1]
 _SCALAR = AggregateQuery((), (AggregateSpec("sum", "val"),))
 _COUNT_STAR = AggregateQuery((), (AggregateSpec("count", None),))
 
@@ -80,7 +99,12 @@ class TestEncodeFragment:
         (_SCALAR, True, ("val",)),
         (_COUNT_STAR, True, ("gkey", "val", "pad")),
         (_GROUPED, False, ("gkey", "val", "pad")),
-    ], ids=["grouped", "where", "scalar", "count_star", "phase_fn"])
+        (_PARSED_WHERE, True, ("gkey", "val")),
+        (_WHERE_ON_PAD, True, ("gkey", "pad")),
+        # The per-row path must fail listing every column there is.
+        (_WHERE_UNKNOWN, True, ("gkey", "val", "pad")),
+    ], ids=["grouped", "where", "scalar", "count_star", "phase_fn",
+            "parsed_where", "where_on_pad", "where_unknown_column"])
     def test_every_shape_ships_one_column_block(
         self, segments, born, query, project, shipped
     ):
@@ -107,6 +131,28 @@ class TestEncodeFragment:
         else:
             assert isinstance(loaded, ColumnBlock)
             assert loaded.to_rows() == want
+
+    @pytest.mark.parametrize("born", ["rows", "block"])
+    def test_rep_chunks_carry_the_where_columns(self, born):
+        """Round 1 filters by WHERE and round 2 filters again, so every
+        chunk — block slice or row list — keeps the predicate's columns
+        in the one projected schema round 2 decodes."""
+        source = (
+            _ROWS if born == "rows"
+            else ColumnBlock.from_rows(_SCHEMA, _ROWS)
+        )
+        schema, idx = _projection_for(_WHERE_ON_PAD, _SCHEMA)
+        assert schema.names() == ["gkey", "pad"]
+        tag, chunks = _RepPartitionPhase(2)((source, _WHERE_ON_PAD, _SCHEMA))
+        assert tag == ("rep_rows" if born == "rows" else "rep_blocks")
+        got = []
+        for chunk in chunks:
+            if tag == "rep_blocks" and chunk is not None:
+                chunk = ColumnBlock.from_bytes(schema, chunk).to_rows()
+            got.extend(chunk or [])
+        assert sorted(got) == sorted(
+            tuple(row[i] for i in idx) for row in _ROWS if row[2] != "p1"
+        )
 
     @pytest.mark.parametrize("source", [
         [], ColumnBlock.from_rows(_SCHEMA, []),
@@ -150,6 +196,20 @@ _SHAPES = {
     "havingvar": ("int", "SELECT gkey, VAR(val), STDDEV(val), COUNT(*) "
                          "FROM r GROUP BY gkey HAVING COUNT(*) > 10"),
 }
+
+
+# The service benchmark's hit statements (benchmarks/e2e/workloads.py).
+_SVC_STATEMENTS = [
+    "SELECT gkey, SUM(val), COUNT(*) FROM r GROUP BY gkey",
+    "SELECT gkey, COUNT(*) FROM r GROUP BY gkey",
+    "SELECT gkey, AVG(val) FROM r GROUP BY gkey",
+    "SELECT gkey, MIN(val), MAX(val) FROM r GROUP BY gkey",
+    "SELECT gkey, SUM(val) FROM r WHERE val >= 25.0 GROUP BY gkey",
+    "SELECT gkey, COUNT(*) FROM r WHERE val >= 75.0 GROUP BY gkey",
+    "SELECT SUM(val), COUNT(*) FROM r",
+    "SELECT gkey, VAR(val), COUNT(*) FROM r GROUP BY gkey "
+    "HAVING COUNT(*) > 10",
+]
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +261,28 @@ class TestShapeMatrixParity:
             tables[key, "block"], query, 2, memory_budget_bytes=600
         )
         assert got == want
+
+    @pytest.mark.parametrize("budget", [None, 10**7])
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize(
+        "key, sql",
+        [_SHAPES[shape] for shape in sorted(_SHAPES)]
+        + [("int", sql) for sql in _SVC_STATEMENTS],
+        ids=sorted(_SHAPES) + [f"svc{n}" for n in range(len(_SVC_STATEMENTS))],
+    )
+    def test_no_benchmark_statement_leaves_the_kernel(
+        self, tables, key, sql, processes, budget
+    ):
+        _name, query = parse_query(sql)
+        dist = tables[key, "block"]
+        registry = MetricsRegistry()
+        got = multiprocessing_aggregate(
+            dist, query, processes, metrics=registry,
+            memory_budget_bytes=budget,
+        )
+        assert_rows_close(got, reference_aggregate(dist, query))
+        assert "mp.retries" not in registry.snapshot()
+        assert kernel_declines(registry) == {}
 
     @pytest.mark.parametrize("processes", [1, 2])
     @pytest.mark.parametrize("born", ["block", "rows"])
