@@ -19,6 +19,7 @@ top      live one-screen view of a running service (polls /metrics)
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from repro.bench import figures as figure_runners
@@ -1167,6 +1168,13 @@ def _cmd_serve(args, out) -> int:
         file=out,
         flush=True,
     )
+    # The tables, the imported modules and the server are permanent from
+    # here on.  Frozen, the collector never walks them again: a full
+    # collection otherwise costs 10-25 ms and lands on whichever request
+    # happens to allocate past the threshold, once per ~20 misses.  Pool
+    # workers fork from this process and inherit the frozen heap.
+    gc.collect()
+    gc.freeze()
     serve(service, server=server)
     print("drained clean; worker pool shut down", file=out)
     return 0

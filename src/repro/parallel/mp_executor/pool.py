@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import atexit
+import gc
 import multiprocessing
 import os
 import signal
@@ -198,6 +199,11 @@ def _pool_worker_main(conn) -> None:
     sentinel; a closed pipe means the parent is gone.
     """
     _disarm_resource_tracker()
+    # Everything alive here was inherited at fork and lives as long as
+    # the worker does.  Left in the oldest generation, each full
+    # collection walks all of it (~10 ms for the imported modules alone)
+    # in the middle of whichever fragment's allocations trip it.
+    gc.freeze()
     lock = threading.Lock()
     while True:
         try:

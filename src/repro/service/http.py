@@ -58,10 +58,6 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
-    # Replies are single small writes on a keep-alive connection: with
-    # Nagle on, anything the kernel holds back waits out the client's
-    # delayed ACK (~40 ms per reply).
-    disable_nagle_algorithm = True
     server: ServiceHTTPServer
 
     # -- plumbing -------------------------------------------------------
@@ -84,24 +80,16 @@ class _Handler(BaseHTTPRequestHandler):
         if close:
             self.send_header("Connection", "close")
             self.close_connection = True
-        self._end_reply(data)
+        self.end_headers()
+        self.wfile.write(data)
 
     def _send_text(self, status: int, text: str, content_type: str) -> None:
         data = text.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
-        self._end_reply(data)
-
-    def _end_reply(self, body: bytes) -> None:
-        """Headers and body in one write.  ``end_headers()`` would flush
-        the header block as its own send, and the body behind it is the
-        second small segment that stalls on the peer's delayed ACK."""
-        if self.request_version == "HTTP/0.9":  # a header-less reply
-            self.wfile.write(body)
-            return
-        self._headers_buffer.append(b"\r\n" + body)
-        self.flush_headers()
+        self.end_headers()
+        self.wfile.write(data)
 
     def _read_json(self) -> dict | None:
         length = int(self.headers.get("Content-Length") or 0)

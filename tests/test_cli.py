@@ -1,5 +1,6 @@
 """Tests for the command-line interface (driven in-process)."""
 
+import gc
 import io
 
 import pytest
@@ -187,6 +188,27 @@ class TestRunMp:
         assert "spawn" in message
         for strategy in ("pool", "global", "rep", "auto"):
             assert strategy in message
+
+    def test_serve_freezes_the_heap_before_it_serves(self, monkeypatch):
+        """A full collection over the tables and modules costs 10-25 ms
+        and lands on whichever request trips it; the serving process
+        takes them out of the collector's sight first."""
+        seen = {}
+
+        def fake_serve(service, server=None, **_kwargs):
+            seen["frozen"] = gc.get_freeze_count()
+            server.server_close()
+
+        monkeypatch.setattr("repro.service.http.serve", fake_serve)
+        try:
+            code, _text = run_cli(
+                "serve", "--port", "0", "--tuples", "400", "--groups", "8",
+                "--nodes", "2",
+            )
+        finally:
+            gc.unfreeze()  # this is the test process, not a server
+        assert code == 0
+        assert seen["frozen"] > 0
 
     @pytest.mark.parametrize("flag", ["--timeline", "--save-run"])
     def test_mp_rejects_simulator_only_flags(self, flag, tmp_path):

@@ -13,6 +13,7 @@ in-process path.
 """
 
 import functools
+import gc
 import glob
 import os
 import threading
@@ -27,7 +28,7 @@ from tests.test_mp_executor_faults import (
     _wedge,
 )
 
-from repro.core.aggregates import AggregateSpec
+from repro.core.aggregates import AggregateSpec, GroupState
 from repro.core.query import AggregateQuery
 from repro.parallel import (
     FragmentFailedError,
@@ -80,6 +81,12 @@ def _sleep_then_work(job):
     # Long enough for the test to kill an idle worker mid-run.
     time.sleep(0.6)
     return _local_phase(job)
+
+
+def _frozen_count_as_key(job):
+    # The worker's permanent-generation size, smuggled out as a group key.
+    _rows, query, _schema = job
+    return [((gc.get_freeze_count(),), GroupState(query.aggregates))]
 
 
 def _str_keyed_dist():
@@ -146,6 +153,15 @@ class TestPoolBehaviour:
         for _ in range(3):
             multiprocessing_aggregate(dist, query, processes=2)
         assert pool.spawned == spawned_after_first
+
+    def test_workers_freeze_the_heap_they_were_born_with(self, dist, query):
+        """Left collectable, the modules a worker inherits are walked by
+        every full collection (~10 ms), in the middle of a fragment."""
+        got = multiprocessing_aggregate(
+            dist, query, processes=2, phase_fn=_frozen_count_as_key
+        )
+        assert got and all(row[0] > 0 for row in got)
+        assert gc.get_freeze_count() == 0  # the caller's heap is its own
 
     def test_strategy_is_validated(self, dist, query):
         with pytest.raises(ValueError, match="strategy"):

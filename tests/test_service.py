@@ -9,13 +9,11 @@ contract: after drain there are zero child processes and zero
 """
 
 import glob
-import http.client
 import json
 import multiprocessing
 import os
 import random
 import socket
-import statistics
 import threading
 import time
 import urllib.error
@@ -810,32 +808,6 @@ class TestKeepAliveDiscipline:
                 assert status == 400
                 assert headers.get("connection") == "close"
                 assert reader.readline() == b""
-
-
-class TestKeepAliveLatency:
-    def test_cache_hits_do_not_wait_out_a_delayed_ack(self, monkeypatch):
-        """Headers and body as two sends on a Nagle socket stall every
-        keep-alive reply ~40 ms on the client's delayed ACK."""
-        monkeypatch.setattr(
-            "repro.service.core.run_sql",
-            lambda sql, relation, **kwargs: [(1, 2.0, 3)],
-        )
-        with _light_http() as (_service_, port):
-            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
-            try:
-                walls = []
-                for _ in range(21):  # the first request is the miss
-                    start = time.perf_counter()
-                    conn.request(
-                        "POST", "/query", body=json.dumps({"sql": SQL}),
-                        headers={"Content-Type": "application/json"},
-                    )
-                    body = json.loads(conn.getresponse().read())
-                    walls.append(time.perf_counter() - start)
-                assert body["cache_hit"] is True
-            finally:
-                conn.close()
-        assert statistics.median(walls[1:]) < 0.015
 
 
 class TestAccessLogToggle:
