@@ -10,11 +10,40 @@ the partial carries (sum, count) so that merging is exact.
 All merges are commutative and associative, which the property-based tests
 verify — that invariant is what makes the per-node, unsynchronized switching
 of the adaptive algorithms correct.
+
+The formulas that turn moments into a final value (``finish_avg``,
+``finish_variance``, ``finish_stddev``) are module-level functions with
+one definition each: the states' ``result()`` call them, and so does the
+mp executor's packed merge, which finishes whole merged arrays without
+building a state per group — an edit to one cannot make the two disagree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+
+def finish_avg(total, count):
+    """SQL AVG from its (sum, count) moments; None over no input."""
+    if count == 0:
+        return None
+    return total / count
+
+
+def finish_variance(count, total, total_sq):
+    """SQL VAR_SAMP from its three moments; None below two inputs."""
+    if count < 2:
+        return None
+    num = total_sq - total * total / count
+    return max(0.0, num / (count - 1))
+
+
+def finish_stddev(count, total, total_sq):
+    """SQL STDDEV_SAMP: the square root of the sample variance."""
+    variance = finish_variance(count, total, total_sq)
+    if variance is None:
+        return None
+    return variance**0.5
 
 
 class AggregateState:
@@ -170,9 +199,7 @@ class AvgState(AggregateState):
         self.count += other.count
 
     def result(self):
-        if self.count == 0:
-            return None
-        return self.total / self.count
+        return finish_avg(self.total, self.count)
 
     def copy(self) -> "AvgState":
         fresh = AvgState()
@@ -209,10 +236,7 @@ class VarianceState(AggregateState):
         self.total_sq += other.total_sq
 
     def result(self):
-        if self.count < 2:
-            return None
-        num = self.total_sq - self.total * self.total / self.count
-        return max(0.0, num / (self.count - 1))
+        return finish_variance(self.count, self.total, self.total_sq)
 
     def copy(self) -> "VarianceState":
         fresh = VarianceState()
@@ -228,10 +252,7 @@ class StddevState(VarianceState):
     __slots__ = ()
 
     def result(self):
-        variance = super().result()
-        if variance is None:
-            return None
-        return variance**0.5
+        return finish_stddev(self.count, self.total, self.total_sq)
 
     def copy(self) -> "StddevState":
         fresh = StddevState()

@@ -121,6 +121,7 @@ class BoundQuery:
     _key_idx: tuple[int, ...] = field(init=False)
     _agg_idx: tuple[int | None, ...] = field(init=False)
     _names: list[str] = field(init=False)
+    _output_names: list[str] = field(init=False)
 
     def __post_init__(self) -> None:
         self._key_idx = self.schema.indexes_of(self.query.group_by)
@@ -131,6 +132,7 @@ class BoundQuery:
             for spec in self.query.aggregates
         )
         self._names = self.schema.names()
+        self._output_names = self.query.output_names()
         # Shadow the methods below with shape-specialized closures: every
         # hot loop calling ``bq.key_of(row)`` gets the fast path without
         # changing a call site.
@@ -198,5 +200,6 @@ class BoundQuery:
         """Evaluate the HAVING predicate on a finished result row."""
         if self.query.having is None:
             return True
-        names = self.query.output_names()
-        return bool(self.query.having(dict(zip(names, result_row))))
+        return bool(
+            self.query.having(dict(zip(self._output_names, result_row)))
+        )

@@ -202,6 +202,12 @@ class _ObsSink:
         if self.metrics is not None:
             self.metrics.gauge("mp.breaker.state", mode="last").set(code)
 
+    def merge_fallback(self, reason: str) -> None:
+        """The parent left the vectorized packed merge for the
+        sequential per-key one."""
+        self._count(f"mp.merge.fallback.{reason}")
+        self._instant("merge_fallback", -1, reason=reason)
+
     def deadline_exceeded(self, completed: int, total: int) -> None:
         self._count("mp.deadline_exceeded")
         self._instant(
@@ -259,10 +265,15 @@ def multiprocessing_aggregate(
       columnar blocks (pickled inline when empty or when the block
       codec rejects a value).
     * ``"global"``: the shared global-hash-table discipline — workers
-      return *packed* columnar partials (raw per-group arrays) and the
-      parent folds them all into one table vectorized, instead of
-      re-materializing per-key states.  Cheapest at high selectivity,
-      where 2P's per-fragment partials approach fragment size.
+      return *packed* columnar partials (raw per-group arrays), the
+      parent folds them all vectorized and finishes the merged arrays
+      straight into result rows: no per-group state object, no
+      ``{key: state}`` table.  Cheapest at high selectivity, where 2P's
+      per-fragment partials approach fragment size.  When the fold
+      cannot be exact (int sums that could leave int64) or the partials
+      are a packed/unpacked mix (a mid-run ``auto`` switch), the parent
+      unpacks and takes the sequential per-key merge instead, counted
+      as ``mp.merge.fallback.<reason>``.
     * ``"rep"``: the paper's Repartitioning — round 1 hash-partitions
       every fragment into ``len(fragments)`` disjoint key buckets,
       round 2 aggregates each bucket on one worker, so no group is
@@ -308,7 +319,8 @@ def multiprocessing_aggregate(
     per-error-type counters, worker wall/CPU/RSS distributions from
     the workers' self-profiles, and ``mp.kernel.declined.<reason>`` for
     every fragment attempt that left the columnar kernel for the
-    per-row phase; ``profiles`` (a list) is extended with
+    per-row phase and ``mp.merge.fallback.<reason>`` when the parent
+    left the vectorized merge; ``profiles`` (a list) is extended with
     one :class:`repro.obs.WorkerProfile` per attempt that reported back.
 
     Chaos / robustness (pool strategy only):
@@ -570,52 +582,57 @@ def multiprocessing_aggregate(
 
     merge_start = obs.now()
     bq = query.bind(dist.schema)
-    # Merge into states owned by this function: never mutate (or shallow-
-    # copy) the pooled partials, so re-running over the same inputs can
-    # never see aliased state from an earlier merge.
-    merged: dict[tuple, GroupState] | None = None
-    if strategy == "global" or controller is not None:
+    rows: list[tuple] | None = None
+    ordered = [completed[i] for i in range(len(jobs))]
+    packed = [_is_packed(p) for p in ordered]
+    if any(packed):
+        # All-packed partials fold vectorized, straight to result rows.
         # A mid-run switch leaves a mix of packed (global) and unpacked
-        # (pool) partials; all-packed folds vectorized, anything else
-        # unpacks and takes the sequential merge.
-        ordered = [completed[i] for i in range(len(jobs))]
-        if all(_is_packed(p) for p in ordered):
-            merged = _merge_packed(ordered, query)
-        if merged is None:
-            # Mixed or guard-failed payloads: unpack everything and use
-            # the sequential merge below (same result, just slower).
-            completed = {
-                i: _unpack_packed(p, query) if _is_packed(p) else p
-                for i, p in completed.items()
-            }
-    if merged is None:
-        merged = {}
-        for index in range(len(jobs)):
-            for key, state in completed[index]:
+        # (pool) partials, and a guard can refuse the fold: both are
+        # counted by reason, unpack everything and take the sequential
+        # merge below (same result, just slower).
+        reason = "mixed_partials"
+        if all(packed):
+            rows, reason = _merge_packed(ordered, query)
+        if rows is None:
+            obs.merge_fallback(reason)
+            ordered = [
+                _unpack_packed(p, query) if is_packed else p
+                for p, is_packed in zip(ordered, packed)
+            ]
+    if rows is None:
+        # Merge into states owned by this function: never mutate (or
+        # shallow-copy) the pooled partials, so re-running over the same
+        # inputs can never see aliased state from an earlier merge.
+        merged: dict[tuple, GroupState] = {}
+        for partials in ordered:
+            for key, state in partials:
                 mine = merged.get(key)
                 if mine is None:
                     mine = GroupState(query.aggregates)
                     merged[key] = mine
                 mine.merge(state)
+        rows = [bq.result_row(key, state) for key, state in merged.items()]
     if controller is not None:
-        # The merged table's size is the run's true group count: judge
-        # both auto decisions (pre-run sample, mid-run re-sample) now.
-        controller.annotate(len(merged))
-    rows = (bq.result_row(key, state) for key, state in merged.items())
-    result = sorted(row for row in rows if bq.passes_having(row))
+        # One row per group before HAVING is the run's true group count:
+        # judge both auto decisions (pre-run sample, mid-run re-sample).
+        controller.annotate(len(rows))
+    if query.having is not None:
+        rows = [row for row in rows if bq.passes_having(row)]
+    rows.sort()
     if tracer is not None:
         tracer.complete(
             "merge", -1, merge_start, obs.now(), cat=_CAT_PHASE,
-            groups=len(result),
+            groups=len(rows),
         )
         tracer.end(run_span, obs.now())
     if metrics is not None:
         metrics.gauge("mp.elapsed_seconds", mode="max").set(obs.now())
-        metrics.counter("mp.groups_output").inc(len(result))
+        metrics.counter("mp.groups_output").inc(len(rows))
         # Worker-vs-merge wall split, consumed by the drift layer
         # (repro.obs.drift.compare_model_to_mp).
         metrics.gauge("mp.phase_seconds.local", mode="max").set(merge_start)
         metrics.gauge("mp.phase_seconds.merge", mode="max").set(
             obs.now() - merge_start
         )
-    return result
+    return rows

@@ -1,9 +1,18 @@
-"""Packed partials: the raw-array wire form of phase-1 results and the
-parent's vectorized fold over them (``strategy="global"``)."""
+"""Packed partials: the raw-array wire form of phase-1 results, and the
+parent's merge over them (``strategy="global"``) — a vectorized fold,
+then each aggregate's merged arrays finished straight into result rows,
+with no per-group state object in between.  :func:`_unpack_packed` turns
+a payload back into ``(key, GroupState)`` partials for the sequential
+merge, which takes over whenever the vectorized one declines."""
 
 from __future__ import annotations
 
-from repro.core.aggregates import GroupState
+from repro.core.aggregates import (
+    GroupState,
+    finish_avg,
+    finish_stddev,
+    finish_variance,
+)
 from repro.storage.columnblock import StringDictionary
 
 
@@ -101,6 +110,20 @@ def _unpack_packed(payload, query):
     return out
 
 
+def _distinct_counts(groups, values, n_groups) -> list[int]:
+    """Per-group COUNT(DISTINCT) from ``(group, value)`` pair arrays that
+    may repeat a pair: one structured unique dedups them, and a group's
+    count is its number of surviving pairs."""
+    import numpy as np
+
+    rec = np.empty(
+        len(groups), dtype=[("g", np.int64), ("v", values.dtype)]
+    )
+    rec["g"] = groups
+    rec["v"] = values
+    return np.bincount(np.unique(rec)["g"], minlength=n_groups).tolist()
+
+
 def _merge_packed(payloads, query):
     """Vectorized global merge of per-worker packed payloads.
 
@@ -109,15 +132,23 @@ def _merge_packed(payloads, query):
     same unique/codes machinery the kernel uses (a scalar query's
     payloads carry no key columns: one group), then folds each
     aggregate's arrays — in concatenation (= fragment) order, so float
-    accumulation matches the sequential merge bit for bit.  Returns the
-    merged ``{key: GroupState}`` table, or None when exactness cannot
-    be guaranteed (int-sum overflow risk), in which case the caller
-    unpacks and merges sequentially.
+    accumulation matches the sequential merge bit for bit.  Each
+    aggregate's merged arrays are then *finished* into one list of plain
+    Python values (``.tolist()``, and for AVG/VAR/STDDEV the very
+    functions the states' ``result()`` calls, over Python numbers), and
+    the key and result columns are zipped into rows.
+
+    Returns ``(rows, None)`` — one unsorted result row per group, HAVING
+    not yet applied, so ``len(rows)`` is the run's group count — or
+    ``(None, reason)`` when exactness cannot be guaranteed
+    (``int_sum_overflow``: the magnitudes could add past int64;
+    ``tag_mismatch``: the payloads disagree on an aggregate's wire form),
+    in which case the caller unpacks and merges sequentially.
     """
     import numpy as np
 
     if sum(p[1] for p in payloads) == 0:
-        return {}
+        return [], None
     num_keys = len(payloads[0][2])
     cols = []
     for j in range(num_keys):
@@ -152,7 +183,6 @@ def _merge_packed(payloads, query):
         for j, (kind, uniq, _codes) in enumerate(cols):
             vals = uniq.tolist()
             decoded.append([vals[c] for c in uniq_rows[:, j].tolist()])
-    keys = _key_tuples(decoded, n_groups)
     # Fragment f's local group g sits at position offsets[f] + g in the
     # concatenated key arrays, so inv[offsets[f] + g] is its global
     # group — the LUT the pair-array and code-array merges fold through.
@@ -162,32 +192,35 @@ def _merge_packed(payloads, query):
         offsets.append(base)
         base += p[1]
 
-    per_spec = []
+    columns = []
     for s_idx, spec in enumerate(query.aggregates):
         tag = payloads[0][3][s_idx][0]
         parts = [p[3][s_idx] for p in payloads]
         if any(part[0] != tag for part in parts):
-            return None  # pragma: no cover - workers disagree on shape
+            return None, "tag_mismatch"
         if tag == "count":
             full = np.concatenate([np.asarray(part[1]) for part in parts])
             acc = np.zeros(n_groups, dtype=np.int64)
             np.add.at(acc, inv, full)
-            merged_payload = (tag, acc)
+            column = acc.tolist()
         elif tag in ("sum_int", "avg_int"):
             arrays = [np.asarray(part[1]) for part in parts]
             if sum(_int_magnitude(a) for a in arrays) >= _INT64_LIMIT:
-                return None  # the Python merge keeps exact big ints
+                # the Python merge keeps exact big ints
+                return None, "int_sum_overflow"
             acc = np.zeros(n_groups, dtype=np.int64)
             np.add.at(acc, inv, np.concatenate(arrays))
             if tag == "sum_int":
-                merged_payload = (tag, acc)
+                column = acc.tolist()
             else:
                 cacc = np.zeros(n_groups, dtype=np.int64)
                 np.add.at(
                     cacc, inv,
                     np.concatenate([np.asarray(p[2]) for p in parts]),
                 )
-                merged_payload = (tag, acc, cacc)
+                # Python's int / int is correctly rounded; numpy's
+                # int64 / int64 rounds both operands first past 2**53.
+                column = list(map(finish_avg, acc.tolist(), cacc.tolist()))
         elif tag in ("sum_float", "avg_float"):
             totals = np.bincount(
                 inv,
@@ -197,14 +230,16 @@ def _merge_packed(payloads, query):
                 minlength=n_groups,
             )
             if tag == "sum_float":
-                merged_payload = (tag, totals)
+                column = totals.tolist()
             else:
                 cacc = np.zeros(n_groups, dtype=np.int64)
                 np.add.at(
                     cacc, inv,
                     np.concatenate([np.asarray(p[2]) for p in parts]),
                 )
-                merged_payload = (tag, totals, cacc)
+                column = list(
+                    map(finish_avg, totals.tolist(), cacc.tolist())
+                )
         elif tag == "var":
             totals = np.bincount(
                 inv,
@@ -225,7 +260,12 @@ def _merge_packed(payloads, query):
                 cacc, inv,
                 np.concatenate([np.asarray(part[3]) for part in parts]),
             )
-            merged_payload = (tag, totals, sq, cacc)
+            finish = (
+                finish_stddev if spec.func == "stddev" else finish_variance
+            )
+            column = list(
+                map(finish, cacc.tolist(), totals.tolist(), sq.tolist())
+            )
         elif tag in ("min_int", "max_int", "min_float", "max_float"):
             full = np.concatenate([np.asarray(part[1]) for part in parts])
             if tag.endswith("_int"):
@@ -239,7 +279,7 @@ def _merge_packed(payloads, query):
             (np.minimum if tag[:3] == "min" else np.maximum).at(
                 acc, inv, full
             )
-            merged_payload = (tag, acc)
+            column = acc.tolist()
         elif tag in ("min_str_codes", "max_str_codes"):
             # Dictionary-code LUT union: absorb every fragment's
             # dictionary into one union dictionary, remap the per-group
@@ -272,9 +312,7 @@ def _merge_packed(payloads, query):
             else:
                 acc = np.full(n_groups, -1, dtype=np.int64)
                 np.maximum.at(acc, inv, ranks)
-            merged_payload = (
-                tag[:3] + "_str", [dvals[order[r]] for r in acc.tolist()]
-            )
+            column = [dvals[order[r]] for r in acc.tolist()]
         elif tag == "distinct_num":
             # Set fold over sorted-unique (group, value) pair arrays:
             # remap each fragment's local groups to global ones, then
@@ -284,15 +322,9 @@ def _merge_packed(payloads, query):
                 local = np.asarray(part[1], dtype=np.int64)
                 gparts.append(inv[offsets[f] + local])
                 vparts.append(np.asarray(part[2]))
-            gg = np.concatenate(gparts)
-            vv = np.concatenate(vparts)
-            rec = np.empty(
-                len(gg), dtype=[("g", np.int64), ("v", vv.dtype)]
+            column = _distinct_counts(
+                np.concatenate(gparts), np.concatenate(vparts), n_groups
             )
-            rec["g"] = gg
-            rec["v"] = vv
-            upairs = np.unique(rec)
-            merged_payload = (tag, upairs["g"], upairs["v"])
         elif tag == "distinct_str":
             # As distinct_num, but codes go through the union-dictionary
             # LUT first so equal strings from different fragments unify.
@@ -309,28 +341,11 @@ def _merge_packed(payloads, query):
                     lut[codes] if len(codes)
                     else np.empty(0, dtype=np.int64)
                 )
-            gg = np.concatenate(gparts)
-            cc = np.concatenate(cparts)
-            rec = np.empty(
-                len(gg), dtype=[("g", np.int64), ("v", np.int64)]
+            column = _distinct_counts(
+                np.concatenate(gparts), np.concatenate(cparts), n_groups
             )
-            rec["g"] = gg
-            rec["v"] = cc
-            upairs = np.unique(rec)
-            merged_payload = (
-                tag, upairs["g"], upairs["v"], union.values
-            )
-        else:  # pragma: no cover - unknown payload tag
-            return None
-        per_spec.append(
-            _states_from_payload(
-                spec, merged_payload[0], merged_payload[1:], n_groups
-            )
-        )
+        else:  # a tag this merge does not know
+            return None, "tag_mismatch"
+        columns.append(column)
 
-    merged: dict[tuple, GroupState] = {}
-    for g in range(n_groups):
-        group = GroupState.__new__(GroupState)
-        group.states = [states[g] for states in per_spec]
-        merged[keys[g]] = group
-    return merged
+    return list(zip(*decoded, *columns)), None

@@ -11,7 +11,8 @@ from repro.workloads.generator import generate_uniform
 
 
 # CI's chaos-matrix and low-memory jobs rerun the differential harness
-# (tests/test_mp_kernel_differential.py) under this example budget:
+# (tests/test_mp_kernel_differential.py) and the packed merge's per-tag
+# property test (tests/test_mp_packed.py) under this example budget:
 # ``--hypothesis-profile=stress``.  Tests that fix their own
 # ``max_examples`` keep it.
 settings.register_profile("stress", max_examples=1500, deadline=None)
@@ -51,6 +52,15 @@ def assert_rows_close(actual, expected, tol: float = 1e-9) -> None:
                 assert a == e, f"row {i}: {row_a} != {row_e}"
 
 
+def row_bits(rows):
+    """Rows with floats spelled exactly: 0.0 and -0.0 differ, and so do
+    1 and 1.0."""
+    return [
+        tuple(v.hex() if isinstance(v, float) else v for v in row)
+        for row in rows
+    ]
+
+
 def assert_partials_equal(kernel, reference):
     """Bit-level comparison of (key, GroupState) partial lists."""
     def canon(partials):
@@ -84,14 +94,22 @@ def assert_partials_equal(kernel, reference):
                     assert type(v_got) is type(v_want), (key, name_w)
 
 
-def kernel_declines(registry) -> dict:
-    """``reason -> count`` of a run's ``mp.kernel.declined.*`` counters."""
-    prefix = "mp.kernel.declined."
+def _counts_under(registry, prefix: str) -> dict:
     return {
         name[len(prefix):]: metric["value"]
         for name, metric in registry.snapshot().items()
         if name.startswith(prefix)
     }
+
+
+def kernel_declines(registry) -> dict:
+    """``reason -> count`` of a run's ``mp.kernel.declined.*`` counters."""
+    return _counts_under(registry, "mp.kernel.declined.")
+
+
+def merge_fallbacks(registry) -> dict:
+    """``reason -> count`` of a run's ``mp.merge.fallback.*`` counters."""
+    return _counts_under(registry, "mp.merge.fallback.")
 
 
 @pytest.fixture

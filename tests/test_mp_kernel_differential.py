@@ -3,9 +3,10 @@ used to refuse: WHERE (as a column mask), scalar aggregation (as the
 one-group case) and a memory budget (as a group ceiling).
 
 A hypothesis harness generates predicate x grouping x aggregates x
-budget x birth mode x strategy x processes and demands rows
-bit-identical to ``phase_fn=_local_phase, processes=1`` (the per-row
-loop over row lists) and equal to ``reference_aggregate``.  The cases
+HAVING x fragment split x budget x birth mode x strategy x processes
+and demands rows bit-identical to ``phase_fn=_local_phase,
+processes=1`` (the per-row loop over row lists, same split) and equal
+to ``reference_aggregate``.  The cases
 where a mask and Python could part ways are pinned by hand below it:
 each must either produce the oracle's bits or decline with a named
 reason and let the oracle's own code produce them — or its typed error.
@@ -57,6 +58,7 @@ from tests.conftest import (
     assert_partials_equal,
     assert_rows_close,
     kernel_declines,
+    row_bits as _bits,
 )
 
 
@@ -76,8 +78,15 @@ _STRS = ["", "a", "a\x00", "a\x00b", "b", "é", "zz", "\x00", "日本"]
 _FRAGMENTS = 3
 
 
-def _dist(rows, born):
-    parts = [rows[n::_FRAGMENTS] for n in range(_FRAGMENTS)]
+def _dist(rows, born, fragments=_FRAGMENTS, contiguous=False):
+    """``rows`` dealt round-robin into ``fragments`` parts, or cut into
+    that many contiguous runs — where short inputs leave fragments
+    empty and neighbouring fragments hold disjoint key sets."""
+    if contiguous:
+        cuts = [len(rows) * n // fragments for n in range(fragments + 1)]
+        parts = [rows[a:b] for a, b in zip(cuts, cuts[1:])]
+    else:
+        parts = [rows[n::fragments] for n in range(fragments)]
     if born == "block":
         parts = [
             BlockRelation(_SCHEMA, ColumnBlock.from_rows(_SCHEMA, part))
@@ -86,17 +95,9 @@ def _dist(rows, born):
     return DistributedRelation(_SCHEMA, parts)
 
 
-def _bits(rows):
-    """Rows with floats spelled exactly: 0.0 and -0.0 differ."""
-    return [
-        tuple(v.hex() if isinstance(v, float) else v for v in row)
-        for row in rows
-    ]
-
-
-def _oracle(rows, query):
+def _oracle(rows, query, **split):
     return multiprocessing_aggregate(
-        _dist(rows, "rows"), query, 1, phase_fn=_local_phase
+        _dist(rows, "rows", **split), query, 1, phase_fn=_local_phase
     )
 
 
@@ -170,6 +171,50 @@ _SPECS = (
 )
 
 
+_ALL_PASS = Comparison("=", Literal(1), Literal(1))
+_NONE_PASS = Comparison("<", Literal(1), Literal(1))
+
+
+@st.composite
+def _having(draw, group_by, specs):
+    """No HAVING, one every row passes, one none does, or one comparison
+    over a key column or an aggregate's output name, against a literal
+    of the output's type."""
+    shape = draw(st.sampled_from(
+        ["absent", "all_pass", "none_pass", "key", "aggregate"]
+    ))
+    if shape == "absent":
+        return None
+    if shape == "all_pass":
+        return _ALL_PASS
+    if shape == "none_pass":
+        return _NONE_PASS
+    ops = sorted(_OPS)
+    # SUM/AVG over ``x`` depend on the order of addition: the reference,
+    # which adds in another, could land across the literal.
+    exact = [
+        spec for spec in specs
+        if not (spec.column == "x" and spec.func in ("sum", "avg"))
+    ]
+    if shape == "key" and group_by:
+        name = draw(st.sampled_from(group_by))
+        is_str = name in ("h", "s")
+    elif not exact:
+        return _ALL_PASS
+    else:
+        spec = draw(st.sampled_from(exact))
+        name = spec.output_name
+        is_str = spec.func in ("min", "max") and spec.column == "s"
+        if spec.func in ("var", "stddev"):
+            # A one-row group's VAR is None, which Python orders
+            # against nothing.
+            ops = ["=", "<>", "!="]
+    literal = draw(_str_literal if is_str else _num_literal)
+    return Comparison(
+        draw(st.sampled_from(ops)), ColumnRef(name), Literal(literal)
+    )
+
+
 @settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
@@ -179,24 +224,33 @@ _SPECS = (
     where=st.none() | _predicate,
     group_by=st.sampled_from([(), ("g",), ("h",), ("g", "h"), ("s", "g")]),
     specs=st.lists(st.sampled_from(_SPECS), min_size=1, max_size=3),
+    fragments=st.integers(1, 4),
+    contiguous=st.booleans(),
     budget=st.sampled_from([None, 10**9, 40, 1]),
     born=st.sampled_from(["block", "rows"]),
     strategy=st.sampled_from(["pool", "global", "rep", "auto"]),
     processes=st.sampled_from([1, 2]),
+    data=st.data(),
 )
 def test_every_path_returns_the_oracles_bits(
-    rows, where, group_by, specs, budget, born, strategy, processes
+    rows, where, group_by, specs, fragments, contiguous, budget, born,
+    strategy, processes, data,
 ):
+    having = data.draw(_having(group_by, specs), label="having")
     query = AggregateQuery(
         group_by, specs,
         where=None if where is None else CompiledPredicate(where),
+        having=None if having is None else CompiledPredicate(having),
     )
-    want = _oracle(rows, query)
-    assert_rows_close(want, reference_aggregate(_dist(rows, "rows"), query))
+    split = dict(fragments=fragments, contiguous=contiguous)
+    want = _oracle(rows, query, **split)
+    assert_rows_close(
+        want, reference_aggregate(_dist(rows, "rows", **split), query)
+    )
     if strategy == "rep":
         budget = None  # the ladder governs the two-phase local phase
     got = multiprocessing_aggregate(
-        _dist(rows, born), query, processes, strategy=strategy,
+        _dist(rows, born, **split), query, processes, strategy=strategy,
         memory_budget_bytes=budget,
     )
     assert _bits(got) == _bits(want)

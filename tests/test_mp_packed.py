@@ -17,6 +17,14 @@ that path three ways:
   fragments, and the single-fragment degenerate case: the packed global
   merge must equal the per-row reference bit for bit.
 
+* **The finish, per tag** — ``_merge_packed`` goes from merged arrays
+  to result rows with no per-group object in between; the rows must
+  equal, floats by ``hex()``, what ``_unpack_packed`` + the sequential
+  ``GroupState.merge`` loop + ``result_row`` give for the same payloads,
+  every cell a plain Python value, and an all-packed run constructs no
+  ``GroupState`` or aggregate state in the parent.  Leaving the
+  vectorized merge is counted as ``mp.merge.fallback.<reason>``.
+
 * **The adaptive controller** — ``strategy="auto"`` re-samples after
   the first K completed fragments, switches pool <-> global when the
   observed cardinality flips the cost model, and both decisions carry
@@ -31,14 +39,14 @@ import pathlib
 import pytest
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 
     HAVE_HYPOTHESIS = True
 except ImportError:  # pragma: no cover - hypothesis is in the image
     HAVE_HYPOTHESIS = False
 
-from repro.core.aggregates import AggregateSpec
+from repro.core.aggregates import AggregateSpec, GroupState
 from repro.core.query import AggregateQuery
 from repro.costmodel.globalhash import choose_mp_strategy
 from repro.obs.decisions import (
@@ -51,7 +59,13 @@ from repro.parallel.mp_executor import (
     multiprocessing_aggregate,
     shutdown_worker_pool,
 )
-from repro.parallel.mp_executor.kernel import _local_phase
+from repro.obs.metrics import MetricsRegistry
+from repro.parallel import reference_aggregate
+from repro.parallel.mp_executor.kernel import (
+    _columnar_local_phase,
+    _local_phase,
+)
+from repro.parallel.mp_executor.merge import _merge_packed, _unpack_packed
 from repro.parallel.mp_executor.strategies import (
     _AUTO_SAMPLE_ROWS,
     _auto_params,
@@ -59,7 +73,13 @@ from repro.parallel.mp_executor.strategies import (
 from repro.storage.columnblock import ColumnBlock
 from repro.storage.relation import BlockRelation, DistributedRelation
 from repro.storage.schema import Column, Schema
-from repro.workloads.generator import generate_zipf
+from repro.workloads.generator import generate_uniform, generate_zipf
+
+from tests.conftest import (
+    kernel_declines,
+    merge_fallbacks,
+    row_bits as _bits,
+)
 
 _GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "block_parity.json")
@@ -222,6 +242,323 @@ class TestPackedEdgeShapes:
         assert rows == _per_row(dist, _QUERY)
         (row,) = rows
         assert row[1] == "aa" and row[2] == "é" and row[3] == 4
+
+
+# -- the packed finish against the sequential merge, per tag -----------------
+
+_TAG_SCHEMA = Schema([
+    Column("k", "int"), Column("t", "str", 8), Column("e", "float"),
+    Column("i", "int"), Column("f", "float"), Column("s", "str", 8),
+])
+# One query holds every packed tag, so every example folds and finishes
+# all of them (pinned by ``test_the_query_covers_every_packed_tag``).
+_TAG_SPECS = (
+    [AggregateSpec("count", None)]
+    + [AggregateSpec(fn, col)
+       for fn in ("sum", "avg", "min", "max", "var", "stddev",
+                  "count_distinct")
+       for col in ("i", "f")]
+    + [AggregateSpec(fn, "s") for fn in ("min", "max", "count_distinct")]
+)
+_PACKED_TAGS = {
+    "count", "sum_int", "sum_float", "avg_int", "avg_float", "var",
+    "min_int", "max_int", "min_float", "max_float", "min_str_codes",
+    "max_str_codes", "distinct_num", "distinct_str",
+}
+_TAG_GROUPINGS = [(), ("k",), ("t",), ("e",), ("k", "t"), ("t", "e", "k")]
+# The generated tables' ``val`` column under every numeric aggregate.
+_TAG_VAL_SPECS = [AggregateSpec("count", None)] + [
+    AggregateSpec(fn, "val")
+    for fn in ("sum", "avg", "min", "max", "var", "stddev", "count_distinct")
+]
+
+
+def _pin_row(k, i=0, f=0.0, s=""):
+    """A ``_TAG_SCHEMA`` row with the columns a pin does not read fixed."""
+    return (k, "", 0.0, i, f, s)
+
+
+def _payloads(parts, query):
+    """Each fragment's packed payload, straight from the kernel."""
+    payloads = [
+        _columnar_local_phase(
+            ColumnBlock.from_rows(_TAG_SCHEMA, part), query, packed=True
+        )
+        for part in parts
+    ]
+    assert None not in payloads, "the kernel declined a fragment"
+    return payloads
+
+
+def _sequential_rows(payloads, query):
+    """The oracle: unpack to (key, GroupState) partials, merge them per
+    key in fragment order, finish through ``result_row``."""
+    bq = query.bind(_TAG_SCHEMA)
+    merged = {}
+    for payload in payloads:
+        for key, state in _unpack_packed(payload, query):
+            mine = merged.get(key)
+            if mine is None:
+                mine = merged[key] = GroupState(query.aggregates)
+            mine.merge(state)
+    return sorted(bq.result_row(key, state) for key, state in merged.items())
+
+
+def _assert_finish_equals_sequential(parts, query):
+    payloads = _payloads(parts, query)
+    rows, reason = _merge_packed(payloads, query)
+    assert reason is None
+    for row in rows:
+        for cell in row:
+            # np.int64 would pass ``==`` and fail ``json.dumps``.
+            assert type(cell) in (int, float, str, type(None)), row
+    assert _bits(sorted(rows)) == _bits(_sequential_rows(payloads, query))
+    return sorted(rows)
+
+
+def test_the_query_covers_every_packed_tag():
+    query = AggregateQuery(("k",), _TAG_SPECS)
+    (payload,) = _payloads([[(1, "a", 0.5, 2, 1.5, "x")]], query)
+    assert {state[0] for state in payload[3]} == _PACKED_TAGS
+
+
+if HAVE_HYPOTHESIS:
+
+    # Any finite float: both merges add in fragment order, so even
+    # order-sensitive sums must agree to the bit.  ``+ 0.0`` turns -0.0
+    # into 0.0, which the kernel would decline under MIN/MAX and as a
+    # key; ints stay where int VAR squares exactly and sums fit int64.
+    _finite = st.floats(-1e6, 1e6, allow_nan=False).map(lambda v: v + 0.0)
+    _tag_row = st.tuples(
+        st.integers(0, 4),
+        st.sampled_from(_KEYS[:4]),
+        st.integers(-4, 4).map(lambda n: n / 4 + 0.0),
+        st.integers(-(2**50), 2**50) | st.integers(-3, 3),
+        _finite | st.sampled_from([0.0, 1.0, 0.1]),
+        st.sampled_from(_VALS),
+    )
+
+    class TestPackedFinishProperties:
+        # No example budget of its own: tier-1 runs hypothesis's default,
+        # CI reruns it under ``--hypothesis-profile=stress``.
+        @settings(deadline=None)
+        @given(
+            parts=st.lists(
+                st.lists(_tag_row, max_size=10), min_size=3, max_size=5
+            ),
+            group_by=st.sampled_from(_TAG_GROUPINGS),
+        )
+        @example(parts=[[], [], []], group_by=("k",))  # zero groups
+        @example(parts=[[], [], []], group_by=())
+        @example(  # an empty fragment between populated ones; scalar
+            parts=[[(0, "", 0.0, 1, 0.1, "b")], [],
+                   [(0, "", 0.0, 2, 0.2, "")]],
+            group_by=(),
+        )
+        @example(  # disjoint per-fragment key sets
+            parts=[[(0, "a", 0.5, 1, 1.0, "b")], [(1, "a", 0.5, 1, 1.0, "b")],
+                   [(2, "a", 0.5, 1, 1.0, "b")]],
+            group_by=("k",),
+        )
+        def test_finish_equals_unpack_and_sequential_merge(
+            self, parts, group_by
+        ):
+            """>= 3 fragments, groups missing from some, empty fragments,
+            scalar and zero groups: every tag's finished column equals
+            the per-state ``result()`` of the sequential merge."""
+            _assert_finish_equals_sequential(
+                parts, AggregateQuery(group_by, _TAG_SPECS)
+            )
+
+
+class TestPackedFinishPins:
+    def test_avg_of_int_sums_beyond_2_53_divides_like_python(self):
+        import numpy as np
+
+        big = 2**53 + 1
+        query = AggregateQuery(("k",), (AggregateSpec("avg", "i"),))
+        parts = [[_pin_row(0, i=big)]] * 3
+        assert _assert_finish_equals_sequential(parts, query) == [
+            (0, float(2**53))  # the exact mean, correctly rounded
+        ]
+        # What dividing the merged arrays in numpy would have returned.
+        assert float(np.int64(3 * big) / np.int64(3)) == float(2**53 + 2)
+
+    def test_stddev_of_one_row_is_none_and_of_equal_values_is_zero(self):
+        query = AggregateQuery(
+            ("k",), (AggregateSpec("var", "f"), AggregateSpec("stddev", "f"))
+        )
+        parts = [
+            [_pin_row(1, f=7.5), _pin_row(2, f=0.1), _pin_row(3, f=0.1)],
+            [_pin_row(2, f=0.1)],
+            [_pin_row(2, f=0.1), _pin_row(3, f=0.1)],
+        ]
+        # Three 0.1s leave a numerator of -3.5e-18: only ``max(0.0, ...)``
+        # keeps VAR at zero and STDDEV real.
+        total = 0.1 + 0.1 + 0.1
+        assert 3 * (0.1 * 0.1) - total * total / 3 < 0
+        assert _bits(_assert_finish_equals_sequential(parts, query)) == _bits(
+            [(1, None, None), (2, 0.0, 0.0), (3, 0.0, 0.0)]
+        )
+
+    def test_count_distinct_holds_signed_zeros_as_one_value(self):
+        query = AggregateQuery(("k",), (AggregateSpec("count_distinct", "f"),))
+        parts = [
+            [_pin_row(0, f=0.0), _pin_row(0, f=-0.0), _pin_row(1, f=-0.0)],
+            [_pin_row(0, f=-0.0), _pin_row(1, f=0.0), _pin_row(1, f=2.0)],
+            [_pin_row(0, f=0.0)],
+        ]
+        assert _assert_finish_equals_sequential(parts, query) == [
+            (0, 1), (1, 2)
+        ]
+
+    def test_str_extremes_over_disjoint_dictionaries(self):
+        query = AggregateQuery(
+            ("k",), (AggregateSpec("min", "s"), AggregateSpec("max", "s"))
+        )
+        parts = [
+            [_pin_row(0, s="b\x00"), _pin_row(0, s="ab"), _pin_row(1, s="é")],
+            [_pin_row(0, s="aa"), _pin_row(1, s="😀x")],
+            [_pin_row(0, s="ß")],
+        ]
+        assert _assert_finish_equals_sequential(parts, query) == [
+            (0, "aa", "ß"), (1, "é", "😀x")
+        ]
+
+    def test_having_that_rejects_every_row(self):
+        """``auto`` picks ``global`` at S = 0.25 and stays: the packed
+        finish returns 500 rows, HAVING keeps none, and the controller's
+        verdict is still judged on the groups merged."""
+        dist = generate_uniform(
+            num_tuples=2_000, num_groups=500, num_nodes=4, seed=2
+        )
+        query = AggregateQuery(
+            ("gkey",), (AggregateSpec("count", None),),
+            having=lambda row: row["count(*)"] < 0,
+        )
+        ledger = DecisionLedger()
+        registry = MetricsRegistry()
+        assert multiprocessing_aggregate(
+            dist, query, 1, strategy="auto", ledger=ledger, metrics=registry
+        ) == [] == _per_row(dist, query)
+        assert registry.snapshot()["mp.auto_strategy.global"]["value"] == 1
+        assert merge_fallbacks(registry) == {}
+        assert [e.truth["true_groups"] for e in ledger.events] == [500, 500]
+
+    def test_an_all_packed_run_builds_no_state_objects_in_the_parent(
+        self, monkeypatch
+    ):
+        """``processes=1`` runs the kernel in this process too, so its
+        ``packed=True`` exit is under the same count."""
+        import sys
+
+        built = {"GroupState": 0, "new_state": 0}
+        new_state = AggregateSpec.new_state
+
+        # Assigning ``GroupState.__new__`` and removing it again leaves
+        # CPython refusing ``GroupState(specs)`` for the rest of the
+        # process, so the executor's modules get a counting subclass
+        # under the name instead; ``new_state`` is wrapped on the class,
+        # which also sees every ``GroupState.__init__`` anywhere.
+        class Counted(GroupState):
+            __slots__ = ()
+
+            def __new__(cls, *args):
+                built["GroupState"] += 1
+                return super().__new__(cls)
+
+        def counting_new_state(spec):
+            built["new_state"] += 1
+            return new_state(spec)
+
+        dist = generate_uniform(
+            num_tuples=20_000, num_groups=5_000, num_nodes=4, seed=4
+        )
+        query = AggregateQuery(("gkey",), _TAG_VAL_SPECS)
+        want = _per_row(dist, query)
+        patched = [
+            module for name, module in sorted(sys.modules.items())
+            if name.startswith("repro.parallel.mp_executor.")
+            and getattr(module, "GroupState", None) is GroupState
+        ]
+        assert len(patched) >= 3  # api, kernel, merge at the least
+        for module in patched:
+            monkeypatch.setattr(module, "GroupState", Counted)
+        monkeypatch.setattr(AggregateSpec, "new_state", counting_new_state)
+        rows = multiprocessing_aggregate(dist, query, 1, strategy="global")
+        assert built == {"GroupState": 0, "new_state": 0}
+        assert len(rows) == 5_000 and _bits(rows) == _bits(want)
+        # The counters do count: the sequential merge builds a
+        # GroupState per group, the kernel's unpacked exit one per
+        # group per fragment.
+        multiprocessing_aggregate(dist, query, 1, strategy="pool")
+        assert built["GroupState"] > 5_000 < built["new_state"]
+
+
+class TestMergeFallbackCounters:
+    """Leaving the vectorized merge for ``_unpack_packed`` + the per-key
+    loop is counted by reason, and still exact."""
+
+    def test_a_mid_run_switch_records_mixed_partials_once(self):
+        dist = _front_loaded_dist()
+        query = AggregateQuery(("gkey",), (AggregateSpec("sum", "val"),))
+        registry = MetricsRegistry()
+        rows = multiprocessing_aggregate(
+            dist, query, 1, strategy="auto", metrics=registry,
+            auto_resample_after=1,
+        )
+        assert rows == _per_row(dist, query)
+        assert merge_fallbacks(registry) == {"mixed_partials": 1}
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_the_merge_highS_statement_records_none(self, processes):
+        """The benchmark's high-selectivity shape (S = 0.25): ``auto``
+        picks ``global`` and stays, every partial is packed."""
+        from repro.sql import parse_query
+
+        _name, query = parse_query(
+            "SELECT gkey, SUM(val), COUNT(*), MIN(val) FROM r GROUP BY gkey"
+        )
+        dist = generate_uniform(
+            num_tuples=20_000, num_groups=5_000, num_nodes=4, seed=6
+        )
+        registry = MetricsRegistry()
+        rows = multiprocessing_aggregate(
+            dist, query, processes, strategy="auto", metrics=registry
+        )
+        assert len(rows) == 5_000
+        snapshot = registry.snapshot()
+        assert snapshot["mp.auto_strategy.global"]["value"] == 1
+        assert "mp.auto_strategy.switched_to.pool" not in snapshot
+        assert merge_fallbacks(registry) == {}
+
+    def test_int_sums_that_add_past_int64_fall_back_and_stay_exact(self):
+        schema = Schema([Column("k", "int"), Column("v", "int")])
+        # Each fragment's worst-case sum fits int64, so the kernel packs
+        # all three; together they reach 2**63, which only Python ints
+        # hold.
+        dist = _block_dist(
+            schema, [[(0, 2**62)], [(1, 5), (1, -7)], [(0, 2**62)]]
+        )
+        query = AggregateQuery(
+            ("k",), (AggregateSpec("sum", "v"), AggregateSpec("avg", "v"))
+        )
+        registry = MetricsRegistry()
+        rows = multiprocessing_aggregate(
+            dist, query, 1, strategy="global", metrics=registry
+        )
+        assert rows == [(0, 2**63, float(2**62)), (1, -2, -1.0)]
+        assert rows == reference_aggregate(dist, query)
+        assert merge_fallbacks(registry) == {"int_sum_overflow": 1}
+        assert kernel_declines(registry) == {}
+
+    def test_payloads_that_disagree_on_a_tag_are_refused(self):
+        query = AggregateQuery(("k",), (AggregateSpec("sum", "i"),))
+        ints, floats = _payloads(
+            [[_pin_row(0, i=1)], [_pin_row(0, i=2)]], query
+        )
+        floats[3][0] = ("sum_float",) + floats[3][0][1:]
+        assert _merge_packed([ints, floats], query) == (None, "tag_mismatch")
 
 
 # -- the mid-run adaptive controller ------------------------------------------
