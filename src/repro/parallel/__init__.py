@@ -23,6 +23,7 @@ from repro.parallel.mp_executor import (
     WorkerFailure,
     multiprocessing_aggregate,
     pool_breaker_state,
+    release_resident_segments,
     reset_pool_breaker,
     shutdown_worker_pool,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "multiprocessing_aggregate",
     "pool_breaker_state",
     "reference_aggregate",
+    "release_resident_segments",
     "reset_pool_breaker",
     "shutdown_worker_pool",
 ]

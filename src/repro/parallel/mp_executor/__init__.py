@@ -18,8 +18,25 @@ columns the query reads first — group keys, aggregate inputs, the
 columns a parsed WHERE names — so an evaluation-schema tuple ships 16 of
 its 100 bytes.  Empty fragments, and rows the block codec rejects (an
 int outside int64, a mistyped value), are pickled inline instead.
-Segments are owned by the parent and unlinked on *every* exit path
-(success, worker error, timeout, dead worker, FragmentFailedError).
+
+Each fragment is shipped once.  The segment written for a *block-born*
+fragment (its relation holds a ``ColumnBlock``, immutable once it sits
+there — what every generator and ``repro serve`` produce) stays
+**resident** in shared memory after the run, in a parent-owned table
+keyed by (the block, the projected columns), and a repeat run over the
+same block and projection sends descriptors, not bytes.  A resident
+segment is unlinked when its block is collected, by least-recently-
+shipped eviction under a byte ceiling the code works out from the shm
+mount, by :func:`shutdown_worker_pool` (so at interpreter exit) and
+:func:`release_resident_segments` (the query service, when a table is
+replaced or bumped), or when it is found gone — deferred, while a run
+still reads it, to that run's end, and never by a forked worker.
+Fragments shipped from row lists get per-run segments as before.
+Either way the parent owns every segment and no *stray* one survives
+any exit path (success, worker error, timeout, dead worker,
+FragmentFailedError): what is left between runs is the resident
+segments of live blocks, and nothing at all after
+``shutdown_worker_pool()`` (see :mod:`~repro.parallel.mp_executor.wire`).
 
 The parent detects a worker that raises, dies, or exceeds
 ``timeout`` seconds and retries that one fragment (in a fresh or
@@ -43,7 +60,9 @@ The pool path is chaos-hardened end to end:
   slowdown, a ``WorkerStall`` self-SIGSTOPs it until the parent's
   scheduled SIGCONT (the limplock scenario), ``read_error_rate`` raises
   :class:`InjectedFaultError` inside the worker, and ``message_loss``
-  unlinks the fragment's shared-memory segment before dispatch.  Which
+  unlinks the fragment's shared-memory segment before dispatch (a
+  resident one leaves the table with it; the retry's fresh segment
+  takes its place).  Which
   faults fire where is the plan's deterministic
   ``injection_schedule`` — identical (kind, target, ordinal) tuples on
   the sim and mp substrates for a given seed.
@@ -77,8 +96,8 @@ another run still held its workers discards them on release instead of
 resurrecting them as orphans.  ``deadline=`` (an absolute
 ``time.monotonic()`` value) bounds a whole run: when it expires the
 dispatcher cancels every in-flight attempt through the same
-discard-on-timeout path, unlinks all shared-memory segments, and
-raises :class:`DeadlineExceededError` — cooperative cancellation for
+discard-on-timeout path, unlinks the run's own shared-memory segments
+(releasing the resident ones it read), and raises :class:`DeadlineExceededError` — cooperative cancellation for
 callers that serve queries under latency budgets.
 """
 
@@ -98,7 +117,10 @@ from repro.parallel.mp_executor.resilience import (
     pool_breaker_state,
     reset_pool_breaker,
 )
-from repro.parallel.mp_executor.wire import SHM_PREFIX
+from repro.parallel.mp_executor.wire import (
+    SHM_PREFIX,
+    release_resident_segments,
+)
 
 __all__ = [
     "BREAKER_CLOSED",
@@ -115,6 +137,7 @@ __all__ = [
     "WorkerPool",
     "multiprocessing_aggregate",
     "pool_breaker_state",
+    "release_resident_segments",
     "reset_pool_breaker",
     "shutdown_worker_pool",
 ]

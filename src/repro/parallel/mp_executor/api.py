@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import os
 import time
-from multiprocessing import shared_memory
 
 from repro.core.aggregates import GroupState
 from repro.core.query import AggregateQuery
@@ -41,10 +40,7 @@ from repro.parallel.mp_executor.strategies import (
     _resolve_auto_strategy,
     _run_rep_strategy,
 )
-from repro.parallel.mp_executor.wire import (
-    _encode_fragment,
-    _unlink_segments,
-)
+from repro.parallel.mp_executor.wire import _Shipment
 from repro.storage.relation import DistributedRelation
 
 
@@ -186,6 +182,22 @@ class _ObsSink:
     def reencoded(self, index: int) -> None:
         self._count("mp.shm.reencoded")
 
+    def resident(self, outcome: str, n: int = 1) -> None:
+        """A block-born shipment met the resident table: ``hit`` (a
+        descriptor, no bytes), ``miss`` (encoded), ``vanished`` (its
+        segment was gone: a miss besides) or ``evicted`` (``n`` older
+        segments made room for it)."""
+        if self.metrics is not None:
+            self.metrics.counter(f"mp.shm.resident.{outcome}").inc(n)
+
+    def shipped(self, resident_bytes: int) -> None:
+        """Every fragment has its descriptor; dispatch starts now."""
+        if self.metrics is not None:
+            self.metrics.gauge("mp.phase_seconds.encode", mode="max").set(
+                self.now()
+            )
+            self.metrics.gauge("mp.shm.resident_bytes").set(resident_bytes)
+
     def pool_rebuild(self) -> None:
         self._count("mp.breaker.rebuilds")
         self._instant("pool_rebuild", -1)
@@ -250,7 +262,7 @@ def multiprocessing_aggregate(
 
     ``deadline`` bounds the *whole run* with an absolute
     ``time.monotonic()`` value: when it passes, in-flight attempts are
-    cancelled (workers discarded, segments unlinked) and
+    cancelled (workers discarded, per-run segments unlinked) and
     :class:`DeadlineExceededError` is raised.  Unlike ``timeout`` it is
     not retried around — it is the caller's latency budget, threaded
     down from the query service's per-query deadline or the CLI's
@@ -263,7 +275,10 @@ def multiprocessing_aggregate(
     * ``"pool"`` (the default): partitioned two-phase on the module's
       persistent worker pool, fragments shipped as shared-memory
       columnar blocks (pickled inline when empty or when the block
-      codec rejects a value).
+      codec rejects a value).  A block-born fragment's segment stays
+      resident after the run, so a repeat run over the same relation
+      ships descriptors only (every pooled strategy; see
+      :mod:`~repro.parallel.mp_executor.wire`).
     * ``"global"``: the shared global-hash-table discipline — workers
       return *packed* columnar partials (raw per-group arrays), the
       parent folds them all vectorized and finishes the merged arrays
@@ -271,9 +286,10 @@ def multiprocessing_aggregate(
       ``{key: state}`` table.  Cheapest at high selectivity, where 2P's
       per-fragment partials approach fragment size.  When the fold
       cannot be exact (int sums that could leave int64) or the partials
-      are a packed/unpacked mix (a mid-run ``auto`` switch), the parent
-      unpacks and takes the sequential per-key merge instead, counted
-      as ``mp.merge.fallback.<reason>``.
+      are a packed/unpacked mix (a mid-run ``auto`` switch; an empty
+      partial is neutral and is no mix), the parent unpacks and takes
+      the sequential per-key merge instead, counted as
+      ``mp.merge.fallback.<reason>``.
     * ``"rep"``: the paper's Repartitioning — round 1 hash-partitions
       every fragment into ``len(fragments)`` disjoint key buckets,
       round 2 aggregates each bucket on one worker, so no group is
@@ -319,8 +335,11 @@ def multiprocessing_aggregate(
     per-error-type counters, worker wall/CPU/RSS distributions from
     the workers' self-profiles, and ``mp.kernel.declined.<reason>`` for
     every fragment attempt that left the columnar kernel for the
-    per-row phase and ``mp.merge.fallback.<reason>`` when the parent
-    left the vectorized merge; ``profiles`` (a list) is extended with
+    per-row phase, ``mp.merge.fallback.<reason>`` when the parent
+    left the vectorized merge, and ``mp.shm.resident.{hit,miss,evicted,
+    vanished}`` / ``mp.shm.resident_bytes`` /
+    ``mp.phase_seconds.encode`` for what shipping cost; ``profiles``
+    (a list) is extended with
     one :class:`repro.obs.WorkerProfile` per attempt that reported back.
 
     Chaos / robustness (pool strategy only):
@@ -505,28 +524,7 @@ def multiprocessing_aggregate(
             if faults_active and not degraded:
                 injector = MpFaultInjector(faults, len(jobs),
                                            max_retries + 1)
-            segments: list = []
-            shm_owner: dict[int, shared_memory.SharedMemory] = {}
-
-            def encode(index: int):
-                rows, q, schema = jobs[index]
-                desc = _encode_fragment(
-                    rows, q, schema, segments, project=phase_fn is None
-                )
-                if desc[0] == "shm_col":
-                    shm_owner[index] = segments[-1]
-                return desc
-
-            def lose_segment(index: int) -> bool:
-                shm = shm_owner.get(index)
-                if shm is None:
-                    return False  # inline descriptor: nothing to lose
-                try:
-                    shm.unlink()
-                except FileNotFoundError:  # pragma: no cover - lost twice
-                    pass
-                return True
-
+            shipment = _Shipment(jobs, obs, project=phase_fn is None)
             chaos = ChaosOptions(
                 injector=injector,
                 heartbeat_interval=heartbeat_interval,
@@ -536,15 +534,16 @@ def multiprocessing_aggregate(
                 speculation_min_seconds=speculation_min_seconds,
                 poison_threshold=poison_threshold,
                 ledger=ledger,
-                lose_segment=lose_segment,
+                lose_segment=shipment.lose,
             )
             try:
-                descriptors = [encode(i) for i in range(len(jobs))]
-                completed = _run_jobs_in_pool(
-                    fn_for, descriptors, processes, max_retries, timeout,
-                    obs, pool, chaos=chaos, reencode=encode,
-                    run_deadline=deadline, on_complete=on_complete,
-                )
+                with shipment:
+                    completed = _run_jobs_in_pool(
+                        fn_for, shipment.ship(), processes, max_retries,
+                        timeout, obs, pool, chaos=chaos,
+                        reencode=shipment.reencode,
+                        run_deadline=deadline, on_complete=on_complete,
+                    )
             except FragmentFailedError as exc:
                 breaker.record_failure(exc.cause_type)
                 raise
@@ -556,10 +555,6 @@ def multiprocessing_aggregate(
                 obs.breaker_state(breaker.state_code())
                 if injector is not None and faults_log is not None:
                     faults_log.extend(injector.injected)
-                # The parent owns every segment: unlink on success,
-                # worker error, timeout, death, and FragmentFailedError
-                # alike, so /dev/shm never accumulates repro_mp_* files.
-                _unlink_segments(segments)
     except (FragmentFailedError, DeadlineExceededError):
         if tracer is not None:
             tracer.close_all(obs.now())
@@ -583,7 +578,13 @@ def multiprocessing_aggregate(
     merge_start = obs.now()
     bq = query.bind(dist.schema)
     rows: list[tuple] | None = None
-    ordered = [completed[i] for i in range(len(jobs))]
+    # An empty partial is neutral to either merge.  An empty fragment
+    # ships inline and comes back as [] whatever the phase, which must
+    # not make a ``global`` run read as a packed/unpacked mix.
+    ordered = [
+        p for p in (completed[i] for i in range(len(jobs)))
+        if _is_packed(p) or p
+    ]
     packed = [_is_packed(p) for p in ordered]
     if any(packed):
         # All-packed partials fold vectorized, straight to result rows.

@@ -35,7 +35,10 @@ from repro.parallel.mp_executor.resilience import (
     InjectedFaultError,
     WorkerFailure,
 )
-from repro.parallel.mp_executor.wire import _load_job
+from repro.parallel.mp_executor.wire import (
+    _load_job,
+    release_resident_segments,
+)
 from repro.resources.governor import MemoryExceededError
 from repro.sim.faults import (
     INJECT_ERROR,
@@ -347,12 +350,15 @@ class WorkerPool:
         Re-checks idle membership under the pool lock before reading:
         between the dispatcher's wait and this call another thread may
         have acquired the worker, in which case the ready data is *that
-        run's* reply and must not be stolen.  Returns ``"acquired"``
-        (not ours anymore), ``"beat"`` (stale heartbeat from a finished
-        job), or ``"dead"`` (EOF — the worker was retired).
+        run's* reply and must not be stolen — and may have read it and
+        released the worker again, in which case there is nothing left
+        to read and a ``recv`` would block, pool lock held, for good.
+        Returns ``"acquired"`` (not ours, or taken meanwhile),
+        ``"beat"`` (stale heartbeat from a finished job), or ``"dead"``
+        (EOF — the worker was retired).
         """
         with self._lock:
-            if worker not in self._idle:
+            if worker not in self._idle or not worker.conn.poll():
                 return "acquired"
             try:
                 message = worker.conn.recv()
@@ -431,19 +437,23 @@ def _get_shared_pool() -> WorkerPool:
 
 
 def shutdown_worker_pool() -> None:
-    """Terminate the module's shared pool; idempotent, safe anytime.
+    """Terminate the module's shared pool and unlink every resident
+    segment; idempotent, safe anytime.
 
     Clears the module slot, so the next pooled run forks a fresh pool —
     this is also how the circuit breaker rebuilds a sick pool.  Runs
     still holding workers from the old pool finish normally; their
     workers are discarded on release (the pool is marked closed) rather
-    than leaked as orphans.
+    than leaked as orphans, and the resident segments they still read
+    are unlinked when they end.  After this returns with no run in
+    flight the executor owns no process and no ``repro_mp_*`` segment.
     """
     global _shared_pool
     with _pool_mutex:
         pool, _shared_pool = _shared_pool, None
     if pool is not None:
         pool.shutdown()
+    release_resident_segments()
 
 
 class _PoolAttempt:

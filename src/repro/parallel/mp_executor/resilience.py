@@ -52,9 +52,10 @@ class DeadlineExceededError(RuntimeError):
 
     Raised by :func:`multiprocessing_aggregate` when ``deadline=`` (an
     absolute ``time.monotonic()`` value) passes mid-run.  In-flight
-    attempts are cancelled through the pool's discard path and every
-    shared-memory segment is unlinked before this propagates, so a
-    deadline miss never leaks processes or segments.  Distinct from
+    attempts are cancelled through the pool's discard path and the
+    run's shared-memory segments are unlinked (the resident ones it
+    read, released) before this propagates, so a deadline miss never
+    leaks processes or segments.  Distinct from
     :class:`FragmentFailedError` on purpose: a deadline miss says the
     *caller's* latency budget ran out, not that the executor (or the
     user's phase function) is sick — retrying at the same budget is

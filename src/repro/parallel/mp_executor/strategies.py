@@ -24,11 +24,7 @@ from repro.parallel.mp_executor.pool import (
     _run_jobs_in_pool,
     _run_jobs_in_process,
 )
-from repro.parallel.mp_executor.wire import (
-    _encode_fragment,
-    _projection_for,
-    _unlink_segments,
-)
+from repro.parallel.mp_executor.wire import _projection_for, _Shipment
 from repro.storage.columnblock import ColumnBlock
 from repro.storage.hashing import stable_hash
 
@@ -171,21 +167,12 @@ def _run_rep_strategy(
             part_for, jobs, max_retries, obs, run_deadline=deadline
         )
     else:
-        segments: list = []
-
-        def encode(index: int):
-            rows, q, s = jobs[index]
-            return _encode_fragment(rows, q, s, segments)
-
-        try:
-            descriptors = [encode(i) for i in range(len(jobs))]
+        with _Shipment(jobs, obs) as shipment:
             round1 = _run_jobs_in_pool(
-                part_for, descriptors, processes, max_retries, timeout,
-                obs, _get_shared_pool(), reencode=encode,
+                part_for, shipment.ship(), processes, max_retries, timeout,
+                obs, _get_shared_pool(), reencode=shipment.reencode,
                 run_deadline=deadline,
             )
-        finally:
-            _unlink_segments(segments)
 
     proj = _projection_for(query, schema)
     rep_schema = proj[0] if proj is not None else schema

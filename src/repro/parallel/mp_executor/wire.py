@@ -3,12 +3,37 @@
 One format: a serialized :class:`~repro.storage.ColumnBlock` in one
 parent-owned shared-memory segment, described by a small picklable
 descriptor; ``("inline", job)`` only for what a block cannot carry.
+
+Who the bytes came from decides how long a segment lives.  A row list
+is mutable, so its segment is good for one run and unlinked when the run
+ends.  A *block-born* fragment — the source is a ``ColumnBlock``, which
+is immutable once it sits in a relation — gets a **resident** segment:
+the parent's :class:`_ResidentSegments` table keeps it, under its
+``repro_mp_*`` name, keyed by ``(the block, the projected column
+indexes)``, and the next run over the same block and projection builds
+its descriptor from the table entry without projecting, serializing,
+creating or unlinking anything.  The paper's fragments are resident on
+their nodes and only the query travels; this is that, for one host.
+
+A resident segment is unlinked when its block is collected, when a
+newer one needs its bytes under the ceiling, by
+:func:`release_resident_segments` (``shutdown_worker_pool()``, the
+service replacing or bumping a table), or when it is found gone — and
+only by the process that created it, never by a forked worker.  Runs pin
+what they ship, so whichever of those races an in-flight run defers the
+unlink to that run's release.  :class:`_Shipment` is the one place a
+run's segments are created, pinned, lost, re-encoded and released.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
+import os
 import secrets
+import threading
+import weakref
+from collections import OrderedDict, deque
 from multiprocessing import resource_tracker, shared_memory
 
 from repro.core.query import AggregateQuery
@@ -17,8 +42,25 @@ from repro.storage.columnblock import ColumnBlock
 
 
 # Every executor-owned shared-memory segment uses this name prefix, so
-# leaked segments are countable (tests/test_mp_shm.py greps /dev/shm).
+# leaked segments are countable (tests/conftest.py greps /dev/shm).
 SHM_PREFIX = "repro_mp_"
+
+# Where POSIX shared memory shows up as files; None where it does not
+# (a resident hit is then not checked by name, and a segment that went
+# missing costs the worker's FileNotFoundError and a retry instead).
+_SHM_DIR = "/dev/shm" if os.path.isdir("/dev/shm") else None
+
+# Resident segments never hold more than this, nor more than half of
+# what the shm mount has free when a segment asks to stay (a default
+# container mounts 64 MiB).  Worked out here, not configured.
+_RESIDENT_CEILING_BYTES = 1 << 30
+
+
+def _resident_ceiling() -> int:
+    if _SHM_DIR is None:
+        return _RESIDENT_CEILING_BYTES
+    stat = os.statvfs(_SHM_DIR)
+    return min(_RESIDENT_CEILING_BYTES, stat.f_bavail * stat.f_frsize // 2)
 
 
 def _projection_for(query: AggregateQuery, schema):
@@ -90,14 +132,322 @@ def _encode_fragment(rows, query, schema, segments: list, project: bool = True):
 
 
 def _unlink_segments(segments: list) -> None:
-    """Parent side: close and unlink every segment a run created.  A
-    segment already gone (injected shm loss) is not an error."""
+    """Parent side: close and unlink every per-run segment a run
+    created.  A segment already gone (injected shm loss) is not an
+    error."""
     for shm in segments:
         shm.close()
         try:
             shm.unlink()
         except FileNotFoundError:
             pass
+
+
+# -- resident segments --------------------------------------------------------
+
+
+class _Resident:
+    """One resident segment: what a descriptor is built from, and what
+    decides when the segment is unlinked."""
+
+    __slots__ = (
+        "key", "shm", "name", "nbytes", "num_rows", "ship_schema", "pid",
+        "pins", "listed", "finalizer",
+    )
+
+    def __init__(self, key, shm, nbytes, num_rows, ship_schema) -> None:
+        self.key = key
+        self.shm = shm          # closed; kept to unlink by, None once unlinked
+        self.name = shm.name
+        self.nbytes = nbytes
+        self.num_rows = num_rows
+        self.ship_schema = ship_schema
+        self.pid = os.getpid()  # only the creator unlinks
+        self.pins = 1           # runs whose descriptors name the segment
+        self.listed = True      # findable in the table
+        self.finalizer = None
+
+
+class _ResidentSegments:
+    """The parent's table of segments that outlive the run that wrote
+    them: ``(id(block), column indexes or None)`` → :class:`_Resident`,
+    least recently shipped first.
+
+    An entry whose block was collected is dropped by the block's
+    finalizer before the block's ``id`` can be reused.  A finalizer can
+    fire anywhere an allocation can — also while this thread holds the
+    table's lock — so it never blocks on the lock: it queues its key,
+    and whoever holds the lock empties the queue before reading the
+    table and again on the way out.
+
+    An entry that leaves the table while runs still have it pinned is
+    *unlisted*: no later run can find it, and the last release unlinks
+    its segment.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[tuple, _Resident] = OrderedDict()
+        self._unlisted: set[_Resident] = set()
+        self._collected: deque[tuple] = deque()
+        self.nbytes = 0
+
+    @contextlib.contextmanager
+    def _locked(self):
+        with self._lock:
+            self._reap()
+            yield
+        self._drain_collected()
+
+    def _block_collected(self, key) -> None:
+        self._collected.append(key)
+        self._drain_collected()
+
+    def _drain_collected(self) -> None:
+        # The lock is busy: its holder drains after releasing it.
+        while self._collected and self._lock.acquire(blocking=False):
+            try:
+                self._reap()
+            finally:
+                self._lock.release()
+
+    def _reap(self) -> None:
+        """Lock held: drop the entries whose blocks were collected."""
+        while self._collected:
+            entry = self._entries.get(self._collected.popleft())
+            if entry is not None and not entry.finalizer.alive:
+                self._unlist(entry)
+
+    def _unlist(self, entry: _Resident, gone: bool = False) -> None:
+        """Lock held: ``entry`` leaves the table.  Its segment is
+        unlinked now — or, while runs still read it and it is not
+        ``gone`` already, at the last release."""
+        if entry.listed:
+            del self._entries[entry.key]
+            entry.listed = False
+            entry.finalizer.detach()
+            self.nbytes -= entry.nbytes
+        if entry.pins and not gone:
+            self._unlisted.add(entry)
+            return
+        self._unlisted.discard(entry)
+        shm, entry.shm = entry.shm, None
+        if shm is None or entry.pid != os.getpid():
+            return  # unlinked before, or a forked child's copy of the table
+        try:
+            shm.unlink()
+        except FileNotFoundError:
+            # Removed behind the table's back: what is left of it is
+            # the resource tracker's note to unlink it at exit.
+            resource_tracker.unregister(shm._name, "shared_memory")
+
+    def pin(self, block, idx):
+        """``(entry, vanished)``: the resident entry of ``(block, idx)``
+        pinned for the caller, or None; ``vanished`` when there was an
+        entry but its segment is gone from the mount (the entry is
+        dropped on the spot)."""
+        key = (id(block), idx)
+        with self._locked():
+            entry = self._entries.get(key)
+            if entry is None:
+                return None, False
+            if _SHM_DIR is not None and not os.path.exists(
+                os.path.join(_SHM_DIR, entry.name)
+            ):
+                self._unlist(entry, gone=True)
+                return None, True
+            self._entries.move_to_end(key)
+            entry.pins += 1
+            return entry, False
+
+    def adopt(self, block, idx, shm, nbytes, num_rows, ship_schema):
+        """``(entry, evicted)``: keep the segment the caller just wrote
+        for ``(block, idx)``, pinned for the caller, after evicting
+        ``evicted`` least-recently-shipped unpinned entries to stay
+        under the ceiling.  ``entry`` is None, and the segment stays the
+        caller's, when it cannot fit or another thread's segment for the
+        key got here first."""
+        ceiling = _resident_ceiling()
+        key = (id(block), idx)
+        with self._locked():
+            if key in self._entries:
+                return None, 0
+            over = self.nbytes + nbytes - ceiling
+            victims = []
+            for old in self._entries.values():
+                if over <= 0:
+                    break
+                if not old.pins:
+                    victims.append(old)
+                    over -= old.nbytes
+            if over > 0:
+                return None, 0
+            for old in victims:
+                self._unlist(old)
+            entry = _Resident(key, shm, nbytes, num_rows, ship_schema)
+            entry.finalizer = weakref.finalize(
+                block, self._block_collected, key
+            )
+            self._entries[key] = entry
+            self.nbytes += nbytes
+            return entry, len(victims)
+
+    def release(self, entry: _Resident) -> None:
+        """Undo one pin."""
+        with self._locked():
+            entry.pins -= 1
+            if not entry.listed:
+                self._unlist(entry)
+
+    def lose(self, entry: _Resident) -> None:
+        """The segment is (to be) gone whoever still reads it: injected
+        loss, or a worker that could not attach."""
+        with self._locked():
+            self._unlist(entry, gone=True)
+
+    def drop(self, blocks=None) -> None:
+        """Unlist every entry of ``blocks`` (all entries for None)."""
+        ids = None if blocks is None else {id(block) for block in blocks}
+        with self._locked():
+            for entry in list(self._entries.values()):
+                if ids is None or entry.key[0] in ids:
+                    self._unlist(entry)
+
+    def names(self) -> set[str]:
+        """Names of the segments the table answers for."""
+        with self._locked():
+            return {
+                entry.name
+                for entry in (*self._entries.values(), *self._unlisted)
+            }
+
+
+_resident = _ResidentSegments()
+
+
+def release_resident_segments(relation=None) -> None:
+    """Unlink the resident segments of ``relation``'s block-born
+    fragments — call it when the data behind a relation changes, or the
+    relation is being replaced — or, with no argument, every resident
+    segment (what :func:`shutdown_worker_pool` does).  Segments an
+    in-flight run still reads go when that run ends."""
+    if relation is None:
+        _resident.drop()
+        return
+    blocks = [
+        getattr(frag.relation, "block", None) for frag in relation.fragments
+    ]
+    _resident.drop([block for block in blocks if block is not None])
+
+
+class _Shipment:
+    """One run's fragments on the wire, from first descriptor to the
+    release of every segment behind them (``with _Shipment(...)``).
+
+    ``jobs`` are ``(source, query, schema)``.  A non-empty
+    ``ColumnBlock`` source ships through the resident table: a hit pins
+    the entry and costs a descriptor; a miss encodes as ever, closes the
+    parent's mapping and hands the segment to the table, which keeps it
+    unless it cannot fit.  Everything else — row lists, segments the
+    table declined — is this run's own and unlinked at release, and
+    empty or codec-rejected fragments travel inline.
+    """
+
+    def __init__(self, jobs, obs, project: bool = True) -> None:
+        self.jobs = jobs
+        self.obs = obs
+        self.project = project
+        self._segments: list = []   # per-run segments, ours to unlink
+        self._owned: dict[int, shared_memory.SharedMemory] = {}
+        self._pinned: dict[int, _Resident] = {}
+
+    def __enter__(self) -> "_Shipment":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        for entry in self._pinned.values():
+            _resident.release(entry)
+        # The parent owns every per-run segment: unlink on success,
+        # worker error, timeout, death, and FragmentFailedError alike,
+        # so /dev/shm never accumulates stray repro_mp_* files.
+        _unlink_segments(self._segments)
+
+    def ship(self) -> list:
+        """One descriptor per job, in job order."""
+        descriptors = [self._encode(i) for i in range(len(self.jobs))]
+        self.obs.shipped(_resident.nbytes)
+        return descriptors
+
+    def _encode(self, index: int):
+        rows, query, schema = self.jobs[index]
+        block_born = isinstance(rows, ColumnBlock) and len(rows) > 0
+        if block_born:
+            proj = _projection_for(query, schema) if self.project else None
+            idx = None if proj is None else tuple(proj[1])
+            entry, vanished = _resident.pin(rows, idx)
+            if vanished:
+                self.obs.resident("vanished")
+            if entry is not None:
+                self.obs.resident("hit")
+                self._pinned[index] = entry
+                return (
+                    "shm_col", entry.name, entry.nbytes, entry.num_rows,
+                    query, entry.ship_schema, not self.project,
+                )
+            self.obs.resident("miss")
+        desc = _encode_fragment(
+            rows, query, schema, self._segments, self.project
+        )
+        if desc[0] != "shm_col":
+            return desc
+        shm = self._segments[-1]
+        entry = None
+        if block_born:
+            _kind, _name, nbytes, num_rows, _q, ship_schema, _as_rows = desc
+            entry, evicted = _resident.adopt(
+                rows, idx, shm, nbytes, num_rows, ship_schema
+            )
+        if entry is None:
+            self._owned[index] = shm
+            return desc
+        self._pinned[index] = entry
+        # Resident by name, not by mapping: workers attach by name and
+        # the parent has no further use for its own view of the bytes.
+        self._segments.pop()
+        shm.close()
+        if evicted:
+            self.obs.resident("evicted", evicted)
+        return desc
+
+    def reencode(self, index: int):
+        """A worker found job ``index``'s segment gone: ship the job
+        again.  A resident entry that failed this way is dropped for
+        everyone, and the fresh segment takes its place."""
+        entry = self._pinned.pop(index, None)
+        if entry is not None:
+            _resident.lose(entry)
+            _resident.release(entry)
+        return self._encode(index)
+
+    def lose(self, index: int) -> bool:
+        """Injected shm loss: unlink the segment job ``index`` shipped
+        in, resident or not.  False for an inline descriptor, which has
+        nothing to lose."""
+        entry = self._pinned.get(index)
+        if entry is not None:
+            _resident.lose(entry)
+            return True
+        shm = self._owned.get(index)
+        if shm is None:
+            return False
+        try:
+            shm.unlink()
+        except FileNotFoundError:  # pragma: no cover - lost twice
+            pass
+        return True
+
+
+# -- worker side --------------------------------------------------------------
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:

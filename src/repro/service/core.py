@@ -35,6 +35,7 @@ from repro.parallel.mp_executor import (
     DeadlineExceededError,
     FragmentFailedError,
     pool_breaker_state,
+    release_resident_segments,
 )
 from repro.resources import MemoryBudgetPool
 from repro.service.admission import AdmissionController
@@ -137,18 +138,25 @@ class QueryService:
     def register_table(self, name: str,
                        relation: DistributedRelation) -> None:
         """Register (or replace) a table; replacement bumps the version,
-        implicitly invalidating every cached result for the old data."""
+        implicitly invalidating every cached result for the old data,
+        and releases the old relation's resident shm segments."""
         with self._tables_lock:
             existing = self._tables.get(name)
             version = 1 if existing is None else existing.version + 1
             self._tables[name] = _Table(relation, version)
+        if existing is not None:
+            release_resident_segments(existing.relation)
 
     def bump_table(self, name: str) -> int:
-        """Mark ``name`` mutated: old cached results become unreachable."""
+        """Mark ``name`` mutated: old cached results become unreachable,
+        and the executor's resident copies of its fragments are released
+        (the next miss ships the fragments afresh)."""
         with self._tables_lock:
             table = self._tables[name]
             table.version += 1
-            return table.version
+            version = table.version
+        release_resident_segments(table.relation)
+        return version
 
     def table_names(self) -> list[str]:
         with self._tables_lock:
@@ -437,10 +445,13 @@ class QueryService:
         """Stop admission, wait out in-flight queries, shut the pool down.
 
         Returns True when everything finished inside the drain budget.
-        Safe to call more than once.  The worker pool is torn down
-        unconditionally — deadline-missed queries already discarded
-        their workers and unlinked their segments, so after this returns
-        there are zero service-owned child processes or shm segments.
+        Safe to call more than once.  The worker pool is torn down and
+        every resident segment unlinked unconditionally —
+        deadline-missed queries already discarded their workers and
+        unlinked their per-run segments, so after this returns there are
+        zero service-owned child processes or shm segments (a query
+        that outlived the drain budget unlinks what it still reads when
+        it ends).
         """
         if timeout_seconds is None:
             timeout_seconds = self.config.drain_timeout_seconds

@@ -117,9 +117,18 @@ class ColumnBlock:
     ``columns[i]`` is a numpy array: int64 values for int columns, float64
     for float columns, and int32 dictionary codes for str columns (the
     matching :class:`StringDictionary` lives in ``dictionaries[i]``).
+
+    A block is immutable once it sits in a relation: a
+    :class:`~repro.storage.relation.BlockRelation` caches the decoded
+    rows off it, and the mp executor keeps the serialized bytes of a
+    shipped block resident in shared memory for as long as the block
+    lives (hence ``__weakref__``: the segment goes when the block is
+    collected).  New data is a new block.
     """
 
-    __slots__ = ("schema", "num_rows", "columns", "dictionaries")
+    __slots__ = (
+        "schema", "num_rows", "columns", "dictionaries", "__weakref__",
+    )
 
     def __init__(self, schema: Schema, num_rows: int, columns, dictionaries):
         self.schema = schema

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import glob
+import os
+
 import pytest
 from hypothesis import settings
 
 from repro.core.aggregates import AggregateSpec
 from repro.core.query import AggregateQuery
+from repro.parallel.mp_executor.wire import SHM_PREFIX, _resident
 from repro.workloads.generator import generate_uniform
 
 
@@ -16,6 +20,24 @@ from repro.workloads.generator import generate_uniform
 # ``--hypothesis-profile=stress``.  Tests that fix their own
 # ``max_examples`` keep it.
 settings.register_profile("stress", max_examples=1500, deadline=None)
+
+
+def shm_segments() -> list[str]:
+    """Names of every ``repro_mp_*`` segment on the shm mount."""
+    return sorted(
+        os.path.basename(path)
+        for path in glob.glob("/dev/shm/" + SHM_PREFIX + "*")
+    )
+
+
+def stray_segments() -> list[str]:
+    """Segments nobody answers for: on the mount, and not owned by the
+    executor's resident table (which unlinks its own when their blocks
+    are collected and at ``shutdown_worker_pool()``).  Must be empty
+    whenever no run is in flight; after ``shutdown_worker_pool()``
+    :func:`shm_segments` itself must be."""
+    owned = _resident.names()
+    return [name for name in shm_segments() if name not in owned]
 
 
 def rows_close(actual, expected, tol: float = 1e-9) -> bool:
@@ -110,6 +132,20 @@ def kernel_declines(registry) -> dict:
 def merge_fallbacks(registry) -> dict:
     """``reason -> count`` of a run's ``mp.merge.fallback.*`` counters."""
     return _counts_under(registry, "mp.merge.fallback.")
+
+
+def resident_counts(registry) -> dict:
+    """``outcome -> count`` of a run's ``mp.shm.resident.*`` counters
+    (``hit`` / ``miss`` / ``evicted`` / ``vanished``)."""
+    return _counts_under(registry, "mp.shm.resident.")
+
+
+def block_ids(*dists) -> set[int]:
+    """``id`` of every fragment's block: the resident table's keys'
+    first halves for these (block-born) relations."""
+    return {
+        id(frag.relation.block) for dist in dists for frag in dist.fragments
+    }
 
 
 @pytest.fixture

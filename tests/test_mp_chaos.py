@@ -6,7 +6,8 @@ exceptions, shm-segment loss — driven by the same seedable
 :class:`repro.sim.faults.FaultPlan` that drives the simulator.  The
 contract under test is brutal and simple: whatever the plan throws at
 the pool, the results must be *exactly equal* to the fault-free run and
-zero ``/dev/shm`` segments may survive.
+no stray ``/dev/shm`` segment may survive (none at all once the pool is
+shut down).
 
 Also covers the health machinery the faults exercise: eager heartbeat
 detection of wedged workers, speculative re-execution with
@@ -15,7 +16,6 @@ the pool circuit breaker's rebuild-then-degrade ladder.
 """
 
 import functools
-import glob
 import multiprocessing as mp
 import os
 import random
@@ -45,21 +45,28 @@ from repro.parallel.mp_executor.pool import _get_shared_pool
 from repro.sim.faults import CrashFault, FaultPlan, Straggler, WorkerStall
 from repro.workloads.generator import generate_uniform
 
+from tests.conftest import block_ids, shm_segments, stray_segments
+
 pytestmark = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"), reason="POSIX shared memory not mounted"
 )
 
 
-def _segments():
-    return glob.glob("/dev/shm/" + mp_executor.SHM_PREFIX + "*")
+@pytest.fixture(scope="module", autouse=True)
+def nothing_after_shutdown():
+    """Once the pool is shut down no segment is left, resident or not."""
+    yield
+    mp_executor.shutdown_worker_pool()
+    assert shm_segments() == []
 
 
 @pytest.fixture(autouse=True)
 def no_leaked_segments():
-    """Chaos or not, every exit path must be segment-clean."""
-    assert _segments() == []
+    """Chaos or not, no exit path leaves a stray segment: whatever is
+    on the mount is a resident segment of a block still alive."""
+    assert stray_segments() == []
     yield
-    assert _segments() == [], "chaos run leaked shared-memory segments"
+    assert stray_segments() == [], "chaos run leaked shared-memory segments"
 
 
 @pytest.fixture(autouse=True)
@@ -356,6 +363,17 @@ class TestCircuitBreaker:
         assert not pool_breaker_state().degraded
 
 
+def _only_resident_segments_of(dist):
+    """Nothing stray, and what is resident is one segment per fragment
+    of the one relation alive."""
+    from repro.parallel.mp_executor.wire import _resident
+
+    assert stray_segments() == []
+    assert {key[0] for key in _resident._entries} == block_ids(dist)
+    assert len(shm_segments()) == len(_resident._entries)
+    assert len(_resident._entries) == len(dist.fragments)
+
+
 class TestDegradedMode:
     """Degraded = stop trusting the shared pool, keep process isolation:
     the run forks a private pool and takes it down on the way out."""
@@ -383,7 +401,7 @@ class TestDegradedMode:
         assert metrics.value("mp.breaker.state") == 2  # the one loop
         assert metrics.value("mp.attempts") == len(dist.fragments)
         assert mp.active_children() == []
-        assert _segments() == []
+        _only_resident_segments_of(dist)
 
     def test_run_deadline_holds_on_the_private_pool(self, dist, query):
         from tests.test_mp_executor_faults import _wedge
@@ -396,7 +414,7 @@ class TestDegradedMode:
             )
         assert time.monotonic() - start < 15
         assert mp.active_children() == []
-        assert _segments() == []
+        _only_resident_segments_of(dist)
 
 
 class TestBreakerBackoffAndState:

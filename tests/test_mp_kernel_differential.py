@@ -215,45 +215,68 @@ def _having(draw, group_by, specs):
     )
 
 
+@st.composite
+def _statement(draw):
+    where = draw(st.none() | _predicate)
+    group_by = draw(
+        st.sampled_from([(), ("g",), ("h",), ("g", "h"), ("s", "g")])
+    )
+    specs = draw(st.lists(st.sampled_from(_SPECS), min_size=1, max_size=3))
+    having = draw(_having(group_by, specs))
+    return AggregateQuery(
+        group_by, specs,
+        where=None if where is None else CompiledPredicate(where),
+        having=None if having is None else CompiledPredicate(having),
+    )
+
+
 @settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(
     rows=st.lists(_row, max_size=48),
-    where=st.none() | _predicate,
-    group_by=st.sampled_from([(), ("g",), ("h",), ("g", "h"), ("s", "g")]),
-    specs=st.lists(st.sampled_from(_SPECS), min_size=1, max_size=3),
+    query=_statement(),
+    then=_statement(),
     fragments=st.integers(1, 4),
     contiguous=st.booleans(),
     budget=st.sampled_from([None, 10**9, 40, 1]),
     born=st.sampled_from(["block", "rows"]),
     strategy=st.sampled_from(["pool", "global", "rep", "auto"]),
     processes=st.sampled_from([1, 2]),
-    data=st.data(),
 )
 def test_every_path_returns_the_oracles_bits(
-    rows, where, group_by, specs, fragments, contiguous, budget, born,
-    strategy, processes, data,
+    rows, query, then, fragments, contiguous, budget, born, strategy,
+    processes,
 ):
-    having = data.draw(_having(group_by, specs), label="having")
-    query = AggregateQuery(
-        group_by, specs,
-        where=None if where is None else CompiledPredicate(where),
-        having=None if having is None else CompiledPredicate(having),
-    )
+    """The repeat axis: the drawn statement runs twice over the one
+    relation — pooled and block-born, the second run ships from the
+    resident segments the first one wrote — and then a second drawn
+    statement runs over it, which reads other columns more often than
+    not and must be shipped under its own projection, not the first's."""
     split = dict(fragments=fragments, contiguous=contiguous)
-    want = _oracle(rows, query, **split)
-    assert_rows_close(
-        want, reference_aggregate(_dist(rows, "rows", **split), query)
-    )
     if strategy == "rep":
         budget = None  # the ladder governs the two-phase local phase
-    got = multiprocessing_aggregate(
-        _dist(rows, born, **split), query, processes, strategy=strategy,
-        memory_budget_bytes=budget,
-    )
-    assert _bits(got) == _bits(want)
+    dist = _dist(rows, born, **split)
+
+    def oracle(statement):
+        want = _oracle(rows, statement, **split)
+        assert_rows_close(
+            want,
+            reference_aggregate(_dist(rows, "rows", **split), statement),
+        )
+        return _bits(want)
+
+    def run(statement):
+        return _bits(multiprocessing_aggregate(
+            dist, statement, processes, strategy=strategy,
+            memory_budget_bytes=budget,
+        ))
+
+    want = oracle(query)
+    assert run(query) == want
+    assert run(query) == want
+    assert run(then) == oracle(then)
 
 
 # -- masks, leaf by leaf ------------------------------------------------------

@@ -532,6 +532,40 @@ class TestMergeFallbackCounters:
         assert "mp.auto_strategy.switched_to.pool" not in snapshot
         assert merge_fallbacks(registry) == {}
 
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_an_empty_fragment_is_neutral_not_a_mix(self, processes):
+        """Pooled, an empty fragment ships inline and comes back as an
+        unpacked ``[]``: nothing to fold, so nothing to fall back for."""
+        schema = Schema([Column("k", "int"), Column("v", "int"),
+                         Column("x", "float")])
+        # Halves and small ints: every float sum is exact in any order,
+        # so the sequential reference's bits are the run's bits.
+        part = [(i % 7, i, i / 2.0) for i in range(200)]
+        dist = _block_dist(schema, [part[:120], [], part[120:]])
+        query = AggregateQuery(
+            ("k",),
+            (AggregateSpec("sum", "v"), AggregateSpec("sum", "x"),
+             AggregateSpec("avg", "x"), AggregateSpec("count", None)),
+        )
+        registry = MetricsRegistry()
+        rows = multiprocessing_aggregate(
+            dist, query, processes, strategy="global", metrics=registry
+        )
+        assert _bits(rows) == _bits(reference_aggregate(dist, query))
+        assert merge_fallbacks(registry) == {}
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_an_all_empty_relation_returns_no_rows(self, processes):
+        schema = Schema([Column("k", "int"), Column("v", "int")])
+        dist = _block_dist(schema, [[], [], []])
+        query = AggregateQuery(("k",), (AggregateSpec("sum", "v"),))
+        registry = MetricsRegistry()
+        rows = multiprocessing_aggregate(
+            dist, query, processes, strategy="global", metrics=registry
+        )
+        assert rows == []
+        assert merge_fallbacks(registry) == {}
+
     def test_int_sums_that_add_past_int64_fall_back_and_stay_exact(self):
         schema = Schema([Column("k", "int"), Column("v", "int")])
         # Each fragment's worst-case sum fits int64, so the kernel packs

@@ -1,10 +1,13 @@
 """Shared-memory hygiene and parity of the pooled executor.
 
-Every pooled dispatch creates ``/dev/shm/repro_mp_*`` segments owned by
-the parent; the contract is that *zero* survive any exit path — clean
-runs, raising workers, hard worker deaths, wedged-worker timeouts, and
-budgeted OOM-retry ladders.  The chaos matrix here drives each of those
-paths with real processes and counts segments after every one.
+Every pooled dispatch ships its fragments in ``/dev/shm/repro_mp_*``
+segments owned by the parent; the contract is that no *stray* segment
+survives any exit path — clean runs, raising workers, hard worker
+deaths, wedged-worker timeouts, and budgeted OOM-retry ladders: what is
+left on the mount is a resident segment of a block that is still alive,
+and nothing at all once the pool is shut down.  The chaos matrix here
+drives each of those paths with real processes and audits the mount
+after every one.
 
 The parity half pins that the pooled path (columnar kernel off shm
 blocks) and the shapes that leave the kernel for the per-row loop
@@ -14,14 +17,13 @@ in-process path.
 
 import functools
 import gc
-import glob
 import os
 import threading
 import time
 
 import pytest
 
-from tests.conftest import assert_rows_close
+from tests.conftest import assert_rows_close, shm_segments, stray_segments
 from tests.test_mp_executor_faults import (
     _always_raise,
     _die_once_then_work,
@@ -47,16 +49,22 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def _segments():
-    return glob.glob("/dev/shm/" + mp_executor.SHM_PREFIX + "*")
+@pytest.fixture(scope="module", autouse=True)
+def nothing_after_shutdown():
+    """Once the pool is shut down no segment is left, resident or not."""
+    yield
+    mp_executor.shutdown_worker_pool()
+    assert shm_segments() == []
 
 
 @pytest.fixture(autouse=True)
 def no_leaked_segments():
-    """Every test in this module starts and must end segment-clean."""
-    assert _segments() == []
+    """Every test in this module starts and must end without a stray
+    segment: whatever is on the mount is a resident segment of a block
+    that is still alive."""
+    assert stray_segments() == []
     yield
-    assert _segments() == [], "executor leaked shared-memory segments"
+    assert stray_segments() == [], "executor leaked shared-memory segments"
 
 
 @pytest.fixture
@@ -240,6 +248,31 @@ class TestPoolHealth:
         assert metrics.value("mp.pool.idle_deaths") == 1
         assert bystander not in pool.idle_workers()
 
+    def test_a_watched_pipe_someone_else_drained_is_not_read(
+        self, dist, query
+    ):
+        """Between a dispatcher's wait and its ``recv_idle`` another run
+        can acquire the worker, read its reply and release it again: the
+        readiness was that run's, and a ``recv`` now would block forever
+        with the pool lock held — every other dispatcher behind it."""
+        multiprocessing_aggregate(dist, query, processes=2)
+        pool = _get_shared_pool()
+        worker = pool.idle_workers()[0]
+        verdict: list = []
+        reader = threading.Thread(
+            target=lambda: verdict.append(pool.recv_idle(worker)),
+            daemon=True,
+        )
+        reader.start()
+        reader.join(timeout=5)
+        try:
+            assert verdict == ["acquired"]
+            assert worker in pool.idle_workers()
+        finally:
+            if reader.is_alive():  # unblock it: EOF ends the recv
+                worker.proc.kill()
+                reader.join(timeout=5)
+
     def test_explicit_shutdown_forks_fresh_pool(self, dist, query):
         multiprocessing_aggregate(dist, query, processes=2)
         old_pool = _get_shared_pool()
@@ -265,7 +298,7 @@ class TestPoolLifecycleUnderReuse:
         import multiprocessing as mp
 
         return (
-            len(_segments()),
+            len(shm_segments()),
             max(0, threading.active_count() - baseline_threads),
             len(mp.active_children()),
         )

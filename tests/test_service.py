@@ -8,7 +8,6 @@ contract: after drain there are zero child processes and zero
 ``/dev/shm/repro_mp_*`` segments.
 """
 
-import glob
 import json
 import multiprocessing
 import os
@@ -22,7 +21,12 @@ from contextlib import contextmanager
 
 import pytest
 
-from tests.conftest import assert_rows_close
+from tests.conftest import (
+    assert_rows_close,
+    resident_counts,
+    shm_segments,
+    stray_segments,
+)
 
 from repro.obs.decisions import (
     ADMISSION_SHED,
@@ -40,7 +44,6 @@ from repro.parallel.mp_executor import (
     reset_pool_breaker,
     shutdown_worker_pool,
 )
-from repro.parallel import mp_executor
 from repro.resources import MemoryBudgetPool
 from repro.service import (
     AdmissionController,
@@ -64,10 +67,6 @@ from repro.service.http import create_server
 from repro.sim.faults import CrashFault, FaultPlan
 from repro.sql.parser import parse_query
 from repro.workloads.generator import generate_uniform
-
-
-def _segments():
-    return glob.glob("/dev/shm/" + mp_executor.SHM_PREFIX + "*")
 
 
 needs_shm = pytest.mark.skipif(
@@ -499,10 +498,10 @@ class TestQueryServiceFakedExecutor:
 def clean_pool():
     reset_pool_breaker()
     shutdown_worker_pool()
-    assert _segments() == []
+    assert shm_segments() == []
     yield
     shutdown_worker_pool()
-    assert _segments() == [], "service leaked shared-memory segments"
+    assert shm_segments() == [], "service leaked shared-memory segments"
     assert multiprocessing.active_children() == []
 
 
@@ -593,6 +592,130 @@ class TestQueryServicePool:
             ).value >= len(served)
         finally:
             assert service.drain()
+
+
+@needs_shm
+class TestResidentSegments:
+    """The service tells the executor when a table's data changes, and
+    the executor's resident segments leave with it."""
+
+    @staticmethod
+    def _resident(service, outcome: str) -> int:
+        return resident_counts(service.metrics).get(outcome, 0)
+
+    def test_second_miss_hits_and_a_bump_releases(self, clean_pool):
+        dist = generate_uniform(num_tuples=1200, num_groups=30,
+                                num_nodes=4, seed=19)
+        fragments = len(dist.fragments)
+        service = QueryService(ServiceConfig(processes=2))
+        service.register_table("r", dist)
+        try:
+            # Three statements the result cache tells apart and the
+            # wire does not: all of them read (gkey, val).
+            first = service.submit(SQL)
+            assert not first.cache_hit
+            assert self._resident(service, "miss") == fragments
+            assert self._resident(service, "hit") == 0
+            assert len(shm_segments()) == fragments
+            assert stray_segments() == []
+
+            second = service.submit(SQL + " HAVING COUNT(*) > 0")
+            assert not second.cache_hit
+            assert self._resident(service, "miss") == fragments
+            assert self._resident(service, "hit") == fragments
+            assert service.metrics.value("mp.shm.resident_bytes") > 0
+            assert len(shm_segments()) == fragments
+
+            service.bump_table("r")
+            assert shm_segments() == []
+            third = service.submit(SQL + " HAVING COUNT(*) > 1")
+            assert not third.cache_hit
+            assert self._resident(service, "miss") == 2 * fragments
+            assert self._resident(service, "hit") == fragments
+            assert stray_segments() == []
+            assert first.rows == second.rows == third.rows
+        finally:
+            assert service.drain()
+        assert shm_segments() == []
+
+    def test_replacing_a_table_releases_the_old_relation(self, clean_pool):
+        old = generate_uniform(num_tuples=1200, num_groups=30,
+                               num_nodes=4, seed=19)
+        new = generate_uniform(num_tuples=900, num_groups=30,
+                               num_nodes=3, seed=20)
+        service = QueryService(ServiceConfig(processes=2))
+        service.register_table("r", old)
+        try:
+            service.submit(SQL)
+            assert len(shm_segments()) == len(old.fragments)
+            service.register_table("r", new)
+            assert shm_segments() == []  # `old` is still referenced here
+            outcome = service.submit(SQL)
+            assert not outcome.cache_hit
+            assert_rows_close(
+                outcome.rows, reference_aggregate(new, parse_query(SQL)[1])
+            )
+            assert len(shm_segments()) == len(new.fragments)
+            assert stray_segments() == []
+        finally:
+            assert service.drain()
+
+    def test_sigterm_mid_miss_exits_clean(self, clean_pool):
+        """A live ``repro serve`` told to stop while a miss is running
+        drains, exits 0 and leaves no segment behind."""
+        import re
+        import signal
+        import subprocess
+        import sys
+
+        env = dict(os.environ)
+        src = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "src",
+        )
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--tuples", "200000", "--groups", "200", "--nodes", "4",
+             "--seed", "3", "--processes", "2"],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            port = int(re.search(
+                r"http://[^:]+:(\d+)", proc.stdout.readline()
+            ).group(1))
+            status, warm, _ = _post(port, "/query", {"sql": SQL})
+            assert status == 200 and not warm["cache_hit"]
+            assert len(shm_segments()) == 4  # the server's, resident
+            replies: list = []
+
+            def send_miss() -> None:
+                try:
+                    replies.append(_post(
+                        port, "/query",
+                        {"sql": SQL + " HAVING COUNT(*) > 0"},
+                    )[0])
+                except OSError as exc:  # the listener closed first
+                    replies.append(exc)
+
+            miss = threading.Thread(target=send_miss)
+            miss.start()
+            time.sleep(0.01)
+            proc.send_signal(signal.SIGTERM)
+            miss.join(timeout=60)
+            out, _ = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
+        assert "drained clean" in out
+        # Served before the drain or refused by it: never left hanging.
+        assert not miss.is_alive()
+        assert isinstance(replies[0], OSError) or replies[0] in (200, 503)
+        assert shm_segments() == []
 
 
 # -- HTTP front end ------------------------------------------------------------
