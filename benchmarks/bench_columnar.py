@@ -3,14 +3,15 @@
 Two experiments on the Figure-2 evaluation tuple (100 bytes: group key,
 float value, padding):
 
-* ``test_strategy_head_to_head`` — global hash-table aggregation vs
-  partitioned 2P (pool) vs Rep across grouping selectivities, the
+* ``test_strategy_head_to_head`` — two-phase under both of the names
+  the tracked figure has rows for (``pool`` and ``global``: one path
+  since the kernel always exits packed, so the two rows are each
+  other's noise bound) vs Rep across grouping selectivities, the
   trade-off the paper's Figure 2 sweeps.  Results must be identical at
-  every point; the figure records the throughput of each strategy so
-  the trajectory shows where the crossover sits on this substrate.
+  every point; the figure records the throughput of each strategy.
 
 * ``test_end_to_end_columnar_sweep`` — generation plus aggregation with
-  a *string* group key under global / rep / auto: blocks go generator ->
+  a *string* group key under global / rep: blocks go generator ->
   shm -> kernel with zero row round-trips.  Results must be identical
   across strategies; the figure records absolute tuples per second.
   (The ratios against the retired row-block path stay as history in
@@ -35,7 +36,7 @@ HEAD_TO_HEAD_TUPLES = 100_000
 HEAD_TO_HEAD_SELECTIVITIES = (0.0005, 0.005, 0.05)
 HEAD_TO_HEAD_STRATEGIES = ("pool", "global", "rep")
 
-E2E_STRATEGIES = ("global", "rep", "auto")
+E2E_STRATEGIES = ("global", "rep")
 
 
 def _strkey_fig2(num_tuples, selectivity, num_nodes, seed=7):
@@ -60,8 +61,8 @@ def test_strategy_head_to_head():
     )
     result = FigureResult(
         "columnar_strategies",
-        "Global hash table vs partitioned 2P (pool) vs Rep across "
-        "grouping selectivities",
+        "Two-phase (pool = global, one path) vs Rep across grouping "
+        "selectivities",
         ["selectivity", "strategy", "elapsed_seconds", "tuples_per_second"],
         notes=(
             f"{HEAD_TO_HEAD_TUPLES} tuples, {WORKERS} workers, best of "

@@ -753,9 +753,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy",
         choices=("pool", "global", "rep", "auto"),
         default="pool",
-        help="mp substrate strategy: pool = partitioned 2P on the worker "
-        "pool, global = shared global hash table with packed merges, "
-        "rep = two-round repartitioning, auto = cost-model choice",
+        help="mp substrate strategy: pool = two-phase on the worker pool, "
+        "packed partials merged vectorized in the parent (global and "
+        "auto are synonyms for it); rep = two-round repartitioning",
     )
     p_run.add_argument(
         "--processes", type=int, default=0,
@@ -990,8 +990,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy", default="pool",
         choices=("pool", "global", "rep", "auto"),
         help="execution strategy for every admitted query: pool = "
-        "partitioned 2P, global = packed global-hash merge, rep = "
-        "two-round repartitioning, auto = cost-model choice",
+        "two-phase with a packed vectorized merge (global and auto are "
+        "synonyms for it); rep = two-round repartitioning",
     )
     p_serve.add_argument(
         "--faults", default=None, metavar="SPEC",

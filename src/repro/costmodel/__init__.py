@@ -13,7 +13,6 @@ from repro.costmodel.adaptive import (
     sampling_cost,
 )
 from repro.costmodel.base import CostBreakdown
-from repro.costmodel.globalhash import choose_mp_strategy, global_hash_cost
 from repro.costmodel.params import NetworkKind, SystemParameters
 from repro.costmodel.traditional import (
     centralized_two_phase_cost,
@@ -29,10 +28,6 @@ MODEL_FUNCTIONS = {
     "sampling": sampling_cost,
     "adaptive_two_phase": adaptive_two_phase_cost,
     "adaptive_repartitioning": adaptive_repartitioning_cost,
-    # Not a simulator algorithm: the mp executor's shared-table strategy
-    # (strategy="global"), modelled so the planner and the DecisionLedger
-    # can choose and judge it like the paper's own algorithms.
-    "global_hash": global_hash_cost,
 }
 
 
@@ -56,8 +51,6 @@ __all__ = [
     "adaptive_repartitioning_cost",
     "adaptive_two_phase_cost",
     "centralized_two_phase_cost",
-    "choose_mp_strategy",
-    "global_hash_cost",
     "model_cost",
     "repartitioning_cost",
     "sampling_cost",

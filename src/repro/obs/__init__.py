@@ -52,6 +52,7 @@ from repro.obs.decisions import (
     DecisionLedger,
     annotate_ground_truth,
     load_run_json,
+    mp_run_artifact,
     render_explain,
     run_artifact,
     write_run_json,
@@ -97,6 +98,7 @@ __all__ = [
     "compare_model_to_run",
     "format_drift_table",
     "load_run_json",
+    "mp_run_artifact",
     "render_explain",
     "run_artifact",
     "write_run_json",

@@ -23,10 +23,12 @@ this module records *why* the run took the shape it did:
     decision disagreed with the truth but the chosen branch's model
     cost was no worse), or ``wrong_and_costly``.
 
-``run_artifact`` / ``load_run_json``
+``run_artifact`` / ``mp_run_artifact`` / ``load_run_json``
     A ``repro-run/1`` JSON artifact bundling the ledger with the run's
     metrics and parameters, so ``repro explain <run.json>`` can render
-    the report long after the process that ran the query is gone.
+    the report long after the process that ran the query is gone.  For
+    a real-process run the report names every reason a fragment left
+    the columnar kernel and the parent left the vectorized merge.
 
 See ``docs/decisions.md`` for the schema and report format.
 """
@@ -48,14 +50,6 @@ AREP_ECHO = "end_of_phase_received"
 OPT2P_FORWARD = "forwarded_on_overflow"
 PREAGG_EVICTIONS = "evictions"
 SPECULATIVE_EXECUTION = "speculative_execution"
-# The mp executor's strategy="auto" arbitration between partitioned 2P
-# and the shared global hash table (repro.costmodel.globalhash).
-MP_STRATEGY_CHOICE = "mp_strategy_choice"
-# The mid-run re-estimate of that choice: after the first K fragments
-# complete, the executor re-runs the cost model on *observed* group
-# cardinality and may flip global <-> pool for the remaining fragments
-# (the paper's A-2P switch, lifted to the strategy family).
-MP_STRATEGY_RESAMPLE = "mp_strategy_resample"
 
 # Service-layer decision kinds (repro.service): admission-time choices,
 # logged with the same machinery as the in-query adaptive decisions so
@@ -302,6 +296,36 @@ def run_artifact(
     }
 
 
+MP_ALGORITHM = "mp"
+
+
+def mp_run_artifact(metrics, ledger: DecisionLedger | None = None) -> dict:
+    """Bundle a finished ``multiprocessing_aggregate`` run into a
+    ``repro-run/1`` document.
+
+    ``metrics`` is the :class:`~repro.obs.MetricsRegistry` the run
+    filled through ``metrics=`` (one run per registry); ``ledger`` the
+    one it was handed, if any.  The snapshot carries every
+    ``mp.kernel.declined.<reason>`` and ``mp.merge.fallback.<reason>``
+    the run counted, which is what ``repro explain`` prints for it.
+    """
+    snapshot = metrics.snapshot()
+
+    def value(name):
+        return snapshot.get(name, {}).get("value", 0)
+
+    return {
+        "schema": RUN_SCHEMA,
+        "algorithm": MP_ALGORITHM,
+        "elapsed_seconds": float(value("mp.elapsed_seconds")),
+        "num_groups": int(value("mp.groups_output")),
+        "params": {"num_nodes": int(value("mp.fragments"))},
+        "workload": {},
+        "decisions": ledger.to_dicts() if ledger is not None else [],
+        "metrics": snapshot,
+    }
+
+
 def write_run_json(doc: dict, path: str) -> str:
     """Validate and write a run artifact; returns the path."""
     from repro.obs.schema import validate_or_raise
@@ -378,15 +402,45 @@ def _describe_event(event: DecisionEvent) -> list[str]:
     return lines
 
 
+# Where an mp run can leave its fast path, and what leaving means: the
+# two counter families that answer "why was this query slow".
+_MP_DEPARTURES = (
+    ("mp.kernel.declined.",
+     "fragment attempts that left the columnar kernel for the per-row "
+     "phase"),
+    ("mp.merge.fallback.",
+     "runs whose parent left the vectorized merge for the per-key one"),
+)
+
+
+def _describe_mp_departures(metrics: dict) -> list[str]:
+    lines = []
+    for prefix, meaning in _MP_DEPARTURES:
+        reasons = sorted(
+            (name[len(prefix):], metric.get("value"))
+            for name, metric in metrics.items()
+            if name.startswith(prefix)
+        )
+        if not reasons:
+            lines.append(f"{prefix}*: none")
+            continue
+        lines.append(f"{prefix}* ({meaning}):")
+        for reason, count in reasons:
+            lines.append(f"    {reason:<24} {count}")
+    return lines
+
+
 def render_explain(doc: dict, drift_table: str | None = None) -> str:
     """The human-readable ``repro explain`` report for a run artifact."""
     params = doc.get("params", {})
+    mp_run = doc.get("algorithm") == MP_ALGORITHM
     lines = [
         "== explain: {} on {} nodes ==".format(
             doc.get("algorithm", "?"), params.get("num_nodes", "?")
         ),
-        "elapsed {:.4f}s simulated, {} groups".format(
+        "elapsed {:.4f}s {}, {} groups".format(
             float(doc.get("elapsed_seconds", 0.0)),
+            "wall" if mp_run else "simulated",
             doc.get("num_groups", "?"),
         ),
     ]
@@ -411,6 +465,8 @@ def render_explain(doc: dict, drift_table: str | None = None) -> str:
                 f"{count} {name}" for name, count in sorted(verdicts.items())
             )
             lines.append(f"verdicts: {summary}")
+    if mp_run:
+        lines.extend(_describe_mp_departures(doc.get("metrics", {})))
     if drift_table:
         lines.append("")
         lines.append(drift_table)

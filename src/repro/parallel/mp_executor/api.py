@@ -10,11 +10,7 @@ from repro.core.aggregates import GroupState
 from repro.core.query import AggregateQuery
 from repro.obs.profile import WorkerProfile
 from repro.obs.tracer import PHASE as _CAT_PHASE
-from repro.parallel.mp_executor.kernel import (
-    _global_phase,
-    _GovernedPhase,
-    _local_phase,
-)
+from repro.parallel.mp_executor.kernel import _GovernedPhase, _local_phase
 from repro.parallel.mp_executor.merge import (
     _is_packed,
     _merge_packed,
@@ -34,12 +30,7 @@ from repro.parallel.mp_executor.resilience import (
     MpFaultInjector,
     pool_breaker_state,
 )
-from repro.parallel.mp_executor.strategies import (
-    _auto_params,
-    _AutoStrategyController,
-    _resolve_auto_strategy,
-    _run_rep_strategy,
-)
+from repro.parallel.mp_executor.strategies import _run_rep_strategy
 from repro.parallel.mp_executor.wire import _Shipment
 from repro.storage.relation import DistributedRelation
 
@@ -250,7 +241,6 @@ def multiprocessing_aggregate(
     poison_threshold: int = 3,
     ledger=None,
     deadline: float | None = None,
-    auto_resample_after: int | None = None,
 ) -> list[tuple]:
     """Two Phase over real processes; returns sorted result rows.
 
@@ -269,51 +259,34 @@ def multiprocessing_aggregate(
     ``--timeout``.  A deadline miss does not count toward the circuit
     breaker.
 
-    ``strategy`` picks the aggregation discipline and dispatch
-    mechanism:
+    ``strategy`` picks the aggregation discipline — there are two:
 
-    * ``"pool"`` (the default): partitioned two-phase on the module's
+    * ``"pool"`` (the default; ``"global"`` and ``"auto"`` are accepted
+      as synonyms and run the identical path): two-phase on the module's
       persistent worker pool, fragments shipped as shared-memory
       columnar blocks (pickled inline when empty or when the block
       codec rejects a value).  A block-born fragment's segment stays
       resident after the run, so a repeat run over the same relation
-      ships descriptors only (every pooled strategy; see
-      :mod:`~repro.parallel.mp_executor.wire`).
-    * ``"global"``: the shared global-hash-table discipline — workers
-      return *packed* columnar partials (raw per-group arrays), the
-      parent folds them all vectorized and finishes the merged arrays
-      straight into result rows: no per-group state object, no
-      ``{key: state}`` table.  Cheapest at high selectivity, where 2P's
-      per-fragment partials approach fragment size.  When the fold
-      cannot be exact (int sums that could leave int64) or the partials
-      are a packed/unpacked mix (a mid-run ``auto`` switch; an empty
-      partial is neutral and is no mix), the parent unpacks and takes
-      the sequential per-key merge instead, counted as
-      ``mp.merge.fallback.<reason>``.
+      ships descriptors only (see
+      :mod:`~repro.parallel.mp_executor.wire`).  Every fragment leaves
+      the columnar kernel as one *packed* partial (raw per-group
+      arrays); the parent folds them all vectorized and finishes the
+      merged arrays straight into result rows: no per-group state
+      object, no ``{key: state}`` table.  When the fold cannot be exact
+      (int sums that could leave int64) or a fragment left the kernel
+      for the per-row phase beside fragments that did not (a counted
+      ``mp.kernel.declined.<reason>``, a spill retry, an injected
+      slowdown; an empty partial is neutral and is no mix), the parent
+      unpacks and takes the sequential per-key merge instead, counted
+      as ``mp.merge.fallback.<reason>``.
     * ``"rep"``: the paper's Repartitioning — round 1 hash-partitions
       every fragment into ``len(fragments)`` disjoint key buckets,
       round 2 aggregates each bucket on one worker, so no group is
       touched by two workers and the parent merge is a concatenation.
-    * ``"auto"``: takes a stratified prefix sample across all
-      fragments, estimates selectivity, and picks ``"pool"`` or
-      ``"global"`` from the cost model
-      (:func:`repro.costmodel.globalhash.choose_mp_strategy`); the
-      choice and both modeled costs are recorded in ``ledger``.  The
-      choice is then *re-sampled mid-run* (the paper's A-2P move):
-      after the first ``auto_resample_after`` fragments complete
-      (default: a quarter of the fragments, at least one), the cost
-      model re-runs on their observed group cardinality and a flipped
-      winner switches global ↔ pool for the fragments not yet
-      dispatched.  The re-decision lands in ``ledger`` as an
-      ``mp_strategy_resample`` event; both auto events get post-hoc
-      verdicts against the true group count once the run finishes.
-      ``auto_resample_after=0`` disables the mid-run re-estimate
-      (pre-run choice only); substituted ``phase_fn`` and
-      ``memory_budget_bytes`` also disable it.
 
-    Results are bit-identical across all strategies.  ``phase_fn`` is
-    pool-only; ``memory_budget_bytes`` excludes ``"rep"``; fault
-    injection and speculation require ``"pool"`` or ``"global"``.
+    Results are bit-identical across both.  ``phase_fn``,
+    ``memory_budget_bytes``, fault injection and speculation are
+    two-phase only.
 
     ``memory_budget_bytes`` puts each fragment's phase-1 table under a
     byte budget: the first attempt is the ordinary phase (the columnar
@@ -342,7 +315,7 @@ def multiprocessing_aggregate(
     (a list) is extended with
     one :class:`repro.obs.WorkerProfile` per attempt that reported back.
 
-    Chaos / robustness (pool strategy only):
+    Chaos / robustness (two-phase only):
 
     ``faults`` (a :class:`~repro.sim.faults.FaultPlan`) injects the
     plan's deterministic fault schedule into the real workers — kills,
@@ -382,55 +355,34 @@ def multiprocessing_aggregate(
             )
         if memory_budget_bytes < 1:
             raise ValueError("memory_budget_bytes must be positive")
-    if strategy not in ("pool", "global", "rep", "auto"):
+    if strategy in ("global", "auto"):
+        # Three names, one path: every fragment leaves the kernel packed.
+        strategy = "pool"
+    if strategy not in ("pool", "rep"):
         raise ValueError(
             "strategy must be 'pool', 'global', 'rep' or 'auto', "
             f"got {strategy!r}"
         )
-    if phase_fn is not None and strategy != "pool":
-        raise ValueError("phase_fn substitution requires strategy='pool'")
-    if memory_budget_bytes is not None and strategy == "rep":
-        raise ValueError(
-            "memory_budget_bytes is not supported with strategy='rep' "
-            "(the budget ladder governs the two-phase local phase)"
-        )
     faults_active = faults is not None and faults.active
-    if strategy not in ("pool", "global"):
+    if strategy == "rep":
+        if phase_fn is not None:
+            raise ValueError(
+                "phase_fn substitution requires strategy='pool'"
+            )
+        if memory_budget_bytes is not None:
+            raise ValueError(
+                "memory_budget_bytes is not supported with strategy='rep' "
+                "(the budget ladder governs the two-phase local phase)"
+            )
         if faults_active:
             raise ValueError(
-                "fault injection requires strategy='pool' or 'global' "
-                "(other paths have no injection shim)"
+                "fault injection requires strategy='pool' "
+                "('rep' has no injection shim)"
             )
         if speculate:
             raise ValueError(
-                "speculative re-execution requires strategy='pool' or "
-                "'global'"
+                "speculative re-execution requires strategy='pool'"
             )
-    if auto_resample_after is not None and auto_resample_after < 0:
-        raise ValueError("auto_resample_after must be non-negative")
-    strategy_inputs = None
-    controller = None
-    if strategy == "auto":
-        strategy, strategy_inputs, auto_event = _resolve_auto_strategy(
-            dist, query, ledger
-        )
-        resample_after = (
-            max(1, len(dist.fragments) // 4)
-            if auto_resample_after is None else auto_resample_after
-        )
-        if (
-            resample_after
-            and phase_fn is None
-            and memory_budget_bytes is None
-        ):
-            controller = _AutoStrategyController(
-                strategy,
-                sum(len(f.relation) for f in dist.fragments),
-                _auto_params(dist),
-                ledger,
-                resample_after,
-            )
-            controller.initial_event = auto_event
     if speculation_multiplier < 1.0:
         raise ValueError("speculation_multiplier must be >= 1")
     if speculation_min_seconds <= 0:
@@ -441,19 +393,10 @@ def multiprocessing_aggregate(
         raise ValueError("heartbeat_timeout must be positive")
     if poison_threshold < 1:
         raise ValueError("poison_threshold must be positive")
-    if phase_fn is not None:
-        fn = phase_fn
-    elif strategy == "global":
-        fn = _global_phase
-    else:
-        fn = _local_phase
+    fn = phase_fn if phase_fn is not None else _local_phase
 
     def fn_for(attempt: int):
         if memory_budget_bytes is None:
-            # Resolved at dispatch time, so the mid-run controller's
-            # switch reaches fragments not yet handed to a worker.
-            if controller is not None:
-                return controller.phase_fn()
             return fn
         if attempt == 0:
             return _GovernedPhase(memory_budget_bytes, spill=False)
@@ -486,7 +429,6 @@ def multiprocessing_aggregate(
         )
         for frag in dist.fragments
     ]
-    on_complete = controller.on_complete if controller is not None else None
     obs = _ObsSink(tracer, metrics)
     run_span = None
     if tracer is not None:
@@ -504,7 +446,6 @@ def multiprocessing_aggregate(
         elif processes <= 1:
             completed = _run_jobs_in_process(
                 fn_for, jobs, max_retries, obs, run_deadline=deadline,
-                on_complete=on_complete,
             )
         else:
             degraded = breaker.degraded
@@ -542,7 +483,7 @@ def multiprocessing_aggregate(
                         fn_for, shipment.ship(), processes, max_retries,
                         timeout, obs, pool, chaos=chaos,
                         reencode=shipment.reencode,
-                        run_deadline=deadline, on_complete=on_complete,
+                        run_deadline=deadline,
                     )
             except FragmentFailedError as exc:
                 breaker.record_failure(exc.cause_type)
@@ -565,22 +506,13 @@ def multiprocessing_aggregate(
         profiles.extend(obs.profiles)
     if metrics is not None:
         metrics.counter("mp.fragments").inc(len(jobs))
-        if strategy_inputs is not None:
-            metrics.counter("mp.auto_strategy." + strategy).inc()
-        if controller is not None and controller.resampled:
-            metrics.counter("mp.auto_strategy.resampled").inc()
-            if controller.switched_to is not None:
-                metrics.counter(
-                    "mp.auto_strategy.switched_to."
-                    + controller.switched_to
-                ).inc()
 
     merge_start = obs.now()
     bq = query.bind(dist.schema)
     rows: list[tuple] | None = None
     # An empty partial is neutral to either merge.  An empty fragment
-    # ships inline and comes back as [] whatever the phase, which must
-    # not make a ``global`` run read as a packed/unpacked mix.
+    # ships inline and comes back as [] from the per-row loop, which
+    # must not make the run read as a packed/unpacked mix.
     ordered = [
         p for p in (completed[i] for i in range(len(jobs)))
         if _is_packed(p) or p
@@ -588,10 +520,11 @@ def multiprocessing_aggregate(
     packed = [_is_packed(p) for p in ordered]
     if any(packed):
         # All-packed partials fold vectorized, straight to result rows.
-        # A mid-run switch leaves a mix of packed (global) and unpacked
-        # (pool) partials, and a guard can refuse the fold: both are
-        # counted by reason, unpack everything and take the sequential
-        # merge below (same result, just slower).
+        # A fragment that left the kernel (a decline, a spill retry, an
+        # injected slowdown) leaves an unpacked partial among packed
+        # ones, and a guard can refuse the fold: both are counted by
+        # reason, unpack everything and take the sequential merge below
+        # (same result, just slower).
         reason = "mixed_partials"
         if all(packed):
             rows, reason = _merge_packed(ordered, query)
@@ -614,10 +547,6 @@ def multiprocessing_aggregate(
                     merged[key] = mine
                 mine.merge(state)
         rows = [bq.result_row(key, state) for key, state in merged.items()]
-    if controller is not None:
-        # One row per group before HAVING is the run's true group count:
-        # judge both auto decisions (pre-run sample, mid-run re-sample).
-        controller.annotate(len(rows))
     if query.having is not None:
         rows = [row for row in rows if bq.passes_having(row)]
     rows.sort()

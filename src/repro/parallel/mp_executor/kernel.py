@@ -1,12 +1,14 @@
-"""Phase 1: one fragment in, partial aggregate states out.
+"""Phase 1: one fragment in, one partial out.
 
 One implementation for every statement the SQL front end produces: the
 columnar kernel (:func:`_columnar_local_phase`) takes WHERE as a column
 mask (:mod:`~repro.parallel.mp_executor.mask`), scalar aggregation as
-the one-group case and the memory budget as a group ceiling.  The
-per-row loop (:func:`_per_row_phase`) is the oracle the kernel must
-match bit for bit, the fallback when a kernel guard declines a block,
-and — through :class:`_GovernedPhase` — the over-budget spill retry.
+the one-group case and the memory budget as a group ceiling, and has one
+exit: the packed payload of :mod:`~repro.parallel.mp_executor.merge`.
+The per-row loop (:func:`_per_row_phase`), which returns
+``(key, GroupState)`` partials, is the oracle the kernel must match bit
+for bit, the fallback when a kernel guard declines a block, and —
+through :class:`_GovernedPhase` — the over-budget spill retry.
 Every time a fragment leaves the kernel the reason is recorded
 (:func:`_decline`) and travels back with the attempt's profile.
 """
@@ -24,8 +26,6 @@ from repro.parallel.mp_executor.merge import (
     _EXACT_FLOAT_INT,
     _INT64_LIMIT,
     _int_magnitude,
-    _key_tuples,
-    _states_from_payload,
 )
 from repro.resources.governor import MemoryExceededError
 from repro.storage.columnblock import ColumnBlock
@@ -85,19 +85,21 @@ def _per_row_phase(rows, query, schema, admit=None):
     return list(table.items())
 
 
-def _local_phase(job, packed=False, admit=None):
-    """Phase 1 for one fragment: (source, query, schema) -> partials —
+def _local_phase(job, admit=None):
+    """Phase 1 for one fragment: (source, query, schema) -> partial —
     kernel first, per-row on a counted decline.
 
     ``source`` is a :class:`~repro.storage.ColumnBlock` — what a pool
     worker loads from its segment and what a block-born fragment is
-    in-process — or a row list, which never enters the kernel.
-    ``packed`` and ``admit`` are the kernel's (see
+    in-process — or a row list, which never enters the kernel.  The
+    partial is the kernel's packed payload, or the per-row loop's
+    ``(key, GroupState)`` list; the parent merge and ``rep`` round 2
+    take either.  ``admit`` is the kernel's (see
     :func:`_columnar_local_phase`); the dispatch loops call ``fn(job)``.
     """
     source, query, schema = job
     if isinstance(source, ColumnBlock):
-        result = _columnar_local_phase(source, query, packed, admit)
+        result = _columnar_local_phase(source, query, admit)
         if result is not None:
             return result
         source = source.to_rows()
@@ -127,7 +129,7 @@ class _GovernedPhase:
         self.budget_bytes = budget_bytes
         self.spill = spill
 
-    def __call__(self, job) -> list[tuple[tuple, GroupState]]:
+    def __call__(self, job):
         rows, query, schema = job
         bq = query.bind(schema)
         entry_bytes = max(1, bq.projected_bytes) + _ENTRY_OVERHEAD_BYTES
@@ -279,34 +281,15 @@ def _distinct_pairs(cblock, col_idx, inv, n_groups):
     return pairs["g"], pairs["v"]
 
 
-def _distinct_sets(cblock, col_idx, inv, n_groups):
-    """Per-group distinct-value sets (the unpacked distinct state)."""
-    pairs = _distinct_pairs(cblock, col_idx, inv, n_groups)
-    if pairs is None:
-        return None
-    groups, vals = pairs
-    sets: list[set] = [set() for _ in range(n_groups)]
-    if cblock.schema.columns[col_idx].kind == "str":
-        values = cblock.dictionaries[col_idx].values
-        for g, v in zip(groups.tolist(), vals.tolist()):
-            sets[g].add(values[v])
-    else:
-        for g, v in zip(groups.tolist(), vals.tolist()):
-            sets[g].add(v)
-    return sets
+def _str_extremes(cblock, col_idx, inv, n_groups, func):
+    """Per-group MIN/MAX over a dictionary-encoded string column, as an
+    int64 array of the winners' *dictionary codes*.
 
-
-def _str_extremes(cblock, col_idx, inv, n_groups, func, as_codes=False):
-    """Per-group MIN/MAX over a dictionary-encoded string column.
-
-    Ranks the dictionary once (sort its values, invert the permutation),
-    folds the per-row ranks with ``minimum.at``/``maximum.at``, and
-    decodes the winning ranks — the same total order Python's ``<``
-    gives, so results match the per-row fold exactly.  With
-    ``as_codes=True`` the winners come back as an int64 array of
-    *dictionary codes* instead of decoded strings — the packed wire
-    form, which the parent merge re-ranks against the union dictionary
-    without ever materializing per-group strings.
+    Ranks the dictionary once (sort its values, invert the permutation)
+    and folds the per-row ranks with ``minimum.at``/``maximum.at`` — the
+    same total order Python's ``<`` gives, so results match the per-row
+    fold exactly.  The parent merge re-ranks the codes against the union
+    dictionary without ever materializing per-group strings.
     """
     import numpy as np
 
@@ -323,26 +306,24 @@ def _str_extremes(cblock, col_idx, inv, n_groups, func, as_codes=False):
     else:
         acc = np.full(n_groups, -1, dtype=np.int64)
         np.maximum.at(acc, inv, ranks)
-    if as_codes:
-        # Every group holds >= 1 row, so no sentinel rank survives.
-        return np.asarray(order, dtype=np.int64)[acc]
-    return [dvals[order[r]] for r in acc.tolist()]
+    # Every group holds >= 1 row, so no sentinel rank survives.
+    return np.asarray(order, dtype=np.int64)[acc]
 
 
-def _columnar_local_phase(cblock, query, packed=False, admit=None):
+def _columnar_local_phase(cblock, query, admit=None):
     """Phase 1 on a ColumnBlock: every statement shape — WHERE, any key
     type and arity including none (scalar), every aggregate.
 
-    Returns (key, GroupState) partials like :func:`_local_phase`, or —
-    with ``packed=True`` — a
-    ``("packed", n_groups, key_columns, state_columns)`` payload of raw
-    arrays for the parent's vectorized global merge (``key_columns`` is
-    empty for a scalar query).  Every aggregate
+    Returns a ``("packed", n_groups, key_columns, state_columns)``
+    payload of raw arrays for the parent's vectorized merge
+    (``key_columns`` is empty for a scalar query).  Every aggregate
     has a packed wire form: count_distinct ships sorted-unique
     ``(group, value)`` pair arrays (codes + the block dictionary for
     str columns) and str MIN/MAX ships per-group winner *codes* plus
     the dictionary, so the parent merges via LUT unions instead of
-    unpacking to per-row states.  ``admit(n_groups)`` is the memory
+    unpacking to per-group states
+    (:func:`~repro.parallel.mp_executor.merge._unpack_packed` does that
+    for the callers that need them).  ``admit(n_groups)`` is the memory
     budget's group ceiling: called once the block's group count is
     known, it raises what the per-row watchdog raises on the same
     input.  Returns None when
@@ -381,25 +362,17 @@ def _columnar_local_phase(cblock, query, packed=False, admit=None):
             state_payload.append(("count", counts))
             continue
         if func == "count_distinct":
-            if packed:
-                pairs = _distinct_pairs(cblock, col_idx, inv, n_groups)
-                if pairs is None:
-                    return None
-                groups_arr, vals_arr = pairs
-                if columns[col_idx].kind == "str":
-                    state_payload.append(
-                        ("distinct_str", groups_arr, vals_arr,
-                         cblock.dictionaries[col_idx].values)
-                    )
-                else:
-                    state_payload.append(
-                        ("distinct_num", groups_arr, vals_arr)
-                    )
+            pairs = _distinct_pairs(cblock, col_idx, inv, n_groups)
+            if pairs is None:
+                return None
+            groups_arr, vals_arr = pairs
+            if columns[col_idx].kind == "str":
+                state_payload.append(
+                    ("distinct_str", groups_arr, vals_arr,
+                     cblock.dictionaries[col_idx].values)
+                )
             else:
-                sets = _distinct_sets(cblock, col_idx, inv, n_groups)
-                if sets is None:
-                    return None
-                state_payload.append(("distinct", sets))
+                state_payload.append(("distinct_num", groups_arr, vals_arr))
             continue
         if func not in ("sum", "avg", "min", "max", "var", "stddev"):
             return _decline("aggregate_type")
@@ -408,18 +381,11 @@ def _columnar_local_phase(cblock, query, packed=False, admit=None):
         if kind == "str":
             if func not in ("min", "max"):
                 return _decline("aggregate_type")
-            if packed:
-                state_payload.append(
-                    (func + "_str_codes",
-                     _str_extremes(cblock, col_idx, inv, n_groups, func,
-                                   as_codes=True),
-                     cblock.dictionaries[col_idx].values)
-                )
-            else:
-                state_payload.append(
-                    (func + "_str", _str_extremes(cblock, col_idx, inv,
-                                                  n_groups, func))
-                )
+            state_payload.append(
+                (func + "_str_codes",
+                 _str_extremes(cblock, col_idx, inv, n_groups, func),
+                 cblock.dictionaries[col_idx].values)
+            )
         elif kind == "float":
             if func in ("min", "max"):
                 if len(values):
@@ -488,37 +454,14 @@ def _columnar_local_phase(cblock, query, packed=False, admit=None):
                      counts)
                 )
 
-    if packed:
-        key_payload = []
-        for j, i in enumerate(bq.key_indexes):
-            kind = columns[i].kind
-            if kind == "str":
-                key_payload.append(("str", decoded_cols[j]))
-            else:
-                dtype = np.int64 if kind == "int" else np.float64
-                key_payload.append(
-                    (kind, np.asarray(decoded_cols[j], dtype=dtype))
-                )
-        return ("packed", n_groups, key_payload, state_payload)
-
-    keys = _key_tuples(decoded_cols, n_groups)
-    per_spec = [
-        _states_from_payload(spec, payload[0], payload[1:], n_groups)
-        for spec, payload in zip(query.aggregates, state_payload)
-    ]
-    out = []
-    for g in range(n_groups):
-        group = GroupState.__new__(GroupState)
-        group.states = [states[g] for states in per_spec]
-        out.append((keys[g], group))
-    return out
-
-
-def _global_phase(job):
-    """Phase 1 for ``strategy="global"``: packed columnar partials.
-
-    A block source packs through the columnar kernel; a row source, or a
-    block a kernel guard declines, degrades to ordinary partials, which
-    the parent merge accepts (it unpacks mixed results).
-    """
-    return _local_phase(job, packed=True)
+    key_payload = []
+    for j, i in enumerate(bq.key_indexes):
+        kind = columns[i].kind
+        if kind == "str":
+            key_payload.append(("str", decoded_cols[j]))
+        else:
+            dtype = np.int64 if kind == "int" else np.float64
+            key_payload.append(
+                (kind, np.asarray(decoded_cols[j], dtype=dtype))
+            )
+    return ("packed", n_groups, key_payload, state_payload)

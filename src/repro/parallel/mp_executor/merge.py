@@ -1,9 +1,10 @@
-"""Packed partials: the raw-array wire form of phase-1 results, and the
-parent's merge over them (``strategy="global"``) — a vectorized fold,
-then each aggregate's merged arrays finished straight into result rows,
-with no per-group state object in between.  :func:`_unpack_packed` turns
-a payload back into ``(key, GroupState)`` partials for the sequential
-merge, which takes over whenever the vectorized one declines."""
+"""Packed partials: the raw-array form in which every fragment leaves
+the columnar kernel, and the parent's merge over them — a vectorized
+fold, then each aggregate's merged arrays finished straight into result
+rows, with no per-group state object in between.  :func:`_unpack_packed`
+turns a payload back into ``(key, GroupState)`` partials for the two
+callers that need them: the sequential merge, which takes over whenever
+the vectorized one declines, and round 2 of ``rep``."""
 
 from __future__ import annotations
 
@@ -50,9 +51,6 @@ def _states_from_payload(spec, tag, data, n_groups):
     if tag == "count":
         for state, c in zip(states, _aslist(data[0])):
             state.count = c
-    elif tag == "distinct":
-        for state, values in zip(states, data[0]):
-            state.values = values
     elif tag == "distinct_num":
         for g, v in zip(_aslist(data[0]), _aslist(data[1])):
             states[g].values.add(v)
@@ -79,7 +77,7 @@ def _states_from_payload(spec, tag, data, n_groups):
             state.total = t
             state.total_sq = s
             state.count = c
-    else:  # min_*/max_* carry the per-group extremes directly
+    else:  # min_int … max_float carry the per-group extremes directly
         for state, v in zip(states, _aslist(data[0])):
             state.value = v
     return states

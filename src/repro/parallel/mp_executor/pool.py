@@ -127,13 +127,14 @@ class _HeartbeatSender(threading.Thread):
 def _slow_job(fn, descriptor, factor: float, progress: list):
     """Injected straggler: run the job ``factor`` times slower.
 
-    For the default phase the rows run through the per-row loop in
-    chunks, sleeping off ``(factor - 1)`` of each chunk's elapsed time
-    and advancing ``progress`` — a limping-but-alive worker whose beats
+    For the built-in phase — every ungoverned run, whatever the
+    strategy name — the rows run through the per-row loop in chunks,
+    sleeping off ``(factor - 1)`` of each chunk's elapsed time and
+    advancing ``progress`` — a limping-but-alive worker whose beats
     show partial progress.  The accumulation order is exactly the
     sequential loop's, so results stay bit-identical to the fault-free
-    run.  Substituted phase functions are opaque: they run whole, then
-    sleep off the multiplier.
+    run.  Substituted and governed phase functions are opaque: they run
+    whole, then sleep off the multiplier.
     """
     if fn is _local_phase:
         rows, query, schema = _load_job(descriptor)
@@ -489,7 +490,6 @@ def _run_jobs_in_pool(
     chaos: ChaosOptions | None = None,
     reencode=None,
     run_deadline: float | None = None,
-    on_complete=None,
 ) -> dict[int, list]:
     """Pool dispatch: jobs go to persistent workers as small
     descriptors; returns index -> result.
@@ -500,11 +500,6 @@ def _run_jobs_in_pool(
     result), goes silent or exceeds ``timeout`` fails that attempt; the
     fragment is retried up to ``max_retries`` times before
     :class:`FragmentFailedError` aborts the run.
-
-    ``on_complete(index, payload)`` fires once per fragment, on its
-    *first* successful payload (speculative losers and duplicate
-    replies never re-fire it) — the mid-run strategy controller's
-    observation hook.
 
     Timeout, heartbeat-loss and death handling must discard the worker
     (its loop may be wedged or gone); a clean "error" reply leaves it
@@ -642,8 +637,6 @@ def _run_jobs_in_pool(
         first = record.index not in completed
         if first:
             completed[record.index] = payload
-            if on_complete is not None:
-                on_complete(record.index, payload)
         obs.attempt_done(record.index, record.attempt, record.started,
                          True, profile)
         if outstanding.get(record.index, 0) > 0:
@@ -829,7 +822,6 @@ def _run_jobs_in_pool(
 def _run_jobs_in_process(
     fn_for, jobs: list, max_retries: int, obs,
     run_deadline: float | None = None,
-    on_complete=None,
 ) -> dict[int, list]:
     """The single-CPU path: same retry semantics, no processes.
 
@@ -858,8 +850,6 @@ def _run_jobs_in_process(
             _take_declines()  # whatever this thread ran before the attempt
             try:
                 completed[index] = fn_for(attempts - 1)(job)
-                if on_complete is not None:
-                    on_complete(index, completed[index])
             except MemoryExceededError as exc:
                 cause = exc
                 error = {

@@ -25,7 +25,7 @@ class ServiceConfig:
     processes: int = 2             # pool workers per query dispatch
     reduced_processes: int = 1     # fanout at ladder rung 2 (in-process)
     algorithm: str = "adaptive_two_phase"
-    strategy: str = "pool"         # run_sql strategy (pool/global/rep/auto)
+    strategy: str = "pool"         # pool (global, auto: synonyms) or rep
     executor_timeout_seconds: float = 30.0  # per-fragment timeout
 
     # Retry (infra failures only)

@@ -393,6 +393,57 @@ class TestExplain:
         assert code == 0
         assert "sampling_decision" in text
 
+    def test_mp_run_names_why_it_left_the_fast_path(self, tmp_path):
+        """One NaN-key fragment beside a clean one: the per-row phase
+        takes the first, so the parent cannot fold — both reasons are
+        the report's answer to "why was this query slow"."""
+        from repro.core.aggregates import AggregateSpec
+        from repro.core.query import AggregateQuery
+        from repro.obs import MetricsRegistry, mp_run_artifact, write_run_json
+        from repro.parallel import multiprocessing_aggregate
+        from repro.storage.columnblock import ColumnBlock
+        from repro.storage.relation import BlockRelation, DistributedRelation
+        from repro.storage.schema import Column, Schema
+
+        schema = Schema([Column("k", "float"), Column("v", "int")])
+        parts = [[(float("nan"), 1), (1.0, 2)], [(1.0, 3), (2.0, 4)]]
+        dist = DistributedRelation(schema, [
+            BlockRelation(schema, ColumnBlock.from_rows(schema, part))
+            for part in parts
+        ])
+        query = AggregateQuery(("k",), (AggregateSpec("sum", "v"),))
+        registry = MetricsRegistry()
+        multiprocessing_aggregate(dist, query, 1, metrics=registry)
+        path = str(tmp_path / "mp.json")
+        write_run_json(mp_run_artifact(registry), path)
+        code, text = run_cli("explain", path)
+        assert code == 0
+        lines = text.splitlines()
+        assert lines[0] == "== explain: mp on 2 nodes =="
+        assert lines[1].startswith("elapsed ")
+        assert lines[1].endswith("s wall, 3 groups")
+        assert lines[2:] == [
+            "no adaptive decisions recorded (the run never had to choose)",
+            "mp.kernel.declined.* (fragment attempts that left the columnar "
+            "kernel for the per-row phase):",
+            "    nan_key                  1",
+            "mp.merge.fallback.* (runs whose parent left the vectorized "
+            "merge for the per-key one):",
+            "    mixed_partials           1",
+        ]
+        # A run that never left the fast path says so.
+        clean = DistributedRelation(
+            schema, [dist.fragments[1].relation]
+        )
+        registry = MetricsRegistry()
+        multiprocessing_aggregate(clean, query, 1, metrics=registry)
+        write_run_json(mp_run_artifact(registry), path)
+        code, text = run_cli("explain", path)
+        assert code == 0
+        assert text.splitlines()[3:] == [
+            "mp.kernel.declined.*: none", "mp.merge.fallback.*: none",
+        ]
+
     def test_missing_file_is_one_actionable_line(self):
         code, text = run_cli("explain", "/no/such/run.json")
         assert code == 2

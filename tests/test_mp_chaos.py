@@ -40,12 +40,18 @@ from repro.parallel import (
     reset_pool_breaker,
 )
 from repro.parallel import mp_executor
+from repro.parallel.mp_executor import pool as mp_pool
 from repro.parallel.mp_executor.kernel import _local_phase
 from repro.parallel.mp_executor.pool import _get_shared_pool
 from repro.sim.faults import CrashFault, FaultPlan, Straggler, WorkerStall
 from repro.workloads.generator import generate_uniform
 
-from tests.conftest import block_ids, shm_segments, stray_segments
+from tests.conftest import (
+    block_ids,
+    kernel_declines,
+    shm_segments,
+    stray_segments,
+)
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir("/dev/shm"), reason="POSIX shared memory not mounted"
@@ -203,6 +209,41 @@ class TestHeartbeats:
         assert metrics.value("mp.heartbeat.beats") >= 1
         with pytest.raises(KeyError):
             metrics.value("mp.heartbeat.lost")
+
+    @pytest.mark.parametrize("strategy", ["pool", "global", "auto"])
+    def test_slow_fault_reports_progress_under_every_strategy_name(
+        self, dist, query, strategy, monkeypatch
+    ):
+        """One built-in phase function, so the injected straggler takes
+        the chunked per-row loop — beats carry ``rows_done`` — whatever
+        the two-phase strategy is called; an opaque run-then-sleep
+        would beat with no progress at all."""
+        progress = []
+        slot = mp_pool._PoolAttempt.rows_done
+
+        class Watched(mp_pool._PoolAttempt):
+            __slots__ = ()
+
+            def _beat(self, rows_done):
+                progress.append((self.index, rows_done))
+                slot.__set__(self, rows_done)
+
+            rows_done = property(slot.__get__, _beat)
+
+        monkeypatch.setattr(mp_pool, "_PoolAttempt", Watched)
+        baseline = multiprocessing_aggregate(dist, query, processes=2)
+        plan = FaultPlan(seed=11, stragglers=(Straggler(2, 200.0),))
+        metrics = MetricsRegistry()
+        got = multiprocessing_aggregate(
+            dist, query, processes=2, timeout=60, faults=plan,
+            heartbeat_interval=0.02, metrics=metrics, strategy=strategy,
+        )
+        assert got == baseline  # bit-identical, not merely close
+        assert kernel_declines(metrics) == {"injected_slow": 1}
+        limping = [n for index, n in progress if index == 2]
+        assert max(limping) > 0, "beats reported no progress"
+        assert limping == sorted(limping)
+        assert max(limping) <= len(dist.fragments[2].relation)
 
 
 class TestSpeculation:

@@ -39,6 +39,7 @@ from repro.parallel.mp_executor.kernel import (
     _columnar_local_phase,
     _local_phase,
 )
+from repro.parallel.mp_executor.merge import _unpack_packed
 from repro.storage.columnblock import ColumnBlock
 from repro.storage.hashing import bucket_of, bucket_of_block
 from repro.storage.relation import BlockRelation, DistributedRelation
@@ -113,8 +114,12 @@ class TestGoldenStrategyParity:
 
 
 def _kernel_case(schema, rows, query):
+    """The kernel's packed payload, unpacked to (key, GroupState)
+    partials, beside the per-row loop's."""
     block = ColumnBlock.from_rows(schema, rows)
     kernel = _columnar_local_phase(block, query)
+    if kernel is not None:
+        kernel = _unpack_packed(kernel, query)
     reference = _local_phase((rows, query, schema))
     return kernel, reference
 

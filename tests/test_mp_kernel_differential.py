@@ -6,7 +6,9 @@ A hypothesis harness generates predicate x grouping x aggregates x
 HAVING x fragment split x budget x birth mode x strategy x processes
 and demands rows bit-identical to ``phase_fn=_local_phase,
 processes=1`` (the per-row loop over row lists, same split) and equal
-to ``reference_aggregate``.  The cases
+to ``reference_aggregate``; a second one holds the three names of
+two-phase (``pool``, ``global``, ``auto``) to the same rows and the same
+non-timing metrics.  The cases
 where a mask and Python could part ways are pinned by hand below it:
 each must either produce the oracle's bits or decline with a named
 reason and let the oracle's own code produce them — or its typed error.
@@ -29,6 +31,7 @@ from repro.parallel import multiprocessing_aggregate, reference_aggregate
 from repro.parallel.mp_executor import (
     SHM_PREFIX,
     FragmentFailedError,
+    release_resident_segments,
     shutdown_worker_pool,
 )
 from repro.parallel.mp_executor.kernel import (
@@ -38,6 +41,7 @@ from repro.parallel.mp_executor.kernel import (
     _take_declines,
 )
 from repro.parallel.mp_executor.mask import predicate_mask
+from repro.parallel.mp_executor.merge import _unpack_packed
 from repro.sql.parser import (
     _OPS,
     Between,
@@ -279,6 +283,50 @@ def test_every_path_returns_the_oracles_bits(
     assert run(then) == oracle(then)
 
 
+def _untimed(registry) -> dict:
+    """A run's ``metrics=`` snapshot without what a clock or the
+    allocator measured."""
+    return {
+        name: metric for name, metric in registry.snapshot().items()
+        if "seconds" not in name and "rss" not in name
+    }
+
+
+@settings(
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    rows=st.lists(_row, max_size=48),
+    query=_statement(),
+    fragments=st.integers(1, 4),
+    contiguous=st.booleans(),
+    budget=st.sampled_from([None, 10**9, 40, 1]),
+    born=st.sampled_from(["block", "rows"]),
+    processes=st.sampled_from([1, 2]),
+)
+def test_pool_global_and_auto_are_one_path(
+    rows, query, fragments, contiguous, budget, born, processes
+):
+    """Three names for two-phase: over one draw they return the same
+    bits *and* count the same attempts, retries, declines, fallbacks
+    and shipments — there is no second path for a name to select."""
+    dist = _dist(rows, born, fragments=fragments, contiguous=contiguous)
+    seen = []
+    for strategy in ("pool", "global", "auto"):
+        # Every run ships from an empty resident table, so hit/miss and
+        # resident bytes do not depend on which name ran first.
+        release_resident_segments()
+        registry = MetricsRegistry()
+        got = multiprocessing_aggregate(
+            dist, query, processes, strategy=strategy,
+            memory_budget_bytes=budget, metrics=registry,
+            heartbeat_interval=None,  # a beat counts how long it took
+        )
+        seen.append((_bits(got), _untimed(registry)))
+    assert seen[0] == seen[1] == seen[2]
+
+
 # -- masks, leaf by leaf ------------------------------------------------------
 
 _MASK_ROWS = [
@@ -414,8 +462,8 @@ def test_scalar_over_zero_surviving_rows_invents_no_group(packed):
     )
     block = ColumnBlock.from_rows(_SCHEMA, _MASK_ROWS)
     assert _per_row_phase(_MASK_ROWS, query, _SCHEMA) == []
-    got = _columnar_local_phase(block, query, packed=packed)
-    assert got[1] == 0 if packed else got == []
+    got = _columnar_local_phase(block, query)
+    assert got[1] == 0 if packed else _unpack_packed(got, query) == []
     dist = _dist(_MASK_ROWS, "block")
     for strategy in ("pool", "global", "rep", "auto"):
         assert multiprocessing_aggregate(
@@ -441,7 +489,10 @@ def test_scalar_float_sum_accumulates_in_row_order():
         AggregateSpec("sum", "v"), AggregateSpec("avg", "v"),
         AggregateSpec("var", "v"),
     ))
-    kernel = _columnar_local_phase(ColumnBlock.from_rows(schema, rows), query)
+    kernel = _unpack_packed(
+        _columnar_local_phase(ColumnBlock.from_rows(schema, rows), query),
+        query,
+    )
     assert_partials_equal(kernel, _per_row_phase(rows, query, schema))
     assert kernel[0][1].states[0].total == sequential
 

@@ -1,4 +1,4 @@
-"""Packed columnar partials and the mid-run adaptive controller.
+"""Packed columnar partials: the one form a fragment leaves the kernel in.
 
 PR-10 completed the packed wire format: string MIN/MAX ships per-group
 winner *dictionary codes* plus the fragment dictionary (merged through a
@@ -22,15 +22,9 @@ that path three ways:
   equal, floats by ``hex()``, what ``_unpack_packed`` + the sequential
   ``GroupState.merge`` loop + ``result_row`` give for the same payloads,
   every cell a plain Python value, and an all-packed run constructs no
-  ``GroupState`` or aggregate state in the parent.  Leaving the
-  vectorized merge is counted as ``mp.merge.fallback.<reason>``.
-
-* **The adaptive controller** — ``strategy="auto"`` re-samples after
-  the first K completed fragments, switches pool <-> global when the
-  observed cardinality flips the cost model, and both decisions carry
-  post-hoc verdicts; plus the stratified-sampling regression (a
-  front-loaded table must not lock in the wrong strategy from
-  fragment 0 alone).
+  ``GroupState`` or aggregate state in the parent — under every
+  two-phase strategy name, governed or not.  Leaving the vectorized
+  merge is counted as ``mp.merge.fallback.<reason>``.
 """
 
 import json
@@ -48,13 +42,6 @@ except ImportError:  # pragma: no cover - hypothesis is in the image
 
 from repro.core.aggregates import AggregateSpec, GroupState
 from repro.core.query import AggregateQuery
-from repro.costmodel.globalhash import choose_mp_strategy
-from repro.obs.decisions import (
-    MP_STRATEGY_CHOICE,
-    MP_STRATEGY_RESAMPLE,
-    DecisionLedger,
-    VERDICT_CORRECT,
-)
 from repro.parallel.mp_executor import (
     multiprocessing_aggregate,
     shutdown_worker_pool,
@@ -66,14 +53,10 @@ from repro.parallel.mp_executor.kernel import (
     _local_phase,
 )
 from repro.parallel.mp_executor.merge import _merge_packed, _unpack_packed
-from repro.parallel.mp_executor.strategies import (
-    _AUTO_SAMPLE_ROWS,
-    _auto_params,
-)
 from repro.storage.columnblock import ColumnBlock
 from repro.storage.relation import BlockRelation, DistributedRelation
 from repro.storage.schema import Column, Schema
-from repro.workloads.generator import generate_uniform, generate_zipf
+from repro.workloads.generator import generate_uniform
 
 from tests.conftest import (
     kernel_declines,
@@ -281,9 +264,7 @@ def _pin_row(k, i=0, f=0.0, s=""):
 def _payloads(parts, query):
     """Each fragment's packed payload, straight from the kernel."""
     payloads = [
-        _columnar_local_phase(
-            ColumnBlock.from_rows(_TAG_SCHEMA, part), query, packed=True
-        )
+        _columnar_local_phase(ColumnBlock.from_rows(_TAG_SCHEMA, part), query)
         for part in parts
     ]
     assert None not in payloads, "the kernel declined a fragment"
@@ -426,9 +407,7 @@ class TestPackedFinishPins:
         ]
 
     def test_having_that_rejects_every_row(self):
-        """``auto`` picks ``global`` at S = 0.25 and stays: the packed
-        finish returns 500 rows, HAVING keeps none, and the controller's
-        verdict is still judged on the groups merged."""
+        """The packed finish returns 500 rows and HAVING keeps none."""
         dist = generate_uniform(
             num_tuples=2_000, num_groups=500, num_nodes=4, seed=2
         )
@@ -436,21 +415,21 @@ class TestPackedFinishPins:
             ("gkey",), (AggregateSpec("count", None),),
             having=lambda row: row["count(*)"] < 0,
         )
-        ledger = DecisionLedger()
         registry = MetricsRegistry()
         assert multiprocessing_aggregate(
-            dist, query, 1, strategy="auto", ledger=ledger, metrics=registry
+            dist, query, 1, metrics=registry
         ) == [] == _per_row(dist, query)
-        assert registry.snapshot()["mp.auto_strategy.global"]["value"] == 1
         assert merge_fallbacks(registry) == {}
-        assert [e.truth["true_groups"] for e in ledger.events] == [500, 500]
 
     def test_an_all_packed_run_builds_no_state_objects_in_the_parent(
         self, monkeypatch
     ):
         """``processes=1`` runs the kernel in this process too, so its
-        ``packed=True`` exit is under the same count."""
+        exit is under the same count — whichever name the two-phase
+        strategy goes by, and on the governed first attempt."""
         import sys
+
+        from repro.service.config import ServiceConfig
 
         built = {"GroupState": 0, "new_state": 0}
         new_state = AggregateSpec.new_state
@@ -485,13 +464,18 @@ class TestPackedFinishPins:
         for module in patched:
             monkeypatch.setattr(module, "GroupState", Counted)
         monkeypatch.setattr(AggregateSpec, "new_state", counting_new_state)
-        rows = multiprocessing_aggregate(dist, query, 1, strategy="global")
-        assert built == {"GroupState": 0, "new_state": 0}
-        assert len(rows) == 5_000 and _bits(rows) == _bits(want)
-        # The counters do count: the sequential merge builds a
-        # GroupState per group, the kernel's unpacked exit one per
-        # group per fragment.
-        multiprocessing_aggregate(dist, query, 1, strategy="pool")
+        for strategy, budget in [
+            ("pool", None), ("global", None), ("auto", None),
+            ("pool", ServiceConfig().slice_bytes),
+        ]:
+            rows = multiprocessing_aggregate(
+                dist, query, 1, strategy=strategy, memory_budget_bytes=budget
+            )
+            assert built == {"GroupState": 0, "new_state": 0}
+            assert len(rows) == 5_000 and _bits(rows) == _bits(want)
+        # The counters do count: ``rep`` round 2 unpacks each chunk to
+        # per-group states and merges them per key.
+        multiprocessing_aggregate(dist, query, 1, strategy="rep")
         assert built["GroupState"] > 5_000 < built["new_state"]
 
 
@@ -499,21 +483,31 @@ class TestMergeFallbackCounters:
     """Leaving the vectorized merge for ``_unpack_packed`` + the per-key
     loop is counted by reason, and still exact."""
 
-    def test_a_mid_run_switch_records_mixed_partials_once(self):
-        dist = _front_loaded_dist()
-        query = AggregateQuery(("gkey",), (AggregateSpec("sum", "val"),))
-        registry = MetricsRegistry()
-        rows = multiprocessing_aggregate(
-            dist, query, 1, strategy="auto", metrics=registry,
-            auto_resample_after=1,
+    def test_a_nan_key_fragment_records_mixed_partials_once(self):
+        """``mixed_partials`` means one thing: a fragment that left the
+        kernel beside fragments that did not."""
+        schema = Schema([Column("k", "float"), Column("v", "int")])
+        clean = [(float(i % 5), i) for i in range(40)]
+        dist = _block_dist(
+            schema,
+            [clean[:20], [(float("nan"), 7), (1.0, 8)], clean[20:]],
         )
-        assert rows == _per_row(dist, query)
-        assert merge_fallbacks(registry) == {"mixed_partials": 1}
+        query = AggregateQuery(("k",), (AggregateSpec("sum", "v"),))
+        want = sorted(map(repr, _per_row(dist, query)))
+        for processes in (1, 2):
+            registry = MetricsRegistry()
+            rows = multiprocessing_aggregate(
+                dist, query, processes, metrics=registry
+            )
+            # NaN never equals NaN: compare spelled out.
+            assert sorted(map(repr, rows)) == want
+            assert merge_fallbacks(registry) == {"mixed_partials": 1}
+            assert kernel_declines(registry) == {"nan_key": 1}
 
     @pytest.mark.parametrize("processes", [1, 2])
     def test_the_merge_highS_statement_records_none(self, processes):
-        """The benchmark's high-selectivity shape (S = 0.25): ``auto``
-        picks ``global`` and stays, every partial is packed."""
+        """The benchmark's high-selectivity shape (S = 0.25), under the
+        benchmark's strategy name: every partial is packed."""
         from repro.sql import parse_query
 
         _name, query = parse_query(
@@ -527,9 +521,6 @@ class TestMergeFallbackCounters:
             dist, query, processes, strategy="auto", metrics=registry
         )
         assert len(rows) == 5_000
-        snapshot = registry.snapshot()
-        assert snapshot["mp.auto_strategy.global"]["value"] == 1
-        assert "mp.auto_strategy.switched_to.pool" not in snapshot
         assert merge_fallbacks(registry) == {}
 
     @pytest.mark.parametrize("processes", [1, 2])
@@ -593,141 +584,3 @@ class TestMergeFallbackCounters:
         )
         floats[3][0] = ("sum_float",) + floats[3][0][1:]
         assert _merge_packed([ints, floats], query) == (None, "tag_mismatch")
-
-
-# -- the mid-run adaptive controller ------------------------------------------
-
-
-def _front_loaded_dist(num_nodes=4, rows_per_node=2000):
-    """Every fragment's sampled prefix is one hot group; the rest of
-    each fragment is all-distinct — the shape that fools any prefix
-    sample but not the mid-run observation."""
-    per = max(1, _AUTO_SAMPLE_ROWS // num_nodes)
-    parts = []
-    for i in range(num_nodes):
-        part = [(0, 1.0, "")] * per
-        part += [
-            (1 + i * rows_per_node + j, 1.0, "")
-            for j in range(rows_per_node - per)
-        ]
-        parts.append(part)
-    schema = Schema(
-        [Column("gkey", "int"), Column("val", "float"),
-         Column("pad", "str", 84)]
-    )
-    return _block_dist(schema, parts)
-
-
-class TestMidRunResample:
-    def test_switch_is_exercised_and_verdict_annotated(self):
-        dist = _front_loaded_dist()
-        query = AggregateQuery(
-            ("gkey",), (AggregateSpec("sum", "val"),)
-        )
-        ledger = DecisionLedger()
-        rows = multiprocessing_aggregate(
-            dist, query, 1, strategy="auto", ledger=ledger,
-            auto_resample_after=1,
-        )
-        assert rows == _per_row(dist, query)
-
-        by_kind = {e.kind: e for e in ledger.events}
-        choice = by_kind[MP_STRATEGY_CHOICE]
-        resample = by_kind[MP_STRATEGY_RESAMPLE]
-
-        # The prefix sample sees one group -> the model picks pool (2P);
-        # the first completed fragment reveals the true cardinality and
-        # the controller switches to global mid-run.
-        assert choice.data["chosen"] == "pool"
-        assert resample.data["previous"] == "pool"
-        assert resample.data["chosen"] == "global"
-        assert resample.data["switched"] is True
-        assert resample.data["observed_fragments"] == [0]
-        assert resample.data["observed_groups"] > 1000
-
-        # Both decisions carry post-hoc verdicts against the true group
-        # count: the pre-run choice was wrong, the re-decision correct.
-        assert choice.truth["true_groups"] == len(rows)
-        assert choice.truth["decision_correct"] is False
-        assert choice.truth["verdict"] != VERDICT_CORRECT
-        assert resample.truth["decision_correct"] is True
-        assert resample.truth["verdict"] == VERDICT_CORRECT
-
-    def test_no_switch_when_sample_was_right(self):
-        dist = generate_zipf(4000, 10, 4, seed=3)
-        query = AggregateQuery(
-            ("gkey",), (AggregateSpec("sum", "val"),)
-        )
-        ledger = DecisionLedger()
-        rows = multiprocessing_aggregate(
-            dist, query, 1, strategy="auto", ledger=ledger,
-            auto_resample_after=2,
-        )
-        assert rows == _per_row(dist, query)
-        resample = next(
-            e for e in ledger.events if e.kind == MP_STRATEGY_RESAMPLE
-        )
-        assert resample.data["switched"] is False
-        assert resample.data["chosen"] == resample.data["previous"]
-        assert resample.truth["verdict"] == VERDICT_CORRECT
-
-    def test_resample_disabled_with_zero_window(self):
-        dist = _front_loaded_dist()
-        query = AggregateQuery(
-            ("gkey",), (AggregateSpec("sum", "val"),)
-        )
-        ledger = DecisionLedger()
-        multiprocessing_aggregate(
-            dist, query, 1, strategy="auto", ledger=ledger,
-            auto_resample_after=0,
-        )
-        kinds = [e.kind for e in ledger.events]
-        assert MP_STRATEGY_CHOICE in kinds
-        assert MP_STRATEGY_RESAMPLE not in kinds
-
-
-class TestStratifiedSamplingRegression:
-    def test_front_loaded_zipf_table_samples_every_fragment(self):
-        """Sampling only fragment 0 locked in the wrong strategy when
-        one fragment was all hot-group; the stratified sample must see
-        every fragment and decide correctly."""
-        base = generate_zipf(8000, 1500, 1, alpha=1.2, seed=5,
-                             columnar=False)
-        rows = base.all_rows()
-        # Front-load: sort by group frequency so fragment 0 holds only
-        # the hottest groups (few distinct keys), later fragments carry
-        # the cardinality.
-        freq: dict = {}
-        for row in rows:
-            freq[row[0]] = freq.get(row[0], 0) + 1
-        rows.sort(key=lambda row: (-freq[row[0]], row[0]))
-        num_nodes, n = 4, len(rows)
-        parts = [
-            rows[i * n // num_nodes:(i + 1) * n // num_nodes]
-            for i in range(num_nodes)
-        ]
-        dist = _block_dist(base.schema, parts)
-        query = AggregateQuery(
-            ("gkey",), (AggregateSpec("sum", "val"),)
-        )
-
-        ledger = DecisionLedger()
-        result = multiprocessing_aggregate(
-            dist, query, 1, strategy="auto", ledger=ledger
-        )
-        choice = next(
-            e for e in ledger.events if e.kind == MP_STRATEGY_CHOICE
-        )
-        assert choice.data["sampled_fragments"] == num_nodes
-        assert choice.truth["decision_correct"] is True
-
-        # The regression: a fragment-0-only prefix sample sees so few
-        # groups the model picks the other branch.
-        frag0 = parts[0][:_AUTO_SAMPLE_ROWS]
-        biased = max(
-            1.0 / len(rows),
-            len({row[0] for row in frag0}) / len(frag0),
-        )
-        biased_choice, _ = choose_mp_strategy(_auto_params(dist), biased)
-        assert biased_choice != choice.data["chosen"]
-        assert len(result) == 1500

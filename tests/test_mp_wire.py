@@ -17,8 +17,8 @@ Two contracts:
   same source type as ``processes=1``.  A fragment that travels inline
   (a row the block codec rejects) joins the same matrix.  None of those
   statements, nor the service benchmark's eight, leaves the columnar
-  kernel: ``mp.kernel.declined.*`` stays empty with and without a
-  memory budget.
+  kernel or the vectorized merge: ``mp.kernel.declined.*`` and
+  ``mp.merge.fallback.*`` stay empty with and without a memory budget.
 """
 
 import glob
@@ -37,13 +37,18 @@ from repro.parallel.mp_executor.wire import (
     _load_job,
     _projection_for,
 )
+from repro.service.config import ServiceConfig
 from repro.sql import parse_query
 from repro.storage.columnblock import ColumnBlock
 from repro.storage.relation import DistributedRelation
 from repro.storage.schema import Column, Schema
 from repro.workloads.generator import generate_uniform
 
-from tests.conftest import assert_rows_close, kernel_declines
+from tests.conftest import (
+    assert_rows_close,
+    kernel_declines,
+    merge_fallbacks,
+)
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -210,6 +215,10 @@ _SVC_STATEMENTS = [
     "SELECT gkey, VAR(val), COUNT(*) FROM r GROUP BY gkey "
     "HAVING COUNT(*) > 10",
 ]
+# ``scan_lowS`` runs the first of those; this is ``merge_highS``'s.
+_MERGE_HIGHS_STATEMENT = (
+    "SELECT gkey, SUM(val), COUNT(*), MIN(val) FROM r GROUP BY gkey"
+)
 
 
 @pytest.fixture(scope="module")
@@ -262,27 +271,36 @@ class TestShapeMatrixParity:
         )
         assert got == want
 
-    @pytest.mark.parametrize("budget", [None, 10**7])
+    @pytest.mark.parametrize(
+        "budget", [None, 10**7, ServiceConfig().slice_bytes]
+    )
     @pytest.mark.parametrize("processes", [1, 2])
     @pytest.mark.parametrize(
         "key, sql",
         [_SHAPES[shape] for shape in sorted(_SHAPES)]
-        + [("int", sql) for sql in _SVC_STATEMENTS],
-        ids=sorted(_SHAPES) + [f"svc{n}" for n in range(len(_SVC_STATEMENTS))],
+        + [("int", sql) for sql in _SVC_STATEMENTS]
+        + [("int", _MERGE_HIGHS_STATEMENT)],
+        ids=sorted(_SHAPES)
+        + [f"svc{n}" for n in range(len(_SVC_STATEMENTS))]
+        + ["merge_highS"],
     )
     def test_no_benchmark_statement_leaves_the_kernel(
         self, tables, key, sql, processes, budget
     ):
+        """Nor the vectorized merge: under ``strategy="pool"`` — what a
+        service miss runs, inside its budget slice — every partial
+        comes back packed and is folded, never unpacked."""
         _name, query = parse_query(sql)
         dist = tables[key, "block"]
         registry = MetricsRegistry()
         got = multiprocessing_aggregate(
-            dist, query, processes, metrics=registry,
+            dist, query, processes, strategy="pool", metrics=registry,
             memory_budget_bytes=budget,
         )
         assert_rows_close(got, reference_aggregate(dist, query))
         assert "mp.retries" not in registry.snapshot()
         assert kernel_declines(registry) == {}
+        assert merge_fallbacks(registry) == {}
 
     @pytest.mark.parametrize("processes", [1, 2])
     @pytest.mark.parametrize("born", ["block", "rows"])

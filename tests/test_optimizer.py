@@ -22,23 +22,9 @@ class TestRankAlgorithms:
         assert names.index("two_phase") < names.index("repartitioning")
 
     def test_repartitioning_family_leads_at_high(self, params):
-        # The shared global table (no network at all) may top the overall
-        # ranking at high selectivity; among the paper's shared-nothing
-        # algorithms the repartitioning family must still lead.
         names = [name for name, _ in rank_algorithms(params, 0.5)]
-        assert names[0] in (
-            "repartitioning",
-            "adaptive_repartitioning",
-            "global_hash",
-        )
+        assert names[0] in ("repartitioning", "adaptive_repartitioning")
         assert names.index("repartitioning") < names.index("two_phase")
-
-    def test_global_hash_crossover(self, params):
-        """Global loses at tiny selectivity (contention), wins at high."""
-        low = [name for name, _ in rank_algorithms(params, 1e-6)]
-        high = [name for name, _ in rank_algorithms(params, 0.5)]
-        assert low.index("two_phase") < low.index("global_hash")
-        assert high.index("global_hash") < high.index("two_phase")
 
 
 class TestChoosePlan:
