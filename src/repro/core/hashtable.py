@@ -289,8 +289,7 @@ class HashAggregator:
     def add_rows(self, rows, bq, apply_where: bool = True) -> int:
         """Absorb a batch of raw rows; returns how many passed WHERE.
 
-        ``rows`` is any iterable of tuples (a page, a decoded
-        :class:`~repro.storage.rowblock.RowBlock`, …).  Set
+        ``rows`` is any iterable of tuples (a page, a decoded block, …).  Set
         ``apply_where=False`` when the input is already filtered (e.g. a
         select operator upstream).
         """

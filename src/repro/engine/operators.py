@@ -10,10 +10,8 @@ behaviour is identical inside and outside the simulator.
 Hot operators additionally expose ``batches()`` — the same stream as
 ``rows()`` but in lists of ``BATCH_ROWS`` tuples, so per-row virtual
 dispatch is paid once per batch (the Volcano-overhead fix the related
-aggregation-performance studies all converge on) — and ``blocks()``,
-which yields the stream as encoded :class:`~repro.storage.RowBlock`
-buffers for process or network boundaries.  ``column_blocks()`` is the
-columnar sibling: the stream as
+aggregation-performance studies all converge on) — and
+``column_blocks()``, the stream as
 :class:`~repro.storage.columnblock.ColumnBlock` chunks, which a scan
 over a block-born :class:`~repro.storage.relation.BlockRelation` (and a
 project above it) serves as zero-copy buffer slices — no tuple is ever
@@ -28,9 +26,7 @@ from repro.core.query import AggregateQuery
 from repro.core.sortagg import SortAggregator
 from repro.storage.columnblock import ColumnBlock, have_numpy
 from repro.storage.relation import Relation
-from repro.storage.rowblock import RowBlock
 from repro.storage.schema import Column, Schema
-from repro.storage.serialization import RowCodec
 
 BATCH_ROWS = 4096
 
@@ -67,12 +63,6 @@ class Operator:
                 append = batch.append
         if batch:
             yield batch
-
-    def blocks(self, batch_rows: int = BATCH_ROWS):
-        """The output as encoded row blocks of this operator's schema."""
-        codec = RowCodec(self.schema)
-        for batch in self.batches(batch_rows):
-            yield RowBlock.from_rows(codec, batch)
 
     def column_blocks(self, batch_rows: int = BATCH_ROWS):
         """The output as :class:`ColumnBlock` chunks of this schema.

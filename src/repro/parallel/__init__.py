@@ -2,9 +2,12 @@
 
 ``local`` is the sequential reference executor every test compares
 against; ``mp_executor`` is a genuine multiprocessing two-phase executor
-(correctness-oriented — the repro notes explain that GIL/1-core hosts make
-Python wall-clock speedups meaningless, so timing claims come from the
-simulator).
+over a persistent shared-memory worker pool.  Its wall-clock time is
+measured, not modelled: the end-to-end benchmark (``BENCHMARK.json``,
+``benchmarks/e2e``) tracks it per workload, including the pool's speedup
+over one process (``parallel.pool_speedup``, 1.40 on ``scan_lowS``).  The
+paper's figures — timings of a 32-node shared-nothing machine — still
+come from the simulator.
 """
 
 from repro.parallel.file_executor import (

@@ -3,8 +3,9 @@
 Each worker process aggregates one node's fragment (phase 1); the parent
 merges the partial states (phase 2).  This demonstrates the library's
 partial-aggregate states compose across *real* process boundaries — the
-states are picklable by construction — while the simulator remains the
-source of timing results (see DESIGN.md on the GIL/1-core substitution).
+states are picklable by construction — and its wall-clock time is
+tracked by the end-to-end benchmark (``BENCHMARK.json``); the paper's
+32-node figures come from the simulator (see DESIGN.md).
 
 Dispatch runs through a persistent worker pool: workers are forked once
 and reused across fragments, retries and runs, and every non-empty

@@ -6,7 +6,6 @@ from __future__ import annotations
 import os
 import time
 
-from repro.core.aggregates import GroupState
 from repro.core.query import AggregateQuery
 from repro.obs.profile import WorkerProfile
 from repro.obs.tracer import PHASE as _CAT_PHASE
@@ -14,7 +13,7 @@ from repro.parallel.mp_executor.kernel import _GovernedPhase, _local_phase
 from repro.parallel.mp_executor.merge import (
     _is_packed,
     _merge_packed,
-    _unpack_packed,
+    _merge_sequential,
 )
 from repro.parallel.mp_executor.pool import (
     WorkerPool,
@@ -523,29 +522,15 @@ def multiprocessing_aggregate(
         # A fragment that left the kernel (a decline, a spill retry, an
         # injected slowdown) leaves an unpacked partial among packed
         # ones, and a guard can refuse the fold: both are counted by
-        # reason, unpack everything and take the sequential merge below
-        # (same result, just slower).
+        # reason and take the sequential merge below (same result, just
+        # slower).
         reason = "mixed_partials"
         if all(packed):
             rows, reason = _merge_packed(ordered, query)
         if rows is None:
             obs.merge_fallback(reason)
-            ordered = [
-                _unpack_packed(p, query) if is_packed else p
-                for p, is_packed in zip(ordered, packed)
-            ]
     if rows is None:
-        # Merge into states owned by this function: never mutate (or
-        # shallow-copy) the pooled partials, so re-running over the same
-        # inputs can never see aliased state from an earlier merge.
-        merged: dict[tuple, GroupState] = {}
-        for partials in ordered:
-            for key, state in partials:
-                mine = merged.get(key)
-                if mine is None:
-                    mine = GroupState(query.aggregates)
-                    merged[key] = mine
-                mine.merge(state)
+        merged = _merge_sequential(ordered, query)
         rows = [bq.result_row(key, state) for key, state in merged.items()]
     if query.having is not None:
         rows = [row for row in rows if bq.passes_having(row)]

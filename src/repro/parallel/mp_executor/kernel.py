@@ -5,6 +5,9 @@ columnar kernel (:func:`_columnar_local_phase`) takes WHERE as a column
 mask (:mod:`~repro.parallel.mp_executor.mask`), scalar aggregation as
 the one-group case and the memory budget as a group ceiling, and has one
 exit: the packed payload of :mod:`~repro.parallel.mp_executor.merge`.
+It is that module's merge applied to per-row singleton partials — *lift,
+then fold*: the guards and the lifting of a column to its tag's arrays
+live here, the grouping and the folds are the merge's own.
 The per-row loop (:func:`_per_row_phase`), which returns
 ``(key, GroupState)`` partials, is the oracle the kernel must match bit
 for bit, the fallback when a kernel guard declines a block, and —
@@ -25,7 +28,12 @@ from repro.parallel.mp_executor.mask import (
 from repro.parallel.mp_executor.merge import (
     _EXACT_FLOAT_INT,
     _INT64_LIMIT,
+    _distinct_pairs,
+    _fold,
+    _fold_tag,
+    _group_codes,
     _int_magnitude,
+    _rank_lut,
 )
 from repro.resources.governor import MemoryExceededError
 from repro.storage.columnblock import ColumnBlock
@@ -173,15 +181,18 @@ class _GovernedPhase:
 
 # -- the columnar kernel ------------------------------------------------------
 #
-# Works directly on a ColumnBlock's buffers: WHERE as a boolean mask
-# over them, group keys of any type and arity via per-column
-# ``np.unique`` codes (string columns group over their int32 dictionary
-# codes; no key column at all is the one-group case), aggregates via
-# ``bincount``/``ufunc.at`` folds.  Every guard below exists to keep the
-# kernel *bit-identical* to the per-row phase, not merely close — when a
-# shape could diverge (NaN keys, signed-zero ties, int sums past exact
-# float range, a predicate Python would evaluate differently) the kernel
-# declines, naming the reason, and the caller runs the per-row loop.
+# Lift, then fold, directly on a ColumnBlock's buffers: WHERE is a
+# boolean mask over them; each surviving row is *lifted* to a singleton
+# partial — its key columns as they are (string columns as their int32
+# dictionary codes; no key column at all is the one-group case), each
+# aggregate's column as the arrays of its packed tag — and the partials
+# are grouped and folded by the merge's ``_group_codes`` / ``_fold_tag``.
+# Every guard below exists to keep the kernel *bit-identical* to the
+# per-row phase, not merely close — when a shape could diverge (NaN
+# keys, signed-zero ties, int sums past exact float range, a predicate
+# Python would evaluate differently) the kernel declines, naming the
+# reason, and the caller runs the per-row loop.  A guard is a statement
+# about raw column values, which only this caller holds: it stays here.
 
 
 def _filter_block(cblock, query):
@@ -205,35 +216,26 @@ def _filter_block(cblock, query):
     )
 
 
-def _decode_unique(cblock, col_idx, kind, uniq):
-    """Decoded Python values for one column's unique array."""
-    if kind == "str":
-        values = cblock.dictionaries[col_idx].values
-        return [values[c] for c in uniq.tolist()]
-    return uniq.tolist()
-
-
 def _columnar_group_keys(cblock, query):
-    """Group-key codes for a block: (decoded key columns, inv, n_groups).
+    """Filter a block by WHERE and group what passes by key: (filtered
+    block, key payload, inv, n_groups).
 
-    ``decoded[j][g]`` is key column ``j``'s Python value for group ``g``
-    and ``inv[r]`` is row ``r``'s group index.  Scalar aggregation is
-    the degenerate case: no key columns, every row in group 0 — and no
-    group at all over zero rows, where the per-row loop emits no
-    partial either.  Returns None when the per-row path's key semantics
-    cannot be reproduced vectorized: NaN keys (Python dicts keep
-    distinct NaN objects distinct, ``np.unique`` collapses them) and
-    signed-zero float keys (the dict keeps the first-seen
-    representative, the sort may not).
+    The key payload is the wire form, ``(kind, values)`` per key column
+    with ``values[g]`` group ``g``'s value — an array for int and float
+    columns, decoded strings for str — and ``inv[r]`` is row ``r``'s
+    group.  Returns None when the predicate has no exact mask, or the
+    per-row path's key semantics cannot be reproduced vectorized: NaN
+    keys (Python dicts keep distinct NaN objects distinct, ``np.unique``
+    collapses them) and signed-zero float keys (the dict keeps the
+    first-seen representative, the sort may not).
     """
     import numpy as np
 
+    cblock = _filter_block(cblock, query)
+    if cblock is None:
+        return None
     bq = query.bind(cblock.schema)
-    if not bq.key_indexes:
-        n = cblock.num_rows
-        return [], np.zeros(n, dtype=np.intp), 1 if n else 0
     columns = cblock.schema.columns
-    per_col = []
     for i in bq.key_indexes:
         col = cblock.columns[i]
         if columns[i].kind == "float" and len(col):
@@ -242,72 +244,56 @@ def _columnar_group_keys(cblock, query):
             zeros = col == 0.0
             if zeros.any() and np.signbit(col[zeros]).any():
                 return _decline("signed_zero_key")
-        uniq, codes = np.unique(col, return_inverse=True)
-        per_col.append((i, columns[i].kind, uniq, codes.reshape(-1)))
-    if len(per_col) == 1:
-        i, kind, uniq, inv = per_col[0]
-        return [_decode_unique(cblock, i, kind, uniq)], inv, len(uniq)
-    stacked = np.column_stack(
-        [np.asarray(c[3], dtype=np.int64) for c in per_col]
+    keys, inv, n_groups = _group_codes(
+        [cblock.columns[i] for i in bq.key_indexes], cblock.num_rows
     )
-    uniq_rows, inv = np.unique(stacked, axis=0, return_inverse=True)
-    inv = inv.reshape(-1)
-    decoded = []
-    for j, (i, kind, uniq, _codes) in enumerate(per_col):
-        vals = _decode_unique(cblock, i, kind, uniq)
-        decoded.append([vals[c] for c in uniq_rows[:, j].tolist()])
-    return decoded, inv, len(uniq_rows)
+    key_payload = []
+    for i, values in zip(bq.key_indexes, keys):
+        kind = columns[i].kind
+        if kind == "str":
+            decoded = cblock.dictionaries[i].values
+            values = [decoded[c] for c in values.tolist()]
+        key_payload.append((kind, values))
+    return cblock, key_payload, inv, n_groups
 
 
-def _distinct_pairs(cblock, col_idx, inv, n_groups):
-    """Sorted-unique ``(group, value)`` arrays for COUNT(DISTINCT).
-
-    One structured-array unique over the whole column; the result is the
-    column's distinct pairs sorted by (group, value) — the packed wire
-    form for the distinct merge.  None for float columns containing NaN:
-    the per-row path's set keeps each decoded NaN object as its own
-    element while ``np.unique`` collapses them.
-    """
+def _lift(func, kind, values):
+    """One int or float column as its aggregate's packed tag and the
+    per-row arrays that tag folds: ``(tag, arrays)``, ``None`` standing
+    for the one-per-row array whose fold is the group's row count.
+    Int sums stay int64 under an overflow guard and become Python ints
+    again; int VAR moments cast int64→float64 exactly as Python's
+    float+int add does; MIN/MAX ties are only distinguishable for signed
+    zeros.  Returns None, the reason recorded, when the fold's result
+    could differ from the per-row loop's."""
     import numpy as np
 
-    kind = cblock.schema.columns[col_idx].kind
-    col = cblock.columns[col_idx]
-    if kind == "float" and len(col) and np.isnan(col).any():
-        return _decline("nan_distinct")
-    rec = np.empty(len(col), dtype=[("g", np.int64), ("v", col.dtype)])
-    rec["g"] = inv
-    rec["v"] = col
-    pairs = np.unique(rec)
-    return pairs["g"], pairs["v"]
-
-
-def _str_extremes(cblock, col_idx, inv, n_groups, func):
-    """Per-group MIN/MAX over a dictionary-encoded string column, as an
-    int64 array of the winners' *dictionary codes*.
-
-    Ranks the dictionary once (sort its values, invert the permutation)
-    and folds the per-row ranks with ``minimum.at``/``maximum.at`` — the
-    same total order Python's ``<`` gives, so results match the per-row
-    fold exactly.  The parent merge re-ranks the codes against the union
-    dictionary without ever materializing per-group strings.
-    """
-    import numpy as np
-
-    dvals = cblock.dictionaries[col_idx].values
-    order = sorted(range(len(dvals)), key=dvals.__getitem__)
-    rank_of = np.empty(len(dvals), dtype=np.int64)
-    rank_of[np.asarray(order, dtype=np.int64)] = np.arange(
-        len(dvals), dtype=np.int64
-    )
-    ranks = rank_of[cblock.columns[col_idx]]
-    if func == "min":
-        acc = np.full(n_groups, len(dvals), dtype=np.int64)
-        np.minimum.at(acc, inv, ranks)
-    else:
-        acc = np.full(n_groups, -1, dtype=np.int64)
-        np.maximum.at(acc, inv, ranks)
-    # Every group holds >= 1 row, so no sentinel rank survives.
-    return np.asarray(order, dtype=np.int64)[acc]
+    if func in ("min", "max"):
+        if kind == "float" and len(values):
+            if np.isnan(values).any():
+                # per-row keeps first, np propagates
+                return _decline("nan_extreme")
+            zeros = values == 0.0
+            if zeros.any() and np.signbit(values[zeros]).any():
+                # -0.0/0.0 tie winner differs
+                return _decline("signed_zero_extreme")
+        return f"{func}_{kind}", (values,)
+    if func in ("sum", "avg"):
+        if (
+            kind == "int"
+            and _int_magnitude(values) * len(values) >= _INT64_LIMIT
+        ):
+            # per-row Python ints cannot overflow
+            return _decline("int_sum_overflow")
+        arrays = (values,) if func == "sum" else (values, None)
+        return f"{func}_{kind}", arrays
+    # var / stddev share VarianceState's three moments
+    if kind == "int":
+        if _int_magnitude(values) > _EXACT_FLOAT_INT:
+            # float64(v)**2 != float64(v*v)
+            return _decline("int_var_precision")
+        values = values.astype(np.float64)
+    return "var", (values, values * values, None)
 
 
 def _columnar_local_phase(cblock, query, admit=None):
@@ -316,38 +302,25 @@ def _columnar_local_phase(cblock, query, admit=None):
 
     Returns a ``("packed", n_groups, key_columns, state_columns)``
     payload of raw arrays for the parent's vectorized merge
-    (``key_columns`` is empty for a scalar query).  Every aggregate
-    has a packed wire form: count_distinct ships sorted-unique
-    ``(group, value)`` pair arrays (codes + the block dictionary for
-    str columns) and str MIN/MAX ships per-group winner *codes* plus
-    the dictionary, so the parent merges via LUT unions instead of
-    unpacking to per-group states
-    (:func:`~repro.parallel.mp_executor.merge._unpack_packed` does that
-    for the callers that need them).  ``admit(n_groups)`` is the memory
-    budget's group ceiling: called once the block's group count is
-    known, it raises what the per-row watchdog raises on the same
-    input.  Returns None when
-    a guard detects a shape whose vectorized result could differ from
-    the per-row loop's (see the section comment) — each such return
-    records its reason through :func:`_decline`; the caller then
-    decodes and runs per-row.
-
-    Bit-parity notes: ``bincount`` accumulates weights in input order —
-    the sequential loop's order — so float sums agree bit for bit; int
-    sums use int64 with an overflow guard and become Python ints again;
-    int VAR moments cast int64→float64 exactly as Python's float+int
-    add does; MIN/MAX ties are only distinguishable for signed zeros,
-    which are guarded.
+    (``key_columns`` is empty for a scalar query).  Every aggregate has
+    a packed wire form — its tag, then the tag's folded arrays:
+    count_distinct ships sorted-unique ``(group, value)`` pair arrays
+    (codes + the block dictionary for str columns) and str MIN/MAX
+    ships per-group winner *codes* plus the dictionary, so the parent
+    merges via LUT unions instead of unpacking to per-group states.
+    ``admit(n_groups)`` is the memory budget's group ceiling: called
+    once the block's group count is known, it raises what the per-row
+    watchdog raises on the same input.  Returns None when a guard
+    declines (see the section comment and :func:`_lift`), its reason
+    recorded through :func:`_decline`; the caller then decodes and runs
+    per-row.
     """
     import numpy as np
 
-    cblock = _filter_block(cblock, query)
-    if cblock is None:
+    grouped = _columnar_group_keys(cblock, query)
+    if grouped is None:
         return None
-    comp = _columnar_group_keys(cblock, query)
-    if comp is None:
-        return None
-    decoded_cols, inv, n_groups = comp
+    cblock, key_payload, inv, n_groups = grouped
     if admit is not None:
         admit(n_groups)
     counts = np.bincount(inv, minlength=n_groups).astype(np.int64)
@@ -361,107 +334,43 @@ def _columnar_local_phase(cblock, query, admit=None):
             # Codec rows never carry NULL, so COUNT(col) == COUNT(*).
             state_payload.append(("count", counts))
             continue
-        if func == "count_distinct":
-            pairs = _distinct_pairs(cblock, col_idx, inv, n_groups)
-            if pairs is None:
-                return None
-            groups_arr, vals_arr = pairs
-            if columns[col_idx].kind == "str":
-                state_payload.append(
-                    ("distinct_str", groups_arr, vals_arr,
-                     cblock.dictionaries[col_idx].values)
-                )
-            else:
-                state_payload.append(("distinct_num", groups_arr, vals_arr))
-            continue
-        if func not in ("sum", "avg", "min", "max", "var", "stddev"):
+        if func not in (
+            "count_distinct", "sum", "avg", "min", "max", "var", "stddev"
+        ):
             return _decline("aggregate_type")
         kind = columns[col_idx].kind
         values = cblock.columns[col_idx]
-        if kind == "str":
+        if func == "count_distinct":
+            if kind == "float" and len(values) and np.isnan(values).any():
+                # The per-row set keeps each decoded NaN object as its
+                # own element; a unique collapses them.
+                return _decline("nan_distinct")
+            pairs = _distinct_pairs(inv, values)
+            if kind == "str":
+                state_payload.append(
+                    ("distinct_str", *pairs,
+                     cblock.dictionaries[col_idx].values)
+                )
+            else:
+                state_payload.append(("distinct_num", *pairs))
+        elif kind == "str":
             if func not in ("min", "max"):
                 return _decline("aggregate_type")
+            # Fold the rows' dictionary ranks and ship the winners'
+            # *codes*: the parent re-ranks them against the union
+            # dictionary without materializing per-group strings.
+            decoded = cblock.dictionaries[col_idx].values
+            order, rank_of = _rank_lut(decoded)
+            winners = _fold(func, rank_of[values], inv, n_groups)
             state_payload.append(
-                (func + "_str_codes",
-                 _str_extremes(cblock, col_idx, inv, n_groups, func),
-                 cblock.dictionaries[col_idx].values)
+                (func + "_str_codes", order[winners], decoded)
             )
-        elif kind == "float":
-            if func in ("min", "max"):
-                if len(values):
-                    if np.isnan(values).any():
-                        # per-row keeps first, np propagates
-                        return _decline("nan_extreme")
-                    zeros = values == 0.0
-                    if zeros.any() and np.signbit(values[zeros]).any():
-                        # -0.0/0.0 tie winner differs
-                        return _decline("signed_zero_extreme")
-                if func == "min":
-                    acc = np.full(n_groups, np.inf)
-                    np.minimum.at(acc, inv, values)
-                else:
-                    acc = np.full(n_groups, -np.inf)
-                    np.maximum.at(acc, inv, values)
-                state_payload.append((func + "_float", acc))
-            elif func == "sum":
-                state_payload.append(
-                    ("sum_float",
-                     np.bincount(inv, weights=values, minlength=n_groups))
-                )
-            elif func == "avg":
-                state_payload.append(
-                    ("avg_float",
-                     np.bincount(inv, weights=values, minlength=n_groups),
-                     counts)
-                )
-            else:  # var / stddev share VarianceState's three moments
-                state_payload.append(
-                    ("var",
-                     np.bincount(inv, weights=values, minlength=n_groups),
-                     np.bincount(inv, weights=values * values,
-                                 minlength=n_groups),
-                     counts)
-                )
-        else:  # int
-            if func in ("min", "max"):
-                info = np.iinfo(np.int64)
-                if func == "min":
-                    acc = np.full(n_groups, info.max, dtype=np.int64)
-                    np.minimum.at(acc, inv, values)
-                else:
-                    acc = np.full(n_groups, info.min, dtype=np.int64)
-                    np.maximum.at(acc, inv, values)
-                state_payload.append((func + "_int", acc))
-            elif func in ("sum", "avg"):
-                if _int_magnitude(values) * len(values) >= _INT64_LIMIT:
-                    # per-row Python ints cannot overflow
-                    return _decline("int_sum_overflow")
-                acc = np.zeros(n_groups, dtype=np.int64)
-                np.add.at(acc, inv, values)
-                if func == "sum":
-                    state_payload.append(("sum_int", acc))
-                else:
-                    state_payload.append(("avg_int", acc, counts))
-            else:  # var / stddev over ints
-                if _int_magnitude(values) > _EXACT_FLOAT_INT:
-                    # float64(v)**2 != float64(v*v)
-                    return _decline("int_var_precision")
-                vf = values.astype(np.float64)
-                state_payload.append(
-                    ("var",
-                     np.bincount(inv, weights=vf, minlength=n_groups),
-                     np.bincount(inv, weights=vf * vf, minlength=n_groups),
-                     counts)
-                )
-
-    key_payload = []
-    for j, i in enumerate(bq.key_indexes):
-        kind = columns[i].kind
-        if kind == "str":
-            key_payload.append(("str", decoded_cols[j]))
         else:
-            dtype = np.int64 if kind == "int" else np.float64
-            key_payload.append(
-                (kind, np.asarray(decoded_cols[j], dtype=dtype))
+            lifted = _lift(func, kind, values)
+            if lifted is None:
+                return None
+            tag, arrays = lifted
+            state_payload.append(
+                (tag, *_fold_tag(tag, arrays, inv, n_groups, counts))
             )
     return ("packed", n_groups, key_payload, state_payload)

@@ -1,12 +1,23 @@
-"""Packed partials: the raw-array form in which every fragment leaves
-the columnar kernel, and the parent's merge over them — a vectorized
-fold, then each aggregate's merged arrays finished straight into result
-rows, with no per-group state object in between.  :func:`_unpack_packed`
-turns a payload back into ``(key, GroupState)`` partials for the two
-callers that need them: the sequential merge, which takes over whenever
-the vectorized one declines, and round 2 of ``rep``."""
+"""One grouping, one fold: the arithmetic of both phases, and the
+parent's merge over packed partials.
+
+The paper's local phase and merge phase are one hash-aggregation
+operator, applied to raw tuples and then to partial results.  Here it
+exists once: *group* (:func:`_group_codes`), then *fold*
+(:func:`_fold_tag`).  The phase-1 kernel lifts each row to a singleton
+partial and folds those; :func:`_merge_packed` concatenates the
+fragments' partials, folds those, and finishes each aggregate's merged
+arrays straight into result rows, with no per-group state object in
+between.  The numpy call behind each fold op is what keeps every path
+bit-identical to the per-row loop.
+:func:`_unpack_packed` turns a payload back into ``(key, GroupState)``
+partials for :func:`_merge_sequential`, the per-key merge that takes
+over whenever the vectorized one declines and runs round 2 of ``rep``.
+"""
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from repro.core.aggregates import (
     GroupState,
@@ -37,12 +48,131 @@ def _int_magnitude(values) -> int:
     return max(-int(values.min()), int(values.max()))
 
 
-def _key_tuples(decoded_cols, n_groups: int) -> list[tuple]:
-    """Per-group key tuples from per-column value lists; with no key
-    column (scalar aggregation) every group's key is ``()``."""
-    if not decoded_cols:
+# -- group, then fold ---------------------------------------------------------
+
+
+def _group_codes(columns, n_rows: int):
+    """Number the distinct key tuples of ``n_rows`` inputs, one array
+    per key column in ``columns``: ``(keys, inv, n_groups)`` with
+    ``keys[j][g]`` column ``j``'s value for group ``g`` and ``inv[r]``
+    input ``r``'s group.  Each column is numbered by its own
+    ``np.unique``, several columns by an ``axis=0`` unique over those
+    codes.  No key column is the scalar case: every input in group 0 —
+    and no group over no input, where the per-row loop emits no partial
+    either.  Callers rely only on ``inv``'s *partition* of the inputs:
+    folds run in input order however the groups are numbered.
+    """
+    import numpy as np
+
+    if not columns:
+        return [], np.zeros(n_rows, dtype=np.intp), 1 if n_rows else 0
+    uniques, codes = [], []
+    for column in columns:
+        uniq, inv = np.unique(column, return_inverse=True)
+        uniques.append(uniq)
+        codes.append(inv.reshape(-1))
+    if len(columns) == 1:
+        return uniques, codes[0], len(uniques[0])
+    stacked = np.column_stack([np.asarray(c, dtype=np.int64) for c in codes])
+    uniq_rows, inv = np.unique(stacked, axis=0, return_inverse=True)
+    keys = [uniq[uniq_rows[:, j]] for j, uniq in enumerate(uniques)]
+    return keys, inv.reshape(-1), len(uniq_rows)
+
+
+def _distinct_pairs(groups, values):
+    """The distinct ``(group, value)`` pairs as two arrays, sorted by
+    (group, value) — COUNT(DISTINCT)'s wire form and its merge."""
+    import numpy as np
+
+    rec = np.empty(
+        len(groups), dtype=[("g", np.int64), ("v", values.dtype)]
+    )
+    rec["g"] = groups
+    rec["v"] = values
+    pairs = np.unique(rec)
+    return pairs["g"], pairs["v"]
+
+
+def _rank_lut(dictionary_values):
+    """``(order, rank_of)`` for a string dictionary: ``order[r]`` is the
+    code of the ``r``-th smallest value, ``rank_of[code]`` its rank — in
+    Python's ``<`` order, so a min/max over ranks picks the per-row
+    fold's winner."""
+    import numpy as np
+
+    n = len(dictionary_values)
+    order = np.asarray(
+        sorted(range(n), key=dictionary_values.__getitem__), dtype=np.int64
+    )
+    rank_of = np.empty(n, dtype=np.int64)
+    rank_of[order] = np.arange(n, dtype=np.int64)
+    return order, rank_of
+
+
+# tag -> the fold op of each array the tag carries, in wire order.  Two
+# families are not per-array folds and are handled by name: ``*_str_codes``
+# (ranks through ``_rank_lut``, then ``min``/``max``) and ``distinct_*``
+# (``_distinct_pairs``).
+_FOLD_OPS = {
+    "count": ("add_int",),
+    "sum_int": ("add_int",),
+    "avg_int": ("add_int", "add_int"),
+    "sum_float": ("add_float",),
+    "avg_float": ("add_float", "add_int"),
+    "var": ("add_float", "add_float", "add_int"),
+    "min_int": ("min",),
+    "max_int": ("max",),
+    "min_float": ("min",),
+    "max_float": ("max",),
+}
+
+
+def _fold(op, values, inv, n_groups):
+    """``values`` reduced per group under one op.  ``add_float`` is
+    ``bincount(weights=)``, which accumulates in input order — the
+    sequential loop's — so float sums agree bit for bit; ``add_int`` is
+    an int64 ``add.at`` (callers guard overflow); every group holds at
+    least one input, so no ``min``/``max`` fill survives."""
+    import numpy as np
+
+    if op == "add_float":
+        return np.bincount(inv, weights=values, minlength=n_groups)
+    if op == "add_int":
+        acc = np.zeros(n_groups, dtype=np.int64)
+        np.add.at(acc, inv, values)
+        return acc
+    if values.dtype.kind == "f":
+        acc = np.full(n_groups, np.inf if op == "min" else -np.inf)
+    else:
+        info = np.iinfo(np.int64)
+        acc = np.full(
+            n_groups, info.max if op == "min" else info.min, dtype=np.int64
+        )
+    (np.minimum if op == "min" else np.maximum).at(acc, inv, values)
+    return acc
+
+
+def _fold_tag(tag, arrays, inv, n_groups, counts=None):
+    """One aggregate's per-group arrays, in the tag's wire order, from
+    one input array per op of ``_FOLD_OPS[tag]``.  ``None`` stands for
+    "one per input" — what the kernel lifts a row's count to — whose
+    fold is ``counts``, the input count per group the caller holds."""
+    return [
+        counts if values is None else _fold(op, values, inv, n_groups)
+        for op, values in zip(_FOLD_OPS[tag], arrays)
+    ]
+
+
+# -- packed payloads as per-group states --------------------------------------
+
+
+def _key_tuples(key_payload, n_groups: int) -> list[tuple]:
+    """Per-group key tuples from a payload's ``(kind, values)`` key
+    columns; with no key column (scalar aggregation) every group's key
+    is ``()``."""
+    if not key_payload:
         return [()] * n_groups
-    return list(zip(*decoded_cols))
+    return list(zip(*(_aslist(data) for _kind, data in key_payload)))
 
 
 def _states_from_payload(spec, tag, data, n_groups):
@@ -93,9 +223,7 @@ def _is_packed(result) -> bool:
 def _unpack_packed(payload, query):
     """Expand a packed worker payload into (key, GroupState) partials."""
     _tag, n_groups, key_payload, state_payload = payload
-    keys = _key_tuples(
-        [_aslist(data) for _kind, data in key_payload], n_groups
-    )
+    keys = _key_tuples(key_payload, n_groups)
     per_spec = [
         _states_from_payload(spec, p[0], p[1:], n_groups)
         for spec, p in zip(query.aggregates, state_payload)
@@ -108,28 +236,47 @@ def _unpack_packed(payload, query):
     return out
 
 
-def _distinct_counts(groups, values, n_groups) -> list[int]:
-    """Per-group COUNT(DISTINCT) from ``(group, value)`` pair arrays that
-    may repeat a pair: one structured unique dedups them, and a group's
-    count is its number of surviving pairs."""
+def _merge_sequential(partials, query) -> dict[tuple, GroupState]:
+    """The per-key merge of ``partials`` (packed ones unpacked first),
+    in the order given, into states built here and owned by the caller:
+    the partials are never mutated (or shallow-copied), so re-running
+    over the same inputs can never see aliased state from an earlier
+    merge."""
+    merged: dict[tuple, GroupState] = {}
+    for partial in partials:
+        if _is_packed(partial):
+            partial = _unpack_packed(partial, query)
+        for key, state in partial:
+            mine = merged.get(key)
+            if mine is None:
+                mine = GroupState(query.aggregates)
+                merged[key] = mine
+            mine.merge(state)
+    return merged
+
+
+def _union_codes(code_arrays, dictionaries):
+    """``(union dictionary's values, the fragments' code arrays remapped
+    into it and concatenated)``: equal strings from different fragments
+    unify without a per-group string being materialized."""
     import numpy as np
 
-    rec = np.empty(
-        len(groups), dtype=[("g", np.int64), ("v", values.dtype)]
-    )
-    rec["g"] = groups
-    rec["v"] = values
-    return np.bincount(np.unique(rec)["g"], minlength=n_groups).tolist()
+    union = StringDictionary()
+    remapped = []
+    for codes, values in zip(code_arrays, dictionaries):
+        lut = np.asarray([union.code_of(v) for v in values], dtype=np.int64)
+        remapped.append(lut[codes])
+    return union.values, np.concatenate(remapped)
 
 
 def _merge_packed(payloads, query):
     """Vectorized global merge of per-worker packed payloads.
 
     ``payloads`` must be every fragment's packed result in fragment
-    order.  Re-groups the concatenated per-fragment group keys with the
-    same unique/codes machinery the kernel uses (a scalar query's
-    payloads carry no key columns: one group), then folds each
-    aggregate's arrays — in concatenation (= fragment) order, so float
+    order.  Groups the concatenated per-fragment group keys
+    (:func:`_group_codes`; a scalar query's payloads carry no key
+    columns: one group), then folds each aggregate's concatenated arrays
+    (:func:`_fold_tag`) — in concatenation (= fragment) order, so float
     accumulation matches the sequential merge bit for bit.  Each
     aggregate's merged arrays are then *finished* into one list of plain
     Python values (``.tolist()``, and for AVG/VAR/STDDEV the very
@@ -141,209 +288,78 @@ def _merge_packed(payloads, query):
     ``(None, reason)`` when exactness cannot be guaranteed
     (``int_sum_overflow``: the magnitudes could add past int64;
     ``tag_mismatch``: the payloads disagree on an aggregate's wire form),
-    in which case the caller unpacks and merges sequentially.
+    in which case the caller merges sequentially.
     """
     import numpy as np
 
-    if sum(p[1] for p in payloads) == 0:
+    sizes = [p[1] for p in payloads]
+    if not any(sizes):
         return [], None
-    num_keys = len(payloads[0][2])
-    cols = []
-    for j in range(num_keys):
-        kind = payloads[0][2][j][0]
-        if kind == "str":
-            full = np.array(
-                [v for p in payloads for v in p[2][j][1]], dtype=object
-            )
-        else:
-            full = np.concatenate(
-                [np.asarray(p[2][j][1]) for p in payloads]
-            )
-        uniq, codes = np.unique(full, return_inverse=True)
-        cols.append((kind, uniq, codes.reshape(-1)))
-    if not num_keys:
-        # Scalar: every fragment's (at most one) group is the one group.
-        inv = np.zeros(sum(p[1] for p in payloads), dtype=np.intp)
-        n_groups = 1
-        decoded = []
-    elif num_keys == 1:
-        kind, uniq, inv = cols[0]
-        n_groups = len(uniq)
-        decoded = [uniq.tolist()]
-    else:
-        stacked = np.column_stack(
-            [np.asarray(c[2], dtype=np.int64) for c in cols]
-        )
-        uniq_rows, inv = np.unique(stacked, axis=0, return_inverse=True)
-        inv = inv.reshape(-1)
-        n_groups = len(uniq_rows)
-        decoded = []
-        for j, (kind, uniq, _codes) in enumerate(cols):
-            vals = uniq.tolist()
-            decoded.append([vals[c] for c in uniq_rows[:, j].tolist()])
-    # Fragment f's local group g sits at position offsets[f] + g in the
-    # concatenated key arrays, so inv[offsets[f] + g] is its global
-    # group — the LUT the pair-array and code-array merges fold through.
-    offsets = []
-    base = 0
-    for p in payloads:
-        offsets.append(base)
-        base += p[1]
+    key_columns = []
+    for parts in zip(*(p[2] for p in payloads)):
+        kinds, values = zip(*parts)
+        if kinds[0] == "str":  # object, not <U: trailing NULs must survive
+            values = [np.asarray(v, dtype=object) for v in values]
+        key_columns.append(np.concatenate(values))
+    keys, inv, n_groups = _group_codes(key_columns, sum(sizes))
 
     columns = []
     for s_idx, spec in enumerate(query.aggregates):
-        tag = payloads[0][3][s_idx][0]
-        parts = [p[3][s_idx] for p in payloads]
-        if any(part[0] != tag for part in parts):
+        # Transposed: the fragments' tags, their first arrays, …
+        tags, *fields = zip(*(p[3][s_idx] for p in payloads))
+        tag = tags[0]
+        if any(t != tag for t in tags):
             return None, "tag_mismatch"
-        if tag == "count":
-            full = np.concatenate([np.asarray(part[1]) for part in parts])
-            acc = np.zeros(n_groups, dtype=np.int64)
-            np.add.at(acc, inv, full)
-            column = acc.tolist()
-        elif tag in ("sum_int", "avg_int"):
-            arrays = [np.asarray(part[1]) for part in parts]
-            if sum(_int_magnitude(a) for a in arrays) >= _INT64_LIMIT:
+        if tag in _FOLD_OPS:
+            if tag in ("sum_int", "avg_int") and sum(
+                map(_int_magnitude, fields[0])
+            ) >= _INT64_LIMIT:
                 # the Python merge keeps exact big ints
                 return None, "int_sum_overflow"
-            acc = np.zeros(n_groups, dtype=np.int64)
-            np.add.at(acc, inv, np.concatenate(arrays))
-            if tag == "sum_int":
-                column = acc.tolist()
-            else:
-                cacc = np.zeros(n_groups, dtype=np.int64)
-                np.add.at(
-                    cacc, inv,
-                    np.concatenate([np.asarray(p[2]) for p in parts]),
-                )
+            arrays = [np.concatenate(field) for field in fields]
+            folded = [
+                a.tolist() for a in _fold_tag(tag, arrays, inv, n_groups)
+            ]
+            if tag in ("avg_int", "avg_float"):
                 # Python's int / int is correctly rounded; numpy's
                 # int64 / int64 rounds both operands first past 2**53.
-                column = list(map(finish_avg, acc.tolist(), cacc.tolist()))
-        elif tag in ("sum_float", "avg_float"):
-            totals = np.bincount(
-                inv,
-                weights=np.concatenate(
-                    [np.asarray(part[1]) for part in parts]
-                ),
-                minlength=n_groups,
-            )
-            if tag == "sum_float":
-                column = totals.tolist()
+                column = list(map(finish_avg, *folded))
+            elif tag == "var":
+                total, total_sq, count = folded
+                finish = (
+                    finish_stddev if spec.func == "stddev" else finish_variance
+                )
+                column = list(map(finish, count, total, total_sq))
             else:
-                cacc = np.zeros(n_groups, dtype=np.int64)
-                np.add.at(
-                    cacc, inv,
-                    np.concatenate([np.asarray(p[2]) for p in parts]),
-                )
-                column = list(
-                    map(finish_avg, totals.tolist(), cacc.tolist())
-                )
-        elif tag == "var":
-            totals = np.bincount(
-                inv,
-                weights=np.concatenate(
-                    [np.asarray(part[1]) for part in parts]
-                ),
-                minlength=n_groups,
-            )
-            sq = np.bincount(
-                inv,
-                weights=np.concatenate(
-                    [np.asarray(part[2]) for part in parts]
-                ),
-                minlength=n_groups,
-            )
-            cacc = np.zeros(n_groups, dtype=np.int64)
-            np.add.at(
-                cacc, inv,
-                np.concatenate([np.asarray(part[3]) for part in parts]),
-            )
-            finish = (
-                finish_stddev if spec.func == "stddev" else finish_variance
-            )
-            column = list(
-                map(finish, cacc.tolist(), totals.tolist(), sq.tolist())
-            )
-        elif tag in ("min_int", "max_int", "min_float", "max_float"):
-            full = np.concatenate([np.asarray(part[1]) for part in parts])
-            if tag.endswith("_int"):
-                info = np.iinfo(np.int64)
-                fill = info.max if tag[:3] == "min" else info.min
-                acc = np.full(n_groups, fill, dtype=np.int64)
-            else:
-                acc = np.full(
-                    n_groups, np.inf if tag[:3] == "min" else -np.inf
-                )
-            (np.minimum if tag[:3] == "min" else np.maximum).at(
-                acc, inv, full
-            )
-            column = acc.tolist()
+                column = folded[0]
         elif tag in ("min_str_codes", "max_str_codes"):
-            # Dictionary-code LUT union: absorb every fragment's
-            # dictionary into one union dictionary, remap the per-group
-            # winner codes through it, rank the union once, and fold
-            # ranks — ties are equal strings, so any winner decodes to
-            # the same value the sequential merge keeps.
-            union = StringDictionary()
-            luts = [
-                np.asarray(
-                    [union.code_of(v) for v in part[2]], dtype=np.int64
-                )
-                for part in parts
-            ]
-            dvals = union.values
-            order = sorted(range(len(dvals)), key=dvals.__getitem__)
-            rank_of = np.empty(len(dvals), dtype=np.int64)
-            rank_of[np.asarray(order, dtype=np.int64)] = np.arange(
-                len(dvals), dtype=np.int64
+            # Remap the per-group winner codes through the union
+            # dictionary, rank it once, fold ranks — ties are equal
+            # strings, so any winner decodes to the value the
+            # sequential merge keeps.
+            union, codes = _union_codes(*fields)
+            order, rank_of = _rank_lut(union)
+            winners = _fold(tag[:3], rank_of[codes], inv, n_groups)
+            column = [union[c] for c in order[winners].tolist()]
+        elif tag in ("distinct_num", "distinct_str"):
+            # Set fold over sorted-unique (group, value) pair arrays.
+            # Fragment f's local group g sits at offsets[f] + g in the
+            # concatenated key arrays, so inv[offsets[f] + g] is its
+            # global group; str codes become union codes; one unique
+            # dedups across fragments; a group counts its pairs.
+            offsets = accumulate(sizes, initial=0)
+            groups = np.concatenate(
+                [inv[at + local] for at, local in zip(offsets, fields[0])]
             )
-            ranks = np.concatenate(
-                [
-                    rank_of[lut[np.asarray(part[1], dtype=np.int64)]]
-                    if len(part[1]) else np.empty(0, dtype=np.int64)
-                    for lut, part in zip(luts, parts)
-                ]
-            )
-            if tag.startswith("min"):
-                acc = np.full(n_groups, len(dvals), dtype=np.int64)
-                np.minimum.at(acc, inv, ranks)
+            if tag == "distinct_str":
+                _union, values = _union_codes(*fields[1:])
             else:
-                acc = np.full(n_groups, -1, dtype=np.int64)
-                np.maximum.at(acc, inv, ranks)
-            column = [dvals[order[r]] for r in acc.tolist()]
-        elif tag == "distinct_num":
-            # Set fold over sorted-unique (group, value) pair arrays:
-            # remap each fragment's local groups to global ones, then
-            # one structured unique dedups across fragments.
-            gparts, vparts = [], []
-            for f, part in enumerate(parts):
-                local = np.asarray(part[1], dtype=np.int64)
-                gparts.append(inv[offsets[f] + local])
-                vparts.append(np.asarray(part[2]))
-            column = _distinct_counts(
-                np.concatenate(gparts), np.concatenate(vparts), n_groups
-            )
-        elif tag == "distinct_str":
-            # As distinct_num, but codes go through the union-dictionary
-            # LUT first so equal strings from different fragments unify.
-            union = StringDictionary()
-            gparts, cparts = [], []
-            for f, part in enumerate(parts):
-                lut = np.asarray(
-                    [union.code_of(v) for v in part[3]], dtype=np.int64
-                )
-                local = np.asarray(part[1], dtype=np.int64)
-                codes = np.asarray(part[2], dtype=np.int64)
-                gparts.append(inv[offsets[f] + local])
-                cparts.append(
-                    lut[codes] if len(codes)
-                    else np.empty(0, dtype=np.int64)
-                )
-            column = _distinct_counts(
-                np.concatenate(gparts), np.concatenate(cparts), n_groups
-            )
+                values = np.concatenate(fields[1])
+            column = np.bincount(
+                _distinct_pairs(groups, values)[0], minlength=n_groups
+            ).tolist()
         else:  # a tag this merge does not know
             return None, "tag_mismatch"
         columns.append(column)
 
-    return list(zip(*decoded, *columns)), None
+    return list(zip(*(k.tolist() for k in keys), *columns)), None

@@ -15,7 +15,6 @@ from collections import deque
 from multiprocessing import resource_tracker
 from multiprocessing.connection import wait as _connection_wait
 
-from repro.core.aggregates import GroupState
 from repro.obs.decisions import (
     SPECULATIVE_EXECUTION,
     VERDICT_CORRECT,
@@ -25,6 +24,7 @@ from repro.obs.profile import profile_finish, profile_start
 from repro.parallel.mp_executor.kernel import (
     _decline,
     _local_phase,
+    _per_row_phase,
     _take_declines,
 )
 from repro.parallel.mp_executor.resilience import (
@@ -124,14 +124,24 @@ class _HeartbeatSender(threading.Thread):
         self.join()
 
 
+def _limping(rows, factor: float, progress: list):
+    """``rows``, one at a time; every ``_SLOW_CHUNK_ROWS`` of them
+    advance ``progress`` and sleep off ``(factor - 1)`` of the time the
+    consumer took over the chunk."""
+    for start in range(0, len(rows), _SLOW_CHUNK_ROWS):
+        t0 = time.perf_counter()
+        yield from rows[start:start + _SLOW_CHUNK_ROWS]
+        progress[0] = min(start + _SLOW_CHUNK_ROWS, len(rows))
+        time.sleep((factor - 1.0) * (time.perf_counter() - t0))
+
+
 def _slow_job(fn, descriptor, factor: float, progress: list):
     """Injected straggler: run the job ``factor`` times slower.
 
     For the built-in phase — every ungoverned run, whatever the
-    strategy name — the rows run through the per-row loop in chunks,
-    sleeping off ``(factor - 1)`` of each chunk's elapsed time and
-    advancing ``progress`` — a limping-but-alive worker whose beats
-    show partial progress.  The accumulation order is exactly the
+    strategy name — the rows run through the per-row loop in chunks
+    (:func:`_limping`) — a limping-but-alive worker whose beats show
+    partial progress.  The accumulation order is exactly the
     sequential loop's, so results stay bit-identical to the fault-free
     run.  Substituted and governed phase functions are opaque: they run
     whole, then sleep off the multiplier.
@@ -141,22 +151,9 @@ def _slow_job(fn, descriptor, factor: float, progress: list):
         _decline("injected_slow")
         if isinstance(rows, ColumnBlock):
             rows = rows.to_rows()
-        bq = query.bind(schema)
-        table: dict[tuple, GroupState] = {}
-        for start in range(0, len(rows), _SLOW_CHUNK_ROWS):
-            t0 = time.perf_counter()
-            for row in rows[start:start + _SLOW_CHUNK_ROWS]:
-                if not bq.matches(row):
-                    continue
-                key = bq.key_of(row)
-                state = table.get(key)
-                if state is None:
-                    state = GroupState(query.aggregates)
-                    table[key] = state
-                state.update(bq.values_of(row))
-            progress[0] = min(start + _SLOW_CHUNK_ROWS, len(rows))
-            time.sleep((factor - 1.0) * (time.perf_counter() - t0))
-        return list(table.items())
+        return _per_row_phase(
+            _limping(rows, factor, progress), query, schema
+        )
     t0 = time.perf_counter()
     result = fn(_load_job(descriptor))
     time.sleep((factor - 1.0) * (time.perf_counter() - t0))

@@ -2,18 +2,12 @@
 
 from __future__ import annotations
 
-from repro.core.aggregates import GroupState
 from repro.parallel.mp_executor.kernel import (
     _columnar_group_keys,
     _decline,
-    _filter_block,
     _local_phase,
 )
-from repro.parallel.mp_executor.merge import (
-    _is_packed,
-    _key_tuples,
-    _unpack_packed,
-)
+from repro.parallel.mp_executor.merge import _key_tuples, _merge_sequential
 from repro.parallel.mp_executor.pool import (
     _get_shared_pool,
     _run_jobs_in_pool,
@@ -86,15 +80,12 @@ class _RepPartitionPhase:
         """
         import numpy as np
 
-        block = _filter_block(block, query)
-        if block is None:
+        grouped = _columnar_group_keys(block, query)
+        if grouped is None:
             return None
-        comp = _columnar_group_keys(block, query)
-        if comp is None:
-            return None
-        decoded_cols, inv, n_groups = comp
+        block, key_payload, inv, n_groups = grouped
         lut = np.empty(max(n_groups, 1), dtype=np.int64)
-        for g, key in enumerate(_key_tuples(decoded_cols, n_groups)):
+        for g, key in enumerate(_key_tuples(key_payload, n_groups)):
             lut[g] = stable_hash(key) % self.num_buckets
         row_buckets = lut[inv]
         chunks = []
@@ -119,26 +110,21 @@ def _rep_bucket_phase(job):
     fragment, in fragment order: ``("block", bytes)`` for a columnar
     slice or ``("rows", rows)`` for a per-row slice.  Each chunk is
     aggregated exactly like a 2P fragment (:func:`_local_phase`: kernel
-    first, per-row on a decline), a packed partial is unpacked to
-    per-group states, and the per-chunk partials are merged in fragment
-    order — reproducing the 2P merge's operation order bit for bit,
-    just sharded by key range.
+    first, per-row on a decline) and the per-chunk partials are merged
+    per key in fragment order (:func:`_merge_sequential`) — reproducing
+    the 2P merge's operation order bit for bit, just sharded by key
+    range.
     """
     chunks, query, schema = job
-    merged: dict[tuple, GroupState] = {}
-    for kind, payload in chunks:
-        if kind == "block":
-            payload = ColumnBlock.from_bytes(schema, payload)
-        partial = _local_phase((payload, query, schema))
-        if _is_packed(partial):
-            partial = _unpack_packed(partial, query)
-        for key, state in partial:
-            mine = merged.get(key)
-            if mine is None:
-                mine = GroupState(query.aggregates)
-                merged[key] = mine
-            mine.merge(state)
-    return list(merged.items())
+    partials = (
+        _local_phase((
+            ColumnBlock.from_bytes(schema, payload) if kind == "block"
+            else payload,
+            query, schema,
+        ))
+        for kind, payload in chunks
+    )
+    return list(_merge_sequential(partials, query).items())
 
 
 def _run_rep_strategy(

@@ -14,9 +14,7 @@ from repro.storage.columnblock import (
     have_numpy,
 )
 from repro.storage.hashing import (
-    BucketMemo,
     bucket_of,
-    bucket_of_block,
     hash_bytes,
     stable_hash,
 )
@@ -27,18 +25,15 @@ from repro.storage.pagefile import (
 )
 from repro.storage.partition import (
     hash_partition,
-    hash_partition_block,
     range_partition,
     round_robin_partition,
 )
 from repro.storage.relation import DistributedRelation, Fragment, Relation
-from repro.storage.rowblock import RowBlock
 from repro.storage.schema import Column, Schema
 from repro.storage.serialization import RowCodec
 from repro.storage.spill import FileSpillStore, MemorySpillStore
 
 __all__ = [
-    "BucketMemo",
     "Column",
     "ColumnBlock",
     "DistributedRelation",
@@ -47,15 +42,12 @@ __all__ = [
     "MemorySpillStore",
     "PageFile",
     "Relation",
-    "RowBlock",
     "RowCodec",
     "Schema",
     "StringDictionary",
     "bucket_of",
-    "bucket_of_block",
     "hash_bytes",
     "hash_partition",
-    "hash_partition_block",
     "have_numpy",
     "range_partition",
     "read_relation_file",

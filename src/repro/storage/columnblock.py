@@ -1,9 +1,10 @@
 """Column-major blocks with dictionary-encoded string columns.
 
-The row-major fixed-width :class:`repro.storage.rowblock.RowBlock` makes
-N rows one contiguous byte run, but every columnar kernel working on it
-must first transpose — and its NUL-padded string codec cannot represent
-strings with trailing NULs at all.  A :class:`ColumnBlock` stores one
+The row-major fixed-width encoding of
+:class:`repro.storage.serialization.RowCodec` makes N rows one
+contiguous byte run, but every columnar kernel working on it must first
+transpose — and its NUL-padded string codec cannot represent strings
+with trailing NULs at all.  A :class:`ColumnBlock` stores one
 contiguous numpy-backed buffer *per column*: int columns as little-endian
 int64, float columns as IEEE-754 doubles, and string columns as int32
 codes into a per-block :class:`StringDictionary`.  Dictionary codes make
@@ -246,10 +247,6 @@ class ColumnBlock:
             [arr[start:stop] for arr in self.columns],
             self.dictionaries,
         )
-
-    def head(self, n: int) -> "ColumnBlock":
-        """The first ``n`` rows (buffer-sharing, like :meth:`slice`)."""
-        return self.slice(0, n)
 
     def to_bytes(self) -> bytes:
         """One contiguous buffer: header, column buffers, dictionaries."""

@@ -18,8 +18,6 @@ by golden vectors in ``tests/golden/block_parity.json``.
 
 from __future__ import annotations
 
-import struct
-
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -58,9 +56,8 @@ def _encode(value) -> bytes:
 def hash_bytes(data) -> int:
     """64-bit FNV-1a over raw bytes, identical across processes and runs.
 
-    This is the block path's entry point: key bytes that are already in a
-    row block's fixed-width encoding can be hashed directly, skipping the
-    canonical re-encoding that :func:`stable_hash` performs per value.
+    Bytes that are already a canonical encoding can be hashed directly,
+    skipping the re-encoding that :func:`stable_hash` performs per value.
     """
     h = _FNV_OFFSET
     if len(data) <= 2 * _CHUNK:
@@ -84,125 +81,3 @@ def bucket_of(value, num_buckets: int) -> int:
     if num_buckets <= 0:
         raise ValueError("num_buckets must be positive")
     return stable_hash(value) % num_buckets
-
-
-class BucketMemo:
-    """A bounded, governor-accountable memo for :func:`bucket_of_block`.
-
-    A plain dict shared across the blocks of one partitioning pass is an
-    unbounded cache: high-cardinality keys grow it without any
-    ``MemoryGovernor`` accounting.  ``BucketMemo`` is a drop-in
-    replacement (it implements the ``get``/``__setitem__`` subset the
-    memoization loop uses): entries up to ``max_entries`` are kept and,
-    when the bound is hit, the memo **sheds** — every entry is dropped at
-    once, the charged bytes are released, and the shed is observable.
-    Shedding only costs recomputation; bucket assignments are pure, so
-    results are identical with any bound.
-
-    Accounting is optional on both axes: pass an
-    :class:`repro.resources.governor.OperatorAccount` to charge
-    ``entry_bytes`` per memoized key (released on shed/close), and a
-    :class:`repro.obs.metrics.MetricsRegistry` to count sheds as
-    ``mem_bucket_memo_sheds`` / ``mem_bucket_memo_shed_entries``.
-    """
-
-    __slots__ = (
-        "max_entries", "entry_bytes", "account", "metrics",
-        "sheds", "shed_entries", "_table",
-    )
-
-    def __init__(
-        self,
-        max_entries: int = 1 << 16,
-        *,
-        entry_bytes: int = 64,
-        account=None,
-        metrics=None,
-    ) -> None:
-        if max_entries <= 0:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self.entry_bytes = entry_bytes
-        self.account = account
-        self.metrics = metrics
-        self.sheds = 0
-        self.shed_entries = 0
-        self._table: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def __contains__(self, raw) -> bool:
-        return raw in self._table
-
-    def get(self, raw, default=None):
-        return self._table.get(raw, default)
-
-    def __setitem__(self, raw, bucket) -> None:
-        if len(self._table) >= self.max_entries and raw not in self._table:
-            self._shed()
-        if raw not in self._table and self.account is not None:
-            self.account.charge(self.entry_bytes)
-        self._table[raw] = bucket
-
-    def _shed(self) -> None:
-        dropped = len(self._table)
-        self._table.clear()
-        self.sheds += 1
-        self.shed_entries += dropped
-        if self.account is not None:
-            self.account.release(dropped * self.entry_bytes)
-        if self.metrics is not None:
-            self.metrics.counter("mem_bucket_memo_sheds").inc()
-            self.metrics.counter("mem_bucket_memo_shed_entries").inc(dropped)
-
-    def close(self) -> None:
-        """Release whatever the memo still holds (idempotent)."""
-        if self.account is not None:
-            self.account.release(len(self._table) * self.entry_bytes)
-        self._table.clear()
-
-
-def bucket_of_block(block, col_indexes, num_buckets: int, cache=None) -> list[int]:
-    """Bucket assignment for every row of a block, memoized per distinct key.
-
-    Produces exactly ``bucket_of(tuple(row[i] for i in col_indexes))`` for
-    each row, but hashes each *distinct* key once: the raw fixed-width key
-    bytes (equal tuples ⇔ equal bytes) index a cache of computed buckets, so
-    grouped data pays one decode + one hash per group instead of per tuple.
-
-    Pass the same ``cache`` across blocks of one partitioning pass to
-    share the memo; with ``cache=None`` each call memoizes only within the
-    block.  A plain dict works but grows without bound on high-cardinality
-    keys — prefer a :class:`BucketMemo`, which bounds the entry count
-    (shedding is invisible to results) and can charge a governor account.
-    """
-    if num_buckets <= 0:
-        raise ValueError("num_buckets must be positive")
-    codec = block.codec
-    key_struct = struct.Struct(
-        "<" + "".join(codec.column_structs[i].format[1:] for i in col_indexes)
-    )
-    str_positions = tuple(
-        j
-        for j, i in enumerate(col_indexes)
-        if codec.schema.columns[i].kind == "str"
-    )
-    if cache is None:
-        cache = {}
-    cache_get = cache.get
-    buckets = []
-    append = buckets.append
-    for raw in block.key_bytes(col_indexes):
-        bucket = cache_get(raw)
-        if bucket is None:
-            values = key_struct.unpack(raw)
-            if str_positions:
-                values = list(values)
-                for j in str_positions:
-                    values[j] = values[j].rstrip(b"\x00").decode("utf-8")
-                values = tuple(values)
-            bucket = stable_hash(values) % num_buckets
-            cache[raw] = bucket
-        append(bucket)
-    return buckets

@@ -17,7 +17,7 @@ consumes the partitions.
 
 from __future__ import annotations
 
-from repro.storage.hashing import bucket_of, bucket_of_block
+from repro.storage.hashing import bucket_of
 
 
 def _charge(account, row_bytes: int) -> None:
@@ -48,32 +48,6 @@ def hash_partition(
     for row in rows:
         parts[bucket_of(key_func(row), num_parts)].append(row)
         _charge(account, row_bytes)
-    return parts
-
-
-def hash_partition_block(
-    block, col_indexes, num_parts: int, account=None, row_bytes: int = 0,
-    cache=None,
-) -> list[list]:
-    """Partition a :class:`~repro.storage.rowblock.RowBlock` by key columns.
-
-    Row-for-row identical to ``hash_partition(block.to_rows(), num_parts,
-    lambda r: tuple(r[i] for i in col_indexes))`` — the bucket of each
-    distinct key is computed once from its encoded bytes (see
-    :func:`repro.storage.hashing.bucket_of_block`) instead of re-hashing
-    every tuple.  Partitions hold decoded tuple rows, so downstream
-    consumers are unchanged.
-    """
-    if num_parts <= 0:
-        raise ValueError("num_parts must be positive")
-    parts: list[list] = [[] for _ in range(num_parts)]
-    buckets = bucket_of_block(block, col_indexes, num_parts, cache=cache)
-    rows = block.to_rows()
-    charge = account is not None and row_bytes > 0
-    for row, bucket in zip(rows, buckets):
-        parts[bucket].append(row)
-        if charge:
-            account.charge(row_bytes)
     return parts
 
 

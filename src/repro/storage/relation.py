@@ -76,10 +76,6 @@ class Relation:
         idx = self.schema.index_of(name)
         return [row[idx] for row in self.rows]
 
-    def head(self, n: int) -> list:
-        """The first ``n`` rows (a cheap prefix, used for sampling)."""
-        return self.rows[:n]
-
 
 class BlockRelation(Relation):
     """A relation born columnar: a :class:`ColumnBlock`, rows on demand.
@@ -129,11 +125,6 @@ class BlockRelation(Relation):
 
     def column_values(self, name: str):
         return self.block.column(self.schema.index_of(name))
-
-    def head(self, n: int) -> list:
-        if self._rows is not None:
-            return self._rows[:n]
-        return self.block.head(n).to_rows()
 
 
 @dataclass

@@ -6,8 +6,8 @@ exactly their declared ``size_bytes`` (UTF-8, NUL-padded; truncation and
 trailing-NUL values rejected — the pad byte would make them decode to a
 different string).  Fixed width keeps tuples-per-page arithmetic exact — the
 same arithmetic the cost models charge I/O with — and makes N encoded
-rows a contiguous, sliceable byte run (see
-:class:`repro.storage.rowblock.RowBlock`).
+rows a contiguous, sliceable byte run: a page of
+:class:`repro.storage.pagefile.PageFile`.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from repro.storage.schema import Schema
 class RowCodec:
     """Encode/decode rows of one schema to fixed-width bytes.
 
-    All per-column work — the combined struct format, each column's own
-    precompiled :class:`struct.Struct`, byte offsets, and which columns
+    All per-column work — the combined struct format and which columns
     need UTF-8 handling — is resolved once here, so the per-row
     ``encode``/``decode`` and the bulk ``encode_many``/``decode_many``
     never rebuild schema-derived state.
@@ -30,9 +29,6 @@ class RowCodec:
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
         parts = []
-        column_structs = []
-        offsets = []
-        offset = 0
         # (position, width, name) for every string column; empty for
         # all-numeric schemas, which then take the pack-directly path.
         self._str_cols: tuple[tuple[int, int, str], ...] = tuple(
@@ -48,12 +44,7 @@ class RowCodec:
             else:
                 fmt = f"{column.size_bytes}s"
             parts.append(fmt)
-            column_structs.append(struct.Struct("<" + fmt))
-            offsets.append(offset)
-            offset += column_structs[-1].size
         self._struct = struct.Struct("<" + "".join(parts))
-        self.column_structs: tuple[struct.Struct, ...] = tuple(column_structs)
-        self.column_offsets: tuple[int, ...] = tuple(offsets)
 
     @property
     def row_bytes(self) -> int:
@@ -124,13 +115,3 @@ class RowCodec:
             decode_values(values)
             for values in self._struct.iter_unpack(data)
         ]
-
-    def decode_column(self, data, row_index: int, col_index: int):
-        """One column value out of a contiguous encoding, without
-        materializing the row (uses the per-column precompiled codec)."""
-        base = row_index * self._struct.size + self.column_offsets[col_index]
-        (value,) = self.column_structs[col_index].unpack_from(data, base)
-        for i, _width, _name in self._str_cols:
-            if i == col_index:
-                return value.rstrip(b"\x00").decode("utf-8")
-        return value

@@ -16,7 +16,8 @@ from repro.workloads.generator import generate_uniform
 
 # CI's chaos-matrix and low-memory jobs rerun the differential harness
 # (tests/test_mp_kernel_differential.py), the packed merge's per-tag
-# property test (tests/test_mp_packed.py) and the resident-segment
+# property test (tests/test_mp_packed.py), the grouping seam's two
+# properties (tests/test_mp_grouping.py) and the resident-segment
 # state machine (tests/test_mp_resident.py, a fifth of it: an example
 # there is a dozen runs) under this example budget:
 # ``--hypothesis-profile=stress``.  Tests that fix their own

@@ -6,11 +6,7 @@ embedded NULs, trailing NULs, non-ASCII, astral plane.  The strategies
 here generate exactly that hostile domain on purpose.  The fixed-width
 codec's counterpart guarantee — trailing-NUL strings are *rejected* at
 encode time instead of silently corrupted at decode time — is pinned in
-``tests/test_rowblock.py``.
-
-Also covers :class:`repro.storage.BucketMemo`: bounded memoization for
-``bucket_of_block`` whose shedding is invisible to results but visible
-to the governor account and metrics.
+``tests/test_rowcodec.py``.
 """
 
 import struct
@@ -19,15 +15,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.obs.metrics import MetricsRegistry
-from repro.resources.governor import MemoryPolicy, NodeLedger
 from repro.storage.columnblock import (
     ColumnBlock,
     StringDictionary,
     have_numpy,
 )
-from repro.storage.hashing import BucketMemo, bucket_of, bucket_of_block
-from repro.storage.rowblock import RowBlock
 from repro.storage.schema import Column, Schema
 
 pytestmark = pytest.mark.skipif(
@@ -153,54 +145,3 @@ class TestFromBytesErrors:
         struct.pack_into("<i", data, 16, 99)
         with pytest.raises(ValueError, match="dictionary range"):
             ColumnBlock.from_bytes(schema, bytes(data))
-
-
-# -- BucketMemo ---------------------------------------------------------------
-
-
-def _key_block(keys):
-    schema = Schema([Column("k", "int"), Column("v", "int")])
-    return RowBlock.from_rows(schema, [(k, k * 3) for k in keys])
-
-
-class TestBucketMemo:
-    def test_results_identical_to_unbounded(self):
-        keys = [i % 37 for i in range(500)]
-        block = _key_block(keys)
-        memo = BucketMemo(max_entries=8)
-        assert bucket_of_block(block, [0], 16, cache=memo) == [
-            bucket_of((k,), 16) for k in keys
-        ]
-        assert memo.sheds > 0  # 37 distinct keys through an 8-entry memo
-
-    def test_bound_is_enforced(self):
-        memo = BucketMemo(max_entries=4)
-        for k in range(100):
-            memo[bytes([k])] = k % 7
-        assert len(memo) <= 4
-        assert memo.shed_entries > 0
-
-    def test_account_charges_and_releases(self):
-        ledger = NodeLedger(MemoryPolicy(node_budget_bytes=10_000), 0)
-        account = ledger.open("partition")
-        memo = BucketMemo(max_entries=4, entry_bytes=100, account=account)
-        for k in range(3):
-            memo[bytes([k])] = k
-        assert account.used == 300
-        memo[b"\x03"] = 3
-        memo[b"\x04"] = 4  # hits the bound: shed releases the charge
-        assert account.used == 100
-        memo.close()
-        assert account.used == 0
-
-    def test_shed_metric_emitted(self):
-        metrics = MetricsRegistry()
-        memo = BucketMemo(max_entries=2, metrics=metrics)
-        for k in range(5):
-            memo[bytes([k])] = k
-        assert metrics.counter("mem_bucket_memo_sheds").value >= 1
-        assert metrics.counter("mem_bucket_memo_shed_entries").value >= 2
-
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            BucketMemo(max_entries=0)

@@ -41,9 +41,7 @@ from repro.parallel.mp_executor.kernel import (
 )
 from repro.parallel.mp_executor.merge import _unpack_packed
 from repro.storage.columnblock import ColumnBlock
-from repro.storage.hashing import bucket_of, bucket_of_block
 from repro.storage.relation import BlockRelation, DistributedRelation
-from repro.storage.rowblock import RowBlock
 from repro.storage.schema import Column, Schema
 from repro.storage.serialization import RowCodec
 
@@ -302,16 +300,6 @@ class TestTrailingNulRegression:
         block = ColumnBlock.from_rows(schema, rows)
         back = ColumnBlock.from_bytes(schema, block.to_bytes())
         assert back.to_rows() == rows
-
-    def test_bucket_of_block_agrees_for_nul_adjacent_strings(self):
-        # Embedded NULs are the encodable boundary shapes: block
-        # bucketing must agree with per-tuple hashing exactly.
-        schema = Schema([Column("k", "str", 8), Column("v", "int")])
-        rows = [("a\x00b", 1), ("a", 2), ("\x00a", 3), ("ab", 4)] * 5
-        block = RowBlock.from_rows(schema, rows)
-        assert bucket_of_block(block, [0], 7) == [
-            bucket_of((row[0],), 7) for row in rows
-        ]
 
     def test_mp_executor_handles_trailing_nul_keys(self):
         """Trailing-NUL keys flow through every strategy identically:

@@ -460,7 +460,7 @@ class TestPackedFinishPins:
             if name.startswith("repro.parallel.mp_executor.")
             and getattr(module, "GroupState", None) is GroupState
         ]
-        assert len(patched) >= 3  # api, kernel, merge at the least
+        assert len(patched) >= 2  # kernel and merge build every state
         for module in patched:
             monkeypatch.setattr(module, "GroupState", Counted)
         monkeypatch.setattr(AggregateSpec, "new_state", counting_new_state)

