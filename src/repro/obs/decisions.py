@@ -306,8 +306,9 @@ def mp_run_artifact(metrics, ledger: DecisionLedger | None = None) -> dict:
     ``metrics`` is the :class:`~repro.obs.MetricsRegistry` the run
     filled through ``metrics=`` (one run per registry); ``ledger`` the
     one it was handed, if any.  The snapshot carries every
-    ``mp.kernel.declined.<reason>`` and ``mp.merge.fallback.<reason>``
-    the run counted, which is what ``repro explain`` prints for it.
+    ``mp.kernel.declined.<reason>``, ``mp.merge.fallback.<reason>`` and
+    ``mp.{kernel,merge}.grouping.<path>`` the run counted, which is what
+    ``repro explain`` prints for it.
     """
     snapshot = metrics.snapshot()
 
@@ -402,20 +403,26 @@ def _describe_event(event: DecisionEvent) -> list[str]:
     return lines
 
 
-# Where an mp run can leave its fast path, and what leaving means: the
-# two counter families that answer "why was this query slow".
-_MP_DEPARTURES = (
+# Which path an mp run took, family by family: the two that answer "why
+# was this query slow" (it left the kernel, or the vectorized merge),
+# then how each grouping step numbered its keys.
+_MP_PATH_COUNTERS = (
     ("mp.kernel.declined.",
      "fragment attempts that left the columnar kernel for the per-row "
      "phase"),
     ("mp.merge.fallback.",
      "runs whose parent left the vectorized merge for the per-key one"),
+    ("mp.kernel.grouping.",
+     "key columns the fragments numbered by direct addressing (dense) "
+     "or by a sort"),
+    ("mp.merge.grouping.",
+     "key columns the parent's merge numbered the same two ways"),
 )
 
 
-def _describe_mp_departures(metrics: dict) -> list[str]:
+def _describe_mp_paths(metrics: dict) -> list[str]:
     lines = []
-    for prefix, meaning in _MP_DEPARTURES:
+    for prefix, meaning in _MP_PATH_COUNTERS:
         reasons = sorted(
             (name[len(prefix):], metric.get("value"))
             for name, metric in metrics.items()
@@ -466,7 +473,7 @@ def render_explain(doc: dict, drift_table: str | None = None) -> str:
             )
             lines.append(f"verdicts: {summary}")
     if mp_run:
-        lines.extend(_describe_mp_departures(doc.get("metrics", {})))
+        lines.extend(_describe_mp_paths(doc.get("metrics", {})))
     if drift_table:
         lines.append("")
         lines.append(drift_table)

@@ -21,23 +21,13 @@ its 100 bytes.  Empty fragments, and rows the block codec rejects (an
 int outside int64, a mistyped value), are pickled inline instead.
 
 Each fragment is shipped once.  The segment written for a *block-born*
-fragment (its relation holds a ``ColumnBlock``, immutable once it sits
-there — what every generator and ``repro serve`` produce) stays
-**resident** in shared memory after the run, in a parent-owned table
-keyed by (the block, the projected columns), and a repeat run over the
-same block and projection sends descriptors, not bytes.  A resident
-segment is unlinked when its block is collected, by least-recently-
-shipped eviction under a byte ceiling the code works out from the shm
-mount, by :func:`shutdown_worker_pool` (so at interpreter exit) and
-:func:`release_resident_segments` (the query service, when a table is
-replaced or bumped), or when it is found gone — deferred, while a run
-still reads it, to that run's end, and never by a forked worker.
-Fragments shipped from row lists get per-run segments as before.
-Either way the parent owns every segment and no *stray* one survives
-any exit path (success, worker error, timeout, dead worker,
-FragmentFailedError): what is left between runs is the resident
-segments of live blocks, and nothing at all after
-``shutdown_worker_pool()`` (see :mod:`~repro.parallel.mp_executor.wire`).
+fragment (its relation holds an immutable ``ColumnBlock``) stays
+**resident** after the run in a parent-owned table, and a repeat run
+over the same block and projection sends descriptors, not bytes;
+fragments shipped from row lists get per-run segments.  The parent owns
+every segment and no *stray* one survives any exit path: between runs
+only the resident segments of live blocks are left, and nothing after
+``shutdown_worker_pool()`` (:mod:`~repro.parallel.mp_executor.wire`).
 
 The parent detects a worker that raises, dies, or exceeds
 ``timeout`` seconds and retries that one fragment (in a fresh or
@@ -63,26 +53,23 @@ The pool path is chaos-hardened end to end:
   :class:`InjectedFaultError` inside the worker, and ``message_loss``
   unlinks the fragment's shared-memory segment before dispatch (a
   resident one leaves the table with it; the retry's fresh segment
-  takes its place).  Which
-  faults fire where is the plan's deterministic
-  ``injection_schedule`` — identical (kind, target, ordinal) tuples on
-  the sim and mp substrates for a given seed.
-- **Heartbeats** — workers emit liveness + progress beats mid-job over
-  their pipes; the dispatcher declares a silent worker ``HeartbeatLost``
-  after ``heartbeat_timeout`` seconds instead of waiting out the full
-  job timeout, and detects workers that died while *idle* eagerly.
-- **Speculative re-execution** — with ``speculate=True``, a fragment
-  running longer than a robust multiple of the median attempt time gets
-  a backup attempt on another worker; first result wins, the loser is
-  cancelled, and every speculation is recorded through the
-  :class:`~repro.obs.decisions.DecisionLedger` with a post-hoc verdict.
+  takes its place).  Which faults fire where is the plan's
+  deterministic ``injection_schedule`` — identical (kind, target,
+  ordinal) tuples on the sim and mp substrates for a given seed.
+- **Heartbeats** — workers emit liveness + progress beats mid-job; a
+  worker silent for ``heartbeat_timeout`` seconds is declared
+  ``HeartbeatLost`` without waiting out the job timeout, and workers
+  that died while *idle* are detected eagerly.
+- **Speculative re-execution** — with ``speculate=True`` a fragment
+  running a robust multiple of the median attempt time gets a backup on
+  another worker; first result wins, and the
+  :class:`~repro.obs.decisions.DecisionLedger` records each speculation
+  with a post-hoc verdict.
 - **Quarantine + circuit breaker** — a fragment that kills
   ``poison_threshold`` workers fails fast as a ``PoisonFragment`` with
   the full cause chain; repeated infrastructure-level run failures trip
   a module-level breaker that rebuilds the shared pool once and then
-  degrades: every later run gets a private pool of fresh workers, shut
-  down when the run ends.  Surfaced in ``mp.breaker.*`` metrics and
-  trace events.
+  gives every run a private pool of fresh workers (``mp.breaker.*``).
 
 The fault-free path is byte-identical to the pre-chaos executor; the
 golden parity tests pin that.
@@ -98,8 +85,9 @@ resurrecting them as orphans.  ``deadline=`` (an absolute
 ``time.monotonic()`` value) bounds a whole run: when it expires the
 dispatcher cancels every in-flight attempt through the same
 discard-on-timeout path, unlinks the run's own shared-memory segments
-(releasing the resident ones it read), and raises :class:`DeadlineExceededError` — cooperative cancellation for
-callers that serve queries under latency budgets.
+(releasing the resident ones it read), and raises
+:class:`DeadlineExceededError` — cooperative cancellation for callers
+that serve queries under latency budgets.
 """
 
 from repro.parallel.mp_executor.api import multiprocessing_aggregate

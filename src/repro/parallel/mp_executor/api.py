@@ -14,6 +14,7 @@ from repro.parallel.mp_executor.merge import (
     _is_packed,
     _merge_packed,
     _merge_sequential,
+    _take_notes,
 )
 from repro.parallel.mp_executor.pool import (
     WorkerPool,
@@ -83,8 +84,9 @@ class _ObsSink:
                 m.gauge("mp.worker_max_rss_bytes", mode="max").set(
                     profile.get("max_rss_bytes", 0)
                 )
-                for reason, n in profile.get("kernel_declined", {}).items():
-                    m.counter(f"mp.kernel.declined.{reason}").inc(n)
+                for family in ("declined", "grouping"):
+                    for name, n in profile.get(family, {}).items():
+                        m.counter(f"mp.kernel.{family}.{name}").inc(n)
         if self.tracer is not None:
             args = {"attempt": attempt, "ok": ok}
             if profile:
@@ -116,9 +118,9 @@ class _ObsSink:
 
     # -- chaos / robustness events -------------------------------------------
 
-    def _count(self, name: str) -> None:
+    def _count(self, name: str, n: int = 1) -> None:
         if self.metrics is not None:
-            self.metrics.counter(name).inc()
+            self.metrics.counter(name).inc(n)
 
     def _instant(self, name: str, track: int, **args) -> None:
         if self.tracer is not None:
@@ -210,6 +212,11 @@ class _ObsSink:
         self._count(f"mp.merge.fallback.{reason}")
         self._instant("merge_fallback", -1, reason=reason)
 
+    def merge_grouping(self, counts: dict) -> None:
+        """How the parent's merge numbered its key columns."""
+        for path, n in counts.items():
+            self._count(f"mp.merge.grouping.{path}", n)
+
     def deadline_exceeded(self, completed: int, total: int) -> None:
         self._count("mp.deadline_exceeded")
         self._instant(
@@ -262,16 +269,13 @@ def multiprocessing_aggregate(
 
     * ``"pool"`` (the default; ``"global"`` and ``"auto"`` are accepted
       as synonyms and run the identical path): two-phase on the module's
-      persistent worker pool, fragments shipped as shared-memory
-      columnar blocks (pickled inline when empty or when the block
-      codec rejects a value).  A block-born fragment's segment stays
-      resident after the run, so a repeat run over the same relation
-      ships descriptors only (see
-      :mod:`~repro.parallel.mp_executor.wire`).  Every fragment leaves
-      the columnar kernel as one *packed* partial (raw per-group
-      arrays); the parent folds them all vectorized and finishes the
-      merged arrays straight into result rows: no per-group state
-      object, no ``{key: state}`` table.  When the fold cannot be exact
+      persistent worker pool, each fragment shipped once as a
+      shared-memory columnar block (inline when empty or codec-rejected;
+      :mod:`~repro.parallel.mp_executor.wire` has the resident table).
+      Every fragment leaves the columnar kernel as one *packed* partial
+      (raw per-group arrays); the parent folds them all vectorized and
+      finishes the merged arrays straight into result rows: no per-group
+      state object, no ``{key: state}`` table.  When the fold cannot be exact
       (int sums that could leave int64) or a fragment left the kernel
       for the per-row phase beside fragments that did not (a counted
       ``mp.kernel.declined.<reason>``, a spill retry, an injected
@@ -305,14 +309,15 @@ def multiprocessing_aggregate(
     the span args — under a run-wide query span; ``metrics`` (a
     :class:`repro.obs.MetricsRegistry`) collects attempt/retry counters,
     per-error-type counters, worker wall/CPU/RSS distributions from
-    the workers' self-profiles, and ``mp.kernel.declined.<reason>`` for
+    the workers' self-profiles, ``mp.kernel.declined.<reason>`` for
     every fragment attempt that left the columnar kernel for the
-    per-row phase, ``mp.merge.fallback.<reason>`` when the parent
-    left the vectorized merge, and ``mp.shm.resident.{hit,miss,evicted,
-    vanished}`` / ``mp.shm.resident_bytes`` /
-    ``mp.phase_seconds.encode`` for what shipping cost; ``profiles``
-    (a list) is extended with
-    one :class:`repro.obs.WorkerProfile` per attempt that reported back.
+    per-row phase, ``mp.merge.fallback.<reason>`` when the parent left
+    the vectorized merge, ``mp.{kernel,merge}.grouping.{dense,sort}``
+    for how each key column was numbered, and
+    ``mp.shm.resident.{hit,miss,evicted,vanished}`` /
+    ``mp.shm.resident_bytes`` / ``mp.phase_seconds.encode`` for what
+    shipping cost; ``profiles`` (a list) is extended with one
+    :class:`repro.obs.WorkerProfile` per attempt that reported back.
 
     Chaos / robustness (two-phase only):
 
@@ -526,7 +531,9 @@ def multiprocessing_aggregate(
         # slower).
         reason = "mixed_partials"
         if all(packed):
+            _take_notes()  # an in-process kernel's are in its profile
             rows, reason = _merge_packed(ordered, query)
+            obs.merge_grouping(_take_notes().get("grouping", {}))
         if rows is None:
             obs.merge_fallback(reason)
     if rows is None:

@@ -18,8 +18,6 @@ Every time a fragment leaves the kernel the reason is recorded
 
 from __future__ import annotations
 
-import threading
-
 from repro.core.aggregates import GroupState
 from repro.parallel.mp_executor.mask import (
     compiled_predicate,
@@ -29,11 +27,12 @@ from repro.parallel.mp_executor.merge import (
     _EXACT_FLOAT_INT,
     _INT64_LIMIT,
     _distinct_pairs,
-    _fold,
+    _fold_str,
     _fold_tag,
     _group_codes,
     _int_magnitude,
-    _rank_lut,
+    _note,
+    _take_notes,
 )
 from repro.resources.governor import MemoryExceededError
 from repro.storage.columnblock import ColumnBlock
@@ -45,29 +44,16 @@ _ENTRY_OVERHEAD_BYTES = 8
 _MIN_SPILL_ENTRIES = 8
 
 
-# -- declines -----------------------------------------------------------------
-#
-# Why the current fragment attempt left the kernel, as reason -> count.
-# A phase function's contract is ``fn(job) -> partials`` (substituted
-# phases rely on it), so the reasons travel beside the result: the
-# runner clears them before the attempt and puts them in the attempt's
-# profile after it.  Thread-local because the in-process runner serves
-# concurrent service threads; a pool worker runs one job at a time.
-
-_declined = threading.local()
-
-
 def _decline(reason: str) -> None:
-    """Record one departure from the kernel; returns the ``None`` the
-    declining guard hands its caller."""
-    counts = _declined.__dict__.setdefault("counts", {})
-    counts[reason] = counts.get(reason, 0) + 1
+    """Note one departure from the kernel (see ``merge._note``); returns
+    the ``None`` the declining guard hands its caller."""
+    _note("declined", reason)
     return None
 
 
 def _take_declines() -> dict[str, int]:
-    """This thread's recorded reasons, cleared."""
-    return _declined.__dict__.pop("counts", {})
+    """This thread's recorded reasons, cleared with its other notes."""
+    return _take_notes().get("declined", {})
 
 
 # -- the per-row oracle -------------------------------------------------------
@@ -102,8 +88,7 @@ def _local_phase(job, admit=None):
     in-process — or a row list, which never enters the kernel.  The
     partial is the kernel's packed payload, or the per-row loop's
     ``(key, GroupState)`` list; the parent merge and ``rep`` round 2
-    take either.  ``admit`` is the kernel's (see
-    :func:`_columnar_local_phase`); the dispatch loops call ``fn(job)``.
+    take either.  ``admit`` is :func:`_columnar_local_phase`'s.
     """
     source, query, schema = job
     if isinstance(source, ColumnBlock):
@@ -117,18 +102,17 @@ def _local_phase(job, admit=None):
 
 
 class _GovernedPhase:
-    """Phase 1 under a byte budget — rung 4 of the degradation ladder.
+    """Phase 1 under a byte budget — rung 4 of the degradation ladder
+    (``multiprocessing_aggregate(memory_budget_bytes=)``).
 
-    Picklable (a plain instance of a module-level class), so it crosses
-    the worker-process boundary like any ``phase_fn``.  First attempt
-    (``spill=False``): the same kernel (or, on a decline, the same
-    per-row loop) as the ungoverned phase, under a group ceiling of
-    ``budget_bytes // entry_bytes`` — one more group raises
-    :class:`~repro.resources.MemoryExceededError` carrying the
-    high-water mark.  Retry attempts (``spill=True``): rerun per-row and
-    out-of-core at the reduced budget, spooling overflow groups through
-    a :class:`~repro.storage.spill.FileSpillStore`, which completes
-    under any budget without losing tuples.
+    Picklable, so it crosses the worker-process boundary like any
+    ``phase_fn``.  First attempt (``spill=False``): the ungoverned phase
+    under a group ceiling of ``budget_bytes // entry_bytes`` — one more
+    group raises :class:`~repro.resources.MemoryExceededError` carrying
+    the high-water mark.  Retries (``spill=True``): per-row and
+    out-of-core at the reduced budget, overflow groups spooled through a
+    :class:`~repro.storage.spill.FileSpillStore`, which completes under
+    any budget without losing tuples.
     """
 
     def __init__(self, budget_bytes: int, spill: bool) -> None:
@@ -187,12 +171,11 @@ class _GovernedPhase:
 # dictionary codes; no key column at all is the one-group case), each
 # aggregate's column as the arrays of its packed tag — and the partials
 # are grouped and folded by the merge's ``_group_codes`` / ``_fold_tag``.
-# Every guard below exists to keep the kernel *bit-identical* to the
-# per-row phase, not merely close — when a shape could diverge (NaN
-# keys, signed-zero ties, int sums past exact float range, a predicate
-# Python would evaluate differently) the kernel declines, naming the
-# reason, and the caller runs the per-row loop.  A guard is a statement
-# about raw column values, which only this caller holds: it stays here.
+# Every guard below keeps the kernel *bit-identical* to the per-row
+# phase, not merely close: when a shape could diverge the kernel
+# declines, naming the reason, and the caller runs the per-row loop.  A
+# guard is a statement about raw column values, which only this caller
+# holds: it stays here.
 
 
 def _filter_block(cblock, query):
@@ -225,9 +208,9 @@ def _columnar_group_keys(cblock, query):
     columns, decoded strings for str — and ``inv[r]`` is row ``r``'s
     group.  Returns None when the predicate has no exact mask, or the
     per-row path's key semantics cannot be reproduced vectorized: NaN
-    keys (Python dicts keep distinct NaN objects distinct, ``np.unique``
+    keys (Python dicts keep distinct NaN objects distinct, a sort
     collapses them) and signed-zero float keys (the dict keeps the
-    first-seen representative, the sort may not).
+    first-seen representative, the grouping any).
     """
     import numpy as np
 
@@ -310,10 +293,8 @@ def _columnar_local_phase(cblock, query, admit=None):
     merges via LUT unions instead of unpacking to per-group states.
     ``admit(n_groups)`` is the memory budget's group ceiling: called
     once the block's group count is known, it raises what the per-row
-    watchdog raises on the same input.  Returns None when a guard
-    declines (see the section comment and :func:`_lift`), its reason
-    recorded through :func:`_decline`; the caller then decodes and runs
-    per-row.
+    watchdog raises on the same input.  Returns None, the reason
+    recorded, when a guard declines (the section comment, :func:`_lift`).
     """
     import numpy as np
 
@@ -334,10 +315,6 @@ def _columnar_local_phase(cblock, query, admit=None):
             # Codec rows never carry NULL, so COUNT(col) == COUNT(*).
             state_payload.append(("count", counts))
             continue
-        if func not in (
-            "count_distinct", "sum", "avg", "min", "max", "var", "stddev"
-        ):
-            return _decline("aggregate_type")
         kind = columns[col_idx].kind
         values = cblock.columns[col_idx]
         if func == "count_distinct":
@@ -356,15 +333,12 @@ def _columnar_local_phase(cblock, query, admit=None):
         elif kind == "str":
             if func not in ("min", "max"):
                 return _decline("aggregate_type")
-            # Fold the rows' dictionary ranks and ship the winners'
-            # *codes*: the parent re-ranks them against the union
-            # dictionary without materializing per-group strings.
+            # Ship the winners' *codes*: the parent re-ranks them
+            # against the union dictionary without materializing
+            # per-group strings.
             decoded = cblock.dictionaries[col_idx].values
-            order, rank_of = _rank_lut(decoded)
-            winners = _fold(func, rank_of[values], inv, n_groups)
-            state_payload.append(
-                (func + "_str_codes", order[winners], decoded)
-            )
+            winners = _fold_str(func, decoded, values, inv, n_groups)
+            state_payload.append((func + "_str_codes", winners, decoded))
         else:
             lifted = _lift(func, kind, values)
             if lifted is None:

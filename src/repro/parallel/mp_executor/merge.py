@@ -17,6 +17,7 @@ over whenever the vectorized one declines and runs round 2 of ``rep``.
 
 from __future__ import annotations
 
+import threading
 from itertools import accumulate
 
 from repro.core.aggregates import (
@@ -51,68 +52,102 @@ def _int_magnitude(values) -> int:
 # -- group, then fold ---------------------------------------------------------
 
 
+# What this thread's current fragment attempt or merge reports beside its
+# result, as family -> name -> count: why a fragment left the kernel
+# (``declined``), how each key column was numbered (``grouping``).  A
+# phase function's contract is ``fn(job) -> partials`` (substituted
+# phases rely on it), so the runner clears the notes before an attempt
+# and puts them in its profile after.  Thread-local: the in-process
+# runner serves concurrent service threads.
+_noted = threading.local()
+
+
+def _note(family: str, name: str) -> None:
+    counts = _noted.__dict__.setdefault(family, {})
+    counts[name] = counts.get(name, 0) + 1
+
+
+def _take_notes() -> dict[str, dict[str, int]]:
+    """This thread's notes, cleared."""
+    notes = dict(_noted.__dict__)
+    _noted.__dict__.clear()
+    return notes
+
+
+# A key column is numbered by direct addressing when its value span fits
+# a table of this many slots per row, plus a floor for small inputs
+# (docs/decisions.md has the measurement); by a sort past that.
+_DENSE_SPAN_PER_ROW = 4
+_DENSE_SPAN_FLOOR = 65_536
+
+
+def _number(column):
+    """``np.unique(column, return_inverse=True)``, without the sort when
+    ``column`` is int and dense: a presence table over ``column - min``
+    and a LUT from table slot to rank.  The span is a Python int, so an
+    int64-wide column cannot wrap it."""
+    import numpy as np
+
+    dense = column.dtype.kind == "i" and len(column) > 0
+    if dense:
+        lo = int(column.min())
+        span = int(column.max()) - lo + 1
+        dense = span <= _DENSE_SPAN_PER_ROW * len(column) + _DENSE_SPAN_FLOOR
+    _note("grouping", "dense" if dense else "sort")
+    if not dense:
+        return np.unique(column, return_inverse=True)
+    slots = column - lo
+    present = np.zeros(span, dtype=bool)
+    present[slots] = True
+    taken = present.nonzero()[0]
+    rank = np.empty(span, dtype=np.intp)
+    rank[taken] = np.arange(len(taken))
+    return (taken + lo).astype(column.dtype), rank[slots]
+
+
 def _group_codes(columns, n_rows: int):
     """Number the distinct key tuples of ``n_rows`` inputs, one array
     per key column in ``columns``: ``(keys, inv, n_groups)`` with
     ``keys[j][g]`` column ``j``'s value for group ``g`` and ``inv[r]``
-    input ``r``'s group.  Each column is numbered by its own
-    ``np.unique``, several columns by an ``axis=0`` unique over those
-    codes.  No key column is the scalar case: every input in group 0 —
-    and no group over no input, where the per-row loop emits no partial
-    either.  Callers rely only on ``inv``'s *partition* of the inputs:
-    folds run in input order however the groups are numbered.
-    """
+    input ``r``'s group.  Each column is numbered by :func:`_number`;
+    several combine by mixed radix, ``code * cardinality + next code``,
+    renumbered after every column so the product stays within
+    ``n_rows ** 2``, and a group's key is any of its inputs'.  No key
+    column is the scalar case: every input in group 0 — and no group
+    over no input, where the per-row loop emits no partial either.
+    Callers rely only on ``inv``'s *partition* of the inputs: folds run
+    in input order however the groups are numbered."""
     import numpy as np
 
     if not columns:
         return [], np.zeros(n_rows, dtype=np.intp), 1 if n_rows else 0
-    uniques, codes = [], []
-    for column in columns:
-        uniq, inv = np.unique(column, return_inverse=True)
-        uniques.append(uniq)
-        codes.append(inv.reshape(-1))
+    uniq, inv = _number(columns[0])
     if len(columns) == 1:
-        return uniques, codes[0], len(uniques[0])
-    stacked = np.column_stack([np.asarray(c, dtype=np.int64) for c in codes])
-    uniq_rows, inv = np.unique(stacked, axis=0, return_inverse=True)
-    keys = [uniq[uniq_rows[:, j]] for j, uniq in enumerate(uniques)]
-    return keys, inv.reshape(-1), len(uniq_rows)
+        return [uniq], inv, len(uniq)
+    for column in columns[1:]:
+        values, codes = _number(column)
+        uniq, inv = _number(inv * len(values) + codes)
+    member = np.empty(len(uniq), dtype=np.intp)
+    member[inv] = np.arange(n_rows)
+    return [column[member] for column in columns], inv, len(uniq)
 
 
 def _distinct_pairs(groups, values):
     """The distinct ``(group, value)`` pairs as two arrays, sorted by
-    (group, value) — COUNT(DISTINCT)'s wire form and its merge."""
+    (group, value) — COUNT(DISTINCT)'s wire form and its merge: one
+    ``lexsort``, then every pair that differs from the one before it."""
     import numpy as np
 
-    rec = np.empty(
-        len(groups), dtype=[("g", np.int64), ("v", values.dtype)]
-    )
-    rec["g"] = groups
-    rec["v"] = values
-    pairs = np.unique(rec)
-    return pairs["g"], pairs["v"]
-
-
-def _rank_lut(dictionary_values):
-    """``(order, rank_of)`` for a string dictionary: ``order[r]`` is the
-    code of the ``r``-th smallest value, ``rank_of[code]`` its rank — in
-    Python's ``<`` order, so a min/max over ranks picks the per-row
-    fold's winner."""
-    import numpy as np
-
-    n = len(dictionary_values)
-    order = np.asarray(
-        sorted(range(n), key=dictionary_values.__getitem__), dtype=np.int64
-    )
-    rank_of = np.empty(n, dtype=np.int64)
-    rank_of[order] = np.arange(n, dtype=np.int64)
-    return order, rank_of
+    order = np.lexsort((values, groups))
+    groups, values = groups[order], values[order]
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = (groups[1:] != groups[:-1]) | (values[1:] != values[:-1])
+    return groups[keep], values[keep]
 
 
 # tag -> the fold op of each array the tag carries, in wire order.  Two
 # families are not per-array folds and are handled by name: ``*_str_codes``
-# (ranks through ``_rank_lut``, then ``min``/``max``) and ``distinct_*``
-# (``_distinct_pairs``).
+# (``_fold_str``) and ``distinct_*`` (``_distinct_pairs``).
 _FOLD_OPS = {
     "count": ("add_int",),
     "sum_int": ("add_int",),
@@ -152,6 +187,22 @@ def _fold(op, values, inv, n_groups):
     return acc
 
 
+def _fold_str(op, dictionary_values, codes, inv, n_groups):
+    """Per-group ``min``/``max`` of dictionary-coded strings, as the
+    winners' codes: the dictionary is ranked once in Python's ``<``
+    order and the ranks are folded, so the winner is the per-row
+    fold's — ties are equal strings."""
+    import numpy as np
+
+    n = len(dictionary_values)
+    order = np.asarray(
+        sorted(range(n), key=dictionary_values.__getitem__), dtype=np.int64
+    )
+    rank_of = np.empty(n, dtype=np.int64)
+    rank_of[order] = np.arange(n, dtype=np.int64)
+    return order[_fold(op, rank_of[codes], inv, n_groups)]
+
+
 def _fold_tag(tag, arrays, inv, n_groups, counts=None):
     """One aggregate's per-group arrays, in the tag's wire order, from
     one input array per op of ``_FOLD_OPS[tag]``.  ``None`` stands for
@@ -175,49 +226,40 @@ def _key_tuples(key_payload, n_groups: int) -> list[tuple]:
     return list(zip(*(_aslist(data) for _kind, data in key_payload)))
 
 
+# tag -> the state attribute each of its arrays restores; the tags not
+# listed (min_int … max_float) carry the per-group extreme, ``value``.
+_STATE_ATTRS = {
+    "count": ("count",), "sum_int": ("total",), "sum_float": ("total",),
+    "avg_int": ("total", "count"), "avg_float": ("total", "count"),
+    "var": ("total", "total_sq", "count"),
+}
+
+
 def _states_from_payload(spec, tag, data, n_groups):
     """Materialize per-group aggregate states from a kernel payload."""
     states = [spec.new_state() for _ in range(n_groups)]
-    if tag == "count":
-        for state, c in zip(states, _aslist(data[0])):
-            state.count = c
-    elif tag == "distinct_num":
-        for g, v in zip(_aslist(data[0]), _aslist(data[1])):
+    if tag in ("distinct_num", "distinct_str"):
+        values = _aslist(data[1])
+        if tag == "distinct_str":
+            values = [data[2][c] for c in values]
+        for g, v in zip(_aslist(data[0]), values):
             states[g].values.add(v)
-    elif tag == "distinct_str":
-        dvals = data[2]
-        for g, c in zip(_aslist(data[0]), _aslist(data[1])):
-            states[g].values.add(dvals[c])
     elif tag in ("min_str_codes", "max_str_codes"):
-        dvals = data[1]
         for state, c in zip(states, _aslist(data[0])):
-            state.value = dvals[c]
-    elif tag in ("sum_int", "sum_float"):
-        for state, t in zip(states, _aslist(data[0])):
-            state.total = t
-            state.seen = True
-    elif tag in ("avg_int", "avg_float"):
-        for state, t, c in zip(states, _aslist(data[0]), _aslist(data[1])):
-            state.total = t
-            state.count = c
-    elif tag == "var":
-        for state, t, s, c in zip(
-            states, _aslist(data[0]), _aslist(data[1]), _aslist(data[2])
-        ):
-            state.total = t
-            state.total_sq = s
-            state.count = c
-    else:  # min_int … max_float carry the per-group extremes directly
-        for state, v in zip(states, _aslist(data[0])):
-            state.value = v
+            state.value = data[1][c]
+    else:
+        for attr, column in zip(_STATE_ATTRS.get(tag, ("value",)), data):
+            for state, v in zip(states, _aslist(column)):
+                setattr(state, attr, v)
+        if tag in ("sum_int", "sum_float"):
+            for state in states:
+                state.seen = True
     return states
 
 
 def _is_packed(result) -> bool:
-    return (
-        isinstance(result, tuple) and len(result) == 4
-        and result[0] == "packed"
-    )
+    tagged = isinstance(result, tuple) and len(result) == 4
+    return tagged and result[0] == "packed"
 
 
 def _unpack_packed(payload, query):
@@ -255,18 +297,22 @@ def _merge_sequential(partials, query) -> dict[tuple, GroupState]:
     return merged
 
 
-def _union_codes(code_arrays, dictionaries):
+def _union_codes(dictionaries, code_arrays=None):
     """``(union dictionary's values, the fragments' code arrays remapped
     into it and concatenated)``: equal strings from different fragments
-    unify without a per-group string being materialized."""
+    unify without a per-group string being materialized.  Without
+    ``code_arrays`` every value of every dictionary is one input — a
+    fragment's per-group str key column."""
     import numpy as np
 
     union = StringDictionary()
-    remapped = []
-    for codes, values in zip(code_arrays, dictionaries):
-        lut = np.asarray([union.code_of(v) for v in values], dtype=np.int64)
-        remapped.append(lut[codes])
-    return union.values, np.concatenate(remapped)
+    luts = [
+        np.asarray([union.code_of(v) for v in values], dtype=np.int64)
+        for values in dictionaries
+    ]
+    if code_arrays is not None:
+        luts = [lut[codes] for lut, codes in zip(luts, code_arrays)]
+    return union.values, np.concatenate(luts)
 
 
 def _merge_packed(payloads, query):
@@ -274,14 +320,15 @@ def _merge_packed(payloads, query):
 
     ``payloads`` must be every fragment's packed result in fragment
     order.  Groups the concatenated per-fragment group keys
-    (:func:`_group_codes`; a scalar query's payloads carry no key
-    columns: one group), then folds each aggregate's concatenated arrays
-    (:func:`_fold_tag`) — in concatenation (= fragment) order, so float
-    accumulation matches the sequential merge bit for bit.  Each
-    aggregate's merged arrays are then *finished* into one list of plain
-    Python values (``.tolist()``, and for AVG/VAR/STDDEV the very
-    functions the states' ``result()`` calls, over Python numbers), and
-    the key and result columns are zipped into rows.
+    (:func:`_group_codes`; str keys as codes into a union dictionary,
+    decoded once per group; a scalar query carries no key columns: one
+    group), then folds each aggregate's concatenated arrays
+    (:func:`_fold_tag`) in concatenation (= fragment) order, so float
+    accumulation matches the sequential merge bit for bit.  The merged
+    arrays are then *finished* into one list of plain Python values
+    (``.tolist()``, and for AVG/VAR/STDDEV the very functions the
+    states' ``result()`` calls), and key and result columns are zipped
+    into rows.
 
     Returns ``(rows, None)`` — one unsorted result row per group, HAVING
     not yet applied, so ``len(rows)`` is the run's group count — or
@@ -295,13 +342,18 @@ def _merge_packed(payloads, query):
     sizes = [p[1] for p in payloads]
     if not any(sizes):
         return [], None
-    key_columns = []
-    for parts in zip(*(p[2] for p in payloads)):
+    key_columns, unions = [], {}
+    for j, parts in enumerate(zip(*(p[2] for p in payloads))):
         kinds, values = zip(*parts)
-        if kinds[0] == "str":  # object, not <U: trailing NULs must survive
-            values = [np.asarray(v, dtype=object) for v in values]
-        key_columns.append(np.concatenate(values))
+        if kinds[0] == "str":  # group union codes, decode once per group
+            unions[j], column = _union_codes(values)
+        else:
+            column = np.concatenate(values)
+        key_columns.append(column)
     keys, inv, n_groups = _group_codes(key_columns, sum(sizes))
+    keys = [k.tolist() for k in keys]
+    for j, union in unions.items():
+        keys[j] = [union[c] for c in keys[j]]
 
     columns = []
     for s_idx, spec in enumerate(query.aggregates):
@@ -333,26 +385,23 @@ def _merge_packed(payloads, query):
             else:
                 column = folded[0]
         elif tag in ("min_str_codes", "max_str_codes"):
-            # Remap the per-group winner codes through the union
-            # dictionary, rank it once, fold ranks — ties are equal
-            # strings, so any winner decodes to the value the
-            # sequential merge keeps.
-            union, codes = _union_codes(*fields)
-            order, rank_of = _rank_lut(union)
-            winners = _fold(tag[:3], rank_of[codes], inv, n_groups)
-            column = [union[c] for c in order[winners].tolist()]
+            # The fragments' winner codes, remapped into the union
+            # dictionary, folded again; decoded once per group.
+            union, codes = _union_codes(fields[1], fields[0])
+            winners = _fold_str(tag[:3], union, codes, inv, n_groups)
+            column = [union[c] for c in winners.tolist()]
         elif tag in ("distinct_num", "distinct_str"):
             # Set fold over sorted-unique (group, value) pair arrays.
             # Fragment f's local group g sits at offsets[f] + g in the
             # concatenated key arrays, so inv[offsets[f] + g] is its
-            # global group; str codes become union codes; one unique
-            # dedups across fragments; a group counts its pairs.
+            # global group; str codes become union codes; one more
+            # dedup across fragments; a group counts its pairs.
             offsets = accumulate(sizes, initial=0)
             groups = np.concatenate(
                 [inv[at + local] for at, local in zip(offsets, fields[0])]
             )
             if tag == "distinct_str":
-                _union, values = _union_codes(*fields[1:])
+                values = _union_codes(fields[2], fields[1])[1]
             else:
                 values = np.concatenate(fields[1])
             column = np.bincount(
@@ -362,4 +411,4 @@ def _merge_packed(payloads, query):
             return None, "tag_mismatch"
         columns.append(column)
 
-    return list(zip(*(k.tolist() for k in keys), *columns)), None
+    return list(zip(*keys, *columns)), None

@@ -25,8 +25,8 @@ from repro.parallel.mp_executor.kernel import (
     _decline,
     _local_phase,
     _per_row_phase,
-    _take_declines,
 )
+from repro.parallel.mp_executor.merge import _take_notes
 from repro.parallel.mp_executor.resilience import (
     _INFRA_DEATHS,
     ChaosOptions,
@@ -39,7 +39,6 @@ from repro.parallel.mp_executor.wire import (
     _load_job,
     release_resident_segments,
 )
-from repro.resources.governor import MemoryExceededError
 from repro.sim.faults import (
     INJECT_ERROR,
     INJECT_KILL,
@@ -84,13 +83,9 @@ def _disarm_resource_tracker() -> None:
 
 
 def _attempt_profile(started) -> dict:
-    """The attempt's self-measurement plus, under ``kernel_declined``,
-    why it left the columnar kernel (reason -> count) if it did."""
-    profile = profile_finish(started)
-    declined = _take_declines()
-    if declined:
-        profile["kernel_declined"] = declined
-    return profile
+    """The attempt's self-measurement plus its notes (``declined``: why
+    it left the kernel; ``grouping``: how its key columns were numbered)."""
+    return {**profile_finish(started), **_take_notes()}
 
 
 _SLOW_CHUNK_ROWS = 128
@@ -222,7 +217,7 @@ def _pool_worker_main(conn) -> None:
             beat = _HeartbeatSender(conn, lock, interval, progress)
             beat.start()
         started = profile_start()
-        _take_declines()  # the forking thread's, inherited at fork
+        _take_notes()  # the forking thread's, inherited at fork
         try:
             result = _run_worker_job(
                 fn, descriptor, opts.get("inject") or {}, progress
@@ -774,12 +769,7 @@ def _run_jobs_in_pool(
             for record in list(busy.values()):
                 if (record.stall_resume is not None
                         and now >= record.stall_resume):
-                    # The injected limplock ends: wake the worker.
-                    try:
-                        os.kill(record.worker.proc.pid, signal.SIGCONT)
-                    except ProcessLookupError:  # pragma: no cover
-                        pass
-                    record.stall_resume = None
+                    wake_if_stalled(record)  # the injected limplock ends
                     record.last_beat = now  # grace until beats resume
             if hb_timeout is not None:
                 for record in list(busy.values()):
@@ -822,11 +812,10 @@ def _run_jobs_in_process(
 ) -> dict[int, list]:
     """The single-CPU path: same retry semantics, no processes.
 
-    Failures are classified like the pool path's:
-    :class:`~repro.resources.MemoryExceededError` is the budget ladder's
-    *expected* trigger (the retry reruns with spilling), anything else
-    is an unexpected fragment error — and either way the exception of a
-    retried attempt is logged through the sink, never discarded, and
+    Failures are classified like the pool path's, by exception type
+    (:class:`~repro.resources.MemoryExceededError` is the budget
+    ladder's trigger: the retry reruns with spilling); the exception of
+    a retried attempt is logged through the sink, never discarded, and
     the final :class:`FragmentFailedError` chains from its cause.
     The run deadline is checked between fragments and between attempts
     (a running fragment cannot preempt itself without a process).
@@ -844,16 +833,9 @@ def _run_jobs_in_process(
             attempts += 1
             started = profile_start()
             span_start = obs.now()
-            _take_declines()  # whatever this thread ran before the attempt
+            _take_notes()  # whatever this thread ran before the attempt
             try:
                 completed[index] = fn_for(attempts - 1)(job)
-            except MemoryExceededError as exc:
-                cause = exc
-                error = {
-                    "type": "MemoryExceededError",
-                    "message": str(exc),
-                    "expected": True,
-                }
             except Exception as exc:
                 cause = exc
                 error = {"type": type(exc).__name__, "message": str(exc)}

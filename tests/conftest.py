@@ -137,6 +137,16 @@ def merge_fallbacks(registry) -> dict:
     return _counts_under(registry, "mp.merge.fallback.")
 
 
+def grouping_paths(registry) -> dict:
+    """``counter name -> count`` of a run's ``mp.kernel.grouping.*`` and
+    ``mp.merge.grouping.*`` counters."""
+    return {
+        name: metric["value"]
+        for name, metric in registry.snapshot().items()
+        if ".grouping." in name
+    }
+
+
 def resident_counts(registry) -> dict:
     """``outcome -> count`` of a run's ``mp.shm.resident.*`` counters
     (``hit`` / ``miss`` / ``evicted`` / ``vanished``)."""

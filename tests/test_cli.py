@@ -430,6 +430,11 @@ class TestExplain:
             "mp.merge.fallback.* (runs whose parent left the vectorized "
             "merge for the per-key one):",
             "    mixed_partials           1",
+            # the clean fragment's float key column; no vectorized merge ran
+            "mp.kernel.grouping.* (key columns the fragments numbered by "
+            "direct addressing (dense) or by a sort):",
+            "    sort                     1",
+            "mp.merge.grouping.*: none",
         ]
         # A run that never left the fast path says so.
         clean = DistributedRelation(
@@ -442,6 +447,12 @@ class TestExplain:
         assert code == 0
         assert text.splitlines()[3:] == [
             "mp.kernel.declined.*: none", "mp.merge.fallback.*: none",
+            "mp.kernel.grouping.* (key columns the fragments numbered by "
+            "direct addressing (dense) or by a sort):",
+            "    sort                     1",
+            "mp.merge.grouping.* (key columns the parent's merge numbered "
+            "the same two ways):",
+            "    sort                     1",
         ]
 
     def test_missing_file_is_one_actionable_line(self):

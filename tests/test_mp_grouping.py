@@ -9,9 +9,17 @@ every aggregate over every column kind through the kernel, so a tag the
 kernel learns to emit cannot reach the merge's ``tag_mismatch`` refusal
 — or ``_states_from_payload``'s catch-all branch — silently.
 
+The boundary cases below the properties force each path — direct
+addressing or the sort — by their data, never by patching the threshold,
+and read the path taken off the same notes a run reports as
+``mp.kernel.grouping.*`` / ``mp.merge.grouping.*``.
+
 No example budget of its own: tier-1 runs hypothesis's default, CI
 reruns the properties under ``--hypothesis-profile=stress``.
 """
+
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -26,16 +34,20 @@ from repro.parallel.mp_executor.kernel import (
     _take_declines,
 )
 from repro.parallel.mp_executor.merge import (
+    _DENSE_SPAN_FLOOR,
+    _DENSE_SPAN_PER_ROW,
     _FOLD_OPS,
     _distinct_pairs,
     _group_codes,
     _merge_packed,
+    _merge_sequential,
+    _take_notes,
     _unpack_packed,
 )
 from repro.storage.columnblock import ColumnBlock
 from repro.storage.schema import Column, Schema
 
-from tests.conftest import assert_partials_equal
+from tests.conftest import assert_partials_equal, grouping_paths
 
 # Few distinct values per column, so tuples repeat within and across
 # columns; 0.0 and -0.0 are one key to a dict and to a sort alike.
@@ -73,17 +85,28 @@ def _partition(labels):
     return {frozenset(rows) for rows in rows_of.values()}
 
 
-@settings(deadline=None)
-@given(_key_columns())
-def test_group_codes_partitions_rows_like_python_key_tuples(case):
-    columns, n_rows = case
+def _grouped(columns):
+    """``_group_codes`` held to the partition and the keys, returning
+    what it returned and the path each numbering took."""
+    n_rows = len(columns[0])
     tuples = list(zip(*(column.tolist() for column in columns)))
+    _take_notes()
     keys, inv, n_groups = _group_codes(columns, n_rows)
+    paths = _take_notes().get("grouping", {})
     assert n_groups == len(set(tuples))
     assert _partition(inv.tolist()) == _partition(tuples)
     assert [len(k) for k in keys] == [n_groups] * len(columns)
     group_keys = list(zip(*(k.tolist() for k in keys)))
     assert [group_keys[g] for g in inv.tolist()] == tuples
+    assert [k.dtype for k in keys] == [c.dtype for c in columns]
+    return keys, inv, paths
+
+
+@settings(deadline=None)
+@given(_key_columns())
+def test_group_codes_partitions_rows_like_python_key_tuples(case):
+    columns, _n_rows = case
+    _grouped(columns)
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, 17])
@@ -111,6 +134,154 @@ def test_distinct_pairs_is_the_sorted_set_of_pairs(case):
     assert list(zip(got_groups.tolist(), got_values.tolist())) == sorted(
         set(pairs)
     )
+
+
+# -- boundaries, each path forced by the data ---------------------------------
+
+
+def test_a_span_at_the_threshold_is_addressed_and_one_past_it_sorted():
+    n_rows = 8
+    widest = _DENSE_SPAN_PER_ROW * n_rows + _DENSE_SPAN_FLOOR
+    for top, path in ((widest - 1, "dense"), (widest, "sort")):
+        column = np.asarray([0, top, 5, 5, 0, 7, top, 3], dtype=np.int64)
+        (uniq,), inv, paths = _grouped([column])
+        assert paths == {path: 1}
+        # Either way what np.unique returns: ascending, and its inverse.
+        assert uniq.tolist() == [0, 3, 5, 7, top]
+        assert inv.tolist() == [0, 4, 2, 2, 0, 3, 4, 1]
+
+
+@pytest.mark.parametrize("values, path", [
+    ([-5, -3, -5, -1, -3], "dense"),                  # a negative min
+    ([-(2**63), -(2**63) + 2, -(2**63)], "dense"),    # min at int64's floor
+    ([2**63 - 1, 2**63 - 3, 2**63 - 1], "dense"),     # max at its ceiling
+    ([-(2**63), 2**63 - 1, 0, -(2**63)], "sort"),     # a span of 2**64
+    ([7, 7, 7, 7], "dense"),                          # all equal
+    ([-9], "dense"),                                  # one row
+    ([0, 2**40, 1], "sort"),                          # sparse
+])
+def test_int_columns_at_the_edges_of_their_domain(values, path):
+    column = np.asarray(values, dtype=np.int64)
+    (uniq,), inv, paths = _grouped([column])
+    assert paths == {path: 1}
+    expected, expected_inv = np.unique(column, return_inverse=True)
+    assert uniq.tolist() == expected.tolist()
+    assert inv.tolist() == expected_inv.tolist()
+
+
+def test_dictionary_codes_keep_their_dtype_alone_and_in_a_tuple():
+    codes = np.asarray([3, 0, 3, 1, 0], dtype=np.int32)
+    (uniq,), _inv, paths = _grouped([codes])
+    assert uniq.dtype == np.int32 and paths == {"dense": 1}
+    floats = np.asarray([0.5, 0.5, 0.5, -1.5, 0.5])
+    keys, _inv, paths = _grouped([codes, floats])
+    assert [k.dtype for k in keys] == [np.int32, np.float64]
+    # codes and the combined code addressed, the float column sorted
+    assert paths == {"dense": 2, "sort": 1}
+
+
+def test_three_wide_columns_are_renumbered_after_each():
+    """2 000 distinct values per column: the radix product, 8e9, is
+    only ever formed two columns at a time over renumbered codes."""
+    base = np.arange(3000)
+    order = np.random.default_rng(22).permutation(6000) % 3000
+    columns = [
+        (base % 2000)[order] * 2**33 - 2**62,             # sparse int64
+        ((base * 7 + base // 2000) % 2000)[order].astype(np.int32),  # codes
+        ((base * 13) % 2000)[order] * 0.5,                # float64
+    ]
+    for column in columns:
+        assert len(set(column.tolist())) == 2000
+    _keys, inv, paths = _grouped(columns)
+    assert inv.max() == 2999
+    # addressed: the codes.  Sorted: the sparse ints, the floats, and
+    # both combinations, whose 2 000 * 2 000 and 3 000 * 2 000 codes
+    # outspan 6 000 rows.
+    assert paths == {"dense": 1, "sort": 4}
+
+
+def test_distinct_pairs_across_signed_zeros_and_group_boundaries():
+    # Equal values on both sides of a group boundary are two pairs; a
+    # repeat within a group, and 0.0 beside -0.0, are one.
+    groups = np.asarray([2, 0, 1, 1, 0, 1, 2, 1, 0], dtype=np.intp)
+    values = np.asarray([5.0, 0.0, 5.0, -0.0, -0.0, 5.0, 5.0, 0.0, 7.5])
+    got_groups, got_values = _distinct_pairs(groups, values)
+    assert list(zip(got_groups.tolist(), got_values.tolist())) == [
+        (0, 0.0), (0, 7.5), (1, 0.0), (1, 5.0), (2, 5.0),
+    ]
+    for empty in (np.float64, np.int32):
+        got = _distinct_pairs(np.zeros(0, np.intp), np.zeros(0, empty))
+        assert [len(a) for a in got] == [0, 0] and got[1].dtype == empty
+
+
+_STR_KEY_SCHEMA = Schema([
+    Column("s", "str", 8), Column("k", "int"), Column("v", "float"),
+])
+
+
+def test_str_keys_merge_through_the_union_dictionary():
+    """Fragments whose str keys overlap, arrive in different orders and
+    include the empty string, a trailing NUL and non-ASCII: the rows of
+    the per-key merge, with the keys decoded once per group."""
+    parts = [
+        [("é", 1, 1.0), ("", 0, 2.0), ("a\x00", 1, 3.0), ("a", 0, 4.0)],
+        [("a", 0, 0.5), ("😀", 1, 1.5), ("é", 1, 2.5), ("a\x00", 0, 3.5)],
+        [("", 0, 8.0), ("", 1, 9.0), ("a", 0, 10.0)],
+    ]
+    query = AggregateQuery(
+        ("s", "k"),
+        (AggregateSpec("sum", "v"), AggregateSpec("count_distinct", "s"),
+         AggregateSpec("min", "s")),
+    )
+    payloads = [
+        _columnar_local_phase(
+            ColumnBlock.from_rows(_STR_KEY_SCHEMA, part), query
+        )
+        for part in parts
+    ]
+    _take_notes()
+    rows, reason = _merge_packed(payloads, query)
+    # the union codes, k, and their combination: no string is compared
+    assert _take_notes() == {"grouping": {"dense": 3}}
+    assert reason is None
+    bq = query.bind(_STR_KEY_SCHEMA)
+    merged = _merge_sequential(payloads, query)
+    assert sorted(rows) == sorted(
+        bq.result_row(key, state) for key, state in merged.items()
+    )
+    assert {row[0] for row in rows} == {"", "a", "a\x00", "é", "😀"}
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_a_run_counts_the_path_of_every_numbering(processes):
+    """Worker-side counts ride the attempt profile, the parent's merge
+    counts its own: one dense int key column per fragment, and one over
+    the fragments' concatenated group keys."""
+    from repro.obs import MetricsRegistry
+    from repro.parallel import multiprocessing_aggregate
+    from repro.workloads.generator import generate_uniform
+
+    dist = generate_uniform(2000, 20, 4, seed=5)
+    query = AggregateQuery(("gkey",), (AggregateSpec("sum", "val"),))
+    registry = MetricsRegistry()
+    multiprocessing_aggregate(dist, query, processes, metrics=registry)
+    assert grouping_paths(registry) == {
+        "mp.kernel.grouping.dense": 4, "mp.merge.grouping.dense": 1,
+    }
+
+
+def test_the_three_comparison_sorts_stay_out_of_the_executor():
+    """CI's structural step runs this by name: one 1-D ``np.unique`` for
+    the key domains that demand a sort, in ``merge.py`` and nowhere
+    else; no row-wise unique, structured pair dtype or object-array key
+    concatenation anywhere in the package."""
+    import repro.parallel.mp_executor as package
+
+    for path in pathlib.Path(package.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert not re.search(r"axis=0|dtype=\[\(|dtype=object", text), path
+        allowed = 3 if path.name == "merge.py" else 0
+        assert text.count("np.unique(") <= allowed, path
 
 
 # -- every tag the kernel emits is a tag the merge and the oracle know --------

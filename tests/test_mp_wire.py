@@ -46,6 +46,7 @@ from repro.workloads.generator import generate_uniform
 
 from tests.conftest import (
     assert_rows_close,
+    grouping_paths,
     kernel_declines,
     merge_fallbacks,
 )
@@ -301,6 +302,9 @@ class TestShapeMatrixParity:
         assert "mp.retries" not in registry.snapshot()
         assert kernel_declines(registry) == {}
         assert merge_fallbacks(registry) == {}
+        # … and none of their key columns, in a fragment or in the
+        # merge, is numbered by a sort.
+        assert not [n for n in grouping_paths(registry) if n.endswith("sort")]
 
     @pytest.mark.parametrize("processes", [1, 2])
     @pytest.mark.parametrize("born", ["block", "rows"])
