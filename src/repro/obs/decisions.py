@@ -307,8 +307,10 @@ def mp_run_artifact(metrics, ledger: DecisionLedger | None = None) -> dict:
     filled through ``metrics=`` (one run per registry); ``ledger`` the
     one it was handed, if any.  The snapshot carries every
     ``mp.kernel.declined.<reason>``, ``mp.merge.fallback.<reason>`` and
-    ``mp.{kernel,merge}.grouping.<path>`` the run counted, which is what
-    ``repro explain`` prints for it.
+    ``mp.{kernel,merge}.grouping.<path>`` the run counted and, for a
+    pooled run, what crossing the process boundary cost
+    (``mp.phase_seconds.{encode,return}``, ``mp.worker_load_seconds``,
+    ``mp.return_bytes``), which is what ``repro explain`` prints for it.
     """
     snapshot = metrics.snapshot()
 
@@ -437,6 +439,38 @@ def _describe_mp_paths(metrics: dict) -> list[str]:
     return lines
 
 
+def _describe_mp_boundary(metrics: dict) -> list[str]:
+    """What a pooled run paid to cross the process boundary, both ways;
+    nothing for an in-process run, which never crossed it."""
+
+    def field(name, key="value"):
+        return metrics.get(name, {}).get(key)
+
+    lines = []
+    encode = field("mp.phase_seconds.encode")
+    if encode is not None:
+        lines.append(f"    {'encode (parent, ship)':<24} {_fmt_seconds(encode)}")
+    load = field("mp.worker_load_seconds", "total")
+    if load is not None:
+        lines.append(
+            "    {:<24} {} over {} attempt(s)".format(
+                "load (workers, attach)", _fmt_seconds(load),
+                field("mp.worker_load_seconds", "count"),
+            )
+        )
+    back = field("mp.phase_seconds.return")
+    if back is not None:
+        lines.append(
+            "    {:<24} {} for {} bytes".format(
+                "return (parent, recv)", _fmt_seconds(back),
+                field("mp.return_bytes"),
+            )
+        )
+    if lines:
+        lines.insert(0, "mp process boundary (seconds beside the kernel):")
+    return lines
+
+
 def render_explain(doc: dict, drift_table: str | None = None) -> str:
     """The human-readable ``repro explain`` report for a run artifact."""
     params = doc.get("params", {})
@@ -474,6 +508,7 @@ def render_explain(doc: dict, drift_table: str | None = None) -> str:
             lines.append(f"verdicts: {summary}")
     if mp_run:
         lines.extend(_describe_mp_paths(doc.get("metrics", {})))
+        lines.extend(_describe_mp_boundary(doc.get("metrics", {})))
     if drift_table:
         lines.append("")
         lines.append(drift_table)

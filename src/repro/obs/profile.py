@@ -4,8 +4,10 @@ A worker process cannot be observed from outside without platform
 machinery, so it observes itself: :func:`profile_start` snapshots the
 wall and CPU clocks at entry, :func:`profile_finish` turns that into a
 plain dict (picklable, pipe-friendly) with wall seconds, CPU seconds and
-the process's high-water RSS.  The parent wraps the dict back into a
-:class:`WorkerProfile` and feeds registry histograms / tracer spans.
+the process's high-water RSS; a pool worker adds ``load_seconds``, the
+part of the wall it spent getting at its fragment.  The parent wraps the
+dict back into a :class:`WorkerProfile` and feeds registry histograms /
+tracer spans.
 
 ``ru_maxrss`` is kilobytes on Linux and bytes on macOS; the conversion
 happens *in the worker*, so the parent always sees bytes.  On platforms
@@ -59,6 +61,9 @@ class WorkerProfile:
     max_rss_bytes: int
     pid: int
     ok: bool = True
+    # Pool workers only: attaching the fragment's segment and building
+    # the block over it (0.0 for an inline or in-process job).
+    load_seconds: float = 0.0
 
     @classmethod
     def from_dict(
@@ -72,4 +77,5 @@ class WorkerProfile:
             max_rss_bytes=int(data.get("max_rss_bytes", 0)),
             pid=int(data.get("pid", 0)),
             ok=ok,
+            load_seconds=float(data.get("load_seconds", 0.0)),
         )

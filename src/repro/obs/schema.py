@@ -147,6 +147,16 @@ def validate_bench_json(doc) -> list[str]:
     return problems
 
 
+# What crossing the process boundary cost an mp run, as its registry
+# snapshot carries it: metric name -> the snapshot field with the figure.
+_MP_BOUNDARY_METRICS = {
+    "mp.phase_seconds.encode": "value",
+    "mp.phase_seconds.return": "value",
+    "mp.return_bytes": "value",
+    "mp.worker_load_seconds": "total",
+}
+
+
 def validate_run_json(doc) -> list[str]:
     """Problems in a ``repro-run/1`` decision-ledger artifact ([] = valid)."""
     problems: list[str] = []
@@ -169,6 +179,17 @@ def validate_run_json(doc) -> list[str]:
         problems.append("params must be an object")
     if not isinstance(doc.get("metrics"), dict):
         problems.append("metrics must be an object")
+    else:
+        for name, field in _MP_BOUNDARY_METRICS.items():
+            metric = doc["metrics"].get(name)
+            if metric is None:
+                continue
+            figure = metric.get(field) if isinstance(metric, dict) else None
+            if not _number(figure) or figure < 0:
+                problems.append(
+                    f"metrics[{name!r}].{field} must be a non-negative "
+                    "number"
+                )
     decisions = doc.get("decisions")
     if not isinstance(decisions, list):
         problems.append("decisions must be a list")

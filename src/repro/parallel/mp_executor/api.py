@@ -50,6 +50,7 @@ class _ObsSink:
         self.metrics = metrics
         self.t0 = time.perf_counter()
         self.profiles: list[WorkerProfile] = []
+        self.return_seconds = 0.0
 
     def now(self) -> float:
         return time.perf_counter() - self.t0
@@ -84,6 +85,10 @@ class _ObsSink:
                 m.gauge("mp.worker_max_rss_bytes", mode="max").set(
                     profile.get("max_rss_bytes", 0)
                 )
+                if "load_seconds" in profile:
+                    m.histogram("mp.worker_load_seconds").observe(
+                        profile["load_seconds"]
+                    )
                 for family in ("declined", "grouping"):
                     for name, n in profile.get(family, {}).items():
                         m.counter(f"mp.kernel.{family}.{name}").inc(n)
@@ -92,6 +97,8 @@ class _ObsSink:
             if profile:
                 args["cpu_seconds"] = profile.get("cpu_seconds", 0.0)
                 args["max_rss_bytes"] = profile.get("max_rss_bytes", 0)
+                if "load_seconds" in profile:
+                    args["load_seconds"] = profile["load_seconds"]
             if error is not None:
                 args["error_type"] = error.get("type")
                 args["error"] = error.get("message")
@@ -189,6 +196,17 @@ class _ObsSink:
                 self.now()
             )
             self.metrics.gauge("mp.shm.resident_bytes").set(resident_bytes)
+
+    def returned(self, nbytes: int, seconds: float) -> None:
+        """A worker's final reply crossed the pipe: ``nbytes`` pickled,
+        ``seconds`` inside the parent's receive — serial in the parent,
+        however many workers ran."""
+        self.return_seconds += seconds
+        if self.metrics is not None:
+            self.metrics.counter("mp.return_bytes").inc(nbytes)
+            self.metrics.gauge("mp.phase_seconds.return", mode="max").set(
+                self.return_seconds
+            )
 
     def pool_rebuild(self) -> None:
         self._count("mp.breaker.rebuilds")
@@ -316,7 +334,11 @@ def multiprocessing_aggregate(
     for how each key column was numbered, and
     ``mp.shm.resident.{hit,miss,evicted,vanished}`` /
     ``mp.shm.resident_bytes`` / ``mp.phase_seconds.encode`` for what
-    shipping cost; ``profiles`` (a list) is extended with one
+    shipping cost, ``mp.worker_load_seconds`` for what each pool worker
+    spent getting at its fragment, and ``mp.return_bytes`` /
+    ``mp.phase_seconds.return`` for what the partials cost on the way
+    back (pickled bytes, and seconds inside the parent's receive);
+    ``profiles`` (a list) is extended with one
     :class:`repro.obs.WorkerProfile` per attempt that reported back.
 
     Chaos / robustness (two-phase only):

@@ -54,7 +54,8 @@ def _int_magnitude(values) -> int:
 
 # What this thread's current fragment attempt or merge reports beside its
 # result, as family -> name -> count: why a fragment left the kernel
-# (``declined``), how each key column was numbered (``grouping``).  A
+# (``declined``), how each key column was numbered (``grouping``) — and,
+# beside the counts, name -> seconds (a pool worker's ``load_seconds``).  A
 # phase function's contract is ``fn(job) -> partials`` (substituted
 # phases rely on it), so the runner clears the notes before an attempt
 # and puts them in its profile after.  Thread-local: the in-process
@@ -67,7 +68,12 @@ def _note(family: str, name: str) -> None:
     counts[name] = counts.get(name, 0) + 1
 
 
-def _take_notes() -> dict[str, dict[str, int]]:
+def _note_seconds(name: str, seconds: float) -> None:
+    """A duration beside the counts: ``name`` -> seconds, summed."""
+    _noted.__dict__[name] = _noted.__dict__.get(name, 0.0) + seconds
+
+
+def _take_notes() -> dict:
     """This thread's notes, cleared."""
     notes = dict(_noted.__dict__)
     _noted.__dict__.clear()

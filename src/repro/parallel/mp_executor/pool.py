@@ -14,6 +14,7 @@ import time
 from collections import deque
 from multiprocessing import resource_tracker
 from multiprocessing.connection import wait as _connection_wait
+from multiprocessing.reduction import ForkingPickler
 
 from repro.obs.decisions import (
     SPECULATIVE_EXECUTION,
@@ -26,7 +27,7 @@ from repro.parallel.mp_executor.kernel import (
     _local_phase,
     _per_row_phase,
 )
-from repro.parallel.mp_executor.merge import _take_notes
+from repro.parallel.mp_executor.merge import _note_seconds, _take_notes
 from repro.parallel.mp_executor.resilience import (
     _INFRA_DEATHS,
     ChaosOptions,
@@ -130,7 +131,7 @@ def _limping(rows, factor: float, progress: list):
         time.sleep((factor - 1.0) * (time.perf_counter() - t0))
 
 
-def _slow_job(fn, descriptor, factor: float, progress: list):
+def _slow_job(fn, job, factor: float, progress: list):
     """Injected straggler: run the job ``factor`` times slower.
 
     For the built-in phase — every ungoverned run, whatever the
@@ -142,7 +143,7 @@ def _slow_job(fn, descriptor, factor: float, progress: list):
     whole, then sleep off the multiplier.
     """
     if fn is _local_phase:
-        rows, query, schema = _load_job(descriptor)
+        rows, query, schema = job
         _decline("injected_slow")
         if isinstance(rows, ColumnBlock):
             rows = rows.to_rows()
@@ -150,18 +151,23 @@ def _slow_job(fn, descriptor, factor: float, progress: list):
             _limping(rows, factor, progress), query, schema
         )
     t0 = time.perf_counter()
-    result = fn(_load_job(descriptor))
+    result = fn(job)
     time.sleep((factor - 1.0) * (time.perf_counter() - t0))
     return result
 
 
-def _run_worker_job(fn, descriptor, inject: dict, progress: list):
+def _run_worker_job(fn, descriptor, inject: dict, progress: list,
+                    mapped: list):
     """Run one job under the (possibly empty) injection directive.
 
     Kill and stall are delivered *here*, by the worker to itself, so
     the fault lands on the fragment it was scheduled for — a parent
     signal sent after dispatch can race a fast job and hit whatever
     runs on this worker next instead.
+
+    The job reads its segment in place (``mapped``,
+    :func:`~repro.parallel.mp_executor.wire._load_job`); attach to
+    block ready goes into the profile as ``load_seconds``.
     """
     if inject.get(INJECT_KILL):
         # A real crash: no exception, no reply, the parent sees EOF.
@@ -174,10 +180,13 @@ def _run_worker_job(fn, descriptor, inject: dict, progress: list):
         raise InjectedFaultError(
             "injected worker fault (FaultPlan.read_error_rate)"
         )
+    t0 = time.perf_counter()
+    job = _load_job(descriptor, mapped)
+    _note_seconds("load_seconds", time.perf_counter() - t0)
     slow = inject.get(INJECT_SLOW)
     if slow:
-        return _slow_job(fn, descriptor, slow, progress)
-    return fn(_load_job(descriptor))
+        return _slow_job(fn, job, slow, progress)
+    return fn(job)
 
 
 def _pool_worker_main(conn) -> None:
@@ -218,9 +227,10 @@ def _pool_worker_main(conn) -> None:
             beat.start()
         started = profile_start()
         _take_notes()  # the forking thread's, inherited at fork
+        mapped: list = []  # the segment the job's columns are views over
         try:
             result = _run_worker_job(
-                fn, descriptor, opts.get("inject") or {}, progress
+                fn, descriptor, opts.get("inject") or {}, progress, mapped
             )
         except BaseException as exc:
             reply = (
@@ -232,9 +242,17 @@ def _pool_worker_main(conn) -> None:
             reply = ("ok", result, _attempt_profile(started))
         if beat is not None:
             beat.stop()  # joins: no beat can trail the final reply
+        # conn.send(reply) in its two halves, the mapping closed between
+        # them: a partial may hold views of the mapped columns until it
+        # is pickled, and what a worker does after its reply has woken
+        # the parent competes with the parent for a CPU.
+        data = ForkingPickler.dumps(reply)
+        result = reply = None
+        for shm in mapped:
+            shm.close()
         try:
             with lock:
-                conn.send(reply)
+                conn.send_bytes(data)
         except Exception:  # pragma: no cover - parent went away
             return
 
@@ -736,10 +754,17 @@ def _run_jobs_in_pool(
                 if record is None:
                     continue  # cancelled earlier in this very batch
                 profile = None
+                t0 = time.perf_counter()
                 try:
-                    status, payload, profile = conn.recv()
+                    # conn.recv(), in its two halves: the size is known
+                    # only between them.
+                    data = conn.recv_bytes()
+                    status, payload, profile = ForkingPickler.loads(data)
                 except (EOFError, OSError):
                     status, payload = "died", None
+                else:
+                    if status != "beat":
+                        obs.returned(len(data), time.perf_counter() - t0)
                 if status == "beat":
                     record.last_beat = time.monotonic()
                     record.rows_done = payload.get(

@@ -99,7 +99,9 @@ class _RepPartitionPhase:
                 schema, n, [arr[mask] for arr in block.columns],
                 block.dictionaries,
             )
-            chunks.append(sub.to_bytes())
+            # bytes: a bytearray is copied once more on each side of
+            # the pipe (pickle protocol 4 reduces it through bytes).
+            chunks.append(bytes(sub.to_bytes()))
         return ("rep_blocks", chunks)
 
 

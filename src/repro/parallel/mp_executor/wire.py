@@ -3,6 +3,11 @@
 One format: a serialized :class:`~repro.storage.ColumnBlock` in one
 parent-owned shared-memory segment, described by a small picklable
 descriptor; ``("inline", job)`` only for what a block cannot carry.
+The parent writes the block straight into the segment, every column on
+an 8-byte boundary, and the worker reads it where it lies: its block's
+columns are read-only views over the mapping, which it closes once the
+job's reply is pickled.  Nothing is copied on either side after the one
+write, and the kernel sees the aligned columns one process would.
 
 Who the bytes came from decides how long a segment lives.  A row list
 is mutable, so its segment is good for one run and unlinked when the run
@@ -94,8 +99,9 @@ def _encode_fragment(rows, query, schema, segments: list, project: bool = True):
 
     Every non-empty fragment — ``rows`` is a row list or a block-born
     :class:`~repro.storage.ColumnBlock` — ships as one
-    ``ColumnBlock.to_bytes()`` buffer in one segment (appended to
-    ``segments``, which the caller owns and unlinks):
+    ``ColumnBlock.to_bytes()`` buffer, written by ``to_bytes`` itself
+    into one segment sized for it (appended to ``segments``, which the
+    caller owns and unlinks):
     ``("shm_col", name, nbytes, num_rows, query, schema, as_rows)``.
     Empty fragments (``SharedMemory`` cannot be zero-sized) and rows the
     block codec rejects (an int outside int64, a mistyped value) fall
@@ -111,6 +117,19 @@ def _encode_fragment(rows, query, schema, segments: list, project: bool = True):
         return ("inline", ([], query, schema))
     proj = _projection_for(query, schema) if project else None
     ship_schema, idx = proj if proj is not None else (schema, None)
+    nbytes = 0
+
+    def segment(size: int):
+        # Asked for once the block is known to serialize: a rejected
+        # fragment never creates a segment.
+        nonlocal nbytes
+        nbytes = size
+        shm = shared_memory.SharedMemory(
+            create=True, size=size, name=SHM_PREFIX + secrets.token_hex(8)
+        )
+        segments.append(shm)
+        return shm.buf
+
     try:
         if not isinstance(rows, ColumnBlock):
             block = ColumnBlock.from_rows(ship_schema, rows, idx=idx)
@@ -118,16 +137,12 @@ def _encode_fragment(rows, query, schema, segments: list, project: bool = True):
             block = rows.project(idx, ship_schema)
         else:
             block = rows
-        data = block.to_bytes()
+        block.to_bytes(segment)
     except (ValueError, OverflowError, TypeError, AttributeError):
         return ("inline", (rows, query, schema))
-    name = SHM_PREFIX + secrets.token_hex(8)
-    shm = shared_memory.SharedMemory(create=True, size=len(data), name=name)
-    segments.append(shm)
-    shm.buf[: len(data)] = data
     return (
-        "shm_col", shm.name, len(data), block.num_rows, query, ship_schema,
-        not project,
+        "shm_col", segments[-1].name, nbytes, block.num_rows, query,
+        ship_schema, not project,
     )
 
 
@@ -469,23 +484,25 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
     return shm
 
 
-def _load_job(descriptor):
+def _load_job(descriptor, mapped: list):
     """Worker side: a descriptor back into ``(source, query, schema)``.
 
     ``source`` is the shipped :class:`~repro.storage.ColumnBlock` for a
     built-in phase, decoded row tuples when the descriptor says
     ``as_rows`` (a substituted ``phase_fn``), and whatever the parent
     pickled for an inline descriptor.
+
+    The block's columns are read-only views over the attached segment,
+    which is appended to ``mapped``: the caller owns the mapping, and
+    closes it once nothing reads the views — a mapping does not close
+    under a live one (``BufferError``).
     """
     if descriptor[0] == "inline":
         return descriptor[1]
     _kind, name, nbytes, num_rows, query, schema, as_rows = descriptor
     shm = _attach_segment(name)
-    try:
-        data = bytes(shm.buf[:nbytes])
-    finally:
-        shm.close()
-    block = ColumnBlock.from_bytes(schema, data)
+    mapped.append(shm)
+    block = ColumnBlock.from_bytes(schema, shm.buf[:nbytes].toreadonly())
     if block.num_rows != num_rows:
         raise ValueError(
             f"columnar segment holds {block.num_rows} rows, "

@@ -14,10 +14,16 @@ arbitrary strings, including embedded and trailing NULs and non-ASCII,
 round-trip byte for byte.
 
 Serialization (``to_bytes``/``from_bytes``) produces a single contiguous
-buffer suitable for shipping through shared memory: a fixed header, the
-raw column buffers, then each string column's dictionary as
-length-prefixed UTF-8.  The layout is versioned by a magic tag so a
-reader can fail fast on a foreign buffer rather than misparse it.
+buffer suitable for shipping through shared memory: a fixed header; per
+column a length prefix, padding up to the next 8-byte boundary of the
+buffer, and the raw column buffer; then each string column's dictionary
+as length-prefixed UTF-8.  The padding is what lets a reader use the
+columns *in place*: ``from_bytes`` returns views, and numpy's
+``ufunc.at`` / ``bincount(weights=)`` leave their fast paths on
+operands that are not aligned to their item size (``np.minimum.at``
+over 50 000 float64: 2.78 ms 4 bytes off, 0.11 ms aligned).  The layout
+is versioned by a magic tag so a reader can fail fast on a foreign
+buffer rather than misparse it.
 """
 
 from __future__ import annotations
@@ -31,11 +37,16 @@ try:  # numpy is the whole point of the columnar layout, but the storage
 except ImportError:  # pragma: no cover - exercised only on bare images
     _np = None
 
-_MAGIC = b"RCB1"
+_MAGIC = b"RCB2"  # RCB1 had no padding: its columns sat 4 bytes off
 _HEADER = struct.Struct("<4sII")  # magic, num_rows, num_cols
 _U32 = struct.Struct("<I")
+_ALIGN = 8  # every column buffer starts on a multiple of this
 
 _DTYPES = {"int": "<i8", "float": "<f8", "str": "<i4"}
+
+
+def _aligned(offset: int) -> int:
+    return -(-offset // _ALIGN) * _ALIGN
 
 
 def have_numpy() -> bool:
@@ -248,23 +259,50 @@ class ColumnBlock:
             self.dictionaries,
         )
 
-    def to_bytes(self) -> bytes:
-        """One contiguous buffer: header, column buffers, dictionaries."""
-        parts = [
-            _HEADER.pack(_MAGIC, self.num_rows, len(self.schema.columns))
-        ]
+    def to_bytes(self, alloc=bytearray):
+        """Serialize into ``alloc(nbytes)`` and return that buffer.
+
+        Header; per column its byte length, zero padding up to the next
+        ``_ALIGN`` boundary, its buffer; then the dictionaries.
+        ``alloc`` is asked once, after everything that can refuse a
+        value has run, for a zero-filled writable buffer — a
+        ``bytearray`` unless the caller has the destination already (the
+        mp executor hands out a fresh shared-memory segment) — and each
+        column is copied into it exactly once.
+        """
+        dictionaries = b"".join(
+            self.dictionaries[i].to_bytes()
+            for i, column in enumerate(self.schema.columns)
+            if column.kind == "str"
+        )
+        offsets = []
+        end = _HEADER.size
         for arr in self.columns:
-            raw = arr.tobytes()
-            parts.append(_U32.pack(len(raw)))
-            parts.append(raw)
-        for i, column in enumerate(self.schema.columns):
-            if column.kind == "str":
-                parts.append(self.dictionaries[i].to_bytes())
-        return b"".join(parts)
+            start = _aligned(end + _U32.size)
+            offsets.append(start)
+            end = start + arr.nbytes
+        out = alloc(end + len(dictionaries))
+        _HEADER.pack_into(
+            out, 0, _MAGIC, self.num_rows, len(self.schema.columns)
+        )
+        end = _HEADER.size
+        for arr, start in zip(self.columns, offsets):
+            _U32.pack_into(out, end, arr.nbytes)
+            _np.frombuffer(
+                out, dtype=arr.dtype, count=len(arr), offset=start
+            )[:] = arr
+            end = start + arr.nbytes
+        out[end : end + len(dictionaries)] = dictionaries
+        return out
 
     @classmethod
     def from_bytes(cls, schema: Schema, data) -> "ColumnBlock":
-        """Parse a ``to_bytes`` buffer (bytes or memoryview) back."""
+        """Parse a ``to_bytes`` buffer (any bytes-like) back.
+
+        The columns are views over ``data``: read-only when it is,
+        aligned when its start is, and holding it — a mapping under it
+        cannot close — for as long as they live.
+        """
         if _np is None:  # pragma: no cover
             raise RuntimeError("ColumnBlock requires numpy")
         buf = memoryview(data)
@@ -282,7 +320,7 @@ class ColumnBlock:
         columns = []
         for column in schema.columns:
             (nbytes,) = _U32.unpack_from(buf, offset)
-            offset += _U32.size
+            offset = _aligned(offset + _U32.size)
             arr = _np.frombuffer(
                 buf[offset : offset + nbytes],
                 dtype=_DTYPES[column.kind],

@@ -455,6 +455,66 @@ class TestExplain:
             "    sort                     1",
         ]
 
+    def test_pooled_mp_run_reports_the_process_boundary(self, tmp_path):
+        """What the pool adds around the kernel — ship, the workers'
+        attach, the partials' way back — is in the profiles, the
+        registry, the run artifact and the report (the in-process runs
+        above never cross the boundary and print none of it)."""
+        from repro.obs import MetricsRegistry, mp_run_artifact, write_run_json
+        from repro.obs.schema import validate_run_json
+        from repro.parallel import (
+            multiprocessing_aggregate,
+            shutdown_worker_pool,
+        )
+        from repro.sql import parse_query
+        from repro.workloads.generator import generate_uniform
+
+        dist = generate_uniform(
+            num_tuples=2000, num_groups=50, num_nodes=4, seed=5,
+            columnar=True,
+        )
+        query = parse_query(
+            "SELECT gkey, SUM(val), MIN(val) FROM r GROUP BY gkey"
+        )[1]
+        registry, profiles = MetricsRegistry(), []
+        try:
+            multiprocessing_aggregate(
+                dist, query, 2, metrics=registry, profiles=profiles
+            )
+        finally:
+            shutdown_worker_pool()
+        assert len(profiles) == 4
+        assert all(0 < p.load_seconds < p.wall_seconds for p in profiles)
+        snapshot = registry.snapshot()
+        assert snapshot["mp.worker_load_seconds"]["count"] == 4
+        assert snapshot["mp.worker_load_seconds"]["total"] == pytest.approx(
+            sum(p.load_seconds for p in profiles)
+        )
+        assert registry.value("mp.return_bytes") > 4 * 50 * 8
+        assert 0 < registry.value("mp.phase_seconds.return") < (
+            registry.value("mp.elapsed_seconds")
+        )
+        doc = mp_run_artifact(registry)
+        path = str(tmp_path / "pooled.json")
+        write_run_json(doc, path)
+        code, text = run_cli("explain", path)
+        assert code == 0
+        boundary = text.splitlines()[-4:]
+        assert boundary[0] == (
+            "mp process boundary (seconds beside the kernel):"
+        )
+        assert [line.split()[0] for line in boundary[1:]] == [
+            "encode", "load", "return",
+        ]
+        assert boundary[2].endswith("s over 4 attempt(s)")
+        assert boundary[3].endswith(
+            f"s for {registry.value('mp.return_bytes')} bytes"
+        )
+        doc["metrics"]["mp.return_bytes"]["value"] = -1
+        assert validate_run_json(doc) == [
+            "metrics['mp.return_bytes'].value must be a non-negative number"
+        ]
+
     def test_missing_file_is_one_actionable_line(self):
         code, text = run_cli("explain", "/no/such/run.json")
         assert code == 2

@@ -12,7 +12,7 @@ encode time instead of silently corrupted at decode time — is pinned in
 import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.storage.columnblock import (
@@ -58,12 +58,30 @@ def test_from_rows_to_rows_round_trip(case):
     assert block.to_rows() == rows
 
 
+_STR_INT_FLOAT = Schema(
+    [Column("s", "str", 12), Column("i", "int"), Column("f", "float")]
+)
+
+
 @given(_schema_and_rows())
+# int32 codes ahead of 8-byte columns, odd row counts: the unpadded
+# layout left every later column 4 bytes off.
+@example((_STR_INT_FLOAT, []))
+@example((_STR_INT_FLOAT, [("a", 1, 0.5)]))
+@example((_STR_INT_FLOAT, [("a", 1, 0.5), ("b", 2, 1.5), ("a", 3, 2.5)]))
 def test_serialization_round_trip(case):
+    """``from_bytes(to_bytes(b))`` is ``b``, and its columns — views
+    over the buffer — each start on an 8-byte boundary of it, whatever
+    the buffer is (numpy leaves its fast paths on unaligned operands)."""
     schema, rows = case
     block = ColumnBlock.from_rows(schema, rows)
-    back = ColumnBlock.from_bytes(schema, block.to_bytes())
-    assert back.to_rows() == rows
+    data = block.to_bytes()
+    for buffer in (data, bytes(data), memoryview(b"\0" * 8 + data)[8:]):
+        back = ColumnBlock.from_bytes(schema, buffer)
+        assert back.to_rows() == rows
+        for arr, original in zip(back.columns, block.columns):
+            assert arr.dtype == original.dtype
+            assert arr.flags.aligned and arr.ctypes.data % 8 == 0
 
 
 @given(_schema_and_rows())
@@ -126,9 +144,12 @@ class TestFromBytesErrors:
         ).to_bytes()
 
     def test_bad_magic(self):
+        """A foreign buffer — or the unpadded ``RCB1`` layout, whose
+        columns sit elsewhere — fails on its tag, not by misparsing."""
         schema, data = self._block_bytes()
-        with pytest.raises(ValueError, match="magic"):
-            ColumnBlock.from_bytes(schema, b"XXXX" + data[4:])
+        for magic in (b"XXXX", b"RCB1"):
+            with pytest.raises(ValueError, match="magic"):
+                ColumnBlock.from_bytes(schema, magic + data[4:])
 
     def test_column_count_mismatch(self):
         schema, data = self._block_bytes()
@@ -140,8 +161,9 @@ class TestFromBytesErrors:
         schema = Schema([Column("k", "str", 8)])
         block = ColumnBlock.from_rows(schema, [("a",), ("b",)])
         data = bytearray(block.to_bytes())
-        # Corrupt a code past the dictionary: codes live right after the
-        # 12-byte header + 4-byte column length prefix.
+        # Corrupt a code past the dictionary: the first column starts at
+        # 16 — the 12-byte header and its 4-byte length prefix end on an
+        # 8-byte boundary, so no padding precedes it.
         struct.pack_into("<i", data, 16, 99)
         with pytest.raises(ValueError, match="dictionary range"):
             ColumnBlock.from_bytes(schema, bytes(data))

@@ -32,6 +32,7 @@ from tests.test_mp_executor_faults import (
 
 from repro.core.aggregates import AggregateSpec, GroupState
 from repro.core.query import AggregateQuery
+from repro.obs.metrics import MetricsRegistry
 from repro.parallel import (
     FragmentFailedError,
     multiprocessing_aggregate,
@@ -40,6 +41,7 @@ from repro.parallel import (
 from repro.parallel import mp_executor
 from repro.parallel.mp_executor.kernel import _local_phase
 from repro.parallel.mp_executor.pool import _get_shared_pool
+from repro.sim.faults import FaultPlan, Straggler
 from repro.storage.schema import Column, Schema
 from repro.storage.relation import DistributedRelation
 from repro.workloads.generator import generate_uniform
@@ -150,6 +152,68 @@ class TestChaosMatrixLeavesNoSegments:
         mp_executor.shutdown_worker_pool()
         got = multiprocessing_aggregate(dist, query, processes=2)
         assert_rows_close(got, reference_aggregate(dist, query))
+
+
+def _mapped_segments(pid: int) -> list[str]:
+    with open(f"/proc/{pid}/maps") as maps:
+        return [line for line in maps if mp_executor.SHM_PREFIX in line]
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/maps"), reason="needs /proc/<pid>/maps"
+)
+class TestWorkersReadInPlace:
+    """A worker's columns are views over the mapped segment, so the
+    mapping must stay open while the job runs — and be closed, with no
+    ``BufferError`` killing the worker, by the time its reply is out,
+    whichever way the attempt ended."""
+
+    def _no_worker_keeps_a_mapping(self, spawned: int):
+        pool = _get_shared_pool()
+        workers = pool.idle_workers()
+        assert workers and pool.spawned == spawned  # nobody died closing
+        for worker in workers:
+            assert worker.proc.is_alive()
+            assert _mapped_segments(worker.proc.pid) == []
+
+    @pytest.mark.parametrize("kwargs, took", [
+        ({}, "mp.shm.resident.hit"),
+        # The kernel raises MemoryExceededError over the mapped columns.
+        ({"memory_budget_bytes": 200}, "mp.errors.MemoryExceededError"),
+        ({"faults": FaultPlan(seed=11, stragglers=(Straggler(2, 4.0),))},
+         "mp.faults.injected.slow"),
+        ({"faults": FaultPlan(seed=11, read_error_rate=0.5)},
+         "mp.faults.injected.error"),
+        # A substituted phase: full-width segments, decoded to rows.
+        ({"phase_fn": _local_phase}, "mp.shm.resident.miss"),
+    ], ids=["ok", "governed", "injected_slow", "injected_error", "as_rows"])
+    def test_the_mapping_is_closed_when_the_reply_is_out(
+        self, query, kwargs, took
+    ):
+        dist = generate_uniform(
+            num_tuples=2400, num_groups=60, num_nodes=4, seed=21,
+            columnar=True,
+        )
+        want = multiprocessing_aggregate(dist, query, processes=1)
+        multiprocessing_aggregate(dist, query, processes=2)  # fork both
+        spawned = _get_shared_pool().spawned
+        registry = MetricsRegistry()
+        got = multiprocessing_aggregate(
+            dist, query, processes=2, metrics=registry, **kwargs
+        )
+        assert got == want
+        assert registry.value(took) > 0
+        self._no_worker_keeps_a_mapping(spawned)
+
+    def test_a_raising_phase_still_closes(self, dist, query):
+        multiprocessing_aggregate(dist, query, processes=2)
+        spawned = _get_shared_pool().spawned
+        with pytest.raises(FragmentFailedError):
+            multiprocessing_aggregate(
+                dist, query, processes=2, max_retries=1,
+                phase_fn=_always_raise,
+            )
+        self._no_worker_keeps_a_mapping(spawned)
 
 
 class TestPoolBehaviour:

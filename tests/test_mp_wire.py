@@ -22,6 +22,7 @@ Two contracts:
 """
 
 import glob
+import pathlib
 
 import pytest
 
@@ -128,7 +129,8 @@ class TestEncodeFragment:
         assert tuple(c.name for c in schema.columns) == shipped
         # A substituted phase_fn is handed rows, a built-in the block.
         assert as_rows is (not project)
-        loaded, _query, loaded_schema = _load_job(desc)
+        mapped: list = []
+        loaded, _query, loaded_schema = _load_job(desc, mapped)
         assert loaded_schema is schema
         idx = _SCHEMA.indexes_of(shipped)
         want = [tuple(row[i] for i in idx) for row in _ROWS]
@@ -137,6 +139,20 @@ class TestEncodeFragment:
         else:
             assert isinstance(loaded, ColumnBlock)
             assert loaded.to_rows() == want
+            # The worker's columns are the segment itself: aligned for
+            # numpy's fast paths, and not the worker's to write.
+            for arr in loaded.columns:
+                assert arr.flags.aligned and not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0
+            del arr
+        # The mapping closes once nothing reads the views — not before.
+        (shm,) = mapped
+        if not as_rows:
+            with pytest.raises(BufferError):
+                shm.close()
+        del loaded
+        shm.close()
 
     @pytest.mark.parametrize("born", ["rows", "block"])
     def test_rep_chunks_carry_the_where_columns(self, born):
@@ -184,6 +200,31 @@ class TestEncodeFragment:
         desc = _encode_fragment(rows, query, _SCHEMA, segments)
         assert desc == ("inline", (rows, query, _SCHEMA))
         assert segments == []
+
+
+def test_workers_read_aligned_columns_in_place(segments):
+    """CI's structural step runs this by name.  The worker must not go
+    back to copying its segment (``bytes(shm.buf[...])`` anywhere in the
+    package), and a column that crosses the wire — ints and floats
+    behind int32 codes, an odd row count — must come out of
+    ``from_bytes`` on an 8-byte boundary: 4 bytes off, ``np.minimum.at``
+    and ``bincount(weights=)`` cost 25x."""
+    import repro.parallel.mp_executor as package
+
+    for path in pathlib.Path(package.__file__).parent.glob("*.py"):
+        assert "bytes(shm.buf" not in path.read_text(), path
+    schema = Schema(
+        [Column("pad", "str", 8), Column("gkey", "int"), Column("val", "float")]
+    )
+    rows = [(pad, gkey, val) for gkey, val, pad in _ROWS[:39]]
+    mapped: list = []
+    block, _query, _schema = _load_job(
+        _encode_fragment(rows, _COUNT_STAR, schema, segments), mapped
+    )
+    assert [arr.ctypes.data % 8 for arr in block.columns] == [0, 0, 0]
+    assert all(arr.flags.aligned for arr in block.columns)
+    del block
+    mapped.pop().close()
 
 
 # -- the shape matrix ---------------------------------------------------------
