@@ -3,17 +3,14 @@
 
 Parses the canonical GROUP BY query shape into the library's query
 model, runs it three ways — the local Volcano engine, the simulated
-cluster, and the out-of-core file executor — and shows the answers
+cluster, and the multiprocessing executor — and shows the answers
 agree.  Also demonstrates SELECT DISTINCT (duplicate elimination, the
 paper's high-selectivity motivation) and HAVING over aggregates.
 
 Run:  python examples/sql_frontend.py
 """
 
-import tempfile
-
-from repro.parallel import file_backed_aggregate
-from repro.sql import parse_query, run_sql
+from repro.sql import run_sql
 from repro.workloads.tpcd import generate_lineitem
 
 PRICING_SUMMARY = """
@@ -45,12 +42,9 @@ def main() -> None:
     print(f"\ncluster (two_phase): same {outcome.num_groups} rows in "
           f"{outcome.elapsed_seconds:.3f}s simulated")
 
-    # 3. Out-of-core file executor (real disk I/O).
-    _table, query = parse_query(PRICING_SUMMARY)
-    with tempfile.TemporaryDirectory() as directory:
-        rows, stats = file_backed_aggregate(dist, query, directory)
-    print(f"out-of-core: same {len(rows)} rows, "
-          f"{stats['pages_read']} real pages read")
+    # 3. The multiprocessing executor (real worker processes).
+    rows = run_sql(PRICING_SUMMARY, dist, substrate="mp")
+    print(f"multiprocessing: same {len(rows)} rows")
     agree = (
         sorted(local.rows) == sorted(outcome.rows) == rows
         or len(local) == outcome.num_groups == len(rows)

@@ -10,12 +10,7 @@ behaviour is identical inside and outside the simulator.
 Hot operators additionally expose ``batches()`` — the same stream as
 ``rows()`` but in lists of ``BATCH_ROWS`` tuples, so per-row virtual
 dispatch is paid once per batch (the Volcano-overhead fix the related
-aggregation-performance studies all converge on) — and
-``column_blocks()``, the stream as
-:class:`~repro.storage.columnblock.ColumnBlock` chunks, which a scan
-over a block-born :class:`~repro.storage.relation.BlockRelation` (and a
-project above it) serves as zero-copy buffer slices — no tuple is ever
-materialized between a columnar generator and a columnar consumer.
+aggregation-performance studies all converge on).
 """
 
 from __future__ import annotations
@@ -24,7 +19,6 @@ from repro.core.aggregates import make_state_factory
 from repro.core.hashtable import HashAggregator
 from repro.core.query import AggregateQuery
 from repro.core.sortagg import SortAggregator
-from repro.storage.columnblock import ColumnBlock, have_numpy
 from repro.storage.relation import Relation
 from repro.storage.schema import Column, Schema
 
@@ -64,17 +58,6 @@ class Operator:
         if batch:
             yield batch
 
-    def column_blocks(self, batch_rows: int = BATCH_ROWS):
-        """The output as :class:`ColumnBlock` chunks of this schema.
-
-        The default columnarizes each batch (requires numpy); operators
-        sitting on a block-born source override this with buffer-slice
-        streams that never touch a row tuple.
-        """
-        schema = self.schema
-        for batch in self.batches(batch_rows):
-            yield ColumnBlock.from_rows(schema, batch)
-
     def describe(self) -> str:
         """One line for EXPLAIN output."""
         return self.name
@@ -100,17 +83,6 @@ class ScanOp(Operator):
         rows = self.relation.rows
         for start in range(0, len(rows), batch_rows):
             yield rows[start : start + batch_rows]
-
-    def column_blocks(self, batch_rows: int = BATCH_ROWS):
-        """Native slices of a block-born relation; columnarized batches
-        otherwise.  Slices share the relation's buffers and dictionary —
-        a scan over a :class:`BlockRelation` never decodes a row."""
-        block = getattr(self.relation, "block", None)
-        if block is None or not have_numpy():
-            yield from super().column_blocks(batch_rows)
-            return
-        for start in range(0, block.num_rows, batch_rows):
-            yield block.slice(start, start + batch_rows)
 
     def describe(self) -> str:
         return f"scan({len(self.relation)} rows)"
@@ -168,12 +140,6 @@ class ProjectOp(Operator):
         idx = self._idx
         for batch in self.children[0].batches(batch_rows):
             yield [tuple(row[i] for i in idx) for row in batch]
-
-    def column_blocks(self, batch_rows: int = BATCH_ROWS):
-        """Columnar projection is a column-list reshuffle — buffers and
-        dictionaries are shared with the child's blocks, not copied."""
-        for block in self.children[0].column_blocks(batch_rows):
-            yield block.project(self._idx, self._schema)
 
     def describe(self) -> str:
         return f"project({', '.join(self.columns)})"

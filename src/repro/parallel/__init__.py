@@ -5,15 +5,11 @@ against; ``mp_executor`` is a genuine multiprocessing two-phase executor
 over a persistent shared-memory worker pool.  Its wall-clock time is
 measured, not modelled: the end-to-end benchmark (``BENCHMARK.json``,
 ``benchmarks/e2e``) tracks it per workload, including the pool's speedup
-over one process (``parallel.pool_speedup``, 1.40 on ``scan_lowS``).  The
+over one process (``parallel.pool_speedup``, 0.89 on ``scan_lowS``).  The
 paper's figures — timings of a 32-node shared-nothing machine — still
 come from the simulator.
 """
 
-from repro.parallel.file_executor import (
-    file_backed_aggregate,
-    materialize_fragments,
-)
 from repro.parallel.local import reference_aggregate
 from repro.parallel.mp_executor import (
     BREAKER_CLOSED,
@@ -40,8 +36,6 @@ __all__ = [
     "InjectedFaultError",
     "PoolCircuitBreaker",
     "WorkerFailure",
-    "file_backed_aggregate",
-    "materialize_fragments",
     "multiprocessing_aggregate",
     "pool_breaker_state",
     "reference_aggregate",

@@ -70,6 +70,8 @@ The pool path is chaos-hardened end to end:
   the full cause chain; repeated infrastructure-level run failures trip
   a module-level breaker that rebuilds the shared pool once and then
   gives every run a private pool of fresh workers (``mp.breaker.*``).
+  Both rounds of ``strategy="rep"`` run where a two-phase run would and
+  answer to the same breaker (``pool._Runner`` decides once per run).
 
 The fault-free path is byte-identical to the pre-chaos executor; the
 golden parity tests pin that.

@@ -1,9 +1,8 @@
 """The entry point, :func:`multiprocessing_aggregate`, and the sink its
-dispatch loops report through."""
+runner and dispatch loops report through."""
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro.core.query import AggregateQuery
@@ -16,22 +15,13 @@ from repro.parallel.mp_executor.merge import (
     _merge_sequential,
     _take_notes,
 )
-from repro.parallel.mp_executor.pool import (
-    WorkerPool,
-    _get_shared_pool,
-    _run_jobs_in_pool,
-    _run_jobs_in_process,
-    shutdown_worker_pool,
-)
+from repro.parallel.mp_executor.pool import _Runner
 from repro.parallel.mp_executor.resilience import (
     ChaosOptions,
     DeadlineExceededError,
     FragmentFailedError,
-    MpFaultInjector,
-    pool_breaker_state,
 )
 from repro.parallel.mp_executor.strategies import _run_rep_strategy
-from repro.parallel.mp_executor.wire import _Shipment
 from repro.storage.relation import DistributedRelation
 
 
@@ -305,7 +295,9 @@ def multiprocessing_aggregate(
       round 2 aggregates each bucket on one worker, so no group is
       touched by two workers and the parent merge is a concatenation.
 
-    Results are bit-identical across both.  ``phase_fn``,
+    Results are bit-identical across both, and retries, ``timeout``,
+    ``deadline``, heartbeats, quarantine and the circuit breaker cover
+    both rounds of ``rep`` as they cover two-phase.  ``phase_fn``,
     ``memory_budget_bytes``, fault injection and speculation are
     two-phase only.
 
@@ -341,7 +333,7 @@ def multiprocessing_aggregate(
     ``profiles`` (a list) is extended with one
     :class:`repro.obs.WorkerProfile` per attempt that reported back.
 
-    Chaos / robustness (two-phase only):
+    Chaos / robustness (injection and speculation: two-phase only):
 
     ``faults`` (a :class:`~repro.sim.faults.FaultPlan`) injects the
     plan's deterministic fault schedule into the real workers — kills,
@@ -430,20 +422,27 @@ def multiprocessing_aggregate(
             max(1, memory_budget_bytes >> attempt), spill=True
         )
 
-    cpu_count = os.cpu_count() or 1
-    if processes == 0:
-        processes = min(len(dist.fragments), cpu_count)
-    if faults_active and processes == 1:
-        # Injection needs real worker processes; the in-process fallback
-        # has nothing to kill, stall, or starve.
-        processes = 2
+    obs = _ObsSink(tracer, metrics)
+    runner = _Runner(
+        len(dist.fragments), processes, max_retries, timeout, deadline, obs,
+        ChaosOptions(
+            heartbeat_interval=heartbeat_interval,
+            heartbeat_timeout=heartbeat_timeout,
+            speculate=speculate,
+            speculation_multiplier=speculation_multiplier,
+            speculation_min_seconds=speculation_min_seconds,
+            poison_threshold=poison_threshold,
+            ledger=ledger,
+        ),
+        faults if faults_active else None, faults_log,
+    )
     # Block-born fragments stay columnar end to end: the job carries the
     # ColumnBlock itself and rows are never materialized on the default
     # phases (encode ships the block; the in-process kernel reads it
     # directly).  A substituted phase function keeps its row-list
     # contract: the pool ships the block as it is and the worker decodes
     # it (``as_rows``); only the in-process runner decodes here.
-    keep_blocks = phase_fn is None or processes > 1
+    keep_blocks = phase_fn is None or not runner.in_process
     jobs = [
         (
             frag.relation.block
@@ -455,73 +454,22 @@ def multiprocessing_aggregate(
         )
         for frag in dist.fragments
     ]
-    obs = _ObsSink(tracer, metrics)
     run_span = None
     if tracer is not None:
         run_span = tracer.begin(
             "mp_aggregate", track=-1, t=0.0, cat="query",
-            fragments=len(jobs), processes=processes,
+            fragments=len(jobs), processes=runner.processes,
         )
-    breaker = pool_breaker_state()
     try:
-        if strategy == "rep":
-            completed = _run_rep_strategy(
-                jobs, query, dist.schema, processes, max_retries,
-                timeout, obs, deadline,
-            )
-        elif processes <= 1:
-            completed = _run_jobs_in_process(
-                fn_for, jobs, max_retries, obs, run_deadline=deadline,
-            )
-        else:
-            degraded = breaker.degraded
-            if degraded:
-                # The breaker gave up on the shared pool: this run forks
-                # a private one (fresh workers, still isolated from the
-                # parent) and shuts it down on the way out; injection is
-                # skipped.
-                obs.pool_degraded()
-                pool = WorkerPool()
+        with runner:
+            if strategy == "rep":
+                completed = _run_rep_strategy(
+                    runner.run, jobs, query, dist.schema
+                )
             else:
-                if breaker.take_rebuild():
-                    shutdown_worker_pool()
-                    obs.pool_rebuild()
-                pool = _get_shared_pool()
-            injector = None
-            if faults_active and not degraded:
-                injector = MpFaultInjector(faults, len(jobs),
-                                           max_retries + 1)
-            shipment = _Shipment(jobs, obs, project=phase_fn is None)
-            chaos = ChaosOptions(
-                injector=injector,
-                heartbeat_interval=heartbeat_interval,
-                heartbeat_timeout=heartbeat_timeout,
-                speculate=speculate,
-                speculation_multiplier=speculation_multiplier,
-                speculation_min_seconds=speculation_min_seconds,
-                poison_threshold=poison_threshold,
-                ledger=ledger,
-                lose_segment=shipment.lose,
-            )
-            try:
-                with shipment:
-                    completed = _run_jobs_in_pool(
-                        fn_for, shipment.ship(), processes, max_retries,
-                        timeout, obs, pool, chaos=chaos,
-                        reencode=shipment.reencode,
-                        run_deadline=deadline,
-                    )
-            except FragmentFailedError as exc:
-                breaker.record_failure(exc.cause_type)
-                raise
-            else:
-                breaker.record_success()
-            finally:
-                if degraded:
-                    pool.shutdown()
-                obs.breaker_state(breaker.state_code())
-                if injector is not None and faults_log is not None:
-                    faults_log.extend(injector.injected)
+                completed = runner.run(
+                    fn_for, jobs, project=phase_fn is None
+                )
     except (FragmentFailedError, DeadlineExceededError):
         if tracer is not None:
             tracer.close_all(obs.now())

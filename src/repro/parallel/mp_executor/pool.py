@@ -1,5 +1,7 @@
 """Where jobs run: the worker main loop, the persistent
-:class:`WorkerPool`, the pooled dispatch loop and its in-process twin."""
+:class:`WorkerPool`, the pooled dispatch loop and its in-process twin,
+and the :class:`_Runner` that decides, once per run, which of them a
+run's jobs go to and answers for the pool they ran on."""
 
 from __future__ import annotations
 
@@ -34,10 +36,13 @@ from repro.parallel.mp_executor.resilience import (
     DeadlineExceededError,
     FragmentFailedError,
     InjectedFaultError,
+    MpFaultInjector,
     WorkerFailure,
+    pool_breaker_state,
 )
 from repro.parallel.mp_executor.wire import (
     _load_job,
+    _Shipment,
     release_resident_segments,
 )
 from repro.sim.faults import (
@@ -83,10 +88,30 @@ def _disarm_resource_tracker() -> None:
         tracker.ensure_running = _tracker_noop
 
 
-def _attempt_profile(started) -> dict:
-    """The attempt's self-measurement plus its notes (``declined``: why
-    it left the kernel; ``grouping``: how its key columns were numbered)."""
-    return {**profile_finish(started), **_take_notes()}
+def _attempt(call, catch=Exception):
+    """Run one attempt of a job, here: ``(reply, exc)``.
+
+    ``reply`` is what a worker sends back — ``("ok", result, profile)``
+    or ``("error", {"type", "message"}, profile)``, the type name being
+    what failures are classified by — and ``exc`` the exception itself,
+    for a caller in the same process to chain from.  ``profile`` is the
+    attempt's self-measurement plus its notes (``declined``: why it left
+    the kernel; ``grouping``: how its key columns were numbered).  A
+    worker replies whatever was raised (``catch=BaseException``); the
+    parent's own thread lets an interrupt through.
+    """
+    started = profile_start()
+    _take_notes()  # not this attempt's: inherited at fork, or an earlier run's
+
+    def profile() -> dict:
+        return {**profile_finish(started), **_take_notes()}
+
+    try:
+        result = call()
+    except catch as exc:
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        return ("error", error, profile()), exc
+    return ("ok", result, profile()), None
 
 
 _SLOW_CHUNK_ROWS = 128
@@ -225,21 +250,15 @@ def _pool_worker_main(conn) -> None:
         if interval:
             beat = _HeartbeatSender(conn, lock, interval, progress)
             beat.start()
-        started = profile_start()
-        _take_notes()  # the forking thread's, inherited at fork
         mapped: list = []  # the segment the job's columns are views over
-        try:
-            result = _run_worker_job(
+        # [0]: the exception goes at once — its traceback's frames hold
+        # the job, whose columns are views the mapping cannot close under.
+        reply = _attempt(
+            lambda: _run_worker_job(
                 fn, descriptor, opts.get("inject") or {}, progress, mapped
-            )
-        except BaseException as exc:
-            reply = (
-                "error",
-                {"type": type(exc).__name__, "message": str(exc)},
-                _attempt_profile(started),
-            )
-        else:
-            reply = ("ok", result, _attempt_profile(started))
+            ),
+            BaseException,
+        )[0]
         if beat is not None:
             beat.stop()  # joins: no beat can trail the final reply
         # conn.send(reply) in its two halves, the mapping closed between
@@ -247,7 +266,7 @@ def _pool_worker_main(conn) -> None:
         # is pickled, and what a worker does after its reply has woken
         # the parent competes with the parent for a CPU.
         data = ForkingPickler.dumps(reply)
-        result = reply = None
+        reply = None
         for shm in mapped:
             shm.close()
         try:
@@ -489,49 +508,38 @@ class _PoolAttempt:
         self.rows_done = 0
 
 
-def _run_jobs_in_pool(
-    fn_for,
-    descriptors: list,
-    processes: int,
-    max_retries: int,
-    timeout: float | None,
-    obs,
-    pool: WorkerPool,
-    chaos: ChaosOptions | None = None,
-    reencode=None,
-    run_deadline: float | None = None,
-) -> dict[int, list]:
-    """Pool dispatch: jobs go to persistent workers as small
-    descriptors; returns index -> result.
+def _run_jobs_in_pool(fn_for, descriptors: list, runner: "_Runner",
+                      shipment=None) -> dict[int, list]:
+    """Pool dispatch: jobs go to ``runner.pool``'s persistent workers as
+    small descriptors; returns index -> result.
 
     ``fn_for(attempt)`` resolves the phase function for a given attempt
     number — how the memory ladder swaps in a reduced-budget spill phase
     on retry.  A worker that raises, dies (closed pipe without a
-    result), goes silent or exceeds ``timeout`` fails that attempt; the
-    fragment is retried up to ``max_retries`` times before
-    :class:`FragmentFailedError` aborts the run.
+    result), goes silent or exceeds ``runner.timeout`` fails that
+    attempt, and :meth:`_Runner.failed` says what follows.
 
     Timeout, heartbeat-loss and death handling must discard the worker
     (its loop may be wedged or gone); a clean "error" reply leaves it
-    reusable.  ``chaos`` bundles the robustness machinery: heartbeat
-    monitoring, fault injection, speculative re-execution and poison-
-    fragment quarantine (see :class:`ChaosOptions`); ``reencode(index)``
-    rebuilds a fragment's shm descriptor after injected segment loss.
-    ``run_deadline`` (absolute monotonic) cancels the whole dispatch
-    cooperatively: every in-flight worker is discarded and
-    :class:`DeadlineExceededError` raised.
+    reusable.  ``runner.chaos`` bundles the robustness machinery:
+    heartbeat monitoring, fault injection, speculative re-execution
+    (see :class:`ChaosOptions`).  ``shipment`` is the
+    :class:`~repro.parallel.mp_executor.wire._Shipment` behind the
+    descriptors, when there is one: it loses a fragment's segment on an
+    injected shm loss and ships the fragment again once a worker found
+    it gone.  Past the run deadline every in-flight worker is discarded.
     """
-    chaos = chaos if chaos is not None else ChaosOptions()
+    processes, timeout, obs = runner.processes, runner.timeout, runner.obs
+    pool, chaos, run_deadline = runner.pool, runner.chaos, runner.deadline
     injector = chaos.injector
     hb_timeout = chaos.heartbeat_timeout
+    completed = runner.completed
 
     pending: deque[tuple[int, int]] = deque(
         (i, 0) for i in range(len(descriptors))
     )
     busy: dict[object, _PoolAttempt] = {}
-    completed: dict[int, list] = {}
     durations: list[float] = []      # completed attempt wall seconds
-    deaths: dict[int, list[str]] = {}  # fragment -> infra-death causes
     outstanding: dict[int, int] = {}   # fragment -> in-flight attempts
     spec_open: dict[int, dict] = {}    # fragment -> open speculation
 
@@ -548,8 +556,8 @@ def _run_jobs_in_pool(
             # injection, otherwise a straggler would limp its own rescue.
             inject = injector.worker_inject(index, attempt)
             actions = injector.parent_actions(index, attempt)
-        if actions.get(INJECT_SHM_LOSS) and chaos.lose_segment is not None:
-            if chaos.lose_segment(index):
+        if actions.get(INJECT_SHM_LOSS) and shipment is not None:
+            if shipment.lose(index):
                 obs.fault_injected(INJECT_SHM_LOSS, index, attempt)
         deadline = None if timeout is None else time.monotonic() + timeout
         record = _PoolAttempt(index, attempt, worker, deadline, obs.now(),
@@ -577,45 +585,6 @@ def _run_jobs_in_pool(
                     time.monotonic() + inject[INJECT_STALL]
                 )
 
-    def fail_or_retry(record: _PoolAttempt, error: dict) -> None:
-        cause = f"{error.get('type')}: {error.get('message')}"
-        cause_type = error.get("type")
-        if cause_type in _INFRA_DEATHS:
-            chain = deaths.setdefault(record.index, [])
-            chain.append(cause)
-            obs.worker_death(record.index)
-            if len(chain) >= chaos.poison_threshold:
-                # Quarantine: this fragment is grinding the pool down —
-                # fail fast with the whole chain, retries be damned.
-                obs.quarantined(record.index, len(chain))
-                raise FragmentFailedError(
-                    record.index,
-                    record.attempt + 1,
-                    f"poison fragment: killed {len(chain)} worker(s) "
-                    "[" + " <- ".join(chain) + "]",
-                    dict(completed),
-                    cause_type="PoisonFragment",
-                ) from WorkerFailure(error)
-        if record.attempt + 1 > max_retries:
-            raise FragmentFailedError(
-                record.index,
-                record.attempt + 1,
-                cause,
-                dict(completed),
-                cause_type=cause_type,
-            ) from WorkerFailure(error)
-        obs.retry(record.index, record.attempt, error)
-        if (
-            reencode is not None
-            and cause_type == "FileNotFoundError"
-            and descriptors[record.index][0] == "shm_col"
-        ):
-            # The segment vanished (injected shm loss): re-encode the
-            # fragment into a fresh one before the retry ships.
-            descriptors[record.index] = reencode(record.index)
-            obs.reencoded(record.index)
-        pending.append((record.index, record.attempt + 1))
-
     def attempt_failed(record: _PoolAttempt, error: dict,
                        profile=None) -> None:
         obs.attempt_done(record.index, record.attempt, record.started,
@@ -624,7 +593,17 @@ def _run_jobs_in_pool(
             return  # a speculative sibling already won
         if outstanding.get(record.index, 0) > 0:
             return  # a sibling is still running; it decides the outcome
-        fail_or_retry(record, error)
+        runner.failed(record.index, record.attempt, error)
+        if (
+            shipment is not None
+            and error.get("type") == "FileNotFoundError"
+            and descriptors[record.index][0] == "shm_col"
+        ):
+            # The segment vanished (injected shm loss): re-encode the
+            # fragment into a fresh one before the retry ships.
+            descriptors[record.index] = shipment.reencode(record.index)
+            obs.reencoded(record.index)
+        pending.append((record.index, record.attempt + 1))
 
     def wake_if_stalled(record: _PoolAttempt) -> None:
         # A fast job can reply before the injected SIGSTOP lands; the
@@ -705,11 +684,7 @@ def _run_jobs_in_pool(
     pool.register_dispatcher()
     try:
         while busy or pending:
-            if run_deadline is not None and time.monotonic() >= run_deadline:
-                obs.deadline_exceeded(len(completed), len(descriptors))
-                raise DeadlineExceededError(
-                    obs.now(), len(completed), len(descriptors)
-                )
+            runner.check_deadline(len(descriptors))
             while pending and len(busy) < processes:
                 dispatch(*pending.popleft())
             if chaos.speculate:
@@ -831,56 +806,166 @@ def _run_jobs_in_pool(
     return completed
 
 
-def _run_jobs_in_process(
-    fn_for, jobs: list, max_retries: int, obs,
-    run_deadline: float | None = None,
-) -> dict[int, list]:
-    """The single-CPU path: same retry semantics, no processes.
+def _run_jobs_in_process(fn_for, jobs: list,
+                         runner: "_Runner") -> dict[int, list]:
+    """The single-CPU path: the same outcome rules, no processes.
 
-    Failures are classified like the pool path's, by exception type
+    Its own loop, because all it does is call the job here: failures
+    are classified by exception type
     (:class:`~repro.resources.MemoryExceededError` is the budget
-    ladder's trigger: the retry reruns with spilling); the exception of
-    a retried attempt is logged through the sink, never discarded, and
-    the final :class:`FragmentFailedError` chains from its cause.
+    ladder's trigger: the retry reruns with spilling) and the final
+    :class:`FragmentFailedError` chains from the exception itself.
     The run deadline is checked between fragments and between attempts
     (a running fragment cannot preempt itself without a process).
     """
-    completed: dict[int, list] = {}
+    obs = runner.obs
     for index, job in enumerate(jobs):
-        attempts = 0
+        attempt = 0
         while True:
-            if (run_deadline is not None
-                    and time.monotonic() >= run_deadline):
-                obs.deadline_exceeded(len(completed), len(jobs))
-                raise DeadlineExceededError(
-                    obs.now(), len(completed), len(jobs)
-                )
-            attempts += 1
-            started = profile_start()
+            runner.check_deadline(len(jobs))
             span_start = obs.now()
-            _take_notes()  # whatever this thread ran before the attempt
-            try:
-                completed[index] = fn_for(attempts - 1)(job)
-            except Exception as exc:
-                cause = exc
-                error = {"type": type(exc).__name__, "message": str(exc)}
-            else:
-                obs.attempt_done(
-                    index, attempts - 1, span_start, True,
-                    _attempt_profile(started),
-                )
-                break
-            obs.attempt_done(
-                index, attempts - 1, span_start, False,
-                _attempt_profile(started), error,
+            (status, payload, profile), exc = _attempt(
+                lambda: fn_for(attempt)(job)
             )
-            if attempts > max_retries:
+            if status == "ok":
+                runner.completed[index] = payload
+                obs.attempt_done(index, attempt, span_start, True, profile)
+                break
+            obs.attempt_done(index, attempt, span_start, False, profile,
+                             payload)
+            runner.failed(index, attempt, payload, exc)
+            attempt += 1
+    return runner.completed
+
+
+class _Runner:
+    """Where one run's jobs execute, who answers for the pool, and what
+    a failed attempt means — the same for every round of the run.
+
+    Decided once, when the run starts: in this process (one worker
+    asked for), on the module's shared pool — rebuilt first when the
+    circuit breaker says it is due — or, once the breaker has given up
+    on the shared pool, on a private one forked for this run and shut
+    down with it (fresh workers, still isolated from the parent; fault
+    injection is skipped).  Leaving the ``with`` block settles the
+    pool's account: the run's outcome feeds the breaker (a deadline
+    miss does not count), the breaker's state is reported, and what the
+    injector fired lands in ``faults_log``.
+    """
+
+    def __init__(self, fragments: int, processes: int, max_retries: int,
+                 timeout: float | None, deadline: float | None, obs,
+                 chaos: ChaosOptions, faults=None,
+                 faults_log: list | None = None) -> None:
+        if processes == 0:
+            processes = min(fragments, os.cpu_count() or 1)
+        if faults is not None:
+            # Injection needs real worker processes; in-process there is
+            # nothing to kill, stall, or starve.
+            processes = max(processes, 2)
+            chaos.injector = MpFaultInjector(
+                faults, fragments, max_retries + 1
+            )
+        self.processes = processes
+        self.in_process = processes <= 1
+        self.max_retries = max_retries
+        self.timeout = timeout
+        self.deadline = deadline  # absolute monotonic, for the whole run
+        self.obs = obs
+        self.chaos = chaos
+        self.faults_log = faults_log
+        self.pool: WorkerPool | None = None
+        self._private = False
+
+    def __enter__(self) -> "_Runner":
+        if self.in_process:
+            return self
+        self._breaker = breaker = pool_breaker_state()
+        self._private = breaker.degraded
+        if self._private:
+            self.obs.pool_degraded()
+            self.pool = WorkerPool()
+            self.chaos.injector = None
+        else:
+            if breaker.take_rebuild():
+                shutdown_worker_pool()
+                self.obs.pool_rebuild()
+            self.pool = _get_shared_pool()
+        return self
+
+    def __exit__(self, _exc_type, exc, _tb) -> None:
+        if self.in_process:
+            return
+        if exc is None:
+            self._breaker.record_success()
+        elif isinstance(exc, FragmentFailedError):
+            self._breaker.record_failure(exc.cause_type)
+        if self._private:
+            self.pool.shutdown()
+        self.obs.breaker_state(self._breaker.state_code())
+        injector = self.chaos.injector
+        if injector is not None and self.faults_log is not None:
+            self.faults_log.extend(injector.injected)
+
+    def run(self, fn_for, jobs: list, project: bool = True,
+            inline: bool = False) -> dict[int, list]:
+        """One round: ``jobs`` through ``fn_for(attempt)``; returns
+        index -> result.  Fragments cross to a pool as one
+        :class:`~repro.parallel.mp_executor.wire._Shipment`
+        (``project`` as there); ``inline`` jobs are not fragments and
+        are pickled over the pipe as they are."""
+        self.completed: dict[int, list] = {}
+        self._deaths: dict[int, list[str]] = {}  # fragment -> infra causes
+        if self.in_process:
+            return _run_jobs_in_process(fn_for, jobs, self)
+        if inline:
+            descriptors = [("inline", job) for job in jobs]
+            return _run_jobs_in_pool(fn_for, descriptors, self)
+        with _Shipment(jobs, self.obs, project) as shipment:
+            return _run_jobs_in_pool(fn_for, shipment.ship(), self, shipment)
+
+    def check_deadline(self, total: int) -> None:
+        """The run deadline cancels a round cooperatively."""
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            done = len(self.completed)
+            self.obs.deadline_exceeded(done, total)
+            raise DeadlineExceededError(self.obs.now(), done, total)
+
+    def failed(self, index: int, attempt: int, error: dict,
+               cause: BaseException | None = None) -> None:
+        """Attempt ``attempt`` of fragment ``index`` failed with
+        ``error`` (``{"type", "message"}``) and nothing else can still
+        answer for it.  An infrastructure death is counted against the
+        fragment, ``poison_threshold`` of them quarantine it, and
+        ``max_retries`` bounds everything else: returns if the fragment
+        is to be retried — the error logged through the sink, never
+        discarded — and raises :class:`FragmentFailedError` otherwise,
+        chained from ``cause`` (the exception, when it was raised in
+        this process) or the :class:`WorkerFailure` rebuilt from
+        ``error``."""
+        text = f"{error.get('type')}: {error.get('message')}"
+        cause_type = error.get("type")
+        if cause is None:
+            cause = WorkerFailure(error)
+        if cause_type in _INFRA_DEATHS:
+            chain = self._deaths.setdefault(index, [])
+            chain.append(text)
+            self.obs.worker_death(index)
+            if len(chain) >= self.chaos.poison_threshold:
+                # Quarantine: this fragment is grinding the pool down —
+                # fail fast with the whole chain, retries be damned.
+                self.obs.quarantined(index, len(chain))
                 raise FragmentFailedError(
                     index,
-                    attempts,
-                    f"{error['type']}: {error['message']}",
-                    dict(completed),
-                    cause_type=error["type"],
+                    attempt + 1,
+                    f"poison fragment: killed {len(chain)} worker(s) "
+                    "[" + " <- ".join(chain) + "]",
+                    dict(self.completed),
+                    cause_type="PoisonFragment",
                 ) from cause
-            obs.retry(index, attempts - 1, error)
-    return completed
+        if attempt + 1 > self.max_retries:
+            raise FragmentFailedError(
+                index, attempt + 1, text, dict(self.completed),
+                cause_type=cause_type,
+            ) from cause
+        self.obs.retry(index, attempt, error)

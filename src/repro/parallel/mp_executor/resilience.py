@@ -346,7 +346,6 @@ class ChaosOptions:
         "speculation_min_seconds",
         "poison_threshold",
         "ledger",
-        "lose_segment",
     )
 
     def __init__(
@@ -359,7 +358,6 @@ class ChaosOptions:
         speculation_min_seconds: float = 0.05,
         poison_threshold: int = 3,
         ledger=None,
-        lose_segment=None,
     ) -> None:
         self.injector = injector
         self.heartbeat_interval = heartbeat_interval or None
@@ -375,4 +373,3 @@ class ChaosOptions:
         self.speculation_min_seconds = speculation_min_seconds
         self.poison_threshold = poison_threshold
         self.ledger = ledger
-        self.lose_segment = lose_segment

@@ -8,12 +8,7 @@ from repro.parallel.mp_executor.kernel import (
     _local_phase,
 )
 from repro.parallel.mp_executor.merge import _key_tuples, _merge_sequential
-from repro.parallel.mp_executor.pool import (
-    _get_shared_pool,
-    _run_jobs_in_pool,
-    _run_jobs_in_process,
-)
-from repro.parallel.mp_executor.wire import _projection_for, _Shipment
+from repro.parallel.mp_executor.wire import _projection_for
 from repro.storage.columnblock import ColumnBlock
 from repro.storage.hashing import stable_hash
 
@@ -129,10 +124,7 @@ def _rep_bucket_phase(job):
     return list(_merge_sequential(partials, query).items())
 
 
-def _run_rep_strategy(
-    jobs, query, schema, processes, max_retries, timeout, obs,
-    deadline=None,
-):
+def _run_rep_strategy(run, jobs, query, schema):
     """Dispatch both Rep rounds; returns per-bucket partial lists.
 
     Round 1 hash-partitions each fragment into ``len(jobs)`` disjoint
@@ -140,26 +132,13 @@ def _run_rep_strategy(
     segments, per-row otherwise).  Round 2 aggregates each bucket's
     chunks in fragment order (:func:`_rep_bucket_phase`), so the final
     parent merge sees one partial per key and the result is
-    bit-identical to the 2P strategies.  Both rounds reuse the shared
-    worker pool; in-process when ``processes <= 1``.
+    bit-identical to the 2P strategies.  Both rounds go through ``run``
+    (:meth:`~repro.parallel.mp_executor.pool._Runner.run`): wherever
+    the run's jobs execute, under whatever settings, so do these.
     """
     num_buckets = len(jobs)
     part_fn = _RepPartitionPhase(num_buckets)
-
-    def part_for(_attempt):
-        return part_fn
-
-    if processes <= 1:
-        round1 = _run_jobs_in_process(
-            part_for, jobs, max_retries, obs, run_deadline=deadline
-        )
-    else:
-        with _Shipment(jobs, obs) as shipment:
-            round1 = _run_jobs_in_pool(
-                part_for, shipment.ship(), processes, max_retries, timeout,
-                obs, _get_shared_pool(), reencode=shipment.reencode,
-                run_deadline=deadline,
-            )
+    round1 = run(lambda _attempt: part_fn, jobs)
 
     proj = _projection_for(query, schema)
     rep_schema = proj[0] if proj is not None else schema
@@ -175,17 +154,5 @@ def _run_rep_strategy(
                 ("block" if tag == "rep_blocks" else "rows", payload)
             )
         bucket_jobs.append((chunks, query, rep_schema))
-
-    def bucket_for(_attempt):
-        return _rep_bucket_phase
-
-    if processes <= 1:
-        return _run_jobs_in_process(
-            bucket_for, bucket_jobs, max_retries, obs,
-            run_deadline=deadline,
-        )
-    descriptors2 = [("inline", job) for job in bucket_jobs]
-    return _run_jobs_in_pool(
-        bucket_for, descriptors2, processes, max_retries, timeout, obs,
-        _get_shared_pool(), run_deadline=deadline,
-    )
+    # Bucket jobs are chunks, not fragments: nothing for the wire to ship.
+    return run(lambda _attempt: _rep_bucket_phase, bucket_jobs, inline=True)

@@ -68,7 +68,7 @@ class PlanCache(_LRU):
 
 
 class ResultCache(_LRU):
-    """(table, data_version, sql, algorithm) → result rows.
+    """(table, data_version, sql) → result rows.
 
     The data version in the key is what makes hits safe: bumping a
     table's version on mutation implicitly invalidates every cached
@@ -76,5 +76,5 @@ class ResultCache(_LRU):
     """
 
     @staticmethod
-    def key(table: str, version: int, sql: str, algorithm: str) -> tuple:
-        return (table, version, sql, algorithm)
+    def key(table: str, version: int, sql: str) -> tuple:
+        return (table, version, sql)

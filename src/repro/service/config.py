@@ -24,7 +24,6 @@ class ServiceConfig:
     # Executor
     processes: int = 2             # pool workers per query dispatch
     reduced_processes: int = 1     # fanout at ladder rung 2 (in-process)
-    algorithm: str = "adaptive_two_phase"
     strategy: str = "pool"         # pool (global, auto: synonyms) or rep
     executor_timeout_seconds: float = 30.0  # per-fragment timeout
 

@@ -295,9 +295,7 @@ class QueryService:
             self._count("svc.failed")
             raise QueryFailedError(type(exc).__name__, str(exc)) from exc
         relation, version = self._lookup(table_name)
-        cache_key = ResultCache.key(
-            table_name, version, sql, self.config.algorithm
-        )
+        cache_key = ResultCache.key(table_name, version, sql)
 
         try:
             slot = self.admission.admit(deadline)

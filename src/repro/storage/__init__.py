@@ -18,11 +18,6 @@ from repro.storage.hashing import (
     hash_bytes,
     stable_hash,
 )
-from repro.storage.pagefile import (
-    PageFile,
-    read_relation_file,
-    write_relation_file,
-)
 from repro.storage.partition import (
     hash_partition,
     range_partition,
@@ -30,7 +25,6 @@ from repro.storage.partition import (
 )
 from repro.storage.relation import DistributedRelation, Fragment, Relation
 from repro.storage.schema import Column, Schema
-from repro.storage.serialization import RowCodec
 from repro.storage.spill import FileSpillStore, MemorySpillStore
 
 __all__ = [
@@ -40,9 +34,7 @@ __all__ = [
     "FileSpillStore",
     "Fragment",
     "MemorySpillStore",
-    "PageFile",
     "Relation",
-    "RowCodec",
     "Schema",
     "StringDictionary",
     "bucket_of",
@@ -50,8 +42,6 @@ __all__ = [
     "hash_partition",
     "have_numpy",
     "range_partition",
-    "read_relation_file",
     "round_robin_partition",
     "stable_hash",
-    "write_relation_file",
 ]

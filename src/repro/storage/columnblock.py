@@ -1,10 +1,9 @@
 """Column-major blocks with dictionary-encoded string columns.
 
-The row-major fixed-width encoding of
-:class:`repro.storage.serialization.RowCodec` makes N rows one
-contiguous byte run, but every columnar kernel working on it must first
-transpose — and its NUL-padded string codec cannot represent strings
-with trailing NULs at all.  A :class:`ColumnBlock` stores one
+A row-major fixed-width encoding makes N rows one contiguous byte run,
+but every columnar kernel working on it must first transpose — and a
+NUL-padded string field cannot represent strings with trailing NULs at
+all.  A :class:`ColumnBlock` stores one
 contiguous numpy-backed buffer *per column*: int columns as little-endian
 int64, float columns as IEEE-754 doubles, and string columns as int32
 codes into a per-block :class:`StringDictionary`.  Dictionary codes make
@@ -58,8 +57,8 @@ class StringDictionary:
     """An ordered, length-exact mapping between strings and int32 codes.
 
     Codes are assigned in first-seen order, so encoding is append-only
-    and deterministic for a given value sequence.  Unlike the fixed-width
-    codec there is no padding: any Python string — embedded NULs,
+    and deterministic for a given value sequence.  Unlike a fixed-width
+    field there is no padding: any Python string — embedded NULs,
     trailing NULs, astral-plane characters — maps to a unique code and
     decodes back to the identical object value.
     """
@@ -163,9 +162,8 @@ class ColumnBlock:
         ``idx`` maps schema column ``i`` to source-row position
         ``idx[i]`` so projection happens during column extraction — the
         projected tuples are never materialized.  Out-of-range ints
-        raise (numpy's int64 cast), mirroring the fixed-width codec's
-        contract, so callers with a per-row fallback can treat both
-        paths alike.
+        raise (numpy's int64 cast), so a caller with a per-row fallback
+        takes it.
         """
         if _np is None:  # pragma: no cover
             raise RuntimeError("ColumnBlock requires numpy")
@@ -191,9 +189,8 @@ class ColumnBlock:
                     continue
                 arr = _np.asarray(cols[i])
                 # Casting floats (or big ints, which numpy holds as
-                # object) into an int column would truncate silently
-                # where the fixed-width codec raises; keep the contracts
-                # aligned so callers' per-row fallbacks fire identically.
+                # object) into an int column would truncate silently:
+                # raise, so callers' per-row fallbacks fire.
                 allowed = "bi" if column.kind == "int" else "bif"
                 if arr.dtype.kind not in allowed:
                     raise ValueError(

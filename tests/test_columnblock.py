@@ -1,12 +1,9 @@
 """Property-based round-trips for the columnar block and its dictionary.
 
-The dictionary codec is length-exact, so unlike the NUL-padded
-fixed-width codec its encodable string domain is *all* of ``str`` —
+The dictionary codec is length-exact, so unlike a NUL-padded
+fixed-width field its encodable string domain is *all* of ``str`` —
 embedded NULs, trailing NULs, non-ASCII, astral plane.  The strategies
-here generate exactly that hostile domain on purpose.  The fixed-width
-codec's counterpart guarantee — trailing-NUL strings are *rejected* at
-encode time instead of silently corrupted at decode time — is pinned in
-``tests/test_rowcodec.py``.
+here generate exactly that hostile domain on purpose.
 """
 
 import struct

@@ -41,6 +41,7 @@ from repro.parallel import (
 )
 from repro.parallel import mp_executor
 from repro.parallel.mp_executor import pool as mp_pool
+from repro.parallel.mp_executor import strategies as mp_strategies
 from repro.parallel.mp_executor.kernel import _local_phase
 from repro.parallel.mp_executor.pool import _get_shared_pool
 from repro.sim.faults import CrashFault, FaultPlan, Straggler, WorkerStall
@@ -107,6 +108,21 @@ def _exit_on_marker_row(marker_row, job):
 
 def _always_exit(job):
     os._exit(29)
+
+
+_REAL_PARTITION = mp_strategies._RepPartitionPhase.__call__
+_REAL_BUCKET = mp_strategies._rep_bucket_phase
+_NAP_SECONDS = 0.6  # past the 0.5 s interval a run that ignored its caller used
+
+
+def _napping_partition(self, job):
+    time.sleep(_NAP_SECONDS)
+    return _REAL_PARTITION(self, job)
+
+
+def _napping_bucket(job):
+    time.sleep(_NAP_SECONDS)
+    return _REAL_BUCKET(job)
 
 
 # Each plan is pinned to a seed whose injection schedule was verified to
@@ -443,6 +459,62 @@ class TestDegradedMode:
         assert metrics.value("mp.attempts") == len(dist.fragments)
         assert mp.active_children() == []
         _only_resident_segments_of(dist)
+
+    def test_rep_runs_on_the_private_pool_too(self, dist, query):
+        metrics = MetricsRegistry()
+        got = multiprocessing_aggregate(
+            dist, query, processes=2, strategy="rep", metrics=metrics
+        )
+        assert got == multiprocessing_aggregate(dist, query, processes=1)
+        # Neither round forked into the pool the breaker gave up on.
+        assert mp_pool._shared_pool is None
+        assert metrics.value("mp.breaker.degraded_runs") == 1
+        assert metrics.value("mp.breaker.state") == 2
+        assert mp.active_children() == []
+        _only_resident_segments_of(dist)
+
+    def test_rep_infra_failure_feeds_the_breaker(self, dist, query,
+                                                 monkeypatch):
+        monkeypatch.setattr(mp_strategies, "_rep_bucket_phase", _always_exit)
+        before = pool_breaker_state().consecutive_infra_failures
+        with pytest.raises(FragmentFailedError) as info:
+            multiprocessing_aggregate(
+                dist, query, processes=2, strategy="rep", max_retries=0
+            )
+        assert info.value.cause_type == "WorkerDied"
+        assert pool_breaker_state().consecutive_infra_failures == before + 1
+        assert mp_pool._shared_pool is None
+        assert mp.active_children() == []
+        _only_resident_segments_of(dist)
+
+    @pytest.mark.parametrize("slow_round", [1, 2])
+    def test_rep_heartbeats_are_the_callers_in_both_rounds(
+        self, query, monkeypatch, slow_round
+    ):
+        """The private pool forks inside the run, so its workers nap
+        through the patched round."""
+        if slow_round == 1:
+            monkeypatch.setattr(
+                mp_strategies._RepPartitionPhase, "__call__",
+                _napping_partition,
+            )
+        else:
+            monkeypatch.setattr(
+                mp_strategies, "_rep_bucket_phase", _napping_bucket
+            )
+        two = generate_uniform(
+            num_tuples=600, num_groups=20, num_nodes=2, seed=5
+        )
+        beats = {}
+        for interval in (0.01, None):
+            metrics = MetricsRegistry()
+            multiprocessing_aggregate(
+                two, query, processes=2, strategy="rep", metrics=metrics,
+                heartbeat_interval=interval,
+            )
+            beats[interval] = metrics.counter("mp.heartbeat.beats").value
+        assert beats[0.01] > 10  # two at a hard-wired 0.5 s interval
+        assert beats[None] == 0
 
     def test_run_deadline_holds_on_the_private_pool(self, dist, query):
         from tests.test_mp_executor_faults import _wedge

@@ -16,9 +16,9 @@ Three layers of guarantees:
   signed zeros, ints beyond exact-float range) where the kernel must
   *decline* rather than drift.
 
-* **Regression pins** — the trailing-NUL corruption fix (fixed-width
-  codec now rejects what it used to corrupt; the dictionary path, the
-  only one the executor ships, round-trips it), and AVG/VAR/STDDEV
+* **Regression pins** — the trailing-NUL corruption fix (the
+  dictionary path, the only one the executor ships, round-trips what a
+  NUL-padded field corrupted), and AVG/VAR/STDDEV
   merge results pinned as exact hex floats, not tolerances.
 """
 
@@ -43,7 +43,6 @@ from repro.parallel.mp_executor.merge import _unpack_packed
 from repro.storage.columnblock import ColumnBlock
 from repro.storage.relation import BlockRelation, DistributedRelation
 from repro.storage.schema import Column, Schema
-from repro.storage.serialization import RowCodec
 
 from tests.conftest import assert_partials_equal
 from tests.test_block_parity import _GEN  # reuse digest + workloads
@@ -277,23 +276,10 @@ class TestMomentMergeGolden:
         assert got == _MOMENT_GOLDEN
 
 
-# -- trailing-NUL corruption: rejected fixed-width, exact dictionary ----------
+# -- trailing-NUL corruption: the dictionary is length-exact ------------------
 
 
 class TestTrailingNulRegression:
-    def test_fixed_width_codec_rejects_with_column_name(self):
-        schema = Schema([Column("name", "str", 8)])
-        with pytest.raises(ValueError, match="name.*trailing NUL"):
-            RowCodec(schema).encode(("abc\x00",))
-        with pytest.raises(ValueError, match="name.*trailing NUL"):
-            RowCodec(schema).encode_many([("ok",), ("abc\x00",)])
-
-    def test_embedded_nul_still_round_trips_fixed_width(self):
-        schema = Schema([Column("name", "str", 8)])
-        codec = RowCodec(schema)
-        rows = [("a\x00b",), ("\x00c",)]
-        assert codec.decode_many(codec.encode_many(rows)) == rows
-
     def test_dictionary_path_round_trips_trailing_nul(self):
         schema = Schema([Column("name", "str", 8)])
         rows = [("abc\x00",), ("x\x00\x00",), ("",), ("\x00",)]

@@ -1,5 +1,8 @@
 """Tests for the reference executor and the multiprocessing executor."""
 
+import pathlib
+import re
+
 import pytest
 
 from repro.core.aggregates import AggregateSpec
@@ -80,3 +83,26 @@ class TestMultiprocessingAggregate:
         dist = generate_uniform(800, 10, 2, seed=2)
         got = multiprocessing_aggregate(dist, full_query, processes=2)
         assert_rows_close(got, reference_aggregate(dist, full_query))
+
+
+def test_one_runner_and_one_real_executor():
+    """CI's structural step runs this by name.  Where a run's jobs
+    execute is decided in one place: under ``mp_executor/`` the shared
+    pool is fetched by one caller and ``processes`` is compared against
+    the in-process threshold on one line.  And the file-backed executor
+    stays gone with its row codec: nothing shipped imports them."""
+    repo = pathlib.Path(__file__).parent.parent
+    package = repo / "src" / "repro" / "parallel" / "mp_executor"
+    source = "\n".join(p.read_text() for p in sorted(package.glob("*.py")))
+    fetches = re.findall(r"(?<!def )_get_shared_pool\(", source)
+    assert len(fetches) == 1, fetches
+    decisions = re.findall(r"\bprocesses\s*(?:[<>]=?|[=!]=)\s*[12]\b", source)
+    assert len(decisions) == 1, decisions
+
+    retired = re.compile(
+        r"repro\.storage\.serialization|repro\.storage\.pagefile"
+        r"|repro\.parallel\.file_executor"
+    )
+    for top in ("src", "examples", "benchmarks"):
+        for path in (repo / top).rglob("*.py"):
+            assert not retired.search(path.read_text()), path

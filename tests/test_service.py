@@ -271,8 +271,8 @@ class TestCaches:
 
     def test_result_key_includes_data_version(self):
         sql = "SELECT gkey, SUM(val) FROM r GROUP BY gkey"
-        k1 = ResultCache.key("r", 1, sql, "adaptive_two_phase")
-        k2 = ResultCache.key("r", 2, sql, "adaptive_two_phase")
+        k1 = ResultCache.key("r", 1, sql)
+        k2 = ResultCache.key("r", 2, sql)
         assert k1 != k2
 
 

@@ -1,131 +1,13 @@
-"""Tests for the on-disk substrate: codec, page files, spill stores."""
+"""Tests for the on-disk substrate: the spill stores."""
 
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core.aggregates import AggregateSpec, make_state_factory
 from repro.core.hashtable import HashAggregator
-from repro.storage.pagefile import (
-    PageFile,
-    read_relation_file,
-    write_relation_file,
-)
-from repro.storage.relation import Relation
-from repro.storage.schema import Column, Schema, default_schema
-from repro.storage.serialization import RowCodec
 from repro.resources import SpillCapacityError
 from repro.storage.spill import FileSpillStore, MemorySpillStore
-
-
-@pytest.fixture
-def schema():
-    return Schema(
-        [
-            Column("k", "int"),
-            Column("v", "float"),
-            Column("tag", "str", size_bytes=8),
-        ]
-    )
-
-
-class TestRowCodec:
-    def test_roundtrip(self, schema):
-        codec = RowCodec(schema)
-        row = (-42, 3.25, "hello")
-        assert codec.decode(codec.encode(row)) == row
-
-    def test_fixed_width(self, schema):
-        codec = RowCodec(schema)
-        assert codec.row_bytes == 8 + 8 + 8
-        assert len(codec.encode((1, 1.0, "ab"))) == codec.row_bytes
-
-    def test_string_padding_stripped(self, schema):
-        codec = RowCodec(schema)
-        assert codec.decode(codec.encode((0, 0.0, "x")))[2] == "x"
-
-    def test_oversized_string_rejected(self, schema):
-        codec = RowCodec(schema)
-        with pytest.raises(ValueError, match="exceeds"):
-            codec.encode((0, 0.0, "way too long for eight"))
-
-    def test_unicode_within_width(self, schema):
-        codec = RowCodec(schema)
-        row = (1, 1.0, "héllo")  # 6 bytes UTF-8
-        assert codec.decode(codec.encode(row)) == row
-
-    @given(
-        st.integers(min_value=-(2**62), max_value=2**62),
-        st.floats(allow_nan=False, allow_infinity=False),
-        st.text(
-            alphabet=st.characters(codec="ascii",
-                                   exclude_characters="\x00"),
-            max_size=8,
-        ),
-    )
-    @settings(max_examples=80)
-    def test_roundtrip_property(self, k, v, tag):
-        schema = Schema(
-            [Column("k", "int"), Column("v", "float"),
-             Column("tag", "str", size_bytes=8)]
-        )
-        codec = RowCodec(schema)
-        assert codec.decode(codec.encode((k, v, tag))) == (k, v, tag)
-
-
-class TestPageFile:
-    def test_roundtrip_relation(self, schema, tmp_path):
-        rel = Relation(
-            schema, [(i, float(i), f"t{i % 10}") for i in range(500)]
-        )
-        path = str(tmp_path / "rel.pages")
-        write_relation_file(rel, path, page_bytes=256)
-        loaded = read_relation_file(path, schema, page_bytes=256)
-        assert loaded.rows == rel.rows
-
-    def test_page_count_matches_model(self, schema, tmp_path):
-        rel = Relation(schema, [(i, 0.0, "") for i in range(100)])
-        path = str(tmp_path / "rel.pages")
-        pagefile = write_relation_file(rel, path, page_bytes=256)
-        # 256-byte page: 4-byte header + 10 × 24-byte rows.
-        assert pagefile.rows_per_page == 10
-        assert pagefile.num_pages() == 10
-
-    def test_file_is_page_aligned(self, schema, tmp_path):
-        rel = Relation(schema, [(i, 0.0, "") for i in range(15)])
-        path = str(tmp_path / "rel.pages")
-        write_relation_file(rel, path, page_bytes=256)
-        assert os.path.getsize(path) % 256 == 0
-
-    def test_read_single_page(self, schema, tmp_path):
-        rel = Relation(schema, [(i, 0.0, "") for i in range(25)])
-        path = str(tmp_path / "rel.pages")
-        pagefile = write_relation_file(rel, path, page_bytes=256)
-        page1 = pagefile.read_page(1)
-        assert [r[0] for r in page1] == list(range(10, 20))
-
-    def test_read_past_end(self, schema, tmp_path):
-        rel = Relation(schema, [(1, 0.0, "")])
-        path = str(tmp_path / "rel.pages")
-        pagefile = write_relation_file(rel, path, page_bytes=256)
-        with pytest.raises(EOFError):
-            pagefile.read_page(99)
-
-    def test_empty_file(self, schema, tmp_path):
-        pagefile = PageFile(str(tmp_path / "nope"), schema, 256)
-        assert pagefile.num_pages() == 0
-        assert list(pagefile.scan()) == []
-
-    def test_tiny_page_rejected(self, schema, tmp_path):
-        with pytest.raises(ValueError, match="cannot hold"):
-            PageFile(str(tmp_path / "x"), schema, page_bytes=16)
-
-    def test_hundred_byte_tuples_forty_per_4k_page(self, tmp_path):
-        """The paper's numbers: 100 B tuples, 4 KB pages → ~40/page."""
-        schema = default_schema()
-        pagefile = PageFile(str(tmp_path / "x"), schema, 4096)
-        assert pagefile.rows_per_page == 40
 
 
 class TestSpillStores:
