@@ -10,6 +10,7 @@ in-flight jobs and still unlinks every shm segment.
 
 from __future__ import annotations
 
+import sys
 import time
 
 
@@ -17,8 +18,12 @@ class Deadline:
     """An absolute ``time.monotonic()`` budget for one query."""
 
     def __init__(self, timeout_seconds: float | None) -> None:
-        if timeout_seconds is not None and timeout_seconds <= 0:
-            raise ValueError("timeout_seconds must be positive")
+        # NaN compares false to everything and never expires; infinity
+        # is "no limit", which is spelled None.
+        if timeout_seconds is not None and not (
+            0 < timeout_seconds <= sys.float_info.max
+        ):
+            raise ValueError("timeout_seconds must be positive and finite")
         self.timeout_seconds = timeout_seconds
         self._start = time.monotonic()
         self._at = (

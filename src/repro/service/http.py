@@ -20,7 +20,9 @@ stays a dumb translator:
 Keep-alive discipline: a request body is either fully read before the
 response is written, or the response carries ``Connection: close`` and
 the connection is torn down — never a 400 that leaves unread body bytes
-to be misparsed as the next pipelined request.
+to be misparsed as the next pipelined request.  Every reply leaves in
+one send on a no-delay socket: headers and body written apart would
+make each keep-alive reply wait out the client's delayed ACK (≈40 ms).
 
 ``serve`` wires SIGTERM/SIGINT to graceful drain: admission stops,
 in-flight queries finish (or miss their deadlines and are cancelled),
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import json
 import signal
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
@@ -58,6 +61,7 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
     server: ServiceHTTPServer
 
     # -- plumbing -------------------------------------------------------
@@ -68,53 +72,53 @@ class _Handler(BaseHTTPRequestHandler):
         if getattr(self.server, "access_log", False):
             BaseHTTPRequestHandler.log_message(self, fmt, *args)
 
-    def _send_json(self, status: int, body: dict,
-                   retry_after: float | None = None,
-                   close: bool = False) -> None:
-        data = json.dumps(body).encode()
+    def _reply(self, status: int, data: dict | str,
+               content_type: str = "application/json",
+               retry_after: float | None = None,
+               close: bool = False) -> None:
+        """Send one response in one write: status line, headers and body
+        leave together, so a keep-alive client's delayed ACK never gates
+        the body.  ``data`` is JSON-encoded unless it is already text."""
+        if not isinstance(data, str):
+            data = json.dumps(data)
+        payload = data.encode("utf-8")
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(payload)))
         if retry_after is not None:
             self.send_header("Retry-After", f"{retry_after:.3f}")
         if close:
             self.send_header("Connection", "close")
-            self.close_connection = True
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        data = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        if self.request_version == "HTTP/0.9":
+            # No header block to join (a keep-alive connection's previous
+            # request leaves an empty buffer behind, so ask the version).
+            self.wfile.write(payload)
+            return
+        self._headers_buffer.append(b"\r\n" + payload)
+        self.flush_headers()
 
     def _read_json(self) -> dict | None:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:  # "abc", "1.5": no body length to trust
+            length = 0
         if length <= 0 or length > _MAX_BODY_BYTES:
             # The body (if any) was not read and cannot safely be — a
             # keep-alive read would misparse it as the next request, so
             # the connection is closed with the refusal.
-            self._send_json(400, {
-                "error": "bad_request",
-                "message": "body must be JSON with a Content-Length "
-                           f"between 1 and {_MAX_BODY_BYTES} bytes",
-            }, close=True)
+            self._reply(400, _error(
+                "bad_request", "body must be JSON with a Content-Length "
+                f"between 1 and {_MAX_BODY_BYTES} bytes",
+            ), close=True)
             return None
         raw = self.rfile.read(length)  # always drained, even on a 400
         try:
             body = json.loads(raw)
         except (ValueError, UnicodeDecodeError):
-            self._send_json(400, {
-                "error": "bad_request", "message": "body is not valid JSON",
-            })
+            self._reply(400, _error("bad_request", "body is not valid JSON"))
             return None
         if not isinstance(body, dict):
-            self._send_json(400, {
-                "error": "bad_request", "message": "body must be an object",
-            })
+            self._reply(400, _error("bad_request", "body must be an object"))
             return None
         return body
 
@@ -124,104 +128,82 @@ class _Handler(BaseHTTPRequestHandler):
         service = self.server.service
         path, _, query = self.path.partition("?")
         params = parse_qs(query)
+        recorder = service.flight_recorder
         if path == "/healthz":
             status = service.status()
             code = 503 if status["status"] == "draining" else 200
-            self._send_json(code, status)
+            self._reply(code, status)
         elif path == "/metrics":
-            fmt = (params.get("format") or ["json"])[-1]
-            if fmt == "prom":
-                self._send_text(
-                    200, to_prometheus(service.metrics), PROM_CONTENT_TYPE
-                )
+            if (params.get("format") or ["json"])[-1] == "prom":
+                self._reply(200, to_prometheus(service.metrics),
+                            PROM_CONTENT_TYPE)
             else:
-                self._send_json(200, service.metrics.snapshot())
+                self._reply(200, service.metrics.snapshot())
+        elif path.startswith("/debug/") and recorder is None:
+            self._reply(404, _error("not_found",
+                                    "live observability is disabled"))
         elif path == "/debug/queries":
-            recorder = service.flight_recorder
-            if recorder is None:
-                self._send_json(404, {
-                    "error": "not_found",
-                    "message": "live observability is disabled",
-                })
-                return
-            limit = None
             raw = (params.get("n") or [None])[-1]
-            if raw is not None:
-                try:
-                    limit = max(0, int(raw))
-                except ValueError:
-                    self._send_json(400, {
-                        "error": "bad_request",
-                        "message": "'n' must be an integer",
-                    })
-                    return
-            self._send_json(200, {"queries": recorder.queries(limit)})
-        elif path.startswith("/debug/trace/"):
-            recorder = service.flight_recorder
-            if recorder is None:
-                self._send_json(404, {
-                    "error": "not_found",
-                    "message": "live observability is disabled",
-                })
+            try:
+                limit = None if raw is None else max(0, int(raw))
+            except ValueError:
+                self._reply(400, _error("bad_request",
+                                        "'n' must be an integer"))
                 return
+            self._reply(200, {"queries": recorder.queries(limit)})
+        elif path.startswith("/debug/trace/"):
             raw = path[len("/debug/trace/"):]
             try:
                 query_id = int(raw)
             except ValueError:
-                self._send_json(400, {
-                    "error": "bad_request",
-                    "message": f"query id must be an integer, got {raw!r}",
-                })
+                self._reply(400, _error(
+                    "bad_request",
+                    f"query id must be an integer, got {raw!r}",
+                ))
                 return
             trace = recorder.trace(query_id)
             if trace is None:
-                self._send_json(404, {
-                    "error": "not_found",
-                    "message": f"no trace captured for query {query_id} "
-                               "(only queries over the slow threshold "
-                               "are traced, oldest are evicted)",
-                })
+                self._reply(404, _error(
+                    "not_found", f"no trace captured for query {query_id} "
+                    "(only queries over the slow threshold are traced, "
+                    "oldest are evicted)",
+                ))
                 return
-            self._send_json(200, trace)
+            self._reply(200, trace)
         else:
-            self._send_json(404, {
-                "error": "not_found", "message": f"no route {self.path!r}",
-            })
+            self._reply(404, _error("not_found", f"no route {self.path!r}"))
 
     def do_POST(self) -> None:
         if self.path != "/query":
-            self._send_json(404, {
-                "error": "not_found", "message": f"no route {self.path!r}",
-            })
+            self._reply(404, _error("not_found", f"no route {self.path!r}"))
             return
         body = self._read_json()
         if body is None:
             return
         sql = body.get("sql")
         if not isinstance(sql, str) or not sql.strip():
-            self._send_json(400, {
-                "error": "bad_request",
-                "message": "body needs a non-empty 'sql' string",
-            })
+            self._reply(400, _error("bad_request",
+                                    "body needs a non-empty 'sql' string"))
             return
         timeout = body.get("timeout_seconds")
+        # ``True`` is an int and Python's json parses NaN and ±Infinity;
+        # none of them is a deadline.
         if timeout is not None and (
-            not isinstance(timeout, (int, float)) or timeout <= 0
+            isinstance(timeout, bool) or not isinstance(timeout, (int, float))
+            or not 0 < timeout <= sys.float_info.max
         ):
-            self._send_json(400, {
-                "error": "bad_request",
-                "message": "'timeout_seconds' must be a positive number",
-            })
+            self._reply(400, _error(
+                "bad_request",
+                "'timeout_seconds' must be a positive, finite number",
+            ))
             return
-        service = self.server.service
         try:
-            outcome = service.submit(sql, timeout_seconds=timeout)
+            outcome = self.server.service.submit(sql, timeout_seconds=timeout)
         except ServiceError as exc:
-            retry_after = getattr(exc, "retry_after_seconds", None)
-            self._send_json(exc.http_status, exc.payload(),
-                            retry_after=retry_after)
+            self._reply(exc.http_status, exc.payload(),
+                        retry_after=getattr(exc, "retry_after_seconds", None))
             return
-        self._send_json(200, {
+        self._reply(200, {
             "query_id": outcome.query_id,
             "table": outcome.table,
             "rows": [list(row) for row in outcome.rows],
@@ -230,6 +212,10 @@ class _Handler(BaseHTTPRequestHandler):
             "retries": outcome.retries,
             "cache_hit": outcome.cache_hit,
         })
+
+
+def _error(code: str, message: str) -> dict:
+    return {"error": code, "message": message}
 
 
 def create_server(service: QueryService, host: str = "127.0.0.1",

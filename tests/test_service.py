@@ -8,11 +8,13 @@ contract: after drain there are zero child processes and zero
 ``/dev/shm/repro_mp_*`` segments.
 """
 
+import http.client
 import json
 import multiprocessing
 import os
 import random
 import socket
+import statistics
 import threading
 import time
 import urllib.error
@@ -96,6 +98,14 @@ class TestDeadline:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Deadline(0.0)
+
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"),
+                                         float("-inf")])
+    def test_rejects_non_finite(self, timeout):
+        # NaN would never expire (every comparison is false) and report
+        # 0.0 remaining; infinity is what None already means.
+        with pytest.raises(ValueError):
+            Deadline(timeout)
 
 
 class TestAdmissionController:
@@ -931,6 +941,110 @@ class TestKeepAliveDiscipline:
                 assert status == 400
                 assert headers.get("connection") == "close"
                 assert reader.readline() == b""
+
+    def test_non_integer_content_length_closes_the_connection(self):
+        with _light_http() as (_service_, port):
+            for length in (b"abc", b"1.5"):
+                request = (
+                    b"POST /query HTTP/1.1\r\nHost: t\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: " + length + b"\r\n\r\n{}"
+                )
+                with self._connect(port) as sock:
+                    sock.sendall(request)
+                    reader = sock.makefile("rb")
+                    status, headers, body = _recv_response(reader)
+                    assert status == 400
+                    assert json.loads(body)["error"] == "bad_request"
+                    assert headers.get("connection") == "close"
+                    assert reader.readline() == b""
+
+    @pytest.mark.parametrize("timeout", [b"true", b"NaN", b"Infinity",
+                                         b"-Infinity"])
+    def test_non_numeric_or_non_finite_timeouts_are_400(self, timeout):
+        with _light_http() as (_service_, port):
+            body = (b'{"sql": "' + SQL.encode()
+                    + b'", "timeout_seconds": ' + timeout + b"}")
+            status, payload, _ = _post(port, "/query", body)
+            assert (status, payload["error"]) == (400, "bad_request")
+
+
+class TestSingleWriteReplies:
+    """Every reply leaves in one send on a no-delay socket.  Headers and
+    body sent apart make each keep-alive reply wait out the client's
+    delayed ACK (≈40 ms on Linux); the answer stays right, so only a
+    latency check catches the stall coming back."""
+
+    def _median_ms(self, conn, method, path, body=None, n=20):
+        samples = []
+        for _ in range(n):
+            start = time.perf_counter()
+            conn.request(method, path, body=body,
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            payload = response.read()
+            samples.append((time.perf_counter() - start) * 1e3)
+            assert response.status == 200, payload
+        return statistics.median(samples), payload
+
+    @pytest.fixture
+    def fast_sql(self, monkeypatch):
+        monkeypatch.setattr("repro.service.core.run_sql",
+                            lambda sql, relation, **kw: [("g", 1.0, 2)])
+
+    def test_keep_alive_cache_hits_do_not_wait_out_a_delayed_ack(
+        self, fast_sql,
+    ):
+        with _light_http() as (_service_, port):
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                body = json.dumps({"sql": SQL}).encode()
+                self._median_ms(conn, "POST", "/query", body, n=1)  # miss
+                median, payload = self._median_ms(conn, "POST", "/query",
+                                                  body)
+            finally:
+                conn.close()
+        assert json.loads(payload)["cache_hit"] is True
+        assert median < 15.0, f"keep-alive hit median {median:.1f} ms"
+
+    def test_keep_alive_prom_scrapes_do_not_wait_out_a_delayed_ack(
+        self, fast_sql,
+    ):
+        with _light_http() as (_service_, port):
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                # A served query gives the exposition a body to send.
+                body = json.dumps({"sql": SQL}).encode()
+                self._median_ms(conn, "POST", "/query", body, n=1)
+                median, payload = self._median_ms(
+                    conn, "GET", "/metrics?format=prom",
+                )
+            finally:
+                conn.close()
+        assert payload and validate_prometheus(payload.decode()) == []
+        assert median < 15.0, f"keep-alive scrape median {median:.1f} ms"
+
+    def test_http09_request_gets_the_bare_body(self):
+        with _light_http() as (_service_, port):
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=10) as sock:
+                sock.sendall(b"GET /healthz\r\n\r\n")
+                reply = sock.makefile("rb").read()
+        assert not reply.startswith(b"HTTP/")
+        assert json.loads(reply)["status"] == "ok"
+
+    def test_http09_after_keep_alive_request_has_no_stray_crlf(self):
+        with _light_http() as (_service_, port):
+            with socket.create_connection(("127.0.0.1", port),
+                                          timeout=10) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                reader = sock.makefile("rb")
+                status, _headers, body = _recv_response(reader)
+                assert status == 200 and json.loads(body)["status"] == "ok"
+                sock.sendall(b"GET /healthz\r\n\r\n")
+                reply = reader.read()
+        assert reply[:1] == b"{", reply[:20]
+        assert json.loads(reply)["status"] == "ok"
 
 
 class TestAccessLogToggle:
