@@ -3,6 +3,8 @@ runner and dispatch loops report through."""
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 
 from repro.core.query import AggregateQuery
@@ -10,6 +12,7 @@ from repro.obs.profile import WorkerProfile
 from repro.obs.tracer import PHASE as _CAT_PHASE
 from repro.parallel.mp_executor.kernel import _GovernedPhase, _local_phase
 from repro.parallel.mp_executor.merge import (
+    _collector_paused,
     _is_packed,
     _merge_packed,
     _merge_sequential,
@@ -232,6 +235,22 @@ class _ObsSink:
         )
 
 
+def _check_real(name: str, value, least: float | None = None) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a finite
+    real, not a bool, and positive (or at least ``least``)."""
+    ok = (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and (value > 0 if least is None else value >= least)
+    )
+    if not ok:
+        bound = "positive" if least is None else f">= {least}"
+        raise ValueError(
+            f"{name} must be a finite number, {bound}; got {value!r}"
+        )
+
+
 def multiprocessing_aggregate(
     dist: DistributedRelation,
     query: AggregateQuery,
@@ -299,7 +318,9 @@ def multiprocessing_aggregate(
     ``deadline``, heartbeats, quarantine and the circuit breaker cover
     both rounds of ``rep`` as they cover two-phase.  ``phase_fn``,
     ``memory_budget_bytes``, fault injection and speculation are
-    two-phase only.
+    two-phase only.  The packed merge hands its rows over in key order;
+    only the sequential merge sorts them.  From the merge to the return
+    the cyclic collector is paused, and then left as it was found.
 
     ``memory_budget_bytes`` puts each fragment's phase-1 table under a
     byte budget: the first attempt is the ordinary phase (the columnar
@@ -361,8 +382,18 @@ def multiprocessing_aggregate(
     """
     if max_retries < 0:
         raise ValueError("max_retries must be non-negative")
-    if timeout is not None and timeout <= 0:
-        raise ValueError("timeout must be positive")
+    # Seconds are finite and positive: NaN compares false against every
+    # bound, and inf overflows the dispatch loop's waits.  None is the
+    # only spelling of "no bound".
+    for name, seconds in (
+        ("timeout", timeout), ("deadline", deadline),
+        ("heartbeat_interval", heartbeat_interval),
+        ("heartbeat_timeout", heartbeat_timeout),
+    ):
+        if seconds is not None:
+            _check_real(name, seconds)
+    _check_real("speculation_multiplier", speculation_multiplier, least=1)
+    _check_real("speculation_min_seconds", speculation_min_seconds)
     if deadline is not None and time.monotonic() >= deadline:
         # Already out of budget: fail before any work is dispatched.
         raise DeadlineExceededError(0.0, 0, len(dist.fragments))
@@ -371,8 +402,15 @@ def multiprocessing_aggregate(
             raise ValueError(
                 "pass either phase_fn or memory_budget_bytes, not both"
             )
-        if memory_budget_bytes < 1:
-            raise ValueError("memory_budget_bytes must be positive")
+        if (
+            isinstance(memory_budget_bytes, bool)
+            or not isinstance(memory_budget_bytes, numbers.Integral)
+            or memory_budget_bytes < 1
+        ):
+            raise ValueError(
+                "memory_budget_bytes must be a positive int; "
+                f"got {memory_budget_bytes!r}"
+            )
     if strategy in ("global", "auto"):
         # Three names, one path: every fragment leaves the kernel packed.
         strategy = "pool"
@@ -401,14 +439,6 @@ def multiprocessing_aggregate(
             raise ValueError(
                 "speculative re-execution requires strategy='pool'"
             )
-    if speculation_multiplier < 1.0:
-        raise ValueError("speculation_multiplier must be >= 1")
-    if speculation_min_seconds <= 0:
-        raise ValueError("speculation_min_seconds must be positive")
-    if heartbeat_interval is not None and heartbeat_interval <= 0:
-        raise ValueError("heartbeat_interval must be positive (or None)")
-    if heartbeat_timeout is not None and heartbeat_timeout <= 0:
-        raise ValueError("heartbeat_timeout must be positive")
     if poison_threshold < 1:
         raise ValueError("poison_threshold must be positive")
     fn = phase_fn if phase_fn is not None else _local_phase
@@ -481,50 +511,57 @@ def multiprocessing_aggregate(
     if metrics is not None:
         metrics.counter("mp.fragments").inc(len(jobs))
 
-    merge_start = obs.now()
-    bq = query.bind(dist.schema)
-    rows: list[tuple] | None = None
-    # An empty partial is neutral to either merge.  An empty fragment
-    # ships inline and comes back as [] from the per-row loop, which
-    # must not make the run read as a packed/unpacked mix.
-    ordered = [
-        p for p in (completed[i] for i in range(len(jobs)))
-        if _is_packed(p) or p
-    ]
-    packed = [_is_packed(p) for p in ordered]
-    if any(packed):
-        # All-packed partials fold vectorized, straight to result rows.
-        # A fragment that left the kernel (a decline, a spill retry, an
-        # injected slowdown) leaves an unpacked partial among packed
-        # ones, and a guard can refuse the fold: both are counted by
-        # reason and take the sequential merge below (same result, just
-        # slower).
-        reason = "mixed_partials"
-        if all(packed):
-            _take_notes()  # an in-process kernel's are in its profile
-            rows, reason = _merge_packed(ordered, query)
-            obs.merge_grouping(_take_notes().get("grouping", {}))
+    # From here to the return the parent allocates a tuple per group and
+    # keeps them all; the collector waits until the caller has the rows
+    # (the tracer and metrics bookkeeping included, or a traced run pays
+    # the deferred pass inside its own span).
+    with _collector_paused:
+        merge_start = obs.now()
+        bq = query.bind(dist.schema)
+        rows: list[tuple] | None = None
+        # An empty partial is neutral to either merge.  An empty fragment
+        # ships inline and comes back as [] from the per-row loop, which
+        # must not make the run read as a packed/unpacked mix.
+        ordered = [
+            p for p in (completed[i] for i in range(len(jobs)))
+            if _is_packed(p) or p
+        ]
+        packed = [_is_packed(p) for p in ordered]
+        if any(packed):
+            # All-packed partials fold vectorized, straight to result rows.
+            # A fragment that left the kernel (a decline, a spill retry, an
+            # injected slowdown) leaves an unpacked partial among packed
+            # ones, and a guard can refuse the fold: both are counted by
+            # reason and take the sequential merge below (same result, just
+            # slower).
+            reason = "mixed_partials"
+            if all(packed):
+                _take_notes()  # an in-process kernel's are in its profile
+                rows, reason = _merge_packed(ordered, query)
+                obs.merge_grouping(_take_notes().get("grouping", {}))
+            if rows is None:
+                obs.merge_fallback(reason)
         if rows is None:
-            obs.merge_fallback(reason)
-    if rows is None:
-        merged = _merge_sequential(ordered, query)
-        rows = [bq.result_row(key, state) for key, state in merged.items()]
-    if query.having is not None:
-        rows = [row for row in rows if bq.passes_having(row)]
-    rows.sort()
-    if tracer is not None:
-        tracer.complete(
-            "merge", -1, merge_start, obs.now(), cat=_CAT_PHASE,
-            groups=len(rows),
-        )
-        tracer.end(run_span, obs.now())
-    if metrics is not None:
-        metrics.gauge("mp.elapsed_seconds", mode="max").set(obs.now())
-        metrics.counter("mp.groups_output").inc(len(rows))
-        # Worker-vs-merge wall split, consumed by the drift layer
-        # (repro.obs.drift.compare_model_to_mp).
-        metrics.gauge("mp.phase_seconds.local", mode="max").set(merge_start)
-        metrics.gauge("mp.phase_seconds.merge", mode="max").set(
-            obs.now() - merge_start
-        )
-    return rows
+            merged = _merge_sequential(ordered, query)
+            rows = [bq.result_row(key, state) for key, state in merged.items()]
+            rows.sort()  # the packed merge's rows are already in key order
+        if query.having is not None:
+            rows = [row for row in rows if bq.passes_having(row)]
+        if tracer is not None:
+            tracer.complete(
+                "merge", -1, merge_start, obs.now(), cat=_CAT_PHASE,
+                groups=len(rows),
+            )
+            tracer.end(run_span, obs.now())
+        if metrics is not None:
+            metrics.gauge("mp.elapsed_seconds", mode="max").set(obs.now())
+            metrics.counter("mp.groups_output").inc(len(rows))
+            # Worker-vs-merge wall split, consumed by the drift layer
+            # (repro.obs.drift.compare_model_to_mp).
+            metrics.gauge("mp.phase_seconds.local", mode="max").set(
+                merge_start
+            )
+            metrics.gauge("mp.phase_seconds.merge", mode="max").set(
+                obs.now() - merge_start
+            )
+        return rows

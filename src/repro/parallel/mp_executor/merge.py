@@ -13,10 +13,13 @@ bit-identical to the per-row loop.
 :func:`_unpack_packed` turns a payload back into ``(key, GroupState)``
 partials for :func:`_merge_sequential`, the per-key merge that takes
 over whenever the vectorized one declines and runs round 2 of ``rep``.
+:data:`_collector_paused` keeps the cyclic collector out of the
+parent's finish, which allocates one tuple per group.
 """
 
 from __future__ import annotations
 
+import gc
 import threading
 from itertools import accumulate
 
@@ -121,8 +124,10 @@ def _group_codes(columns, n_rows: int):
     ``n_rows ** 2``, and a group's key is any of its inputs'.  No key
     column is the scalar case: every input in group 0 — and no group
     over no input, where the per-row loop emits no partial either.
-    Callers rely only on ``inv``'s *partition* of the inputs: folds run
-    in input order however the groups are numbered."""
+    Groups are numbered in ascending key order, lexicographic over the
+    columns (a str column's order is its codes'): ``_number`` ranks
+    ascending and the mixed radix keeps the earlier column major.  Folds
+    run in input order however the groups are numbered."""
     import numpy as np
 
     if not columns:
@@ -193,11 +198,11 @@ def _fold(op, values, inv, n_groups):
     return acc
 
 
-def _fold_str(op, dictionary_values, codes, inv, n_groups):
-    """Per-group ``min``/``max`` of dictionary-coded strings, as the
-    winners' codes: the dictionary is ranked once in Python's ``<``
-    order and the ranks are folded, so the winner is the per-row
-    fold's — ties are equal strings."""
+def _rank_lut(dictionary_values):
+    """A dictionary ranked in Python's ``<`` order: ``(order, rank_of)``,
+    ``order[r]`` the code of rank ``r`` and ``rank_of[c]`` the rank of
+    code ``c`` — codes, once mapped through ``rank_of``, compare as
+    their strings do."""
     import numpy as np
 
     n = len(dictionary_values)
@@ -206,6 +211,14 @@ def _fold_str(op, dictionary_values, codes, inv, n_groups):
     )
     rank_of = np.empty(n, dtype=np.int64)
     rank_of[order] = np.arange(n, dtype=np.int64)
+    return order, rank_of
+
+
+def _fold_str(op, dictionary_values, codes, inv, n_groups):
+    """Per-group ``min``/``max`` of dictionary-coded strings, as the
+    winners' codes: the ranks (:func:`_rank_lut`) are folded, so the
+    winner is the per-row fold's — ties are equal strings."""
+    order, rank_of = _rank_lut(dictionary_values)
     return order[_fold(op, rank_of[codes], inv, n_groups)]
 
 
@@ -321,23 +334,69 @@ def _union_codes(dictionaries, code_arrays=None):
     return union.values, np.concatenate(luts)
 
 
+# -- the parent's finish -----------------------------------------------------
+
+
+class _CollectorPause:
+    """The cyclic collector off for a ``with`` block, then back as it
+    was; one instance, :data:`_collector_paused`, serves every thread.
+
+    The finish allocates one result tuple per group and holds every one
+    of them, so each pass the allocations trigger traverses rows and
+    frees none of them.  Reference-counted under a lock: the first
+    thread in records ``gc.isenabled()`` and disables; the last one out
+    re-enables only if the collector was on when the first came in, so
+    a host that turned it off keeps it off, and concurrent runs cannot
+    turn it back on under each other.  Nothing is collected here: the
+    collector's allocation count is left as the block left it, so the
+    next automatic pass starts at the caller's first container
+    allocation that no free list serves — one pass over whatever of the
+    rows is still held, none if the caller dropped them first.
+    ``gc.enable()`` is the last thing ``__exit__`` does, so that pass
+    cannot start inside it (a generator-based context manager would
+    allocate its ``StopIteration`` there)."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._restore = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if not self._depth:
+                self._restore = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._depth -= 1
+            if not self._depth and self._restore:
+                gc.enable()
+
+
+_collector_paused = _CollectorPause()
+
+
 def _merge_packed(payloads, query):
     """Vectorized global merge of per-worker packed payloads.
 
     ``payloads`` must be every fragment's packed result in fragment
     order.  Groups the concatenated per-fragment group keys
-    (:func:`_group_codes`; str keys as codes into a union dictionary,
-    decoded once per group; a scalar query carries no key columns: one
-    group), then folds each aggregate's concatenated arrays
-    (:func:`_fold_tag`) in concatenation (= fragment) order, so float
-    accumulation matches the sequential merge bit for bit.  The merged
-    arrays are then *finished* into one list of plain Python values
-    (``.tolist()``, and for AVG/VAR/STDDEV the very functions the
-    states' ``result()`` calls), and key and result columns are zipped
-    into rows.
+    (:func:`_group_codes`; str keys as their ranks in a union dictionary
+    ranked in Python's ``<`` order, decoded once per group; a scalar
+    query carries no key columns: one group), then folds each
+    aggregate's concatenated arrays (:func:`_fold_tag`) in concatenation
+    (= fragment) order, so float accumulation matches the sequential
+    merge bit for bit.  The merged arrays are then *finished* into one
+    list of plain Python values (``.tolist()``, and for AVG/VAR/STDDEV
+    the very functions the states' ``result()`` calls), and key and
+    result columns are zipped into rows.
 
-    Returns ``(rows, None)`` — one unsorted result row per group, HAVING
-    not yet applied, so ``len(rows)`` is the run's group count — or
+    Returns ``(rows, None)`` — one result row per group, in key order
+    (``rows == sorted(rows)``: keys are unique, and the kernel declines
+    the NaN and -0.0 keys whose numpy order is not Python's), HAVING not
+    yet applied, so ``len(rows)`` is the run's group count — or
     ``(None, reason)`` when exactness cannot be guaranteed
     (``int_sum_overflow``: the magnitudes could add past int64;
     ``tag_mismatch``: the payloads disagree on an aggregate's wire form),
@@ -351,8 +410,11 @@ def _merge_packed(payloads, query):
     key_columns, unions = [], {}
     for j, parts in enumerate(zip(*(p[2] for p in payloads))):
         kinds, values = zip(*parts)
-        if kinds[0] == "str":  # group union codes, decode once per group
-            unions[j], column = _union_codes(values)
+        if kinds[0] == "str":  # group union ranks, decode once per group
+            union, codes = _union_codes(values)
+            order, rank_of = _rank_lut(union)
+            unions[j] = [union[c] for c in order.tolist()]
+            column = rank_of[codes]
         else:
             column = np.concatenate(values)
         key_columns.append(column)

@@ -210,6 +210,14 @@ class TestRunMp:
         assert code == 0
         assert seen["frozen"] > 0
 
+    def test_mp_rejects_a_nan_timeout(self):
+        code, text = run_cli(
+            "run", "--substrate", "mp", "--tuples", "400", "--groups", "20",
+            "--nodes", "2", "--timeout", "nan",
+        )
+        assert code == 2
+        assert "deadline must be a finite number" in text
+
     @pytest.mark.parametrize("flag", ["--timeline", "--save-run"])
     def test_mp_rejects_simulator_only_flags(self, flag, tmp_path):
         argv = [

@@ -241,12 +241,15 @@ def test_str_keys_merge_through_the_union_dictionary():
     ]
     _take_notes()
     rows, reason = _merge_packed(payloads, query)
-    # the union codes, k, and their combination: no string is compared
+    # The union ranks, k, and their combination, each numbered by direct
+    # addressing: strings are compared only to rank the union dictionary,
+    # once per distinct string, never per row.
     assert _take_notes() == {"grouping": {"dense": 3}}
     assert reason is None
     bq = query.bind(_STR_KEY_SCHEMA)
     merged = _merge_sequential(payloads, query)
-    assert sorted(rows) == sorted(
+    # In order: the ranks make group numbers follow Python's str order.
+    assert rows == sorted(
         bq.result_row(key, state) for key, state in merged.items()
     )
     assert {row[0] for row in rows} == {"", "a", "a\x00", "é", "😀"}

@@ -25,6 +25,11 @@ that path three ways:
   ``GroupState`` or aggregate state in the parent — under every
   two-phase strategy name, governed or not.  Leaving the vectorized
   merge is counted as ``mp.merge.fallback.<reason>``.
+
+* **One pass to the rows** — the finish's rows leave in key order,
+  which every merge path agrees on row for row, and nothing sorts them
+  again; the cyclic collector is paused from merge start to the return
+  and left as it was found.
 """
 
 import json
@@ -293,8 +298,10 @@ def _assert_finish_equals_sequential(parts, query):
         for cell in row:
             # np.int64 would pass ``==`` and fail ``json.dumps``.
             assert type(cell) in (int, float, str, type(None)), row
-    assert _bits(sorted(rows)) == _bits(_sequential_rows(payloads, query))
-    return sorted(rows)
+    # In order: the grouping numbers groups in key order, so the rows
+    # leave the merge sorted and nothing sorts them again.
+    assert _bits(rows) == _bits(_sequential_rows(payloads, query))
+    return rows
 
 
 def test_the_query_covers_every_packed_tag():
@@ -584,3 +591,245 @@ class TestMergeFallbackCounters:
         )
         floats[3][0] = ("sum_float",) + floats[3][0][1:]
         assert _merge_packed([ints, floats], query) == (None, "tag_mismatch")
+
+
+def _mixed_dist(schema, parts):
+    """``_block_dist`` with the middle fragment born as rows: it never
+    enters the kernel, so its partial is unpacked among packed ones and
+    the parent takes the sequential merge (``mixed_partials``)."""
+    first, middle, last = parts
+    blocks = _block_dist(schema, [first, last]).fragments
+    return DistributedRelation(
+        schema, [blocks[0].relation, middle, blocks[1].relation]
+    )
+
+
+class TestKeyOrder:
+    """The packed merge hands its rows over in key order and nothing
+    sorts them again; the sequential merge sorts.  Both must agree on
+    the order, row for row, on the keys where numpy's order could stray
+    from Python's: the int64 limits, negatives, ±inf, and str keys,
+    whose union dictionary numbers strings in first-seen order."""
+
+    _SCHEMA = Schema([
+        Column("i", "int"), Column("f", "float"), Column("s", "str", 8),
+        Column("n", "int"), Column("v", "int"),
+    ])
+
+    def _parts(self):
+        import random
+
+        ints = [-(2**63), -(2**63) + 1, -7, -1, 0, 3, 2**63 - 2, 2**63 - 1]
+        floats = [float("-inf"), -2.5, -1e-300, 0.0, 0.75, 1e300,
+                  float("inf")]
+        strs = ["😀", "b", "", "a\x00", "é", "a", "B"]
+        rng = random.Random(26)
+        rows = [
+            (ints[r % 8], floats[r % 7], strs[r % 7], -(r % 5), r % 11)
+            for r in range(280)
+        ]
+        rng.shuffle(rows)
+        return [rows[:100], rows[100:130], rows[130:]]
+
+    @pytest.mark.parametrize("group_by", [("i",), ("f",), ("n", "s")])
+    def test_every_merge_path_returns_rows_in_key_order(self, group_by):
+        query = AggregateQuery(
+            group_by,
+            (AggregateSpec("sum", "v"), AggregateSpec("count", None),
+             AggregateSpec("min", "s")),
+        )
+        parts = self._parts()
+        dist = _block_dist(self._SCHEMA, parts)
+        registry = MetricsRegistry()
+        pooled = multiprocessing_aggregate(dist, query, 2, metrics=registry)
+        assert merge_fallbacks(registry) == {}
+        assert pooled == sorted(pooled)
+        assert len({row[:len(group_by)] for row in pooled}) == len(pooled)
+        assert _bits(pooled) == _bits(multiprocessing_aggregate(dist, query, 1))
+
+        registry = MetricsRegistry()
+        mixed = multiprocessing_aggregate(
+            _mixed_dist(self._SCHEMA, parts), query, 1, metrics=registry
+        )
+        assert merge_fallbacks(registry) == {"mixed_partials": 1}
+        assert _bits(mixed) == _bits(pooled)
+
+
+class TestCollectorPause:
+    """The parent's finish runs with the cyclic collector paused, and
+    leaves it as it found it: on a host that turned it off, through an
+    exception, and across service threads whose merges overlap."""
+
+    @pytest.fixture(autouse=True)
+    def _collector_on(self):
+        import gc
+
+        assert gc.isenabled()
+        yield
+        gc.enable()
+
+    @staticmethod
+    def _dist():
+        return generate_uniform(
+            num_tuples=2_000, num_groups=100, num_nodes=4, seed=26
+        )
+
+    _QUERY = AggregateQuery(("gkey",), (AggregateSpec("sum", "val"),))
+
+    def _watch_merge(self, monkeypatch, inside=None):
+        """Patch the packed merge to record the collector's state from
+        inside it, after running ``inside`` first."""
+        import gc
+
+        from repro.parallel.mp_executor import api
+
+        real, seen = api._merge_packed, []
+
+        def merge(payloads, query):
+            if inside is not None:
+                inside()
+            seen.append(gc.isenabled())
+            return real(payloads, query)
+
+        monkeypatch.setattr(api, "_merge_packed", merge)
+        return seen
+
+    def test_a_host_that_disabled_the_collector_keeps_it_disabled(
+        self, monkeypatch
+    ):
+        import gc
+
+        seen = self._watch_merge(monkeypatch)
+        gc.disable()
+        multiprocessing_aggregate(self._dist(), self._QUERY, 1)
+        assert not gc.isenabled()
+        assert seen == [False]
+
+    def test_an_exception_inside_the_merge_leaves_it_enabled(
+        self, monkeypatch
+    ):
+        import gc
+
+        def boom():
+            raise RuntimeError("merge failed")
+
+        seen = self._watch_merge(monkeypatch, inside=boom)
+        with pytest.raises(RuntimeError, match="merge failed"):
+            multiprocessing_aggregate(self._dist(), self._QUERY, 1)
+        assert gc.isenabled()
+        assert seen == []
+
+    def test_overlapping_merges_keep_it_paused_until_the_last_one_leaves(
+        self, monkeypatch
+    ):
+        """Both threads enter the merge before either leaves; the second
+        records the collector's state only after the first has returned
+        its rows.  A save-and-restore per run would have the first
+        re-enable it under the second, and the second disable it for
+        good on the way out."""
+        import gc
+        import threading
+
+        both_inside = threading.Barrier(2, timeout=30)
+        first_done = threading.Event()
+
+        def inside():
+            both_inside.wait()
+            if threading.current_thread().name == "second":
+                assert first_done.wait(timeout=30)
+
+        seen = self._watch_merge(monkeypatch, inside=inside)
+        dist, results, errors = self._dist(), {}, []
+
+        def run(name):
+            try:
+                results[name] = multiprocessing_aggregate(
+                    dist, self._QUERY, 1
+                )
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+                both_inside.abort()
+            finally:
+                if name == "first":
+                    first_done.set()
+
+        threads = [
+            threading.Thread(target=run, args=(name,), name=name)
+            for name in ("first", "second")
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not errors, errors
+        assert seen == [False, False]
+        assert results["first"] == results["second"]
+        assert gc.isenabled()
+
+    def test_no_automatic_collection_from_merge_start_to_the_return(
+        self, monkeypatch
+    ):
+        """50 000 groups in-process, traced and metered, so the span and
+        gauge bookkeeping after the rows are built is inside the window
+        too: without the pause the finish alone triggers ~70 gen-0
+        passes over its own rows."""
+        import gc
+
+        from repro.obs import Tracer
+
+        window, passes = [False], []
+
+        def probe(phase, info):
+            if phase == "start" and window[0]:
+                passes.append(info["generation"])
+
+        def open_window():
+            window[0] = True
+
+        self._watch_merge(monkeypatch, inside=open_window)
+        dist = generate_uniform(
+            num_tuples=100_000, num_groups=50_000, num_nodes=4, seed=26
+        )
+        query = AggregateQuery(
+            ("gkey",),
+            (AggregateSpec("sum", "val"), AggregateSpec("count", None),
+             AggregateSpec("min", "val")),
+        )
+        gc.callbacks.append(probe)
+        try:
+            rows = multiprocessing_aggregate(
+                dist, query, 1, tracer=Tracer(), metrics=MetricsRegistry()
+            )
+            window[0] = False
+        finally:
+            gc.callbacks.remove(probe)
+        assert len(rows) == 50_000
+        assert passes == []
+
+
+def test_one_row_sort_and_no_forced_collection():
+    """The two properties the finish can lose without a wrong row: the
+    executor sorts rows in one place (after the sequential merge), and
+    nothing in the package forces a collection or switches the
+    collector except where a process starts (a pool worker, ``repro
+    serve``) and the merge's pause."""
+    import re
+
+    package = pathlib.Path(__file__).parent.parent / "src" / "repro"
+    executor = "\n".join(
+        path.read_text()
+        for path in sorted((package / "parallel" / "mp_executor").glob("*.py"))
+    )
+    assert len(re.findall(r"\.sort\(", executor)) == 1
+    calls = {}
+    for path in sorted(package.rglob("*.py")):
+        for name in re.findall(r"\bgc\.(\w+)\(", path.read_text()):
+            calls.setdefault(name, set()).add(
+                path.relative_to(package).as_posix()
+            )
+    merge = "parallel/mp_executor/merge.py"
+    assert calls == {
+        "freeze": {"parallel/mp_executor/pool.py", "cli.py"},
+        "collect": {"cli.py"},
+        "isenabled": {merge}, "disable": {merge}, "enable": {merge},
+    }

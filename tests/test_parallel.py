@@ -106,3 +106,55 @@ def test_one_runner_and_one_real_executor():
     for top in ("src", "examples", "benchmarks"):
         for path in (repo / top).rglob("*.py"):
             assert not retired.search(path.read_text()), path
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+class TestNumericArguments:
+    """Every numeric argument is checked once, at the entry point: a NaN
+    compares false against every bound and would silently disable it,
+    inf overflows the dispatch loop's waits, a float budget breaks the
+    spill retries' halving, and a bool is not a count of anything."""
+
+    @pytest.mark.parametrize("name,value", [
+        *(
+            (name, value)
+            for name in (
+                "timeout", "deadline", "heartbeat_interval",
+                "heartbeat_timeout", "speculation_min_seconds",
+            )
+            for value in (_NAN, _INF, -_INF, True, 0, -1.0, "1")
+        ),
+        *(
+            ("speculation_multiplier", value)
+            for value in (_NAN, _INF, True, 0.5, "3")
+        ),
+        *(
+            ("memory_budget_bytes", value)
+            for value in (_NAN, _INF, 1.5, 64.0, True, 0, -64, "64")
+        ),
+    ])
+    def test_rejects_the_argument_by_name(
+        self, name, value, small_dist, sum_query
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            multiprocessing_aggregate(
+                small_dist, sum_query, 1, **{name: value}
+            )
+
+    def test_accepts_finite_reals_and_integral_budgets(
+        self, small_dist, sum_query
+    ):
+        import time
+
+        import numpy as np
+
+        want = multiprocessing_aggregate(small_dist, sum_query, 1)
+        assert multiprocessing_aggregate(
+            small_dist, sum_query, 1,
+            timeout=30, deadline=time.monotonic() + np.float64(30.0),
+            heartbeat_interval=np.float32(0.5), heartbeat_timeout=10,
+            speculation_multiplier=1, speculation_min_seconds=0.05,
+            memory_budget_bytes=np.int64(1 << 20),
+        ) == want
