@@ -344,7 +344,8 @@ def multiprocessing_aggregate(
     every fragment attempt that left the columnar kernel for the
     per-row phase, ``mp.merge.fallback.<reason>`` when the parent left
     the vectorized merge, ``mp.{kernel,merge}.grouping.{dense,sort}``
-    for how each key column was numbered, and
+    for how each key column and COUNT(DISTINCT) value column was
+    numbered, and
     ``mp.shm.resident.{hit,miss,evicted,vanished}`` /
     ``mp.shm.resident_bytes`` / ``mp.phase_seconds.encode`` for what
     shipping cost, ``mp.worker_load_seconds`` for what each pool worker

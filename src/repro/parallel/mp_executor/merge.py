@@ -57,7 +57,8 @@ def _int_magnitude(values) -> int:
 
 # What this thread's current fragment attempt or merge reports beside its
 # result, as family -> name -> count: why a fragment left the kernel
-# (``declined``), how each key column was numbered (``grouping``) — and,
+# (``declined``), how each key column and COUNT(DISTINCT) value column
+# was numbered (``grouping``) — and,
 # beside the counts, name -> seconds (a pool worker's ``load_seconds``).  A
 # phase function's contract is ``fn(job) -> partials`` (substituted
 # phases rely on it), so the runner clears the notes before an attempt
@@ -144,16 +145,16 @@ def _group_codes(columns, n_rows: int):
 
 
 def _distinct_pairs(groups, values):
-    """The distinct ``(group, value)`` pairs as two arrays, sorted by
-    (group, value) — COUNT(DISTINCT)'s wire form and its merge: one
-    ``lexsort``, then every pair that differs from the one before it."""
+    """Distinct ``(group, value)`` pairs, sorted: :func:`_number`'s ranks,
+    then ``np.sort`` of ``group * len(uniq) + rank``.  Groups are below the
+    pair count ``n``, so codes stay below ``n ** 2`` (:func:`_group_codes`)."""
     import numpy as np
 
-    order = np.lexsort((values, groups))
-    groups, values = groups[order], values[order]
-    keep = np.ones(len(order), dtype=bool)
-    keep[1:] = (groups[1:] != groups[:-1]) | (values[1:] != values[:-1])
-    return groups[keep], values[keep]
+    uniq, rank = _number(values)
+    codes = np.sort(groups * len(uniq) + rank)
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    groups, rank = np.divmod(codes, len(uniq))
+    return groups, uniq[rank]
 
 
 # tag -> the fold op of each array the tag carries, in wire order.  Two

@@ -1,11 +1,13 @@
 """The seam the phase-1 kernel and the parent merge share.
 
 ``merge._group_codes`` and ``merge._distinct_pairs`` are the only
-grouping code in the mp executor, so an algorithm swapped into either
-(direct addressing, mixed radix, ``lexsort``) is held here to what the
+grouping code in the mp executor, and both go through one numbering,
+``merge._number`` (direct addressing, or one 1-D sort), combined by
+mixed radix.  An algorithm swapped into either is held here to what the
 callers rely on: the *partition* of the inputs by Python key tuple, and
-the sorted set of ``(group, value)`` pairs.  The completeness test walks
-every aggregate over every column kind through the kernel, so a tag the
+the sorted set of ``(group, value)`` pairs, which is the keys
+``_group_codes`` gives the pairs as two columns.  The completeness test
+walks every aggregate over every column kind through the kernel, so a tag the
 kernel learns to emit cannot reach the merge's ``tag_mismatch`` refusal
 — or ``_states_from_payload``'s catch-all branch — silently.
 
@@ -116,24 +118,51 @@ def test_group_codes_without_key_columns_is_the_one_group_case(n_rows):
     assert n_groups == (1 if n_rows else 0)
 
 
+# COUNT(DISTINCT)'s value kinds, each with the path ``_number`` takes:
+# int64 at its extremes beside a sparse spread (wider than any table:
+# the sort), int32 dictionary codes (direct addressing), and floats with
+# both zeros, both infinities and 1e300 (the sort).
+_EXTREME_INTS = [-(2**63), 2**63 - 1]
+_PAIR_VALUES = {
+    "int64": (st.sampled_from(_EXTREME_INTS)
+              | st.integers(-3, 3).map(lambda v: v * 2**40), np.int64, "sort"),
+    "codes": (st.integers(0, 40), np.int32, "dense"),
+    "float64": (st.sampled_from([0.0, -0.0, float("inf"), float("-inf"),
+                                 1e300, -1e300, 0.5, -1.5]),
+                np.float64, "sort"),
+}
+
+
 @settings(deadline=None)
 @given(
-    st.sampled_from(["int64", "float64", "codes"]).flatmap(
+    st.sampled_from(sorted(_PAIR_VALUES)).flatmap(
         lambda kind: st.tuples(
-            st.just(_COLUMN_KINDS[kind][1]),
-            st.lists(st.tuples(st.integers(0, 5), _COLUMN_KINDS[kind][0]),
-                     max_size=40),
+            st.just(kind),
+            st.lists(st.tuples(st.integers(0, 300), _PAIR_VALUES[kind][0]),
+                     min_size=1, max_size=60),
         )
     )
 )
 def test_distinct_pairs_is_the_sorted_set_of_pairs(case):
-    dtype, pairs = case
+    """The pair dedup is the grouping: the sorted set of pairs, the keys
+    ``_group_codes`` gives the pairs as two key columns, and one
+    numbering of the values, on the path their kind demands."""
+    kind, pairs = case
+    _values, dtype, path = _PAIR_VALUES[kind]
+    if kind == "int64":  # both extremes in every draw: always sparse
+        pairs = pairs + [(0, v) for v in _EXTREME_INTS]
     groups = np.asarray([g for g, _v in pairs], dtype=np.intp)
     values = np.asarray([v for _g, v in pairs], dtype=dtype)
+    _take_notes()
     got_groups, got_values = _distinct_pairs(groups, values)
+    assert _take_notes() == {"grouping": {path: 1}}
+    assert got_values.dtype == dtype
     assert list(zip(got_groups.tolist(), got_values.tolist())) == sorted(
         set(pairs)
     )
+    keys, _inv, _n = _group_codes([groups, values], len(pairs))
+    assert got_groups.tolist() == keys[0].tolist()
+    assert got_values.tolist() == keys[1].tolist()
 
 
 # -- boundaries, each path forced by the data ---------------------------------
@@ -214,6 +243,23 @@ def test_distinct_pairs_across_signed_zeros_and_group_boundaries():
         assert [len(a) for a in got] == [0, 0] and got[1].dtype == empty
 
 
+def test_distinct_pair_codes_past_int32():
+    """50 000 groups x 50 000 sparse int values, every pair twice: the
+    codes ``group * 50_000 + rank`` run to 2.5e9, past 2**31, so a code
+    computed in int32 wraps and pairs merge or split."""
+    n = 50_000
+    rng = np.random.default_rng(27)
+    groups = np.tile(rng.permutation(n), 2).astype(np.intp)
+    values = np.tile(rng.permutation(n).astype(np.int64) * 2**33 - 2**62, 2)
+    _take_notes()
+    got_groups, got_values = _distinct_pairs(groups, values)
+    assert _take_notes() == {"grouping": {"sort": 1}}
+    assert int(got_groups.max()) * n > 2**31
+    assert list(zip(got_groups.tolist(), got_values.tolist())) == sorted(
+        set(zip(groups.tolist(), values.tolist()))
+    )
+
+
 _STR_KEY_SCHEMA = Schema([
     Column("s", "str", 8), Column("k", "int"), Column("v", "float"),
 ])
@@ -243,8 +289,9 @@ def test_str_keys_merge_through_the_union_dictionary():
     rows, reason = _merge_packed(payloads, query)
     # The union ranks, k, and their combination, each numbered by direct
     # addressing: strings are compared only to rank the union dictionary,
-    # once per distinct string, never per row.
-    assert _take_notes() == {"grouping": {"dense": 3}}
+    # once per distinct string, never per row.  The fourth is the union
+    # codes under COUNT(DISTINCT), numbered for the pair dedup.
+    assert _take_notes() == {"grouping": {"dense": 4}}
     assert reason is None
     bq = query.bind(_STR_KEY_SCHEMA)
     merged = _merge_sequential(payloads, query)
@@ -276,13 +323,14 @@ def test_a_run_counts_the_path_of_every_numbering(processes):
 def test_the_three_comparison_sorts_stay_out_of_the_executor():
     """CI's structural step runs this by name: one 1-D ``np.unique`` for
     the key domains that demand a sort, in ``merge.py`` and nowhere
-    else; no row-wise unique, structured pair dtype or object-array key
-    concatenation anywhere in the package."""
+    else; no row-wise unique, structured pair dtype, object-array key
+    concatenation or ``lexsort`` anywhere in the package."""
     import repro.parallel.mp_executor as package
 
     for path in pathlib.Path(package.__file__).parent.glob("*.py"):
         text = path.read_text()
         assert not re.search(r"axis=0|dtype=\[\(|dtype=object", text), path
+        assert "lexsort" not in text, path
         allowed = 3 if path.name == "merge.py" else 0
         assert text.count("np.unique(") <= allowed, path
 
