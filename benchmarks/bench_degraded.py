@@ -1,32 +1,17 @@
-"""Degraded-mode sweeps: stragglers, mid-query crashes, pool speculation.
+"""Degraded-mode sweeps: stragglers and mid-query crashes.
 
 Shape assertions: a straggler stretches every algorithm monotonically
 (and roughly linearly — adaptivity cannot rebalance hardware), and a
 crash always costs more than the fault-free run, with later crashes
-wasting more work than earlier ones.  On the real-process pool,
-speculative re-execution must collapse the makespan of a straggling
-fragment back toward the fault-free run.
-
-Standalone use (the chaos acceptance path)::
-
-    PYTHONPATH=src python benchmarks/bench_degraded.py --strategy pool
-
-runs the real-process sweep, writes ``results/BENCH_degraded.json``,
-and appends a trajectory entry to ``results/baseline/TRAJECTORY.jsonl``.
+wasting more work than earlier ones.
 """
-
-import os
-
-import pytest
 
 from conftest import report
 
 from repro.bench.degraded import (
     CONTENDERS,
     CRASH_CONTENDERS,
-    POOL_MODES,
     crash_sweep,
-    pool_speculation_sweep,
     straggler_sweep,
 )
 
@@ -55,109 +40,3 @@ def test_crash_sweep(benchmark):
         assert all(v > baseline for v in series[1:])
         assert all(a < b for a, b in zip(series[1:], series[2:]))
 
-
-def test_pool_speculation_sweep(benchmark):
-    if not os.path.isdir("/dev/shm"):
-        pytest.skip("POSIX shared memory not mounted")
-    result = benchmark.pedantic(
-        pool_speculation_sweep, rounds=1, iterations=1
-    )
-    report(result)
-    assert result.column("mode") == list(POOL_MODES)
-    off, on = result.column("makespan_seconds")
-    # The backup runs at full speed while the primary crawls, so
-    # speculation must beat the straggler decisively, not marginally.
-    # (Measured ~6x on an otherwise idle box; 0.6 leaves CI headroom.)
-    assert on < 0.6 * off
-    launched = result.column("speculations")
-    wins = result.column("backup_wins")
-    assert launched[0] == 0 and wins[0] == 0
-    assert launched[1] >= 1 and wins[1] >= 1
-
-
-def _main(argv=None) -> int:
-    import argparse
-    import json
-    import sys
-    import time
-
-    from repro.bench.harness import (
-        format_table,
-        write_bench_json,
-        write_results,
-    )
-    from repro.bench.regression import append_trajectory, trajectory_entry
-
-    parser = argparse.ArgumentParser(
-        description="Run the degraded-mode sweeps outside pytest."
-    )
-    parser.add_argument(
-        "--strategy",
-        choices=("sim", "pool"),
-        default="sim",
-        help="sim: simulator straggler/crash sweeps; "
-        "pool: real-process speculation sweep",
-    )
-    parser.add_argument(
-        "--label",
-        default="degraded-pool",
-        help="trajectory label for the pool artifact",
-    )
-    args = parser.parse_args(argv)
-
-    results_dir = os.path.abspath(
-        os.path.join(os.path.dirname(__file__), "..", "results")
-    )
-    baseline_dir = os.path.join(results_dir, "baseline")
-
-    if args.strategy == "sim":
-        for figure in (straggler_sweep(), crash_sweep()):
-            write_results(figure, directory=results_dir)
-            print(format_table(figure))
-        return 0
-
-    if not os.path.isdir("/dev/shm"):
-        print("pool strategy needs POSIX shared memory (/dev/shm)",
-              file=sys.stderr)
-        return 2
-    start = time.monotonic()
-    figure = pool_speculation_sweep()
-    wall = time.monotonic() - start
-    write_results(figure, directory=results_dir)
-    print(format_table(figure))
-
-    off, on = figure.column("makespan_seconds")
-    wins = figure.column("backup_wins")[1]
-    if not (wins >= 1 and on < off):
-        print("speculation did not improve the degraded makespan",
-              file=sys.stderr)
-        return 1
-    print(f"speculation cut the degraded makespan {off / on:.1f}x "
-          f"({off:.3f}s -> {on:.3f}s, {wins} backup win(s))")
-
-    tests = [{
-        "nodeid": "benchmarks/bench_degraded.py::pool_speculation_sweep",
-        "outcome": "passed",
-        "wall_seconds": wall,
-    }]
-    metrics = {
-        "tests": 1,
-        "failed": 0,
-        "wall_seconds_total": wall,
-        "figures": 1,
-        "speedup": off / on,
-    }
-    path = write_bench_json(
-        "degraded", tests, [figure], metrics, directory=results_dir
-    )
-    print(f"wrote {path}")
-    if os.path.isdir(baseline_dir):
-        with open(path) as handle:
-            doc = json.load(handle)
-        entry = trajectory_entry(args.label, {"degraded": doc})
-        print(f"appended to {append_trajectory(baseline_dir, entry)}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(_main())

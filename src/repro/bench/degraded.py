@@ -13,13 +13,9 @@ crashing late is strictly worse than crashing early.
 
 from __future__ import annotations
 
-import time
-
 from repro.bench.figures import SIM_QUERY
 from repro.bench.harness import FigureResult
 from repro.core.runner import default_parameters, run_algorithm
-from repro.obs.metrics import MetricsRegistry
-from repro.parallel import multiprocessing_aggregate
 from repro.sim.faults import CrashFault, FaultPlan, Straggler
 from repro.workloads.generator import generate_uniform
 
@@ -35,14 +31,6 @@ CONTENDERS = (
 SLOWDOWNS = (1.0, 2.0, 4.0, 8.0)
 CRASH_FRACTIONS = (0.0, 0.25, 0.5, 0.75)
 CRASH_CONTENDERS = ("two_phase", "adaptive_two_phase")
-
-# Real-process sweep: small enough to finish in seconds, large enough
-# that the per-row slowdown on the straggling fragment dominates.
-POOL_NODES = 4
-POOL_TUPLES = 32_000
-POOL_GROUPS = 64
-POOL_SLOWDOWN = 30.0
-POOL_MODES = ("speculation-off", "speculation-on")
 
 
 def straggler_sweep() -> FigureResult:
@@ -64,61 +52,6 @@ def straggler_sweep() -> FigureResult:
             )
             row.append(out.elapsed_seconds)
         result.add_row(*row)
-    return result
-
-
-def _counter(metrics: MetricsRegistry, name: str) -> int:
-    try:
-        return int(metrics.value(name))
-    except KeyError:
-        return 0
-
-
-def pool_speculation_sweep() -> FigureResult:
-    """Real-process makespan under a straggler, speculation off vs on.
-
-    The sim sweeps above measure simulated seconds; this one runs the
-    persistent worker pool on real processes with the same ``FaultPlan``
-    machinery: one fragment slowed ``POOL_SLOWDOWN``x per row, both
-    modes on the identical seed.  With speculation off the straggler is
-    the critical path; with it on, the dispatcher notices the attempt
-    running far past the median and re-executes the fragment on an idle
-    worker (backups skip injection — they model re-execution on a
-    healthy node), so the makespan collapses to roughly the fault-free
-    one.  Every run is checked bit-identical to the fault-free rows.
-    """
-    result = FigureResult(
-        "degraded_pool",
-        f"Pool speculation vs a {POOL_SLOWDOWN:g}x straggler "
-        f"(real processes, {POOL_NODES} fragments)",
-        ["mode", "makespan_seconds", "speculations", "backup_wins"],
-        notes="wall-clock seconds, same FaultPlan seed in both modes",
-    )
-    dist = generate_uniform(POOL_TUPLES, POOL_GROUPS, POOL_NODES, seed=0)
-    plan = FaultPlan(seed=7, stragglers=(Straggler(1, POOL_SLOWDOWN),))
-    baseline = multiprocessing_aggregate(
-        dist, SIM_QUERY, processes=POOL_NODES
-    )
-    for mode, speculate in zip(POOL_MODES, (False, True)):
-        metrics = MetricsRegistry()
-        start = time.monotonic()
-        rows = multiprocessing_aggregate(
-            dist, SIM_QUERY, processes=POOL_NODES, timeout=120.0,
-            faults=plan, speculate=speculate,
-            speculation_multiplier=2.0, speculation_min_seconds=0.05,
-            metrics=metrics,
-        )
-        elapsed = time.monotonic() - start
-        if rows != baseline:
-            raise AssertionError(
-                f"{mode} run diverged from the fault-free rows"
-            )
-        result.add_row(
-            mode,
-            elapsed,
-            _counter(metrics, "mp.speculative.launched"),
-            _counter(metrics, "mp.speculative.backup_wins"),
-        )
     return result
 
 

@@ -295,7 +295,6 @@ def _cmd_run_mp(args, out, faults) -> int:
             strategy=args.strategy,
             faults=faults,
             faults_log=faults_log,
-            speculate=args.speculate,
             metrics=metrics,
             deadline=deadline,
         )
@@ -320,9 +319,7 @@ def _cmd_run_mp(args, out, faults) -> int:
         f"mp[{args.strategy}]{'':<17} {elapsed:9.4f}s  "
         f"groups={len(rows):<7d} "
         f"retries={_metric('mp.retries'):<3d} "
-        f"injected={len(faults_log):<3d} "
-        f"speculated={_metric('mp.speculative.launched')}"
-        f"/{_metric('mp.speculative.backup_wins')} won",
+        f"injected={len(faults_log)}",
         file=out,
     )
     if breaker.degraded or breaker.rebuilds:
@@ -767,10 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seedable fault plan for either substrate: "
         "seed=S,kill=N[@TUPLES],slow=NxFACTOR,stall=NxSECONDS,"
         "loss=P,dup=P,error-rate=P",
-    )
-    p_run.add_argument(
-        "--speculate", action="store_true",
-        help="mp substrate: re-execute straggling fragments speculatively",
     )
     p_run.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",

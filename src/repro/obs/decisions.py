@@ -49,7 +49,6 @@ AREP_SWITCH = "switch_to_two_phase"
 AREP_ECHO = "end_of_phase_received"
 OPT2P_FORWARD = "forwarded_on_overflow"
 PREAGG_EVICTIONS = "evictions"
-SPECULATIVE_EXECUTION = "speculative_execution"
 
 # Service-layer decision kinds (repro.service): admission-time choices,
 # logged with the same machinery as the in-query adaptive decisions so

@@ -56,17 +56,13 @@ The pool path is chaos-hardened end to end:
   takes its place).  Which faults fire where is the plan's
   deterministic ``injection_schedule`` — identical (kind, target,
   ordinal) tuples on the sim and mp substrates for a given seed.
-- **Heartbeats** — workers emit liveness + progress beats mid-job; a
-  worker silent for ``heartbeat_timeout`` seconds is declared
-  ``HeartbeatLost`` without waiting out the job timeout, and workers
-  that died while *idle* are detected eagerly.
-- **Speculative re-execution** — with ``speculate=True`` a fragment
-  running a robust multiple of the median attempt time gets a backup on
-  another worker; first result wins, and the
-  :class:`~repro.obs.decisions.DecisionLedger` records each speculation
-  with a post-hoc verdict.
-- **Quarantine + circuit breaker** — a fragment that kills
-  ``poison_threshold`` workers fails fast as a ``PoisonFragment`` with
+- **Heartbeats** — a busy worker beats every 0.5 s; one silent for
+  5 s is declared ``HeartbeatLost`` without waiting out the job
+  timeout, and workers that died while *idle* are detected eagerly.
+  A fragment has one attempt in flight at a time: on one host there is
+  no healthier node for a backup copy to run on.
+- **Quarantine + circuit breaker** — a fragment that kills three
+  workers fails fast as a ``PoisonFragment`` with
   the full cause chain; repeated infrastructure-level run failures trip
   a module-level breaker that rebuilds the shared pool once and then
   gives every run a private pool of fresh workers (``mp.breaker.*``).
@@ -98,7 +94,6 @@ from repro.parallel.mp_executor.resilience import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
-    ChaosOptions,
     DeadlineExceededError,
     FragmentFailedError,
     InjectedFaultError,
@@ -117,7 +112,6 @@ __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",
-    "ChaosOptions",
     "DeadlineExceededError",
     "FragmentFailedError",
     "InjectedFaultError",

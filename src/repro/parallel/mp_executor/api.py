@@ -20,7 +20,6 @@ from repro.parallel.mp_executor.merge import (
 )
 from repro.parallel.mp_executor.pool import _Runner
 from repro.parallel.mp_executor.resilience import (
-    ChaosOptions,
     DeadlineExceededError,
     FragmentFailedError,
 )
@@ -141,29 +140,6 @@ class _ObsSink:
         self._count(f"mp.faults.injected.{kind}")
         self._instant("fault_injected", index, kind=kind, attempt=attempt)
 
-    def speculation_launched(self, index: int, attempt: int,
-                             elapsed: float, threshold: float) -> None:
-        self._count("mp.speculative.launched")
-        self._instant(
-            "speculative_launch", index, attempt=attempt,
-            elapsed_seconds=round(elapsed, 6),
-            threshold_seconds=round(threshold, 6),
-        )
-
-    def speculation_resolved(self, index: int, backup_won: bool) -> None:
-        self._count(
-            "mp.speculative.backup_wins" if backup_won
-            else "mp.speculative.primary_wins"
-        )
-        self._instant("speculation_resolved", index, backup_won=backup_won)
-
-    def speculation_cancelled(self, index: int, attempt: int,
-                              backup: bool) -> None:
-        self._count("mp.speculative.cancelled")
-        self._instant(
-            "speculation_cancelled", index, attempt=attempt, backup=backup
-        )
-
     def worker_death(self, index: int) -> None:
         self._count("mp.quarantine.worker_deaths")
 
@@ -235,19 +211,30 @@ class _ObsSink:
         )
 
 
-def _check_real(name: str, value, least: float | None = None) -> None:
+def _check_int(name: str, value, least: int) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integral
+    number, not a bool, and at least ``least``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < least
+    ):
+        bound = "positive" if least == 1 else "non-negative"
+        raise ValueError(f"{name} must be a {bound} int; got {value!r}")
+
+
+def _check_seconds(name: str, value) -> None:
     """Raise ValueError naming ``name`` unless ``value`` is a finite
-    real, not a bool, and positive (or at least ``least``)."""
+    real, not a bool, and positive."""
     ok = (
         isinstance(value, numbers.Real)
         and not isinstance(value, bool)
         and math.isfinite(value)
-        and (value > 0 if least is None else value >= least)
+        and value > 0
     )
     if not ok:
-        bound = "positive" if least is None else f">= {least}"
         raise ValueError(
-            f"{name} must be a finite number, {bound}; got {value!r}"
+            f"{name} must be a finite number, positive; got {value!r}"
         )
 
 
@@ -266,12 +253,6 @@ def multiprocessing_aggregate(
     strategy: str = "pool",
     faults=None,
     faults_log: list | None = None,
-    speculate: bool = False,
-    speculation_multiplier: float = 3.0,
-    speculation_min_seconds: float = 0.05,
-    heartbeat_interval: float | None = 0.5,
-    heartbeat_timeout: float | None = None,
-    poison_threshold: int = 3,
     ledger=None,
     deadline: float | None = None,
 ) -> list[tuple]:
@@ -317,10 +298,10 @@ def multiprocessing_aggregate(
     Results are bit-identical across both, and retries, ``timeout``,
     ``deadline``, heartbeats, quarantine and the circuit breaker cover
     both rounds of ``rep`` as they cover two-phase.  ``phase_fn``,
-    ``memory_budget_bytes``, fault injection and speculation are
-    two-phase only.  The packed merge hands its rows over in key order;
-    only the sequential merge sorts them.  From the merge to the return
-    the cyclic collector is paused, and then left as it was found.
+    ``memory_budget_bytes`` and fault injection are two-phase only.  The
+    packed merge hands its rows over in key order; only the sequential
+    merge sorts them.  From the merge to the return the cyclic collector
+    is paused, and then left as it was found.
 
     ``memory_budget_bytes`` puts each fragment's phase-1 table under a
     byte budget: the first attempt is the ordinary phase (the columnar
@@ -354,8 +335,10 @@ def multiprocessing_aggregate(
     back (pickled bytes, and seconds inside the parent's receive);
     ``profiles`` (a list) is extended with one
     :class:`repro.obs.WorkerProfile` per attempt that reported back.
+    ``ledger`` is accepted for callers that pass one to every executor;
+    the pool records no decisions into it.
 
-    Chaos / robustness (injection and speculation: two-phase only):
+    Chaos / robustness (injection: two-phase only):
 
     ``faults`` (a :class:`~repro.sim.faults.FaultPlan`) injects the
     plan's deterministic fault schedule into the real workers — kills,
@@ -363,38 +346,27 @@ def multiprocessing_aggregate(
     (see the module docstring for the mapping).  Requires real
     processes: a run that would fall back in-process is bumped to two
     workers.  ``faults_log`` (a list) receives the injected
-    ``(kind, fragment, attempt)`` entries in firing order.
-    ``speculate`` enables speculative re-execution: a fragment running
-    longer than ``max(speculation_min_seconds, speculation_multiplier ×
-    median attempt time)`` gets a backup attempt on a free worker;
-    first result wins, the loser is killed, and each speculation is
-    recorded in ``ledger`` (a :class:`~repro.obs.DecisionLedger`) with
-    a post-hoc verdict.  ``heartbeat_interval`` makes workers emit
-    liveness beats mid-job (``None`` disables); a worker silent for
-    ``heartbeat_timeout`` seconds (default ``max(8×interval, 5)``) is
-    declared lost without waiting out ``timeout``.  A fragment whose
-    attempts kill ``poison_threshold`` workers is quarantined: it fails
-    fast as a ``PoisonFragment`` instead of grinding the pool down.
+    ``(kind, fragment, attempt)`` entries in firing order.  A fragment
+    has one attempt in flight at a time.  Workers beat every 0.5 s
+    mid-job, and one silent for 5 s is declared lost without waiting out
+    ``timeout``.  A fragment whose attempts kill three workers is
+    quarantined: it fails fast as a ``PoisonFragment`` instead of
+    grinding the pool down.
     Runs that repeatedly fail with infrastructure causes trip a
     module-level circuit breaker (see :class:`PoolCircuitBreaker`):
     the pool is rebuilt once, then every run degrades to a private pool
     of fresh workers that is shut down when the run ends (fault
     injection is skipped while degraded).
     """
-    if max_retries < 0:
-        raise ValueError("max_retries must be non-negative")
+    # Counts are ints: a NaN or infinite retry budget never runs out.
+    _check_int("processes", processes, least=0)
+    _check_int("max_retries", max_retries, least=0)
     # Seconds are finite and positive: NaN compares false against every
     # bound, and inf overflows the dispatch loop's waits.  None is the
     # only spelling of "no bound".
-    for name, seconds in (
-        ("timeout", timeout), ("deadline", deadline),
-        ("heartbeat_interval", heartbeat_interval),
-        ("heartbeat_timeout", heartbeat_timeout),
-    ):
+    for name, seconds in (("timeout", timeout), ("deadline", deadline)):
         if seconds is not None:
-            _check_real(name, seconds)
-    _check_real("speculation_multiplier", speculation_multiplier, least=1)
-    _check_real("speculation_min_seconds", speculation_min_seconds)
+            _check_seconds(name, seconds)
     if deadline is not None and time.monotonic() >= deadline:
         # Already out of budget: fail before any work is dispatched.
         raise DeadlineExceededError(0.0, 0, len(dist.fragments))
@@ -403,15 +375,7 @@ def multiprocessing_aggregate(
             raise ValueError(
                 "pass either phase_fn or memory_budget_bytes, not both"
             )
-        if (
-            isinstance(memory_budget_bytes, bool)
-            or not isinstance(memory_budget_bytes, numbers.Integral)
-            or memory_budget_bytes < 1
-        ):
-            raise ValueError(
-                "memory_budget_bytes must be a positive int; "
-                f"got {memory_budget_bytes!r}"
-            )
+        _check_int("memory_budget_bytes", memory_budget_bytes, least=1)
     if strategy in ("global", "auto"):
         # Three names, one path: every fragment leaves the kernel packed.
         strategy = "pool"
@@ -436,12 +400,6 @@ def multiprocessing_aggregate(
                 "fault injection requires strategy='pool' "
                 "('rep' has no injection shim)"
             )
-        if speculate:
-            raise ValueError(
-                "speculative re-execution requires strategy='pool'"
-            )
-    if poison_threshold < 1:
-        raise ValueError("poison_threshold must be positive")
     fn = phase_fn if phase_fn is not None else _local_phase
 
     def fn_for(attempt: int):
@@ -456,15 +414,6 @@ def multiprocessing_aggregate(
     obs = _ObsSink(tracer, metrics)
     runner = _Runner(
         len(dist.fragments), processes, max_retries, timeout, deadline, obs,
-        ChaosOptions(
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout,
-            speculate=speculate,
-            speculation_multiplier=speculation_multiplier,
-            speculation_min_seconds=speculation_min_seconds,
-            poison_threshold=poison_threshold,
-            ledger=ledger,
-        ),
         faults if faults_active else None, faults_log,
     )
     # Block-born fragments stay columnar end to end: the job carries the

@@ -10,7 +10,6 @@ import gc
 import multiprocessing
 import os
 import signal
-import statistics
 import threading
 import time
 from collections import deque
@@ -18,11 +17,6 @@ from multiprocessing import resource_tracker
 from multiprocessing.connection import wait as _connection_wait
 from multiprocessing.reduction import ForkingPickler
 
-from repro.obs.decisions import (
-    SPECULATIVE_EXECUTION,
-    VERDICT_CORRECT,
-    VERDICT_WRONG_CHEAP,
-)
 from repro.obs.profile import profile_finish, profile_start
 from repro.parallel.mp_executor.kernel import (
     _decline,
@@ -32,7 +26,6 @@ from repro.parallel.mp_executor.kernel import (
 from repro.parallel.mp_executor.merge import _note_seconds, _take_notes
 from repro.parallel.mp_executor.resilience import (
     _INFRA_DEATHS,
-    ChaosOptions,
     DeadlineExceededError,
     FragmentFailedError,
     InjectedFaultError,
@@ -56,6 +49,15 @@ from repro.storage.columnblock import ColumnBlock
 
 
 _JOIN_GRACE_SECONDS = 5.0
+
+# Liveness: a busy worker beats every HEARTBEAT_INTERVAL seconds, and one
+# silent for HEARTBEAT_TIMEOUT is declared lost.  The timeout is generous:
+# a busy single-core box can starve the beat thread for a while without
+# the worker being sick.
+HEARTBEAT_INTERVAL = 0.5
+HEARTBEAT_TIMEOUT = 5.0
+# Worker deaths that quarantine the fragment that caused them.
+POISON_THRESHOLD = 3
 
 
 def _tracker_noop(*_args, **_kwargs) -> None:
@@ -118,25 +120,22 @@ _SLOW_CHUNK_ROWS = 128
 
 
 class _HeartbeatSender(threading.Thread):
-    """Worker-side beat emitter: one ``("beat", {"rows_done": n}, None)``
-    per interval while a job runs, sharing the reply pipe under a lock
-    so beats never interleave with the final reply."""
+    """Worker-side beat emitter: one ``("beat", None, None)`` per
+    interval while a job runs, sharing the reply pipe under a lock so
+    beats never interleave with the final reply."""
 
-    def __init__(self, conn, lock, interval: float, progress: list) -> None:
+    def __init__(self, conn, lock, interval: float) -> None:
         super().__init__(daemon=True)
         self.conn = conn
         self.lock = lock
         self.interval = interval
-        self.progress = progress
         self._done = threading.Event()
 
     def run(self) -> None:
         while not self._done.wait(self.interval):
             try:
                 with self.lock:
-                    self.conn.send(
-                        ("beat", {"rows_done": self.progress[0]}, None)
-                    )
+                    self.conn.send(("beat", None, None))
             except Exception:  # pragma: no cover - parent went away
                 return
 
@@ -145,27 +144,26 @@ class _HeartbeatSender(threading.Thread):
         self.join()
 
 
-def _limping(rows, factor: float, progress: list):
-    """``rows``, one at a time; every ``_SLOW_CHUNK_ROWS`` of them
-    advance ``progress`` and sleep off ``(factor - 1)`` of the time the
-    consumer took over the chunk."""
+def _limping(rows, factor: float):
+    """``rows``, one at a time; after every ``_SLOW_CHUNK_ROWS`` of them
+    sleep off ``(factor - 1)`` of the time the consumer took over the
+    chunk."""
     for start in range(0, len(rows), _SLOW_CHUNK_ROWS):
         t0 = time.perf_counter()
         yield from rows[start:start + _SLOW_CHUNK_ROWS]
-        progress[0] = min(start + _SLOW_CHUNK_ROWS, len(rows))
         time.sleep((factor - 1.0) * (time.perf_counter() - t0))
 
 
-def _slow_job(fn, job, factor: float, progress: list):
+def _slow_job(fn, job, factor: float):
     """Injected straggler: run the job ``factor`` times slower.
 
     For the built-in phase — every ungoverned run, whatever the
     strategy name — the rows run through the per-row loop in chunks
-    (:func:`_limping`) — a limping-but-alive worker whose beats show
-    partial progress.  The accumulation order is exactly the
-    sequential loop's, so results stay bit-identical to the fault-free
-    run.  Substituted and governed phase functions are opaque: they run
-    whole, then sleep off the multiplier.
+    (:func:`_limping`) — a limping-but-alive worker that keeps beating.
+    The accumulation order is exactly the sequential loop's, so results
+    stay bit-identical to the fault-free run.  Substituted and governed
+    phase functions are opaque: they run whole, then sleep off the
+    multiplier.
     """
     if fn is _local_phase:
         rows, query, schema = job
@@ -173,7 +171,7 @@ def _slow_job(fn, job, factor: float, progress: list):
         if isinstance(rows, ColumnBlock):
             rows = rows.to_rows()
         return _per_row_phase(
-            _limping(rows, factor, progress), query, schema
+            _limping(rows, factor), query, schema
         )
     t0 = time.perf_counter()
     result = fn(job)
@@ -181,8 +179,7 @@ def _slow_job(fn, job, factor: float, progress: list):
     return result
 
 
-def _run_worker_job(fn, descriptor, inject: dict, progress: list,
-                    mapped: list):
+def _run_worker_job(fn, descriptor, inject: dict, mapped: list):
     """Run one job under the (possibly empty) injection directive.
 
     Kill and stall are delivered *here*, by the worker to itself, so
@@ -210,7 +207,7 @@ def _run_worker_job(fn, descriptor, inject: dict, progress: list,
     _note_seconds("load_seconds", time.perf_counter() - t0)
     slow = inject.get(INJECT_SLOW)
     if slow:
-        return _slow_job(fn, job, slow, progress)
+        return _slow_job(fn, job, slow)
     return fn(job)
 
 
@@ -221,8 +218,8 @@ def _pool_worker_main(conn) -> None:
     carries the result, status "error" a ``{"type", "message"}`` dict
     preserving the exception's type so the parent can classify the
     failure, and ``profile`` is the worker's self-measurement (wall/CPU
-    seconds, high-water RSS); ``("beat", …)`` messages may precede it
-    when ``opts["heartbeat"]`` asks for them.
+    seconds, high-water RSS); ``("beat", None, None)`` messages precede
+    it, one every ``opts["heartbeat"]`` seconds.
     ``opts["inject"]`` carries the fault directive for this job
     (self-SIGKILL, self-SIGSTOP limplock, an injected exception, or a
     slowdown factor).  ``None`` is the shutdown
@@ -244,23 +241,18 @@ def _pool_worker_main(conn) -> None:
             conn.close()
             return
         fn, descriptor, opts = request
-        progress = [0]
-        beat = None
-        interval = opts.get("heartbeat")
-        if interval:
-            beat = _HeartbeatSender(conn, lock, interval, progress)
-            beat.start()
+        beat = _HeartbeatSender(conn, lock, opts["heartbeat"])
+        beat.start()
         mapped: list = []  # the segment the job's columns are views over
         # [0]: the exception goes at once — its traceback's frames hold
         # the job, whose columns are views the mapping cannot close under.
         reply = _attempt(
             lambda: _run_worker_job(
-                fn, descriptor, opts.get("inject") or {}, progress, mapped
+                fn, descriptor, opts.get("inject") or {}, mapped
             ),
             BaseException,
         )[0]
-        if beat is not None:
-            beat.stop()  # joins: no beat can trail the final reply
+        beat.stop()  # joins: no beat can trail the final reply
         # conn.send(reply) in its two halves, the mapping closed between
         # them: a partial may hold views of the mapped columns until it
         # is pickled, and what a worker does after its reply has woken
@@ -415,8 +407,7 @@ class WorkerPool:
 
         ``hard`` skips SIGTERM and kills outright — required for
         SIGSTOPped (stalled) workers, which would never see the TERM
-        and would eat the full join grace, and used for cancelled
-        speculation losers where promptness matters.
+        and would eat the full join grace.
         """
         try:
             worker.conn.close()
@@ -487,25 +478,21 @@ def shutdown_worker_pool() -> None:
 
 
 class _PoolAttempt:
-    """One in-flight fragment attempt on a pool worker."""
+    """A fragment's one in-flight attempt on a pool worker."""
 
     __slots__ = (
-        "index", "attempt", "worker", "deadline", "started",
-        "mono_started", "last_beat", "backup", "stall_resume", "rows_done",
+        "index", "attempt", "worker", "deadline", "started", "last_beat",
+        "stall_resume",
     )
 
-    def __init__(self, index, attempt, worker, deadline, started,
-                 backup=False) -> None:
+    def __init__(self, index, attempt, worker, deadline, started) -> None:
         self.index = index
         self.attempt = attempt
         self.worker = worker
         self.deadline = deadline
         self.started = started
-        self.mono_started = time.monotonic()
-        self.last_beat = self.mono_started
-        self.backup = backup
+        self.last_beat = time.monotonic()
         self.stall_resume = None
-        self.rows_done = 0
 
 
 def _run_jobs_in_pool(fn_for, descriptors: list, runner: "_Runner",
@@ -515,60 +502,48 @@ def _run_jobs_in_pool(fn_for, descriptors: list, runner: "_Runner",
 
     ``fn_for(attempt)`` resolves the phase function for a given attempt
     number — how the memory ladder swaps in a reduced-budget spill phase
-    on retry.  A worker that raises, dies (closed pipe without a
-    result), goes silent or exceeds ``runner.timeout`` fails that
+    on retry.  A fragment has at most one attempt in flight.  A worker
+    that raises, dies (closed pipe without a result), goes silent for
+    ``HEARTBEAT_TIMEOUT`` or exceeds ``runner.timeout`` fails that
     attempt, and :meth:`_Runner.failed` says what follows.
 
     Timeout, heartbeat-loss and death handling must discard the worker
     (its loop may be wedged or gone); a clean "error" reply leaves it
-    reusable.  ``runner.chaos`` bundles the robustness machinery:
-    heartbeat monitoring, fault injection, speculative re-execution
-    (see :class:`ChaosOptions`).  ``shipment`` is the
-    :class:`~repro.parallel.mp_executor.wire._Shipment` behind the
-    descriptors, when there is one: it loses a fragment's segment on an
-    injected shm loss and ships the fragment again once a worker found
-    it gone.  Past the run deadline every in-flight worker is discarded.
+    reusable.  ``runner.injector``, when set, injects the fault plan.
+    ``shipment`` is the :class:`~repro.parallel.mp_executor.wire._Shipment`
+    behind the descriptors, when there is one: it loses a fragment's
+    segment on an injected shm loss and ships the fragment again once a
+    worker found it gone.  Past the run deadline every in-flight worker
+    is discarded.
     """
     processes, timeout, obs = runner.processes, runner.timeout, runner.obs
-    pool, chaos, run_deadline = runner.pool, runner.chaos, runner.deadline
-    injector = chaos.injector
-    hb_timeout = chaos.heartbeat_timeout
+    pool, injector = runner.pool, runner.injector
+    run_deadline, hb_timeout = runner.deadline, HEARTBEAT_TIMEOUT
     completed = runner.completed
 
     pending: deque[tuple[int, int]] = deque(
         (i, 0) for i in range(len(descriptors))
     )
     busy: dict[object, _PoolAttempt] = {}
-    durations: list[float] = []      # completed attempt wall seconds
-    outstanding: dict[int, int] = {}   # fragment -> in-flight attempts
-    spec_open: dict[int, dict] = {}    # fragment -> open speculation
 
-    def drop(record: _PoolAttempt) -> None:
-        busy.pop(record.worker.conn, None)
-        outstanding[record.index] -= 1
-
-    def dispatch(index: int, attempt: int, backup: bool = False) -> None:
+    def dispatch(index: int, attempt: int) -> None:
         worker = pool.acquire()
         inject = None
         actions: dict = {}
-        if injector is not None and not backup:
-            # Backups model re-execution on a healthy node: they skip
-            # injection, otherwise a straggler would limp its own rescue.
+        if injector is not None:
             inject = injector.worker_inject(index, attempt)
             actions = injector.parent_actions(index, attempt)
         if actions.get(INJECT_SHM_LOSS) and shipment is not None:
             if shipment.lose(index):
                 obs.fault_injected(INJECT_SHM_LOSS, index, attempt)
         deadline = None if timeout is None else time.monotonic() + timeout
-        record = _PoolAttempt(index, attempt, worker, deadline, obs.now(),
-                              backup)
+        record = _PoolAttempt(index, attempt, worker, deadline, obs.now())
         busy[worker.conn] = record
-        outstanding[index] = outstanding.get(index, 0) + 1
-        opts = {"inject": inject, "heartbeat": chaos.heartbeat_interval}
+        opts = {"inject": inject, "heartbeat": HEARTBEAT_INTERVAL}
         try:
             worker.conn.send((fn_for(attempt), descriptors[index], opts))
         except (OSError, ValueError):  # pragma: no cover - died pre-send
-            drop(record)
+            del busy[worker.conn]
             pool.discard(worker)
             attempt_failed(record, {
                 "type": "WorkerDied",
@@ -589,10 +564,6 @@ def _run_jobs_in_pool(fn_for, descriptors: list, runner: "_Runner",
                        profile=None) -> None:
         obs.attempt_done(record.index, record.attempt, record.started,
                          False, profile, error)
-        if record.index in completed:
-            return  # a speculative sibling already won
-        if outstanding.get(record.index, 0) > 0:
-            return  # a sibling is still running; it decides the outcome
         runner.failed(record.index, record.attempt, error)
         if (
             shipment is not None
@@ -618,77 +589,12 @@ def _run_jobs_in_pool(fn_for, descriptors: list, runner: "_Runner",
                 pass
             record.stall_resume = None
 
-    def resolve_ok(record: _PoolAttempt, payload, profile) -> None:
-        drop(record)
-        durations.append(time.monotonic() - record.mono_started)
-        wake_if_stalled(record)
-        pool.release(record.worker)
-        first = record.index not in completed
-        if first:
-            completed[record.index] = payload
-        obs.attempt_done(record.index, record.attempt, record.started,
-                         True, profile)
-        if outstanding.get(record.index, 0) > 0:
-            # First result wins: cancel the losing sibling(s) outright.
-            for other in [r for r in busy.values()
-                          if r.index == record.index]:
-                drop(other)
-                pool.discard(other.worker, hard=True)
-                obs.speculation_cancelled(other.index, other.attempt,
-                                          other.backup)
-        marker = spec_open.pop(record.index, None)
-        if marker is not None and first:
-            obs.speculation_resolved(record.index, record.backup)
-            event = marker.get("event")
-            if event is not None:
-                # Post-hoc verdict: a speculation whose backup won was
-                # the right call; one the primary beat was wasted work
-                # but cost only an idle-slot fork.
-                event.truth = {
-                    "backup_won": record.backup,
-                    "verdict": (VERDICT_CORRECT if record.backup
-                                else VERDICT_WRONG_CHEAP),
-                }
-
-    def maybe_speculate() -> None:
-        if pending or len(busy) >= processes or len(durations) < 2:
-            return
-        median = statistics.median(durations)
-        threshold = max(chaos.speculation_min_seconds,
-                        chaos.speculation_multiplier * median)
-        now = time.monotonic()
-        for record in list(busy.values()):
-            if len(busy) >= processes:
-                break
-            if record.backup or record.index in spec_open:
-                continue
-            elapsed = now - record.mono_started
-            if elapsed < threshold:
-                continue
-            obs.speculation_launched(record.index, record.attempt,
-                                     elapsed, threshold)
-            event = None
-            if chaos.ledger is not None:
-                event = chaos.ledger.record(
-                    SPECULATIVE_EXECUTION, record.index, obs.now(),
-                    data={
-                        "attempt": record.attempt,
-                        "elapsed_seconds": round(elapsed, 6),
-                        "threshold_seconds": round(threshold, 6),
-                        "median_seconds": round(median, 6),
-                    },
-                )
-            spec_open[record.index] = {"event": event}
-            dispatch(record.index, record.attempt, backup=True)
-
     pool.register_dispatcher()
     try:
         while busy or pending:
             runner.check_deadline(len(descriptors))
             while pending and len(busy) < processes:
                 dispatch(*pending.popleft())
-            if chaos.speculate:
-                maybe_speculate()
             now = time.monotonic()
             wait_until: list[float] = []
             if run_deadline is not None:
@@ -696,22 +602,9 @@ def _run_jobs_in_pool(fn_for, descriptors: list, runner: "_Runner",
             for record in busy.values():
                 if record.deadline is not None:
                     wait_until.append(record.deadline)
-                if hb_timeout is not None:
-                    wait_until.append(record.last_beat + hb_timeout)
+                wait_until.append(record.last_beat + hb_timeout)
                 if record.stall_resume is not None:
                     wait_until.append(record.stall_resume)
-            if (chaos.speculate and not pending
-                    and len(busy) < processes and len(durations) >= 2):
-                threshold = max(
-                    chaos.speculation_min_seconds,
-                    chaos.speculation_multiplier
-                    * statistics.median(durations),
-                )
-                wait_until.extend(
-                    r.mono_started + threshold
-                    for r in busy.values()
-                    if not r.backup and r.index not in spec_open
-                )
             wait_for = (
                 None if not wait_until
                 else max(0.0, min(wait_until) - now)
@@ -725,9 +618,7 @@ def _run_jobs_in_pool(fn_for, descriptors: list, runner: "_Runner",
                     if pool.recv_idle(idle[conn]) == "dead":
                         obs.idle_death()
                     continue
-                record = busy.get(conn)
-                if record is None:
-                    continue  # cancelled earlier in this very batch
+                record = busy[conn]
                 profile = None
                 t0 = time.perf_counter()
                 try:
@@ -742,15 +633,9 @@ def _run_jobs_in_pool(fn_for, descriptors: list, runner: "_Runner",
                         obs.returned(len(data), time.perf_counter() - t0)
                 if status == "beat":
                     record.last_beat = time.monotonic()
-                    record.rows_done = payload.get(
-                        "rows_done", record.rows_done
-                    )
                     obs.beat()
                     continue
-                if status == "ok":
-                    resolve_ok(record, payload, profile)
-                    continue
-                drop(record)
+                del busy[conn]
                 if status == "died":
                     error = {
                         "type": "WorkerDied",
@@ -760,35 +645,38 @@ def _run_jobs_in_pool(fn_for, descriptors: list, runner: "_Runner",
                         ),
                     }
                     pool.discard(record.worker)
+                    attempt_failed(record, error, profile)
+                    continue
+                wake_if_stalled(record)
+                pool.release(record.worker)
+                if status == "ok":
+                    completed[record.index] = payload
+                    obs.attempt_done(record.index, record.attempt,
+                                     record.started, True, profile)
                 else:
-                    error = payload
-                    wake_if_stalled(record)
-                    pool.release(record.worker)
-                attempt_failed(record, error, profile)
+                    attempt_failed(record, payload, profile)
             now = time.monotonic()
             for record in list(busy.values()):
                 if (record.stall_resume is not None
                         and now >= record.stall_resume):
                     wake_if_stalled(record)  # the injected limplock ends
                     record.last_beat = now  # grace until beats resume
-            if hb_timeout is not None:
-                for record in list(busy.values()):
-                    silence = now - record.last_beat
-                    if silence >= hb_timeout:
-                        drop(record)
-                        # hard: a SIGSTOPped worker never sees SIGTERM.
-                        pool.discard(record.worker, hard=True)
-                        obs.heartbeat_lost(record.index, record.attempt)
-                        attempt_failed(record, {
-                            "type": "HeartbeatLost",
-                            "message": (
-                                f"no heartbeat for {silence:.2f}s "
-                                "(worker stalled, starved, or wedged)"
-                            ),
-                        })
             for record in list(busy.values()):
-                if record.deadline is not None and now >= record.deadline:
-                    drop(record)
+                silence = now - record.last_beat
+                if silence >= hb_timeout:
+                    del busy[record.worker.conn]
+                    # hard: a SIGSTOPped worker never sees SIGTERM.
+                    pool.discard(record.worker, hard=True)
+                    obs.heartbeat_lost(record.index, record.attempt)
+                    attempt_failed(record, {
+                        "type": "HeartbeatLost",
+                        "message": (
+                            f"no heartbeat for {silence:.2f}s "
+                            "(worker stalled, starved, or wedged)"
+                        ),
+                    })
+                elif record.deadline is not None and now >= record.deadline:
+                    del busy[record.worker.conn]
                     pool.discard(
                         record.worker,
                         hard=record.stall_resume is not None,
@@ -855,15 +743,15 @@ class _Runner:
 
     def __init__(self, fragments: int, processes: int, max_retries: int,
                  timeout: float | None, deadline: float | None, obs,
-                 chaos: ChaosOptions, faults=None,
-                 faults_log: list | None = None) -> None:
+                 faults=None, faults_log: list | None = None) -> None:
         if processes == 0:
             processes = min(fragments, os.cpu_count() or 1)
+        self.injector: MpFaultInjector | None = None
         if faults is not None:
             # Injection needs real worker processes; in-process there is
             # nothing to kill, stall, or starve.
             processes = max(processes, 2)
-            chaos.injector = MpFaultInjector(
+            self.injector = MpFaultInjector(
                 faults, fragments, max_retries + 1
             )
         self.processes = processes
@@ -872,7 +760,6 @@ class _Runner:
         self.timeout = timeout
         self.deadline = deadline  # absolute monotonic, for the whole run
         self.obs = obs
-        self.chaos = chaos
         self.faults_log = faults_log
         self.pool: WorkerPool | None = None
         self._private = False
@@ -885,7 +772,7 @@ class _Runner:
         if self._private:
             self.obs.pool_degraded()
             self.pool = WorkerPool()
-            self.chaos.injector = None
+            self.injector = None
         else:
             if breaker.take_rebuild():
                 shutdown_worker_pool()
@@ -903,9 +790,8 @@ class _Runner:
         if self._private:
             self.pool.shutdown()
         self.obs.breaker_state(self._breaker.state_code())
-        injector = self.chaos.injector
-        if injector is not None and self.faults_log is not None:
-            self.faults_log.extend(injector.injected)
+        if self.injector is not None and self.faults_log is not None:
+            self.faults_log.extend(self.injector.injected)
 
     def run(self, fn_for, jobs: list, project: bool = True,
             inline: bool = False) -> dict[int, list]:
@@ -934,9 +820,9 @@ class _Runner:
     def failed(self, index: int, attempt: int, error: dict,
                cause: BaseException | None = None) -> None:
         """Attempt ``attempt`` of fragment ``index`` failed with
-        ``error`` (``{"type", "message"}``) and nothing else can still
-        answer for it.  An infrastructure death is counted against the
-        fragment, ``poison_threshold`` of them quarantine it, and
+        ``error`` (``{"type", "message"}``).  An infrastructure death
+        is counted against the fragment, ``POISON_THRESHOLD`` of them
+        quarantine it, and
         ``max_retries`` bounds everything else: returns if the fragment
         is to be retried — the error logged through the sink, never
         discarded — and raises :class:`FragmentFailedError` otherwise,
@@ -951,7 +837,7 @@ class _Runner:
             chain = self._deaths.setdefault(index, [])
             chain.append(text)
             self.obs.worker_death(index)
-            if len(chain) >= self.chaos.poison_threshold:
+            if len(chain) >= POISON_THRESHOLD:
                 # Quarantine: this fragment is grinding the pool down —
                 # fail fast with the whole chain, retries be damned.
                 self.obs.quarantined(index, len(chain))

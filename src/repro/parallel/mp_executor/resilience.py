@@ -1,6 +1,5 @@
 """Failure vocabulary and the machinery that reacts to it: the typed
-errors, the pool circuit breaker, the fault injector and the per-run
-robustness knobs."""
+errors, the pool circuit breaker and the fault injector."""
 
 from __future__ import annotations
 
@@ -333,43 +332,3 @@ class MpFaultInjector:
             actions[INJECT_SHM_LOSS] = True
         return actions
 
-
-class ChaosOptions:
-    """Resolved robustness knobs for one pool dispatch."""
-
-    __slots__ = (
-        "injector",
-        "heartbeat_interval",
-        "heartbeat_timeout",
-        "speculate",
-        "speculation_multiplier",
-        "speculation_min_seconds",
-        "poison_threshold",
-        "ledger",
-    )
-
-    def __init__(
-        self,
-        injector: MpFaultInjector | None = None,
-        heartbeat_interval: float | None = 0.5,
-        heartbeat_timeout: float | None = None,
-        speculate: bool = False,
-        speculation_multiplier: float = 3.0,
-        speculation_min_seconds: float = 0.05,
-        poison_threshold: int = 3,
-        ledger=None,
-    ) -> None:
-        self.injector = injector
-        self.heartbeat_interval = heartbeat_interval or None
-        if heartbeat_timeout is None and self.heartbeat_interval:
-            # Generous default: a busy single-core box can starve the
-            # beat thread for a while without the worker being sick.
-            heartbeat_timeout = max(8.0 * self.heartbeat_interval, 5.0)
-        self.heartbeat_timeout = (
-            heartbeat_timeout if self.heartbeat_interval else None
-        )
-        self.speculate = speculate
-        self.speculation_multiplier = speculation_multiplier
-        self.speculation_min_seconds = speculation_min_seconds
-        self.poison_threshold = poison_threshold
-        self.ledger = ledger

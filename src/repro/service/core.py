@@ -9,9 +9,9 @@ here or thread-safe itself.
 
 The execution path is deliberately the *same* code one-shot CLI runs
 use — ``repro.sql.run_sql(substrate="mp")`` over the shared persistent
-pool — so every robustness feature PRs 1–6 built (heartbeats,
-speculation, poison quarantine, the circuit breaker, governed spill)
-is exercised unchanged under concurrent load.
+pool — so every robustness feature the executor has (heartbeats,
+poison quarantine, the circuit breaker, governed spill) is exercised
+unchanged under concurrent load.
 """
 
 from __future__ import annotations

@@ -159,7 +159,6 @@ class TestRunMp:
             "--tuples", "2400", "--groups", "60", "--nodes", "4",
             "--processes", "2",
             "--faults", "seed=1,kill=3,slow=2x6.0,loss=0.3",
-            "--speculate",
             "--verify",
         )
         assert code == 0

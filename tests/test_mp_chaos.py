@@ -10,9 +10,8 @@ no stray ``/dev/shm`` segment may survive (none at all once the pool is
 shut down).
 
 Also covers the health machinery the faults exercise: eager heartbeat
-detection of wedged workers, speculative re-execution with
-first-result-wins and ledger verdicts, poison-fragment quarantine, and
-the pool circuit breaker's rebuild-then-degrade ladder.
+detection of wedged workers, poison-fragment quarantine, and the pool
+circuit breaker's rebuild-then-degrade ladder.
 """
 
 import functools
@@ -25,11 +24,6 @@ import pytest
 
 from repro.core.aggregates import AggregateSpec
 from repro.core.query import AggregateQuery
-from repro.obs.decisions import (
-    SPECULATIVE_EXECUTION,
-    VERDICT_CORRECT,
-    DecisionLedger,
-)
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import (
     DeadlineExceededError,
@@ -112,7 +106,7 @@ def _always_exit(job):
 
 _REAL_PARTITION = mp_strategies._RepPartitionPhase.__call__
 _REAL_BUCKET = mp_strategies._rep_bucket_phase
-_NAP_SECONDS = 0.6  # past the 0.5 s interval a run that ignored its caller used
+_NAP_SECONDS = 0.6  # past the production 0.5 s interval
 
 
 def _napping_partition(self, job):
@@ -148,18 +142,18 @@ PLANS = {
 
 
 class TestChaosMatrix:
-    """kill / limplock / slow / error / shm-loss × speculation on/off."""
+    """kill / limplock / slow / error / shm-loss, and all at once."""
 
-    @pytest.mark.parametrize("speculate", [False, True],
-                             ids=["spec-off", "spec-on"])
-    @pytest.mark.parametrize("plan_name", sorted(PLANS))
-    def test_results_equal_fault_free(self, dist, query, plan_name,
-                                      speculate):
+    # "spec-off": the leg's name from when every plan also ran with a
+    # speculative backup, kept so its history stays one test.
+    @pytest.mark.parametrize("plan_name", sorted(PLANS),
+                             ids=lambda name: f"{name}-spec-off")
+    def test_results_equal_fault_free(self, dist, query, plan_name):
         baseline = multiprocessing_aggregate(dist, query, processes=2)
         log = []
         got = multiprocessing_aggregate(
             dist, query, processes=2, timeout=30,
-            faults=PLANS[plan_name], faults_log=log, speculate=speculate,
+            faults=PLANS[plan_name], faults_log=log,
         )
         assert got == baseline  # bit-identical, not merely close
         assert log, "plan injected nothing — the scenario tested nothing"
@@ -196,15 +190,17 @@ class TestChaosMatrix:
 
 
 class TestHeartbeats:
-    def test_wedged_worker_detected_before_timeout(self, dist, query):
+    def test_wedged_worker_detected_before_timeout(self, dist, query,
+                                                   monkeypatch):
         """A 30 s limplock is cut short by heartbeat loss, not the 60 s
         job timeout: the run finishes in seconds with correct results."""
+        monkeypatch.setattr(mp_pool, "HEARTBEAT_INTERVAL", 0.1)
+        monkeypatch.setattr(mp_pool, "HEARTBEAT_TIMEOUT", 0.5)
         plan = FaultPlan(seed=11, worker_stalls=(WorkerStall(1, 30.0),))
         metrics = MetricsRegistry()
         start = time.monotonic()
         got = multiprocessing_aggregate(
             dist, query, processes=2, timeout=60, faults=plan,
-            heartbeat_interval=0.1, heartbeat_timeout=0.5,
             metrics=metrics,
         )
         assert time.monotonic() - start < 15
@@ -212,14 +208,16 @@ class TestHeartbeats:
         assert metrics.value("mp.heartbeat.lost") == 1
         assert metrics.value("mp.errors.HeartbeatLost") == 1
 
-    def test_slow_worker_emits_progress_beats(self, dist, query):
+    def test_slow_worker_emits_progress_beats(self, dist, query,
+                                              monkeypatch):
         """A limping (but alive) worker keeps beating: the dispatcher
-        sees progress instead of declaring it dead."""
+        sees it alive instead of declaring it dead."""
+        monkeypatch.setattr(mp_pool, "HEARTBEAT_INTERVAL", 0.05)
         plan = FaultPlan(seed=11, stragglers=(Straggler(2, 50.0),))
         metrics = MetricsRegistry()
         got = multiprocessing_aggregate(
             dist, query, processes=2, timeout=60, faults=plan,
-            heartbeat_interval=0.05, metrics=metrics,
+            metrics=metrics,
         )
         assert got == multiprocessing_aggregate(dist, query, processes=2)
         assert metrics.value("mp.heartbeat.beats") >= 1
@@ -231,76 +229,19 @@ class TestHeartbeats:
         self, dist, query, strategy, monkeypatch
     ):
         """One built-in phase function, so the injected straggler takes
-        the chunked per-row loop — beats carry ``rows_done`` — whatever
-        the two-phase strategy is called; an opaque run-then-sleep
-        would beat with no progress at all."""
-        progress = []
-        slot = mp_pool._PoolAttempt.rows_done
-
-        class Watched(mp_pool._PoolAttempt):
-            __slots__ = ()
-
-            def _beat(self, rows_done):
-                progress.append((self.index, rows_done))
-                slot.__set__(self, rows_done)
-
-            rows_done = property(slot.__get__, _beat)
-
-        monkeypatch.setattr(mp_pool, "_PoolAttempt", Watched)
+        the chunked per-row loop, and keeps beating while it limps,
+        whatever the two-phase strategy is called."""
+        monkeypatch.setattr(mp_pool, "HEARTBEAT_INTERVAL", 0.02)
         baseline = multiprocessing_aggregate(dist, query, processes=2)
         plan = FaultPlan(seed=11, stragglers=(Straggler(2, 200.0),))
         metrics = MetricsRegistry()
         got = multiprocessing_aggregate(
             dist, query, processes=2, timeout=60, faults=plan,
-            heartbeat_interval=0.02, metrics=metrics, strategy=strategy,
+            metrics=metrics, strategy=strategy,
         )
         assert got == baseline  # bit-identical, not merely close
         assert kernel_declines(metrics) == {"injected_slow": 1}
-        limping = [n for index, n in progress if index == 2]
-        assert max(limping) > 0, "beats reported no progress"
-        assert limping == sorted(limping)
-        assert max(limping) <= len(dist.fragments[2].relation)
-
-
-class TestSpeculation:
-    def test_backup_rescues_straggler_and_ledger_records_verdict(self):
-        dist = generate_uniform(
-            num_tuples=12000, num_groups=60, num_nodes=4, seed=3
-        )
-        query = AggregateQuery(
-            group_by=["gkey"],
-            aggregates=[AggregateSpec("sum", "val"), AggregateSpec("count")],
-        )
-        baseline = multiprocessing_aggregate(dist, query, processes=4)
-        plan = FaultPlan(seed=3, stragglers=(Straggler(1, 40.0),))
-        metrics = MetricsRegistry()
-        ledger = DecisionLedger()
-        got = multiprocessing_aggregate(
-            dist, query, processes=4, timeout=60, faults=plan,
-            speculate=True, speculation_multiplier=2.0,
-            speculation_min_seconds=0.05,
-            metrics=metrics, ledger=ledger,
-        )
-        assert got == baseline
-        assert metrics.value("mp.speculative.launched") >= 1
-        assert metrics.value("mp.speculative.backup_wins") >= 1
-        assert metrics.value("mp.speculative.cancelled") >= 1
-        events = ledger.events_of(SPECULATIVE_EXECUTION)
-        assert len(events) >= 1
-        verdicts = [e.truth for e in events if e.truth]
-        assert any(
-            t["backup_won"] and t["verdict"] == VERDICT_CORRECT
-            for t in verdicts
-        )
-        # The decision payload carries enough to audit the trigger.
-        data = events[0].data
-        assert data["elapsed_seconds"] >= data["threshold_seconds"]
-
-    def test_speculation_requires_pool_strategy(self, dist, query):
-        with pytest.raises(ValueError, match="speculat"):
-            multiprocessing_aggregate(
-                dist, query, processes=2, strategy="rep", speculate=True
-            )
+        assert metrics.value("mp.heartbeat.beats") >= 1
 
 
 class TestQuarantine:
@@ -312,19 +253,19 @@ class TestQuarantine:
         with pytest.raises(FragmentFailedError) as info:
             multiprocessing_aggregate(
                 dist, query, processes=2, phase_fn=fn,
-                max_retries=10, poison_threshold=2, metrics=metrics,
+                max_retries=10, metrics=metrics,
             )
         err = info.value
         assert err.fragment_index == 2
         assert err.cause_type == "PoisonFragment"
-        assert "poison fragment: killed 2 worker(s)" in err.cause
+        assert "poison fragment: killed 3 worker(s)" in err.cause
         assert "died without a result" in err.cause  # the chain, inline
         assert isinstance(err.__cause__, WorkerFailure)
         assert err.__cause__.error_type == "WorkerDied"
         assert metrics.value("mp.quarantine.poisoned") == 1
-        assert metrics.value("mp.quarantine.worker_deaths") == 2
+        assert metrics.value("mp.quarantine.worker_deaths") == 3
         # Quarantine fired well before the 10-retry budget ran out.
-        assert err.attempts <= 2
+        assert err.attempts <= 3
 
     def test_healthy_fragments_salvaged(self, query):
         dist = generate_uniform(900, 12, 3, seed=4)
@@ -333,7 +274,7 @@ class TestQuarantine:
         with pytest.raises(FragmentFailedError) as info:
             multiprocessing_aggregate(
                 dist, query, processes=2, phase_fn=fn,
-                max_retries=10, poison_threshold=2,
+                max_retries=10,
             )
         # partial_results carries the work that did complete.
         assert 2 not in info.value.partial_results
@@ -492,7 +433,8 @@ class TestDegradedMode:
         self, query, monkeypatch, slow_round
     ):
         """The private pool forks inside the run, so its workers nap
-        through the patched round."""
+        through the patched round, and beat at the interval the parent
+        runs with, not a worker-side default."""
         if slow_round == 1:
             monkeypatch.setattr(
                 mp_strategies._RepPartitionPhase, "__call__",
@@ -505,16 +447,13 @@ class TestDegradedMode:
         two = generate_uniform(
             num_tuples=600, num_groups=20, num_nodes=2, seed=5
         )
-        beats = {}
-        for interval in (0.01, None):
-            metrics = MetricsRegistry()
-            multiprocessing_aggregate(
-                two, query, processes=2, strategy="rep", metrics=metrics,
-                heartbeat_interval=interval,
-            )
-            beats[interval] = metrics.counter("mp.heartbeat.beats").value
-        assert beats[0.01] > 10  # two at a hard-wired 0.5 s interval
-        assert beats[None] == 0
+        monkeypatch.setattr(mp_pool, "HEARTBEAT_INTERVAL", 0.01)
+        metrics = MetricsRegistry()
+        multiprocessing_aggregate(
+            two, query, processes=2, strategy="rep", metrics=metrics,
+        )
+        # Two at the production 0.5 s interval.
+        assert metrics.counter("mp.heartbeat.beats").value > 10
 
     def test_run_deadline_holds_on_the_private_pool(self, dist, query):
         from tests.test_mp_executor_faults import _wedge

@@ -90,7 +90,8 @@ def test_one_runner_and_one_real_executor():
     execute is decided in one place: under ``mp_executor/`` the shared
     pool is fetched by one caller and ``processes`` is compared against
     the in-process threshold on one line.  And the file-backed executor
-    stays gone with its row codec: nothing shipped imports them."""
+    stays gone with its row codec, as do speculation and the heartbeat
+    and quarantine parameters: nothing shipped names them."""
     repo = pathlib.Path(__file__).parent.parent
     package = repo / "src" / "repro" / "parallel" / "mp_executor"
     source = "\n".join(p.read_text() for p in sorted(package.glob("*.py")))
@@ -102,6 +103,8 @@ def test_one_runner_and_one_real_executor():
     retired = re.compile(
         r"repro\.storage\.serialization|repro\.storage\.pagefile"
         r"|repro\.parallel\.file_executor"
+        r"|speculat|heartbeat_interval=|heartbeat_timeout="
+        r"|poison_threshold=|ChaosOptions"
     )
     for top in ("src", "examples", "benchmarks"):
         for path in (repo / top).rglob("*.py"):
@@ -114,25 +117,24 @@ _NAN, _INF = float("nan"), float("inf")
 class TestNumericArguments:
     """Every numeric argument is checked once, at the entry point: a NaN
     compares false against every bound and would silently disable it,
-    inf overflows the dispatch loop's waits, a float budget breaks the
-    spill retries' halving, and a bool is not a count of anything."""
+    inf overflows the dispatch loop's waits (or, as a retry budget,
+    never runs out), a float budget breaks the spill retries' halving,
+    and a bool is not a count of anything."""
 
     @pytest.mark.parametrize("name,value", [
         *(
             (name, value)
-            for name in (
-                "timeout", "deadline", "heartbeat_interval",
-                "heartbeat_timeout", "speculation_min_seconds",
-            )
+            for name in ("timeout", "deadline")
             for value in (_NAN, _INF, -_INF, True, 0, -1.0, "1")
-        ),
-        *(
-            ("speculation_multiplier", value)
-            for value in (_NAN, _INF, True, 0.5, "3")
         ),
         *(
             ("memory_budget_bytes", value)
             for value in (_NAN, _INF, 1.5, 64.0, True, 0, -64, "64")
+        ),
+        *(
+            (name, value)
+            for name in ("processes", "max_retries")
+            for value in (_NAN, _INF, 2.5, 2.0, True, -2, "2")
         ),
     ])
     def test_rejects_the_argument_by_name(
@@ -140,7 +142,7 @@ class TestNumericArguments:
     ):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             multiprocessing_aggregate(
-                small_dist, sum_query, 1, **{name: value}
+                small_dist, sum_query, **{"processes": 1, name: value}
             )
 
     def test_accepts_finite_reals_and_integral_budgets(
@@ -152,9 +154,7 @@ class TestNumericArguments:
 
         want = multiprocessing_aggregate(small_dist, sum_query, 1)
         assert multiprocessing_aggregate(
-            small_dist, sum_query, 1,
+            small_dist, sum_query, np.int64(1), max_retries=np.int32(0),
             timeout=30, deadline=time.monotonic() + np.float64(30.0),
-            heartbeat_interval=np.float32(0.5), heartbeat_timeout=10,
-            speculation_multiplier=1, speculation_min_seconds=0.05,
             memory_budget_bytes=np.int64(1 << 20),
         ) == want
