@@ -11,6 +11,7 @@ from repro.core.query import AggregateQuery
 from repro.obs.profile import WorkerProfile
 from repro.obs.tracer import PHASE as _CAT_PHASE
 from repro.parallel.mp_executor.kernel import _GovernedPhase, _local_phase
+from repro.parallel.mp_executor.mask import predicate_columns
 from repro.parallel.mp_executor.merge import (
     _collector_paused,
     _is_packed,
@@ -223,18 +224,19 @@ def _check_int(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be a {bound} int; got {value!r}")
 
 
-def _check_seconds(name: str, value) -> None:
+def _check_seconds(name: str, value, least: float | None = None) -> None:
     """Raise ValueError naming ``name`` unless ``value`` is a finite
-    real, not a bool, and positive."""
+    real, not a bool, and positive (or at least ``least``)."""
     ok = (
         isinstance(value, numbers.Real)
         and not isinstance(value, bool)
         and math.isfinite(value)
-        and value > 0
+        and (value > 0 if least is None else value >= least)
     )
     if not ok:
+        bound = "positive" if least is None else f">= {least}"
         raise ValueError(
-            f"{name} must be a finite number, positive; got {value!r}"
+            f"{name} must be a finite number, {bound}; got {value!r}"
         )
 
 
@@ -262,7 +264,11 @@ def multiprocessing_aggregate(
     (process dispatch only — the in-process fallback cannot preempt
     itself); ``max_retries`` bounds re-dispatches per fragment;
     ``phase_fn`` substitutes the phase-1 worker function (picklable —
-    used by the fault-injection tests).
+    used by the fault-injection tests).  Every column the statement
+    names is bound against ``dist.schema`` before anything ships: an
+    unknown one raises :class:`FragmentFailedError` after 0 attempts,
+    with the ``cause_type`` a worker would report (``KeyError`` for a
+    GROUP BY or aggregate column, ``ParseError`` for a WHERE column).
 
     ``deadline`` bounds the *whole run* with an absolute
     ``time.monotonic()`` value: when it passes, in-flight attempts are
@@ -400,6 +406,19 @@ def multiprocessing_aggregate(
                 "fault injection requires strategy='pool' "
                 "('rep' has no injection shim)"
             )
+    # Bind every column the statement names before anything ships: an
+    # unknown one would fail every fragment the same way, attempt after
+    # attempt.  It fails here instead, with no attempt made, as the same
+    # typed error a worker reports.
+    try:
+        bq = query.bind(dist.schema)  # KeyError: GROUP BY or aggregate
+        if predicate_columns(query.where) is not None:
+            query.where.check_columns(dist.schema.names())  # ParseError
+    except (KeyError, ValueError) as exc:
+        raise FragmentFailedError(
+            0, 0, f"{type(exc).__name__}: {exc}", {},
+            cause_type=type(exc).__name__,
+        ) from exc
     fn = phase_fn if phase_fn is not None else _local_phase
 
     def fn_for(attempt: int):
@@ -467,7 +486,6 @@ def multiprocessing_aggregate(
     # the deferred pass inside its own span).
     with _collector_paused:
         merge_start = obs.now()
-        bq = query.bind(dist.schema)
         rows: list[tuple] | None = None
         # An empty partial is neutral to either merge.  An empty fragment
         # ships inline and comes back as [] from the per-row loop, which

@@ -105,6 +105,27 @@ _INFRA_CAUSES = ("WorkerDied", "HeartbeatLost", "PoisonFragment")
 _INFRA_DEATHS = ("WorkerDied", "HeartbeatLost")
 
 
+def backoff_delay(base: float, attempt: int, cap: float, jitter: float,
+                  rng: random.Random | None = None) -> float:
+    """Exponential backoff with jitter: ``base * 2**attempt``, capped at
+    ``cap``, then stretched by up to ``jitter`` of itself.  The one
+    backoff formula: the breaker's rebuild delay and the service's
+    query retries both use it."""
+    delay = min(base * (2 ** attempt), cap)
+    draw = random.random() if rng is None else rng.random()
+    return delay * (1.0 + jitter * draw)
+
+
+# The breaker's policy: this many consecutive infrastructure failures
+# open it; the rebuild then waits REBUILD_BACKOFF_SECONDS, doubled per
+# rebuild up to REBUILD_BACKOFF_CAP_SECONDS, each delay stretched by up
+# to BACKOFF_JITTER of itself.
+BREAKER_THRESHOLD = 3
+REBUILD_BACKOFF_SECONDS = 0.5
+REBUILD_BACKOFF_CAP_SECONDS = 30.0
+BACKOFF_JITTER = 0.5
+
+
 # Breaker states, in classic circuit-breaker vocabulary.  ``closed``
 # is healthy pooled dispatch; ``open`` means infrastructure failures
 # reached the threshold (the rebuild is pending its backoff, or the
@@ -124,12 +145,13 @@ _BREAKER_STATE_CODES = {
 class PoolCircuitBreaker:
     """Escalating response to repeated pool-infrastructure failures.
 
-    ``threshold`` consecutive runs failing with an infrastructure cause
-    (:data:`_INFRA_CAUSES`) *open* the breaker: a rebuild of the shared
-    pool is scheduled after an exponential backoff with jitter
-    (``rebuild_backoff_seconds``, doubled per scheduled rebuild, capped,
-    each delay stretched by up to ``backoff_jitter`` of itself) rather
-    than immediately — a pool that is dying because the *host* is sick
+    :data:`BREAKER_THRESHOLD` consecutive runs failing with an
+    infrastructure cause (:data:`_INFRA_CAUSES`) *open* the breaker: a
+    rebuild of the shared pool is scheduled after an exponential backoff
+    with jitter (:data:`REBUILD_BACKOFF_SECONDS`, doubled per scheduled
+    rebuild, capped at :data:`REBUILD_BACKOFF_CAP_SECONDS`, each delay
+    stretched by up to :data:`BACKOFF_JITTER` of itself) rather than
+    immediately — a pool that is dying because the *host* is sick
     (OOM killer, cgroup pressure) would otherwise be reforked straight
     into the same grinder.  When the backoff elapses the next pooled
     run rebuilds and enters probation (``half_open``); if failures
@@ -141,41 +163,25 @@ class PoolCircuitBreaker:
     :meth:`state_code` (gauge ``mp.breaker.state``: 0 closed,
     1 half-open, 2 open) so health endpoints can report it, and all
     transitions are thread-safe — concurrent service queries share this
-    one module-level breaker.
+    one module-level breaker.  The policy constants are read when used,
+    so a test can patch them on the module for a live breaker; ``rng``
+    seeds the jitter.
     """
 
-    def __init__(
-        self,
-        threshold: int = 3,
-        rebuild_backoff_seconds: float = 0.5,
-        rebuild_backoff_cap_seconds: float = 30.0,
-        backoff_jitter: float = 0.5,
-        rng: random.Random | None = None,
-    ) -> None:
-        if threshold < 1:
-            raise ValueError("breaker threshold must be positive")
-        if rebuild_backoff_seconds < 0:
-            raise ValueError("rebuild_backoff_seconds must be >= 0")
-        if not 0 <= backoff_jitter <= 1:
-            raise ValueError("backoff_jitter must be within [0, 1]")
-        self.threshold = threshold
-        self.rebuild_backoff_seconds = rebuild_backoff_seconds
-        self.rebuild_backoff_cap_seconds = rebuild_backoff_cap_seconds
-        self.backoff_jitter = backoff_jitter
+    def __init__(self, rng: random.Random | None = None) -> None:
         self.consecutive_infra_failures = 0
         self.rebuilt = False
         self.degraded = False
         self.rebuilds = 0
         self.rebuild_not_before: float | None = None
-        self._rng = rng if rng is not None else random.Random()
+        self._rng = rng
         self._lock = threading.Lock()
 
     def _next_backoff(self) -> float:
-        base = min(
-            self.rebuild_backoff_seconds * (2 ** self.rebuilds),
-            self.rebuild_backoff_cap_seconds,
+        return backoff_delay(
+            REBUILD_BACKOFF_SECONDS, self.rebuilds,
+            REBUILD_BACKOFF_CAP_SECONDS, BACKOFF_JITTER, self._rng,
         )
-        return base * (1.0 + self.backoff_jitter * self._rng.random())
 
     def record_success(self) -> None:
         with self._lock:
@@ -190,7 +196,7 @@ class PoolCircuitBreaker:
                 self.consecutive_infra_failures = 0
                 return
             self.consecutive_infra_failures += 1
-            if self.consecutive_infra_failures < self.threshold:
+            if self.consecutive_infra_failures < BREAKER_THRESHOLD:
                 return
             if self.rebuilt:
                 self.degraded = True
@@ -205,7 +211,7 @@ class PoolCircuitBreaker:
         return (
             not self.degraded
             and not self.rebuilt
-            and self.consecutive_infra_failures >= self.threshold
+            and self.consecutive_infra_failures >= BREAKER_THRESHOLD
             and (
                 self.rebuild_not_before is None
                 or time.monotonic() >= self.rebuild_not_before
@@ -242,7 +248,7 @@ class PoolCircuitBreaker:
                 return BREAKER_OPEN
             if self.rebuilt:
                 return BREAKER_HALF_OPEN
-            if self.consecutive_infra_failures >= self.threshold:
+            if self.consecutive_infra_failures >= BREAKER_THRESHOLD:
                 return BREAKER_OPEN
             return BREAKER_CLOSED
 
@@ -259,18 +265,10 @@ def pool_breaker_state() -> PoolCircuitBreaker:
     return _pool_breaker
 
 
-def reset_pool_breaker(
-    threshold: int = 3,
-    rebuild_backoff_seconds: float = 0.5,
-    backoff_jitter: float = 0.5,
-) -> None:
+def reset_pool_breaker() -> None:
     """Install a fresh breaker (tests; also un-degrades the executor)."""
     global _pool_breaker
-    _pool_breaker = PoolCircuitBreaker(
-        threshold,
-        rebuild_backoff_seconds=rebuild_backoff_seconds,
-        backoff_jitter=backoff_jitter,
-    )
+    _pool_breaker = PoolCircuitBreaker()
 
 
 class MpFaultInjector:

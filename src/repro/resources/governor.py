@@ -361,17 +361,15 @@ class BudgetExhaustedError(RuntimeError):
 class BudgetLease:
     """One query's slice of the service-wide pool (context manager).
 
-    Returned by :meth:`MemoryBudgetPool.lease`; exposes ``policy`` — a
-    :class:`MemoryPolicy` sized to the slice — and must be released
-    (``with`` or :meth:`release`) so the bytes return to the pool.
-    Release is idempotent: double-release cannot inflate the pool.
+    Returned by :meth:`MemoryBudgetPool.lease`; ``bytes`` is the slice,
+    and the lease must be released (``with`` or :meth:`release`) so the
+    bytes return to the pool.  Release is idempotent: double-release
+    cannot inflate the pool.
     """
 
-    def __init__(self, pool: "MemoryBudgetPool", bytes_: int,
-                 policy: MemoryPolicy) -> None:
+    def __init__(self, pool: "MemoryBudgetPool", bytes_: int) -> None:
         self._pool = pool
         self.bytes = bytes_
-        self.policy = policy
         self._released = False
 
     def release(self) -> None:
@@ -393,73 +391,44 @@ class MemoryBudgetPool:
     The one-shot CLI hands its single query the whole node budget; a
     service admitting many queries at once cannot — their governed
     tables would overcommit the host.  Each admitted query takes a
-    :class:`BudgetLease` of ``slice_bytes`` (floored at
+    :class:`BudgetLease` of the bytes it asks for (floored at
     ``min_slice_bytes`` so a lease is always viable for the governed
     spill paths); when the pool cannot cover the floor the lease raises
     :class:`BudgetExhaustedError` and admission sheds the query instead
     of overcommitting.  Purely an accounting object: enforcement stays
-    with :class:`MemoryGovernor` via the lease's ``policy``.
+    with the executor, which runs the query under the lease's bytes.
     """
 
-    def __init__(
-        self,
-        total_bytes: int,
-        slice_bytes: int | None = None,
-        min_slice_bytes: int = 64 * 1024,
-        policy_template: MemoryPolicy | None = None,
-    ) -> None:
+    def __init__(self, total_bytes: int,
+                 min_slice_bytes: int = 64 * 1024) -> None:
         if total_bytes < 1:
             raise ValueError("total_bytes must be positive")
         if min_slice_bytes < 1:
             raise ValueError("min_slice_bytes must be positive")
-        if slice_bytes is not None and slice_bytes < min_slice_bytes:
-            raise ValueError("slice_bytes must be >= min_slice_bytes")
         self.total_bytes = total_bytes
-        self.slice_bytes = slice_bytes
         self.min_slice_bytes = min(min_slice_bytes, total_bytes)
-        self._template = policy_template
         self._available = total_bytes
         self._lock = threading.Lock()
-        self.leases_granted = 0
-        self.leases_denied = 0
 
     @property
     def available_bytes(self) -> int:
         with self._lock:
             return self._available
 
-    def _policy_for(self, bytes_: int) -> MemoryPolicy:
-        t = self._template
-        if t is None:
-            return MemoryPolicy(node_budget_bytes=bytes_)
-        return MemoryPolicy(
-            node_budget_bytes=bytes_,
-            entry_bytes=t.entry_bytes,
-            stall_seconds=t.stall_seconds,
-            min_table_entries=t.min_table_entries,
-        )
+    def lease(self, bytes_: int) -> BudgetLease:
+        """Carve ``bytes_`` out of the pool, or raise BudgetExhaustedError.
 
-    def lease(self, bytes_: int | None = None) -> BudgetLease:
-        """Carve a slice out of the pool, or raise BudgetExhaustedError.
-
-        ``bytes_`` defaults to ``slice_bytes`` (or an equal share of the
-        whole pool if that is unset).  A partially-drained pool grants
-        whatever remains above the floor rather than refusing outright —
-        degrading a late query's budget beats shedding it.
+        A partially-drained pool grants whatever remains above the floor
+        rather than refusing outright — degrading a late query's budget
+        beats shedding it.
         """
-        want = bytes_ if bytes_ is not None else (
-            self.slice_bytes if self.slice_bytes is not None
-            else self.total_bytes
-        )
-        want = max(want, self.min_slice_bytes)
+        want = max(bytes_, self.min_slice_bytes)
         with self._lock:
             if self._available < self.min_slice_bytes:
-                self.leases_denied += 1
                 raise BudgetExhaustedError(want, self._available)
             granted = min(want, self._available)
             self._available -= granted
-            self.leases_granted += 1
-        return BudgetLease(self, granted, self._policy_for(granted))
+        return BudgetLease(self, granted)
 
     def _give_back(self, bytes_: int) -> None:
         with self._lock:

@@ -44,7 +44,6 @@ from repro.service.ladder import (
     SVC_SHED,
     OverloadLadder,
 )
-from repro.service.retry import RetryPolicy
 
 __all__ = [
     "AdmissionController",
@@ -57,7 +56,6 @@ __all__ = [
     "QueryOutcome",
     "QueryService",
     "ResultCache",
-    "RetryPolicy",
     "SVC_CACHE_ONLY",
     "SVC_FULL",
     "SVC_REDUCED",

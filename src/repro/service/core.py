@@ -37,6 +37,7 @@ from repro.parallel.mp_executor import (
     pool_breaker_state,
     release_resident_segments,
 )
+from repro.parallel.mp_executor.resilience import _INFRA_CAUSES, backoff_delay
 from repro.resources import MemoryBudgetPool
 from repro.service.admission import AdmissionController
 from repro.service.cache import PlanCache, ResultCache
@@ -49,11 +50,36 @@ from repro.service.errors import (
     ShedError,
 )
 from repro.service.ladder import SVC_CACHE_ONLY, SVC_FULL, OverloadLadder
-from repro.service.retry import RetryPolicy
 from repro.sql.lexer import LexError
 from repro.sql.parser import ParseError
 from repro.sql.runner import run_sql
 from repro.storage.relation import DistributedRelation
+
+# Fanout at ladder rung 2 (reduced_fanout): the query runs in-process.
+REDUCED_PROCESSES = 1
+# Per-fragment attempt timeout handed to the executor.
+EXECUTOR_TIMEOUT_SECONDS = 30.0
+# How long drain() waits for in-flight queries by default.
+DRAIN_TIMEOUT_SECONDS = 10.0
+
+# Query-level retry, for infrastructure failures only (worker death,
+# heartbeat loss, poison quarantine: the causes the pool circuit breaker
+# watches).  User errors and deadline misses are never retried: a
+# deterministic failure would only burn the latency budget again.  Each
+# retry re-enters the executor, which consults the breaker, so a retry
+# after a rebuild lands on the fresh pool; the backoff gives the pool
+# time to rebuild instead of hammering it.
+MAX_QUERY_RETRIES = 2
+RETRY_BACKOFF_SECONDS = 0.05
+RETRY_BACKOFF_CAP_SECONDS = 2.0
+RETRY_JITTER = 0.5
+
+# Sizes of the bounded in-memory structures.
+RESULT_CACHE_ENTRIES = 256
+PLAN_CACHE_ENTRIES = 256
+QUERY_LOG_CAPACITY = 1024       # queued qlog records before drops
+FLIGHT_RECORDER_ENTRIES = 128   # recent-query ring
+FLIGHT_RECORDER_TRACES = 16     # slow-query traces kept
 
 
 @dataclass
@@ -93,21 +119,12 @@ class QueryService:
         self.tracer = tracer
         self.budget_pool = MemoryBudgetPool(
             self.config.memory_pool_bytes,
-            slice_bytes=None,
             min_slice_bytes=min(64 * 1024, self.config.slice_bytes),
         )
         self.admission = AdmissionController(self.config, self.budget_pool)
-        self.ladder = OverloadLadder(
-            self.config.reduced_load, self.config.cache_only_load
-        )
-        self.retry_policy = RetryPolicy(
-            self.config.max_query_retries,
-            self.config.retry_backoff_seconds,
-            self.config.retry_backoff_cap_seconds,
-            self.config.retry_jitter,
-        )
-        self.result_cache = ResultCache(self.config.result_cache_entries)
-        self.plan_cache = PlanCache(self.config.plan_cache_entries)
+        self.ladder = OverloadLadder()
+        self.result_cache = ResultCache(RESULT_CACHE_ENTRIES)
+        self.plan_cache = PlanCache(PLAN_CACHE_ENTRIES)
         self._tables: dict[str, _Table] = {}
         self._tables_lock = threading.Lock()
         self._obs_lock = threading.Lock()
@@ -122,12 +139,11 @@ class QueryService:
         if self._live:
             if self.config.query_log_path:
                 self.query_log = QueryLog(
-                    self.config.query_log_path,
-                    capacity=self.config.query_log_capacity,
+                    self.config.query_log_path, capacity=QUERY_LOG_CAPACITY
                 )
             self.flight_recorder = FlightRecorder(
-                entries=self.config.flight_recorder_entries,
-                trace_entries=self.config.flight_recorder_traces,
+                entries=FLIGHT_RECORDER_ENTRIES,
+                trace_entries=FLIGHT_RECORDER_TRACES,
                 slow_threshold_seconds=(
                     self.config.slow_trace_threshold_seconds
                 ),
@@ -344,7 +360,7 @@ class QueryService:
 
             processes = (
                 self.config.processes if rung == SVC_FULL
-                else self.config.reduced_processes
+                else REDUCED_PROCESSES
             )
             rows, retries = self._execute(
                 qid, sql, relation, processes, slot.lease.bytes, deadline,
@@ -369,7 +385,7 @@ class QueryService:
                     sql, relation,
                     substrate="mp",
                     processes=processes,
-                    timeout=self.config.executor_timeout_seconds,
+                    timeout=EXECUTOR_TIMEOUT_SECONDS,
                     deadline=deadline.absolute(),
                     memory_budget_bytes=budget_bytes,
                     metrics=query_metrics,
@@ -385,12 +401,13 @@ class QueryService:
                     deadline.timeout_seconds or 0.0, detail=str(exc)
                 ) from exc
             except FragmentFailedError as exc:
-                if (self.retry_policy.is_retryable(exc)
-                        and attempt < self.retry_policy.max_retries
+                if (exc.cause_type in _INFRA_CAUSES
+                        and attempt < MAX_QUERY_RETRIES
                         and not deadline.expired()):
-                    delay = deadline.clamp_sleep(
-                        self.retry_policy.delay(attempt)
-                    )
+                    delay = deadline.clamp_sleep(backoff_delay(
+                        RETRY_BACKOFF_SECONDS, attempt,
+                        RETRY_BACKOFF_CAP_SECONDS, RETRY_JITTER,
+                    ))
                     self._count("svc.retries")
                     self._decide(QUERY_RETRY, query_id=qid,
                                  attempt=attempt,
@@ -452,7 +469,7 @@ class QueryService:
         it ends).
         """
         if timeout_seconds is None:
-            timeout_seconds = self.config.drain_timeout_seconds
+            timeout_seconds = DRAIN_TIMEOUT_SECONDS
         self.admission.start_drain()
         clean = self.admission.wait_idle(timeout_seconds)
         from repro.parallel.mp_executor import shutdown_worker_pool

@@ -25,6 +25,13 @@ SVC_REDUCED = "reduced_fanout"
 SVC_CACHE_ONLY = "cache_only"
 SVC_SHED = "shed"
 
+# Load thresholds, as a fraction of total capacity (running + queued
+# over max_concurrency + queue_depth): at or above REDUCED_LOAD queries
+# run with reduced fanout, at or above CACHE_ONLY_LOAD only cache hits
+# are served, and at 1.0 the queue is full.
+REDUCED_LOAD = 0.5
+CACHE_ONLY_LOAD = 0.85
+
 LADDER_CODES = {
     SVC_FULL: 0,
     SVC_REDUCED: 1,
@@ -36,12 +43,7 @@ LADDER_CODES = {
 class OverloadLadder:
     """Maps load to a rung; tracks transitions for the ledger/metrics."""
 
-    def __init__(self, reduced_load: float = 0.5,
-                 cache_only_load: float = 0.85) -> None:
-        if not 0.0 < reduced_load <= cache_only_load <= 1.0:
-            raise ValueError("need 0 < reduced_load <= cache_only_load <= 1")
-        self.reduced_load = reduced_load
-        self.cache_only_load = cache_only_load
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._current = SVC_FULL
         self.transitions = 0
@@ -49,9 +51,9 @@ class OverloadLadder:
     def rung_for(self, load: float) -> str:
         if load >= 1.0:
             return SVC_SHED
-        if load >= self.cache_only_load:
+        if load >= CACHE_ONLY_LOAD:
             return SVC_CACHE_ONLY
-        if load >= self.reduced_load:
+        if load >= REDUCED_LOAD:
             return SVC_REDUCED
         return SVC_FULL
 

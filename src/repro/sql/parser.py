@@ -53,6 +53,13 @@ class ParseError(ValueError):
 # --- predicate AST ----------------------------------------------------------
 
 
+def _unknown_column(name: str, available) -> ParseError:
+    return ParseError(
+        f"unknown column {name!r} in predicate; "
+        f"available: {sorted(available)}"
+    )
+
+
 @dataclass(frozen=True)
 class ColumnRef:
     name: str
@@ -61,10 +68,7 @@ class ColumnRef:
         try:
             return env[self.name]
         except KeyError:
-            raise ParseError(
-                f"unknown column {self.name!r} in predicate; "
-                f"available: {sorted(env)}"
-            ) from None
+            raise _unknown_column(self.name, env) from None
 
 
 @dataclass(frozen=True)
@@ -146,6 +150,13 @@ class CompiledPredicate:
         names: set[str] = set()
         _collect_columns(self.node, names)
         return frozenset(names)
+
+    def check_columns(self, available) -> None:
+        """Raise the ParseError evaluation would raise if the predicate
+        names a column outside ``available``."""
+        missing = sorted(self.columns().difference(available))
+        if missing:
+            raise _unknown_column(missing[0], available)
 
 
 def _collect_columns(node, names: set) -> None:

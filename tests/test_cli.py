@@ -209,6 +209,15 @@ class TestRunMp:
         assert code == 0
         assert seen["frozen"] > 0
 
+    @pytest.mark.parametrize("seconds", ["nan", "inf"])
+    def test_serve_rejects_a_non_finite_default_timeout(self, seconds):
+        code, text = run_cli(
+            "serve", "--port", "0", "--tuples", "400", "--groups", "8",
+            "--nodes", "2", "--default-timeout", seconds,
+        )
+        assert code == 2
+        assert "default_timeout_seconds must be a finite number" in text
+
     def test_mp_rejects_a_nan_timeout(self):
         code, text = run_cli(
             "run", "--substrate", "mp", "--tuples", "400", "--groups", "20",

@@ -35,6 +35,7 @@ from repro.parallel import (
 )
 from repro.parallel import mp_executor
 from repro.parallel.mp_executor import pool as mp_pool
+from repro.parallel.mp_executor import resilience
 from repro.parallel.mp_executor import strategies as mp_strategies
 from repro.parallel.mp_executor.kernel import _local_phase
 from repro.parallel.mp_executor.pool import _get_shared_pool
@@ -281,11 +282,13 @@ class TestQuarantine:
 
 
 class TestCircuitBreaker:
-    def test_rebuild_once_then_degrade_to_private_pool(self, dist, query):
+    def test_rebuild_once_then_degrade_to_private_pool(self, dist, query,
+                                                       monkeypatch):
         baseline = multiprocessing_aggregate(dist, query, processes=2)
         # Zero backoff: the third failing run may rebuild immediately,
         # preserving the original rebuild-once-then-degrade sequence.
-        reset_pool_breaker(threshold=2, rebuild_backoff_seconds=0.0)
+        monkeypatch.setattr(resilience, "BREAKER_THRESHOLD", 2)
+        monkeypatch.setattr(resilience, "REBUILD_BACKOFF_SECONDS", 0.0)
 
         def fail_once():
             with pytest.raises(FragmentFailedError):
@@ -335,8 +338,9 @@ class TestCircuitBreaker:
         reset_pool_breaker()
         assert not pool_breaker_state().degraded
 
-    def test_success_resets_consecutive_failures(self, dist, query):
-        reset_pool_breaker(threshold=2)
+    def test_success_resets_consecutive_failures(self, dist, query,
+                                                 monkeypatch):
+        monkeypatch.setattr(resilience, "BREAKER_THRESHOLD", 2)
         with pytest.raises(FragmentFailedError):
             multiprocessing_aggregate(
                 dist, query, processes=2, max_retries=0,
@@ -346,10 +350,11 @@ class TestCircuitBreaker:
         multiprocessing_aggregate(dist, query, processes=2)
         assert pool_breaker_state().consecutive_infra_failures == 0
 
-    def test_user_errors_do_not_trip_breaker(self, dist, query):
+    def test_user_errors_do_not_trip_breaker(self, dist, query,
+                                             monkeypatch):
         from tests.test_mp_executor_faults import _always_raise
 
-        reset_pool_breaker(threshold=2)
+        monkeypatch.setattr(resilience, "BREAKER_THRESHOLD", 2)
         for _ in range(3):
             with pytest.raises(FragmentFailedError):
                 multiprocessing_aggregate(
@@ -377,9 +382,10 @@ class TestDegradedMode:
     the run forks a private pool and takes it down on the way out."""
 
     @pytest.fixture(autouse=True)
-    def degraded(self):
+    def degraded(self, monkeypatch):
         mp_executor.shutdown_worker_pool()
-        reset_pool_breaker(threshold=1, rebuild_backoff_seconds=0.0)
+        monkeypatch.setattr(resilience, "BREAKER_THRESHOLD", 1)
+        monkeypatch.setattr(resilience, "REBUILD_BACKOFF_SECONDS", 0.0)
         breaker = pool_breaker_state()
         breaker.record_failure("WorkerDied")
         assert breaker.take_rebuild()
@@ -472,59 +478,66 @@ class TestDegradedMode:
 class TestBreakerBackoffAndState:
     """Unit coverage for the backoff schedule and the state gauge."""
 
-    def _breaker(self, **kw):
-        from repro.parallel.mp_executor import PoolCircuitBreaker
+    @pytest.fixture
+    def policy(self, monkeypatch):
+        """Set the breaker's policy constants for one test."""
+        def set_constants(**constants):
+            for name, value in constants.items():
+                monkeypatch.setattr(resilience, name, value)
+        return set_constants
 
-        kw.setdefault("rng", random.Random(7))
-        return PoolCircuitBreaker(**kw)
+    def _breaker(self, rng=None):
+        return mp_executor.PoolCircuitBreaker(rng or random.Random(7))
 
-    def test_rebuild_waits_for_backoff(self):
-        b = self._breaker(threshold=1, rebuild_backoff_seconds=30.0)
+    def test_rebuild_waits_for_backoff(self, policy):
+        policy(BREAKER_THRESHOLD=1, REBUILD_BACKOFF_SECONDS=30.0)
+        b = self._breaker()
         b.record_failure("WorkerDied")
         # Open, but the rebuild is scheduled in the future: not yet due.
         assert b.state == mp_executor.BREAKER_OPEN
         assert not b.should_rebuild()
         assert not b.take_rebuild()
-        lo = b.rebuild_backoff_seconds
-        hi = lo * (1 + b.backoff_jitter)
+        lo = resilience.REBUILD_BACKOFF_SECONDS
+        hi = lo * (1 + resilience.BACKOFF_JITTER)
         delay = b.rebuild_not_before - time.monotonic()
         assert 0 < delay <= hi + 0.1
         assert delay >= lo * 0.5  # sanity: same order as configured
 
-    def test_backoff_doubles_per_rebuild_and_caps(self):
-        b = self._breaker(
-            threshold=1, rebuild_backoff_seconds=2.0,
-            rebuild_backoff_cap_seconds=5.0, backoff_jitter=0.0,
-        )
+    def test_backoff_doubles_per_rebuild_and_caps(self, policy):
+        # The one backoff formula: the service's query retries use it too.
+        assert [
+            resilience.backoff_delay(2.0, n, 5.0, 0.0) for n in range(4)
+        ] == [2.0, 4.0, 5.0, 5.0]
+        policy(BREAKER_THRESHOLD=1, REBUILD_BACKOFF_SECONDS=2.0,
+               REBUILD_BACKOFF_CAP_SECONDS=5.0, BACKOFF_JITTER=0.0)
+        b = self._breaker()
         assert b._next_backoff() == 2.0
         b.note_rebuild()
         assert b._next_backoff() == 4.0
         b.note_rebuild()
         assert b._next_backoff() == 5.0  # capped
 
-    def test_jitter_is_seeded_and_bounded(self):
-        a = self._breaker(
-            threshold=1, rebuild_backoff_seconds=1.0,
-            backoff_jitter=0.5, rng=random.Random(99),
-        )
-        b = self._breaker(
-            threshold=1, rebuild_backoff_seconds=1.0,
-            backoff_jitter=0.5, rng=random.Random(99),
-        )
-        da, db = a._next_backoff(), b._next_backoff()
+    def test_jitter_is_seeded_and_bounded(self, policy):
+        da = resilience.backoff_delay(1.0, 0, 30.0, 0.5, random.Random(99))
+        db = resilience.backoff_delay(1.0, 0, 30.0, 0.5, random.Random(99))
         assert da == db  # same seed, same schedule
         assert 1.0 <= da <= 1.5
+        # The breaker draws its jitter from the rng it was given.
+        policy(REBUILD_BACKOFF_SECONDS=1.0, BACKOFF_JITTER=0.5)
+        assert self._breaker(random.Random(99))._next_backoff() == da
 
-    def test_take_rebuild_claims_once(self):
-        b = self._breaker(threshold=1, rebuild_backoff_seconds=0.0)
+    def test_take_rebuild_claims_once(self, policy):
+        policy(BREAKER_THRESHOLD=1, REBUILD_BACKOFF_SECONDS=0.0)
+        b = self._breaker()
         b.record_failure("HeartbeatLost")
         assert b.take_rebuild()
         assert not b.take_rebuild()  # already claimed
         assert b.rebuilds == 1
         assert b.state == mp_executor.BREAKER_HALF_OPEN
 
-    def test_state_transitions_and_codes(self):
-        b = self._breaker(threshold=2, rebuild_backoff_seconds=0.0)
+    def test_state_transitions_and_codes(self, policy):
+        policy(BREAKER_THRESHOLD=2, REBUILD_BACKOFF_SECONDS=0.0)
+        b = self._breaker()
         assert b.state == mp_executor.BREAKER_CLOSED
         assert b.state_code() == 0
         b.record_failure("WorkerDied")

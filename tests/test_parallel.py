@@ -90,8 +90,9 @@ def test_one_runner_and_one_real_executor():
     execute is decided in one place: under ``mp_executor/`` the shared
     pool is fetched by one caller and ``processes`` is compared against
     the in-process threshold on one line.  And the file-backed executor
-    stays gone with its row codec, as do speculation and the heartbeat
-    and quarantine parameters: nothing shipped names them."""
+    stays gone with its row codec, as do speculation, the heartbeat
+    and quarantine parameters, and the service's retry, ladder, breaker
+    and budget-pool knobs: nothing shipped names them."""
     repo = pathlib.Path(__file__).parent.parent
     package = repo / "src" / "repro" / "parallel" / "mp_executor"
     source = "\n".join(p.read_text() for p in sorted(package.glob("*.py")))
@@ -105,6 +106,9 @@ def test_one_runner_and_one_real_executor():
         r"|repro\.parallel\.file_executor"
         r"|speculat|heartbeat_interval=|heartbeat_timeout="
         r"|poison_threshold=|ChaosOptions"
+        r"|RetryPolicy|memory_slice_bytes|policy_template"
+        r"|max_query_retries=|retry_backoff_seconds=|reduced_load="
+        r"|cache_only_load=|rebuild_backoff_seconds=|backoff_jitter="
     )
     for top in ("src", "examples", "benchmarks"):
         for path in (repo / top).rglob("*.py"):

@@ -57,7 +57,6 @@ from repro.service import (
     QueryFailedError,
     QueryService,
     ResultCache,
-    RetryPolicy,
     ServiceConfig,
     ShedError,
     SVC_CACHE_ONLY,
@@ -204,7 +203,7 @@ class TestAdmissionController:
 
 class TestOverloadLadder:
     def test_rung_boundaries(self):
-        ladder = OverloadLadder(reduced_load=0.5, cache_only_load=0.85)
+        ladder = OverloadLadder()
         assert ladder.rung_for(0.0) == SVC_FULL
         assert ladder.rung_for(0.49) == SVC_FULL
         assert ladder.rung_for(0.5) == SVC_REDUCED
@@ -220,43 +219,43 @@ class TestOverloadLadder:
         assert ladder.transitions == 1
         assert ladder.code() == 1
 
-    def test_rejects_bad_thresholds(self):
-        with pytest.raises(ValueError):
-            OverloadLadder(reduced_load=0.9, cache_only_load=0.5)
+
+def _failing_once(cause_type):
+    """A ``run_sql`` stand-in whose first call fails with ``cause_type``."""
+    calls = []
+
+    def run(sql, relation, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise FragmentFailedError(0, 1, "x", {}, cause_type=cause_type)
+        return [(0, 1.0, 2)]
+
+    return run, calls
 
 
 class TestRetryPolicy:
-    def test_infra_causes_are_retryable(self):
-        policy = RetryPolicy()
+    """Which executor failures the service retries (the backoff formula
+    is the breaker's, pinned in ``TestBreakerBackoffAndState``)."""
+
+    @pytest.fixture(autouse=True)
+    def no_backoff(self, monkeypatch):
+        monkeypatch.setattr("repro.service.core.RETRY_BACKOFF_SECONDS", 0.0)
+
+    def test_infra_causes_are_retryable(self, monkeypatch):
         for cause in ("WorkerDied", "HeartbeatLost", "PoisonFragment"):
-            exc = FragmentFailedError(0, 1, "x", {}, cause_type=cause)
-            assert policy.is_retryable(exc), cause
+            run, calls = _failing_once(cause)
+            monkeypatch.setattr("repro.service.core.run_sql", run)
+            assert _service().submit(SQL).retries == 1, cause
+            assert len(calls) == 2
 
-    def test_user_errors_are_not(self):
-        policy = RetryPolicy()
-        assert not policy.is_retryable(
-            FragmentFailedError(0, 1, "x", {}, cause_type="KeyError")
-        )
-        assert not policy.is_retryable(
-            FragmentFailedError(0, 1, "x", {})
-        )
-        assert not policy.is_retryable(ValueError("nope"))
-
-    def test_delay_doubles_and_caps(self):
-        policy = RetryPolicy(backoff_seconds=0.1,
-                             backoff_cap_seconds=0.3, jitter=0.0)
-        assert policy.delay(0) == pytest.approx(0.1)
-        assert policy.delay(1) == pytest.approx(0.2)
-        assert policy.delay(2) == pytest.approx(0.3)
-        assert policy.delay(5) == pytest.approx(0.3)
-
-    def test_jitter_is_seeded_and_bounded(self):
-        a = RetryPolicy(backoff_seconds=1.0, jitter=0.5,
-                        rng=random.Random(7)).delay(0)
-        b = RetryPolicy(backoff_seconds=1.0, jitter=0.5,
-                        rng=random.Random(7)).delay(0)
-        assert a == b
-        assert 1.0 <= a <= 1.5
+    def test_user_errors_are_not(self, monkeypatch):
+        for cause in ("KeyError", "ParseError", None):
+            run, calls = _failing_once(cause)
+            monkeypatch.setattr("repro.service.core.run_sql", run)
+            with pytest.raises(QueryFailedError) as info:
+                _service().submit(SQL)
+            assert info.value.retries == 0, cause
+            assert len(calls) == 1
 
 
 class TestCaches:
@@ -296,17 +295,34 @@ class TestServiceConfig:
         with pytest.raises(ValueError):
             ServiceConfig(max_concurrency=0)
         with pytest.raises(ValueError):
-            ServiceConfig(reduced_load=0.9, cache_only_load=0.5)
-        with pytest.raises(ValueError):
             ServiceConfig(strategy="turbo")
         with pytest.raises(ValueError, match="pool/global/rep/auto"):
             ServiceConfig(strategy="spawn")
         with pytest.raises(ValueError):
             ServiceConfig(slow_trace_threshold_seconds=-1.0)
-        with pytest.raises(ValueError):
-            ServiceConfig(query_log_capacity=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(flight_recorder_entries=0)
+        # NaN compares false against every bound and inf is what None
+        # already means; a bool or a fraction is not a count.
+        for name, value in [
+            ("default_timeout_seconds", float("nan")),
+            ("default_timeout_seconds", float("inf")),
+            ("default_timeout_seconds", 0.0),
+            ("slow_trace_threshold_seconds", float("nan")),
+            ("slow_trace_threshold_seconds", float("inf")),
+            ("max_concurrency", True),
+            ("max_concurrency", 2.5),
+            ("queue_depth", True),
+            ("queue_depth", 2.5),
+            ("processes", True),
+            ("processes", 2.5),
+            ("memory_pool_bytes", True),
+            ("memory_pool_bytes", 2.5),
+        ]:
+            with pytest.raises(ValueError, match=name):
+                ServiceConfig(**{name: value})
+        # None is "no bound"; a zero threshold traces every query.
+        ServiceConfig(default_timeout_seconds=None,
+                      slow_trace_threshold_seconds=None)
+        ServiceConfig(slow_trace_threshold_seconds=0)
 
 
 # -- QueryService with the executor faked (fast, no pool) ---------------------
@@ -356,8 +372,9 @@ class TestQueryServiceFakedExecutor:
         assert len(service.ledger.events_of(QUERY_RETRY)) == 1
 
     def test_retries_exhaust_into_query_failed(self, monkeypatch):
-        service = _service(max_query_retries=1,
-                           retry_backoff_seconds=0.001)
+        monkeypatch.setattr("repro.service.core.MAX_QUERY_RETRIES", 1)
+        monkeypatch.setattr("repro.service.core.RETRY_BACKOFF_SECONDS", 0.001)
+        service = _service()
 
         def always_dies(sql, relation, **kwargs):
             raise FragmentFailedError(
@@ -807,6 +824,20 @@ class TestHTTPFrontEnd:
         assert status == 400
         assert body["error"] == "query_failed"
         assert body["cause_type"] == "ParseError"
+
+    @pytest.mark.parametrize("sql, cause", [
+        ("SELECT nokey, COUNT(*) FROM r GROUP BY nokey", "KeyError"),
+        ("SELECT gkey, COUNT(*) FROM r WHERE nope > 1 GROUP BY gkey",
+         "ParseError"),
+    ])
+    def test_unknown_column_fails_before_any_attempt(self, served, sql,
+                                                     cause):
+        service, port, _dist = served
+        status, body, _ = _post(port, "/query", {"sql": sql})
+        assert (status, body["error"]) == (400, "query_failed")
+        assert body["cause_type"] == cause
+        assert service.metrics.counter("mp.attempts").value == 0
+        assert service.metrics.counter("svc.retries").value == 0
 
     def test_shed_maps_to_429_with_retry_after(self, served,
                                                monkeypatch):
