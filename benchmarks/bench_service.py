@@ -35,7 +35,7 @@ import pytest
 from conftest import report
 
 from repro.bench.harness import FigureResult
-from repro.obs.validate import validate_file as validate_qlog_file
+from repro.obs.schema import validate_file as validate_qlog_file
 from repro.parallel import reference_aggregate
 from repro.parallel.mp_executor import (
     reset_pool_breaker,

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -101,11 +100,11 @@ def write_bench_json(
     ``tests`` is a list of ``{"nodeid", "outcome", "wall_seconds"}``
     dicts (one per executed bench test), ``figures`` the FigureResults
     the module regenerated, ``metrics`` a flat metrics snapshot.  The
-    document is validated against the ``repro-bench/1`` schema before
+    document is checked against the ``repro-bench/1`` schema before
     writing, so a malformed artifact fails loudly at the producer —
     CI and downstream consumers can trust every file that exists.
     """
-    from repro.obs.schema import BENCH_SCHEMA, validate_or_raise
+    from repro.obs.schema import BENCH_SCHEMA, write_artifact
 
     doc = {
         "schema": BENCH_SCHEMA,
@@ -114,10 +113,6 @@ def write_bench_json(
         "figures": [figure_payload(fig) for fig in figures],
         "metrics": metrics,
     }
-    validate_or_raise(doc, "bench", label=f"BENCH_{name}.json")
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"BENCH_{name}.json")
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
-    return path
+    return write_artifact(doc, BENCH_SCHEMA, path)

@@ -27,13 +27,14 @@ threshold, 1 = regression, 2 = usage/IO error.
 
 from __future__ import annotations
 
-import json
 import os
 
 from repro.obs.schema import (
     BASELINE_SCHEMA,
+    BENCH_SCHEMA,
     TRAJECTORY_SCHEMA,
-    validate_or_raise,
+    read_artifact,
+    write_artifact,
 )
 
 DEFAULT_THRESHOLD = 0.10  # 10% relative increase in a figure cell
@@ -82,17 +83,7 @@ def _is_number(x) -> bool:
 def load_index(baseline_dir: str) -> dict:
     """Read and validate ``results/baseline/INDEX.json``."""
     path = os.path.join(baseline_dir, INDEX_FILE)
-    with open(path) as handle:
-        doc = json.load(handle)
-    validate_or_raise(doc, "baseline", label=path)
-    return doc
-
-
-def _load_bench(path: str) -> dict:
-    with open(path) as handle:
-        doc = json.load(handle)
-    validate_or_raise(doc, "bench", label=path)
-    return doc
+    return read_artifact(path, BASELINE_SCHEMA)
 
 
 def _figure_rows(doc: dict) -> dict:
@@ -201,12 +192,14 @@ def compare_to_baseline(
     deltas: list[RegressionDelta] = []
     missing: list[str] = []
     for name, filename in sorted(index["benches"].items()):
-        baseline_doc = _load_bench(os.path.join(baseline_dir, filename))
+        baseline_doc = read_artifact(
+            os.path.join(baseline_dir, filename), BENCH_SCHEMA
+        )
         current_path = os.path.join(results_dir, f"BENCH_{name}.json")
         if not os.path.exists(current_path):
             missing.append(name)
             continue
-        current_doc = _load_bench(current_path)
+        current_doc = read_artifact(current_path, BENCH_SCHEMA)
         deltas.extend(
             compare_docs(
                 name, baseline_doc, current_doc, threshold, wall_threshold
@@ -274,7 +267,7 @@ def _bench_summary(doc: dict) -> dict:
 
 def trajectory_entry(label: str, bench_docs: dict[str, dict]) -> dict:
     """One ``repro-trajectory/1`` line summarizing a set of bench docs."""
-    entry = {
+    return {
         "schema": TRAJECTORY_SCHEMA,
         "label": label,
         "benches": {
@@ -282,18 +275,12 @@ def trajectory_entry(label: str, bench_docs: dict[str, dict]) -> dict:
             for name, doc in sorted(bench_docs.items())
         },
     }
-    validate_or_raise(entry, "trajectory", label=label)
-    return entry
 
 
 def append_trajectory(baseline_dir: str, entry: dict) -> str:
     """Append one validated entry to the baseline's trajectory file."""
-    validate_or_raise(entry, "trajectory", label="trajectory entry")
     path = os.path.join(baseline_dir, TRAJECTORY_FILE)
-    with open(path, "a") as handle:
-        json.dump(entry, handle, sort_keys=True)
-        handle.write("\n")
-    return path
+    return write_artifact(entry, TRAJECTORY_SCHEMA, path, append=True)
 
 
 def seed_baseline(
@@ -313,12 +300,9 @@ def seed_baseline(
     benches: dict[str, str] = {}
     docs: dict[str, dict] = {}
     for name in names:
-        source = os.path.join(results_dir, f"BENCH_{name}.json")
-        doc = _load_bench(source)
         filename = f"BENCH_{name}.json"
-        with open(os.path.join(baseline_dir, filename), "w") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        doc = read_artifact(os.path.join(results_dir, filename), BENCH_SCHEMA)
+        write_artifact(doc, BENCH_SCHEMA, os.path.join(baseline_dir, filename))
         benches[name] = filename
         docs[name] = doc
     index = {
@@ -326,9 +310,8 @@ def seed_baseline(
         "benches": benches,
         "threshold": threshold,
     }
-    validate_or_raise(index, "baseline", label=INDEX_FILE)
-    with open(os.path.join(baseline_dir, INDEX_FILE), "w") as handle:
-        json.dump(index, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_artifact(
+        index, BASELINE_SCHEMA, os.path.join(baseline_dir, INDEX_FILE)
+    )
     append_trajectory(baseline_dir, trajectory_entry(label, docs))
     return index

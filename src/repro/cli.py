@@ -260,6 +260,28 @@ def _parse_fault_plan(text: str):
         raise CliError(f"bad --faults plan: {exc}") from exc
 
 
+def _verified(rows, dist, query, out) -> bool:
+    """Compare ``rows`` with the sequential reference and say so: keys
+    and non-floats exactly, floats within 1e-9 absolute plus 1e-9
+    relative (both substrates add floats in another order)."""
+    expected = reference_aggregate(dist, query)
+    width = len(query.group_by)
+    want = {tuple(r[:width]): r for r in expected}
+    got = {tuple(r[:width]): r for r in rows}
+    ok = len(rows) == len(expected) and want.keys() == got.keys() and all(
+        len(got[key]) == len(row) and all(
+            abs(a - b) <= 1e-9 + 1e-9 * abs(b)
+            if isinstance(a, float)
+            else a == b
+            for a, b in zip(got[key], row)
+        )
+        for key, row in want.items()
+    )
+    print(f"verified against reference: {'OK' if ok else 'MISMATCH'}",
+          file=out)
+    return ok
+
+
 def _cmd_run_mp(args, out, faults) -> int:
     """``repro run --substrate mp``: the real-process pool executor."""
     import time as _time
@@ -328,27 +350,8 @@ def _cmd_run_mp(args, out, faults) -> int:
             f"degraded={breaker.degraded}",
             file=out,
         )
-    if args.verify:
-        expected = {
-            tuple(r[: len(query.group_by)]): r
-            for r in reference_aggregate(dist, query)
-        }
-        got = {tuple(r[: len(query.group_by)]): r for r in rows}
-        ok = expected.keys() == got.keys() and all(
-            all(
-                abs(a - b) <= 1e-9 + 1e-9 * abs(b)
-                if isinstance(a, float)
-                else a == b
-                for a, b in zip(got[key], expected[key])
-            )
-            for key in expected
-        )
-        print(
-            f"verified against reference: {'OK' if ok else 'MISMATCH'}",
-            file=out,
-        )
-        if not ok:
-            return 1
+    if args.verify and not _verified(rows, dist, query, out):
+        return 1
     if args.show_rows:
         for row in rows[: args.show_rows]:
             print("  ", row, file=out)
@@ -378,7 +381,8 @@ def _cmd_run(args, out) -> int:
         faults=faults,
     )
     if args.save_run:
-        from repro.obs.decisions import run_artifact, write_run_json
+        from repro.obs.decisions import run_artifact
+        from repro.obs.schema import RUN_SCHEMA, write_artifact
 
         params = default_parameters(
             dist,
@@ -390,7 +394,7 @@ def _cmd_run(args, out) -> int:
             workload=_workload_dict(args),
         )
         try:
-            write_run_json(doc, args.save_run)
+            write_artifact(doc, RUN_SCHEMA, args.save_run)
         except OSError as exc:
             raise CliError(
                 f"cannot write run artifact to {args.save_run!r}: {exc}"
@@ -402,13 +406,8 @@ def _cmd_run(args, out) -> int:
         )
     if args.timeline:
         print(outcome.render_timeline(), file=out)
-    if args.verify:
-        expected = reference_aggregate(dist, query)
-        ok = len(outcome.rows) == len(expected)
-        print(f"verified against reference: {'OK' if ok else 'MISMATCH'}",
-              file=out)
-        if not ok:
-            return 1
+    if args.verify and not _verified(outcome.rows, dist, query, out):
+        return 1
     if args.show_rows:
         for row in outcome.rows[: args.show_rows]:
             print("  ", row, file=out)
@@ -418,8 +417,6 @@ def _cmd_run(args, out) -> int:
 def _cmd_trace(args, out) -> int:
     from repro.obs import Tracer
     from repro.obs.export import write_chrome_trace, write_jsonl
-    from repro.obs.schema import validate_chrome_trace
-    from repro.obs.export import to_chrome_trace
 
     dist = _build_workload(args)
     query = _build_query(args)
@@ -437,12 +434,6 @@ def _cmd_trace(args, out) -> int:
         pipeline=args.pipeline,
         tracer=tracer,
     )
-    doc = to_chrome_trace(tracer, process_name=f"repro:{args.algorithm}")
-    problems = validate_chrome_trace(doc)
-    if problems:  # pragma: no cover - exporter bug guard
-        for problem in problems:
-            print(f"schema problem: {problem}", file=out)
-        return 1
     try:
         write_chrome_trace(tracer, args.out, f"repro:{args.algorithm}")
     except OSError as exc:
@@ -472,10 +463,10 @@ def _cmd_trace(args, out) -> int:
 
 def _load_run_file(path: str) -> dict:
     """Load a ``repro-run/1`` artifact or raise a one-line CliError."""
-    from repro.obs.decisions import load_run_json
+    from repro.obs.schema import RUN_SCHEMA, read_artifact
 
     try:
-        return load_run_json(path)
+        return read_artifact(path, RUN_SCHEMA)
     except FileNotFoundError:
         raise CliError(
             f"run file {path!r} not found; produce one with "
@@ -554,10 +545,10 @@ def _cmd_explain(args, out) -> int:
         drift_table = format_drift_table(report)
     print(render_explain(doc, drift_table=drift_table), file=out)
     if args.save_run:
-        from repro.obs.decisions import write_run_json
+        from repro.obs.schema import RUN_SCHEMA, write_artifact
 
         try:
-            write_run_json(doc, args.save_run)
+            write_artifact(doc, RUN_SCHEMA, args.save_run)
         except OSError as exc:
             raise CliError(
                 f"cannot write run artifact to {args.save_run!r}: {exc}"
@@ -603,22 +594,21 @@ def _cmd_bench_compare(args, out) -> int:
             ) from exc
         print(f"wrote {args.out}", file=out)
     if args.record:
-        import json as _json
         import os as _os
 
         from repro.bench.regression import (
             append_trajectory,
             trajectory_entry,
         )
+        from repro.obs.schema import BENCH_SCHEMA, read_artifact
 
-        index_names = sorted(
-            set(d.bench for d in deltas)
-        )
-        docs = {}
-        for name in index_names:
-            path = _os.path.join(args.results_dir, f"BENCH_{name}.json")
-            with open(path) as handle:
-                docs[name] = _json.load(handle)
+        docs = {
+            name: read_artifact(
+                _os.path.join(args.results_dir, f"BENCH_{name}.json"),
+                BENCH_SCHEMA,
+            )
+            for name in sorted(set(d.bench for d in deltas))
+        }
         if docs:
             append_trajectory(
                 args.baseline, trajectory_entry(args.label, docs)

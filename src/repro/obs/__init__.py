@@ -21,8 +21,9 @@ benchmark harness all instrument themselves through this package:
     Perfetto) and a flat JSONL span log.
 
 ``repro.obs.schema``
-    Dependency-free validators for the exported artifacts
-    (``BENCH_*.json`` and Chrome traces), shared by tests and CI.
+    One table of what every exported artifact must contain, keyed by
+    schema id, with the one writer and reader that check against it;
+    shared by the producers, the tests and CI.
 
 ``repro.obs.profile``
     Worker-process self-profiling (wall/CPU time, max RSS) used by
@@ -51,11 +52,9 @@ from repro.obs.decisions import (
     DecisionEvent,
     DecisionLedger,
     annotate_ground_truth,
-    load_run_json,
     mp_run_artifact,
     render_explain,
     run_artifact,
-    write_run_json,
 )
 from repro.obs.drift import (
     DriftReport,
@@ -97,11 +96,9 @@ __all__ = [
     "compare_model_to_mp",
     "compare_model_to_run",
     "format_drift_table",
-    "load_run_json",
     "mp_run_artifact",
     "render_explain",
     "run_artifact",
-    "write_run_json",
     "FlightRecorder",
     "Gauge",
     "Histogram",

@@ -23,22 +23,23 @@ this module records *why* the run took the shape it did:
     decision disagreed with the truth but the chosen branch's model
     cost was no worse), or ``wrong_and_costly``.
 
-``run_artifact`` / ``mp_run_artifact`` / ``load_run_json``
+``run_artifact`` / ``mp_run_artifact``
     A ``repro-run/1`` JSON artifact bundling the ledger with the run's
     metrics and parameters, so ``repro explain <run.json>`` can render
     the report long after the process that ran the query is gone.  For
     a real-process run the report names every reason a fragment left
-    the columnar kernel and the parent left the vectorized merge.
+    the columnar kernel and the parent left the vectorized merge.  It
+    is written and read through ``repro.obs.schema.write_artifact`` /
+    ``read_artifact``, which check it against the schema table.
 
-See ``docs/decisions.md`` for the schema and report format.
+See ``docs/decisions.md`` for the report format.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
-RUN_SCHEMA = "repro-run/1"
+from repro.obs.schema import RUN_SCHEMA
 
 # Decision kinds with first-class annotation support.  Anything else a
 # node records still lands in the ledger verbatim — the ledger is a log,
@@ -326,27 +327,6 @@ def mp_run_artifact(metrics, ledger: DecisionLedger | None = None) -> dict:
         "decisions": ledger.to_dicts() if ledger is not None else [],
         "metrics": snapshot,
     }
-
-
-def write_run_json(doc: dict, path: str) -> str:
-    """Validate and write a run artifact; returns the path."""
-    from repro.obs.schema import validate_or_raise
-
-    validate_or_raise(doc, "run", label=path)
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True, default=str)
-        handle.write("\n")
-    return path
-
-
-def load_run_json(path: str) -> dict:
-    """Read and validate a run artifact (raises SchemaError/OSError)."""
-    from repro.obs.schema import validate_or_raise
-
-    with open(path) as handle:
-        doc = json.load(handle)
-    validate_or_raise(doc, "run", label=path)
-    return doc
 
 
 # -- the explain report ---------------------------------------------------

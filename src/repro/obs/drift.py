@@ -30,8 +30,7 @@ from dataclasses import dataclass, field
 
 from repro.costmodel import model_cost
 from repro.costmodel.report import FAMILIES, family_breakdown
-
-DRIFT_SCHEMA = "repro-drift/1"
+from repro.obs.schema import DRIFT_SCHEMA
 
 # Simulator time tags -> resource families.  Tags not listed (fault
 # retries, memory stalls, retransmit waits) are degradation costs the

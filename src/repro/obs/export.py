@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 
+from repro.obs.schema import CHROME_TRACE, write_artifact
+
 _US = 1e6  # seconds -> microseconds, the trace_event time unit
 
 
@@ -96,11 +98,9 @@ def to_chrome_trace(tracer, process_name: str = "repro") -> dict:
 
 
 def write_chrome_trace(tracer, path: str, process_name: str = "repro") -> str:
-    """Write the Chrome trace JSON to ``path``; returns the path."""
-    with open(path, "w") as handle:
-        json.dump(to_chrome_trace(tracer, process_name), handle)
-        handle.write("\n")
-    return path
+    """Check and write the Chrome trace JSON to ``path``; returns the path."""
+    doc = to_chrome_trace(tracer, process_name)
+    return write_artifact(doc, CHROME_TRACE, path)
 
 
 def to_jsonl(tracer) -> list[str]:

@@ -82,7 +82,7 @@ def query_record(
     error=None,
     reason=None,
 ) -> dict:
-    """Build one ``repro-qlog/1`` record (see ``validate_qlog_record``)."""
+    """Build one ``repro-qlog/1`` record (see ``repro.obs.schema``)."""
     return {
         "schema": QLOG_SCHEMA,
         "query_id": query_id,

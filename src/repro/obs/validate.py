@@ -1,86 +1,9 @@
-"""Validate exported artifacts from the command line (used by CI).
+"""``python -m repro.obs.validate <artifact> ...`` exits 1, printing the
+problems, if any file fails :func:`repro.obs.schema.validate_file`."""
 
-Usage::
-
-    python -m repro.obs.validate results/BENCH_*.json results/trace.json \
-        results/run.json results/baseline/INDEX.json \
-        results/baseline/TRAJECTORY.jsonl
-
-File kind is sniffed from the content: a top-level ``traceEvents`` key
-means Chrome trace; a ``schema`` key selects the matching validator
-(``repro-bench/1``, ``repro-run/1``, ``repro-drift/1``,
-``repro-baseline/1``); ``.jsonl`` files are validated line by line, each
-line dispatched on its own ``schema`` key (``repro-qlog/1`` query logs,
-``repro-trajectory/1`` entries otherwise).  Exit code 0 when every file
-validates, 1 otherwise (problems printed per file).
-"""
-
-from __future__ import annotations
-
-import json
 import sys
 
-from repro.obs.schema import (
-    BASELINE_SCHEMA,
-    DRIFT_SCHEMA,
-    QLOG_SCHEMA,
-    RUN_SCHEMA,
-    TRAJECTORY_SCHEMA,
-    validate_baseline_index,
-    validate_bench_json,
-    validate_chrome_trace,
-    validate_drift_json,
-    validate_qlog_record,
-    validate_run_json,
-    validate_trajectory_entry,
-)
-
-_BY_SCHEMA = {
-    RUN_SCHEMA: validate_run_json,
-    DRIFT_SCHEMA: validate_drift_json,
-    BASELINE_SCHEMA: validate_baseline_index,
-    TRAJECTORY_SCHEMA: validate_trajectory_entry,
-    QLOG_SCHEMA: validate_qlog_record,
-}
-
-
-def _validate_jsonl(path: str) -> list[str]:
-    problems: list[str] = []
-    try:
-        with open(path) as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        return [f"unreadable: {exc}"]
-    entries = [line for line in lines if line.strip()]
-    if not entries:
-        return ["no entries"]
-    for i, line in enumerate(entries):
-        try:
-            doc = json.loads(line)
-        except ValueError as exc:
-            problems.append(f"line {i + 1}: invalid JSON: {exc}")
-            continue
-        validator = validate_trajectory_entry
-        if isinstance(doc, dict) and doc.get("schema") in _BY_SCHEMA:
-            validator = _BY_SCHEMA[doc["schema"]]
-        problems.extend(f"line {i + 1}: {p}" for p in validator(doc))
-    return problems
-
-
-def validate_file(path: str) -> list[str]:
-    """Problems in one artifact file ([] = valid)."""
-    if path.endswith(".jsonl"):
-        return _validate_jsonl(path)
-    try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except (OSError, ValueError) as exc:
-        return [f"unreadable: {exc}"]
-    if isinstance(doc, dict) and "traceEvents" in doc:
-        return validate_chrome_trace(doc)
-    if isinstance(doc, dict) and doc.get("schema") in _BY_SCHEMA:
-        return _BY_SCHEMA[doc["schema"]](doc)
-    return validate_bench_json(doc)
+from repro.obs.schema import validate_file
 
 
 def main(argv=None) -> int:
@@ -91,13 +14,10 @@ def main(argv=None) -> int:
     failed = 0
     for path in paths:
         problems = validate_file(path)
-        if problems:
-            failed += 1
-            print(f"FAIL {path}")
-            for problem in problems:
-                print(f"  - {problem}")
-        else:
-            print(f"ok   {path}")
+        failed += bool(problems)
+        print(f"{'FAIL' if problems else 'ok  '} {path}")
+        for problem in problems:
+            print(f"  - {problem}")
     return 1 if failed else 0
 
 

@@ -78,6 +78,19 @@ INJECT_SLOW = "slow"
 INJECT_ERROR = "error"
 INJECT_SHM_LOSS = "shm_loss"
 
+# The reliable transport and crash recovery.  A lost data message is
+# retransmitted after ``ACK_TIMEOUT * BACKOFF**attempt`` seconds, capped
+# at ``MAX_BACKOFF``, at most ``MAX_SEND_RETRIES`` times, so delivery is
+# guaranteed within a bounded delay.  Survivors declare a crashed node
+# dead ``DETECTION_TIMEOUT`` seconds after it crashed; recovery gives up
+# with ClusterLostError after ``MAX_RECOVERY_ATTEMPTS`` attempts.
+ACK_TIMEOUT = 0.01
+BACKOFF = 2.0
+MAX_BACKOFF = 0.25
+MAX_SEND_RETRIES = 12
+DETECTION_TIMEOUT = 0.05
+MAX_RECOVERY_ATTEMPTS = 8
+
 # Stream salts 1 and 2 belong to the simulator's transport and disk
 # draws; 3 and 4 seed the substrate-independent injection schedule.
 _SALT_INJECT_ERROR = 3
@@ -163,7 +176,7 @@ class FaultPlan:
         SIGCONT); ignored by the simulator, one per node, fire once.
     message_loss:
         Per-transmission drop probability for data messages.  Lost blocks
-        are retransmitted by the reliable transport (ack timeout +
+        are retransmitted by the reliable transport (``ACK_TIMEOUT`` +
         bounded exponential backoff), so delivery is delayed, never
         abandoned; zero-byte control messages are piggy-backed and exempt.
     message_duplication:
@@ -173,20 +186,9 @@ class FaultPlan:
     read_error_rate:
         Per-request probability a disk read fails transiently and is
         re-issued once (doubling that request's latency).
-    ack_timeout:
-        Seconds the transport waits for an ack before retransmitting.
-    backoff:
-        Multiplier applied to the retransmission delay per attempt.
-    max_backoff:
-        Upper bound on any single retransmission delay.
-    max_send_retries:
-        Cap on retransmissions per message; the draw is truncated there,
-        so delivery is guaranteed within a bounded delay.
-    detection_timeout:
-        Heartbeat timeout: seconds after a crash before the survivors
-        declare the node dead and recovery starts.
-    max_recovery_attempts:
-        Cap on restart attempts before giving up with ClusterLostError.
+
+    The transport and recovery timings are module constants
+    (``ACK_TIMEOUT`` … ``MAX_RECOVERY_ATTEMPTS``), not plan fields.
     """
 
     seed: int = 0
@@ -196,12 +198,6 @@ class FaultPlan:
     message_loss: float = 0.0
     message_duplication: float = 0.0
     read_error_rate: float = 0.0
-    ack_timeout: float = 0.01
-    backoff: float = 2.0
-    max_backoff: float = 0.25
-    max_send_retries: int = 12
-    detection_timeout: float = 0.05
-    max_recovery_attempts: int = 8
 
     def __post_init__(self) -> None:
         for name in ("message_loss", "message_duplication",
@@ -209,18 +205,6 @@ class FaultPlan:
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise FaultConfigError(f"{name} must be in [0, 1)")
-        if self.ack_timeout <= 0:
-            raise FaultConfigError("ack_timeout must be positive")
-        if self.backoff < 1.0:
-            raise FaultConfigError("backoff must be >= 1")
-        if self.max_backoff < self.ack_timeout:
-            raise FaultConfigError("max_backoff must be >= ack_timeout")
-        if self.max_send_retries < 1:
-            raise FaultConfigError("max_send_retries must be at least 1")
-        if self.detection_timeout < 0:
-            raise FaultConfigError("detection_timeout must be non-negative")
-        if self.max_recovery_attempts < 1:
-            raise FaultConfigError("max_recovery_attempts must be >= 1")
         seen: set[int] = set()
         for crash in self.crashes:
             if crash.node_id in seen:
@@ -374,7 +358,7 @@ class FaultRuntime:
         rng = self._net_rng[index]
         drops = 0
         while (
-            drops < self.plan.max_send_retries
+            drops < MAX_SEND_RETRIES
             and rng.random() < self.plan.message_loss
         ):
             drops += 1
@@ -387,10 +371,7 @@ class FaultRuntime:
 
     def retry_delay(self, attempt: int) -> float:
         """Backoff before retransmission number ``attempt`` (bounded)."""
-        return min(
-            self.plan.ack_timeout * (self.plan.backoff**attempt),
-            self.plan.max_backoff,
-        )
+        return min(ACK_TIMEOUT * (BACKOFF**attempt), MAX_BACKOFF)
 
     # -- disk ---------------------------------------------------------------
 

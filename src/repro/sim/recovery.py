@@ -7,8 +7,8 @@ equivalent of MapReduce-style task re-execution:
    node crashes, the engine raises
    :class:`~repro.sim.faults.NodeCrashedError` once the event heap drains,
    carrying the partial metrics of the doomed attempt.
-2. Survivors declare the node dead after the plan's heartbeat
-   ``detection_timeout``, and the dead node's fragment(s) are handed
+2. Survivors declare the node dead after the heartbeat
+   ``DETECTION_TIMEOUT``, and the dead node's fragment(s) are handed
    round-robin to surviving peers, who re-read and re-aggregate them from
    their (logically replicated) disks.  If the dead node was node 0 — the
    coordinator for C-2P and Sampling — the first survivor inherits the
@@ -35,7 +35,13 @@ from dataclasses import dataclass, field
 from repro.costmodel.params import SystemParameters
 from repro.sim.cluster import Cluster
 from repro.sim.events import TraceEvent
-from repro.sim.faults import ClusterLostError, FaultPlan, NodeCrashedError
+from repro.sim.faults import (
+    DETECTION_TIMEOUT,
+    MAX_RECOVERY_ATTEMPTS,
+    ClusterLostError,
+    FaultPlan,
+    NodeCrashedError,
+)
 from repro.sim.metrics import ClusterMetrics, NodeMetrics
 from repro.storage.relation import Fragment, Relation
 
@@ -168,9 +174,9 @@ def run_resilient(
 
     while True:
         attempts += 1
-        if attempts > plan.max_recovery_attempts:
+        if attempts > MAX_RECOVERY_ATTEMPTS:
             raise ClusterLostError(
-                f"gave up after {plan.max_recovery_attempts} recovery "
+                f"gave up after {MAX_RECOVERY_ATTEMPTS} recovery "
                 f"attempts; crashed so far: {sorted(crashed_overall)}"
             )
         attempt_params = (
@@ -215,7 +221,7 @@ def run_resilient(
             )
         except NodeCrashedError as exc:
             records.append((list(node_ids), exc.metrics, base_time, exc.trace))
-            detection = max(exc.crashed.values()) + plan.detection_timeout
+            detection = max(exc.crashed.values()) + DETECTION_TIMEOUT
             survivors = [
                 orig
                 for sim_index, orig in enumerate(node_ids)

@@ -20,7 +20,7 @@ from repro.bench.regression import (
     seed_baseline,
     trajectory_entry,
 )
-from repro.obs.schema import SchemaError, validate_or_raise
+from repro.obs.schema import TRAJECTORY_SCHEMA, SchemaError, validate_or_raise
 
 
 def make_bench_doc(name="demo", cell=10.0, failed=0, wall=5.0):
@@ -186,7 +186,7 @@ class TestTrajectory:
         assert len(lines) == 1
         entry = json.loads(lines[0])
         assert entry["label"] == "seed"
-        assert validate_or_raise(entry, "trajectory") is None
+        assert validate_or_raise(entry, TRAJECTORY_SCHEMA) is None
 
     def test_append_accumulates_history(self, tmp_path):
         results = tmp_path / "results"

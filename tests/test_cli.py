@@ -139,6 +139,31 @@ class TestRunFaults:
         assert fragment in text
 
 
+class TestVerifyComparesValues:
+    """``--verify`` compares every value with the reference on both
+    substrates, not just how many rows came back."""
+
+    @pytest.mark.parametrize("substrate", ["sim", "mp"])
+    def test_one_wrong_value_is_a_mismatch(self, substrate, monkeypatch):
+        import repro.cli
+        from repro.parallel import reference_aggregate
+
+        def off_by_one(dist, query):
+            rows = [list(r) for r in reference_aggregate(dist, query)]
+            rows[0][-1] += 1
+            return [tuple(r) for r in rows]
+
+        monkeypatch.setattr(repro.cli, "reference_aggregate", off_by_one)
+        code, text = run_cli(
+            "run",
+            "--substrate", substrate, "--processes", "1",
+            "--tuples", "1000", "--groups", "20", "--nodes", "4",
+            "--verify",
+        )
+        assert code == 1
+        assert "verified against reference: MISMATCH" in text
+
+
 class TestRunMp:
     def test_mp_substrate_runs_and_verifies(self):
         code, text = run_cli(
@@ -415,7 +440,8 @@ class TestExplain:
         the report's answer to "why was this query slow"."""
         from repro.core.aggregates import AggregateSpec
         from repro.core.query import AggregateQuery
-        from repro.obs import MetricsRegistry, mp_run_artifact, write_run_json
+        from repro.obs import MetricsRegistry, mp_run_artifact
+        from repro.obs.schema import RUN_SCHEMA, write_artifact
         from repro.parallel import multiprocessing_aggregate
         from repro.storage.columnblock import ColumnBlock
         from repro.storage.relation import BlockRelation, DistributedRelation
@@ -431,7 +457,7 @@ class TestExplain:
         registry = MetricsRegistry()
         multiprocessing_aggregate(dist, query, 1, metrics=registry)
         path = str(tmp_path / "mp.json")
-        write_run_json(mp_run_artifact(registry), path)
+        write_artifact(mp_run_artifact(registry), RUN_SCHEMA, path)
         code, text = run_cli("explain", path)
         assert code == 0
         lines = text.splitlines()
@@ -458,7 +484,7 @@ class TestExplain:
         )
         registry = MetricsRegistry()
         multiprocessing_aggregate(clean, query, 1, metrics=registry)
-        write_run_json(mp_run_artifact(registry), path)
+        write_artifact(mp_run_artifact(registry), RUN_SCHEMA, path)
         code, text = run_cli("explain", path)
         assert code == 0
         assert text.splitlines()[3:] == [
@@ -476,8 +502,8 @@ class TestExplain:
         attach, the partials' way back — is in the profiles, the
         registry, the run artifact and the report (the in-process runs
         above never cross the boundary and print none of it)."""
-        from repro.obs import MetricsRegistry, mp_run_artifact, write_run_json
-        from repro.obs.schema import validate_run_json
+        from repro.obs import MetricsRegistry, mp_run_artifact
+        from repro.obs.schema import RUN_SCHEMA, validate, write_artifact
         from repro.parallel import (
             multiprocessing_aggregate,
             shutdown_worker_pool,
@@ -512,7 +538,7 @@ class TestExplain:
         )
         doc = mp_run_artifact(registry)
         path = str(tmp_path / "pooled.json")
-        write_run_json(doc, path)
+        write_artifact(doc, RUN_SCHEMA, path)
         code, text = run_cli("explain", path)
         assert code == 0
         boundary = text.splitlines()[-4:]
@@ -527,8 +553,8 @@ class TestExplain:
             f"s for {registry.value('mp.return_bytes')} bytes"
         )
         doc["metrics"]["mp.return_bytes"]["value"] = -1
-        assert validate_run_json(doc) == [
-            "metrics['mp.return_bytes'].value must be a non-negative number"
+        assert validate(doc, RUN_SCHEMA) == [
+            "metrics.mp.return_bytes.value must be a non-negative number"
         ]
 
     def test_missing_file_is_one_actionable_line(self):

@@ -1,9 +1,13 @@
 """Unit tests of the fault-injection layer (plan validation + engine)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.runner import run_algorithm
+from repro.sim import faults, recovery
 from repro.sim.faults import (
+    ClusterLostError,
     CrashFault,
     FaultConfigError,
     FaultPlan,
@@ -38,15 +42,20 @@ class TestFaultPlanValidation:
             with pytest.raises(FaultConfigError):
                 FaultPlan(**{name: -0.1})
 
-    def test_transport_parameters(self):
-        with pytest.raises(FaultConfigError):
-            FaultPlan(ack_timeout=0.0)
-        with pytest.raises(FaultConfigError):
-            FaultPlan(backoff=0.5)
-        with pytest.raises(FaultConfigError):
-            FaultPlan(ack_timeout=0.1, max_backoff=0.05)
-        with pytest.raises(FaultConfigError):
-            FaultPlan(max_send_retries=0)
+    def test_transport_and_recovery_timings_are_constants(self):
+        """What the ``--faults`` grammar can reach is the plan; the
+        transport's and recovery's timings are module constants."""
+        assert [f.name for f in dataclasses.fields(FaultPlan)] == [
+            "seed", "crashes", "stragglers", "worker_stalls",
+            "message_loss", "message_duplication", "read_error_rate",
+        ]
+        with pytest.raises(TypeError):
+            FaultPlan(ack_timeout=0.01)
+        assert (
+            faults.ACK_TIMEOUT, faults.BACKOFF, faults.MAX_BACKOFF,
+            faults.MAX_SEND_RETRIES, faults.DETECTION_TIMEOUT,
+            faults.MAX_RECOVERY_ATTEMPTS,
+        ) == (0.01, 2.0, 0.25, 12, 0.05, 8)
 
     def test_one_crash_per_node(self):
         with pytest.raises(FaultConfigError):
@@ -190,6 +199,14 @@ class TestCrashRecovery:
         )
         assert out.rows == clean.rows  # never fired: bit-identical run
         assert out.metrics.crashed_nodes == []
+
+    def test_recovery_gives_up_after_its_attempts(
+        self, small_dist, sum_query, monkeypatch
+    ):
+        monkeypatch.setattr(recovery, "MAX_RECOVERY_ATTEMPTS", 1)
+        plan = FaultPlan(crashes=(CrashFault(1, after_tuples=200),))
+        with pytest.raises(ClusterLostError, match="gave up after 1"):
+            run_algorithm("two_phase", small_dist, sum_query, faults=plan)
 
     def test_two_crashes_both_recovered(self, small_dist, sum_query):
         ref = run_algorithm("two_phase", small_dist, sum_query)

@@ -16,10 +16,8 @@ from repro.obs import (
     DecisionLedger,
     Tracer,
     annotate_ground_truth,
-    load_run_json,
     render_explain,
     run_artifact,
-    write_run_json,
 )
 from repro.obs.decisions import (
     A2P_SWITCH,
@@ -31,6 +29,7 @@ from repro.obs.decisions import (
     VERDICT_WRONG_CHEAP,
     VERDICT_WRONG_COSTLY,
 )
+from repro.obs.schema import RUN_SCHEMA, read_artifact, write_artifact
 from repro.sim.faults import CrashFault, FaultPlan
 from repro.workloads.generator import generate_uniform, generate_zipf
 
@@ -221,8 +220,8 @@ class TestRunArtifact:
             workload={"kind": "uniform", "num_tuples": 8000},
         )
         path = str(tmp_path / "run.json")
-        write_run_json(doc, path)
-        loaded = load_run_json(path)
+        write_artifact(doc, RUN_SCHEMA, path)
+        loaded = read_artifact(path, RUN_SCHEMA)
         assert loaded["schema"] == "repro-run/1"
         assert loaded["algorithm"] == "sampling"
         assert loaded["num_groups"] == outcome.num_groups

@@ -16,7 +16,7 @@ from repro.obs import (
     format_drift_table,
 )
 from repro.obs.drift import DriftRecord, observed_family_seconds
-from repro.obs.schema import validate_or_raise
+from repro.obs.schema import DRIFT_SCHEMA, validate_or_raise
 from repro.parallel import multiprocessing_aggregate
 from repro.sim.faults import FaultPlan
 
@@ -85,7 +85,7 @@ class TestSimDrift:
     def test_to_dict_validates_and_serializes(self, small_dist, full_query):
         report, _ = _sim_report(small_dist, full_query)
         doc = report.to_dict()
-        assert validate_or_raise(doc, "drift", label="test") is None
+        assert validate_or_raise(doc, DRIFT_SCHEMA, label="test") is None
         json.dumps(doc)  # no NaN/inf leaks
 
     def test_rel_error_guards_zero_prediction(self):

@@ -12,9 +12,10 @@ from repro.core.runner import run_algorithm
 from repro.obs import Tracer
 from repro.obs.export import to_chrome_trace, to_jsonl, write_chrome_trace
 from repro.obs.schema import (
+    BENCH_SCHEMA,
+    CHROME_TRACE,
     SchemaError,
-    validate_bench_json,
-    validate_chrome_trace,
+    validate,
     validate_or_raise,
 )
 from repro.obs.validate import main as validate_main
@@ -31,7 +32,7 @@ class TestChromeTrace:
     def test_schema_valid(self, traced_run):
         tracer, _ = traced_run
         doc = to_chrome_trace(tracer)
-        assert validate_chrome_trace(doc) == []
+        assert validate(doc, CHROME_TRACE) == []
 
     def test_thread_metadata_per_track(self, traced_run):
         tracer, _ = traced_run
@@ -62,7 +63,7 @@ class TestChromeTrace:
         tracer.begin("never_ended", track=0, t=0.0)
         tracer.complete("done", 0, 0.0, 2.0)
         doc = to_chrome_trace(tracer)
-        assert validate_chrome_trace(doc) == []
+        assert validate(doc, CHROME_TRACE) == []
         (open_ev,) = [
             e for e in doc["traceEvents"]
             if e["ph"] == "X" and e["name"] == "never_ended"
@@ -75,7 +76,7 @@ class TestChromeTrace:
         path = tmp_path / "trace.json"
         write_chrome_trace(tracer, str(path))
         doc = json.loads(path.read_text())
-        assert validate_chrome_trace(doc) == []
+        assert validate(doc, CHROME_TRACE) == []
 
 
 class TestJsonl:
@@ -89,11 +90,11 @@ class TestJsonl:
 
 class TestValidators:
     def test_chrome_validator_flags_garbage(self):
-        assert validate_chrome_trace({"nope": 1})
-        assert validate_chrome_trace({"traceEvents": [{"ph": "X"}]})
+        assert validate({"nope": 1}, CHROME_TRACE)
+        assert validate({"traceEvents": [{"ph": "X"}]}, CHROME_TRACE)
 
     def test_bench_validator_flags_garbage(self):
-        assert validate_bench_json({"schema": "other/9"})
+        assert validate({"schema": "other/9"}, BENCH_SCHEMA)
         good = {
             "schema": "repro-bench/1",
             "name": "x",
@@ -103,11 +104,11 @@ class TestValidators:
             "figures": [],
             "metrics": {"tests": 1},
         }
-        assert validate_bench_json(good) == []
+        assert validate(good, BENCH_SCHEMA) == []
 
     def test_validate_or_raise(self):
         with pytest.raises(SchemaError) as err:
-            validate_or_raise({"bad": True}, "chrome", label="t.json")
+            validate_or_raise({"bad": True}, CHROME_TRACE, label="t.json")
         assert "t.json" in str(err.value)
 
     def test_validate_cli(self, traced_run, tmp_path):
@@ -141,7 +142,7 @@ class TestTraceCli:
         )
         assert code == 0
         doc = json.loads(trace_path.read_text())
-        assert validate_chrome_trace(doc) == []
+        assert validate(doc, CHROME_TRACE) == []
         assert jsonl_path.exists()
         text = out.getvalue()
         assert "spans" in text

@@ -26,12 +26,12 @@ from repro.obs.metrics import (
     quantile_from_buckets,
 )
 from repro.obs.schema import (
+    CHROME_TRACE,
     QLOG_SCHEMA,
-    validate_chrome_trace,
-    validate_qlog_record,
+    validate,
+    validate_file,
 )
 from repro.obs.tracer import Tracer
-from repro.obs.validate import validate_file
 
 
 # -- quantile estimation ------------------------------------------------------
@@ -261,7 +261,7 @@ class TestQueryLog:
         lines = path.read_text().splitlines()
         assert len(lines) == 5
         for line in lines:
-            assert validate_qlog_record(json.loads(line)) == []
+            assert validate(json.loads(line), QLOG_SCHEMA) == []
         # The CLI validator dispatches .jsonl lines on their schema key.
         assert validate_file(str(path)) == []
 
@@ -308,22 +308,22 @@ class TestQueryLog:
 
 class TestQlogSchema:
     def test_valid_record(self):
-        assert validate_qlog_record(_record(7)) == []
+        assert validate(_record(7), QLOG_SCHEMA) == []
 
     def test_shed_record_with_reason(self):
         record = _record(8, outcome="shed", exec_seconds=None,
                          reason="queue_full")
-        assert validate_qlog_record(record) == []
+        assert validate(record, QLOG_SCHEMA) == []
 
     def test_rejects_bad_outcome_and_missing_fields(self):
-        assert validate_qlog_record({"schema": QLOG_SCHEMA})
+        assert validate({"schema": QLOG_SCHEMA}, QLOG_SCHEMA)
         record = _record(9, outcome="exploded")
-        assert any("outcome" in p for p in validate_qlog_record(record))
+        assert any("outcome" in p for p in validate(record, QLOG_SCHEMA))
         record = _record(10, queue_wait_seconds=-1)
         assert any(
-            "queue_wait" in p for p in validate_qlog_record(record)
+            "queue_wait" in p for p in validate(record, QLOG_SCHEMA)
         )
-        assert validate_qlog_record([]) == ["record must be an object"]
+        assert validate([], QLOG_SCHEMA) == ["top level must be an object"]
 
 
 # -- flight recorder ----------------------------------------------------------
@@ -349,7 +349,7 @@ class TestFlightRecorder:
         assert recorder.note(_record(1), tracer=_traced())
         trace = recorder.trace(1)
         assert trace is not None
-        assert validate_chrome_trace(trace) == []
+        assert validate(trace, CHROME_TRACE) == []
 
     def test_fast_query_is_not_traced(self):
         recorder = FlightRecorder(slow_threshold_seconds=10.0)

@@ -39,7 +39,7 @@ from repro.obs.decisions import (
 )
 from repro.obs.live import validate_prometheus
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.schema import validate_chrome_trace, validate_qlog_record
+from repro.obs.schema import CHROME_TRACE, QLOG_SCHEMA, validate
 from repro.parallel import reference_aggregate
 from repro.parallel.mp_executor import (
     FragmentFailedError,
@@ -1205,7 +1205,7 @@ class TestLiveObservabilityFakedExecutor:
             assert len(records) == 2
             assert records[0]["cache_hit"] is True  # newest first
             for record in records:
-                assert validate_qlog_record(record) == []
+                assert validate(record, QLOG_SCHEMA) == []
                 assert record["queue_wait_seconds"] >= 0.0
                 assert record["rung"] == "full"
             status, body = _get(port, "/debug/queries?n=1")
@@ -1252,7 +1252,7 @@ class TestLiveObservabilityPool:
 
         status, trace = _get(port, f"/debug/trace/{qid}")
         assert status == 200
-        assert validate_chrome_trace(trace) == []
+        assert validate(trace, CHROME_TRACE) == []
 
         status, missing = _get(port, "/debug/trace/99999")
         assert (status, missing["error"]) == (404, "not_found")
@@ -1266,7 +1266,7 @@ class TestLiveObservabilityPool:
         lines = qlog_path.read_text().splitlines()
         assert len(lines) == 1
         record = json.loads(lines[0])
-        assert validate_qlog_record(record) == []
+        assert validate(record, QLOG_SCHEMA) == []
         assert record["query_id"] == qid
         assert record["outcome"] == "served"
         assert record["exec_seconds"] > 0.0
