@@ -7,7 +7,7 @@ cache earn its keep) drives :class:`~repro.service.QueryService`
 directly from many client threads.  Two modes run the *same* storm:
 
 * ``faultfree`` — the pool is healthy.
-* ``faulted``  — a :class:`~repro.sim.faults.FaultPlan` kills a worker
+* ``faulted``  — a :class:`~repro.parallel.FaultPlan` kills a worker
   and injects transient read errors into every query, so the executor's
   retries, the service's query-level retry/backoff, and the circuit
   breaker all fire mid-storm.
@@ -36,7 +36,7 @@ from conftest import report
 
 from repro.bench.harness import FigureResult
 from repro.obs.schema import validate_file as validate_qlog_file
-from repro.parallel import reference_aggregate
+from repro.parallel import CrashFault, FaultPlan, reference_aggregate
 from repro.parallel.mp_executor import (
     reset_pool_breaker,
     shutdown_worker_pool,
@@ -47,7 +47,6 @@ from repro.service import (
     ServiceConfig,
     ShedError,
 )
-from repro.sim.faults import CrashFault, FaultPlan
 from repro.sql.parser import parse_query
 from repro.workloads.generator import generate_zipf
 
@@ -68,7 +67,7 @@ MODES = ("faultfree", "faulted")
 
 _FAULT_PLAN = FaultPlan(
     seed=23,
-    crashes=(CrashFault(1, at_time=0.003),),
+    crashes=(CrashFault(1),),
     read_error_rate=0.05,
 )
 

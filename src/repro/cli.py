@@ -116,21 +116,31 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_workload(args):
-    if args.workload == "uniform":
-        return generate_uniform(
+    """The generated relation; a size it cannot build is a usage error."""
+    try:
+        if args.workload == "uniform":
+            return generate_uniform(
+                args.tuples, args.groups, args.nodes, seed=args.seed
+            )
+        if args.workload == "zipf":
+            return generate_zipf(
+                args.tuples, args.groups, args.nodes, seed=args.seed
+            )
+        if args.workload == "output-skew":
+            return generate_output_skew(
+                args.tuples, args.groups, num_nodes=args.nodes,
+                seed=args.seed,
+                num_single_group_nodes=min(4, args.nodes - 1),
+            )
+        return generate_input_skew(
             args.tuples, args.groups, args.nodes, seed=args.seed
         )
-    if args.workload == "zipf":
-        return generate_zipf(
-            args.tuples, args.groups, args.nodes, seed=args.seed
-        )
-    if args.workload == "output-skew":
-        return generate_output_skew(
-            args.tuples, args.groups, num_nodes=args.nodes, seed=args.seed
-        )
-    return generate_input_skew(
-        args.tuples, args.groups, args.nodes, seed=args.seed
-    )
+    except ValueError as exc:
+        raise CliError(
+            f"cannot build the {args.workload} workload "
+            f"(--tuples {args.tuples} --groups {args.groups} "
+            f"--nodes {args.nodes}): {exc}"
+        ) from exc
 
 
 def _build_query(args) -> AggregateQuery:
@@ -139,7 +149,7 @@ def _build_query(args) -> AggregateQuery:
 
 
 def _run_one(name, dist, query, args, out, record_timeline=False,
-             ledger=None, faults=None):
+             ledger=None):
     params = default_parameters(
         dist,
         network=_NETWORKS[args.network],
@@ -153,7 +163,6 @@ def _run_one(name, dist, query, args, out, record_timeline=False,
         record_timeline=record_timeline,
         pipeline=args.pipeline,
         ledger=ledger,
-        faults=faults,
     )
     switches = [
         e for e in outcome.switch_events() if e.what.startswith("switch")
@@ -183,13 +192,12 @@ def _workload_dict(args) -> dict:
 def _parse_fault_plan(text: str):
     """Parse the ``--faults`` mini-grammar into a :class:`FaultPlan`.
 
-    ``seed=S,kill=N[@TUPLES],slow=NxFACTOR,stall=NxSECONDS,loss=P,dup=P,
-    error-rate=P`` — ``kill``/``slow``/``stall`` may repeat to target
-    several nodes.  ``kill=N`` crashes node N at time zero; ``kill=N@T``
-    crashes it after scanning T tuples (simulator substrate only — the
-    mp pool kills at the fragment's first dispatch either way).
+    ``seed=S,kill=N,slow=NxFACTOR,stall=NxSECONDS,loss=P,error-rate=P``
+    — ``kill``/``slow``/``stall`` may repeat to target several
+    fragments.  ``kill=N`` kills fragment N's worker at its first
+    dispatch.
     """
-    from repro.sim.faults import (
+    from repro.parallel import (
         CrashFault,
         FaultConfigError,
         FaultPlan,
@@ -201,7 +209,7 @@ def _parse_fault_plan(text: str):
     crashes: list = []
     stragglers: list = []
     stalls: list = []
-    rates = {"loss": 0.0, "dup": 0.0, "error-rate": 0.0}
+    rates = {"loss": 0.0, "error-rate": 0.0}
 
     def _pair(value: str, sep: str, what: str) -> tuple[int, float]:
         node_text, _, amount_text = value.partition(sep)
@@ -222,15 +230,13 @@ def _parse_fault_plan(text: str):
         try:
             if key == "seed":
                 seed = int(value)
+            elif key == "kill" and "@" in value:
+                raise CliError(
+                    f"bad --faults entry {entry!r}: kill=N@T is gone "
+                    "(the pool kills at dispatch; use kill=N)"
+                )
             elif key == "kill":
-                node_text, _, tuples_text = value.partition("@")
-                node = int(node_text)
-                if tuples_text:
-                    crashes.append(
-                        CrashFault(node, after_tuples=int(tuples_text))
-                    )
-                else:
-                    crashes.append(CrashFault(node, at_time=0.0))
+                crashes.append(CrashFault(int(value)))
             elif key == "slow":
                 node, factor = _pair(value, "x", "slow")
                 stragglers.append(Straggler(node, factor))
@@ -239,10 +245,16 @@ def _parse_fault_plan(text: str):
                 stalls.append(WorkerStall(node, seconds))
             elif key in rates:
                 rates[key] = float(value)
+            elif key == "dup":
+                raise CliError(
+                    f"bad --faults entry {entry!r}: dup= (message "
+                    "duplication) is gone; the pool has no transport "
+                    "to duplicate on"
+                )
             else:
                 raise CliError(
                     f"unknown --faults key {key!r} (expected seed, kill, "
-                    "slow, stall, loss, dup, or error-rate)"
+                    "slow, stall, loss, or error-rate)"
                 )
         except (ValueError, FaultConfigError) as exc:
             raise CliError(f"bad --faults entry {entry!r}: {exc}") from exc
@@ -252,12 +264,26 @@ def _parse_fault_plan(text: str):
             crashes=tuple(crashes),
             stragglers=tuple(stragglers),
             worker_stalls=tuple(stalls),
-            message_loss=rates["loss"],
-            message_duplication=rates["dup"],
             read_error_rate=rates["error-rate"],
+            message_loss=rates["loss"],
         )
     except FaultConfigError as exc:
         raise CliError(f"bad --faults plan: {exc}") from exc
+
+
+def _check_fault_targets(plan, num_nodes: int) -> None:
+    """A plan naming a fragment the relation does not have would
+    silently inject nothing there; refuse it."""
+    targets = [
+        f.node_id
+        for f in (*plan.crashes, *plan.stragglers, *plan.worker_stalls)
+    ]
+    beyond = sorted({n for n in targets if n >= num_nodes})
+    if beyond:
+        raise CliError(
+            f"--faults targets fragment(s) {beyond}, but the relation "
+            f"has {num_nodes} (fragments 0..{num_nodes - 1})"
+        )
 
 
 def _verified(rows, dist, query, out) -> bool:
@@ -301,6 +327,8 @@ def _cmd_run_mp(args, out, faults) -> int:
         raise CliError(
             "--save-run records simulator decisions (use --substrate sim)"
         )
+    if faults is not None:
+        _check_fault_targets(faults, args.nodes)
     dist = _build_workload(args)
     query = _build_query(args)
     metrics = MetricsRegistry()
@@ -362,6 +390,11 @@ def _cmd_run(args, out) -> int:
     faults = _parse_fault_plan(args.faults) if args.faults else None
     if args.substrate == "mp":
         return _cmd_run_mp(args, out, faults)
+    if faults is not None:
+        raise CliError(
+            "--faults injects into real worker processes; it needs "
+            "--substrate mp (the simulated cluster never fails)"
+        )
     if args.timeout is not None:
         raise CliError(
             "--timeout is the real executor's deadline; it needs "
@@ -378,7 +411,6 @@ def _cmd_run(args, out) -> int:
         args.algorithm, dist, query, args, out,
         record_timeline=args.timeline,
         ledger=ledger,
-        faults=faults,
     )
     if args.save_run:
         from repro.obs.decisions import run_artifact
@@ -751,9 +783,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--faults", default=None, metavar="SPEC",
-        help="seedable fault plan for either substrate: "
-        "seed=S,kill=N[@TUPLES],slow=NxFACTOR,stall=NxSECONDS,"
-        "loss=P,dup=P,error-rate=P",
+        help="mp substrate: seedable fault plan injected into the "
+        "workers: seed=S,kill=N,slow=NxFACTOR,stall=NxSECONDS,"
+        "loss=P,error-rate=P",
     )
     p_run.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
@@ -1117,6 +1149,8 @@ def _cmd_serve(args, out) -> int:
         dist = load_distributed(args.data_dir)
     else:
         dist = _build_workload(args)
+    if faults is not None:
+        _check_fault_targets(faults, dist.num_nodes)
     try:
         config = ServiceConfig(
             max_concurrency=args.max_concurrency,

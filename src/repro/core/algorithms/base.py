@@ -19,7 +19,6 @@ from repro.core.hashtable import HashAggregator
 from repro.core.query import BoundQuery
 from repro.core.sortagg import SortAggregator
 from repro.resources.governor import MemoryPolicy
-from repro.sim.faults import FaultPlan
 from repro.sim.node import BlockedChannel, NodeContext
 from repro.storage.hashing import bucket_of
 from repro.storage.relation import Fragment
@@ -65,12 +64,6 @@ class SimConfig:
         group-count figure: "lower_bound" (the paper's choice — safe,
         never overestimates), "chao1" or "jackknife" (species
         estimators that correct for unseen groups).
-    faults:
-        A :class:`~repro.sim.faults.FaultPlan` injecting crashes,
-        stragglers, message loss/duplication, and transient disk errors
-        into the run; the runner then executes with crash recovery
-        (see ``repro.sim.recovery``).  ``None`` (the default) keeps the
-        perfect-cluster fast path, bit-identical to the pre-fault engine.
     memory:
         A :class:`~repro.resources.MemoryPolicy` putting every node
         under a byte budget enforced by the memory governor: hash/sort
@@ -90,7 +83,6 @@ class SimConfig:
     seed: int = 0
     local_method: str = "hash"
     estimator: str = "lower_bound"
-    faults: FaultPlan | None = None
     memory: MemoryPolicy | None = None
 
     def __post_init__(self) -> None:
@@ -209,8 +201,7 @@ def scan_pages(ctx: NodeContext, fragment: Fragment, pipeline: bool):
     request itself.
     """
     for page_rows in fragment.relation.pages(ctx.params.page_bytes):
-        # Counting scanned tuples feeds the tuples_scanned metric and is
-        # the trigger point for crash-after-K-tuples fault injection.
+        # Counting scanned tuples feeds the tuples_scanned metric.
         ctx.record_scanned(len(page_rows))
         io = None if pipeline else ctx.read_pages(1, tag="scan_io")
         yield page_rows, io

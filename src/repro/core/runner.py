@@ -16,7 +16,6 @@ from repro.costmodel.params import SystemParameters
 from repro.sim.cluster import Cluster, RunResult
 from repro.sim.events import TraceEvent
 from repro.sim.metrics import ClusterMetrics
-from repro.sim.recovery import run_resilient
 from repro.storage.relation import DistributedRelation
 
 ALGORITHMS = tuple(ALGORITHM_BODIES)
@@ -141,35 +140,6 @@ def run_algorithm(
         raise ValueError("pass either config or config overrides, not both")
 
     bq = query.bind(dist.schema)
-
-    if config.faults is not None:
-        # Fault-injected run: execute with crash recovery.  The body is
-        # unchanged; only the node-to-fragment assignment may shrink as
-        # crashed nodes' fragments are taken over by survivors.
-        run = run_resilient(
-            params,
-            dist.fragments,
-            config.faults,
-            lambda ctx, fragment: body(ctx, fragment, bq, config),
-            record_timeline=record_timeline,
-            node_speed_factors=node_speed_factors,
-            memory=config.memory,
-            tracer=tracer,
-            ledger=ledger,
-        )
-        rows = []
-        for node_rows in run.node_results:
-            rows.extend(node_rows)
-        rows.sort()
-        return AlgorithmOutcome(
-            algorithm=algorithm,
-            rows=rows,
-            elapsed_seconds=run.elapsed_seconds,
-            metrics=run.metrics,
-            trace=run.trace,
-            per_node_rows=run.node_results,
-            timelines=run.timelines,
-        )
 
     cluster = Cluster(params)
 

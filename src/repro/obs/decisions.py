@@ -104,20 +104,12 @@ class DecisionEvent:
 
 
 class DecisionLedger:
-    """Collects the adaptive decisions of one run.
-
-    Mirrors the tracer's recovery contract: ``time_offset`` shifts
-    recorded times and ``track_map`` renumbers node ids, so a
-    multi-attempt fault recovery logs one coherent decision history on
-    the *original* node ids.
-    """
+    """Collects the adaptive decisions of one run."""
 
     enabled = True
 
     def __init__(self) -> None:
         self.events: list[DecisionEvent] = []
-        self.time_offset = 0.0
-        self.track_map: dict[int, int] = {}
 
     def record(
         self,
@@ -128,12 +120,10 @@ class DecisionLedger:
         span_id: int | None = None,
     ) -> DecisionEvent:
         """Append one decision event (returns it for further annotation)."""
-        if node >= 0 and self.track_map:
-            node = self.track_map.get(node, node)
         event = DecisionEvent(
             kind=kind,
             node=node,
-            time=time + self.time_offset,
+            time=time,
             data=dict(data) if data else {},
             span_id=span_id,
         )

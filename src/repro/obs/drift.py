@@ -32,10 +32,10 @@ from repro.costmodel import model_cost
 from repro.costmodel.report import FAMILIES, family_breakdown
 from repro.obs.schema import DRIFT_SCHEMA
 
-# Simulator time tags -> resource families.  Tags not listed (fault
-# retries, memory stalls, retransmit waits) are degradation costs the
-# 1995 model has no concept of; they are reported separately as
-# ``unmodeled`` rather than polluting a family's error figure.
+# Simulator time tags -> resource families.  Memory-governor stalls are
+# a degradation cost the 1995 model has no concept of; they are reported
+# separately as ``unmodeled`` rather than polluting a family's error
+# figure.
 _TAG_FAMILY = {
     "scan_io": "base_io",
     "store_io": "base_io",
@@ -44,7 +44,7 @@ _TAG_FAMILY = {
     "io_write": "base_io",
     "spill_io": "overflow_io",
 }
-_UNMODELED_TAGS = ("fault_io_retry", "mem_stall", "retransmit_wait")
+_UNMODELED_TAGS = ("mem_stall",)
 
 
 def observed_family_seconds(metrics) -> dict[str, float]:
@@ -273,7 +273,7 @@ def format_drift_table(report: DriftReport) -> str:
         )
     if report.unmodeled_seconds:
         lines.append(
-            f"unmodeled degradation time (faults/stalls): "
+            f"unmodeled degradation time (memory stalls): "
             f"{report.unmodeled_seconds:.4f}s"
         )
     if report.phase_seconds:

@@ -2,8 +2,8 @@
 
 The simulator's :class:`~repro.sim.metrics.NodeMetrics` /
 :class:`~repro.sim.metrics.ClusterMetrics` are purpose-built dataclasses;
-the fault layer, the memory governor and the mp executor each grew their
-own counters on top.  ``MetricsRegistry`` is the unifying container:
+the memory governor and the mp executor each grew their own counters
+on top.  ``MetricsRegistry`` is the unifying container:
 every number is a named :class:`Counter`, :class:`Gauge` or
 :class:`Histogram` handle, snapshots are JSON-serializable and sorted
 (deterministic), and ``merge`` defines *once* how per-attempt values fold
@@ -87,8 +87,7 @@ class Gauge:
 
     ``mode`` decides how two observations of the same gauge combine in
     ``MetricsRegistry.merge``: "last" (overwrite), "max", "min", "sum".
-    High-water marks are ``mode="max"``; makespans folded across
-    recovery attempts are ``mode="last"``.
+    High-water marks are ``mode="max"``; a makespan is ``mode="last"``.
     """
 
     __slots__ = ("name", "value", "mode", "_set", "_lock")
@@ -305,15 +304,12 @@ class MetricsRegistry:
     ) -> "MetricsRegistry":
         """Adapt a :class:`ClusterMetrics` into typed handles.
 
-        Every scattered counter family — timing, I/O, network, fault
-        recovery, memory governor — lands under one namespace, so two
-        runs (or a simulated and a real one) compare handle-for-handle.
+        Every scattered counter family — timing, I/O, network, memory
+        governor — lands under one namespace, so two runs (or a
+        simulated and a real one) compare handle-for-handle.
         """
         reg = cls()
         reg.gauge(f"{prefix}.makespan_seconds").set(metrics.makespan)
-        reg.gauge(f"{prefix}.degraded_makespan_seconds").set(
-            metrics.degraded_makespan
-        )
         reg.gauge(f"{prefix}.skew_ratio").set(metrics.skew_ratio())
         reg.gauge(f"{prefix}.network_busy_seconds", mode="sum").set(
             metrics.network_busy_seconds
@@ -326,27 +322,19 @@ class MetricsRegistry:
             metrics.total_peak_table_entries
         )
         counters = {
-            "retries": "total_retries",
-            "timeouts": "total_timeouts",
-            "reexecuted_tuples": "total_reexecuted_tuples",
             "messages_sent": "total_messages",
             "bytes_sent": "total_bytes_sent",
             "mem_spill_bytes": "total_mem_spill_bytes",
         }
         for short, attr in counters.items():
             reg.counter(f"{prefix}.{short}").inc(getattr(metrics, attr))
-        reg.counter(f"{prefix}.crashed_nodes").inc(
-            len(metrics.crashed_nodes)
-        )
         reg.gauge(f"{prefix}.mem_stall_seconds", mode="sum").set(
             metrics.total_mem_stall_seconds
         )
         spill_pages = reg.counter(f"{prefix}.spill_pages")
-        duplicates = reg.counter(f"{prefix}.duplicates_dropped")
         busy = reg.histogram(f"{prefix}.node_busy_seconds")
         for node in metrics.nodes:
             spill_pages.inc(round(node.spill_pages))
-            duplicates.inc(node.duplicates_dropped)
             busy.observe(node.busy_seconds)
         for rung, count in sorted(metrics.mem_ladder_rungs.items()):
             reg.counter(f"{prefix}.ladder.{rung}").inc(count)

@@ -13,12 +13,6 @@ The span hierarchy is maintained with one open-span stack per track:
 under the current stack top without pushing.  That yields the
 query → node → phase → operator tree the exporters rely on.
 
-``time_offset`` shifts every recorded timestamp and ``track_map``
-renumbers non-negative tracks at record time; the recovery layer sets
-both between attempts so a multi-attempt run exports as one coherent
-timeline (attempt 2 starting where attempt 1's crash was detected, with
-each surviving sim node's spans on its *original* node's track).
-
 Disabled tracing must cost nothing: pass ``tracer=None`` (every
 integration point guards with ``if tracer is not None``) or use the
 shared :data:`NULL_TRACER`, whose methods are no-ops returning a
@@ -70,17 +64,10 @@ class Tracer:
         self.operator_spans = operator_spans
         self.spans: list[Span] = []
         self.instants: list[dict] = []
-        self.time_offset = 0.0
-        self.track_map: dict[int, int] = {}
         self._stacks: dict[int, list[Span]] = {}
         self._next_id = 1
 
     # -- recording ----------------------------------------------------------
-
-    def _map(self, track: int) -> int:
-        if track < 0 or not self.track_map:
-            return track
-        return self.track_map.get(track, track)
 
     def _parent_of(self, track: int) -> Span | None:
         stack = self._stacks.get(track)
@@ -103,7 +90,6 @@ class Tracer:
         **args,
     ) -> Span:
         """Open a span and push it on its track's stack."""
-        track = self._map(track)
         if parent is None:
             parent = self._parent_of(track)
         span = Span(
@@ -112,7 +98,7 @@ class Tracer:
             name=name,
             cat=cat,
             track=track,
-            start=t + self.time_offset,
+            start=t,
             args=dict(args) if args else {},
         )
         self._next_id += 1
@@ -124,7 +110,7 @@ class Tracer:
         """Close a span (tolerates out-of-order closes of inner spans)."""
         if span.end is not None:
             return
-        span.end = max(t + self.time_offset, span.start)
+        span.end = max(t, span.start)
         if args:
             span.args.update(args)
         stack = self._stacks.get(span.track)
@@ -141,7 +127,6 @@ class Tracer:
         **args,
     ) -> Span:
         """Record an already-finished span (not pushed on the stack)."""
-        track = self._map(track)
         parent = self._parent_of(track)
         span = Span(
             span_id=self._next_id,
@@ -149,8 +134,8 @@ class Tracer:
             name=name,
             cat=cat,
             track=track,
-            start=start + self.time_offset,
-            end=end + self.time_offset,
+            start=start,
+            end=end,
             args=dict(args) if args else {},
         )
         self._next_id += 1
@@ -158,12 +143,12 @@ class Tracer:
         return span
 
     def instant(self, name: str, track: int, t: float, **args) -> None:
-        """Record a point event (mode switch, crash, retry, ...)."""
+        """Record a point event (mode switch, retry, ...)."""
         self.instants.append(
             {
                 "name": name,
-                "track": self._map(track),
-                "time": t + self.time_offset,
+                "track": track,
+                "time": t,
                 "args": dict(args) if args else {},
             }
         )
@@ -171,13 +156,13 @@ class Tracer:
     # -- inspection ---------------------------------------------------------
 
     def current_span(self, track: int = -1) -> Span | None:
-        """The innermost open span on ``track`` (after track mapping).
+        """The innermost open span on ``track``.
 
         Lets decision recorders link an event to the phase/operator span
         it occurred under without threading span handles through the
         algorithm bodies.
         """
-        stack = self._stacks.get(self._map(track))
+        stack = self._stacks.get(track)
         if stack:
             return stack[-1]
         return None
@@ -237,8 +222,6 @@ class NullTracer:
     operator_spans = False
     spans: list = []
     instants: list = []
-    time_offset = 0.0
-    track_map: dict = {}
 
     def begin(self, name, track=-1, t=0.0, cat=PHASE, parent=None, **args):
         return _NULL_SPAN

@@ -26,16 +26,28 @@ from repro.parallel.mp_executor import (
     reset_pool_breaker,
     shutdown_worker_pool,
 )
+from repro.parallel.mp_executor.faults import (
+    CrashFault,
+    FaultConfigError,
+    FaultPlan,
+    Straggler,
+    WorkerStall,
+)
 
 __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",
+    "CrashFault",
     "DeadlineExceededError",
+    "FaultConfigError",
+    "FaultPlan",
     "FragmentFailedError",
     "InjectedFaultError",
     "PoolCircuitBreaker",
+    "Straggler",
     "WorkerFailure",
+    "WorkerStall",
     "multiprocessing_aggregate",
     "pool_breaker_state",
     "reference_aggregate",

@@ -42,9 +42,9 @@ test suite stays fast everywhere.
 
 The pool path is chaos-hardened end to end:
 
-- **Unified fault injection** — the same seedable
-  :class:`~repro.sim.faults.FaultPlan` that drives the simulator drives
-  real-process injection here (``faults=plan``): a ``CrashFault``
+- **Fault injection** — a seedable
+  :class:`~repro.parallel.mp_executor.faults.FaultPlan` drives
+  real-process injection (``faults=plan``): a ``CrashFault``
   SIGKILLs the fragment's worker at job start (the worker shim delivers
   the signal to itself, so the crash always lands on the scheduled
   fragment), a ``Straggler`` limps it with an artificial per-row
@@ -54,8 +54,8 @@ The pool path is chaos-hardened end to end:
   unlinks the fragment's shared-memory segment before dispatch (a
   resident one leaves the table with it; the retry's fresh segment
   takes its place).  Which faults fire where is the plan's
-  deterministic ``injection_schedule`` — identical (kind, target,
-  ordinal) tuples on the sim and mp substrates for a given seed.
+  deterministic ``injection_schedule``: a given seed fires the same
+  (kind, fragment, attempt) tuples run after run.
 - **Heartbeats** — a busy worker beats every 0.5 s; one silent for
   5 s is declared ``HeartbeatLost`` without waiting out the job
   timeout, and workers that died while *idle* are detected eagerly.

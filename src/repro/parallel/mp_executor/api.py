@@ -346,10 +346,10 @@ def multiprocessing_aggregate(
 
     Chaos / robustness (injection: two-phase only):
 
-    ``faults`` (a :class:`~repro.sim.faults.FaultPlan`) injects the
-    plan's deterministic fault schedule into the real workers — kills,
-    limplock stalls, slowdowns, in-worker exceptions, shm-segment loss
-    (see the module docstring for the mapping).  Requires real
+    ``faults`` (a :class:`~repro.parallel.mp_executor.faults.FaultPlan`)
+    injects the plan's deterministic fault schedule into the real
+    workers — kills, limplock stalls, slowdowns, in-worker exceptions,
+    shm-segment loss (see the module docstring for the mapping).  Requires real
     processes: a run that would fall back in-process is bumped to two
     workers.  ``faults_log`` (a list) receives the injected
     ``(kind, fragment, attempt)`` entries in firing order.  A fragment

@@ -18,6 +18,13 @@ from multiprocessing.connection import wait as _connection_wait
 from multiprocessing.reduction import ForkingPickler
 
 from repro.obs.profile import profile_finish, profile_start
+from repro.parallel.mp_executor.faults import (
+    INJECT_ERROR,
+    INJECT_KILL,
+    INJECT_SHM_LOSS,
+    INJECT_SLOW,
+    INJECT_STALL,
+)
 from repro.parallel.mp_executor.kernel import (
     _decline,
     _local_phase,
@@ -37,13 +44,6 @@ from repro.parallel.mp_executor.wire import (
     _load_job,
     _Shipment,
     release_resident_segments,
-)
-from repro.sim.faults import (
-    INJECT_ERROR,
-    INJECT_KILL,
-    INJECT_SHM_LOSS,
-    INJECT_SLOW,
-    INJECT_STALL,
 )
 from repro.storage.columnblock import ColumnBlock
 

@@ -7,7 +7,7 @@ import random
 import threading
 import time
 
-from repro.sim.faults import (
+from repro.parallel.mp_executor.faults import (
     INJECT_ERROR,
     INJECT_KILL,
     INJECT_SHM_LOSS,
@@ -272,7 +272,8 @@ def reset_pool_breaker() -> None:
 
 
 class MpFaultInjector:
-    """Maps a :class:`~repro.sim.faults.FaultPlan` onto pool workers.
+    """Maps a :class:`~repro.parallel.mp_executor.faults.FaultPlan` onto
+    pool workers.
 
     Consumes the plan's deterministic ``injection_schedule`` — fragment
     index stands in for node id, attempt number for ordinal — and hands

@@ -13,24 +13,12 @@ The simulation is deterministic: ties are broken by a global sequence
 number, so a given (workload, parameters, algorithm) triple always yields
 the same timings, message orders, and metrics.
 
-Fault injection and failure recovery live in ``repro.sim.faults`` and
-``repro.sim.recovery``: a seedable :class:`FaultPlan` injects crashes,
-stragglers, message loss/duplication, and transient disk errors, and
-:func:`run_resilient` restarts the query on the survivors with
-round-robin fragment takeover (see docs/faults.md).
+The cluster is the paper's: no node fails and no message is lost.
+Straggling hardware is ``node_speed_factors`` (see docs/simulator.md).
 """
 
 from repro.sim.cluster import Cluster, RunResult
 from repro.sim.engine import DeadlockError, Engine
-from repro.sim.faults import (
-    ClusterLostError,
-    CrashFault,
-    FaultConfigError,
-    FaultPlan,
-    NodeCrashedError,
-    Straggler,
-)
-from repro.sim.recovery import ResilientRun, run_resilient
 from repro.sim.events import (
     Compute,
     Message,
@@ -46,28 +34,20 @@ from repro.sim.node import NodeContext
 
 __all__ = [
     "Cluster",
-    "ClusterLostError",
     "ClusterMetrics",
     "Compute",
-    "CrashFault",
     "DeadlockError",
     "Engine",
-    "FaultConfigError",
-    "FaultPlan",
     "LatencyNetwork",
     "Message",
     "NodeContext",
-    "NodeCrashedError",
     "NodeMetrics",
     "ReadPages",
     "Recv",
-    "ResilientRun",
     "RunResult",
     "Send",
     "SharedBusNetwork",
-    "Straggler",
     "TryRecv",
     "WritePages",
     "make_network",
-    "run_resilient",
 ]

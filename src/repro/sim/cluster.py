@@ -45,7 +45,6 @@ class Cluster:
         program_factories,
         record_timeline: bool = False,
         node_speed_factors=None,
-        faults=None,
         memory=None,
         tracer=None,
         ledger=None,
@@ -67,7 +66,6 @@ class Cluster:
             network,
             record_timeline=record_timeline,
             node_speed_factors=node_speed_factors,
-            faults=faults,
             governor=governor,
             tracer=tracer,
             ledger=ledger,

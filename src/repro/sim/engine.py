@@ -26,19 +26,6 @@ degradation ladder — for ``stall_seconds`` per block, charged to the
 sender's clock (visible in the makespan) and recorded as
 ``mem_stall_seconds``.  With ``governor=None`` every check
 short-circuits and runs are bit-identical to the ungoverned engine.
-
-Fault injection (``faults`` = a :class:`~repro.sim.faults.FaultRuntime`)
-is layered on at the request boundaries: crashes terminate a node's
-program at its next request past the trigger, lost data blocks are
-retransmitted by a reliable transport (ack timeout + bounded exponential
-backoff, delaying delivery and occupying the network per attempt),
-duplicate deliveries are suppressed by transport sequence numbers, and
-transient disk-read errors re-issue the read once.  When any node has
-crashed by the time the event heap drains, the engine raises
-:class:`~repro.sim.faults.NodeCrashedError` carrying the attempt's partial
-metrics so the recovery layer can re-execute the lost work.  With
-``faults=None`` every check short-circuits and the simulation is
-bit-identical to the fault-free engine.
 """
 
 from __future__ import annotations
@@ -61,14 +48,12 @@ from repro.sim.events import (
 from repro.obs.tracer import NODE as _CAT_NODE
 from repro.obs.tracer import QUERY as _CAT_QUERY
 from repro.resources.governor import RUNG_BACKPRESSURE, RUNG_NAMES
-from repro.sim.faults import NodeCrashedError
 from repro.sim.metrics import ClusterMetrics, NodeMetrics
 from repro.sim.network import make_network
 
 _RUNNING = "running"
 _PARKED = "parked"
 _DONE = "done"
-_CRASHED = "crashed"
 
 
 class DeadlockError(RuntimeError):
@@ -90,7 +75,6 @@ class _NodeState:
     waiting_epoch: int = 0
     result: object = None
     metrics: NodeMetrics = None
-    crash_pending: bool = False
     span: object = None  # open obs span for this node's lifetime, if traced
 
     def matching(self, kind: str | None):
@@ -112,7 +96,6 @@ class Engine:
         record_timeline: bool = False,
         max_events: int = 50_000_000,
         node_speed_factors=None,
-        faults=None,
         governor=None,
         tracer=None,
         ledger=None,
@@ -126,9 +109,6 @@ class Engine:
         # Optional obs.DecisionLedger; None = unrecorded, and decision
         # sites degrade to plain trace events (bit-identical runs).
         self.ledger = ledger
-        # Optional FaultRuntime (see repro.sim.faults); None = perfect
-        # cluster, and every fault check below short-circuits.
-        self.faults = faults
         # Optional MemoryGovernor (see repro.resources); None = ungoverned,
         # and every memory check below short-circuits.
         self.governor = governor
@@ -139,7 +119,6 @@ class Engine:
             ]
         else:
             self._mailbox_accounts = []
-        self.crashed: dict[int, float] = {}
         # A backstop against node programs that send/poll in an infinite
         # loop: far above any legitimate run, but finite.
         self.max_events = max_events
@@ -187,13 +166,6 @@ class Engine:
                 )
         for st in self._nodes:
             self._push(0.0, "resume", st.node_id, None)
-        if self.faults is not None:
-            # Proactive wake-ups so a timed crash fires even on a node
-            # that is idle (parked) when its time comes.
-            for st in self._nodes:
-                crash_at = self.faults.crash_time(st.node_id)
-                if crash_at is not None:
-                    self._push(crash_at, "crashcheck", st.node_id, None)
         processed = 0
         while self._heap:
             processed += 1
@@ -204,7 +176,7 @@ class Engine:
                 )
             time, _seq, action, node_id, payload = heapq.heappop(self._heap)
             st = self._nodes[node_id]
-            if st.status in (_DONE, _CRASHED):
+            if st.status == _DONE:
                 continue
             if action == "resume":
                 self._advance(st, payload, time)
@@ -214,28 +186,8 @@ class Engine:
                 self._handle_recv(st, payload, time)
             elif action == "tryrecv":
                 self._handle_tryrecv(st, payload, time)
-            elif action == "crashcheck":
-                self._handle_crashcheck(st, time)
             else:  # pragma: no cover - internal invariant
                 raise SimulationError(f"unknown action {action!r}")
-        if self.crashed:
-            # Survivors may be parked mid-protocol waiting on the dead
-            # node; close their accounting at their last activity so the
-            # recovery layer can merge this attempt's partial work.
-            for st in self._nodes:
-                if st.status not in (_DONE, _CRASHED):
-                    st.metrics.finish_time = max(
-                        st.metrics.finish_time, st.clock
-                    )
-            if tracer is not None:
-                horizon = max(
-                    (st.metrics.finish_time for st in self._nodes),
-                    default=0.0,
-                )
-                tracer.close_all(horizon)
-            raise NodeCrashedError(
-                dict(self.crashed), self._collect_metrics(), self.trace
-            )
         stuck = [st.node_id for st in self._nodes if st.status != _DONE]
         if stuck:
             kinds = {
@@ -325,16 +277,8 @@ class Engine:
         self._nodes[node_id].metrics.groups_output += groups
 
     def record_scanned(self, node_id: int, tuples: int) -> None:
-        """Count fragment tuples scanned; arms tuple-triggered crashes."""
-        st = self._nodes[node_id]
-        st.metrics.tuples_scanned += tuples
-        if self.faults is not None and not st.crash_pending:
-            threshold = self.faults.crash_after_tuples(node_id)
-            if (
-                threshold is not None
-                and st.metrics.tuples_scanned >= threshold
-            ):
-                st.crash_pending = True
+        """Count fragment tuples scanned."""
+        self._nodes[node_id].metrics.tuples_scanned += tuples
 
     def _record_segment(
         self, node_id: int, start: float, end: float, tag: str
@@ -361,73 +305,12 @@ class Engine:
         return math.ceil(nbytes / self.params.block_bytes)
 
     def _node_slowdown(self, node_id: int) -> float:
-        slowdown = 1.0
-        if self.node_speed_factors is not None:
-            try:
-                slowdown = 1.0 / self.node_speed_factors[node_id]
-            except IndexError:
-                pass
-        if self.faults is not None:
-            slowdown *= self.faults.slowdown(node_id)
-        return slowdown
-
-    def _crash(self, st: _NodeState, at: float) -> None:
-        """Terminate a node's program: it is dead from ``at`` onwards."""
-        st.status = _CRASHED
-        st.crash_pending = False
+        if self.node_speed_factors is None:
+            return 1.0
         try:
-            st.gen.close()
-        except Exception as exc:
-            # Only the generator-shutdown protocol's own complaints are
-            # expected here (CPython raises a *plain* RuntimeError such
-            # as "generator ignored GeneratorExit" when a mid-yield
-            # generator refuses to die).  Anything more specific — a
-            # typed memory error, a simulation bug surfacing in a
-            # ``finally`` block — is a real error that must not vanish
-            # into the crash path: record it and re-raise.
-            if type(exc) in (RuntimeError, StopIteration):
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "generator_close_ignored", st.node_id, at,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-            else:
-                self.trace.append(
-                    TraceEvent(
-                        at, st.node_id, "generator_close_error",
-                        {"error": f"{type(exc).__name__}: {exc}"},
-                    )
-                )
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "generator_close_error", st.node_id, at,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                raise
-        st.mailbox.clear()
-        if self.governor is not None:
-            # A dead node's mailbox holds nothing; free its charges.
-            self._mailbox_accounts[st.node_id].close()
-        st.waiting_kind = None
-        st.metrics.finish_time = at
-        st.metrics.crashed = True
-        self.crashed[st.node_id] = at
-        self.faults.note_crash(st.node_id)
-        self.trace.append(
-            TraceEvent(at, st.node_id, "node_crash", {"at": at})
-        )
-        if self.tracer is not None:
-            self.tracer.instant("node_crash", st.node_id, at)
-            if st.span is not None:
-                self.tracer.end(st.span, at, crashed=True)
-
-    def _handle_crashcheck(self, st: _NodeState, time: float) -> None:
-        # The heap is time-ordered, so if the node has not crashed on its
-        # own by now the scheduled time has genuinely arrived.
-        crash_at = self.faults.crash_time(st.node_id)
-        if crash_at is None:  # consumed already (e.g. tuple trigger fired)
-            return
-        self._crash(st, max(crash_at, st.clock))
+            return 1.0 / self.node_speed_factors[node_id]
+        except IndexError:
+            return 1.0
 
     def _advance(self, st: _NodeState, value, time: float) -> None:
         """Run the node greedily until it hits a shared-resource request."""
@@ -439,16 +322,7 @@ class Engine:
         tracer = self.tracer
         trace_ops = tracer is not None and tracer.operator_spans
         slowdown = self._node_slowdown(st.node_id)
-        crash_at = (
-            None if self.faults is None
-            else self.faults.crash_time(st.node_id)
-        )
         while True:
-            if st.crash_pending or (
-                crash_at is not None and st.clock >= crash_at
-            ):
-                self._crash(st, st.clock)
-                return
             try:
                 req = gen.send(value)
             except StopIteration as stop:
@@ -475,28 +349,9 @@ class Engine:
                     else params.io_seconds
                 )
                 seconds = req.pages * per_page * slowdown
-                retry_seconds = 0.0
-                if (
-                    self.faults is not None
-                    and req.pages > 0
-                    and self.faults.read_error(st.node_id)
-                ):
-                    # Transient read failure: the request is re-issued
-                    # once, doubling its latency.  The extra latency is
-                    # attributed to ``fault_io_retry`` only; the
-                    # request's own tag keeps its fault-free cost so the
-                    # tagged breakdown still partitions busy time.
-                    metrics.retries += 1
-                    retry_seconds = seconds
-                    metrics.add_tagged("fault_io_retry", retry_seconds)
-                    if tracer is not None:
-                        tracer.instant(
-                            "io_read_retry", st.node_id, st.clock,
-                            pages=req.pages, tag=req.tag,
-                        )
                 start = st.clock
-                st.clock += seconds + retry_seconds
-                metrics.io_read_seconds += seconds + retry_seconds
+                st.clock += seconds
+                metrics.io_read_seconds += seconds
                 metrics.pages_read += req.pages
                 if req.tag == "spill_io":
                     metrics.spill_pages += req.pages
@@ -547,7 +402,6 @@ class Engine:
         metrics.messages_sent += 1
         metrics.blocks_sent += blocks
         metrics.bytes_sent += msg.nbytes
-        faults = self.faults
         if msg.dst == msg.src:
             delivery = st.clock
         else:
@@ -576,37 +430,11 @@ class Engine:
                             "mem_backpressure_stall", st.node_id,
                             st.clock, seconds=stall, dst=msg.dst,
                         )
-            send_at = st.clock
-            if faults is not None and blocks > 0:
-                # Reliable transport over a lossy link: each dropped
-                # transmission occupies the network, costs the sender an
-                # ack timeout plus backoff, and is retried; delivery is
-                # delayed but guaranteed.  (Zero-byte control messages
-                # are piggy-backed and exempt.)
-                drops = faults.message_drops(st.node_id)
-                for attempt in range(drops):
-                    self.network.transfer(send_at, blocks)
-                    wait = faults.retry_delay(attempt)
-                    send_at += wait
-                    metrics.retries += 1
-                    metrics.timeouts += 1
-                    metrics.add_tagged("retransmit_wait", wait)
-            delivery = self.network.transfer(send_at, blocks)
+            delivery = self.network.transfer(st.clock, blocks)
         channel = (msg.src, msg.dst)
         delivery = max(delivery, self._channel_last.get(channel, 0.0))
         self._channel_last[channel] = delivery
         dst = self._nodes[msg.dst]
-        if faults is not None and blocks > 0 and msg.dst != msg.src:
-            if faults.duplicate(st.node_id):
-                # The duplicate copy burns network time; the receiving
-                # transport drops it by sequence number.
-                self.network.transfer(delivery, blocks)
-                dst.metrics.duplicates_dropped += 1
-        if dst.status == _CRASHED:
-            # Sent into the void: the sender paid for the transfer, but
-            # nothing arrives and nobody wakes.
-            self._advance(st, None, st.clock)
-            return
         if self.governor is not None and msg.nbytes > 0 and msg.dst != msg.src:
             # In-flight bytes live on the receiver until consumed.
             self._mailbox_accounts[msg.dst].charge(msg.nbytes)

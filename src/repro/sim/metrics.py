@@ -25,13 +25,6 @@ class NodeMetrics:
     groups_output: int = 0
     peak_table_entries: int = 0
     finish_time: float = 0.0
-    # Fault/recovery accounting (all zero on a fault-free run):
-    retries: int = 0
-    timeouts: int = 0
-    duplicates_dropped: int = 0
-    reexecuted_tuples: int = 0
-    degraded_makespan: float = 0.0
-    crashed: bool = False
     # Memory-governor accounting (all zero/empty on ungoverned runs):
     mem_high_water_bytes: int = 0
     mem_spill_bytes: int = 0
@@ -102,22 +95,6 @@ class ClusterMetrics:
         return sum(n.groups_output for n in self.nodes)
 
     @property
-    def total_retries(self) -> int:
-        return sum(n.retries for n in self.nodes)
-
-    @property
-    def total_timeouts(self) -> int:
-        return sum(n.timeouts for n in self.nodes)
-
-    @property
-    def total_reexecuted_tuples(self) -> int:
-        return sum(n.reexecuted_tuples for n in self.nodes)
-
-    @property
-    def crashed_nodes(self) -> list[int]:
-        return [n.node_id for n in self.nodes if n.crashed]
-
-    @property
     def total_mem_spill_bytes(self) -> int:
         return sum(n.mem_spill_bytes for n in self.nodes)
 
@@ -137,11 +114,6 @@ class ClusterMetrics:
             for rung, count in n.mem_ladder_rungs.items():
                 merged[rung] = merged.get(rung, 0) + count
         return merged
-
-    @property
-    def degraded_makespan(self) -> float:
-        """Finish time under faults (0.0 when the run was fault-free)."""
-        return max((n.degraded_makespan for n in self.nodes), default=0.0)
 
     @property
     def makespan(self) -> float:
@@ -168,11 +140,6 @@ class ClusterMetrics:
             "total_bytes_sent": self.total_bytes_sent,
             "total_groups_output": self.total_groups_output,
             "total_peak_table_entries": self.total_peak_table_entries,
-            "total_retries": self.total_retries,
-            "total_timeouts": self.total_timeouts,
-            "total_reexecuted_tuples": self.total_reexecuted_tuples,
-            "crashed_nodes": self.crashed_nodes,
-            "degraded_makespan": self.degraded_makespan,
             "total_mem_spill_bytes": self.total_mem_spill_bytes,
             "total_mem_stall_seconds": self.total_mem_stall_seconds,
             "max_mem_high_water_bytes": self.max_mem_high_water_bytes,
@@ -195,12 +162,6 @@ class ClusterMetrics:
                     "finish_time": n.finish_time,
                     "tuples_scanned": n.tuples_scanned,
                     "groups_output": n.groups_output,
-                    "retries": n.retries,
-                    "timeouts": n.timeouts,
-                    "duplicates_dropped": n.duplicates_dropped,
-                    "reexecuted_tuples": n.reexecuted_tuples,
-                    "degraded_makespan": n.degraded_makespan,
-                    "crashed": n.crashed,
                     "mem_high_water_bytes": n.mem_high_water_bytes,
                     "mem_spill_bytes": n.mem_spill_bytes,
                     "mem_stall_seconds": n.mem_stall_seconds,

@@ -135,8 +135,7 @@ class NodeContext:
         A no-op (zero overhead beyond the generator frame) when the run
         is untraced.  Works inside node programs because ``__enter__``
         and ``__exit__`` execute synchronously at the node's current
-        simulated clock — including during ``gen.close()`` on a crash,
-        which closes the span at the crash time.
+        simulated clock.
         """
         engine = self.engine
         tracer = None if engine is None else engine.tracer
@@ -158,7 +157,7 @@ class NodeContext:
             self.engine.record_memory(self.node_id, table_entries)
 
     def record_scanned(self, tuples: int) -> None:
-        """Count fragment tuples scanned (also arms K-tuple crash faults)."""
+        """Count fragment tuples scanned (the ``tuples_scanned`` metric)."""
         if self.engine is not None:
             self.engine.record_scanned(self.node_id, tuples)
 

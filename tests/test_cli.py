@@ -103,16 +103,17 @@ class TestRun:
 
 
 class TestRunFaults:
-    def test_sim_substrate_accepts_fault_plan(self):
+    def test_sim_substrate_refuses_fault_plan(self):
+        """The simulated cluster never fails: a valid plan is parsed,
+        then refused by name rather than silently ignored."""
         code, text = run_cli(
             "run",
             "--algorithm", "two_phase",
             "--tuples", "2000", "--groups", "50", "--nodes", "4",
-            "--faults", "seed=42,kill=2@250,slow=1x2.0,loss=0.1",
-            "--verify",
+            "--faults", "seed=42,kill=2,slow=1x2.0,loss=0.1",
         )
-        assert code == 0
-        assert "verified against reference: OK" in text
+        assert code == 2
+        assert "needs --substrate mp" in text
 
     def test_algorithm_defaults_to_adaptive(self):
         code, text = run_cli(
@@ -137,6 +138,104 @@ class TestRunFaults:
         )
         assert code == 2
         assert fragment in text
+
+    @pytest.mark.parametrize(
+        "spec, fragment",
+        [
+            ("seed=1,kill=1@50", "kill=N@T is gone"),
+            ("seed=1,dup=0.1", "dup= (message duplication) is gone"),
+            ("seed=1,kill=-1", "fragment index >= 0"),
+            ("slow=-1x2.0", "fragment index >= 0"),
+            ("stall=-2x0.5", "fragment index >= 0"),
+        ],
+    )
+    @pytest.mark.parametrize("substrate", ["sim", "mp"])
+    def test_retired_and_negative_targets_rejected(
+        self, substrate, spec, fragment
+    ):
+        code, text = run_cli(
+            "run", "--substrate", substrate, "--tuples", "400",
+            "--nodes", "4", "--faults", spec,
+        )
+        assert code == 2
+        assert fragment in text
+
+    @pytest.mark.parametrize(
+        "spec", ["seed=1,kill=9", "seed=1,kill=4", "slow=4x2.0",
+                 "stall=7x0.5"],
+    )
+    def test_mp_plan_beyond_the_fragments_rejected(self, spec):
+        """A plan naming no real fragment used to inject nothing and
+        exit 0."""
+        code, text = run_cli(
+            "run", "--substrate", "mp", "--processes", "1",
+            "--tuples", "400", "--nodes", "4", "--faults", spec,
+            "--verify",
+        )
+        assert code == 2
+        assert "but the relation has 4" in text
+        assert "injected=" not in text
+
+
+class TestWorkloadSizes:
+    """Every size the generators cannot build is a usage error (exit 2,
+    one line), never a traceback."""
+
+    @pytest.mark.parametrize("substrate", ["sim", "mp"])
+    @pytest.mark.parametrize("nodes", range(1, 9))
+    @pytest.mark.parametrize(
+        "workload", ["uniform", "zipf", "output-skew", "input-skew"]
+    )
+    def test_every_workload_and_node_count(self, workload, nodes,
+                                           substrate):
+        code, text = run_cli(
+            "run", "--workload", workload, "--nodes", str(nodes),
+            "--substrate", substrate, "--processes", "1",
+            "--tuples", "400", "--groups", "20",
+        )
+        assert "Traceback" not in text
+        if workload == "output-skew" and nodes == 1:
+            # Output skew needs a node beyond its single-group ones.
+            assert code == 2
+            assert text.startswith("error: cannot build")
+        else:
+            assert code == 0, text
+
+    @pytest.mark.parametrize("nodes", [5, 8])
+    def test_output_skew_builds_what_it_built_before(self, nodes):
+        """Where output-skew built before, it builds the same relation:
+        the generator's default four single-group nodes."""
+        from repro.cli import _build_workload, build_parser
+        from repro.workloads.skew import generate_output_skew
+
+        args = build_parser().parse_args([
+            "run", "--workload", "output-skew", "--nodes", str(nodes),
+            "--tuples", "600", "--groups", "30",
+        ])
+        want = generate_output_skew(600, 30, num_nodes=nodes, seed=0)
+        got = _build_workload(args)
+        assert [f.relation.rows for f in got.fragments] == [
+            f.relation.rows for f in want.fragments
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--tuples", "0"),
+            ("--groups", "0"),
+            ("--nodes", "0"),
+            ("--groups", "5000", "--tuples", "100"),
+            ("--workload", "output-skew", "--nodes", "1"),
+        ],
+        ids=["tuples0", "groups0", "nodes0", "groups-over-tuples",
+             "output-skew-1-node"],
+    )
+    @pytest.mark.parametrize("substrate", ["sim", "mp"])
+    def test_bad_sizes_are_usage_errors(self, argv, substrate):
+        code, text = run_cli("run", "--substrate", substrate, *argv)
+        assert code == 2
+        assert text.startswith("error: cannot build")
+        assert "Traceback" not in text
 
 
 class TestVerifyComparesValues:

@@ -3,7 +3,7 @@
 Every scenario here injects faults into *real* worker processes —
 SIGKILL at dispatch, SIGSTOP/CONT limplock, per-row slowdown, injected
 exceptions, shm-segment loss — driven by the same seedable
-:class:`repro.sim.faults.FaultPlan` that drives the simulator.  The
+:class:`repro.parallel.mp_executor.faults.FaultPlan`.  The
 contract under test is brutal and simple: whatever the plan throws at
 the pool, the results must be *exactly equal* to the fault-free run and
 no stray ``/dev/shm`` segment may survive (none at all once the pool is
@@ -37,9 +37,14 @@ from repro.parallel import mp_executor
 from repro.parallel.mp_executor import pool as mp_pool
 from repro.parallel.mp_executor import resilience
 from repro.parallel.mp_executor import strategies as mp_strategies
+from repro.parallel.mp_executor.faults import (
+    CrashFault,
+    FaultPlan,
+    Straggler,
+    WorkerStall,
+)
 from repro.parallel.mp_executor.kernel import _local_phase
 from repro.parallel.mp_executor.pool import _get_shared_pool
-from repro.sim.faults import CrashFault, FaultPlan, Straggler, WorkerStall
 from repro.workloads.generator import generate_uniform
 
 from tests.conftest import (
@@ -126,14 +131,14 @@ def _napping_bucket(job):
 # shm-loss + kill on one fragment's every attempt; that is correct
 # behaviour but not what this matrix pins).
 PLANS = {
-    "kill": FaultPlan(seed=11, crashes=(CrashFault(1, at_time=0.01),)),
+    "kill": FaultPlan(seed=11, crashes=(CrashFault(1),)),
     "limplock": FaultPlan(seed=11, worker_stalls=(WorkerStall(0, 0.8),)),
     "slow": FaultPlan(seed=11, stragglers=(Straggler(2, 8.0),)),
     "error": FaultPlan(seed=4, read_error_rate=0.5),
     "shm_loss": FaultPlan(seed=1, message_loss=0.4),
     "everything": FaultPlan(
         seed=1,
-        crashes=(CrashFault(3, at_time=0.01),),
+        crashes=(CrashFault(3),),
         stragglers=(Straggler(2, 6.0),),
         worker_stalls=(WorkerStall(0, 0.6),),
         read_error_rate=0.3,

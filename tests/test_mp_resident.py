@@ -45,9 +45,9 @@ from repro.parallel import (
 )
 from repro.parallel.mp_executor import pool as pool_module
 from repro.parallel.mp_executor import wire
+from repro.parallel.mp_executor.faults import CrashFault, FaultPlan
 from repro.parallel.mp_executor.kernel import _local_phase
 from repro.parallel.mp_executor.wire import _resident
-from repro.sim.faults import CrashFault, FaultPlan
 from repro.sql import parse_query
 from repro.storage.columnblock import ColumnBlock
 from repro.storage.relation import BlockRelation, DistributedRelation
@@ -80,7 +80,7 @@ _QUERIES = {
 }
 _QUERIES = {name: parse_query(sql)[1] for name, sql in _QUERIES.items()}
 _STRATEGIES = ("pool", "global", "rep", "auto")
-_KILL = FaultPlan(seed=11, crashes=(CrashFault(1, at_time=0.01),))
+_KILL = FaultPlan(seed=11, crashes=(CrashFault(1),))
 
 
 def _relation(salt: int = 0, rows: int = 90, fragments: int = _FRAGMENTS):

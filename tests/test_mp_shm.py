@@ -39,9 +39,9 @@ from repro.parallel import (
     reference_aggregate,
 )
 from repro.parallel import mp_executor
+from repro.parallel.mp_executor.faults import FaultPlan, Straggler
 from repro.parallel.mp_executor.kernel import _local_phase
 from repro.parallel.mp_executor.pool import _get_shared_pool
-from repro.sim.faults import FaultPlan, Straggler
 from repro.storage.schema import Column, Schema
 from repro.storage.relation import DistributedRelation
 from repro.workloads.generator import generate_uniform

@@ -30,7 +30,6 @@ from repro.obs.decisions import (
     VERDICT_WRONG_COSTLY,
 )
 from repro.obs.schema import RUN_SCHEMA, read_artifact, write_artifact
-from repro.sim.faults import CrashFault, FaultPlan
 from repro.workloads.generator import generate_uniform, generate_zipf
 
 
@@ -104,25 +103,6 @@ class TestRecording:
         assert event.span_id in {
             span.span_id for span in tracer.spans
         }
-
-    def test_ledger_survives_fault_recovery(self, small_dist, sum_query):
-        ledger = DecisionLedger()
-        outcome = run_algorithm(
-            "adaptive_repartitioning", small_dist, sum_query,
-            faults=FaultPlan(
-                seed=5, crashes=(CrashFault(1, after_tuples=150),)
-            ),
-            ledger=ledger,
-        )
-        assert outcome.num_groups == 16
-        assert len(ledger) > 0
-        # Recovery renumbers surviving nodes; recorded ids must stay in
-        # the original cluster's id space and times must be monotone
-        # across attempts (never negative after the offset).
-        for event in ledger.events:
-            assert 0 <= event.node < small_dist.num_nodes
-            assert event.time >= 0.0
-
 
 class TestGroundTruthMetric:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)

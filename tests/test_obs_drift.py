@@ -18,7 +18,7 @@ from repro.obs import (
 from repro.obs.drift import DriftRecord, observed_family_seconds
 from repro.obs.schema import DRIFT_SCHEMA, validate_or_raise
 from repro.parallel import multiprocessing_aggregate
-from repro.sim.faults import FaultPlan
+from repro.resources import MemoryPolicy
 
 
 def _sim_report(dist, query, algorithm="two_phase", tracer=None, **overrides):
@@ -33,6 +33,11 @@ def _sim_report(dist, query, algorithm="two_phase", tracer=None, **overrides):
         algorithm, params, selectivity, outcome.metrics, tracer=tracer
     )
     return report, outcome
+
+
+# A mailbox budget this small stalls every producer: the run records
+# ``mem_stall`` time, which the 1995 model has no term for.
+_STALLING = MemoryPolicy(node_budget_bytes=10**9, mailbox_budget_bytes=64)
 
 
 class TestSimDrift:
@@ -57,20 +62,18 @@ class TestSimDrift:
         assert report.phase_seconds
         assert all(v >= 0 for v in report.phase_seconds.values())
 
-    def test_fault_retries_are_unmodeled(self, small_dist, sum_query):
-        report, _ = _sim_report(
-            small_dist, sum_query,
-            faults=FaultPlan(seed=3, read_error_rate=0.2),
+    def test_memory_stalls_are_unmodeled(self, small_dist, sum_query):
+        report, outcome = _sim_report(
+            small_dist, sum_query, memory=_STALLING
+        )
+        stalled = outcome.metrics.total_mem_stall_seconds
+        assert stalled > 0
+        # Degradation time must not pollute a family's error figure.
+        families = observed_family_seconds(outcome.metrics)
+        assert families["unmodeled"] == pytest.approx(
+            stalled / small_dist.num_nodes
         )
         assert report.unmodeled_seconds > 0
-        # Degradation time must not pollute a family's error figure.
-        families = observed_family_seconds(
-            run_algorithm(
-                "two_phase", small_dist, sum_query,
-                faults=FaultPlan(seed=3, read_error_rate=0.2),
-            ).metrics
-        )
-        assert families["unmodeled"] > 0
 
     def test_into_registry_publishes_gauges(self, small_dist, full_query):
         report, _ = _sim_report(small_dist, full_query)
@@ -129,8 +132,5 @@ class TestFormatting:
         assert "rel_error" in text
 
     def test_table_flags_unmodeled_time(self, small_dist, sum_query):
-        report, _ = _sim_report(
-            small_dist, sum_query,
-            faults=FaultPlan(seed=3, read_error_rate=0.2),
-        )
+        report, _ = _sim_report(small_dist, sum_query, memory=_STALLING)
         assert "unmodeled degradation time" in format_drift_table(report)

@@ -6,82 +6,10 @@ import functools
 
 import pytest
 
-from repro.costmodel.params import SystemParameters
 from repro.obs import MetricsRegistry, Tracer
 from repro.parallel import FragmentFailedError, multiprocessing_aggregate
 from repro.parallel.mp_executor.kernel import _local_phase
 from repro.resources import MemoryExceededError
-from repro.sim.engine import Engine, _NodeState
-from repro.sim.events import Compute
-from repro.sim.faults import FaultPlan, FaultSchedule
-from repro.sim.metrics import NodeMetrics
-
-
-# --- simulator crash teardown (Engine._crash) ---------------------------
-
-
-def _engine(tracer=None):
-    params = SystemParameters.paper_default().with_(num_nodes=1)
-    faults = FaultSchedule(FaultPlan(seed=0)).runtime([0])
-    return Engine(params, faults=faults, tracer=tracer)
-
-
-def _state(gen):
-    next(gen)  # advance to the first yield so close() runs the finally
-    return _NodeState(node_id=0, gen=gen, metrics=NodeMetrics(0))
-
-
-def _stubborn():
-    try:
-        yield Compute(1.0)
-    except GeneratorExit:
-        yield Compute(1.0)  # refusing to die -> plain RuntimeError
-
-
-def _typed_failure():
-    try:
-        yield Compute(1.0)
-    finally:
-        raise MemoryExceededError("table", 100, 200)
-
-
-def _runtime_subclass_failure():
-    class Custom(RuntimeError):
-        pass
-
-    try:
-        yield Compute(1.0)
-    finally:
-        raise Custom("boom")
-
-
-class TestCrashTeardown:
-    def test_shutdown_noise_is_swallowed_and_traced(self):
-        tracer = Tracer()
-        engine = _engine(tracer)
-        st = _state(_stubborn())
-        engine._crash(st, 1.0)  # must not raise
-        names = [i["name"] for i in tracer.instants]
-        assert "generator_close_ignored" in names
-        assert "node_crash" in names
-
-    def test_typed_error_reraised(self):
-        engine = _engine()
-        st = _state(_typed_failure())
-        with pytest.raises(MemoryExceededError):
-            engine._crash(st, 1.0)
-        # ... and recorded on the run trace before propagating.
-        kinds = [ev.what for ev in engine.trace]
-        assert "generator_close_error" in kinds
-
-    def test_runtime_error_subclass_reraised(self):
-        """Only *exact* RuntimeError is shutdown noise; subclasses are
-        real failures (the typed memory errors are RuntimeError
-        subclasses)."""
-        engine = _engine()
-        st = _state(_runtime_subclass_failure())
-        with pytest.raises(RuntimeError, match="boom"):
-            engine._crash(st, 1.0)
 
 
 # --- mp executor cause chains -------------------------------------------

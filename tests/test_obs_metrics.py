@@ -1,4 +1,4 @@
-"""MetricsRegistry semantics and the fault-accounting regressions."""
+"""MetricsRegistry semantics and the simulator adapter."""
 
 from __future__ import annotations
 
@@ -6,13 +6,9 @@ import json
 
 import pytest
 
-from repro.core.algorithms import ALGORITHM_BODIES, SimConfig
 from repro.core.runner import run_algorithm
-from repro.costmodel.params import SystemParameters
 from repro.obs import MetricsRegistry
 from repro.obs.metrics import Counter, Gauge, Histogram
-from repro.sim.faults import CrashFault, FaultPlan
-from repro.sim.recovery import run_resilient
 
 
 class TestHandles:
@@ -112,55 +108,3 @@ class TestClusterAdapter:
         busy = reg.histogram("sim.node_busy_seconds")
         assert busy.count == small_dist.num_nodes
 
-
-class TestFaultAccountingRegressions:
-    def test_io_retry_does_not_double_tag(self, small_dist, sum_query):
-        """Regression: a faulted read once charged its own tag twice.
-
-        The retried read's extra time belongs to ``fault_io_retry``
-        alone; every operator tag must match the fault-free run exactly,
-        and the wall-clock read time must grow by exactly the retry tag.
-        """
-        clean = run_algorithm("two_phase", small_dist, sum_query)
-        faulted = run_algorithm(
-            "two_phase", small_dist, sum_query,
-            faults=FaultPlan(seed=5, read_error_rate=0.4),
-        )
-        assert faulted.metrics.total_retries > 0
-        for node_c, node_f in zip(clean.metrics.nodes, faulted.metrics.nodes):
-            tags_f = dict(node_f.tagged_seconds)
-            retry = tags_f.pop("fault_io_retry", 0.0)
-            assert set(tags_f) == set(node_c.tagged_seconds)
-            for tag, seconds in node_c.tagged_seconds.items():
-                assert tags_f[tag] == pytest.approx(seconds), tag
-            assert node_f.io_read_seconds == pytest.approx(
-                node_c.io_read_seconds + retry
-            )
-
-    def test_recovery_fold_matches_attempt_metrics(
-        self, small_dist, sum_query
-    ):
-        """Per-attempt attribution sums exactly to the folded totals."""
-        body = ALGORITHM_BODIES["two_phase"]
-        bq = sum_query.bind(small_dist.schema)
-        cfg = SimConfig()
-        params = SystemParameters.paper_default().with_(
-            num_nodes=small_dist.num_nodes
-        )
-        plan = FaultPlan(seed=3, crashes=(CrashFault(2, after_tuples=120),))
-        run = run_resilient(
-            params,
-            small_dist.fragments,
-            plan,
-            lambda ctx, fragment: body(ctx, fragment, bq, cfg),
-        )
-        assert len(run.attempt_metrics) == 2
-        for field in ("tuples_scanned", "cpu_seconds", "io_read_seconds"):
-            per_node = [0.0] * small_dist.num_nodes
-            for node_ids, metrics in run.attempt_metrics:
-                for sim_index, nm in enumerate(metrics.nodes):
-                    per_node[node_ids[sim_index]] += getattr(nm, field)
-            for node_id, total in enumerate(per_node):
-                assert getattr(run.metrics.node(node_id), field) == (
-                    pytest.approx(total)
-                ), field

@@ -2,8 +2,7 @@
 
 The whole layer is opt-in; these tests pin the contract that a traced
 run and an untraced run of the same workload are *bit-identical* (rows
-and every metric), for every algorithm, with and without faults, and
-that the simulator and the real multiprocessing executor agree.
+and every metric), for every algorithm, and that the simulator and the real multiprocessing executor agree.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import pytest
 from repro.core.runner import ALGORITHMS, run_algorithm
 from repro.obs import DecisionLedger, MetricsRegistry, Tracer
 from repro.parallel import multiprocessing_aggregate
-from repro.sim.faults import CrashFault, FaultPlan, Straggler
 
 from tests.conftest import assert_rows_close
 
@@ -54,43 +52,6 @@ def test_ledger_and_tracer_together_bit_identical(small_dist, full_query):
         tracer=Tracer(), ledger=DecisionLedger(),
     )
     assert fingerprint(plain) == fingerprint(observed)
-
-
-def test_ledger_parity_under_faults(small_dist, sum_query):
-    def plan():
-        return FaultPlan(
-            seed=9,
-            crashes=(CrashFault(1, after_tuples=150),),
-            message_loss=0.05,
-        )
-
-    plain = run_algorithm(
-        "adaptive_two_phase", small_dist, sum_query, faults=plan()
-    )
-    observed = run_algorithm(
-        "adaptive_two_phase", small_dist, sum_query, faults=plan(),
-        ledger=DecisionLedger(),
-    )
-    assert fingerprint(plain) == fingerprint(observed)
-
-
-def test_tracing_parity_under_faults(small_dist, sum_query):
-    def plan():
-        return FaultPlan(
-            seed=9,
-            crashes=(CrashFault(1, after_tuples=150),),
-            stragglers=(Straggler(0, 1.5),),
-            message_loss=0.05,
-            read_error_rate=0.05,
-        )
-
-    plain = run_algorithm(
-        "two_phase", small_dist, sum_query, faults=plan()
-    )
-    traced = run_algorithm(
-        "two_phase", small_dist, sum_query, faults=plan(), tracer=Tracer()
-    )
-    assert fingerprint(plain) == fingerprint(traced)
 
 
 def test_mp_observability_does_not_change_rows(small_dist, sum_query):

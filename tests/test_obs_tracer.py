@@ -7,7 +7,6 @@ import pytest
 from repro.core.runner import run_algorithm
 from repro.obs import Tracer
 from repro.obs.tracer import NODE, OPERATOR, PHASE, QUERY, NullTracer
-from repro.sim.faults import CrashFault, FaultPlan
 
 
 def traced(algorithm, dist, query, **kw):
@@ -71,19 +70,6 @@ class TestSpanTree:
         tracer, _ = traced("adaptive_two_phase", small_dist, sum_query)
         assert tracer.open_spans() == []
 
-    def test_no_open_spans_after_crash_recovery(self, small_dist, sum_query):
-        tracer = Tracer()
-        plan = FaultPlan(seed=7, crashes=(CrashFault(2, after_tuples=120),))
-        run_algorithm(
-            "two_phase", small_dist, sum_query, faults=plan, tracer=tracer
-        )
-        assert tracer.open_spans() == []
-        # The crashed node's attempt leaves node_crash/crash_detected
-        # instants on the shared timeline.
-        names = {i["name"] for i in tracer.instants}
-        assert "node_crash" in names
-        assert "crash_detected" in names
-
     def test_operator_spans_toggle(self, small_dist, sum_query):
         with_ops, _ = traced("two_phase", small_dist, sum_query)
         without, _ = traced(
@@ -95,50 +81,6 @@ class TestSpanTree:
         assert len(without.spans_by_cat(PHASE)) == len(
             with_ops.spans_by_cat(PHASE)
         )
-
-
-class TestTimeShifting:
-    def test_time_offset_shifts_records(self):
-        tracer = Tracer()
-        tracer.time_offset = 10.0
-        span = tracer.begin("a", track=0, t=1.0)
-        tracer.instant("tick", 0, 1.5)
-        tracer.end(span, 2.0)
-        assert span.start == pytest.approx(11.0)
-        assert span.end == pytest.approx(12.0)
-        assert tracer.instants[0]["time"] == pytest.approx(11.5)
-
-    def test_track_map_renumbers_at_record_time(self):
-        tracer = Tracer()
-        tracer.track_map = {0: 3, 1: 5}
-        span = tracer.begin("a", track=0, t=0.0)
-        tracer.complete("op", 1, 0.0, 1.0)
-        tracer.instant("tick", 0, 0.5)
-        tracer.end(span, 1.0)
-        assert span.track == 3
-        assert tracer.spans[-1].track == 5
-        assert tracer.instants[0]["track"] == 3
-        # The cluster track is never remapped.
-        q = tracer.begin("q", track=-1, t=0.0)
-        tracer.end(q, 1.0)
-        assert q.track == -1
-
-    def test_recovery_spans_land_on_original_tracks(
-        self, small_dist, sum_query
-    ):
-        tracer = Tracer()
-        plan = FaultPlan(seed=7, crashes=(CrashFault(2, after_tuples=120),))
-        run_algorithm(
-            "two_phase", small_dist, sum_query, faults=plan, tracer=tracer
-        )
-        tracks = {s.track for s in tracer.spans}
-        # Attempt 2 runs 3 sim nodes, but their spans must appear on the
-        # surviving *original* node ids — never above the cluster size.
-        assert tracks <= set(range(-1, small_dist.num_nodes))
-        queries = tracer.spans_by_cat(QUERY)
-        assert len(queries) == 2  # one span per attempt, one timeline
-        first, second = sorted(queries, key=lambda s: s.start)
-        assert second.start >= first.end
 
 
 class TestNullTracer:

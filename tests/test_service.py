@@ -46,6 +46,7 @@ from repro.parallel.mp_executor import (
     reset_pool_breaker,
     shutdown_worker_pool,
 )
+from repro.parallel.mp_executor.faults import CrashFault, FaultPlan
 from repro.resources import MemoryBudgetPool
 from repro.service import (
     AdmissionController,
@@ -65,7 +66,6 @@ from repro.service import (
     SVC_SHED,
 )
 from repro.service.http import create_server
-from repro.sim.faults import CrashFault, FaultPlan
 from repro.sql.parser import parse_query
 from repro.workloads.generator import generate_uniform
 
@@ -571,7 +571,7 @@ class TestQueryServicePool:
         correct, every refusal is typed, and drain leaves nothing."""
         dist = generate_uniform(num_tuples=1600, num_groups=40,
                                 num_nodes=4, seed=13)
-        plan = FaultPlan(seed=11, crashes=(CrashFault(1, at_time=0.005),))
+        plan = FaultPlan(seed=11, crashes=(CrashFault(1),))
         service = QueryService(ServiceConfig(
             max_concurrency=3, queue_depth=4, processes=2,
             default_timeout_seconds=120.0, faults=plan,

@@ -133,27 +133,6 @@ class TestBackpressureIsCharged:
         assert out.elapsed_seconds > base.elapsed_seconds
 
 
-class TestComposesWithFaults:
-    def test_crash_recovery_under_memory_pressure(self, dist, query,
-                                                  baseline):
-        """The ladder and the fault layer compose: a node crash mid-run
-        plus a tight budget still yields the exact answer, and the
-        takeover attempt is governed too."""
-        from repro.sim.faults import CrashFault, FaultPlan
-
-        budget = max(1, working_set_bytes(dist, query) // 10)
-        out = run_algorithm(
-            "two_phase", dist, query,
-            config=None,
-            faults=FaultPlan(crashes=(CrashFault(2, after_tuples=200),)),
-            memory=MemoryPolicy(node_budget_bytes=budget),
-        )
-        assert_rows_close(out.rows, baseline["two_phase"])
-        assert out.metrics.crashed_nodes == [2]
-        assert out.metrics.mem_ladder_rungs
-        assert out.metrics.max_mem_high_water_bytes > 0
-
-
 class TestBudgetProperty:
     @given(
         fraction=st.floats(min_value=0.02, max_value=1.0),
