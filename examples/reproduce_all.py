@@ -13,7 +13,7 @@ Run:  python examples/reproduce_all.py        (~2-4 minutes)
 import sys
 import time
 
-from repro.bench import figures, memory_pressure
+from repro.bench import figures
 from repro.bench.harness import format_table, write_results
 from repro.bench.plotting import render_chart
 
@@ -31,7 +31,6 @@ SIMULATED = [
     ("fig8", figures.figure8),
     ("fig9", figures.figure9),
     ("skew_input", figures.input_skew_study),
-    ("memory_pressure", memory_pressure.budget_sweep),
 ]
 
 

@@ -143,18 +143,45 @@ def _build_workload(args):
         ) from exc
 
 
-def _build_query(args) -> AggregateQuery:
+def _build_query(args, dist) -> AggregateQuery:
     aggs = args.agg or [AggregateSpec("sum", "val")]
-    return AggregateQuery(group_by=["gkey"], aggregates=aggs)
+    query = AggregateQuery(group_by=["gkey"], aggregates=aggs)
+    return _checked_columns(query, dist.schema, "bad --agg")
+
+
+def _checked_columns(query, schema, what: str):
+    """Resolve every column ``query`` names against ``schema`` before it
+    runs: an unknown one is a usage error, not a simulator or worker
+    traceback."""
+    try:
+        query.bind(schema)
+        if query.where is not None:
+            query.where.check_columns(schema.names())
+    except KeyError as exc:
+        raise CliError(f"{what}: {exc.args[0]}") from exc
+    except ValueError as exc:  # ParseError: an unknown WHERE column
+        raise CliError(f"{what}: {exc}") from exc
+    return query
+
+
+def _sim_params(dist, args):
+    """The simulator's parameters; a bad ``--table-entries`` is a usage
+    error."""
+    try:
+        return default_parameters(
+            dist,
+            network=_NETWORKS[args.network],
+            hash_table_entries=args.table_entries,
+        )
+    except ValueError as exc:
+        raise CliError(
+            f"bad --table-entries {args.table_entries}: {exc}"
+        ) from exc
 
 
 def _run_one(name, dist, query, args, out, record_timeline=False,
              ledger=None):
-    params = default_parameters(
-        dist,
-        network=_NETWORKS[args.network],
-        hash_table_entries=args.table_entries,
-    )
+    params = _sim_params(dist, args)
     outcome = run_algorithm(
         name,
         dist,
@@ -330,7 +357,7 @@ def _cmd_run_mp(args, out, faults) -> int:
     if faults is not None:
         _check_fault_targets(faults, args.nodes)
     dist = _build_workload(args)
-    query = _build_query(args)
+    query = _build_query(args, dist)
     metrics = MetricsRegistry()
     faults_log: list = []
     start = _time.monotonic()
@@ -401,7 +428,7 @@ def _cmd_run(args, out) -> int:
             "--substrate mp (the simulator reports simulated seconds)"
         )
     dist = _build_workload(args)
-    query = _build_query(args)
+    query = _build_query(args, dist)
     ledger = None
     if args.save_run:
         from repro.obs.decisions import DecisionLedger
@@ -416,11 +443,7 @@ def _cmd_run(args, out) -> int:
         from repro.obs.decisions import run_artifact
         from repro.obs.schema import RUN_SCHEMA, write_artifact
 
-        params = default_parameters(
-            dist,
-            network=_NETWORKS[args.network],
-            hash_table_entries=args.table_entries,
-        )
+        params = _sim_params(dist, args)
         doc = run_artifact(
             args.algorithm, outcome, ledger, params,
             workload=_workload_dict(args),
@@ -451,12 +474,8 @@ def _cmd_trace(args, out) -> int:
     from repro.obs.export import write_chrome_trace, write_jsonl
 
     dist = _build_workload(args)
-    query = _build_query(args)
-    params = default_parameters(
-        dist,
-        network=_NETWORKS[args.network],
-        hash_table_entries=args.table_entries,
-    )
+    query = _build_query(args, dist)
+    params = _sim_params(dist, args)
     tracer = Tracer(operator_spans=not args.no_operator_spans)
     outcome = run_algorithm(
         args.algorithm,
@@ -535,12 +554,8 @@ def _cmd_explain(args, out) -> int:
     from repro.costmodel import MODEL_FUNCTIONS
 
     dist = _build_workload(args)
-    query = _build_query(args)
-    params = default_parameters(
-        dist,
-        network=_NETWORKS[args.network],
-        hash_table_entries=args.table_entries,
-    )
+    query = _build_query(args, dist)
+    params = _sim_params(dist, args)
     ledger = DecisionLedger()
     tracer = None
     if args.drift:
@@ -692,7 +707,7 @@ def _cmd_bench_baseline(args, out) -> int:
 
 def _cmd_compare(args, out) -> int:
     dist = _build_workload(args)
-    query = _build_query(args)
+    query = _build_query(args, dist)
     print(
         f"{len(dist)} tuples, {args.groups} groups, {dist.num_nodes} "
         f"nodes, {args.network} network",
@@ -732,12 +747,20 @@ def _cmd_params(args, out) -> int:
 
 
 def _cmd_plan(args, out) -> int:
-    params = SystemParameters.paper_default().with_(num_nodes=args.nodes)
-    choice = choose_plan(
-        params,
-        estimated_groups=args.groups_estimate,
-        expect_duplicate_elimination=args.duplicate_elimination,
-    )
+    try:
+        params = SystemParameters.paper_default().with_(
+            num_nodes=args.nodes
+        )
+        choice = choose_plan(
+            params,
+            estimated_groups=args.groups_estimate,
+            expect_duplicate_elimination=args.duplicate_elimination,
+        )
+    except ValueError as exc:
+        raise CliError(
+            f"bad plan request (--nodes {args.nodes} --groups-estimate "
+            f"{args.groups_estimate}): {exc}"
+        ) from exc
     print(f"algorithm: {choice.algorithm}", file=out)
     print(f"rationale: {choice.rationale}", file=out)
     if choice.estimated_seconds is not None:
@@ -1064,12 +1087,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_sql(args, out) -> int:
     from repro.sql import run_sql
+    from repro.sql.parser import ParseError, parse_query
     from repro.storage.io import load_distributed
 
     if args.data_dir:
         dist = load_distributed(args.data_dir)
     else:
         dist = _build_workload(args)
+    try:
+        _table, query = parse_query(args.query)
+    except ParseError as exc:
+        raise CliError(f"bad SQL: {exc}") from exc
+    _checked_columns(query, dist.schema, "bad SQL")
     if args.substrate == "mp":
         return _cmd_sql_mp(args, out, dist, run_sql)
     if args.timeout is not None:
@@ -1077,11 +1106,7 @@ def _cmd_sql(args, out) -> int:
             "--timeout is the real executor's deadline; it needs "
             "--substrate mp (the simulator reports simulated seconds)"
         )
-    params = default_parameters(
-        dist,
-        network=_NETWORKS[args.network],
-        hash_table_entries=args.table_entries,
-    )
+    params = _sim_params(dist, args)
     outcome = run_sql(
         args.query, dist, algorithm=args.algorithm, params=params
     )
@@ -1103,7 +1128,6 @@ def _cmd_sql_mp(args, out, dist, run_sql) -> int:
     import time as _time
 
     from repro.parallel import DeadlineExceededError
-    from repro.sql.parser import ParseError
 
     start = _time.monotonic()
     deadline = None
@@ -1122,8 +1146,6 @@ def _cmd_sql_mp(args, out, dist, run_sql) -> int:
             f"{args.timeout}s) or shrink the workload",
             exit_code=EXIT_DEADLINE_MISS,
         ) from exc
-    except ParseError as exc:
-        raise CliError(f"bad SQL: {exc}") from exc
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     elapsed = _time.monotonic() - start
@@ -1345,18 +1367,27 @@ def _cmd_top(args, out) -> int:
 def _cmd_scale(args, out) -> int:
     from repro.bench import scaling
 
-    if args.mode == "scaleup":
-        result = scaling.sim_scaleup(
-            tuples_per_node=args.tuples_per_node,
-            selectivity=args.selectivity,
-            seed=args.seed,
+    try:
+        if args.mode == "scaleup":
+            result = scaling.sim_scaleup(
+                tuples_per_node=args.tuples_per_node,
+                selectivity=args.selectivity,
+                seed=args.seed,
+            )
+        else:
+            result = scaling.sim_speedup(
+                num_tuples=args.tuples,
+                num_groups=args.groups,
+                seed=args.seed,
+            )
+    except ValueError as exc:
+        sizes = (
+            f"--tuples-per-node {args.tuples_per_node} --selectivity "
+            f"{args.selectivity}"
+            if args.mode == "scaleup"
+            else f"--tuples {args.tuples} --groups {args.groups}"
         )
-    else:
-        result = scaling.sim_speedup(
-            num_tuples=args.tuples,
-            num_groups=args.groups,
-            seed=args.seed,
-        )
+        raise CliError(f"bad {args.mode} sizes ({sizes}): {exc}") from exc
     print(format_table(result), file=out)
     return 0
 

@@ -52,9 +52,7 @@ def adaptive_repartitioning_body(
     switch_groups = _switch_groups(ctx, cfg)
     init_seg = _init_seg(ctx, cfg, switch_groups)
     dst_of = merge_destination(ctx)
-    raw_chan = BlockedChannel(
-        ctx, RAW, raw_item_bytes(bq), operator="repart_buffer"
-    )
+    raw_chan = BlockedChannel(ctx, RAW, raw_item_bytes(bq))
 
     seen_keys: set = set()
     tuples_seen = 0

@@ -30,7 +30,6 @@ from repro.core.algorithms.base import (
 )
 from repro.core.hashtable import BoundedAggregateHashTable
 from repro.core.query import BoundQuery
-from repro.resources.governor import RUNG_SWITCH
 from repro.sim.node import BlockedChannel, NodeContext
 from repro.storage.relation import Fragment
 
@@ -54,23 +53,12 @@ def adaptive_scan(
     already consumed part of the input.
     """
     if table is None:
-        max_entries = ctx.params.hash_table_entries
-        account = None
-        if ctx.memory is not None:
-            # Governed: budget pressure reads as a full table, so the
-            # paper's switch trigger fires from the same code path.
-            account = ctx.memory.open("local_table")
-            max_entries = ctx.memory.cap_entries(max_entries)
         table = BoundedAggregateHashTable(
-            max_entries,
+            ctx.params.hash_table_entries,
             make_state_factory(bq.query.aggregates),
-            account=account,
-            entry_bytes=raw_item_bytes(bq),
         )
     dst_of = merge_destination(ctx)
-    raw_chan = BlockedChannel(
-        ctx, RAW, raw_item_bytes(bq), operator="repart_buffer"
-    )
+    raw_chan = BlockedChannel(ctx, RAW, raw_item_bytes(bq))
     mode = TWO_PHASE_MODE
 
     pages = scan_pages(ctx, fragment, cfg.pipeline)
@@ -99,16 +87,9 @@ def adaptive_scan(
                     continue
                 # Memory full and the key is new: switch, flush, go raw.
                 mode = REPARTITION_MODE
-                if ctx.memory is not None:
-                    ctx.memory.note_rung(RUNG_SWITCH)
                 ctx.decision(
                     "switch_to_repartitioning",
-                    ledger_only={
-                        "table_capacity": table.max_entries,
-                        "memory_rung": (
-                            RUNG_SWITCH if ctx.memory is not None else None
-                        ),
-                    },
+                    ledger_only={"table_capacity": table.max_entries},
                     tuples_seen=aggregated + forwarded,
                     groups_accumulated=len(table),
                 )

@@ -18,7 +18,6 @@ from repro.core.aggregates import make_state_factory
 from repro.core.hashtable import HashAggregator
 from repro.core.query import BoundQuery
 from repro.core.sortagg import SortAggregator
-from repro.resources.governor import MemoryPolicy
 from repro.sim.node import BlockedChannel, NodeContext
 from repro.storage.hashing import bucket_of
 from repro.storage.relation import Fragment
@@ -64,14 +63,6 @@ class SimConfig:
         group-count figure: "lower_bound" (the paper's choice — safe,
         never overestimates), "chao1" or "jackknife" (species
         estimators that correct for unseen groups).
-    memory:
-        A :class:`~repro.resources.MemoryPolicy` putting every node
-        under a byte budget enforced by the memory governor: hash/sort
-        tables, repartition buffers and mailboxes charge a per-node
-        ledger, and pressure walks the degradation ladder
-        (backpressure → spill → algorithm switch; see docs/memory.md).
-        ``None`` (the default) keeps runs bit-identical to ungoverned
-        behavior.
     """
 
     pipeline: bool = False
@@ -83,7 +74,6 @@ class SimConfig:
     seed: int = 0
     local_method: str = "hash"
     estimator: str = "lower_bound"
-    memory: MemoryPolicy | None = None
 
     def __post_init__(self) -> None:
         if self.local_method not in ("hash", "sort"):
@@ -155,32 +145,15 @@ def make_aggregator(
     fanout: int,
     spill: SpillCharges,
     method: str = "hash",
-    ledger=None,
-    operator: str | None = None,
-    item_bytes: int = 0,
 ):
-    """The node's bounded aggregation engine (hash or sort).
-
-    With a governor ``ledger`` the engine opens an ``operator`` account,
-    its allocation is capped to what the node budget can hold
-    (``ledger.cap_entries``), and resident entries are charged at
-    ``item_bytes`` each; without one, behavior is unchanged.
-    """
+    """The node's bounded aggregation engine (hash or sort)."""
     factory = make_state_factory(bq.query.aggregates)
-    account = None
-    if ledger is not None:
-        if item_bytes <= 0:
-            item_bytes = ledger.policy.entry_bytes
-        account = ledger.open(operator or "agg_table")
-        max_entries = ledger.cap_entries(max_entries)
     if method == "sort":
         return SortAggregator(
             factory,
             max_entries,
             on_spill_write=spill.on_write,
             on_spill_read=spill.on_read,
-            account=account,
-            entry_bytes=item_bytes,
         )
     return HashAggregator(
         factory,
@@ -188,8 +161,6 @@ def make_aggregator(
         fanout=fanout,
         on_spill_write=spill.on_write,
         on_spill_read=spill.on_read,
-        account=account,
-        entry_bytes=item_bytes,
     )
 
 
@@ -213,9 +184,7 @@ def flush_partials(ctx: NodeContext, bq: BoundQuery, items, dst_of):
     ``items`` is an iterable of (key, GroupState); ``dst_of(key)`` picks
     the destination node.  A generator: yields the cost/send requests.
     """
-    chan = BlockedChannel(
-        ctx, PARTIALS, partial_item_bytes(bq), operator="partials_buffer"
-    )
+    chan = BlockedChannel(ctx, PARTIALS, partial_item_bytes(bq))
     count = 0
     for key, state in items:
         count += 1
@@ -261,9 +230,6 @@ def merge_phase(
             cfg.fanout,
             spill,
             method=cfg.local_method,
-            ledger=ctx.memory,
-            operator="merge_table",
-            item_bytes=partial_item_bytes(bq),
         )
     )
     eofs = 0

@@ -35,21 +35,12 @@ def optimized_two_phase_body(
     ctx: NodeContext, fragment: Fragment, bq: BoundQuery, cfg: SimConfig
 ):
     """One node's optimized-2P run; returns its result rows."""
-    max_entries = ctx.params.hash_table_entries
-    account = None
-    if ctx.memory is not None:
-        account = ctx.memory.open("local_table")
-        max_entries = ctx.memory.cap_entries(max_entries)
     table = BoundedAggregateHashTable(
-        max_entries,
+        ctx.params.hash_table_entries,
         make_state_factory(bq.query.aggregates),
-        account=account,
-        entry_bytes=raw_item_bytes(bq),
     )
     dst_of = merge_destination(ctx)
-    raw_chan = BlockedChannel(
-        ctx, RAW, raw_item_bytes(bq), operator="repart_buffer"
-    )
+    raw_chan = BlockedChannel(ctx, RAW, raw_item_bytes(bq))
     forwarded_total = 0
 
     with ctx.phase("local_aggregation"):

@@ -31,9 +31,7 @@ def repartition_scan(
 ):
     """Scan the fragment and forward every matching tuple to its merger."""
     dst_of = merge_destination(ctx)
-    chan = BlockedChannel(
-        ctx, RAW, raw_item_bytes(bq), operator="repart_buffer"
-    )
+    chan = BlockedChannel(ctx, RAW, raw_item_bytes(bq))
     for page_rows, io in scan_pages(ctx, fragment, cfg.pipeline):
         if io is not None:
             yield io

@@ -35,36 +35,20 @@ from repro.core.algorithms.base import (
     scan_pages,
 )
 from repro.core.query import BoundQuery
-from repro.resources.governor import RUNG_BACKPRESSURE
 from repro.sim.node import BlockedChannel, NodeContext
 from repro.storage.relation import Fragment
 
 
 class LruAggregationTable:
-    """A bounded pre-aggregation table with least-recently-used eviction.
+    """A bounded pre-aggregation table with least-recently-used eviction."""
 
-    With a governor ``account``, resident entries are charged at
-    ``entry_bytes`` each; a denied charge evicts the LRU entry instead
-    of growing (``pressure_evictions``) — the streaming shape of the
-    ladder's backpressure rung: pressure pushes partials downstream.
-    """
-
-    def __init__(
-        self,
-        max_entries: int,
-        state_factory,
-        account=None,
-        entry_bytes: int = 0,
-    ) -> None:
+    def __init__(self, max_entries: int, state_factory) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
         self.max_entries = max_entries
         self._state_factory = state_factory
-        self._account = account
-        self._entry_bytes = entry_bytes
         self._table: OrderedDict = OrderedDict()
         self.evictions = 0
-        self.pressure_evictions = 0
         self.hits = 0
 
     def __len__(self) -> int:
@@ -82,18 +66,6 @@ class LruAggregationTable:
         if len(self._table) >= self.max_entries:
             evicted = self._table.popitem(last=False)  # LRU out
             self.evictions += 1
-        elif self._account is not None and not self._account.try_charge(
-            self._entry_bytes
-        ):
-            # Governor pressure with entries to spare: trade the LRU
-            # entry for the new one so resident bytes stay flat.
-            if self._table:
-                evicted = self._table.popitem(last=False)
-                self.evictions += 1
-                self.pressure_evictions += 1
-                self._account.ledger.note_rung(RUNG_BACKPRESSURE)
-            else:
-                self._account.charge(self._entry_bytes)
         state = self._state_factory()
         state.update(values)
         self._table[key] = state
@@ -102,8 +74,6 @@ class LruAggregationTable:
     def drain(self) -> list[tuple]:
         items = list(self._table.items())
         self._table.clear()
-        if self._account is not None:
-            self._account.release(len(items) * self._entry_bytes)
         return items
 
 
@@ -111,21 +81,12 @@ def streaming_pre_aggregation_body(
     ctx: NodeContext, fragment: Fragment, bq: BoundQuery, cfg: SimConfig
 ):
     """One node's streaming pre-aggregation run; returns its result rows."""
-    max_entries = ctx.params.hash_table_entries
-    account = None
-    if ctx.memory is not None:
-        account = ctx.memory.open("lru_table")
-        max_entries = ctx.memory.cap_entries(max_entries)
     table = LruAggregationTable(
-        max_entries,
+        ctx.params.hash_table_entries,
         make_state_factory(bq.query.aggregates),
-        account=account,
-        entry_bytes=partial_item_bytes(bq),
     )
     dst_of = merge_destination(ctx)
-    chan = BlockedChannel(
-        ctx, PARTIALS, partial_item_bytes(bq), operator="partials_buffer"
-    )
+    chan = BlockedChannel(ctx, PARTIALS, partial_item_bytes(bq))
 
     with ctx.phase("streaming_scan"):
         for page_rows, io in scan_pages(ctx, fragment, cfg.pipeline):

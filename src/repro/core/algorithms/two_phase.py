@@ -39,9 +39,6 @@ def local_aggregation_phase(
         cfg.fanout,
         spill,
         method=cfg.local_method,
-        ledger=ctx.memory,
-        operator="local_table",
-        item_bytes=raw_item_bytes(bq),
     )
     for page_rows, io in scan_pages(ctx, fragment, cfg.pipeline):
         if io is not None:

@@ -18,18 +18,11 @@ spilling.  :class:`HashAggregator` wraps it with the spool-and-recurse
 machinery for the phases that must complete locally regardless (e.g. the
 merge phase), and exposes spill hooks so the simulator can charge the
 intermediate I/O the cost model's ``(1 - M/(S·|R|))`` terms describe.
-
-Both classes optionally register with the memory governor
-(``repro.resources``): an :class:`~repro.resources.OperatorAccount` is
-charged per resident entry, a governor denial reads exactly like a full
-table (unifying the paper's adaptive trigger with budget pressure), and
-spilled bytes are reported up the ledger.  Without an account the
-behavior is bit-identical to the ungoverned code.
 """
 
 from __future__ import annotations
 
-from repro.resources.governor import RUNG_SPILL, SpillDepthExceededError
+from repro.resources.governor import SpillDepthExceededError
 from repro.storage.hashing import stable_hash
 
 _MAX_DEPTH = 32
@@ -40,36 +33,14 @@ class BoundedAggregateHashTable:
 
     ``add_values``/``add_partial`` return True when absorbed and False when
     the table is full and the key is new — the caller decides what overflow
-    means (spool, forward, or switch algorithms).  With a governor
-    ``account``, a denied byte charge for a new entry is reported as full
-    too (and counted in ``pressure_denials``), so budget pressure fires
-    the same adaptive triggers a full table does.
+    means (spool, forward, or switch algorithms).
     """
 
-    def __init__(
-        self,
-        max_entries: int,
-        state_factory,
-        account=None,
-        entry_bytes: int = 0,
-    ) -> None:
+    def __init__(self, max_entries: int, state_factory) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be at least 1")
         self.max_entries = max_entries
         self._state_factory = state_factory
-        self._account = account
-        self._entry_bytes = entry_bytes
-        # The progress floor: below this many resident entries, a denied
-        # budget charge is forced through instead of reported as "full".
-        # Without it a starved budget admits nothing, and overflow
-        # recursion (which re-aggregates through fresh tables) could
-        # never shrink its working set.
-        self._min_entries = 0
-        if account is not None:
-            self._min_entries = min(
-                max_entries, account.ledger.policy.min_table_entries
-            )
-        self.pressure_denials = 0
         self._table: dict = {}
 
     def __len__(self) -> int:
@@ -82,25 +53,11 @@ class BoundedAggregateHashTable:
     def is_full(self) -> bool:
         return len(self._table) >= self.max_entries
 
-    def _admit(self) -> bool:
-        """Room (entries and budget) for one more group?"""
-        if self.is_full:
-            return False
-        if self._account is not None and not self._account.try_charge(
-            self._entry_bytes
-        ):
-            if len(self._table) < self._min_entries:
-                self._account.charge(self._entry_bytes)
-                return True
-            self.pressure_denials += 1
-            return False
-        return True
-
     def add_values(self, key, values) -> bool:
         """Absorb one raw tuple's aggregate inputs for ``key``."""
         state = self._table.get(key)
         if state is None:
-            if not self._admit():
+            if self.is_full:
                 return False
             state = self._state_factory()
             self._table[key] = state
@@ -111,7 +68,7 @@ class BoundedAggregateHashTable:
         """Merge a partial GroupState for ``key`` (Section 3.2 mixed input)."""
         state = self._table.get(key)
         if state is None:
-            if not self._admit():
+            if self.is_full:
                 return False
             self._table[key] = partial.copy()
             return True
@@ -124,8 +81,6 @@ class BoundedAggregateHashTable:
     def drain(self) -> dict:
         """Remove and return all entries (used when a node flushes on switch)."""
         table, self._table = self._table, {}
-        if self._account is not None:
-            self._account.release(len(table) * self._entry_bytes)
         return table
 
 
@@ -144,11 +99,6 @@ class HashAggregator:
         Optional callbacks ``(num_items) -> None`` fired when items are
         spooled to / read back from an overflow bucket, so callers can
         charge simulated I/O.
-    account / entry_bytes / spill_item_bytes:
-        Governor registration: resident entries are charged to the
-        operator account at ``entry_bytes`` each, and spilled items are
-        reported to the node ledger at ``spill_item_bytes`` each
-        (``entry_bytes`` when unset).  ``None`` account = ungoverned.
     max_depth:
         Overflow recursion limit.  A bucket that still spills past this
         depth raises :class:`~repro.resources.SpillDepthExceededError`
@@ -163,9 +113,6 @@ class HashAggregator:
         on_spill_write=None,
         on_spill_read=None,
         spill_store=None,
-        account=None,
-        entry_bytes: int = 0,
-        spill_item_bytes: int = 0,
         max_depth: int = _MAX_DEPTH,
         _depth: int = 0,
     ) -> None:
@@ -182,22 +129,12 @@ class HashAggregator:
 
             spill_store = MemorySpillStore()
         self._store = spill_store
-        self._account = account
-        self._entry_bytes = entry_bytes
-        self._spill_item_bytes = spill_item_bytes or entry_bytes
         self._max_depth = max_depth
         self._depth = _depth
-        self._table = BoundedAggregateHashTable(
-            max_entries,
-            state_factory,
-            account=account,
-            entry_bytes=entry_bytes,
-        )
-        # Once anything has spilled, new keys must keep spilling even if
-        # budget frees up later — otherwise a key could land both in the
-        # table and in a bucket and be emitted twice.  (Ungoverned runs
-        # have this property for free: a full table stays full.)
-        self._sealed = False
+        # Once anything has spilled the table is full, and it stays full
+        # until ``finish`` — so a key never lands both in the table and in
+        # a bucket.
+        self._table = BoundedAggregateHashTable(max_entries, state_factory)
         self.spilled_items = 0
         self.overflow_passes = 0
 
@@ -237,35 +174,26 @@ class HashAggregator:
                 total_spilled_items=self.spilled_items + 1,
                 max_entries=self._table.max_entries,
             )
-        if self._account is not None:
-            if self.spilled_items == 0:
-                self._account.ledger.note_rung(RUNG_SPILL)
-            self._account.ledger.note_spill(self._spill_item_bytes)
         self._store.append(bucket, item)
-        self._sealed = True
         self.spilled_items += 1
         if self._on_spill_write is not None:
             self._on_spill_write(1)
 
     def add_values(self, key, values) -> None:
-        if self._sealed and key not in self._table:
-            self._spill(("v", key, values))
-        elif not self._table.add_values(key, values):
+        if not self._table.add_values(key, values):
             self._spill(("v", key, values))
 
     def add_partial(self, key, partial) -> None:
-        if self._sealed and key not in self._table:
-            self._spill(("p", key, partial))
-        elif not self._table.add_partial(key, partial):
+        if not self._table.add_partial(key, partial):
             self._spill(("p", key, partial))
 
     # -- batch entry points --------------------------------------------------
     #
     # The batch paths absorb whole row batches with the per-row dispatch
-    # hoisted out: resident-key updates and ungoverned not-full inserts run
-    # inline; anything that could seal, spill, or touch the governor
-    # delegates to the per-item methods above, so sealed/spill/budget
-    # semantics (and therefore results) are exactly the per-row path's.
+    # hoisted out: resident-key updates and not-full inserts run inline;
+    # a new key on a full table delegates to the per-item methods above,
+    # so spill semantics (and therefore results) are exactly the per-row
+    # path's.
 
     def _absorb_kv(self, pairs) -> None:
         bounded = self._table
@@ -273,13 +201,12 @@ class HashAggregator:
         get = table.get
         factory = self._state_factory
         slow_add = self.add_values
-        fast = bounded._account is None
         max_entries = bounded.max_entries
         for key, values in pairs:
             state = get(key)
             if state is not None:
                 state.update(values)
-            elif fast and not self._sealed and len(table) < max_entries:
+            elif len(table) < max_entries:
                 state = factory()
                 table[key] = state
                 state.update(values)
@@ -314,13 +241,12 @@ class HashAggregator:
         table = bounded._table
         get = table.get
         slow_add = self.add_partial
-        fast = bounded._account is None
         max_entries = bounded.max_entries
         for key, partial in items:
             state = get(key)
             if state is not None:
                 state.merge(partial)
-            elif fast and not self._sealed and len(table) < max_entries:
+            elif len(table) < max_entries:
                 table[key] = partial.copy()
             else:
                 slow_add(key, partial)
@@ -346,9 +272,6 @@ class HashAggregator:
                 on_spill_write=self._on_spill_write,
                 on_spill_read=self._on_spill_read,
                 spill_store=self._store.child(),
-                account=self._account,
-                entry_bytes=self._entry_bytes,
-                spill_item_bytes=self._spill_item_bytes,
                 max_depth=self._max_depth,
                 _depth=self._depth + 1,
             )

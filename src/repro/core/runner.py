@@ -153,7 +153,6 @@ def run_algorithm(
         (make_factory(frag) for frag in dist.fragments),
         record_timeline=record_timeline,
         node_speed_factors=node_speed_factors,
-        memory=config.memory,
         tracer=tracer,
         ledger=ledger,
     )

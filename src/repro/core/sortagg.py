@@ -11,19 +11,13 @@ accumulates at most ``max_entries`` items in memory, then emits a sorted
 *run*; runs are spooled (charged through the same spill hooks) and merged
 at finish time.  Like the hash engine, equal keys met while a run is in
 memory are pre-aggregated immediately, so run length is bounded by
-distinct keys, not raw tuples.
-
-Like the hash engine, the sorter registers with the memory governor when
-given an operator ``account``: resident entries are charged per key, a
-denied charge forces an early run emission (the ladder's spill rung),
-and with a ``spill_store`` the emitted runs genuinely leave memory.
+distinct keys, not raw tuples.  With a ``spill_store`` the emitted
+runs genuinely leave memory.
 """
 
 from __future__ import annotations
 
 import heapq
-
-from repro.resources.governor import RUNG_SPILL
 
 
 class SortAggregator:
@@ -36,9 +30,7 @@ class SortAggregator:
     Keys must be orderable (tuples of ints/strs, as produced by
     BoundQuery.key_of, are).
 
-    ``account``/``entry_bytes``/``spill_item_bytes`` register the sorter
-    with the memory governor (see :mod:`repro.resources`); a
-    ``spill_store`` (same protocol as the hash aggregator's) holds the
+    A ``spill_store`` (same protocol as the hash aggregator's) holds the
     emitted runs out of core, one bucket per run.
     """
 
@@ -48,9 +40,6 @@ class SortAggregator:
         max_entries: int,
         on_spill_write=None,
         on_spill_read=None,
-        account=None,
-        entry_bytes: int = 0,
-        spill_item_bytes: int = 0,
         spill_store=None,
     ) -> None:
         if max_entries < 1:
@@ -59,16 +48,12 @@ class SortAggregator:
         self._max_entries = max_entries
         self._on_spill_write = on_spill_write
         self._on_spill_read = on_spill_read
-        self._account = account
-        self._entry_bytes = entry_bytes
-        self._spill_item_bytes = spill_item_bytes or entry_bytes
         self._store = spill_store
         self._current: dict = {}
         self._runs: list[list] = []
         self._run_lengths: list[int] = []
         self.spilled_items = 0
         self.run_count = 0
-        self.governed_runs = 0
 
     @property
     def max_entries(self) -> int:
@@ -97,30 +82,13 @@ class SortAggregator:
         self.spilled_items += len(run)
         if self._on_spill_write is not None:
             self._on_spill_write(len(run))
-        if self._account is not None:
-            self._account.release(len(run) * self._entry_bytes)
-            self._account.ledger.note_spill(
-                len(run) * self._spill_item_bytes
-            )
         self._current = {}
 
     def _absorb(self, key, state_or_values, is_partial: bool) -> None:
         state = self._current.get(key)
         if state is None:
-            governed = self._account is not None
             if len(self._current) >= self._max_entries:
                 self._emit_run()
-                if governed:
-                    self._account.charge(self._entry_bytes)
-            elif governed and not self._account.try_charge(
-                self._entry_bytes
-            ):
-                # Governor pressure with entries to spare: flush the run
-                # early (ladder rung 2) and force-take the freed bytes.
-                self.governed_runs += 1
-                self._account.ledger.note_rung(RUNG_SPILL)
-                self._emit_run()
-                self._account.charge(self._entry_bytes)
             state = self._state_factory()
             self._current[key] = state
         if is_partial:
@@ -137,20 +105,19 @@ class SortAggregator:
     # -- batch entry points --------------------------------------------------
     #
     # Same contract as HashAggregator's: resident-key updates and
-    # ungoverned not-full inserts run inline, everything else delegates to
+    # not-full inserts run inline, everything else delegates to
     # _absorb.  _absorb can emit a run, which REBINDS self._current, so the
     # local dict alias must be refreshed after every delegation.
 
     def _absorb_kv_batch(self, pairs, is_partial: bool) -> None:
         factory = self._state_factory
-        governed = self._account is not None
         max_entries = self._max_entries
         current = self._current
         get = current.get
         for key, item in pairs:
             state = get(key)
             if state is None:
-                if governed or len(current) >= max_entries:
+                if len(current) >= max_entries:
                     self._absorb(key, item, is_partial)
                     current = self._current
                     get = current.get
@@ -187,16 +154,11 @@ class SortAggregator:
         """Merge a batch of (key, GroupState) partials."""
         self._absorb_kv_batch(items, is_partial=True)
 
-    def _release_current(self) -> None:
-        if self._account is not None:
-            self._account.release(len(self._current) * self._entry_bytes)
-
     def finish(self):
         """Yield (key, state) in key order, merging all spooled runs."""
         if not self.run_count:
             # Common case: everything fit — one in-memory sort.
             items = sorted(self._current.items())
-            self._release_current()
             self._current = {}
             yield from items
             return

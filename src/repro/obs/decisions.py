@@ -10,7 +10,7 @@ this module records *why* the run took the shape it did:
     tracer — ``ledger=None`` keeps every run bit-identical) collecting
     one :class:`DecisionEvent` per adaptive choice.  Each event carries
     the node, the simulated time, the decision's inputs (estimate,
-    threshold, tuples seen, table fill, memory rung, ``initSeg``
+    threshold, tuples seen, table fill, ``initSeg``
     counts…) and, when a tracer is attached, the id of the span it was
     made inside.
 

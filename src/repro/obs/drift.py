@@ -32,10 +32,7 @@ from repro.costmodel import model_cost
 from repro.costmodel.report import FAMILIES, family_breakdown
 from repro.obs.schema import DRIFT_SCHEMA
 
-# Simulator time tags -> resource families.  Memory-governor stalls are
-# a degradation cost the 1995 model has no concept of; they are reported
-# separately as ``unmodeled`` rather than polluting a family's error
-# figure.
+# Simulator time tags -> resource families.
 _TAG_FAMILY = {
     "scan_io": "base_io",
     "store_io": "base_io",
@@ -44,7 +41,6 @@ _TAG_FAMILY = {
     "io_write": "base_io",
     "spill_io": "overflow_io",
 }
-_UNMODELED_TAGS = ("mem_stall",)
 
 
 def observed_family_seconds(metrics) -> dict[str, float]:
@@ -52,17 +48,13 @@ def observed_family_seconds(metrics) -> dict[str, float]:
 
     Every tagged second is assigned to exactly one family (CPU by
     default, matching :func:`repro.costmodel.report.classify_component`'s
-    fall-through), except the explicitly unmodeled degradation tags.
+    fall-through).
     """
     families = dict.fromkeys(FAMILIES, 0.0)
-    families["unmodeled"] = 0.0
     num_nodes = max(1, metrics.num_nodes)
     for node in metrics.nodes:
         for tag, seconds in node.tagged_seconds.items():
-            if tag in _UNMODELED_TAGS:
-                families["unmodeled"] += seconds
-            else:
-                families[_TAG_FAMILY.get(tag, "cpu")] += seconds
+            families[_TAG_FAMILY.get(tag, "cpu")] += seconds
     for family in families:
         families[family] /= num_nodes
     families["network"] = metrics.network_busy_seconds
@@ -116,7 +108,6 @@ class DriftReport:
     records: list[DriftRecord] = field(default_factory=list)
     predicted_total: float = 0.0
     observed_total: float = 0.0
-    unmodeled_seconds: float = 0.0
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -146,7 +137,6 @@ class DriftReport:
             "total_rel_error": (
                 None if total_rel == float("inf") else total_rel
             ),
-            "unmodeled_seconds": self.unmodeled_seconds,
             "phase_seconds": dict(sorted(self.phase_seconds.items())),
         }
 
@@ -197,7 +187,6 @@ def compare_model_to_run(
         records=records,
         predicted_total=sum(predicted.values()),
         observed_total=metrics.makespan,
-        unmodeled_seconds=observed.get("unmodeled", 0.0),
     )
     if tracer is not None:
         report.phase_seconds = dict(
@@ -270,11 +259,6 @@ def format_drift_table(report: DriftReport) -> str:
         lines.append(
             f"{record.family:<12} {record.predicted_seconds:>11.4f}s "
             f"{record.observed_seconds:>11.4f}s {rel_text:>10}"
-        )
-    if report.unmodeled_seconds:
-        lines.append(
-            f"unmodeled degradation time (memory stalls): "
-            f"{report.unmodeled_seconds:.4f}s"
         )
     if report.phase_seconds:
         lines.append("observed phase seconds:")

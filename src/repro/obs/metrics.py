@@ -2,8 +2,7 @@
 
 The simulator's :class:`~repro.sim.metrics.NodeMetrics` /
 :class:`~repro.sim.metrics.ClusterMetrics` are purpose-built dataclasses;
-the memory governor and the mp executor each grew their own counters
-on top.  ``MetricsRegistry`` is the unifying container:
+the mp executor grew its own counters on top.  ``MetricsRegistry`` is the unifying container:
 every number is a named :class:`Counter`, :class:`Gauge` or
 :class:`Histogram` handle, snapshots are JSON-serializable and sorted
 (deterministic), and ``merge`` defines *once* how per-attempt values fold
@@ -304,8 +303,8 @@ class MetricsRegistry:
     ) -> "MetricsRegistry":
         """Adapt a :class:`ClusterMetrics` into typed handles.
 
-        Every scattered counter family — timing, I/O, network, memory
-        governor — lands under one namespace, so two runs (or a
+        Every scattered counter family — timing, I/O, network, memory —
+        lands under one namespace, so two runs (or a
         simulated and a real one) compare handle-for-handle.
         """
         reg = cls()
@@ -315,27 +314,18 @@ class MetricsRegistry:
             metrics.network_busy_seconds
         )
         reg.counter(f"{prefix}.network_blocks").inc(metrics.network_blocks)
-        reg.gauge(f"{prefix}.mem_high_water_bytes", mode="max").set(
-            metrics.max_mem_high_water_bytes
-        )
         reg.gauge(f"{prefix}.peak_table_entries", mode="sum").set(
             metrics.total_peak_table_entries
         )
         counters = {
             "messages_sent": "total_messages",
             "bytes_sent": "total_bytes_sent",
-            "mem_spill_bytes": "total_mem_spill_bytes",
         }
         for short, attr in counters.items():
             reg.counter(f"{prefix}.{short}").inc(getattr(metrics, attr))
-        reg.gauge(f"{prefix}.mem_stall_seconds", mode="sum").set(
-            metrics.total_mem_stall_seconds
-        )
         spill_pages = reg.counter(f"{prefix}.spill_pages")
         busy = reg.histogram(f"{prefix}.node_busy_seconds")
         for node in metrics.nodes:
             spill_pages.inc(round(node.spill_pages))
             busy.observe(node.busy_seconds)
-        for rung, count in sorted(metrics.mem_ladder_rungs.items()):
-            reg.counter(f"{prefix}.ladder.{rung}").inc(count)
         return reg

@@ -314,10 +314,9 @@ def multiprocessing_aggregate(
     kernel on a block) under a ceiling of ``budget // entry_bytes``
     groups and raises :class:`~repro.resources.MemoryExceededError` on
     overrun, and each retry reruns the fragment per-row and out-of-core
-    at *half* the previous budget (rung 4 of the degradation ladder) —
-    so a fragment that fits costs what it costs ungoverned, and an
-    over-budget one completes exactly, just slower, instead of failing
-    the run.
+    at *half* the previous budget — so a fragment that fits costs what
+    it costs ungoverned, and an over-budget one completes exactly, just
+    slower, instead of failing the run.
     Mutually exclusive with ``phase_fn``; ``None`` leaves the executor
     byte-identical to ungoverned behavior.
 
@@ -399,7 +398,7 @@ def multiprocessing_aggregate(
         if memory_budget_bytes is not None:
             raise ValueError(
                 "memory_budget_bytes is not supported with strategy='rep' "
-                "(the budget ladder governs the two-phase local phase)"
+                "(the budget governs the two-phase local phase)"
             )
         if faults_active:
             raise ValueError(

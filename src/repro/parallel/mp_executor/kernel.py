@@ -102,7 +102,7 @@ def _local_phase(job, admit=None):
 
 
 class _GovernedPhase:
-    """Phase 1 under a byte budget — rung 4 of the degradation ladder
+    """Phase 1 under a byte budget
     (``multiprocessing_aggregate(memory_budget_bytes=)``).
 
     Picklable, so it crosses the worker-process boundary like any

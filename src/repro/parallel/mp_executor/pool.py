@@ -501,7 +501,7 @@ def _run_jobs_in_pool(fn_for, descriptors: list, runner: "_Runner",
     small descriptors; returns index -> result.
 
     ``fn_for(attempt)`` resolves the phase function for a given attempt
-    number — how the memory ladder swaps in a reduced-budget spill phase
+    number — how a memory budget swaps in a reduced-budget spill phase
     on retry.  A fragment has at most one attempt in flight.  A worker
     that raises, dies (closed pipe without a result), goes silent for
     ``HEARTBEAT_TIMEOUT`` or exceeds ``runner.timeout`` fails that
@@ -700,8 +700,8 @@ def _run_jobs_in_process(fn_for, jobs: list,
 
     Its own loop, because all it does is call the job here: failures
     are classified by exception type
-    (:class:`~repro.resources.MemoryExceededError` is the budget
-    ladder's trigger: the retry reruns with spilling) and the final
+    (:class:`~repro.resources.MemoryExceededError` is the budget's
+    trigger: the retry reruns with spilling) and the final
     :class:`FragmentFailedError` chains from the exception itself.
     The run deadline is checked between fragments and between attempts
     (a running fragment cannot preempt itself without a process).

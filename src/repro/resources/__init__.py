@@ -1,24 +1,14 @@
-"""Resource governance: the cluster-wide memory accounting tree.
+"""Memory budgets of the real executor and the service.
 
-See ``docs/memory.md`` for the governor, the budget knobs, and the
-four-rung graceful-degradation ladder.
+See ``docs/memory.md`` for the mp executor's per-fragment ceiling and
+spill retry, and the service's budget slices.
 """
 
 from repro.resources.governor import (
-    RUNG_BACKPRESSURE,
-    RUNG_NAMES,
-    RUNG_RETRY,
-    RUNG_SPILL,
-    RUNG_SWITCH,
     BudgetExhaustedError,
     BudgetLease,
     MemoryBudgetPool,
     MemoryExceededError,
-    MemoryGovernor,
-    MemoryPolicy,
-    NodeLedger,
-    OperatorAccount,
-    SpillCapacityError,
     SpillDepthExceededError,
 )
 
@@ -27,15 +17,5 @@ __all__ = [
     "BudgetLease",
     "MemoryBudgetPool",
     "MemoryExceededError",
-    "MemoryGovernor",
-    "MemoryPolicy",
-    "NodeLedger",
-    "OperatorAccount",
-    "RUNG_BACKPRESSURE",
-    "RUNG_NAMES",
-    "RUNG_RETRY",
-    "RUNG_SPILL",
-    "RUNG_SWITCH",
-    "SpillCapacityError",
     "SpillDepthExceededError",
 ]

@@ -1,7 +1,6 @@
 """The service's overload degradation ladder.
 
-Mirrors the memory governor's in-query ladder at admission scope: as
-instantaneous load (occupied capacity over total capacity) climbs, the
+As instantaneous load (occupied capacity over total capacity) climbs, the
 service sheds *quality of service* before it sheds *queries*:
 
 1. ``SVC_FULL`` — full per-query parallelism.

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.costmodel.params import SystemParameters
-from repro.resources.governor import MemoryGovernor
 from repro.sim.engine import Engine
 from repro.sim.events import TraceEvent
 from repro.sim.metrics import ClusterMetrics
@@ -45,7 +44,6 @@ class Cluster:
         program_factories,
         record_timeline: bool = False,
         node_speed_factors=None,
-        memory=None,
         tracer=None,
         ledger=None,
     ) -> RunResult:
@@ -56,28 +54,16 @@ class Cluster:
                 f"{self.params.num_nodes} nodes"
             )
         network = make_network(self.params)
-        governor = (
-            MemoryGovernor(memory, self.params.num_nodes)
-            if memory is not None
-            else None
-        )
         engine = Engine(
             self.params,
             network,
             record_timeline=record_timeline,
             node_speed_factors=node_speed_factors,
-            governor=governor,
             tracer=tracer,
             ledger=ledger,
         )
         contexts = [
-            NodeContext(
-                i,
-                self.params.num_nodes,
-                self.params,
-                engine,
-                memory=governor.node(i) if governor is not None else None,
-            )
+            NodeContext(i, self.params.num_nodes, self.params, engine)
             for i in range(self.params.num_nodes)
         ]
         generators = [

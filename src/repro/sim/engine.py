@@ -15,17 +15,6 @@ Zero-byte messages (control traffic such as ``end_of_phase`` and ``eof``)
 are free and arrive instantly — the paper piggy-backs them on data
 messages.  A send to the local node bypasses both the network and the
 protocol cost.
-
-Memory governance (``governor`` = a
-:class:`~repro.resources.MemoryGovernor`) registers each node's mailbox
-with the governor's accounting tree: in-flight message bytes are charged
-to the receiving node's ledger and released when the message is
-consumed.  A send into a mailbox already holding more than the policy's
-mailbox budget stalls the *producer* — the first rung of the
-degradation ladder — for ``stall_seconds`` per block, charged to the
-sender's clock (visible in the makespan) and recorded as
-``mem_stall_seconds``.  With ``governor=None`` every check
-short-circuits and runs are bit-identical to the ungoverned engine.
 """
 
 from __future__ import annotations
@@ -47,7 +36,6 @@ from repro.sim.events import (
 )
 from repro.obs.tracer import NODE as _CAT_NODE
 from repro.obs.tracer import QUERY as _CAT_QUERY
-from repro.resources.governor import RUNG_BACKPRESSURE, RUNG_NAMES
 from repro.sim.metrics import ClusterMetrics, NodeMetrics
 from repro.sim.network import make_network
 
@@ -96,7 +84,6 @@ class Engine:
         record_timeline: bool = False,
         max_events: int = 50_000_000,
         node_speed_factors=None,
-        governor=None,
         tracer=None,
         ledger=None,
     ) -> None:
@@ -109,16 +96,6 @@ class Engine:
         # Optional obs.DecisionLedger; None = unrecorded, and decision
         # sites degrade to plain trace events (bit-identical runs).
         self.ledger = ledger
-        # Optional MemoryGovernor (see repro.resources); None = ungoverned,
-        # and every memory check below short-circuits.
-        self.governor = governor
-        if governor is not None:
-            self._mailbox_accounts = [
-                governor.node(i).open("mailbox")
-                for i in range(params.num_nodes)
-            ]
-        else:
-            self._mailbox_accounts = []
         # A backstop against node programs that send/poll in an infinite
         # loop: far above any legitimate run, but finite.
         self.max_events = max_events
@@ -208,18 +185,6 @@ class Engine:
         return [st.result for st in self._nodes], self._collect_metrics()
 
     def _collect_metrics(self) -> ClusterMetrics:
-        if self.governor is not None:
-            # Fold the governor's ledgers into the per-node accounting so
-            # degraded runs are observable alongside the timing metrics.
-            for st in self._nodes:
-                ledger = self.governor.node(st.node_id)
-                st.metrics.mem_high_water_bytes = ledger.high_water
-                st.metrics.mem_spill_bytes = ledger.spill_bytes
-                st.metrics.mem_stall_seconds = ledger.stall_seconds
-                st.metrics.mem_ladder_rungs = {
-                    RUNG_NAMES[r]: c
-                    for r, c in sorted(ledger.ladder_rungs.items())
-                }
         return ClusterMetrics(
             nodes=[st.metrics for st in self._nodes],
             network_busy_seconds=self.network.busy_seconds,
@@ -240,7 +205,7 @@ class Engine:
 
         The trace event carries exactly ``detail`` (byte-identical to the
         pre-ledger ``ctx.log`` call); ``extra`` holds ledger-only context
-        (table capacities, memory rungs, sample sizes) that would bloat
+        (table capacities, sample sizes) that would bloat
         the trace.  With ``ledger=None`` this *is* ``log()``.
         """
         self.log(node_id, what, **detail)
@@ -409,35 +374,11 @@ class Engine:
             st.clock += protocol
             metrics.cpu_seconds += protocol
             metrics.add_tagged("send_protocol", protocol)
-            if self.governor is not None and blocks > 0:
-                # Rung 1 of the degradation ladder: the receiver's
-                # mailbox is over budget, so the producer stalls before
-                # putting more bytes in flight.
-                policy = self.governor.policy
-                mailbox = self._mailbox_accounts[msg.dst]
-                if (
-                    mailbox.used + msg.nbytes
-                    > policy.effective_mailbox_budget
-                ):
-                    stall = policy.stall_seconds * blocks
-                    st.clock += stall
-                    metrics.add_tagged("mem_stall", stall)
-                    ledger = self.governor.node(st.node_id)
-                    ledger.note_stall(stall)
-                    ledger.note_rung(RUNG_BACKPRESSURE)
-                    if self.tracer is not None:
-                        self.tracer.instant(
-                            "mem_backpressure_stall", st.node_id,
-                            st.clock, seconds=stall, dst=msg.dst,
-                        )
             delivery = self.network.transfer(st.clock, blocks)
         channel = (msg.src, msg.dst)
         delivery = max(delivery, self._channel_last.get(channel, 0.0))
         self._channel_last[channel] = delivery
         dst = self._nodes[msg.dst]
-        if self.governor is not None and msg.nbytes > 0 and msg.dst != msg.src:
-            # In-flight bytes live on the receiver until consumed.
-            self._mailbox_accounts[msg.dst].charge(msg.nbytes)
         self._seq += 1
         heapq.heappush(dst.mailbox, (delivery, self._seq, msg))
         if dst.status == _PARKED and (
@@ -456,12 +397,6 @@ class Engine:
         st.mailbox.remove(entry)
         heapq.heapify(st.mailbox)
         delivery, _seq, msg = entry
-        if (
-            self.governor is not None
-            and msg.nbytes > 0
-            and msg.dst != msg.src
-        ):
-            self._mailbox_accounts[msg.dst].release(msg.nbytes)
         st.clock = max(st.clock, delivery)
         if msg.dst != msg.src:
             blocks = self._blocks(msg.nbytes)

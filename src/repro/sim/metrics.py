@@ -25,11 +25,6 @@ class NodeMetrics:
     groups_output: int = 0
     peak_table_entries: int = 0
     finish_time: float = 0.0
-    # Memory-governor accounting (all zero/empty on ungoverned runs):
-    mem_high_water_bytes: int = 0
-    mem_spill_bytes: int = 0
-    mem_stall_seconds: float = 0.0
-    mem_ladder_rungs: dict[str, int] = field(default_factory=dict)
     tagged_seconds: dict[str, float] = field(default_factory=dict)
 
     def add_tagged(self, tag: str, seconds: float) -> None:
@@ -95,27 +90,6 @@ class ClusterMetrics:
         return sum(n.groups_output for n in self.nodes)
 
     @property
-    def total_mem_spill_bytes(self) -> int:
-        return sum(n.mem_spill_bytes for n in self.nodes)
-
-    @property
-    def total_mem_stall_seconds(self) -> float:
-        return sum(n.mem_stall_seconds for n in self.nodes)
-
-    @property
-    def max_mem_high_water_bytes(self) -> int:
-        return max((n.mem_high_water_bytes for n in self.nodes), default=0)
-
-    @property
-    def mem_ladder_rungs(self) -> dict[str, int]:
-        """Cluster-wide degradation-ladder counters (empty if ungoverned)."""
-        merged: dict[str, int] = {}
-        for n in self.nodes:
-            for rung, count in n.mem_ladder_rungs.items():
-                merged[rung] = merged.get(rung, 0) + count
-        return merged
-
-    @property
     def makespan(self) -> float:
         return max((n.finish_time for n in self.nodes), default=0.0)
 
@@ -140,10 +114,6 @@ class ClusterMetrics:
             "total_bytes_sent": self.total_bytes_sent,
             "total_groups_output": self.total_groups_output,
             "total_peak_table_entries": self.total_peak_table_entries,
-            "total_mem_spill_bytes": self.total_mem_spill_bytes,
-            "total_mem_stall_seconds": self.total_mem_stall_seconds,
-            "max_mem_high_water_bytes": self.max_mem_high_water_bytes,
-            "mem_ladder_rungs": self.mem_ladder_rungs,
             "skew_ratio": self.skew_ratio(),
             "nodes": [
                 {
@@ -162,10 +132,6 @@ class ClusterMetrics:
                     "finish_time": n.finish_time,
                     "tuples_scanned": n.tuples_scanned,
                     "groups_output": n.groups_output,
-                    "mem_high_water_bytes": n.mem_high_water_bytes,
-                    "mem_spill_bytes": n.mem_spill_bytes,
-                    "mem_stall_seconds": n.mem_stall_seconds,
-                    "mem_ladder_rungs": dict(n.mem_ladder_rungs),
                     "tagged_seconds": dict(n.tagged_seconds),
                 }
                 for n in self.nodes

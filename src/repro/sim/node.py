@@ -16,7 +16,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from repro.costmodel.params import SystemParameters
-from repro.resources.governor import RUNG_BACKPRESSURE
 from repro.sim.events import (
     Compute,
     Message,
@@ -29,12 +28,7 @@ from repro.sim.events import (
 
 
 class NodeContext:
-    """What an algorithm program needs to know about 'its' node.
-
-    ``memory`` is this node's :class:`~repro.resources.NodeLedger` when
-    the run is memory-governed, else None — operators open accounts on
-    it and react to pressure via the degradation ladder.
-    """
+    """What an algorithm program needs to know about 'its' node."""
 
     def __init__(
         self,
@@ -42,13 +36,11 @@ class NodeContext:
         num_nodes: int,
         params: SystemParameters,
         engine=None,
-        memory=None,
     ) -> None:
         self.node_id = node_id
         self.num_nodes = num_nodes
         self.params = params
         self.engine = engine
-        self.memory = memory
 
     # -- request factories --------------------------------------------------
 
@@ -169,21 +161,9 @@ class BlockedChannel:
     worth of bytes has accumulated, returns a Send request the program must
     yield (and clears the buffer).  ``flush`` drains any partial blocks at
     end of phase.
-
-    With ``operator`` set on a memory-governed run, the channel's
-    buffered bytes are charged to an operator account on the node's
-    ledger; when a charge is denied the channel ships the destination's
-    partial block immediately — backpressure by shrinking the
-    repartition queue instead of growing it.
     """
 
-    def __init__(
-        self,
-        ctx: NodeContext,
-        kind: str,
-        item_bytes: int,
-        operator: str | None = None,
-    ) -> None:
+    def __init__(self, ctx: NodeContext, kind: str, item_bytes: int) -> None:
         if item_bytes <= 0:
             raise ValueError("item_bytes must be positive")
         self.ctx = ctx
@@ -191,10 +171,6 @@ class BlockedChannel:
         self.item_bytes = item_bytes
         self._buffers: dict[int, list] = {}
         self.items_pushed = 0
-        self.early_ships = 0
-        self._account = None
-        if operator is not None and ctx.memory is not None:
-            self._account = ctx.memory.open(operator)
         self._items_per_block = max(
             1, ctx.params.block_bytes // item_bytes
         )
@@ -204,15 +180,6 @@ class BlockedChannel:
         buf = self._buffers.setdefault(dst, [])
         buf.append(item)
         self.items_pushed += 1
-        if self._account is not None and not self._account.try_charge(
-            self.item_bytes
-        ):
-            # Governor pressure: hold the byte anyway (the item is
-            # buffered) but relieve by shipping this block early.
-            self._account.charge(self.item_bytes)
-            self.ctx.memory.note_rung(RUNG_BACKPRESSURE)
-            self.early_ships += 1
-            return self._ship(dst)
         if len(buf) >= self._items_per_block:
             return self._ship(dst)
         return None
@@ -221,8 +188,6 @@ class BlockedChannel:
         buf = self._buffers.pop(dst, None)
         if not buf:
             return None
-        if self._account is not None:
-            self._account.release(len(buf) * self.item_bytes)
         return self.ctx.send(
             dst, self.kind, payload=buf, nbytes=len(buf) * self.item_bytes
         )

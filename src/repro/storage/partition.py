@@ -6,13 +6,6 @@ the GROUP BY attributes is what the Repartitioning algorithm and the merge
 phase of the Two Phase algorithm use.  Range partitioning is included for
 completeness (Gamma supported it); it is exercised by tests but not by the
 paper's experiments.
-
-All three partitioners take an optional governor ``account`` (with a
-``row_bytes`` cost per row): the buffered partitions are charged as they
-grow, so a governed caller's high-water mark covers repartition buffers
-too.  The charge is forced — a partitioner cannot spill; relieving
-pressure is the caller's job — and the caller releases the bytes when it
-consumes the partitions.
 """
 
 from __future__ import annotations
@@ -20,40 +13,27 @@ from __future__ import annotations
 from repro.storage.hashing import bucket_of
 
 
-def _charge(account, row_bytes: int) -> None:
-    if account is not None and row_bytes > 0:
-        account.charge(row_bytes)
-
-
-def round_robin_partition(
-    rows, num_parts: int, account=None, row_bytes: int = 0
-) -> list[list]:
+def round_robin_partition(rows, num_parts: int) -> list[list]:
     """Deal rows to ``num_parts`` partitions in row order."""
     if num_parts <= 0:
         raise ValueError("num_parts must be positive")
     parts: list[list] = [[] for _ in range(num_parts)]
     for i, row in enumerate(rows):
         parts[i % num_parts].append(row)
-        _charge(account, row_bytes)
     return parts
 
 
-def hash_partition(
-    rows, num_parts: int, key_func, account=None, row_bytes: int = 0
-) -> list[list]:
+def hash_partition(rows, num_parts: int, key_func) -> list[list]:
     """Partition rows by a stable hash of ``key_func(row)``."""
     if num_parts <= 0:
         raise ValueError("num_parts must be positive")
     parts: list[list] = [[] for _ in range(num_parts)]
     for row in rows:
         parts[bucket_of(key_func(row), num_parts)].append(row)
-        _charge(account, row_bytes)
     return parts
 
 
-def range_partition(
-    rows, boundaries, key_func, account=None, row_bytes: int = 0
-) -> list[list]:
+def range_partition(rows, boundaries, key_func) -> list[list]:
     """Partition rows into ``len(boundaries) + 1`` ordered ranges.
 
     ``boundaries`` must be sorted ascending; row r goes to the first
@@ -71,5 +51,4 @@ def range_partition(
                 dest = i
                 break
         parts[dest].append(row)
-        _charge(account, row_bytes)
     return parts

@@ -9,11 +9,7 @@ genuinely run with data larger than memory.
 Both stores are context managers and ``close()`` is idempotent, so spill
 files never outlive an exception (``with FileSpillStore() as store:``).
 The file store keeps real byte accounting (``bytes_written`` /
-``bytes_read``, totalled across recursion levels at the root), supports
-an optional ``on_bytes`` hook for charging a governor ledger, and
-enforces an optional ``max_bytes`` disk budget — the size guard of the
-degradation ladder's spill rung (the matching recursion-depth guard
-lives in :class:`~repro.core.hashtable.HashAggregator`).
+``bytes_read``, totalled across recursion levels at the root).
 """
 
 from __future__ import annotations
@@ -22,8 +18,6 @@ import os
 import pickle
 import shutil
 import tempfile
-
-from repro.resources.governor import SpillCapacityError
 
 
 class MemorySpillStore:
@@ -66,23 +60,13 @@ class FileSpillStore:
     Items are pickled length-prefixed records, appended sequentially —
     the access pattern the cost model's sequential-I/O spill terms
     assume.  ``drain`` streams a bucket back and deletes its file.
-
-    ``max_bytes`` caps the bytes written across the whole store tree
-    (children included); exceeding it raises
-    :class:`~repro.resources.SpillCapacityError`.  ``on_bytes`` is called
-    with each record's size as it is written — the hook a governor
-    ledger's ``note_spill`` plugs into.
     """
 
     def __init__(
         self,
         directory: str | None = None,
-        max_bytes: int | None = None,
-        on_bytes=None,
         _root: "FileSpillStore | None" = None,
     ) -> None:
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be positive")
         self.directory = (
             tempfile.mkdtemp(prefix="repro-spill-")
             if directory is None
@@ -99,8 +83,6 @@ class FileSpillStore:
         self.bytes_read = 0
         self.total_bytes_written = 0
         self.total_bytes_read = 0
-        self.max_bytes = max_bytes
-        self._on_bytes = on_bytes
 
     def _path(self, bucket: int) -> str:
         return os.path.join(self.directory, f"bucket_{bucket}.spill")
@@ -110,22 +92,12 @@ class FileSpillStore:
             raise RuntimeError("spill store is closed")
         data = pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL)
         nbytes = len(data) + 4
-        root = self._root
-        if (
-            root.max_bytes is not None
-            and root.total_bytes_written + nbytes > root.max_bytes
-        ):
-            raise SpillCapacityError(
-                root.max_bytes, root.total_bytes_written + nbytes
-            )
         with open(self._path(bucket), "ab") as handle:
             handle.write(len(data).to_bytes(4, "little"))
             handle.write(data)
         self._counts[bucket] = self._counts.get(bucket, 0) + 1
         self.bytes_written += nbytes
-        root.total_bytes_written += nbytes
-        if root._on_bytes is not None:
-            root._on_bytes(nbytes)
+        self._root.total_bytes_written += nbytes
 
     def bucket_ids(self) -> list[int]:
         return sorted(self._counts)
@@ -153,8 +125,7 @@ class FileSpillStore:
     def child(self) -> "FileSpillStore":
         """A store in a subdirectory, for one recursion level.
 
-        Children share the root's byte accounting and ``max_bytes``
-        budget, and live inside the root's directory: closing the root
+        Children share the root's byte accounting, and live inside the root's directory: closing the root
         removes every level at once (each child's own ``close()`` is
         also safe and removes just its subtree).
         """

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import glob
 import os
+import warnings
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.errors import NonInteractiveExampleWarning
 
 from repro.core.aggregates import AggregateSpec
 from repro.core.query import AggregateQuery
@@ -23,6 +26,18 @@ from repro.workloads.generator import generate_uniform
 # ``--hypothesis-profile=stress``.  Tests that fix their own
 # ``max_examples`` keep it.
 settings.register_profile("stress", max_examples=1500, deadline=None)
+
+
+@pytest.hookimpl(trylast=True)  # after hypothesis's own plugin set-up
+def pytest_sessionstart(session):
+    """Build hypothesis's Unicode tables before any test's health check
+    runs.  Without a ``.hypothesis/`` cache (a fresh checkout) the first
+    ``st.characters(codec="utf-8")`` draw takes seconds, and the test
+    that makes it fails as ``too_slow``; after one draw here it takes
+    milliseconds."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonInteractiveExampleWarning)
+        st.characters(codec="utf-8").example()
 
 
 def shm_segments() -> list[str]:

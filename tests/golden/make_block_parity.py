@@ -6,8 +6,8 @@ Run from the repo root at a known-good revision::
 
 The generated ``block_parity.json`` pins, for every algorithm, the exact
 result rows and simulated elapsed seconds of Fig-2 / Table-1 style
-workloads in two variants — plain and fully instrumented (memory
-governor + tracer + decision ledger).  The committed file also holds
+workloads in two variants — plain and fully instrumented (tracer +
+decision ledger).  The committed file also holds
 ``*/faults`` entries from a retired simulator fault model; nothing reads
 them.  ``tests/test_block_parity.py``
 asserts every later revision reproduces these bit-for-bit, so hot-path
@@ -25,7 +25,6 @@ from repro.core.query import AggregateQuery
 from repro.core.runner import ALGORITHMS, run_algorithm
 from repro.obs.decisions import DecisionLedger
 from repro.obs.tracer import Tracer
-from repro.resources.governor import MemoryPolicy
 from repro.storage.hashing import stable_hash
 from repro.workloads.generator import generate_uniform, generate_zipf
 
@@ -74,7 +73,6 @@ def run_case(algorithm, dist, query, overrides, variant):
     kwargs = dict(overrides)
     tracer = ledger = None
     if variant == "instrumented":
-        kwargs["memory"] = MemoryPolicy(node_budget_bytes=200_000)
         tracer = Tracer()
         ledger = DecisionLedger()
     outcome = run_algorithm(

@@ -238,6 +238,69 @@ class TestWorkloadSizes:
         assert "Traceback" not in text
 
 
+_SMALL = ("--tuples", "400", "--groups", "20", "--nodes", "2")
+_OK_SQL = "SELECT gkey, SUM(val) FROM data GROUP BY gkey"
+
+
+class TestBadInputsAreUsageErrors:
+    """A bad size, an unknown column or bad SQL exits 2 with one line
+    naming the bad value, on every command that takes it."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("run", *_SMALL, "--table-entries", "0"), "--table-entries 0"),
+            (("compare", *_SMALL, "--table-entries", "0"),
+             "--table-entries 0"),
+            (("explain", "--algorithm", "two_phase", *_SMALL,
+              "--table-entries", "0"), "--table-entries 0"),
+            (("trace", "--algorithm", "two_phase", *_SMALL,
+              "--table-entries", "0"), "--table-entries 0"),
+            (("sql", _OK_SQL, *_SMALL, "--table-entries", "0"),
+             "--table-entries 0"),
+            (("plan", "--nodes", "0"), "--nodes 0"),
+            (("plan", "--groups-estimate", "-3"), "--groups-estimate -3"),
+            (("scale", "--tuples-per-node", "0"), "--tuples-per-node 0"),
+            (("run", *_SMALL, "--agg", "avg:nosuch"), "'nosuch'"),
+            (("run", *_SMALL, "--agg", "avg:nosuch", "--substrate", "mp",
+              "--processes", "1"), "'nosuch'"),
+            (("sql", "SELECT nosuch, SUM(val) FROM data GROUP BY nosuch",
+              *_SMALL), "'nosuch'"),
+            (("sql", "SELECT gkey, SUM(nosuch) FROM data GROUP BY gkey",
+              *_SMALL), "'nosuch'"),
+            (("sql", "SELECT gkey, SUM(val) FROM data WHERE nosuch > 1 "
+              "GROUP BY gkey", *_SMALL), "'nosuch'"),
+            (("sql", "SELECT nosuch, SUM(val) FROM data GROUP BY nosuch",
+              *_SMALL, "--substrate", "mp", "--processes", "1"), "'nosuch'"),
+            (("sql", "SELECT gkey, SUM(nosuch) FROM data GROUP BY gkey",
+              *_SMALL, "--substrate", "mp", "--processes", "1"), "'nosuch'"),
+            (("sql", "SELECT gkey, SUM(val) FROM data WHERE nosuch > 1 "
+              "GROUP BY gkey", *_SMALL, "--substrate", "mp",
+              "--processes", "1"), "'nosuch'"),
+            (("sql", "SELECT gkey, SUM(val) FROM data GROUP BY", *_SMALL),
+             "bad SQL"),
+        ],
+        ids=[
+            "run-table-entries", "compare-table-entries",
+            "explain-table-entries", "trace-table-entries",
+            "sql-table-entries", "plan-nodes", "plan-groups-estimate",
+            "scale-tuples-per-node", "run-agg-column-sim",
+            "run-agg-column-mp", "sql-select-column-sim",
+            "sql-agg-column-sim", "sql-where-column-sim",
+            "sql-select-column-mp", "sql-agg-column-mp",
+            "sql-where-column-mp", "sql-parse-error-sim",
+        ],
+    )
+    def test_exits_2_naming_the_value(self, argv, named, tmp_path):
+        if argv[0] == "trace":
+            argv = (*argv, "--out", str(tmp_path / "trace.json"))
+        code, text = run_cli(*argv)
+        assert code == 2, text
+        assert "Traceback" not in text
+        assert text.splitlines()[-1].startswith("error: ")
+        assert named in text.splitlines()[-1]
+
+
 class TestVerifyComparesValues:
     """``--verify`` compares every value with the reference on both
     substrates, not just how many rows came back."""

@@ -1,172 +1,8 @@
-"""Unit tests for the memory governor's accounting tree and ladder."""
+"""The typed memory errors of the real executor and the spill path."""
 
 import pytest
 
-from repro.resources import (
-    RUNG_BACKPRESSURE,
-    RUNG_NAMES,
-    RUNG_RETRY,
-    RUNG_SPILL,
-    RUNG_SWITCH,
-    MemoryExceededError,
-    MemoryGovernor,
-    MemoryPolicy,
-    NodeLedger,
-    SpillCapacityError,
-    SpillDepthExceededError,
-)
-
-
-class TestMemoryPolicy:
-    def test_defaults(self):
-        policy = MemoryPolicy(node_budget_bytes=1000)
-        assert policy.entry_bytes == 64
-        assert policy.min_table_entries == 8
-        assert policy.effective_mailbox_budget == 1000
-
-    def test_mailbox_budget_override(self):
-        policy = MemoryPolicy(node_budget_bytes=1000,
-                              mailbox_budget_bytes=256)
-        assert policy.effective_mailbox_budget == 256
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(node_budget_bytes=0),
-            dict(node_budget_bytes=100, entry_bytes=0),
-            dict(node_budget_bytes=100, stall_seconds=-1.0),
-            dict(node_budget_bytes=100, min_table_entries=0),
-            dict(node_budget_bytes=100, mailbox_budget_bytes=0),
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            MemoryPolicy(**kwargs)
-
-
-class TestAccounting:
-    def _ledger(self, budget=100, **kw):
-        return NodeLedger(MemoryPolicy(node_budget_bytes=budget, **kw), 0)
-
-    def test_try_charge_within_budget(self):
-        ledger = self._ledger()
-        account = ledger.open("op")
-        assert account.try_charge(60)
-        assert account.used == 60
-        assert ledger.used == 60
-        assert ledger.pressure_events == 0
-
-    def test_try_charge_denial_is_pressure(self):
-        ledger = self._ledger()
-        account = ledger.open("op")
-        assert account.try_charge(80)
-        assert not account.try_charge(30)
-        assert account.used == 80  # denial charges nothing
-        assert ledger.pressure_events == 1
-
-    def test_operators_share_the_node_budget(self):
-        ledger = self._ledger()
-        a = ledger.open("table")
-        b = ledger.open("buffer")
-        assert a.try_charge(70)
-        assert not b.try_charge(40)
-        assert b.try_charge(30)
-
-    def test_force_charge_exceeds_budget(self):
-        ledger = self._ledger()
-        account = ledger.open("op")
-        account.charge(150)
-        assert ledger.used == 150
-        assert ledger.high_water == 150
-        assert account.high_water == 150
-
-    def test_release_clamps_and_bubbles_up(self):
-        ledger = self._ledger()
-        account = ledger.open("op")
-        account.charge(50)
-        account.release(80)  # clamped to what was held
-        assert account.used == 0
-        assert ledger.used == 0
-        assert ledger.high_water == 50
-
-    def test_close_is_idempotent(self):
-        ledger = self._ledger()
-        account = ledger.open("op")
-        account.charge(40)
-        account.close()
-        account.close()
-        assert ledger.used == 0
-
-    def test_negative_charge_rejected(self):
-        account = self._ledger().open("op")
-        with pytest.raises(ValueError):
-            account.try_charge(-1)
-        with pytest.raises(ValueError):
-            account.charge(-1)
-
-    def test_headroom(self):
-        ledger = self._ledger()
-        ledger.open("op").charge(130)
-        assert ledger.headroom_bytes == 0
-
-    def test_cap_entries(self):
-        ledger = self._ledger(budget=640, entry_bytes=64)
-        assert ledger.cap_entries(100) == 10  # budget caps
-        assert ledger.cap_entries(3) == 8  # floor wins
-        assert ledger.cap_entries(9) == 9  # request fits
-
-    def test_ladder_notes(self):
-        ledger = self._ledger()
-        assert ledger.max_rung == 0
-        ledger.note_rung(RUNG_BACKPRESSURE)
-        ledger.note_rung(RUNG_SPILL)
-        ledger.note_rung(RUNG_SPILL)
-        ledger.note_spill(512)
-        ledger.note_stall(0.25)
-        assert ledger.max_rung == RUNG_SPILL
-        assert ledger.ladder_rungs == {RUNG_BACKPRESSURE: 1, RUNG_SPILL: 2}
-        assert ledger.spill_bytes == 512
-        assert ledger.stall_seconds == 0.25
-
-
-class TestGovernor:
-    def test_one_ledger_per_node(self):
-        gov = MemoryGovernor(MemoryPolicy(node_budget_bytes=100), 4)
-        assert len(gov.nodes) == 4
-        assert gov.node(2).node_id == 2
-        assert gov.node(0) is not gov.node(1)
-
-    def test_num_nodes_validated(self):
-        with pytest.raises(ValueError):
-            MemoryGovernor(MemoryPolicy(node_budget_bytes=100), 0)
-
-    def test_totals_and_max_rung(self):
-        gov = MemoryGovernor(MemoryPolicy(node_budget_bytes=100), 2)
-        gov.node(0).note_spill(100)
-        gov.node(1).note_spill(50)
-        gov.node(1).note_stall(2.0)
-        gov.node(1).note_rung(RUNG_SWITCH)
-        assert gov.total_spill_bytes == 150
-        assert gov.total_stall_seconds == 2.0
-        assert gov.max_rung == RUNG_SWITCH
-
-    def test_snapshot_shape(self):
-        gov = MemoryGovernor(MemoryPolicy(node_budget_bytes=100), 2)
-        account = gov.node(0).open("merge_table")
-        account.charge(30)
-        gov.node(0).note_rung(RUNG_SPILL)
-        snap = gov.snapshot()
-        assert snap["node_budget_bytes"] == 100
-        node0 = snap["nodes"][0]
-        assert node0["high_water_bytes"] == 30
-        assert node0["ladder_rungs"] == {"spill": 1}
-        assert node0["operators"][0]["name"] == "merge_table"
-
-    def test_rung_names_cover_all_rungs(self):
-        assert set(RUNG_NAMES) == {
-            RUNG_BACKPRESSURE, RUNG_SPILL, RUNG_SWITCH, RUNG_RETRY
-        }
-        assert len(set(RUNG_NAMES.values())) == 4
+from repro.resources import MemoryExceededError, SpillDepthExceededError
 
 
 class TestErrors:
@@ -185,8 +21,3 @@ class TestErrors:
         )
         assert err.bucket_share == pytest.approx(0.99)
         assert "skew" in str(err)
-
-    def test_spill_capacity_attrs(self):
-        err = SpillCapacityError(4096, 5000)
-        assert err.max_bytes == 4096
-        assert err.attempted_bytes == 5000

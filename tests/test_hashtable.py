@@ -5,11 +5,7 @@ import pytest
 import repro.core.hashtable
 from repro.core.aggregates import AggregateSpec, make_state_factory
 from repro.core.hashtable import BoundedAggregateHashTable, HashAggregator
-from repro.resources import (
-    MemoryPolicy,
-    NodeLedger,
-    SpillDepthExceededError,
-)
+from repro.resources import SpillDepthExceededError
 
 SPECS = [AggregateSpec("sum", "v"), AggregateSpec("count", None)]
 
@@ -223,88 +219,3 @@ class TestSpillDepthGuard:
         with pytest.raises(ValueError, match="max_depth"):
             HashAggregator(make_state_factory(SPECS), 10, max_depth=0)
 
-
-class TestGovernedTable:
-    def _ledger(self, budget, **kw):
-        return NodeLedger(
-            MemoryPolicy(node_budget_bytes=budget, min_table_entries=1,
-                         **kw),
-            0,
-        )
-
-    def test_denial_reads_as_full(self):
-        """Budget pressure and a full table are the same event — the
-        unification that lets A-2P's switch fire from the governor."""
-        ledger = self._ledger(budget=20)
-        t = BoundedAggregateHashTable(
-            100, make_state_factory(SPECS),
-            account=ledger.open("t"), entry_bytes=10,
-        )
-        assert t.add_values("a", (1.0, 1))
-        assert t.add_values("b", (1.0, 1))
-        assert not t.add_values("c", (1.0, 1))  # denied, table not full
-        assert t.pressure_denials == 1
-        assert ledger.pressure_events == 1
-        # Existing keys still update under pressure.
-        assert t.add_values("a", (2.0, 1))
-
-    def test_progress_floor_forces_admission(self):
-        """A starved budget must still admit min_table_entries groups."""
-        ledger = NodeLedger(
-            MemoryPolicy(node_budget_bytes=1, min_table_entries=3), 0
-        )
-        t = BoundedAggregateHashTable(
-            100, make_state_factory(SPECS),
-            account=ledger.open("t"), entry_bytes=10,
-        )
-        assert t.add_values("a", (1.0, 1))
-        assert t.add_values("b", (1.0, 1))
-        assert t.add_values("c", (1.0, 1))
-        assert not t.add_values("d", (1.0, 1))
-
-    def test_drain_releases_bytes(self):
-        ledger = self._ledger(budget=100)
-        t = BoundedAggregateHashTable(
-            100, make_state_factory(SPECS),
-            account=ledger.open("t"), entry_bytes=10,
-        )
-        t.add_values("a", (1.0, 1))
-        t.add_values("b", (1.0, 1))
-        assert ledger.used == 20
-        t.drain()
-        assert ledger.used == 0
-        assert ledger.high_water == 20
-
-    def test_governed_aggregator_spills_and_accounts(self):
-        ledger = self._ledger(budget=30)
-        agg = HashAggregator(
-            make_state_factory(SPECS), max_entries=100,
-            account=ledger.open("agg"), entry_bytes=10,
-            spill_item_bytes=12,
-        )
-        for i in range(20):
-            agg.add_values(i, (1.0, 1))
-        assert agg.spilled_items > 0
-        assert ledger.spill_bytes == agg.spilled_items * 12
-        out = {k: s.results() for k, s in agg.finish()}
-        assert len(out) == 20
-        assert all(v == (1.0, 1) for v in out.values())
-
-    def test_sealed_after_spill_even_if_budget_frees(self):
-        """A key must never be emitted twice: once anything spills, new
-        keys keep spilling even when another operator frees budget."""
-        ledger = self._ledger(budget=30)
-        other = ledger.open("other")
-        other.charge(25)
-        agg = HashAggregator(
-            make_state_factory(SPECS), max_entries=100,
-            account=ledger.open("agg"), entry_bytes=10,
-        )
-        agg.add_values("x", (1.0, 1))  # forced by the progress floor
-        agg.add_values("spilled", (1.0, 1))
-        assert agg.spilled_items == 1
-        other.release(25)  # budget frees up mid-run...
-        agg.add_values("spilled", (1.0, 1))  # ...but the key stays out
-        out = {k: s.results() for k, s in agg.finish()}
-        assert out["spilled"] == (2.0, 2)
-        assert len(out) == 2

@@ -260,7 +260,7 @@ def test_every_path_returns_the_oracles_bits(
     not and must be shipped under its own projection, not the first's."""
     split = dict(fragments=fragments, contiguous=contiguous)
     if strategy == "rep":
-        budget = None  # the ladder governs the two-phase local phase
+        budget = None  # the budget governs the two-phase local phase
     dist = _dist(rows, born, **split)
 
     def oracle(statement):

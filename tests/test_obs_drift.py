@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.core.runner import default_parameters, run_algorithm
 from repro.costmodel.report import FAMILIES
 from repro.obs import (
@@ -15,10 +13,9 @@ from repro.obs import (
     compare_model_to_run,
     format_drift_table,
 )
-from repro.obs.drift import DriftRecord, observed_family_seconds
+from repro.obs.drift import DriftRecord
 from repro.obs.schema import DRIFT_SCHEMA, validate_or_raise
 from repro.parallel import multiprocessing_aggregate
-from repro.resources import MemoryPolicy
 
 
 def _sim_report(dist, query, algorithm="two_phase", tracer=None, **overrides):
@@ -33,11 +30,6 @@ def _sim_report(dist, query, algorithm="two_phase", tracer=None, **overrides):
         algorithm, params, selectivity, outcome.metrics, tracer=tracer
     )
     return report, outcome
-
-
-# A mailbox budget this small stalls every producer: the run records
-# ``mem_stall`` time, which the 1995 model has no term for.
-_STALLING = MemoryPolicy(node_budget_bytes=10**9, mailbox_budget_bytes=64)
 
 
 class TestSimDrift:
@@ -61,19 +53,6 @@ class TestSimDrift:
         report, _ = _sim_report(small_dist, full_query, tracer=Tracer())
         assert report.phase_seconds
         assert all(v >= 0 for v in report.phase_seconds.values())
-
-    def test_memory_stalls_are_unmodeled(self, small_dist, sum_query):
-        report, outcome = _sim_report(
-            small_dist, sum_query, memory=_STALLING
-        )
-        stalled = outcome.metrics.total_mem_stall_seconds
-        assert stalled > 0
-        # Degradation time must not pollute a family's error figure.
-        families = observed_family_seconds(outcome.metrics)
-        assert families["unmodeled"] == pytest.approx(
-            stalled / small_dist.num_nodes
-        )
-        assert report.unmodeled_seconds > 0
 
     def test_into_registry_publishes_gauges(self, small_dist, full_query):
         report, _ = _sim_report(small_dist, full_query)
@@ -130,7 +109,3 @@ class TestFormatting:
             assert family in text
         assert "total" in text
         assert "rel_error" in text
-
-    def test_table_flags_unmodeled_time(self, small_dist, sum_query):
-        report, _ = _sim_report(small_dist, sum_query, memory=_STALLING)
-        assert "unmodeled degradation time" in format_drift_table(report)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.aggregates import AggregateSpec, make_state_factory
 from repro.core.hashtable import HashAggregator
-from repro.resources import SpillCapacityError
 from repro.storage.spill import FileSpillStore, MemorySpillStore
 
 
@@ -107,36 +106,6 @@ class TestFileSpillStoreHardening:
             store.bytes_written + child.bytes_written
         )
         store.close()
-
-    def test_max_bytes_guard(self):
-        with FileSpillStore(max_bytes=64) as store:
-            with pytest.raises(SpillCapacityError) as info:
-                for i in range(100):
-                    store.append(0, ("v", i, (float(i),)))
-            assert info.value.max_bytes == 64
-            assert info.value.attempted_bytes > 64
-            # What was written before the guard tripped stays readable.
-            assert store.item_count(0) > 0
-
-    def test_max_bytes_shared_with_children(self, tmp_path):
-        store = FileSpillStore(str(tmp_path / "spill"), max_bytes=64)
-        child = store.child()
-        with pytest.raises(SpillCapacityError):
-            for i in range(100):
-                child.append(0, ("v", i, (float(i),)))
-        store.close()
-
-    def test_max_bytes_validation(self):
-        with pytest.raises(ValueError, match="max_bytes"):
-            FileSpillStore(max_bytes=0)
-
-    def test_on_bytes_hook_fires(self):
-        seen = []
-        with FileSpillStore(on_bytes=seen.append) as store:
-            store.append(0, "item")
-            store.append(1, "item2")
-        assert len(seen) == 2
-        assert sum(seen) == store.total_bytes_written
 
     def test_memory_store_context_manager(self):
         with MemorySpillStore() as store:
