@@ -46,7 +46,7 @@ def main() -> None:
             for a, b in zip(out.rows, expected)
         )
         switches = [
-            e for e in out.switch_events() if e.what.startswith("switch")
+            e for e in out.ledger.events if e.kind.startswith("switch")
         ]
         print(
             f"{name:<26} {out.elapsed_seconds:8.3f}s "

@@ -45,11 +45,7 @@ def main() -> None:
         out = run_algorithm(name, dist, query, params=params)
         times[name] = out.elapsed_seconds
         switched = sorted(
-            {
-                e.node
-                for e in out.switch_events()
-                if e.what == "switch_to_repartitioning"
-            }
+            {e.node for e in out.ledger.events_of("switch_to_repartitioning")}
         )
         note = f"  nodes switched to repartitioning: {switched}" \
             if switched else ""

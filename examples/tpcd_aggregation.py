@@ -39,18 +39,14 @@ def main() -> None:
             out = run_algorithm(name, dist, query)
             times[name] = out.elapsed_seconds
             decision = ""
-            for event in out.switch_events():
-                if event.what == "sampling_decision":
-                    decision = f"  [sampled -> {event.detail['choice']}]"
-                    break
-            else:
-                n_switch = sum(
-                    1
-                    for e in out.switch_events()
-                    if e.what.startswith("switch")
-                )
-                if n_switch:
-                    decision = f"  [{n_switch} node switches]"
+            sampled = out.ledger.events_of("sampling_decision")
+            n_switch = sum(
+                1 for e in out.ledger.events if e.kind.startswith("switch")
+            )
+            if sampled:
+                decision = f"  [sampled -> {sampled[0].data['choice']}]"
+            elif n_switch:
+                decision = f"  [{n_switch} node switches]"
             print(f"   {name:<26} {out.elapsed_seconds:8.3f}s{decision}")
         winner = min(times, key=times.get)
         print(f"   => fastest: {winner}\n")

@@ -37,7 +37,7 @@ def a2p_switch_threshold(
             "adaptive_two_phase", dist, SIM_QUERY, params=params
         )
         tp = run_algorithm("two_phase", dist, SIM_QUERY, params=params)
-        switched = len(a2p.events_named("switch_to_repartitioning"))
+        switched = len(a2p.ledger.events_of("switch_to_repartitioning"))
         result.add_row(m, a2p.elapsed_seconds, tp.elapsed_seconds, switched)
     return result
 
@@ -64,7 +64,7 @@ def arep_init_seg(
             init_seg=init_seg,
             arep_switch_groups=80,
         )
-        switched = bool(out.events_named("switch_to_two_phase"))
+        switched = bool(out.ledger.events_of("switch_to_two_phase"))
         result.add_row(init_seg, out.elapsed_seconds, switched)
     return result
 
@@ -89,7 +89,7 @@ def sampling_threshold(
                 params=params,
                 sampling_threshold=threshold,
             )
-            choice = out.events_named("sampling_decision")[0].detail[
+            choice = out.ledger.events_of("sampling_decision")[0].data[
                 "choice"
             ]
             result.add_row(groups, threshold, out.elapsed_seconds, choice)

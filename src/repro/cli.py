@@ -179,20 +179,18 @@ def _sim_params(dist, args):
         ) from exc
 
 
-def _run_one(name, dist, query, args, out, record_timeline=False,
-             ledger=None):
+def _run_one(name, dist, query, args, out, tracer=None):
     params = _sim_params(dist, args)
     outcome = run_algorithm(
         name,
         dist,
         query,
         params=params,
-        record_timeline=record_timeline,
         pipeline=args.pipeline,
-        ledger=ledger,
+        tracer=tracer,
     )
     switches = [
-        e for e in outcome.switch_events() if e.what.startswith("switch")
+        e for e in outcome.ledger.events if e.kind.startswith("switch")
     ]
     print(
         f"{name:<26} {outcome.elapsed_seconds:9.4f}s  "
@@ -429,24 +427,19 @@ def _cmd_run(args, out) -> int:
         )
     dist = _build_workload(args)
     query = _build_query(args, dist)
-    ledger = None
-    if args.save_run:
-        from repro.obs.decisions import DecisionLedger
+    tracer = None
+    if args.timeline:
+        from repro.obs import Tracer
 
-        ledger = DecisionLedger()
-    outcome = _run_one(
-        args.algorithm, dist, query, args, out,
-        record_timeline=args.timeline,
-        ledger=ledger,
-    )
+        tracer = Tracer()
+    outcome = _run_one(args.algorithm, dist, query, args, out, tracer=tracer)
     if args.save_run:
         from repro.obs.decisions import run_artifact
         from repro.obs.schema import RUN_SCHEMA, write_artifact
 
         params = _sim_params(dist, args)
         doc = run_artifact(
-            args.algorithm, outcome, ledger, params,
-            workload=_workload_dict(args),
+            args.algorithm, outcome, params, workload=_workload_dict(args)
         )
         try:
             write_artifact(doc, RUN_SCHEMA, args.save_run)
@@ -460,7 +453,9 @@ def _cmd_run(args, out) -> int:
             file=out,
         )
     if args.timeline:
-        print(outcome.render_timeline(), file=out)
+        from repro.sim.timeline import render_timeline
+
+        print(render_timeline(tracer), file=out)
     if args.verify and not _verified(outcome.rows, dist, query, out):
         return 1
     if args.show_rows:
@@ -471,7 +466,7 @@ def _cmd_run(args, out) -> int:
 
 def _cmd_trace(args, out) -> int:
     from repro.obs import Tracer
-    from repro.obs.export import write_chrome_trace, write_jsonl
+    from repro.obs.export import write_chrome_trace
 
     dist = _build_workload(args)
     query = _build_query(args, dist)
@@ -493,14 +488,6 @@ def _cmd_trace(args, out) -> int:
             "check the output directory exists and is writable"
         ) from exc
     print(f"wrote {args.out} (load in ui.perfetto.dev)", file=out)
-    if args.jsonl:
-        try:
-            write_jsonl(tracer, args.jsonl)
-        except OSError as exc:
-            raise CliError(
-                f"cannot write span log to {args.jsonl!r}: {exc}"
-            ) from exc
-        print(f"wrote {args.jsonl}", file=out)
     summary = tracer.summary()
     print(
         f"{args.algorithm}: {outcome.elapsed_seconds:.4f}s simulated, "
@@ -536,11 +523,7 @@ def _load_run_file(path: str) -> dict:
 
 
 def _cmd_explain(args, out) -> int:
-    from repro.obs.decisions import (
-        DecisionLedger,
-        render_explain,
-        run_artifact,
-    )
+    from repro.obs.decisions import render_explain, run_artifact
 
     if args.run_file is not None:
         doc = _load_run_file(args.run_file)
@@ -556,7 +539,6 @@ def _cmd_explain(args, out) -> int:
     dist = _build_workload(args)
     query = _build_query(args, dist)
     params = _sim_params(dist, args)
-    ledger = DecisionLedger()
     tracer = None
     if args.drift:
         if args.algorithm not in MODEL_FUNCTIONS:
@@ -574,11 +556,9 @@ def _cmd_explain(args, out) -> int:
         params=params,
         pipeline=args.pipeline,
         tracer=tracer,
-        ledger=ledger,
     )
     doc = run_artifact(
-        args.algorithm, outcome, ledger, params,
-        workload=_workload_dict(args),
+        args.algorithm, outcome, params, workload=_workload_dict(args)
     )
     drift_table = None
     if args.drift:
@@ -839,10 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument(
         "--out", default="trace.json",
         help="Chrome trace_event JSON output path (default trace.json)",
-    )
-    p_trace.add_argument(
-        "--jsonl", default=None,
-        help="also write a flat JSONL span log to this path",
     )
     p_trace.add_argument(
         "--no-operator-spans", action="store_true",

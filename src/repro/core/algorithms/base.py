@@ -31,6 +31,9 @@ END_OF_PHASE = "end_of_phase"
 # state overhead (e.g. AVG's count); raw tuples are just the projection.
 _PARTIAL_OVERHEAD_BYTES = 8
 
+# Overflow-bucket fanout of the node's hash aggregator.
+FANOUT = 8
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -40,8 +43,6 @@ class SimConfig:
     ----------
     pipeline:
         Drop base-relation scan and result-store I/O (Figure 2 mode).
-    fanout:
-        Overflow-bucket fanout of the hash aggregator.
     sampling_threshold:
         Crossover threshold for the Sampling algorithm (default 10·N).
     sample_multiplier:
@@ -58,35 +59,21 @@ class SimConfig:
         Local/merge aggregation engine: "hash" (the paper's default) or
         "sort" (the [BBDW83] baseline).  The adaptive algorithms' switch
         logic is hash-table based and always uses "hash".
-    estimator:
-        How the Sampling coordinator turns the pooled sample into a
-        group-count figure: "lower_bound" (the paper's choice — safe,
-        never overestimates), "chao1" or "jackknife" (species
-        estimators that correct for unseen groups).
     """
 
     pipeline: bool = False
-    fanout: int = 8
     sampling_threshold: int | None = None
     sample_multiplier: float = 10.0
     init_seg: int | None = None
     arep_switch_groups: int | None = None
     seed: int = 0
     local_method: str = "hash"
-    estimator: str = "lower_bound"
 
     def __post_init__(self) -> None:
         if self.local_method not in ("hash", "sort"):
             raise ValueError(
                 f"local_method must be 'hash' or 'sort', got "
                 f"{self.local_method!r}"
-            )
-        from repro.sampling.estimator import ESTIMATORS
-
-        if self.estimator not in ESTIMATORS:
-            raise ValueError(
-                f"estimator must be one of {sorted(ESTIMATORS)}, got "
-                f"{self.estimator!r}"
             )
 
 
@@ -142,7 +129,6 @@ class SpillCharges:
 def make_aggregator(
     bq: BoundQuery,
     max_entries: int,
-    fanout: int,
     spill: SpillCharges,
     method: str = "hash",
 ):
@@ -158,7 +144,7 @@ def make_aggregator(
     return HashAggregator(
         factory,
         max_entries,
-        fanout=fanout,
+        fanout=FANOUT,
         on_spill_write=spill.on_write,
         on_spill_read=spill.on_read,
     )
@@ -227,7 +213,6 @@ def merge_phase(
         else make_aggregator(
             bq,
             ctx.params.hash_table_entries,
-            cfg.fanout,
             spill,
             method=cfg.local_method,
         )

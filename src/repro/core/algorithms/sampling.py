@@ -27,7 +27,7 @@ from repro.sampling.decision import (
     choose_algorithm,
     crossover_threshold,
 )
-from repro.sampling.estimator import estimate_groups, paper_sample_size
+from repro.sampling.estimator import distinct_lower_bound, paper_sample_size
 from repro.sampling.page_sampler import sample_rows
 from repro.sim.node import NodeContext
 from repro.storage.relation import Fragment
@@ -62,8 +62,8 @@ def sampling_body(
         matched = [row for row in rows if bq.matches(row)]
         yield ctx.local_agg_cpu(len(matched))
         # Ship (key, sample frequency) pairs: the frequencies cost nothing
-        # extra (the sample was aggregated anyway) and let the coordinator
-        # apply a species estimator instead of the plain lower bound.
+        # extra (the sample was aggregated anyway) and tell the ledger how
+        # many sample tuples the decision saw.
         local_counts = Counter(bq.key_of(row) for row in matched)
         yield ctx.result_cpu(len(local_counts))
         yield ctx.send(
@@ -82,7 +82,7 @@ def sampling_body(
                 )
                 for key, count in msg.payload:
                     pooled[key] += count
-            estimated = estimate_groups(pooled.elements(), cfg.estimator)
+            estimated = float(distinct_lower_bound(pooled))
             choice = choose_algorithm(round(estimated), threshold)
             ctx.decision(
                 "sampling_decision",
@@ -93,7 +93,6 @@ def sampling_body(
                 },
                 distinct_in_sample=len(pooled),
                 estimated_groups=estimated,
-                estimator=cfg.estimator,
                 threshold=threshold,
                 choice=choice,
             )

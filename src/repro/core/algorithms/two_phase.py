@@ -36,7 +36,6 @@ def local_aggregation_phase(
     agg = make_aggregator(
         bq,
         ctx.params.hash_table_entries,
-        cfg.fanout,
         spill,
         method=cfg.local_method,
     )

@@ -3,7 +3,7 @@
 ``run_algorithm`` binds the query, derives a parameter set sized to the
 data (unless one is supplied), assembles one node program per fragment,
 runs the cluster simulation, and returns the merged result rows together
-with simulated time, metrics, and the adaptivity trace.
+with simulated time, metrics, and the run's decision ledger.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from repro.core.algorithms import ALGORITHM_BODIES, SimConfig
 from repro.core.query import AggregateQuery
 from repro.costmodel.params import SystemParameters
+from repro.obs.decisions import DecisionLedger
 from repro.sim.cluster import Cluster, RunResult
-from repro.sim.events import TraceEvent
 from repro.sim.metrics import ClusterMetrics
 from repro.storage.relation import DistributedRelation
 
@@ -33,36 +33,12 @@ class AlgorithmOutcome:
     rows: list[tuple]
     elapsed_seconds: float
     metrics: ClusterMetrics
-    trace: list[TraceEvent] = field(default_factory=list)
+    ledger: DecisionLedger
     per_node_rows: list[list] = field(default_factory=list)
-    timelines: list = field(default_factory=list)
-
-    def render_timeline(self, width: int = 72) -> str:
-        """ASCII Gantt of the run (needs record_timeline=True)."""
-        from repro.sim.timeline import render_timeline
-
-        if not any(self.timelines):
-            return "(timeline not recorded; pass record_timeline=True)"
-        return render_timeline(self.timelines, width=width)
 
     @property
     def num_groups(self) -> int:
         return len(self.rows)
-
-    def events_named(self, what: str) -> list[TraceEvent]:
-        """Trace events of one type (e.g. "switch_to_repartitioning")."""
-        return [e for e in self.trace if e.what == what]
-
-    def switch_events(self) -> list[TraceEvent]:
-        """Adaptivity events (mode switches and decisions)."""
-        interesting = {
-            "switch_to_repartitioning",
-            "switch_to_two_phase",
-            "end_of_phase_received",
-            "sampling_decision",
-            "forwarded_on_overflow",
-        }
-        return [e for e in self.trace if e.what in interesting]
 
 
 def default_parameters(
@@ -99,7 +75,6 @@ def run_algorithm(
     query: AggregateQuery,
     params: SystemParameters | None = None,
     config: SimConfig | None = None,
-    record_timeline: bool = False,
     node_speed_factors=None,
     tracer=None,
     ledger=None,
@@ -108,17 +83,16 @@ def run_algorithm(
     """Simulate ``algorithm`` over ``dist`` and return the outcome.
 
     ``config_overrides`` are :class:`SimConfig` fields (``pipeline=True``,
-    ``init_seg=500``, ...) for one-off tweaks.  ``record_timeline=True``
-    captures per-node activity segments for
-    :meth:`AlgorithmOutcome.render_timeline`.  ``node_speed_factors``
+    ``init_seg=500``, ...) for one-off tweaks.  ``node_speed_factors``
     models heterogeneous hardware: node i's CPU and disk run at
-    ``factors[i]`` times the Table 1 rates.  ``tracer`` is an optional
-    :class:`repro.obs.Tracer` that records the query → node → phase →
-    operator span tree of the run; ``tracer=None`` (the default) keeps
-    the simulation bit-identical to an untraced run.  ``ledger`` is an
-    optional :class:`repro.obs.DecisionLedger` that records every
-    adaptive decision (sampling choice, A-2P switch, A-Rep fallback) as
-    a typed event; like the tracer it is zero-cost when None.
+    ``factors[i]`` times the Table 1 rates (one finite positive factor
+    per node).  ``tracer`` is an optional :class:`repro.obs.Tracer` that
+    records the query → node → phase → operator span tree of the run
+    (:func:`repro.sim.timeline.render_timeline` draws its Gantt chart);
+    ``tracer=None`` (the default) keeps the simulation bit-identical to
+    an untraced run.  Every adaptive decision (sampling choice, A-2P
+    switch, A-Rep fallback) lands in ``AlgorithmOutcome.ledger``; pass
+    ``ledger`` to have the run record into a ledger of your own.
     """
     try:
         body = ALGORITHM_BODIES[algorithm]
@@ -151,7 +125,6 @@ def run_algorithm(
 
     result: RunResult = cluster.run(
         (make_factory(frag) for frag in dist.fragments),
-        record_timeline=record_timeline,
         node_speed_factors=node_speed_factors,
         tracer=tracer,
         ledger=ledger,
@@ -165,7 +138,6 @@ def run_algorithm(
         rows=rows,
         elapsed_seconds=result.elapsed_seconds,
         metrics=result.metrics,
-        trace=result.trace,
+        ledger=result.ledger,
         per_node_rows=result.node_results,
-        timelines=result.timelines,
     )

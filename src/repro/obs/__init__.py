@@ -6,10 +6,10 @@ benchmark harness all instrument themselves through this package:
 ``Tracer``
     Hierarchical spans (query → node → phase → operator) plus instant
     events.  Time-domain agnostic: the simulator records simulated
-    seconds, the multiprocessing executor records wall seconds.  A
-    disabled tracer (``None`` everywhere, or :data:`NULL_TRACER`) is
-    zero-cost: every integration point short-circuits and runs are
-    bit-identical to the un-instrumented code.
+    seconds, the multiprocessing executor records wall seconds.
+    ``tracer=None`` disables it at zero cost: every integration point
+    short-circuits and runs are bit-identical to the un-instrumented
+    code.
 
 ``MetricsRegistry``
     Typed counter / gauge / histogram handles with a deterministic
@@ -18,7 +18,7 @@ benchmark harness all instrument themselves through this package:
 
 ``repro.obs.export``
     Chrome ``trace_event`` JSON (loads in ``chrome://tracing`` and
-    Perfetto) and a flat JSONL span log.
+    Perfetto).
 
 ``repro.obs.schema``
     One table of what every exported artifact must contain, keyed by
@@ -62,12 +62,7 @@ from repro.obs.drift import (
     compare_model_to_run,
     format_drift_table,
 )
-from repro.obs.export import (
-    to_chrome_trace,
-    to_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-)
+from repro.obs.export import to_chrome_trace, write_chrome_trace
 from repro.obs.live import (
     PROM_CONTENT_TYPE,
     FlightRecorder,
@@ -85,7 +80,7 @@ from repro.obs.metrics import (
     quantile_from_buckets,
 )
 from repro.obs.profile import WorkerProfile
-from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
+from repro.obs.tracer import Span, Tracer
 
 __all__ = [
     "Counter",
@@ -103,8 +98,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_TRACER",
-    "NullTracer",
     "PROM_CONTENT_TYPE",
     "QueryLog",
     "Span",
@@ -116,7 +109,5 @@ __all__ = [
     "to_prometheus",
     "validate_prometheus",
     "to_chrome_trace",
-    "to_jsonl",
     "write_chrome_trace",
-    "write_jsonl",
 ]

@@ -6,13 +6,12 @@ A-Rep's end-of-phase broadcast.  PR 3's tracer shows *when* phases ran;
 this module records *why* the run took the shape it did:
 
 ``DecisionLedger``
-    An opt-in sink (threaded through the engine exactly like the
-    tracer — ``ledger=None`` keeps every run bit-identical) collecting
-    one :class:`DecisionEvent` per adaptive choice.  Each event carries
-    the node, the simulated time, the decision's inputs (estimate,
-    threshold, tuples seen, table fill, ``initSeg``
-    counts…) and, when a tracer is attached, the id of the span it was
-    made inside.
+    The one record of a simulated run's decisions (every run fills one:
+    ``AlgorithmOutcome.ledger``), collecting one :class:`DecisionEvent`
+    per adaptive choice.  Each event carries the node, the simulated
+    time, the decision's inputs (estimate, threshold, tuples seen, table
+    fill, ``initSeg`` counts…) and, when a tracer is attached, the id of
+    the span it was made inside.
 
 ``annotate_ground_truth``
     Post-hoc enrichment: once a run finishes, the *true* group count is
@@ -105,8 +104,6 @@ class DecisionEvent:
 
 class DecisionLedger:
     """Collects the adaptive decisions of one run."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self.events: list[DecisionEvent] = []
@@ -263,17 +260,18 @@ def annotate_ground_truth(
 def run_artifact(
     algorithm: str,
     outcome,
-    ledger: DecisionLedger,
     params,
     workload: dict | None = None,
 ) -> dict:
     """Bundle a finished run into a ``repro-run/1`` document.
 
-    ``outcome`` is an :class:`~repro.core.runner.AlgorithmOutcome`;
-    ground truth is annotated here (the outcome knows the real group
-    count), so the artifact is self-contained.
+    ``outcome`` is an :class:`~repro.core.runner.AlgorithmOutcome`; its
+    ledger is annotated with ground truth here (the outcome knows the
+    real group count), so the artifact is self-contained.
     """
-    annotate_ground_truth(ledger, outcome.num_groups, params)
+    ledger = annotate_ground_truth(
+        outcome.ledger, outcome.num_groups, params
+    )
     return {
         "schema": RUN_SCHEMA,
         "algorithm": algorithm,

@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome ``trace_event`` JSON and flat JSONL.
+"""Trace exporter: Chrome ``trace_event`` JSON.
 
 The Chrome format (the "JSON Array Format" of the trace_event spec) is
 loadable directly in ``chrome://tracing`` and https://ui.perfetto.dev.
@@ -7,14 +7,9 @@ Mapping: every span becomes a complete ("X") event with microsecond
 (track -1, the cluster track, is rendered as tid 0 named "cluster", node
 ``i`` as tid ``i + 1`` named "node i").  Span categories and the span
 tree (ids/parents) ride along in ``args`` so nothing is lost in export.
-
-The JSONL exporter writes one JSON object per line — the grep-friendly
-flat log for scripted analysis.
 """
 
 from __future__ import annotations
-
-import json
 
 from repro.obs.schema import CHROME_TRACE, write_artifact
 
@@ -102,46 +97,3 @@ def write_chrome_trace(tracer, path: str, process_name: str = "repro") -> str:
     doc = to_chrome_trace(tracer, process_name)
     return write_artifact(doc, CHROME_TRACE, path)
 
-
-def to_jsonl(tracer) -> list[str]:
-    """One JSON object per span/instant, in recording order."""
-    lines = []
-    for span in tracer.spans:
-        lines.append(
-            json.dumps(
-                {
-                    "type": "span",
-                    "id": span.span_id,
-                    "parent": span.parent_id,
-                    "name": span.name,
-                    "cat": span.cat,
-                    "track": span.track,
-                    "start": span.start,
-                    "end": span.end,
-                    "args": span.args,
-                },
-                sort_keys=True,
-            )
-        )
-    for inst in tracer.instants:
-        lines.append(
-            json.dumps(
-                {
-                    "type": "event",
-                    "name": inst["name"],
-                    "track": inst["track"],
-                    "time": inst["time"],
-                    "args": inst["args"],
-                },
-                sort_keys=True,
-            )
-        )
-    return lines
-
-
-def write_jsonl(tracer, path: str) -> str:
-    """Write the flat span log to ``path``; returns the path."""
-    with open(path, "w") as handle:
-        for line in to_jsonl(tracer):
-            handle.write(line + "\n")
-    return path

@@ -256,8 +256,7 @@ class FlightRecorder:
         threshold = self.slow_threshold_seconds
         if (
             tracer is not None
-            and getattr(tracer, "enabled", False)
-            and getattr(tracer, "spans", None)
+            and tracer.spans
             and threshold is not None
             and self.trace_entries > 0
             and record.get("elapsed_seconds", 0.0) >= threshold

@@ -13,10 +13,8 @@ The span hierarchy is maintained with one open-span stack per track:
 under the current stack top without pushing.  That yields the
 query → node → phase → operator tree the exporters rely on.
 
-Disabled tracing must cost nothing: pass ``tracer=None`` (every
-integration point guards with ``if tracer is not None``) or use the
-shared :data:`NULL_TRACER`, whose methods are no-ops returning a
-singleton null span.
+Disabled tracing must cost nothing: pass ``tracer=None``; every
+integration point guards with ``if tracer is not None``.
 """
 
 from __future__ import annotations
@@ -57,8 +55,6 @@ class Tracer:
     the simulator emits (they dominate span counts on large runs) while
     keeping query/node/phase structure and instants.
     """
-
-    enabled = True
 
     def __init__(self, operator_spans: bool = True) -> None:
         self.operator_spans = operator_spans
@@ -200,57 +196,3 @@ class Tracer:
             "phase_seconds": dict(sorted(phase_seconds.items())),
         }
 
-
-class _NullSpan:
-    """The inert span handed out by :class:`NullTracer`."""
-
-    __slots__ = ()
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """A tracer whose every method is a no-op (``enabled`` is False).
-
-    Useful where an API requires *a* tracer object; hot paths should
-    prefer ``tracer=None`` plus an ``is not None`` guard, which is
-    cheaper still.
-    """
-
-    enabled = False
-    operator_spans = False
-    spans: list = []
-    instants: list = []
-
-    def begin(self, name, track=-1, t=0.0, cat=PHASE, parent=None, **args):
-        return _NULL_SPAN
-
-    def end(self, span, t, **args) -> None:
-        pass
-
-    def complete(self, name, track, start, end, cat=OPERATOR, **args):
-        return _NULL_SPAN
-
-    def instant(self, name, track, t, **args) -> None:
-        pass
-
-    def current_span(self, track=-1):
-        return None
-
-    def open_spans(self) -> list:
-        return []
-
-    def close_all(self, t) -> None:
-        pass
-
-    def summary(self) -> dict:
-        return {
-            "spans": 0,
-            "instants": 0,
-            "by_category": {},
-            "phase_seconds": {},
-        }
-
-
-NULL_TRACER = NullTracer()

@@ -9,21 +9,11 @@ the sample shows more groups than the threshold, Repartitioning is safe.
 Θ(k log k) draws suffice; ``paper_sample_size`` is the paper's engineering
 rule of thumb ("about 10 times the crossover threshold", e.g. 2563 samples
 for a threshold of 320).
-
-The paper also notes the *general* estimation problem is the species
-estimation problem [BF93]; for completeness this module ships two
-classical species estimators (Chao1, first-order jackknife) and a
-Flajolet–Martin probabilistic counter — all usable as drop-in
-alternatives to the plain lower bound when the caller wants an estimate
-rather than a bound.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-
-from repro.storage.hashing import stable_hash
 
 
 def distinct_lower_bound(keys) -> int:
@@ -52,98 +42,3 @@ def paper_sample_size(threshold: int, multiplier: float = 10.0) -> int:
         raise ValueError("threshold must be at least 1")
     return math.ceil(threshold * multiplier)
 
-
-def chao1_estimate(keys) -> float:
-    """Chao1 species estimator: d + f1² / (2·f2).
-
-    ``f1``/``f2`` are the counts of groups seen exactly once/twice in the
-    sample; singletons hint at how many groups were missed entirely.
-    Always ≥ the observed distinct count.
-    """
-    frequencies = Counter(keys)
-    if not frequencies:
-        return 0.0
-    d = len(frequencies)
-    counts = Counter(frequencies.values())
-    f1 = counts.get(1, 0)
-    f2 = counts.get(2, 0)
-    if f2 > 0:
-        return d + f1 * f1 / (2.0 * f2)
-    # Bias-corrected form for f2 = 0.
-    return d + f1 * (f1 - 1) / 2.0
-
-
-def jackknife_estimate(keys) -> float:
-    """First-order jackknife: d + f1 · (n − 1) / n."""
-    sample = list(keys)
-    n = len(sample)
-    if n == 0:
-        return 0.0
-    frequencies = Counter(sample)
-    f1 = sum(1 for c in frequencies.values() if c == 1)
-    return len(frequencies) + f1 * (n - 1) / n
-
-
-class FlajoletMartinSketch:
-    """A probabilistic distinct counter (Flajolet–Martin, 1985).
-
-    Era-appropriate for the paper: estimates the number of distinct
-    groups in constant space by tracking, per stochastic-averaging
-    bucket, the maximum number of trailing zero bits of the keys'
-    hashes.  Sketches merge by taking the per-bucket max, so the
-    coordinator can combine node-local sketches for free — the same
-    composition trick the aggregation partials use.
-    """
-
-    # Bias correction for the max-rank variant with stochastic
-    # averaging, calibrated empirically against stable_hash (the
-    # classic 0.77351 applies to the bitmap/PCSA variant).
-    _PHI = 2.75
-
-    def __init__(self, num_buckets: int = 64) -> None:
-        if num_buckets < 1:
-            raise ValueError("num_buckets must be at least 1")
-        self.num_buckets = num_buckets
-        self._max_zeros = [0] * num_buckets
-
-    @staticmethod
-    def _trailing_zeros(value: int) -> int:
-        if value == 0:
-            return 64
-        return (value & -value).bit_length() - 1
-
-    def add(self, key) -> None:
-        h = stable_hash(("fm", key))
-        bucket = h % self.num_buckets
-        zeros = self._trailing_zeros(h // self.num_buckets) + 1
-        if zeros > self._max_zeros[bucket]:
-            self._max_zeros[bucket] = zeros
-
-    def merge(self, other: "FlajoletMartinSketch") -> None:
-        if other.num_buckets != self.num_buckets:
-            raise ValueError("cannot merge sketches of different widths")
-        self._max_zeros = [
-            max(a, b) for a, b in zip(self._max_zeros, other._max_zeros)
-        ]
-
-    def estimate(self) -> float:
-        mean_r = sum(self._max_zeros) / self.num_buckets
-        return self.num_buckets / self._PHI * (2.0**mean_r - 1.0)
-
-
-ESTIMATORS = {
-    "lower_bound": lambda keys: float(distinct_lower_bound(keys)),
-    "chao1": chao1_estimate,
-    "jackknife": jackknife_estimate,
-}
-
-
-def estimate_groups(keys, method: str = "lower_bound") -> float:
-    """Dispatch to one of the named sample-based estimators."""
-    try:
-        return ESTIMATORS[method](keys)
-    except KeyError:
-        raise KeyError(
-            f"unknown estimator {method!r}; expected one of "
-            f"{sorted(ESTIMATORS)}"
-        ) from None

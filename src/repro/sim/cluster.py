@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.costmodel.params import SystemParameters
+from repro.obs.decisions import DecisionLedger
 from repro.sim.engine import Engine
-from repro.sim.events import TraceEvent
 from repro.sim.metrics import ClusterMetrics
 from repro.sim.network import make_network
 from repro.sim.node import NodeContext
@@ -19,12 +19,7 @@ class RunResult:
     elapsed_seconds: float
     node_results: list
     metrics: ClusterMetrics
-    trace: list[TraceEvent] = field(default_factory=list)
-    timelines: list = field(default_factory=list)
-
-    def events(self, what: str) -> list[TraceEvent]:
-        """Trace events of one type (e.g. "switch_to_repartitioning")."""
-        return [e for e in self.trace if e.what == what]
+    ledger: DecisionLedger
 
 
 class Cluster:
@@ -42,7 +37,6 @@ class Cluster:
     def run(
         self,
         program_factories,
-        record_timeline: bool = False,
         node_speed_factors=None,
         tracer=None,
         ledger=None,
@@ -57,7 +51,6 @@ class Cluster:
         engine = Engine(
             self.params,
             network,
-            record_timeline=record_timeline,
             node_speed_factors=node_speed_factors,
             tracer=tracer,
             ledger=ledger,
@@ -74,6 +67,5 @@ class Cluster:
             elapsed_seconds=metrics.makespan,
             node_results=results,
             metrics=metrics,
-            trace=engine.trace,
-            timelines=engine.timelines,
+            ledger=engine.ledger,
         )

@@ -30,10 +30,10 @@ from repro.sim.events import (
     ReadPages,
     Recv,
     Send,
-    TraceEvent,
     TryRecv,
     WritePages,
 )
+from repro.obs.decisions import DecisionLedger
 from repro.obs.tracer import NODE as _CAT_NODE
 from repro.obs.tracer import QUERY as _CAT_QUERY
 from repro.sim.metrics import ClusterMetrics, NodeMetrics
@@ -81,7 +81,6 @@ class Engine:
         self,
         params: SystemParameters,
         network=None,
-        record_timeline: bool = False,
         max_events: int = 50_000_000,
         node_speed_factors=None,
         tracer=None,
@@ -89,13 +88,12 @@ class Engine:
     ) -> None:
         self.params = params
         self.network = network if network is not None else make_network(params)
-        self.record_timeline = record_timeline
         # Optional obs.Tracer; None = untraced, and every tracing hook
         # below short-circuits so the simulation is bit-identical.
         self.tracer = tracer
-        # Optional obs.DecisionLedger; None = unrecorded, and decision
-        # sites degrade to plain trace events (bit-identical runs).
-        self.ledger = ledger
+        # Every adaptive decision of the run lands here; a caller may
+        # hand in its own ledger.
+        self.ledger = ledger if ledger is not None else DecisionLedger()
         # A backstop against node programs that send/poll in an infinite
         # loop: far above any legitimate run, but finite.
         self.max_events = max_events
@@ -104,15 +102,17 @@ class Engine:
         # i.e. doubled durations).  None = homogeneous.
         if node_speed_factors is not None:
             factors = list(node_speed_factors)
-            if any(f <= 0 for f in factors):
-                raise ValueError("node speed factors must be positive")
+            if len(factors) != params.num_nodes or not all(
+                math.isfinite(f) and f > 0 for f in factors
+            ):
+                raise ValueError(
+                    f"node_speed_factors must hold exactly "
+                    f"{params.num_nodes} finite positive numbers (one per "
+                    f"node), got {factors!r}"
+                )
             self.node_speed_factors = factors
         else:
             self.node_speed_factors = None
-        # Per-node activity segments (start, end, tag), only when asked:
-        # recording every segment costs memory proportional to the run.
-        self.timelines: list[list[tuple[float, float, str]]] = []
-        self.trace: list[TraceEvent] = []
         self._heap: list = []
         self._seq = 0
         self._nodes: list[_NodeState] = []
@@ -128,7 +128,6 @@ class Engine:
             _NodeState(i, gen, metrics=NodeMetrics(i))
             for i, gen in enumerate(generators)
         ]
-        self.timelines = [[] for _ in self._nodes]
         tracer = self.tracer
         query_span = None
         if tracer is not None:
@@ -191,40 +190,29 @@ class Engine:
             network_blocks=self.network.blocks_carried,
         )
 
-    def log(self, node_id: int, what: str, **detail) -> None:
-        """Record a trace event at the node's current simulated time."""
-        clock = self._nodes[node_id].clock
-        self.trace.append(TraceEvent(clock, node_id, what, detail))
-        if self.tracer is not None:
-            self.tracer.instant(what, node_id, clock, **detail)
-
     def decision(
         self, node_id: int, what: str, extra: dict | None, detail: dict
     ) -> None:
-        """Record an adaptive decision: a trace event plus a ledger entry.
+        """Record an adaptive decision at the node's current simulated time.
 
-        The trace event carries exactly ``detail`` (byte-identical to the
-        pre-ledger ``ctx.log`` call); ``extra`` holds ledger-only context
-        (table capacities, sample sizes) that would bloat
-        the trace.  With ``ledger=None`` this *is* ``log()``.
+        The ledger entry holds ``detail`` merged with ``extra``, the
+        ledger-only context (table capacities, sample sizes) that would
+        bloat a trace.  On a traced run the decision is also a tracer
+        instant carrying exactly ``detail``, linked from the ledger entry
+        by the id of the span it was made inside.
         """
-        self.log(node_id, what, **detail)
-        ledger = self.ledger
-        if ledger is None:
-            return
-        data = dict(detail)
-        if extra:
-            data.update(extra)
+        clock = self._nodes[node_id].clock
         span_id = None
         if self.tracer is not None:
+            self.tracer.instant(what, node_id, clock, **detail)
             span = self.tracer.current_span(node_id)
             if span is not None:
-                span_id = getattr(span, "span_id", None)
-        ledger.record(
+                span_id = span.span_id
+        self.ledger.record(
             what,
             node_id,
-            self._nodes[node_id].clock,
-            data=data,
+            clock,
+            data={**detail, **(extra or {})},
             span_id=span_id,
         )
 
@@ -245,19 +233,6 @@ class Engine:
         """Count fragment tuples scanned."""
         self._nodes[node_id].metrics.tuples_scanned += tuples
 
-    def _record_segment(
-        self, node_id: int, start: float, end: float, tag: str
-    ) -> None:
-        if self.record_timeline and end > start:
-            timeline = self.timelines[node_id]
-            # Merge with the previous segment when contiguous & same tag.
-            if timeline and timeline[-1][2] == tag and (
-                abs(timeline[-1][1] - start) < 1e-12
-            ):
-                timeline[-1] = (timeline[-1][0], end, tag)
-            else:
-                timeline.append((start, end, tag))
-
     # -- internals ----------------------------------------------------------
 
     def _push(self, time: float, action: str, node_id: int, payload) -> None:
@@ -272,10 +247,7 @@ class Engine:
     def _node_slowdown(self, node_id: int) -> float:
         if self.node_speed_factors is None:
             return 1.0
-        try:
-            return 1.0 / self.node_speed_factors[node_id]
-        except IndexError:
-            return 1.0
+        return 1.0 / self.node_speed_factors[node_id]
 
     def _advance(self, st: _NodeState, value, time: float) -> None:
         """Run the node greedily until it hits a shared-resource request."""
@@ -302,7 +274,6 @@ class Engine:
                 st.clock += seconds
                 metrics.cpu_seconds += seconds
                 metrics.add_tagged(req.tag, seconds)
-                self._record_segment(st.node_id, start, st.clock, req.tag)
                 if trace_ops and seconds > 0:
                     tracer.complete(
                         req.tag, st.node_id, start, st.clock, op="compute"
@@ -321,7 +292,6 @@ class Engine:
                 if req.tag == "spill_io":
                     metrics.spill_pages += req.pages
                 metrics.add_tagged(req.tag, seconds)
-                self._record_segment(st.node_id, start, st.clock, req.tag)
                 if trace_ops and st.clock > start:
                     tracer.complete(
                         req.tag, st.node_id, start, st.clock,
@@ -336,7 +306,6 @@ class Engine:
                 if req.tag == "spill_io":
                     metrics.spill_pages += req.pages
                 metrics.add_tagged(req.tag, seconds)
-                self._record_segment(st.node_id, start, st.clock, req.tag)
                 if trace_ops and seconds > 0:
                     tracer.complete(
                         req.tag, st.node_id, start, st.clock,

@@ -8,7 +8,7 @@ accordingly and resumes the generator — with the received
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -100,12 +100,3 @@ class TryRecv:
 
     kind: str | None = None
 
-
-@dataclass
-class TraceEvent:
-    """One entry of the run's event log (mode switches, decisions, ...)."""
-
-    time: float
-    node: int
-    what: str
-    detail: dict = field(default_factory=dict)

@@ -97,20 +97,14 @@ class NodeContext:
     def pages_of(self, nbytes: float) -> float:
         return nbytes / self.params.page_bytes
 
-    def log(self, what: str, **detail) -> None:
-        """Record a trace event (mode switch, decision, ...)."""
-        if self.engine is not None:
-            self.engine.log(self.node_id, what, **detail)
-
     def decision(
         self, what: str, ledger_only: dict | None = None, **detail
     ) -> None:
-        """Record an adaptive decision.
+        """Record an adaptive decision (sampling verdict, mode switch, ...).
 
-        Emits exactly the trace event ``log(what, **detail)`` would
-        (so traced output is unchanged) and, when the run carries a
-        :class:`~repro.obs.decisions.DecisionLedger`, a ledger entry
-        with ``detail`` merged with ``ledger_only`` extras.
+        The run's :class:`~repro.obs.decisions.DecisionLedger` gets
+        ``detail`` merged with ``ledger_only`` extras; a traced run also
+        gets a tracer instant carrying exactly ``detail``.
         """
         if self.engine is not None:
             self.engine.decision(self.node_id, what, ledger_only, detail)

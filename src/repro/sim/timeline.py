@@ -1,12 +1,14 @@
-"""ASCII Gantt rendering of a recorded run timeline.
+"""ASCII Gantt rendering of a traced run.
 
-Each node's activity segments (CPU, scan I/O, spill I/O, merge, network
+Each node's operator spans (CPU, scan I/O, spill I/O, merge, network
 protocol, ...) become one labelled lane; gaps are idle/waiting time —
 which is how you *see* the C-2P coordinator bottleneck, the A-Rep
 end-of-phase synchronization, or the bus-bound tail of Repartitioning.
 """
 
 from __future__ import annotations
+
+from repro.obs.tracer import NODE, OPERATOR
 
 _TAG_CHARS = {
     "scan_io": "S",
@@ -31,36 +33,40 @@ def tag_char(tag: str) -> str:
     return _TAG_CHARS.get(tag, _DEFAULT_CHAR)
 
 
-def render_timeline(
-    timelines: list[list[tuple[float, float, str]]],
-    width: int = 72,
-    end_time: float | None = None,
-) -> str:
-    """Render per-node activity lanes; '.' marks idle/waiting time."""
-    if not timelines:
-        return "(no timeline recorded)"
-    if end_time is None:
-        end_time = max(
-            (seg[1] for lane in timelines for seg in lane), default=0.0
-        )
-    if end_time <= 0:
-        return "(empty timeline)"
+def render_timeline(tracer, width: int = 72) -> str:
+    """Render per-node lanes of a tracer's operator spans.
+
+    One lane per traced node; '.' marks idle/waiting time.  The tracer
+    must have recorded operator spans (``Tracer()``'s default).
+    """
+    activity = [
+        span for span in tracer.spans_by_cat(OPERATOR)
+        if span.end > span.start
+    ]
+    if not activity:
+        return "(no timeline recorded: the trace has no operator spans)"
+    end_time = max(span.end for span in activity)
     scale = width / end_time
+    tracks = {span.track for span in tracer.spans_by_cat(NODE)}
+    tracks.update(span.track for span in activity)
+    lanes = {track: [] for track in sorted(tracks)}
+    for span in activity:
+        lanes[span.track].append(span)
 
     lines = []
-    for node_id, lane in enumerate(timelines):
+    for track, lane in lanes.items():
         chars = ["."] * width
-        for start, end, tag in lane:
-            lo = min(width - 1, int(start * scale))
-            hi = min(width, max(lo + 1, int(end * scale + 0.9999)))
-            marker = tag_char(tag)
+        for span in lane:
+            lo = min(width - 1, int(span.start * scale))
+            hi = min(width, max(lo + 1, int(span.end * scale + 0.9999)))
+            marker = tag_char(span.name)
             for i in range(lo, hi):
                 chars[i] = marker
-        lines.append(f"node {node_id:>2} |" + "".join(chars) + "|")
+        lines.append(f"node {track:>2} |" + "".join(chars) + "|")
     lines.append(f"         0s{' ' * (width - 12)}{end_time:.3f}s")
-    used_tags = {seg[2] for lane in timelines for seg in lane}
     legend = "  ".join(
-        f"{tag_char(tag)}={tag}" for tag in sorted(used_tags)
+        f"{tag_char(tag)}={tag}"
+        for tag in sorted({span.name for span in activity})
     )
     lines.append("         " + legend + "  .=idle/wait")
     return "\n".join(lines)

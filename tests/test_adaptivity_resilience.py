@@ -37,9 +37,9 @@ class TestARepWrongFallback:
             init_seg=200,
         )
         # The wrong fallback happened...
-        assert out.events_named("switch_to_two_phase")
+        assert out.ledger.events_of("switch_to_two_phase")
         # ...and the A-2P safety net fired on the overflowing tables.
-        assert out.events_named("switch_to_repartitioning")
+        assert out.ledger.events_of("switch_to_repartitioning")
         # Correctness survives the double switch.
         assert_rows_close(
             out.rows, reference_aggregate(many_groups, sum_query)
@@ -73,7 +73,7 @@ class TestARepNeverJudges:
             sum_query,
             init_seg=10_000_000,
         )
-        assert not out.events_named("switch_to_two_phase")
+        assert not out.ledger.events_of("switch_to_two_phase")
         assert_rows_close(out.rows, reference_aggregate(dist, sum_query))
 
 
@@ -87,8 +87,8 @@ class TestSamplingWrongChoice:
             "sampling", dist, sum_query, sampling_threshold=1
         )
         assert (
-            forced_rep.events_named("sampling_decision")[0]
-            .detail["choice"]
+            forced_rep.ledger.events_of("sampling_decision")[0]
+            .data["choice"]
             == "repartitioning"
         )
         assert_rows_close(
@@ -112,8 +112,8 @@ class TestA2pThrashResistance:
         out = run_algorithm(
             "adaptive_two_phase", dist, sum_query, params=params
         )
-        switches = out.events_named("switch_to_repartitioning")
+        switches = out.ledger.events_of("switch_to_repartitioning")
         assert len(switches) == 4
         for event in switches:
-            assert event.detail["tuples_seen"] <= 5
+            assert event.data["tuples_seen"] <= 5
         assert_rows_close(out.rows, reference_aggregate(dist, sum_query))

@@ -21,7 +21,7 @@ class TestAdaptiveTwoPhase:
         out = run_algorithm(
             "adaptive_two_phase", dist, sum_query, params=params
         )
-        assert not out.events_named("switch_to_repartitioning")
+        assert not out.ledger.events_of("switch_to_repartitioning")
 
     def test_all_nodes_switch_when_groups_overflow(self, sum_query):
         dist = generate_uniform(4000, 500, 4, seed=0)
@@ -29,7 +29,7 @@ class TestAdaptiveTwoPhase:
         out = run_algorithm(
             "adaptive_two_phase", dist, sum_query, params=params
         )
-        switches = out.events_named("switch_to_repartitioning")
+        switches = out.ledger.events_of("switch_to_repartitioning")
         assert len(switches) == 4
         assert {e.node for e in switches} == {0, 1, 2, 3}
 
@@ -39,8 +39,8 @@ class TestAdaptiveTwoPhase:
         out = run_algorithm(
             "adaptive_two_phase", dist, sum_query, params=params
         )
-        for event in out.events_named("switch_to_repartitioning"):
-            assert event.detail["groups_accumulated"] == 50
+        for event in out.ledger.events_of("switch_to_repartitioning"):
+            assert event.data["groups_accumulated"] == 50
 
     def test_no_spill_io_in_local_phase_after_switch(self, sum_query):
         """The point of switching: A-2P never spools local overflow."""
@@ -63,7 +63,7 @@ class TestAdaptiveTwoPhase:
         out = run_algorithm(
             "adaptive_two_phase", dist, sum_query, params=params
         )
-        assert out.events_named("switch_to_repartitioning")
+        assert out.ledger.events_of("switch_to_repartitioning")
         assert_rows_close(out.rows, reference_aggregate(dist, sum_query))
 
 
@@ -77,7 +77,7 @@ class TestAdaptiveRepartitioning:
             arep_switch_groups=40,
             init_seg=400,
         )
-        assert not out.events_named("switch_to_two_phase")
+        assert not out.ledger.events_of("switch_to_two_phase")
 
     def test_falls_back_when_groups_few(self, sum_query):
         dist = generate_uniform(6000, 8, 4, seed=4)
@@ -88,7 +88,7 @@ class TestAdaptiveRepartitioning:
             arep_switch_groups=40,
             init_seg=400,
         )
-        assert out.events_named("switch_to_two_phase")
+        assert out.ledger.events_of("switch_to_two_phase")
 
     def test_end_of_phase_propagates(self, sum_query):
         """One node's decision drags every node out of Rep."""
@@ -100,9 +100,11 @@ class TestAdaptiveRepartitioning:
             arep_switch_groups=40,
             init_seg=400,
         )
-        switched = {e.node for e in out.events_named("switch_to_two_phase")}
+        switched = {
+            e.node for e in out.ledger.events_of("switch_to_two_phase")
+        }
         notified = {
-            e.node for e in out.events_named("end_of_phase_received")
+            e.node for e in out.ledger.events_of("end_of_phase_received")
         }
         assert switched | notified == {0, 1, 2, 3}
 
@@ -129,9 +131,9 @@ class TestSampling:
         out = run_algorithm(
             "sampling", dist, sum_query, sampling_threshold=40
         )
-        decisions = out.events_named("sampling_decision")
+        decisions = out.ledger.events_of("sampling_decision")
         assert len(decisions) == 1
-        assert decisions[0].detail["choice"] == "two_phase"
+        assert decisions[0].data["choice"] == "two_phase"
 
     def test_picks_repartitioning_for_many_groups(self, sum_query):
         dist = generate_uniform(4000, 1500, 4, seed=8)
@@ -139,7 +141,7 @@ class TestSampling:
             "sampling", dist, sum_query, sampling_threshold=40
         )
         assert (
-            out.events_named("sampling_decision")[0].detail["choice"]
+            out.ledger.events_of("sampling_decision")[0].data["choice"]
             == "repartitioning"
         )
 
@@ -148,7 +150,7 @@ class TestSampling:
         out = run_algorithm(
             "sampling", dist, sum_query, sampling_threshold=40
         )
-        seen = out.events_named("sampling_decision")[0].detail[
+        seen = out.ledger.events_of("sampling_decision")[0].data[
             "distinct_in_sample"
         ]
         assert seen <= 100
@@ -172,7 +174,7 @@ class TestOutputSkewBehavior:
             "adaptive_two_phase", dist, sum_query, params=params
         )
         switched = {
-            e.node for e in out.events_named("switch_to_repartitioning")
+            e.node for e in out.ledger.events_of("switch_to_repartitioning")
         }
         assert switched == {4, 5, 6, 7}  # the group-rich half
 
@@ -203,7 +205,7 @@ class TestOptimizedTwoPhase:
         out = run_algorithm(
             "optimized_two_phase", dist, sum_query, params=params
         )
-        assert out.events_named("forwarded_on_overflow")
+        assert out.ledger.events_of("forwarded_on_overflow")
 
     def test_no_forwarding_when_memory_suffices(self, sum_query):
         dist = generate_uniform(4000, 8, 4, seed=14)
@@ -211,4 +213,4 @@ class TestOptimizedTwoPhase:
         out = run_algorithm(
             "optimized_two_phase", dist, sum_query, params=params
         )
-        assert not out.events_named("forwarded_on_overflow")
+        assert not out.ledger.events_of("forwarded_on_overflow")

@@ -36,7 +36,6 @@ class TestSimConfig:
         cfg = SimConfig()
         assert not cfg.pipeline
         assert cfg.local_method == "hash"
-        assert cfg.estimator == "lower_bound"
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -45,10 +44,6 @@ class TestSimConfig:
     def test_invalid_local_method(self):
         with pytest.raises(ValueError):
             SimConfig(local_method="btree")
-
-    def test_invalid_estimator(self):
-        with pytest.raises(ValueError):
-            SimConfig(estimator="oracle")
 
 
 class TestItemBytes:

@@ -50,6 +50,24 @@ class TestEngineSpeedFactors:
         with pytest.raises(ValueError, match="positive"):
             Engine(params, node_speed_factors=[0.0])
 
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            [0.5],
+            [1, 1, 1, 1, 0.01, 0.01],
+            [float("nan")] * 4,
+            [float("inf")] * 4,
+            [1, 1, -1, 1],
+        ],
+        ids=["short", "long", "nan", "inf", "negative"],
+    )
+    def test_factors_must_match_the_cluster(self, factors, sum_query):
+        dist = generate_uniform(400, 8, 4, seed=0)
+        with pytest.raises(ValueError, match="node_speed_factors"):
+            run_algorithm(
+                "two_phase", dist, sum_query, node_speed_factors=factors
+            )
+
     def test_none_means_homogeneous(self):
         params = SystemParameters.paper_default().with_(num_nodes=1)
         assert Engine(params).node_speed_factors is None

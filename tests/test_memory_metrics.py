@@ -40,8 +40,8 @@ class TestMemoryClaim:
         m = 50
         dist = generate_uniform(4000, 1000, NODES, seed=2)
         out = run("adaptive_two_phase", dist, sum_query, m=m)
-        for event in out.events_named("switch_to_repartitioning"):
-            assert event.detail["groups_accumulated"] <= m
+        for event in out.ledger.events_of("switch_to_repartitioning"):
+            assert event.data["groups_accumulated"] <= m
 
     def test_a2p_total_memory_below_two_phase(self, sum_query):
         """Switching frees the local tables, so A-2P's cluster-wide peak

@@ -43,13 +43,11 @@ def many_groups_dist():
 
 class TestRecording:
     def test_sampling_records_decision_inputs(self, small_dist, sum_query):
-        ledger = DecisionLedger()
-        run_algorithm("sampling", small_dist, sum_query, ledger=ledger)
+        ledger = run_algorithm("sampling", small_dist, sum_query).ledger
         (event,) = ledger.events_of(SAMPLING_DECISION)
         assert event.node == 0  # the coordinator decides
         for key in (
             "estimated_groups",
-            "estimator",
             "threshold",
             "choice",
             "distinct_in_sample",
@@ -60,10 +58,9 @@ class TestRecording:
         assert event.data["choice"] in ("two_phase", "repartitioning")
 
     def test_a2p_records_switches(self, many_groups_dist, sum_query):
-        ledger = DecisionLedger()
-        run_algorithm(
-            "adaptive_two_phase", many_groups_dist, sum_query, ledger=ledger
-        )
+        ledger = run_algorithm(
+            "adaptive_two_phase", many_groups_dist, sum_query
+        ).ledger
         switches = ledger.events_of(A2P_SWITCH)
         assert len(switches) == many_groups_dist.num_nodes
         for event in switches:
@@ -74,10 +71,9 @@ class TestRecording:
     def test_arep_records_echo_and_switch(self, small_dist, sum_query):
         # 16 groups on 4 nodes: A-Rep finishes its initSeg probe well
         # under the switch threshold and falls back to Two Phase.
-        ledger = DecisionLedger()
-        run_algorithm(
-            "adaptive_repartitioning", small_dist, sum_query, ledger=ledger
-        )
+        ledger = run_algorithm(
+            "adaptive_repartitioning", small_dist, sum_query
+        ).ledger
         switches = ledger.events_of(AREP_SWITCH)
         assert switches, "expected the low-group fallback to fire"
         for event in switches:
@@ -85,20 +81,27 @@ class TestRecording:
             assert event.data["init_seg"] > 0
         assert ledger.events_of(AREP_ECHO)
 
-    def test_no_ledger_means_no_recording(self, small_dist, sum_query):
-        # Smoke-checks the None short-circuit path (parity is pinned
-        # separately in test_obs_parity.py).
+    def test_a_run_without_a_ledger_records_its_decisions(
+        self, small_dist, sum_query
+    ):
+        """Every simulated run carries its decisions in its outcome; a
+        ledger handed in is the one the outcome carries."""
         outcome = run_algorithm("sampling", small_dist, sum_query)
-        assert outcome.num_groups == 16
+        (event,) = outcome.ledger.events_of(SAMPLING_DECISION)
+        assert event.data["choice"] in ("two_phase", "repartitioning")
+        mine = DecisionLedger()
+        handed_in = run_algorithm(
+            "sampling", small_dist, sum_query, ledger=mine
+        )
+        assert handed_in.ledger is mine
+        assert mine.to_dicts() == outcome.ledger.to_dicts()
 
     def test_span_linkage(self, small_dist, sum_query):
-        ledger = DecisionLedger()
         tracer = Tracer()
-        run_algorithm(
-            "sampling", small_dist, sum_query,
-            tracer=tracer, ledger=ledger,
+        outcome = run_algorithm(
+            "sampling", small_dist, sum_query, tracer=tracer
         )
-        (event,) = ledger.events_of(SAMPLING_DECISION)
+        (event,) = outcome.ledger.events_of(SAMPLING_DECISION)
         assert event.span_id is not None
         assert event.span_id in {
             span.span_id for span in tracer.spans
@@ -120,12 +123,11 @@ class TestGroundTruthMetric:
 
 class TestAnnotation:
     def test_correct_sampling_decision(self, many_groups_dist, sum_query):
-        ledger = DecisionLedger()
-        outcome = run_algorithm(
-            "sampling", many_groups_dist, sum_query, ledger=ledger
-        )
+        outcome = run_algorithm("sampling", many_groups_dist, sum_query)
         params = default_parameters(many_groups_dist)
-        annotate_ground_truth(ledger, outcome.num_groups, params)
+        ledger = annotate_ground_truth(
+            outcome.ledger, outcome.num_groups, params
+        )
         (event,) = ledger.events_of(SAMPLING_DECISION)
         truth = event.truth
         assert truth["true_groups"] == outcome.num_groups
@@ -150,18 +152,16 @@ class TestAnnotation:
             num_tuples=20000, num_groups=3000, num_nodes=4,
             alpha=2.5, seed=7,
         )
-        ledger = DecisionLedger()
         outcome = run_algorithm(
-            "sampling", dist, sum_query, ledger=ledger,
-            sample_multiplier=0.25,
+            "sampling", dist, sum_query, sample_multiplier=0.25
         )
-        (event,) = ledger.events_of(SAMPLING_DECISION)
+        (event,) = outcome.ledger.events_of(SAMPLING_DECISION)
         assert event.data["estimated_groups"] < event.data["threshold"]
         assert event.data["choice"] == "two_phase"
         assert outcome.num_groups == 3000
 
         annotate_ground_truth(
-            ledger, outcome.num_groups, default_parameters(dist)
+            outcome.ledger, outcome.num_groups, default_parameters(dist)
         )
         truth = event.truth
         assert truth["decision_correct"] is False
@@ -174,12 +174,13 @@ class TestAnnotation:
     def test_a2p_switch_judged_against_capacity(
         self, many_groups_dist, sum_query
     ):
-        ledger = DecisionLedger()
         outcome = run_algorithm(
-            "adaptive_two_phase", many_groups_dist, sum_query, ledger=ledger
+            "adaptive_two_phase", many_groups_dist, sum_query
         )
-        annotate_ground_truth(
-            ledger, outcome.num_groups, default_parameters(many_groups_dist)
+        ledger = annotate_ground_truth(
+            outcome.ledger,
+            outcome.num_groups,
+            default_parameters(many_groups_dist),
         )
         for event in ledger.events_of(A2P_SWITCH):
             assert event.truth["groups_exceed_capacity"] is True
@@ -190,13 +191,10 @@ class TestRunArtifact:
     def test_roundtrip_through_disk(
         self, many_groups_dist, sum_query, tmp_path
     ):
-        ledger = DecisionLedger()
-        outcome = run_algorithm(
-            "sampling", many_groups_dist, sum_query, ledger=ledger
-        )
+        outcome = run_algorithm("sampling", many_groups_dist, sum_query)
         params = default_parameters(many_groups_dist)
         doc = run_artifact(
-            "sampling", outcome, ledger, params,
+            "sampling", outcome, params,
             workload={"kind": "uniform", "num_tuples": 8000},
         )
         path = str(tmp_path / "run.json")
@@ -222,12 +220,9 @@ class TestRunArtifact:
     def test_render_explain_shows_judgement(
         self, many_groups_dist, sum_query
     ):
-        ledger = DecisionLedger()
-        outcome = run_algorithm(
-            "sampling", many_groups_dist, sum_query, ledger=ledger
-        )
+        outcome = run_algorithm("sampling", many_groups_dist, sum_query)
         doc = run_artifact(
-            "sampling", outcome, ledger, default_parameters(many_groups_dist)
+            "sampling", outcome, default_parameters(many_groups_dist)
         )
         text = render_explain(doc)
         assert "sampling_decision" in text
@@ -237,11 +232,8 @@ class TestRunArtifact:
         assert "verdicts: 1 correct" in text
 
     def test_render_explain_without_decisions(self, small_dist, sum_query):
-        ledger = DecisionLedger()
-        outcome = run_algorithm(
-            "two_phase", small_dist, sum_query, ledger=ledger
-        )
+        outcome = run_algorithm("two_phase", small_dist, sum_query)
         doc = run_artifact(
-            "two_phase", outcome, ledger, default_parameters(small_dist)
+            "two_phase", outcome, default_parameters(small_dist)
         )
         assert "no adaptive decisions" in render_explain(doc)

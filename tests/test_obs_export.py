@@ -1,4 +1,4 @@
-"""Exporters and artifact validation: Chrome trace, JSONL, CLI."""
+"""Exporters and artifact validation: Chrome trace, CLI."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import pytest
 from repro.cli import main
 from repro.core.runner import run_algorithm
 from repro.obs import Tracer
-from repro.obs.export import to_chrome_trace, to_jsonl, write_chrome_trace
+from repro.obs.export import to_chrome_trace, write_chrome_trace
 from repro.obs.schema import (
     BENCH_SCHEMA,
     CHROME_TRACE,
@@ -79,15 +79,6 @@ class TestChromeTrace:
         assert validate(doc, CHROME_TRACE) == []
 
 
-class TestJsonl:
-    def test_every_line_parses(self, traced_run):
-        tracer, _ = traced_run
-        lines = to_jsonl(tracer)
-        assert len(lines) == len(tracer.spans) + len(tracer.instants)
-        kinds = {json.loads(line)["type"] for line in lines}
-        assert kinds == {"span", "event"}
-
-
 class TestValidators:
     def test_chrome_validator_flags_garbage(self):
         assert validate({"nope": 1}, CHROME_TRACE)
@@ -127,7 +118,6 @@ class TestTraceCli:
     def test_trace_subcommand_end_to_end(self, tmp_path):
         out = io.StringIO()
         trace_path = tmp_path / "t.json"
-        jsonl_path = tmp_path / "t.jsonl"
         code = main(
             [
                 "trace",
@@ -136,14 +126,12 @@ class TestTraceCli:
                 "--groups", "16",
                 "--nodes", "4",
                 "--out", str(trace_path),
-                "--jsonl", str(jsonl_path),
             ],
             out=out,
         )
         assert code == 0
         doc = json.loads(trace_path.read_text())
         assert validate(doc, CHROME_TRACE) == []
-        assert jsonl_path.exists()
         text = out.getvalue()
         assert "spans" in text
         # Per-phase summary names the Two Phase phases.

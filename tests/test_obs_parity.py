@@ -37,7 +37,8 @@ def test_tracing_off_vs_on_bit_identical(algorithm, small_dist, full_query):
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_ledger_off_vs_on_bit_identical(algorithm, small_dist, full_query):
-    """The decision ledger is observe-only: attaching it changes nothing."""
+    """The decision ledger is observe-only: handing in one's own ledger
+    changes nothing."""
     plain = run_algorithm(algorithm, small_dist, full_query)
     with_ledger = run_algorithm(
         algorithm, small_dist, full_query, ledger=DecisionLedger()

@@ -14,7 +14,6 @@ import pytest
 
 from repro.core.runner import ALGORITHMS, default_parameters, run_algorithm
 from repro.obs import (
-    DecisionLedger,
     MetricsRegistry,
     Tracer,
     compare_model_to_run,
@@ -216,11 +215,8 @@ def sum_by_gkey():
 def test_fresh_sim_run_artifacts_validate(
     algorithm, sim_dist, sum_by_gkey, tmp_path
 ):
-    ledger = DecisionLedger()
-    outcome = run_algorithm(algorithm, sim_dist, sum_by_gkey, ledger=ledger)
-    doc = run_artifact(
-        algorithm, outcome, ledger, default_parameters(sim_dist)
-    )
+    outcome = run_algorithm(algorithm, sim_dist, sum_by_gkey)
+    doc = run_artifact(algorithm, outcome, default_parameters(sim_dist))
     write_artifact(doc, RUN_SCHEMA, str(tmp_path / "run.json"))
     assert validate(doc, RUN_SCHEMA) == []
 

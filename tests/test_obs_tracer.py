@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.runner import run_algorithm
 from repro.obs import Tracer
-from repro.obs.tracer import NODE, OPERATOR, PHASE, QUERY, NullTracer
+from repro.obs.tracer import NODE, OPERATOR, PHASE, QUERY
 
 
 def traced(algorithm, dist, query, **kw):
@@ -81,15 +81,3 @@ class TestSpanTree:
         assert len(without.spans_by_cat(PHASE)) == len(
             with_ops.spans_by_cat(PHASE)
         )
-
-
-class TestNullTracer:
-    def test_noop_protocol(self):
-        null = NullTracer()
-        span = null.begin("a", track=0, t=0.0)
-        null.end(span, 1.0)
-        null.complete("b", 0, 0.0, 1.0)
-        null.instant("c", 0, 0.5)
-        null.close_all(2.0)
-        assert null.open_spans() == []
-        assert not null.enabled

@@ -1,71 +1,14 @@
-"""The Sampling algorithm's pluggable group-count estimator."""
+"""The Sampling coordinator's group-count figure in its ledger entry."""
 
-import pytest
-
-from repro.core.algorithms import SimConfig
 from repro.core.runner import run_algorithm
-from repro.parallel import reference_aggregate
 from repro.workloads.generator import generate_uniform
-
-from tests.conftest import assert_rows_close
 
 
 class TestEstimatorConfig:
-    def test_invalid_estimator_rejected(self, small_dist, sum_query):
-        with pytest.raises(ValueError, match="estimator"):
-            run_algorithm(
-                "sampling", small_dist, sum_query, estimator="psychic"
-            )
-
-    @pytest.mark.parametrize(
-        "estimator", ["lower_bound", "chao1", "jackknife"]
-    )
-    def test_all_estimators_produce_correct_results(
-        self, estimator, sum_query
-    ):
-        dist = generate_uniform(4000, 100, 4, seed=0)
-        out = run_algorithm(
-            "sampling",
-            dist,
-            sum_query,
-            sampling_threshold=40,
-            estimator=estimator,
-        )
-        assert_rows_close(out.rows, reference_aggregate(dist, sum_query))
-        decision = out.events_named("sampling_decision")[0]
-        assert decision.detail["estimator"] == estimator
-        assert decision.detail["estimated_groups"] >= (
-            decision.detail["distinct_in_sample"]
-        )
-
-    def test_chao1_can_flip_an_undersampled_decision(self, sum_query):
-        """Near the threshold, the lower bound undershoots while Chao1's
-        singleton correction pushes the estimate over the line."""
-        dist = generate_uniform(60_000, 3_000, 4, seed=2)
-        common = dict(
-            sampling_threshold=1500,
-            sample_multiplier=1.0,  # deliberately tiny sample
-        )
-        lower = run_algorithm(
-            "sampling", dist, sum_query,
-            config=SimConfig(estimator="lower_bound", **common),
-        )
-        chao = run_algorithm(
-            "sampling", dist, sum_query,
-            config=SimConfig(estimator="chao1", **common),
-        )
-        d_lower = lower.events_named("sampling_decision")[0].detail
-        d_chao = chao.events_named("sampling_decision")[0].detail
-        assert d_chao["estimated_groups"] > d_lower["estimated_groups"]
-        # Both still compute the right answer regardless of the choice.
-        ref = reference_aggregate(dist, sum_query)
-        assert_rows_close(lower.rows, ref)
-        assert_rows_close(chao.rows, ref)
-
     def test_estimated_groups_logged_as_float(self, sum_query):
         dist = generate_uniform(2000, 50, 4, seed=3)
-        out = run_algorithm(
-            "sampling", dist, sum_query, estimator="jackknife"
-        )
-        detail = out.events_named("sampling_decision")[0].detail
-        assert isinstance(detail["estimated_groups"], float)
+        out = run_algorithm("sampling", dist, sum_query)
+        data = out.ledger.events_of("sampling_decision")[0].data
+        assert isinstance(data["estimated_groups"], float)
+        assert data["estimated_groups"] == data["distinct_in_sample"]
+        assert "estimator" not in data

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.costmodel.params import SystemParameters
-from repro.sim.cluster import Cluster, RunResult
-from repro.sim.events import TraceEvent
+from repro.obs import DecisionLedger
+from repro.sim.cluster import Cluster
 
 
 @pytest.fixture
@@ -78,12 +78,20 @@ class TestCluster:
 
 
 class TestRunResult:
-    def test_events_filter(self):
-        trace = [
-            TraceEvent(0.0, 0, "a"),
-            TraceEvent(1.0, 1, "b"),
-            TraceEvent(2.0, 0, "a"),
-        ]
-        result = RunResult(2.0, [], None, trace)
-        assert len(result.events("a")) == 2
-        assert result.events("c") == []
+    def test_events_filter(self, params):
+        """Every run's decisions come back in its ledger, filterable by
+        kind; a ledger the caller hands in is the one filled."""
+
+        def deciding(ctx):
+            def program():
+                yield ctx.compute(0.001)
+                ctx.decision("a" if ctx.node_id != 1 else "b")
+
+            return program()
+
+        result = Cluster(params).run([deciding] * 3)
+        assert len(result.ledger.events_of("a")) == 2
+        assert result.ledger.events_of("c") == []
+        mine = DecisionLedger()
+        assert Cluster(params).run([deciding] * 3, ledger=mine).ledger is mine
+        assert len(mine) == 3

@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.costmodel.params import NetworkKind, SystemParameters
@@ -274,14 +277,42 @@ class TestDeterminism:
 
 class TestTrace:
     def test_log_records_time_and_node(self, params):
+        """A decision lands in the engine's ledger at the node's clock,
+        with its ledger-only extras merged into the data."""
+
         def prog(ctx):
             yield Compute(2.0)
-            ctx.log("checkpoint", detail=42)
+            ctx.decision("checkpoint", ledger_only={"extra": 1}, detail=42)
 
         _, _, engine = run(params, prog)
-        assert len(engine.trace) == 1
-        event = engine.trace[0]
+        (event,) = engine.ledger.events
         assert event.time == pytest.approx(2.0)
         assert event.node == 0
-        assert event.what == "checkpoint"
-        assert event.detail == {"detail": 42}
+        assert event.kind == "checkpoint"
+        assert event.data == {"detail": 42, "extra": 1}
+        assert event.span_id is None
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Second records of a simulated fact: an event list beside the ledger,
+# timeline lanes beside the operator spans, and an inert tracer and a
+# flat span log beside the one tracer and the one trace format.
+_SECOND_RECORDS = re.compile(
+    r"\b(TraceEvent|record_timeline|_record_segment|switch_events"
+    r"|events_named|NullTracer|to_jsonl)\b"
+)
+
+
+def test_a_simulated_fact_is_recorded_once():
+    """Decisions live in the DecisionLedger and activity in the tracer's
+    operator spans; no second record of either comes back."""
+    found = []
+    for top in ("src", "examples", "benchmarks"):
+        for path in sorted((ROOT / top).rglob("*")):
+            if not path.is_file() or "__pycache__" in path.parts:
+                continue
+            for n, line in enumerate(path.read_text().splitlines(), 1):
+                if _SECOND_RECORDS.search(line):
+                    found.append(f"{path.relative_to(ROOT)}:{n}: {line}")
+    assert found == []

@@ -54,7 +54,7 @@ class TestChargeHelpers:
         assert req.message.nbytes == 16
 
     def test_log_without_engine_is_noop(self, ctx):
-        ctx.log("anything")  # must not raise
+        ctx.decision("anything")  # must not raise
 
 
 class TestBlockedChannel:

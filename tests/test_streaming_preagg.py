@@ -69,7 +69,7 @@ class TestStreamingAlgorithm:
         out = run_algorithm(
             "streaming_pre_aggregation", dist, sum_query, params=params
         )
-        assert not out.events_named("evictions")
+        assert not out.ledger.events_of("evictions")
 
     def test_evictions_logged_under_pressure(self, sum_query):
         dist = generate_uniform(4000, 800, 4, seed=1)
@@ -77,7 +77,7 @@ class TestStreamingAlgorithm:
         out = run_algorithm(
             "streaming_pre_aggregation", dist, sum_query, params=params
         )
-        events = out.events_named("evictions")
+        events = out.ledger.events_of("evictions")
         assert len(events) == 4  # every node under pressure
 
     def test_correct_under_heavy_eviction(self, sum_query):
@@ -110,8 +110,8 @@ class TestStreamingAlgorithm:
             "streaming_pre_aggregation", dist, sum_query, params=params
         )
         assert_rows_close(out.rows, reference_aggregate(dist, sum_query))
-        events = out.events_named("evictions")
-        total_hits = sum(e.detail["hits"] for e in events)
+        events = out.ledger.events_of("evictions")
+        total_hits = sum(e.data["hits"] for e in events)
         # A meaningful fraction of tuples collapsed into resident groups.
         assert total_hits > 0.3 * len(dist)
 
