@@ -213,14 +213,12 @@ class HashAggregator:
             else:
                 slow_add(key, values)
 
-    def add_rows(self, rows, bq, apply_where: bool = True) -> int:
+    def add_rows(self, rows, bq) -> int:
         """Absorb a batch of raw rows; returns how many passed WHERE.
 
-        ``rows`` is any iterable of tuples (a page, a decoded block, …).  Set
-        ``apply_where=False`` when the input is already filtered (e.g. a
-        select operator upstream).
+        ``rows`` is any iterable of tuples (a page, a decoded block, …).
         """
-        if apply_where and bq.query.where is not None:
+        if bq.query.where is not None:
             matches = bq.matches
             rows = [row for row in rows if matches(row)]
         elif not isinstance(rows, (list, tuple)):

@@ -129,9 +129,9 @@ class SortAggregator:
             else:
                 state.update(item)
 
-    def add_rows(self, rows, bq, apply_where: bool = True) -> int:
+    def add_rows(self, rows, bq) -> int:
         """Absorb a batch of raw rows; returns how many passed WHERE."""
-        if apply_where and bq.query.where is not None:
+        if bq.query.where is not None:
             matches = bq.matches
             rows = [row for row in rows if matches(row)]
         elif not isinstance(rows, (list, tuple)):

@@ -25,6 +25,7 @@ from repro.parallel.mp_executor.resilience import (
     FragmentFailedError,
 )
 from repro.parallel.mp_executor.strategies import _run_rep_strategy
+from repro.parallel.mp_executor.wire import _block_of
 from repro.storage.relation import DistributedRelation
 
 
@@ -437,21 +438,25 @@ def multiprocessing_aggregate(
     # Block-born fragments stay columnar end to end: the job carries the
     # ColumnBlock itself and rows are never materialized on the default
     # phases (encode ships the block; the in-process kernel reads it
-    # directly).  A substituted phase function keeps its row-list
-    # contract: the pool ships the block as it is and the worker decodes
-    # it (``as_rows``); only the in-process runner decodes here.
+    # directly).  In-process, the two-phase built-in phase gets a
+    # row-born fragment as a block too, encoded here as the pool's wire
+    # encodes it; rows the codec rejects stay rows.  A substituted phase
+    # function keeps its row-list contract: the pool ships the block as
+    # it is and the worker decodes it (``as_rows``); only the in-process
+    # runner decodes here.
     keep_blocks = phase_fn is None or not runner.in_process
-    jobs = [
-        (
-            frag.relation.block
-            if keep_blocks
-            and getattr(frag.relation, "block", None) is not None
-            else frag.relation.rows,
-            query,
-            dist.schema,
-        )
-        for frag in dist.fragments
-    ]
+    encode_rows = (
+        phase_fn is None and runner.in_process and strategy == "pool"
+    )
+
+    def source(relation):
+        block = getattr(relation, "block", None)
+        if block is None and encode_rows:
+            block = _block_of(dist.schema, relation.rows)
+        return block if block is not None and keep_blocks else relation.rows
+
+    jobs = [(source(frag.relation), query, dist.schema)
+            for frag in dist.fragments]
     run_span = None
     if tracer is not None:
         run_span = tracer.begin(

@@ -84,9 +84,11 @@ def _local_phase(job, admit=None):
     kernel first, per-row on a counted decline.
 
     ``source`` is a :class:`~repro.storage.ColumnBlock` — what a pool
-    worker loads from its segment and what a block-born fragment is
-    in-process — or a row list, which never enters the kernel.  The
-    partial is the kernel's packed payload, or the per-row loop's
+    worker loads from its segment and what a fragment is in-process,
+    row-born ones encoded as the wire encodes them — or a row list
+    (rows the block codec rejects, or what a substituted phase passes
+    on), which never enters the kernel; an empty one declines nothing.
+    The partial is the kernel's packed payload, or the per-row loop's
     ``(key, GroupState)`` list; the parent merge and ``rep`` round 2
     take either.  ``admit`` is :func:`_columnar_local_phase`'s.
     """
@@ -96,7 +98,7 @@ def _local_phase(job, admit=None):
         if result is not None:
             return result
         source = source.to_rows()
-    else:
+    elif source:
         _decline("row_source")
     return _per_row_phase(source, query, schema, admit)
 

@@ -93,6 +93,25 @@ def _projection_for(query: AggregateQuery, schema):
     return schema.project(needed), schema.indexes_of(needed)
 
 
+# What the block codec refuses: an int outside int64, a mistyped value
+# (``from_rows``), a string UTF-8 cannot carry (``to_bytes``).
+_CODEC_REJECTS = (ValueError, OverflowError, TypeError, AttributeError)
+
+
+def _block_of(schema, rows, idx=None):
+    """``rows`` as a :class:`~repro.storage.ColumnBlock` of ``schema``
+    (``idx`` as in ``ColumnBlock.from_rows``), or None for rows the
+    block codec rejects: those stay rows, and the per-row phase runs
+    them as a counted ``row_source`` decline.  The pool's wire and the
+    in-process runner both ask here, so a row-born fragment meets the
+    kernel on the same terms wherever it runs — but for a string UTF-8
+    cannot carry, which only the wire's ``to_bytes`` refuses."""
+    try:
+        return ColumnBlock.from_rows(schema, rows, idx=idx)
+    except _CODEC_REJECTS:
+        return None
+
+
 def _encode_fragment(rows, query, schema, segments: list, project: bool = True):
     """Encode one fragment into a shared-memory segment; returns the job
     descriptor for the pool worker.
@@ -130,16 +149,19 @@ def _encode_fragment(rows, query, schema, segments: list, project: bool = True):
         segments.append(shm)
         return shm.buf
 
+    if not isinstance(rows, ColumnBlock):
+        block = _block_of(ship_schema, rows, idx)
+    elif idx is not None:
+        block = rows.project(idx, ship_schema)
+    else:
+        block = rows
+    inline = ("inline", (rows, query, schema))
+    if block is None:
+        return inline
     try:
-        if not isinstance(rows, ColumnBlock):
-            block = ColumnBlock.from_rows(ship_schema, rows, idx=idx)
-        elif idx is not None:
-            block = rows.project(idx, ship_schema)
-        else:
-            block = rows
         block.to_bytes(segment)
-    except (ValueError, OverflowError, TypeError, AttributeError):
-        return ("inline", (rows, query, schema))
+    except _CODEC_REJECTS:
+        return inline
     return (
         "shm_col", segments[-1].name, nbytes, block.num_rows, query,
         ship_schema, not project,

@@ -11,7 +11,7 @@ Supports exactly the grammar Section 2 studies::
 ``parse_query`` turns the text into an :class:`AggregateQuery` (plus the
 FROM name); predicates compile to plain Python closures over the row /
 result-row dictionaries, so the output plugs straight into
-``run_algorithm``, the local operator engine, and the executors.
+``run_algorithm`` and the executors.
 """
 
 from repro.sql.parser import ParseError, parse_query

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from repro.core.runner import AlgorithmOutcome, run_algorithm
-from repro.engine.planner import run_query
 from repro.parallel.mp_executor import multiprocessing_aggregate
 from repro.sql.parser import parse_query
 from repro.storage.relation import DistributedRelation, Relation
+from repro.storage.schema import Column, Schema
 
 
 def run_sql(
@@ -18,8 +18,10 @@ def run_sql(
 ):
     """Parse and execute ``sql`` over ``data``.
 
-    * ``data`` a :class:`Relation` → the local operator engine executes
-      the plan; returns a Relation.
+    * ``data`` a :class:`Relation` → one fragment through the
+      multiprocessing executor, in this process (``run_kwargs``
+      forwarded as below); returns a Relation of the key columns, then
+      one ``"float"`` column per aggregate, rows in key order.
     * ``data`` a :class:`DistributedRelation`, ``substrate="sim"`` → the
       named algorithm runs on the simulated cluster (``run_kwargs``
       forwarded to ``run_algorithm``); returns the
@@ -45,12 +47,14 @@ def run_sql(
         )
         return outcome
     if isinstance(data, Relation):
-        if substrate == "mp":
-            raise ValueError(
-                "substrate='mp' needs a DistributedRelation (fragments to "
-                "ship to pool workers); got a plain Relation"
-            )
-        return run_query(data, query)
+        rows = multiprocessing_aggregate(
+            DistributedRelation(data.schema, [data]), query, **run_kwargs
+        )
+        columns = [data.schema.column(name) for name in query.group_by]
+        columns += [
+            Column(spec.output_name, "float") for spec in query.aggregates
+        ]
+        return Relation(Schema(columns), rows)
     raise TypeError(
         "expected Relation or DistributedRelation, got "
         f"{type(data).__name__}"

@@ -26,7 +26,6 @@ PACKAGES = [
     "repro.parallel",
     "repro.parallel.mp_executor",
     "repro.bench",
-    "repro.engine",
     "repro.sql",
 ]
 

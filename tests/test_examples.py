@@ -31,7 +31,6 @@ class TestExamples:
             "duplicate_elimination",
             "skew_study",
             "network_comparison",
-            "operator_pipeline",
             "sql_frontend",
             "out_of_core",
             "reproduce_all",
@@ -50,10 +49,3 @@ class TestExamples:
     def test_has_module_docstring(self, path):
         module = load_module(path)
         assert module.__doc__ and len(module.__doc__) > 80
-
-    def test_operator_pipeline_tables_build(self):
-        module = load_module(EXAMPLES_DIR / "operator_pipeline.py")
-        orders, lines = module.build_tables(num_orders=20,
-                                            lines_per_order=2)
-        assert len(orders) == 20
-        assert len(lines) == 40

@@ -594,11 +594,14 @@ class TestMergeFallbackCounters:
 
 
 def _mixed_dist(schema, parts):
-    """``_block_dist`` with the middle fragment born as rows: it never
-    enters the kernel, so its partial is unpacked among packed ones and
-    the parent takes the sequential merge (``mixed_partials``)."""
+    """``_block_dist`` with the middle fragment born as rows the block
+    codec rejects: their last column, which no query reads, holds an int
+    past int64.  That fragment leaves the kernel (``row_source``), so its
+    partial is unpacked among packed ones and the parent takes the
+    sequential merge (``mixed_partials``)."""
     first, middle, last = parts
     blocks = _block_dist(schema, [first, last]).fragments
+    middle = [row[:-1] + (2**63,) for row in middle]
     return DistributedRelation(
         schema, [blocks[0].relation, middle, blocks[1].relation]
     )
@@ -613,7 +616,7 @@ class TestKeyOrder:
 
     _SCHEMA = Schema([
         Column("i", "int"), Column("f", "float"), Column("s", "str", 8),
-        Column("n", "int"), Column("v", "int"),
+        Column("n", "int"), Column("v", "int"), Column("x", "int"),
     ])
 
     def _parts(self):
@@ -625,7 +628,7 @@ class TestKeyOrder:
         strs = ["😀", "b", "", "a\x00", "é", "a", "B"]
         rng = random.Random(26)
         rows = [
-            (ints[r % 8], floats[r % 7], strs[r % 7], -(r % 5), r % 11)
+            (ints[r % 8], floats[r % 7], strs[r % 7], -(r % 5), r % 11, 0)
             for r in range(280)
         ]
         rng.shuffle(rows)
@@ -651,6 +654,7 @@ class TestKeyOrder:
         mixed = multiprocessing_aggregate(
             _mixed_dist(self._SCHEMA, parts), query, 1, metrics=registry
         )
+        assert kernel_declines(registry) == {"row_source": 1}
         assert merge_fallbacks(registry) == {"mixed_partials": 1}
         assert _bits(mixed) == _bits(pooled)
 

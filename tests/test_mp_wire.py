@@ -14,7 +14,8 @@ Two contracts:
   ``shape_cliffs`` workload return bit-identical rows under every
   strategy, in-process and pooled, governed or not, over block-born and
   row-born fragments: a pool worker runs the same phase function on the
-  same source type as ``processes=1``.  A fragment that travels inline
+  same source type as ``processes=1``, which encodes a row-born fragment
+  as the wire does.  A fragment that travels inline
   (a row the block codec rejects) joins the same matrix.  None of those
   statements, nor the service benchmark's eight, leaves the columnar
   kernel or the vectorized merge: ``mp.kernel.declined.*`` and
@@ -50,6 +51,7 @@ from tests.conftest import (
     grouping_paths,
     kernel_declines,
     merge_fallbacks,
+    row_bits,
 )
 
 
@@ -416,3 +418,50 @@ class TestInlineFragmentParity:
             dist, query, processes, strategy=strategy
         )
         assert got == reference_aggregate(dist, query)
+
+
+class TestRowBornInProcess:
+    """In-process, a row-born fragment meets the kernel on the pool's
+    terms: encoded as the wire encodes it, and left as rows — a counted
+    ``row_source`` decline — only when the block codec rejects them."""
+
+    _SCHEMA = Schema([
+        Column("k", "int"), Column("s", "str"), Column("v", "float"),
+    ])
+    _ROWS = [(i % 7, f"s{i % 3}", i / 4) for i in range(300)]
+
+    def _run(self, parts, sql, processes):
+        """(rows, kernel declines, reference rows)"""
+        _name, query = parse_query(sql)
+        dist = DistributedRelation(self._SCHEMA, parts)
+        registry = MetricsRegistry()
+        got = multiprocessing_aggregate(
+            dist, query, processes, metrics=registry
+        )
+        return got, kernel_declines(registry), reference_aggregate(dist, query)
+
+    def test_a_row_born_fragment_takes_the_kernel(self):
+        sql = "SELECT k, s, SUM(v), MIN(v), COUNT(*) FROM r GROUP BY k, s"
+        inproc, declines, _want = self._run([self._ROWS], sql, 1)
+        pooled, _declines, _want = self._run([self._ROWS], sql, 2)
+        assert declines == {}
+        assert row_bits(inproc) == row_bits(pooled)
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_rows_the_codec_rejects_stay_rows(self, processes):
+        rows = list(self._ROWS)
+        rows[20] = (2**63, "x", 1.0)
+        got, declines, want = self._run(
+            [rows], "SELECT k, SUM(v), COUNT(*) FROM r GROUP BY k", processes
+        )
+        assert declines == {"row_source": 1}
+        assert got == want
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_an_empty_fragment_declines_nothing(self, processes):
+        """Nothing left the kernel: there was nothing to run."""
+        got, declines, want = self._run(
+            [self._ROWS, []], "SELECT k, SUM(v) FROM r GROUP BY k", processes
+        )
+        assert declines == {}
+        assert got == want
