@@ -135,7 +135,7 @@ SCHEMAS = {
         # What crossing the process boundary cost a pooled mp run.
         "metrics": {
             "mp.phase_seconds.encode": _VALUE, "mp.return_bytes": _VALUE,
-            "mp.phase_seconds.return": _VALUE,
+            "mp.phase_seconds.return": _VALUE, "mp.return.inband": _VALUE,
             "mp.worker_load_seconds": optional({"total": NON_NEGATIVE}),
         },
         "decisions": [{

@@ -24,10 +24,14 @@ Each fragment is shipped once.  The segment written for a *block-born*
 fragment (its relation holds an immutable ``ColumnBlock``) stays
 **resident** after the run in a parent-owned table, and a repeat run
 over the same block and projection sends descriptors, not bytes;
-fragments shipped from row lists get per-run segments.  The parent owns
-every segment and no *stray* one survives any exit path: between runs
-only the resident segments of live blocks are left, and nothing after
-``shutdown_worker_pool()`` (:mod:`~repro.parallel.mp_executor.wire`).
+fragments shipped from row lists get per-run segments.  Partials come
+back the same way: each pool worker writes its reply's arrays into its
+*return arena*, a segment the parent creates once per worker and lends
+a region of per job, and the parent merges views over it.  The parent
+owns every segment and no *stray* one survives any exit path: between
+runs only the resident segments of live blocks and the live workers'
+arenas are left, and nothing after ``shutdown_worker_pool()``
+(:mod:`~repro.parallel.mp_executor.wire`).
 
 The parent detects a worker that raises, dies, or exceeds
 ``timeout`` seconds and retries that one fragment (in a fresh or

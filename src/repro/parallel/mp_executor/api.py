@@ -168,11 +168,15 @@ class _ObsSink:
             )
             self.metrics.gauge("mp.shm.resident_bytes").set(resident_bytes)
 
-    def returned(self, nbytes: int, seconds: float) -> None:
-        """A worker's final reply crossed the pipe: ``nbytes`` pickled,
-        ``seconds`` inside the parent's receive — serial in the parent,
-        however many workers ran."""
+    def returned(self, nbytes: int, seconds: float, inband: bool) -> None:
+        """A worker's final reply is in the parent's hands: ``nbytes``
+        crossed, pipe and return arena together, and ``seconds`` went
+        from "ready" to the partial in hand — serial in the parent,
+        however many workers ran.  ``inband``: it did not fit what the
+        worker's arena lent it and came down the pipe."""
         self.return_seconds += seconds
+        if inband:
+            self._count("mp.return.inband")
         if self.metrics is not None:
             self.metrics.counter("mp.return_bytes").inc(nbytes)
             self.metrics.gauge("mp.phase_seconds.return", mode="max").set(
@@ -337,8 +341,11 @@ def multiprocessing_aggregate(
     ``mp.shm.resident_bytes`` / ``mp.phase_seconds.encode`` for what
     shipping cost, ``mp.worker_load_seconds`` for what each pool worker
     spent getting at its fragment, and ``mp.return_bytes`` /
-    ``mp.phase_seconds.return`` for what the partials cost on the way
-    back (pickled bytes, and seconds inside the parent's receive);
+    ``mp.phase_seconds.return`` / ``mp.return.inband`` for what the
+    partials cost on the way back (bytes through the pipe and the
+    workers' return arenas, the parent's seconds from "ready" to
+    partial in hand, and the replies too large for the arena they were
+    lent);
     ``profiles`` (a list) is extended with one
     :class:`repro.obs.WorkerProfile` per attempt that reported back.
     ``ledger`` is accepted for callers that pass one to every executor;
@@ -464,76 +471,91 @@ def multiprocessing_aggregate(
             fragments=len(jobs), processes=runner.processes,
         )
     try:
-        with runner:
-            if strategy == "rep":
-                completed = _run_rep_strategy(
-                    runner.run, jobs, query, dist.schema
-                )
-            else:
-                completed = runner.run(
-                    fn_for, jobs, project=phase_fn is None
-                )
-    except (FragmentFailedError, DeadlineExceededError):
-        if tracer is not None:
-            tracer.close_all(obs.now())
+        try:
+            with runner:
+                if strategy == "rep":
+                    completed = _run_rep_strategy(
+                        runner.run, jobs, query, dist.schema
+                    )
+                else:
+                    completed = runner.run(
+                        fn_for, jobs, project=phase_fn is None
+                    )
+        except (FragmentFailedError, DeadlineExceededError):
+            if tracer is not None:
+                tracer.close_all(obs.now())
+            if profiles is not None:
+                profiles.extend(obs.profiles)
+            raise
         if profiles is not None:
             profiles.extend(obs.profiles)
-        raise
-    if profiles is not None:
-        profiles.extend(obs.profiles)
-    if metrics is not None:
-        metrics.counter("mp.fragments").inc(len(jobs))
-
-    # From here to the return the parent allocates a tuple per group and
-    # keeps them all; the collector waits until the caller has the rows
-    # (the tracer and metrics bookkeeping included, or a traced run pays
-    # the deferred pass inside its own span).
-    with _collector_paused:
-        merge_start = obs.now()
-        rows: list[tuple] | None = None
-        # An empty partial is neutral to either merge.  An empty fragment
-        # ships inline and comes back as [] from the per-row loop, which
-        # must not make the run read as a packed/unpacked mix.
-        ordered = [
-            p for p in (completed[i] for i in range(len(jobs)))
-            if _is_packed(p) or p
-        ]
-        packed = [_is_packed(p) for p in ordered]
-        if any(packed):
-            # All-packed partials fold vectorized, straight to result rows.
-            # A fragment that left the kernel (a decline, a spill retry, an
-            # injected slowdown) leaves an unpacked partial among packed
-            # ones, and a guard can refuse the fold: both are counted by
-            # reason and take the sequential merge below (same result, just
-            # slower).
-            reason = "mixed_partials"
-            if all(packed):
-                _take_notes()  # an in-process kernel's are in its profile
-                rows, reason = _merge_packed(ordered, query)
-                obs.merge_grouping(_take_notes().get("grouping", {}))
-            if rows is None:
-                obs.merge_fallback(reason)
-        if rows is None:
-            merged = _merge_sequential(ordered, query)
-            rows = [bq.result_row(key, state) for key, state in merged.items()]
-            rows.sort()  # the packed merge's rows are already in key order
-        if query.having is not None:
-            rows = [row for row in rows if bq.passes_having(row)]
-        if tracer is not None:
-            tracer.complete(
-                "merge", -1, merge_start, obs.now(), cat=_CAT_PHASE,
-                groups=len(rows),
-            )
-            tracer.end(run_span, obs.now())
         if metrics is not None:
-            metrics.gauge("mp.elapsed_seconds", mode="max").set(obs.now())
-            metrics.counter("mp.groups_output").inc(len(rows))
-            # Worker-vs-merge wall split, consumed by the drift layer
-            # (repro.obs.drift.compare_model_to_mp).
-            metrics.gauge("mp.phase_seconds.local", mode="max").set(
-                merge_start
+            metrics.counter("mp.fragments").inc(len(jobs))
+
+        # From here to the return the parent allocates a tuple per group
+        # and keeps them all; the collector waits until the caller has
+        # the rows (the tracer and metrics bookkeeping included, or a
+        # traced run pays the deferred pass inside its own span).
+        with _collector_paused:
+            merge_start = obs.now()
+            rows = _merged_rows(
+                [completed[i] for i in range(len(jobs))], query, bq, obs
             )
-            metrics.gauge("mp.phase_seconds.merge", mode="max").set(
-                obs.now() - merge_start
-            )
-        return rows
+            if tracer is not None:
+                tracer.complete(
+                    "merge", -1, merge_start, obs.now(), cat=_CAT_PHASE,
+                    groups=len(rows),
+                )
+                tracer.end(run_span, obs.now())
+            if metrics is not None:
+                metrics.gauge("mp.elapsed_seconds", mode="max").set(
+                    obs.now()
+                )
+                metrics.counter("mp.groups_output").inc(len(rows))
+                # Worker-vs-merge wall split, consumed by the drift layer
+                # (repro.obs.drift.compare_model_to_mp).
+                metrics.gauge("mp.phase_seconds.local", mode="max").set(
+                    merge_start
+                )
+                metrics.gauge("mp.phase_seconds.merge", mode="max").set(
+                    obs.now() - merge_start
+                )
+            runner.give_back()
+            return rows
+    finally:
+        # The partials may be views over the workers' return arenas:
+        # their regions go back once nothing reads them, however the
+        # run ended.
+        runner.give_back()
+
+
+def _merged_rows(partials, query, bq, obs) -> list[tuple]:
+    """The fragments' ``partials``, in fragment order, merged into
+    result rows in key order, HAVING applied."""
+    rows: list[tuple] | None = None
+    # An empty partial is neutral to either merge.  An empty fragment
+    # ships inline and comes back as [] from the per-row loop, which
+    # must not make the run read as a packed/unpacked mix.
+    ordered = [p for p in partials if _is_packed(p) or p]
+    packed = [_is_packed(p) for p in ordered]
+    if any(packed):
+        # All-packed partials fold vectorized, straight to result rows.
+        # A fragment that left the kernel (a decline, a spill retry, an
+        # injected slowdown) leaves an unpacked partial among packed
+        # ones, and a guard can refuse the fold: both are counted by
+        # reason and take the sequential merge below (same result, just
+        # slower).
+        reason = "mixed_partials"
+        if all(packed):
+            _take_notes()  # an in-process kernel's are in its profile
+            rows, reason = _merge_packed(ordered, query)
+            obs.merge_grouping(_take_notes().get("grouping", {}))
+        if rows is None:
+            obs.merge_fallback(reason)
+    if rows is None:
+        merged = _merge_sequential(ordered, query)
+        rows = [bq.result_row(key, state) for key, state in merged.items()]
+        rows.sort()  # the packed merge's rows are already in key order
+    if query.having is not None:
+        rows = [row for row in rows if bq.passes_having(row)]
+    return rows

@@ -6,16 +6,17 @@ run's jobs go to and answers for the pool they ran on."""
 from __future__ import annotations
 
 import atexit
+import copy
 import gc
 import multiprocessing
 import os
+import pickle
 import signal
 import threading
 import time
 from collections import deque
 from multiprocessing import resource_tracker
 from multiprocessing.connection import wait as _connection_wait
-from multiprocessing.reduction import ForkingPickler
 
 from repro.obs.profile import profile_finish, profile_start
 from repro.parallel.mp_executor.faults import (
@@ -41,8 +42,11 @@ from repro.parallel.mp_executor.resilience import (
     pool_breaker_state,
 )
 from repro.parallel.mp_executor.wire import (
+    _arenas,
     _load_job,
+    _received,
     _Shipment,
+    _WorkerArena,
     release_resident_segments,
 )
 from repro.storage.columnblock import ColumnBlock
@@ -119,29 +123,60 @@ def _attempt(call, catch=Exception):
 _SLOW_CHUNK_ROWS = 128
 
 
-class _HeartbeatSender(threading.Thread):
-    """Worker-side beat emitter: one ``("beat", None, None)`` per
-    interval while a job runs, sharing the reply pipe under a lock so
-    beats never interleave with the final reply."""
+class _Heartbeat(threading.Thread):
+    """A worker's beat emitter, one for its life: one
+    ``("beat", None, None)`` per interval while a job runs, none while
+    it idles.  ``lock`` is the reply pipe's: the job's interval is set
+    and cleared only under it (:meth:`busy`, :meth:`idle`), and a beat
+    is sent only under it while a job is on, so beats never interleave
+    with a reply and none can trail the final one."""
 
-    def __init__(self, conn, lock, interval: float) -> None:
+    def __init__(self, conn, lock) -> None:
         super().__init__(daemon=True)
         self.conn = conn
-        self.lock = lock
-        self.interval = interval
-        self._done = threading.Event()
+        self._cond = threading.Condition(lock)
+        self._interval = None  # the running job's, None between jobs
+        self._job = 0
+
+    def busy(self, interval: float) -> None:
+        """Lock held: a job starts, beating every ``interval`` s."""
+        self._interval = interval
+        self._job += 1
+        self._cond.notify()
+
+    def idle(self) -> None:
+        """Lock held: the job's final reply goes out next."""
+        self._interval = None
+        self._cond.notify()
 
     def run(self) -> None:
-        while not self._done.wait(self.interval):
-            try:
-                with self.lock:
+        with self._cond:
+            while True:
+                if self._interval is None:
+                    self._cond.wait()
+                    continue
+                job = self._job
+                self._cond.wait(self._interval)
+                if self._interval is None or self._job != job:
+                    continue
+                try:
                     self.conn.send(("beat", None, None))
-            except Exception:  # pragma: no cover - parent went away
-                return
+                except Exception:  # pragma: no cover - parent went away
+                    return
 
-    def stop(self) -> None:
-        self._done.set()
-        self.join()
+
+def _run_as_batch_work() -> None:
+    """Mark this process CPU-bound batch work (``SCHED_BATCH``).
+
+    A worker woken by its dispatcher's ``send`` would otherwise preempt
+    that dispatcher on a shared CPU and run its whole job before the
+    ``send`` returns, so the next fragment goes out only after this one
+    is done.  An unprivileged process may lower itself to it; where the
+    call is missing or refused the worker runs as it was."""
+    try:
+        os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+    except (AttributeError, OSError):
+        pass
 
 
 def _limping(rows, factor: float):
@@ -218,20 +253,27 @@ def _pool_worker_main(conn) -> None:
     carries the result, status "error" a ``{"type", "message"}`` dict
     preserving the exception's type so the parent can classify the
     failure, and ``profile`` is the worker's self-measurement (wall/CPU
-    seconds, high-water RSS); ``("beat", None, None)`` messages precede
-    it, one every ``opts["heartbeat"]`` seconds.
-    ``opts["inject"]`` carries the fault directive for this job
-    (self-SIGKILL, self-SIGSTOP limplock, an injected exception, or a
-    slowdown factor).  ``None`` is the shutdown
-    sentinel; a closed pipe means the parent is gone.
+    seconds, high-water RSS).  It crosses as
+    :meth:`~repro.parallel.mp_executor.wire._WorkerArena.message` says:
+    its large buffers written into ``opts["arena"]``, the extent of the
+    worker's return arena the parent lent the job.
+    ``("beat", None, None)`` messages precede it, one every
+    ``opts["heartbeat"]`` seconds.  ``opts["inject"]`` carries the
+    fault directive for this job (self-SIGKILL, self-SIGSTOP limplock,
+    an injected exception, or a slowdown factor).  ``None`` is the
+    shutdown sentinel; a closed pipe means the parent is gone.
     """
     _disarm_resource_tracker()
+    _run_as_batch_work()
     # Everything alive here was inherited at fork and lives as long as
     # the worker does.  Left in the oldest generation, each full
     # collection walks all of it (~10 ms for the imported modules alone)
     # in the middle of whichever fragment's allocations trip it.
     gc.freeze()
     lock = threading.Lock()
+    beat = _Heartbeat(conn, lock)
+    beat.start()
+    arena = _WorkerArena()
     while True:
         try:
             request = conn.recv()
@@ -241,8 +283,8 @@ def _pool_worker_main(conn) -> None:
             conn.close()
             return
         fn, descriptor, opts = request
-        beat = _HeartbeatSender(conn, lock, opts["heartbeat"])
-        beat.start()
+        with lock:
+            beat.busy(opts["heartbeat"])
         mapped: list = []  # the segment the job's columns are views over
         # [0]: the exception goes at once — its traceback's frames hold
         # the job, whose columns are views the mapping cannot close under.
@@ -252,17 +294,17 @@ def _pool_worker_main(conn) -> None:
             ),
             BaseException,
         )[0]
-        beat.stop()  # joins: no beat can trail the final reply
-        # conn.send(reply) in its two halves, the mapping closed between
-        # them: a partial may hold views of the mapped columns until it
-        # is pickled, and what a worker does after its reply has woken
-        # the parent competes with the parent for a CPU.
-        data = ForkingPickler.dumps(reply)
+        # conn.send(reply) in its two halves, the input mapping closed
+        # between them: a partial may hold views of the mapped columns
+        # until it is written out, and what a worker does after its
+        # reply has woken the parent competes with the parent for a CPU.
+        data = arena.message(reply, opts.get("arena"))
         reply = None
         for shm in mapped:
             shm.close()
         try:
             with lock:
+                beat.idle()
                 conn.send_bytes(data)
         except Exception:  # pragma: no cover - parent went away
             return
@@ -421,6 +463,7 @@ class WorkerPool:
         if worker.proc.is_alive():  # pragma: no cover - stuck after kill
             worker.proc.kill()
             worker.proc.join(_JOIN_GRACE_SECONDS)
+        _arenas.retire(worker.proc.pid)
 
     def shutdown(self) -> None:
         """Stop every idle worker (busy ones are the dispatcher's to
@@ -482,7 +525,7 @@ class _PoolAttempt:
 
     __slots__ = (
         "index", "attempt", "worker", "deadline", "started", "last_beat",
-        "stall_resume",
+        "stall_resume", "lent",
     )
 
     def __init__(self, index, attempt, worker, deadline, started) -> None:
@@ -493,6 +536,7 @@ class _PoolAttempt:
         self.started = started
         self.last_beat = time.monotonic()
         self.stall_resume = None
+        self.lent = _arenas.lend(worker.proc.pid)
 
 
 def _run_jobs_in_pool(fn_for, descriptors: list, runner: "_Runner",
@@ -539,7 +583,11 @@ def _run_jobs_in_pool(fn_for, descriptors: list, runner: "_Runner",
         deadline = None if timeout is None else time.monotonic() + timeout
         record = _PoolAttempt(index, attempt, worker, deadline, obs.now())
         busy[worker.conn] = record
-        opts = {"inject": inject, "heartbeat": HEARTBEAT_INTERVAL}
+        lent = record.lent
+        opts = {
+            "inject": inject, "heartbeat": HEARTBEAT_INTERVAL,
+            "arena": None if lent is None else (lent[0].name, *lent[1:]),
+        }
         try:
             worker.conn.send((fn_for(attempt), descriptors[index], opts))
         except (OSError, ValueError):  # pragma: no cover - died pre-send
@@ -625,12 +673,22 @@ def _run_jobs_in_pool(fn_for, descriptors: list, runner: "_Runner",
                     # conn.recv(), in its two halves: the size is known
                     # only between them.
                     data = conn.recv_bytes()
-                    status, payload, profile = ForkingPickler.loads(data)
+                    message = pickle.loads(data)
                 except (EOFError, OSError):
                     status, payload = "died", None
                 else:
+                    status = message[0]
                     if status != "beat":
-                        obs.returned(len(data), time.perf_counter() - t0)
+                        reply, lease, arena_bytes, need = _received(
+                            message, record.lent
+                        )
+                        status, payload, profile = reply
+                        if lease is not None:
+                            runner.leases.append(lease)
+                        if need:
+                            _arenas.grow(record.worker.proc.pid, need)
+                        obs.returned(len(data) + arena_bytes,
+                                     time.perf_counter() - t0, bool(need))
                 if status == "beat":
                     record.last_beat = time.monotonic()
                     obs.beat()
@@ -738,7 +796,9 @@ class _Runner:
     injection is skipped).  Leaving the ``with`` block settles the
     pool's account: the run's outcome feeds the breaker (a deadline
     miss does not count), the breaker's state is reported, and what the
-    injector fired lands in ``faults_log``.
+    injector fired lands in ``faults_log``.  The arena regions the
+    run's partials were read from are held past that, until the caller
+    has merged them (:meth:`give_back`).
     """
 
     def __init__(self, fragments: int, processes: int, max_retries: int,
@@ -763,6 +823,8 @@ class _Runner:
         self.faults_log = faults_log
         self.pool: WorkerPool | None = None
         self._private = False
+        self.completed: dict[int, list] = {}
+        self.leases: list = []  # arena regions the partials are views over
 
     def __enter__(self) -> "_Runner":
         if self.in_process:
@@ -810,6 +872,21 @@ class _Runner:
         with _Shipment(jobs, self.obs, project) as shipment:
             return _run_jobs_in_pool(fn_for, shipment.ship(), self, shipment)
 
+    def give_back(self) -> None:
+        """The partials are merged, or the run failed: every arena
+        region they were read from goes back, on every exit path."""
+        self.completed.clear()
+        if self.leases:
+            _arenas.give_back(self.leases)
+            self.leases.clear()
+
+    def _salvaged(self) -> dict:
+        """The completed partials, for a caller to keep: copied out of
+        the arena regions, which go back when the run ends."""
+        if self.leases:
+            return copy.deepcopy(self.completed)
+        return dict(self.completed)
+
     def check_deadline(self, total: int) -> None:
         """The run deadline cancels a round cooperatively."""
         if self.deadline is not None and time.monotonic() >= self.deadline:
@@ -846,12 +923,12 @@ class _Runner:
                     attempt + 1,
                     f"poison fragment: killed {len(chain)} worker(s) "
                     "[" + " <- ".join(chain) + "]",
-                    dict(self.completed),
+                    self._salvaged(),
                     cause_type="PoisonFragment",
                 ) from cause
         if attempt + 1 > self.max_retries:
             raise FragmentFailedError(
-                index, attempt + 1, text, dict(self.completed),
+                index, attempt + 1, text, self._salvaged(),
                 cause_type=cause_type,
             ) from cause
         self.obs.retry(index, attempt, error)

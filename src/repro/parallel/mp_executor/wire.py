@@ -1,4 +1,5 @@
-"""The wire: how a fragment crosses the process boundary.
+"""The wire: how a fragment crosses the process boundary, and how its
+partial comes back (the return arenas, below).
 
 One format: a serialized :class:`~repro.storage.ColumnBlock` in one
 parent-owned shared-memory segment, described by a small picklable
@@ -33,8 +34,10 @@ run's segments are created, pinned, lost, re-encoded and released.
 from __future__ import annotations
 
 import contextlib
+import mmap
 import multiprocessing
 import os
+import pickle
 import secrets
 import threading
 import weakref
@@ -55,17 +58,28 @@ SHM_PREFIX = "repro_mp_"
 # missing costs the worker's FileNotFoundError and a retry instead).
 _SHM_DIR = "/dev/shm" if os.path.isdir("/dev/shm") else None
 
-# Resident segments never hold more than this, nor more than half of
-# what the shm mount has free when a segment asks to stay (a default
+# Resident segments together, and a return arena on its own, never
+# hold more than this, nor more than half of what the shm mount has free
+# when a segment asks to stay or an arena to be made (a default
 # container mounts 64 MiB).  Worked out here, not configured.
 _RESIDENT_CEILING_BYTES = 1 << 30
 
 
-def _resident_ceiling() -> int:
+def _shm_ceiling() -> int:
     if _SHM_DIR is None:
         return _RESIDENT_CEILING_BYTES
     stat = os.statvfs(_SHM_DIR)
     return min(_RESIDENT_CEILING_BYTES, stat.f_bavail * stat.f_frsize // 2)
+
+
+def _kept_from_children(shm: shared_memory.SharedMemory) -> None:
+    """A process forked while the parent maps ``shm`` (a worker respawned
+    mid-run, a rebuilt or private pool) does not inherit the mapping: a
+    worker maps only what it is sent, and never pins the pages of a
+    segment the parent has unlinked."""
+    advice = getattr(mmap, "MADV_DONTFORK", None)
+    if advice is not None:
+        shm._mmap.madvise(advice)
 
 
 def _projection_for(query: AggregateQuery, schema):
@@ -147,6 +161,7 @@ def _encode_fragment(rows, query, schema, segments: list, project: bool = True):
             create=True, size=size, name=SHM_PREFIX + secrets.token_hex(8)
         )
         segments.append(shm)
+        _kept_from_children(shm)
         return shm.buf
 
     if not isinstance(rows, ColumnBlock):
@@ -304,7 +319,7 @@ class _ResidentSegments:
         under the ceiling.  ``entry`` is None, and the segment stays the
         caller's, when it cannot fit or another thread's segment for the
         key got here first."""
-        ceiling = _resident_ceiling()
+        ceiling = _shm_ceiling()
         key = (id(block), idx)
         with self._locked():
             if key in self._entries:
@@ -484,6 +499,187 @@ class _Shipment:
         return True
 
 
+# -- return arenas -----------------------------------------------------------
+#
+# A partial comes back the way a fragment goes out: its bytes are written
+# once, into a parent-owned segment, and read where they lie.  Each pool
+# worker has one *return arena*.  The parent creates it on the worker's
+# first reply that carries arrays, maps it once and unlinks it when it
+# discards the worker; the worker maps it once and keeps that mapping
+# for its life — the one mapping a worker keeps across jobs.  Each
+# dispatch lends the job the arena's largest free extent.  The worker
+# pickles its reply with protocol 5, writes every out-of-band buffer
+# (a packed partial's arrays) into the extent, and sends only the frame
+# and the layout down the pipe.  The parent rebuilds the reply as
+# read-only views over its own mapping and holds the region it took
+# until the run that received it has merged.
+
+# Each buffer starts on this boundary, as a segment's columns do.
+_ARENA_ALIGN = 64
+_ARENA_PREFIX = SHM_PREFIX + "arena_"
+
+
+def _aligned(nbytes: int) -> int:
+    return -(-nbytes // _ARENA_ALIGN) * _ARENA_ALIGN
+
+
+class _Arena:
+    """One return arena as the parent maps it.  ``free`` holds the
+    ``[start, end)`` extents no run holds, in order; ``leases`` counts
+    the regions runs hold."""
+
+    __slots__ = ("shm", "name", "size", "view", "free", "leases", "pid")
+
+    def __init__(self, size: int) -> None:
+        self.shm = shared_memory.SharedMemory(
+            create=True, size=size, name=_ARENA_PREFIX + secrets.token_hex(8)
+        )
+        _kept_from_children(self.shm)
+        self.name = self.shm.name
+        self.size = size
+        self.view = self.shm.buf.toreadonly()
+        self.free = [(0, size)]
+        self.leases = 0
+        self.pid = os.getpid()  # only the creator unlinks
+
+
+class _ReturnArenas:
+    """The parent's table of return arenas: pool worker pid → its arena.
+
+    Only the dispatcher holding a worker lends, takes from or grows its
+    arena; any thread gives regions back.  An arena leaves the table
+    when its worker is discarded, or when a reply outgrew it: its
+    segment is unlinked then, and the parent's mapping closed once the
+    last run holding one of its regions gives it back.  A mapping that
+    a view the caller kept still pins is closed at a later call.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._current: dict[int, _Arena] = {}
+        self._retired: list[_Arena] = []
+
+    def lend(self, pid: int):
+        """``(arena, start, capacity)``, the largest free extent of
+        worker ``pid``'s arena, for its next reply; None while it has
+        none."""
+        with self._lock:
+            arena = self._current.get(pid)
+            if arena is None:
+                return None
+            start, end = max(arena.free, key=lambda e: e[1] - e[0],
+                             default=(0, 0))
+            return arena, start, end - start
+
+    def take(self, arena: _Arena, start: int, used: int) -> tuple:
+        """The ``used`` bytes a reply wrote at ``start`` are held:
+        returns the lease to :meth:`give_back`."""
+        end = start + _aligned(used)
+        with self._lock:
+            for i, (lo, hi) in enumerate(arena.free):
+                if lo <= start and end <= hi:
+                    arena.free[i:i + 1] = [
+                        e for e in ((lo, start), (end, hi)) if e[0] < e[1]
+                    ]
+                    break
+            arena.leases += 1
+        return arena, start, end
+
+    def give_back(self, leases) -> None:
+        with self._lock:
+            for arena, start, end in leases:
+                merged: list = []
+                for lo, hi in sorted([*arena.free, (start, end)]):
+                    if merged and lo <= merged[-1][1]:
+                        merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+                    else:
+                        merged.append((lo, hi))
+                arena.free = merged
+                arena.leases -= 1
+            self._close_retired()
+
+    def grow(self, pid: int, need: int) -> None:
+        """Worker ``pid``'s reply needed ``need`` bytes it was not lent:
+        its next one goes to a new arena twice the old one, and twice
+        what runs hold of the old one plus ``need``, rounded to pages.
+        An arena that size would pass the shm ceiling is not made: the
+        worker keeps what it has, and what does not fit comes in-band."""
+        with self._lock:
+            old = self._current.get(pid)
+            size = held = 0
+            if old is not None:
+                size = old.size
+                held = size - sum(hi - lo for lo, hi in old.free)
+            size = max(2 * size, 2 * (held + _aligned(need)))
+            size = -(-size // mmap.PAGESIZE) * mmap.PAGESIZE
+            if size > _shm_ceiling():
+                return
+            self._current[pid] = _Arena(size)
+            if old is not None:
+                self._retire(old)
+
+    def retire(self, pid: int) -> None:
+        """Worker ``pid`` was discarded: its arena goes."""
+        with self._lock:
+            arena = self._current.pop(pid, None)
+            if arena is not None:
+                self._retire(arena)
+
+    def _retire(self, arena: _Arena) -> None:
+        """Lock held: unlink now, unmap when no run holds a region."""
+        if arena.pid == os.getpid():
+            try:
+                arena.shm.unlink()
+            except FileNotFoundError:  # pragma: no cover - gone already
+                resource_tracker.unregister(arena.shm._name, "shared_memory")
+        self._retired.append(arena)
+        self._close_retired()
+
+    def _close_retired(self) -> None:
+        """Lock held: close the retired mappings nothing holds."""
+        still = []
+        for arena in self._retired:
+            if not arena.leases:
+                arena.view.release()
+                try:
+                    arena.shm.close()
+                    continue
+                except BufferError:  # a view the caller kept pins it
+                    pass
+            still.append(arena)
+        self._retired = still
+
+    def names(self) -> set[str]:
+        """Names of the arenas on the mount: one per worker that has
+        one."""
+        with self._lock:
+            return {arena.name for arena in self._current.values()}
+
+
+_arenas = _ReturnArenas()
+
+
+def _received(message, lent):
+    """Parent side: a worker's final message, unpickled, back into
+    ``(reply, lease, arena_bytes, need)``.  ``lease`` is the region an
+    arena reply was read from (None else), ``arena_bytes`` what it
+    crossed in the arena, and ``need`` nonzero when the reply did not
+    fit what it was lent and came in-band: the bytes it needed."""
+    kind = message[0]
+    if kind == "arena":
+        _kind, layout, frame = message
+        arena, start, _capacity = lent
+        at, nbytes = layout[-1]
+        lease = _arenas.take(arena, start, at + nbytes - start)
+        views = [arena.view[at:at + n] for at, n in layout]
+        reply = pickle.loads(frame, buffers=views)
+        return reply, lease, sum(n for _at, n in layout), 0
+    if kind == "inband":
+        _kind, need, frame, buffers = message
+        return pickle.loads(frame, buffers=buffers), None, 0, need
+    return message, None, 0, 0
+
+
 # -- worker side --------------------------------------------------------------
 
 
@@ -531,3 +727,46 @@ def _load_job(descriptor, mapped: list):
             f"descriptor says {num_rows}"
         )
     return (block.to_rows() if as_rows else block, query, schema)
+
+
+class _WorkerArena:
+    """A worker's mapping of its return arena, kept across jobs."""
+
+    def __init__(self) -> None:
+        self.shm = None
+
+    def close(self) -> None:
+        if self.shm is not None:
+            self.shm.close()
+            self.shm = None
+
+    def message(self, reply, lent) -> bytes:
+        """``reply`` as the bytes the parent receives: the reply itself
+        when it carries no out-of-band buffer (no arrays);
+        ``("arena", layout, frame)`` once its buffers are written into
+        ``lent`` — ``(name, start, capacity)``, the extent the parent
+        lent this job; ``("inband", need, frame, buffers)`` when they
+        needed ``need`` bytes and were lent fewer (or nothing).  The
+        parent replaces an arena a reply outgrew, so that mapping is
+        dropped here."""
+        buffers: list = []
+        frame = pickle.dumps(
+            reply, protocol=5, buffer_callback=buffers.append
+        )
+        if not buffers:
+            return frame
+        raws = [buffer.raw() for buffer in buffers]
+        need = sum(_aligned(raw.nbytes) for raw in raws)
+        if lent is None or need > lent[2]:
+            self.close()
+            return pickle.dumps(("inband", need, frame, buffers), protocol=5)
+        name, at, _capacity = lent
+        if self.shm is None or self.shm.name != name:
+            self.close()
+            self.shm = _attach_segment(name)
+        layout = []
+        for raw in raws:
+            self.shm.buf[at:at + raw.nbytes] = raw
+            layout.append((at, raw.nbytes))
+            at += _aligned(raw.nbytes)
+        return pickle.dumps(("arena", layout, frame), protocol=5)

@@ -42,6 +42,10 @@ _U32 = struct.Struct("<I")
 _ALIGN = 8  # every column buffer starts on a multiple of this
 
 _DTYPES = {"int": "<i8", "float": "<f8", "str": "<i4"}
+# What ``from_rows`` accepts in a numeric column: each value's Python
+# type, exactly (a bool is no int, an int no float), and the kind of
+# the array numpy makes of them.
+_VALUE_TYPES = {"int": (int, "i"), "float": (float, "f")}
 
 
 def _aligned(offset: int) -> int:
@@ -187,12 +191,18 @@ class ColumnBlock:
                 if not num_rows:
                     columns.append(_np.empty(0, dtype=_DTYPES[column.kind]))
                     continue
-                arr = _np.asarray(cols[i])
-                # Casting floats (or big ints, which numpy holds as
-                # object) into an int column would truncate silently:
-                # raise, so callers' per-row fallbacks fire.
-                allowed = "bi" if column.kind == "int" else "bif"
-                if arr.dtype.kind not in allowed:
+                # A value of another Python type would be cast
+                # silently (a bool or a float into an int column, an
+                # int into a float one) and come back as the column's
+                # type, where the per-row phase keeps it as it was; an
+                # int past int64, which numpy holds as uint64 or
+                # object, would wrap.  Raise, so callers' per-row
+                # fallbacks fire.
+                want, dtype_kind = _VALUE_TYPES[column.kind]
+                arr = None
+                if set(map(type, cols[i])) == {want}:
+                    arr = _np.asarray(cols[i])
+                if arr is None or arr.dtype.kind != dtype_kind:
                     raise ValueError(
                         f"column {column.name!r}: values are not "
                         f"{column.kind}-typed"

@@ -13,7 +13,7 @@ from hypothesis.errors import NonInteractiveExampleWarning
 
 from repro.core.aggregates import AggregateSpec
 from repro.core.query import AggregateQuery
-from repro.parallel.mp_executor.wire import SHM_PREFIX, _resident
+from repro.parallel.mp_executor.wire import SHM_PREFIX, _arenas, _resident
 from repro.workloads.generator import generate_uniform
 
 
@@ -48,13 +48,44 @@ def shm_segments() -> list[str]:
     )
 
 
+def owned_segments() -> set[str]:
+    """What the executor answers for between runs: the resident table's
+    segments and one return arena per pool worker that has one."""
+    return _resident.names() | _arenas.names()
+
+
+def input_segments() -> list[str]:
+    """The segments on the mount that fragments ship in: every
+    ``repro_mp_*`` name but the live pool workers' return arenas."""
+    arenas = _arenas.names()
+    return [name for name in shm_segments() if name not in arenas]
+
+
+def mapped_segments(pid: int) -> list[str]:
+    """The ``/proc/<pid>/maps`` lines of process ``pid``'s mappings of
+    ``repro_mp_*`` segments (an unlinked one ends in ``(deleted)``)."""
+    with open(f"/proc/{pid}/maps") as maps:
+        return [line for line in maps if SHM_PREFIX in line]
+
+
+def not_its_arena(pid: int) -> list[str]:
+    """What pool worker ``pid`` maps that is not the one return arena
+    the parent records for it: empty for a worker between jobs."""
+    arena = _arenas._current.get(pid)
+    return [
+        line for line in mapped_segments(pid)
+        if arena is None or not line.rstrip().endswith("/" + arena.name)
+    ]
+
+
 def stray_segments() -> list[str]:
-    """Segments nobody answers for: on the mount, and not owned by the
-    executor's resident table (which unlinks its own when their blocks
-    are collected and at ``shutdown_worker_pool()``).  Must be empty
-    whenever no run is in flight; after ``shutdown_worker_pool()``
-    :func:`shm_segments` itself must be."""
-    owned = _resident.names()
+    """Segments nobody answers for: on the mount, and owned neither by
+    the executor's resident table (which unlinks its own when their
+    blocks are collected and at ``shutdown_worker_pool()``) nor by a
+    pool worker as its return arena (unlinked when the worker is
+    discarded).  Must be empty whenever no run is in flight; after
+    ``shutdown_worker_pool()`` :func:`shm_segments` itself must be."""
+    owned = owned_segments()
     return [name for name in shm_segments() if name not in owned]
 
 

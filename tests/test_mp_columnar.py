@@ -40,6 +40,7 @@ from repro.parallel.mp_executor.kernel import (
     _local_phase,
 )
 from repro.parallel.mp_executor.merge import _unpack_packed
+from repro.parallel.mp_executor.wire import _arenas
 from repro.storage.columnblock import ColumnBlock
 from repro.storage.relation import BlockRelation, DistributedRelation
 from repro.storage.schema import Column, Schema
@@ -316,12 +317,17 @@ class TestTrailingNulRegression:
 
 
 def test_no_leaked_shm_segments():
-    """Columnar and rep dispatch must unlink every repro_mp_* segment."""
+    """Columnar and rep dispatch must unlink every repro_mp_* segment
+    they shipped row-born fragments in: what stays on the mount is the
+    live pool workers' return arenas, and nothing else."""
     schema = Schema([Column("k", "str", 8), Column("v", "int")])
     rows = [(f"g{i % 13}", i) for i in range(1000)]
     dist = DistributedRelation(schema, [rows[0::2], rows[1::2]])
     query = AggregateQuery(("k",), (AggregateSpec("sum", "v"),))
     for strategy in ("pool", "global", "rep"):
         multiprocessing_aggregate(dist, query, 2, strategy=strategy)
-    leaked = glob.glob("/dev/shm/repro_mp_*")
+    leaked = sorted(
+        set(glob.glob("/dev/shm/repro_mp_*"))
+        - {"/dev/shm/" + name for name in _arenas.names()}
+    )
     assert leaked == [], f"leaked shm segments: {leaked}"

@@ -47,7 +47,7 @@ from repro.parallel.mp_executor import pool as pool_module
 from repro.parallel.mp_executor import wire
 from repro.parallel.mp_executor.faults import CrashFault, FaultPlan
 from repro.parallel.mp_executor.kernel import _local_phase
-from repro.parallel.mp_executor.wire import _resident
+from repro.parallel.mp_executor.wire import _ARENA_PREFIX, _arenas, _resident
 from repro.sql import parse_query
 from repro.storage.columnblock import ColumnBlock
 from repro.storage.relation import BlockRelation, DistributedRelation
@@ -55,6 +55,7 @@ from repro.storage.schema import Column, Schema
 
 from tests.conftest import (
     block_ids,
+    input_segments,
     resident_counts as _counts,
     row_bits,
     shm_segments,
@@ -98,6 +99,10 @@ def _relation(salt: int = 0, rows: int = 90, fragments: int = _FRAGMENTS):
     ])
 
 
+def _an_arena(name) -> bool:
+    return name is not None and name.startswith(_ARENA_PREFIX)
+
+
 def _run(dist, query, registry=None, **kwargs):
     kwargs.setdefault("processes", 2)
     return multiprocessing_aggregate(dist, query, metrics=registry, **kwargs)
@@ -132,12 +137,14 @@ def calls(monkeypatch):
     seen = {"create": 0, "unlink": 0, "project": 0, "to_bytes": 0}
 
     class Counting(shared_memory.SharedMemory):
+        # Input segments only: the workers' return arenas are
+        # tests/test_mp_arena.py's to count.
         def __init__(self, name=None, create=False, size=0):
-            seen["create"] += bool(create)
+            seen["create"] += bool(create) and not _an_arena(name)
             super().__init__(name=name, create=create, size=size)
 
         def unlink(self):
-            seen["unlink"] += 1
+            seen["unlink"] += not _an_arena(self.name)
             super().unlink()
 
     def counted(name):
@@ -172,7 +179,7 @@ class TestShipOnce:
         # Exactly what a per-run executor creates: one segment a fragment.
         assert calls["create"] == calls["to_bytes"] == _FRAGMENTS
         assert calls["unlink"] == 0
-        assert len(shm_segments()) == _FRAGMENTS
+        assert len(input_segments()) == _FRAGMENTS
         assert first.value("mp.shm.resident_bytes") == _resident.nbytes > 0
         assert first.value("mp.phase_seconds.encode") > 0
 
@@ -230,7 +237,7 @@ class TestShipOnce:
             registry = MetricsRegistry()
             _run(dist, _QUERIES["int_key"], registry)
             assert _counts(registry) == {}
-            assert shm_segments() == [] == sorted(_resident.names())
+            assert input_segments() == [] == sorted(_resident.names())
         assert calls["create"] == calls["unlink"] == 2 * _FRAGMENTS
 
 
@@ -243,10 +250,10 @@ class TestWaysOut:
         for dist in (keep, drop):
             _run(dist, _QUERIES["int_key"])
             _run(dist, _QUERIES["str_key"])
-        assert len(shm_segments()) == 4 * _FRAGMENTS
+        assert len(input_segments()) == 4 * _FRAGMENTS
         del drop, dist
         gc.collect()
-        assert len(shm_segments()) == 2 * _FRAGMENTS
+        assert len(input_segments()) == 2 * _FRAGMENTS
         assert {key[0] for key in _resident._entries} == block_ids(keep)
         assert stray_segments() == []
 
@@ -259,9 +266,9 @@ class TestWaysOut:
             del dist
             gc.collect()
             assert len(_resident._collected) == _FRAGMENTS
-            assert len(shm_segments()) == _FRAGMENTS
+            assert len(input_segments()) == _FRAGMENTS
         assert _resident.names() == set()  # the next look at the table
-        assert shm_segments() == []
+        assert input_segments() == []
 
     def test_a_vanished_segment_is_reencoded_without_a_retry(self, calls):
         dist = _relation()
@@ -278,7 +285,7 @@ class TestWaysOut:
         assert "mp.shm.reencoded" not in registry
         assert calls["create"] == _FRAGMENTS + 1
         assert gone not in _resident.names()
-        assert sorted(_resident.names()) == shm_segments()
+        assert sorted(_resident.names()) == input_segments()
 
     def test_a_segment_lost_after_the_check_takes_the_retry(self):
         """Gone between the hit and the worker's attach: today's
@@ -303,7 +310,7 @@ class TestWaysOut:
         }
         after = _resident.names()
         assert len(after) == _FRAGMENTS and after != before
-        assert sorted(after) == shm_segments()
+        assert sorted(after) == input_segments()
 
     def test_a_segment_that_cannot_fit_ships_per_run(self, monkeypatch, calls):
         monkeypatch.setattr(wire, "_RESIDENT_CEILING_BYTES", 1)
@@ -334,7 +341,7 @@ class TestWaysOut:
             first, third
         )
         assert _resident.nbytes <= 2 * per_relation
-        assert sorted(_resident.names()) == shm_segments()
+        assert sorted(_resident.names()) == input_segments()
 
     def test_what_a_run_has_pinned_is_not_evicted_under_it(
         self, monkeypatch
@@ -354,7 +361,7 @@ class TestWaysOut:
             assert _counts(registry).get("hit", 0) == hits
             assert _counts(registry)["miss"] == _FRAGMENTS - hits
             assert "evicted" not in _counts(registry)
-            assert len(shm_segments()) == 2
+            assert len(input_segments()) == 2
 
     def test_release_by_relation_leaves_the_others(self):
         one, other = _relation(), _relation(salt=1)
@@ -362,9 +369,9 @@ class TestWaysOut:
         _run(other, _QUERIES["int_key"])
         release_resident_segments(one)
         assert {key[0] for key in _resident._entries} == block_ids(other)
-        assert sorted(_resident.names()) == shm_segments()
+        assert sorted(_resident.names()) == input_segments()
         release_resident_segments()
-        assert shm_segments() == []
+        assert input_segments() == []
 
     def test_shutdown_during_a_run_defers_to_its_release(self):
         """The table is cleared while a run still reads its segments:
@@ -377,7 +384,7 @@ class TestWaysOut:
         def shut_down_mid_run():
             time.sleep(0.15)
             shutdown_worker_pool()
-            seen.append((len(shm_segments()), stray_segments(),
+            seen.append((len(input_segments()), stray_segments(),
                          len(_resident._entries)))
 
         thread = threading.Thread(target=shut_down_mid_run)
@@ -401,7 +408,7 @@ class TestWaysOut:
         assert by_sentinel.proc.exitcode == 0
         pool.remove_idle(by_signal)
         assert not by_signal.proc.is_alive()
-        assert sorted(names) == shm_segments()
+        assert sorted(names) == input_segments()
         registry = MetricsRegistry()
         assert _run(dist, query, registry) == want
         assert _counts(registry) == {"hit": _FRAGMENTS}
@@ -413,14 +420,14 @@ class TestWaysOut:
         dist = _relation()
         query = _QUERIES["int_key"]
         want = _run(dist, query)
-        names = shm_segments()
+        names = input_segments()
         child = multiprocessing.get_context("fork").Process(
             target=_clear_the_inherited_table
         )
         child.start()
         child.join(30)
         assert child.exitcode == 0
-        assert shm_segments() == names == sorted(_resident.names())
+        assert input_segments() == names == sorted(_resident.names())
         registry = MetricsRegistry()
         assert _run(dist, query, registry) == want
         assert _counts(registry) == {"hit": _FRAGMENTS}
@@ -432,10 +439,10 @@ class TestWaysOut:
 
         program = (
             "from tests.test_mp_resident import _relation, _run, _QUERIES\n"
-            "from tests.conftest import shm_segments\n"
+            "from tests.conftest import input_segments\n"
             "dist = _relation()\n"
             "_run(dist, _QUERIES['int_key'])\n"
-            "print(len(shm_segments()))\n"
+            "print(len(input_segments()))\n"
         )
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -455,7 +462,7 @@ def _clear_the_inherited_table():
     assert len(_resident.names()) == _FRAGMENTS
     release_resident_segments()
     assert _resident.names() == set()
-    assert len(shm_segments()) == _FRAGMENTS
+    assert len(input_segments()) == _FRAGMENTS
 
 
 def _slow_local_phase(job):
@@ -510,7 +517,7 @@ class TestConcurrentRuns:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         _table_is_consistent()
-        assert sorted(_resident.names()) == shm_segments()
+        assert sorted(_resident.names()) == input_segments()
 
 
 # -- the stateful lifecycle audit ---------------------------------------------
@@ -565,7 +572,7 @@ class ResidentLifecycle(RuleBasedStateMachine):
             assert "mp.retries" not in registry
         if _resident.names() - before:
             # A segment asked to stay, and the ceiling answered.
-            assert _resident.nbytes <= wire._resident_ceiling()
+            assert _resident.nbytes <= wire._shm_ceiling()
             self.grandfathered = 0
 
     # -- rules ----------------------------------------------------------
@@ -657,13 +664,15 @@ class ResidentLifecycle(RuleBasedStateMachine):
     def the_mount_holds_exactly_the_tables_segments(self):
         names = _resident.names()
         self.vanished &= names
-        assert set(shm_segments()) == names - self.vanished
+        assert set(shm_segments()) == (
+            names - self.vanished
+        ) | _arenas.names()
 
     @invariant()
     def nothing_is_pinned_and_the_bytes_add_up(self):
         _table_is_consistent()
         assert _resident.nbytes <= max(
-            wire._resident_ceiling(), self.grandfathered
+            wire._shm_ceiling(), self.grandfathered
         )
 
     @invariant()

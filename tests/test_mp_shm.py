@@ -23,7 +23,13 @@ import time
 
 import pytest
 
-from tests.conftest import assert_rows_close, shm_segments, stray_segments
+from tests.conftest import (
+    assert_rows_close,
+    mapped_segments,
+    not_its_arena,
+    shm_segments,
+    stray_segments,
+)
 from tests.test_mp_executor_faults import (
     _always_raise,
     _die_once_then_work,
@@ -42,6 +48,7 @@ from repro.parallel import mp_executor
 from repro.parallel.mp_executor.faults import FaultPlan, Straggler
 from repro.parallel.mp_executor.kernel import _local_phase
 from repro.parallel.mp_executor.pool import _get_shared_pool
+from repro.parallel.mp_executor.wire import _arenas
 from repro.storage.schema import Column, Schema
 from repro.storage.relation import DistributedRelation
 from repro.workloads.generator import generate_uniform
@@ -154,11 +161,6 @@ class TestChaosMatrixLeavesNoSegments:
         assert_rows_close(got, reference_aggregate(dist, query))
 
 
-def _mapped_segments(pid: int) -> list[str]:
-    with open(f"/proc/{pid}/maps") as maps:
-        return [line for line in maps if mp_executor.SHM_PREFIX in line]
-
-
 @pytest.mark.skipif(
     not os.path.exists("/proc/self/maps"), reason="needs /proc/<pid>/maps"
 )
@@ -166,7 +168,8 @@ class TestWorkersReadInPlace:
     """A worker's columns are views over the mapped segment, so the
     mapping must stay open while the job runs — and be closed, with no
     ``BufferError`` killing the worker, by the time its reply is out,
-    whichever way the attempt ended."""
+    whichever way the attempt ended.  The one mapping a worker keeps is
+    its return arena, and only the one the parent records for it."""
 
     def _no_worker_keeps_a_mapping(self, spawned: int):
         pool = _get_shared_pool()
@@ -174,7 +177,26 @@ class TestWorkersReadInPlace:
         assert workers and pool.spawned == spawned  # nobody died closing
         for worker in workers:
             assert worker.proc.is_alive()
-            assert _mapped_segments(worker.proc.pid) == []
+            assert not_its_arena(worker.proc.pid) == []
+            assert len(mapped_segments(worker.proc.pid)) <= 1
+
+    def test_a_worker_keeps_its_arena_and_nothing_else(self, query):
+        # Thousands of groups a fragment: every partial goes to an arena.
+        mp_executor.shutdown_worker_pool()
+        dist = generate_uniform(
+            num_tuples=40_000, num_groups=20_000, num_nodes=4, seed=21,
+        )
+        want = multiprocessing_aggregate(dist, query, processes=1)
+        for _ in range(3):
+            got = multiprocessing_aggregate(dist, query, processes=2)
+        assert got == want
+        pool = _get_shared_pool()
+        workers = pool.idle_workers()
+        assert workers
+        for worker in workers:
+            assert worker.proc.pid in _arenas._current
+            assert not_its_arena(worker.proc.pid) == []
+            assert len(mapped_segments(worker.proc.pid)) == 1
 
     @pytest.mark.parametrize("kwargs, took", [
         ({}, "mp.shm.resident.hit"),

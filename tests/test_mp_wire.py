@@ -40,7 +40,7 @@ from repro.parallel.mp_executor.wire import (
     _projection_for,
 )
 from repro.service.config import ServiceConfig
-from repro.sql import parse_query
+from repro.sql import parse_query, run_sql
 from repro.storage.columnblock import ColumnBlock
 from repro.storage.relation import DistributedRelation
 from repro.storage.schema import Column, Schema
@@ -456,6 +456,30 @@ class TestRowBornInProcess:
         )
         assert declines == {"row_source": 1}
         assert got == want
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    @pytest.mark.parametrize("schema, rows, sql", [
+        # An int in a float column was summed as a float.
+        (Schema([Column("k", "int"), Column("v", "float")]),
+         [(1, 2), (1, 3), (2, True)],
+         "SELECT k, SUM(v) FROM r GROUP BY k"),
+        # A bool key was read back as the int it equals.
+        (Schema([Column("k", "int"), Column("v", "int")]),
+         [(True, 1), (1, 2), (2, False)],
+         "SELECT k, SUM(v), COUNT(*) FROM r GROUP BY k"),
+    ], ids=["int_in_float", "bool_in_int"])
+    def test_mistyped_values_stay_rows(self, schema, rows, sql, processes):
+        """The codec takes a value only of its column's Python type: a
+        bool is no int and an int no float, and the rows keep their
+        values as the reference does, to the ``repr``."""
+        dist = DistributedRelation(schema, [rows])
+        _name, query = parse_query(sql)
+        registry = MetricsRegistry()
+        got = run_sql(
+            sql, dist, substrate="mp", processes=processes, metrics=registry
+        )
+        assert repr(got) == repr(reference_aggregate(dist, query))
+        assert kernel_declines(registry) == {"row_source": 1}
 
     @pytest.mark.parametrize("processes", [1, 2])
     def test_an_empty_fragment_declines_nothing(self, processes):

@@ -65,6 +65,7 @@ _GOOD = {
             "mp.phase_seconds.encode": {"value": 0.01},
             "mp.phase_seconds.return": {"value": 0.02},
             "mp.return_bytes": {"value": 512},
+            "mp.return.inband": {"value": 0},
             "mp.worker_load_seconds": {"total": 0.03},
         },
         "decisions": [{
@@ -105,6 +106,7 @@ _GOOD = {
 _NOT_REQUIRED = {
     "threshold", "exec_seconds", "error", "reason", "span_id", "rel_error",
     "mp.phase_seconds.encode", "mp.phase_seconds.return", "mp.return_bytes",
+    "mp.return.inband",
     "mp.worker_load_seconds", "demo",
 }
 

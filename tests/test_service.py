@@ -25,6 +25,7 @@ import pytest
 
 from tests.conftest import (
     assert_rows_close,
+    input_segments,
     resident_counts,
     shm_segments,
     stray_segments,
@@ -47,6 +48,7 @@ from repro.parallel.mp_executor import (
     shutdown_worker_pool,
 )
 from repro.parallel.mp_executor.faults import CrashFault, FaultPlan
+from repro.parallel.mp_executor.wire import _ARENA_PREFIX
 from repro.resources import MemoryBudgetPool
 from repro.service import (
     AdmissionController,
@@ -643,7 +645,7 @@ class TestResidentSegments:
             assert not first.cache_hit
             assert self._resident(service, "miss") == fragments
             assert self._resident(service, "hit") == 0
-            assert len(shm_segments()) == fragments
+            assert len(input_segments()) == fragments
             assert stray_segments() == []
 
             second = service.submit(SQL + " HAVING COUNT(*) > 0")
@@ -651,10 +653,10 @@ class TestResidentSegments:
             assert self._resident(service, "miss") == fragments
             assert self._resident(service, "hit") == fragments
             assert service.metrics.value("mp.shm.resident_bytes") > 0
-            assert len(shm_segments()) == fragments
+            assert len(input_segments()) == fragments
 
             service.bump_table("r")
-            assert shm_segments() == []
+            assert input_segments() == []
             third = service.submit(SQL + " HAVING COUNT(*) > 1")
             assert not third.cache_hit
             assert self._resident(service, "miss") == 2 * fragments
@@ -674,15 +676,15 @@ class TestResidentSegments:
         service.register_table("r", old)
         try:
             service.submit(SQL)
-            assert len(shm_segments()) == len(old.fragments)
+            assert len(input_segments()) == len(old.fragments)
             service.register_table("r", new)
-            assert shm_segments() == []  # `old` is still referenced here
+            assert input_segments() == []  # `old` is still referenced here
             outcome = service.submit(SQL)
             assert not outcome.cache_hit
             assert_rows_close(
                 outcome.rows, reference_aggregate(new, parse_query(SQL)[1])
             )
-            assert len(shm_segments()) == len(new.fragments)
+            assert len(input_segments()) == len(new.fragments)
             assert stray_segments() == []
         finally:
             assert service.drain()
@@ -715,7 +717,10 @@ class TestResidentSegments:
             ).group(1))
             status, warm, _ = _post(port, "/query", {"sql": SQL})
             assert status == 200 and not warm["cache_hit"]
-            assert len(shm_segments()) == 4  # the server's, resident
+            segments = shm_segments()
+            arenas = [n for n in segments if n.startswith(_ARENA_PREFIX)]
+            assert len(segments) - len(arenas) == 4  # the server's, resident
+            assert len(arenas) == 2  # one return arena per server worker
             replies: list = []
 
             def send_miss() -> None:
