@@ -12,6 +12,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import stat
 import threading
 import time
 from collections import deque
@@ -42,10 +43,10 @@ from repro.parallel.mp_executor.resilience import (
     pool_breaker_state,
 )
 from repro.parallel.mp_executor.wire import (
-    _arenas,
     _load_job,
     _received,
     _Shipment,
+    _table,
     _WorkerArena,
     release_resident_segments,
 )
@@ -84,14 +85,11 @@ def _disarm_resource_tracker() -> None:
     them — so the tracker has no business in a worker at all: make
     register/unregister no-ops instead of trying to repair the lock.
     """
-    resource_tracker.register = _tracker_noop
-    resource_tracker.unregister = _tracker_noop
-    resource_tracker.ensure_running = _tracker_noop
     tracker = getattr(resource_tracker, "_resource_tracker", None)
-    if tracker is not None:
-        tracker.register = _tracker_noop
-        tracker.unregister = _tracker_noop
-        tracker.ensure_running = _tracker_noop
+    for owner in (resource_tracker, tracker):
+        for name in ("register", "unregister", "ensure_running"):
+            if owner is not None:
+                setattr(owner, name, _tracker_noop)
 
 
 def _attempt(call, catch=Exception):
@@ -163,6 +161,32 @@ class _Heartbeat(threading.Thread):
                     self.conn.send(("beat", None, None))
                 except Exception:  # pragma: no cover - parent went away
                     return
+
+
+def _start_clean(conn) -> None:
+    """Drop what the worker inherited that would outlive its parent.
+
+    Every socket but stdio and ``conn`` closes — the parent's ends of
+    the pipes (socket pairs), a server's listeners and clients — so the
+    parent's death is an EOF on ``conn``; pipes stay, as
+    ``Process.join`` waits on one.  Stdio stays even as a socket (the
+    journal, under systemd): a segment would take its number.
+    SIGTERM and SIGINT get their default handlers back:
+    ``repro serve`` drains on them.  Not ``PR_SET_PDEATHSIG``: it fires
+    when the forking *thread* exits, and the service forks from
+    per-request threads."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        fds = {int(fd) for fd in os.listdir("/proc/self/fd")}
+    except OSError:  # pragma: no cover - no /proc
+        return
+    for fd in fds - {0, 1, 2, conn.fileno()}:
+        try:
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.close(fd)
+        except OSError:  # the directory listing's own descriptor
+            pass
 
 
 def _run_as_batch_work() -> None:
@@ -264,6 +288,7 @@ def _pool_worker_main(conn) -> None:
     shutdown sentinel; a closed pipe means the parent is gone.
     """
     _disarm_resource_tracker()
+    _start_clean(conn)
     _run_as_batch_work()
     # Everything alive here was inherited at fork and lives as long as
     # the worker does.  Left in the oldest generation, each full
@@ -463,7 +488,7 @@ class WorkerPool:
         if worker.proc.is_alive():  # pragma: no cover - stuck after kill
             worker.proc.kill()
             worker.proc.join(_JOIN_GRACE_SECONDS)
-        _arenas.retire(worker.proc.pid)
+        _table.retire(worker.proc.pid)
 
     def shutdown(self) -> None:
         """Stop every idle worker (busy ones are the dispatcher's to
@@ -536,7 +561,7 @@ class _PoolAttempt:
         self.started = started
         self.last_beat = time.monotonic()
         self.stall_resume = None
-        self.lent = _arenas.lend(worker.proc.pid)
+        self.lent = _table.lend(worker.proc.pid)
 
 
 def _run_jobs_in_pool(fn_for, descriptors: list, runner: "_Runner",
@@ -686,7 +711,7 @@ def _run_jobs_in_pool(fn_for, descriptors: list, runner: "_Runner",
                         if lease is not None:
                             runner.leases.append(lease)
                         if need:
-                            _arenas.grow(record.worker.proc.pid, need)
+                            _table.grow(record.worker.proc.pid, need)
                         obs.returned(len(data) + arena_bytes,
                                      time.perf_counter() - t0, bool(need))
                 if status == "beat":
@@ -877,7 +902,7 @@ class _Runner:
         region they were read from goes back, on every exit path."""
         self.completed.clear()
         if self.leases:
-            _arenas.give_back(self.leases)
+            _table.give_back(self.leases)
             self.leases.clear()
 
     def _salvaged(self) -> dict:

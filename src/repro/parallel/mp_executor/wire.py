@@ -1,5 +1,6 @@
-"""The wire: how a fragment crosses the process boundary, and how its
-partial comes back (the return arenas, below).
+"""The wire: how a fragment crosses the process boundary, how its
+partial comes back, and the one table that owns every shared-memory
+segment either way.
 
 One format: a serialized :class:`~repro.storage.ColumnBlock` in one
 parent-owned shared-memory segment, described by a small picklable
@@ -8,27 +9,33 @@ The parent writes the block straight into the segment, every column on
 an 8-byte boundary, and the worker reads it where it lies: its block's
 columns are read-only views over the mapping, which it closes once the
 job's reply is pickled.  Nothing is copied on either side after the one
-write, and the kernel sees the aligned columns one process would.
+write, and the kernel sees the aligned columns one process would.  A
+partial comes back the same way, through the worker's return arena.
 
-Who the bytes came from decides how long a segment lives.  A row list
-is mutable, so its segment is good for one run and unlinked when the run
-ends.  A *block-born* fragment — the source is a ``ColumnBlock``, which
-is immutable once it sits in a relation — gets a **resident** segment:
-the parent's :class:`_ResidentSegments` table keeps it, under its
-``repro_mp_*`` name, keyed by ``(the block, the projected column
-indexes)``, and the next run over the same block and projection builds
-its descriptor from the table entry without projecting, serializing,
-creating or unlinking anything.  The paper's fragments are resident on
-their nodes and only the query travels; this is that, for one host.
+Every ``repro_mp_*`` segment is an entry of one :class:`_SegmentTable`,
+from its creation to its unlink, and the mount holds exactly the
+table's segments at every instant.  An entry has a kind, a pin count
+and a size; the kinds differ only in when they leave the table:
 
-A resident segment is unlinked when its block is collected, when a
-newer one needs its bytes under the ceiling, by
-:func:`release_resident_segments` (``shutdown_worker_pool()``, the
-service replacing or bumping a table), or when it is found gone — and
-only by the process that created it, never by a forked worker.  Runs pin
-what they ship, so whichever of those races an in-flight run defers the
-unlink to that run's release.  :class:`_Shipment` is the one place a
-run's segments are created, pinned, lost, re-encoded and released.
+* ``run`` — a row list is mutable, so its segment is one run's, and
+  leaves when the run's :class:`_Shipment` ends.
+* ``resident`` — a *block-born* fragment (the source is a
+  ``ColumnBlock``, immutable once it sits in a relation) keeps its
+  segment, keyed by ``(the block, the projected column indexes)``, and
+  the next run over the same block and projection builds its descriptor
+  from the entry without projecting, serializing, creating or unlinking
+  anything.  The paper's fragments are resident on their nodes and only
+  the query travels; this is that, for one host.  It leaves when its
+  block is collected, when a newer one needs its bytes under the
+  ceiling, at :func:`release_resident_segments`
+  (``shutdown_worker_pool()``, the service replacing or bumping a
+  table), or when it is found gone.
+* ``arena`` — each pool worker's return arena, lent out a region at a
+  time; it leaves when its worker is discarded or a reply outgrew it.
+
+Runs pin what they read, so whichever way out races an in-flight run
+defers the unlink to that run's last unpin; and only the process that
+created a segment unlinks it, never a forked worker.
 """
 
 from __future__ import annotations
@@ -61,7 +68,8 @@ _SHM_DIR = "/dev/shm" if os.path.isdir("/dev/shm") else None
 # Resident segments together, and a return arena on its own, never
 # hold more than this, nor more than half of what the shm mount has free
 # when a segment asks to stay or an arena to be made (a default
-# container mounts 64 MiB).  Worked out here, not configured.
+# container mounts 64 MiB); a run's own segments are never refused.
+# Worked out here, not configured.
 _RESIDENT_CEILING_BYTES = 1 << 30
 
 
@@ -72,14 +80,26 @@ def _shm_ceiling() -> int:
     return min(_RESIDENT_CEILING_BYTES, stat.f_bavail * stat.f_frsize // 2)
 
 
+# Each buffer in a return arena starts on this boundary, as a segment's
+# columns do.
+_ARENA_ALIGN = 64
+_ARENA_PREFIX = SHM_PREFIX + "arena_"
+
+
+def _aligned(nbytes: int) -> int:
+    return -(-nbytes // _ARENA_ALIGN) * _ARENA_ALIGN
+
+
 def _kept_from_children(shm: shared_memory.SharedMemory) -> None:
     """A process forked while the parent maps ``shm`` (a worker respawned
     mid-run, a rebuilt or private pool) does not inherit the mapping: a
     worker maps only what it is sent, and never pins the pages of a
-    segment the parent has unlinked."""
+    segment the parent has unlinked.  Advice only: where the kernel
+    refuses it, a fork maps the segment too, and nothing else changes."""
     advice = getattr(mmap, "MADV_DONTFORK", None)
     if advice is not None:
-        shm._mmap.madvise(advice)
+        with contextlib.suppress(OSError):
+            shm._mmap.madvise(advice)
 
 
 def _projection_for(query: AggregateQuery, schema):
@@ -126,15 +146,16 @@ def _block_of(schema, rows, idx=None):
         return None
 
 
-def _encode_fragment(rows, query, schema, segments: list, project: bool = True):
+def _encode_fragment(rows, query, schema, keep, project: bool = True):
     """Encode one fragment into a shared-memory segment; returns the job
     descriptor for the pool worker.
 
     Every non-empty fragment — ``rows`` is a row list or a block-born
     :class:`~repro.storage.ColumnBlock` — ships as one
     ``ColumnBlock.to_bytes()`` buffer, written by ``to_bytes`` itself
-    into one segment sized for it (appended to ``segments``, which the
-    caller owns and unlinks):
+    into one run segment of the table sized for it (pinned for the
+    caller, and handed to ``keep`` before a byte is written, so whoever
+    releases it does on every exit path):
     ``("shm_col", name, nbytes, num_rows, query, schema, as_rows)``.
     Empty fragments (``SharedMemory`` cannot be zero-sized) and rows the
     block codec rejects (an int outside int64, a mistyped value) fall
@@ -150,19 +171,15 @@ def _encode_fragment(rows, query, schema, segments: list, project: bool = True):
         return ("inline", ([], query, schema))
     proj = _projection_for(query, schema) if project else None
     ship_schema, idx = proj if proj is not None else (schema, None)
-    nbytes = 0
+    entry = None  # the run segment, once ``to_bytes`` asked for it
 
     def segment(size: int):
         # Asked for once the block is known to serialize: a rejected
         # fragment never creates a segment.
-        nonlocal nbytes
-        nbytes = size
-        shm = shared_memory.SharedMemory(
-            create=True, size=size, name=SHM_PREFIX + secrets.token_hex(8)
-        )
-        segments.append(shm)
-        _kept_from_children(shm)
-        return shm.buf
+        nonlocal entry
+        entry = _table.create(size)
+        keep(entry)
+        return entry.shm.buf
 
     if not isinstance(rows, ColumnBlock):
         block = _block_of(ship_schema, rows, idx)
@@ -177,72 +194,76 @@ def _encode_fragment(rows, query, schema, segments: list, project: bool = True):
         block.to_bytes(segment)
     except _CODEC_REJECTS:
         return inline
+    # Workers attach by name: the parent is done with its mapping.
+    entry.shm.close()
     return (
-        "shm_col", segments[-1].name, nbytes, block.num_rows, query,
+        "shm_col", entry.name, entry.nbytes, block.num_rows, query,
         ship_schema, not project,
     )
 
 
-def _unlink_segments(segments: list) -> None:
-    """Parent side: close and unlink every per-run segment a run
-    created.  A segment already gone (injected shm loss) is not an
-    error."""
-    for shm in segments:
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass
+# -- the segment table --------------------------------------------------------
 
 
-# -- resident segments --------------------------------------------------------
-
-
-class _Resident:
-    """One resident segment: what a descriptor is built from, and what
-    decides when the segment is unlinked."""
+class _Segment:
+    """One segment the parent created: its mapping, and what decides
+    when it is unlinked.  ``kind`` is who holds it — ``"run"``, one
+    run's input; ``"resident"``, an input kept for its block;
+    ``"arena"``, a pool worker's return arena — and ``key`` where it is
+    listed: ``(id(block), column indexes or None)`` for a resident
+    input, the worker's pid for an arena."""
 
     __slots__ = (
-        "key", "shm", "name", "nbytes", "num_rows", "ship_schema", "pid",
-        "pins", "listed", "finalizer",
+        "kind", "key", "shm", "name", "nbytes", "pid", "pins", "listed",
+        "view", "num_rows", "ship_schema", "finalizer", "free",
     )
 
-    def __init__(self, key, shm, nbytes, num_rows, ship_schema) -> None:
-        self.key = key
-        self.shm = shm          # closed; kept to unlink by, None once unlinked
+    def __init__(self, kind: str, shm, nbytes: int) -> None:
+        self.kind = kind
+        self.key = None
+        self.shm = shm
         self.name = shm.name
         self.nbytes = nbytes
-        self.num_rows = num_rows
-        self.ship_schema = ship_schema
         self.pid = os.getpid()  # only the creator unlinks
-        self.pins = 1           # runs whose descriptors name the segment
-        self.listed = True      # findable in the table
-        self.finalizer = None
+        self.pins = 0           # runs reading it: descriptors, arena regions
+        self.listed = False     # findable by kind and key
+        self.view = None        # an arena's: the parent's read-only view
 
 
-class _ResidentSegments:
-    """The parent's table of segments that outlive the run that wrote
-    them: ``(id(block), column indexes or None)`` → :class:`_Resident`,
-    least recently shipped first.
+class _SegmentTable:
+    """Every ``repro_mp_*`` segment the parent has created and not yet
+    unlinked, whoever holds it: the mount is exactly :meth:`names` at
+    every instant, but for a segment removed behind the table's back
+    that it has not yet noticed.
 
-    An entry whose block was collected is dropped by the block's
-    finalizer before the block's ``id`` can be reused.  A finalizer can
-    fire anywhere an allocation can — also while this thread holds the
-    table's lock — so it never blocks on the lock: it queues its key,
-    and whoever holds the lock empties the queue before reading the
-    table and again on the way out.
+    One set of rules for every kind.  A segment is created here, kept
+    from forked children, and unlinked only by the process that created
+    it.  Runs pin what they read: the descriptors that name an input,
+    the arena regions their partials are views over.  A segment that
+    *leaves* — its run ended; its block was collected, evicted or
+    released; its worker was discarded or outgrew it — is no longer
+    found, and is unlinked at once if nothing pins it, else at the last
+    unpin; a segment found gone is unlinked at once, pinned or not.  The
+    parent's mapping closes at the unlink — an input's was closed once
+    written, an arena's is read until then — or, while a view the caller
+    kept still pins it, at a later call.
 
-    An entry that leaves the table while runs still have it pinned is
-    *unlisted*: no later run can find it, and the last release unlinks
-    its segment.
+    A block's finalizer can fire anywhere an allocation can — also while
+    this thread holds the lock — so it never blocks on the lock: it
+    queues its key, and whoever holds the lock empties the queue before
+    reading the table and again on the way out.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple, _Resident] = OrderedDict()
-        self._unlisted: set[_Resident] = set()
+        self._live: dict[str, _Segment] = {}  # by name
+        # Listed: resident inputs least recently shipped first, arenas
+        # by worker pid.
+        self._resident: OrderedDict[tuple, _Segment] = OrderedDict()
+        self._arenas: dict[int, _Segment] = {}
+        self._mapped: list[_Segment] = []  # unlinked, mapping still open
         self._collected: deque[tuple] = deque()
-        self.nbytes = 0
+        self.resident_bytes = 0
 
     @contextlib.contextmanager
     def _locked(self):
@@ -266,32 +287,99 @@ class _ResidentSegments:
     def _reap(self) -> None:
         """Lock held: drop the entries whose blocks were collected."""
         while self._collected:
-            entry = self._entries.get(self._collected.popleft())
+            entry = self._resident.get(self._collected.popleft())
             if entry is not None and not entry.finalizer.alive:
-                self._unlist(entry)
+                self._leave(entry)
 
-    def _unlist(self, entry: _Resident, gone: bool = False) -> None:
-        """Lock held: ``entry`` leaves the table.  Its segment is
-        unlinked now — or, while runs still read it and it is not
-        ``gone`` already, at the last release."""
+    # -- what every kind shares ---------------------------------------------
+
+    def _new(self, kind: str, size: int, prefix: str = SHM_PREFIX):
+        """Lock held: a fresh segment of ``size`` bytes, in the table."""
+        shm = shared_memory.SharedMemory(
+            create=True, size=size, name=prefix + secrets.token_hex(8)
+        )
+        _kept_from_children(shm)
+        entry = _Segment(kind, shm, size)
+        self._live[entry.name] = entry
+        return entry
+
+    def create(self, size: int) -> _Segment:
+        """A run's input segment of ``size`` bytes, pinned by the run:
+        unlisted, so its release unlinks it unless :meth:`adopt` keeps
+        it first.  Counted here, never refused."""
+        with self._locked():
+            entry = self._new("run", size)
+            entry.pins = 1
+            return entry
+
+    def release(self, entries) -> None:
+        """Undo one pin of each of ``entries``."""
+        with self._locked():
+            for entry in entries:
+                self._unpin(entry)
+
+    def lose(self, entry: _Segment) -> None:
+        """The segment is (to be) gone whoever still reads it: injected
+        loss, or a worker that could not attach."""
+        with self._locked():
+            self._leave(entry, gone=True)
+
+    def _unpin(self, entry: _Segment) -> None:
+        entry.pins -= 1
+        if not entry.pins and not entry.listed:
+            self._unlink(entry)
+
+    def _leave(self, entry: _Segment, gone: bool = False) -> None:
+        """Lock held: ``entry`` is found no more.  Its segment is
+        unlinked now — or, while runs pin it and it is not ``gone``
+        already, at the last unpin."""
         if entry.listed:
-            del self._entries[entry.key]
             entry.listed = False
-            entry.finalizer.detach()
-            self.nbytes -= entry.nbytes
-        if entry.pins and not gone:
-            self._unlisted.add(entry)
+            if entry.kind == "resident":
+                del self._resident[entry.key]
+                entry.finalizer.detach()
+                self.resident_bytes -= entry.nbytes
+            else:
+                del self._arenas[entry.key]
+        if gone or not entry.pins:
+            self._unlink(entry)
+
+    def _unlink(self, entry: _Segment) -> None:
+        """Lock held: ``entry``'s segment leaves the mount, once."""
+        if self._live.pop(entry.name, None) is None:
             return
-        self._unlisted.discard(entry)
-        shm, entry.shm = entry.shm, None
-        if shm is None or entry.pid != os.getpid():
-            return  # unlinked before, or a forked child's copy of the table
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            # Removed behind the table's back: what is left of it is
-            # the resource tracker's note to unlink it at exit.
-            resource_tracker.unregister(shm._name, "shared_memory")
+        if entry.pid == os.getpid():  # not a forked child's copy
+            try:
+                entry.shm.unlink()
+            except FileNotFoundError:
+                # Removed behind the table's back: what is left of it is
+                # the resource tracker's note to unlink it at exit.
+                resource_tracker.unregister(entry.shm._name, "shared_memory")
+        self._mapped.append(entry)
+        self._unmap()
+
+    def _unmap(self) -> None:
+        """Lock held: close the unlinked segments' mappings."""
+        still = []
+        for entry in self._mapped:
+            try:
+                if entry.view is not None:
+                    entry.view.release()
+                entry.shm.close()
+            except BufferError:  # a view the caller kept pins it
+                still.append(entry)
+        self._mapped = still
+
+    def names(self, kind: str | None = None) -> set[str]:
+        """Names of the segments on the mount the table answers for:
+        every kind's, or ``kind``'s."""
+        with self._locked():
+            return {
+                name for name, entry in self._live.items()
+                if kind is None or entry.kind == kind
+            }
+
+    # -- resident inputs ----------------------------------------------------
 
     def pin(self, block, idx):
         """``(entry, vanished)``: the resident entry of ``(block, idx)``
@@ -300,81 +388,147 @@ class _ResidentSegments:
         dropped on the spot)."""
         key = (id(block), idx)
         with self._locked():
-            entry = self._entries.get(key)
+            entry = self._resident.get(key)
             if entry is None:
                 return None, False
             if _SHM_DIR is not None and not os.path.exists(
                 os.path.join(_SHM_DIR, entry.name)
             ):
-                self._unlist(entry, gone=True)
+                self._leave(entry, gone=True)
                 return None, True
-            self._entries.move_to_end(key)
+            self._resident.move_to_end(key)
             entry.pins += 1
             return entry, False
 
-    def adopt(self, block, idx, shm, nbytes, num_rows, ship_schema):
-        """``(entry, evicted)``: keep the segment the caller just wrote
-        for ``(block, idx)``, pinned for the caller, after evicting
-        ``evicted`` least-recently-shipped unpinned entries to stay
-        under the ceiling.  ``entry`` is None, and the segment stays the
-        caller's, when it cannot fit or another thread's segment for the
-        key got here first."""
+    def adopt(self, entry: _Segment, block, idx, num_rows, ship_schema):
+        """Keep the run segment ``entry``, just written for ``(block,
+        idx)``, resident, still pinned for its run, after evicting
+        least-recently-shipped unpinned entries to stay under the
+        ceiling: returns how many were evicted.  None, and the segment
+        stays the run's, when it cannot fit or another thread's segment
+        for the key got here first."""
         ceiling = _shm_ceiling()
         key = (id(block), idx)
         with self._locked():
-            if key in self._entries:
-                return None, 0
-            over = self.nbytes + nbytes - ceiling
+            if key in self._resident:
+                return None
+            over = self.resident_bytes + entry.nbytes - ceiling
             victims = []
-            for old in self._entries.values():
+            for old in self._resident.values():
                 if over <= 0:
                     break
                 if not old.pins:
                     victims.append(old)
                     over -= old.nbytes
             if over > 0:
-                return None, 0
+                return None
             for old in victims:
-                self._unlist(old)
-            entry = _Resident(key, shm, nbytes, num_rows, ship_schema)
+                self._leave(old)
+            entry.kind, entry.key, entry.listed = "resident", key, True
+            entry.num_rows, entry.ship_schema = num_rows, ship_schema
             entry.finalizer = weakref.finalize(
                 block, self._block_collected, key
             )
-            self._entries[key] = entry
-            self.nbytes += nbytes
-            return entry, len(victims)
-
-    def release(self, entry: _Resident) -> None:
-        """Undo one pin."""
-        with self._locked():
-            entry.pins -= 1
-            if not entry.listed:
-                self._unlist(entry)
-
-    def lose(self, entry: _Resident) -> None:
-        """The segment is (to be) gone whoever still reads it: injected
-        loss, or a worker that could not attach."""
-        with self._locked():
-            self._unlist(entry, gone=True)
+            self._resident[key] = entry
+            self.resident_bytes += entry.nbytes
+            return len(victims)
 
     def drop(self, blocks=None) -> None:
-        """Unlist every entry of ``blocks`` (all entries for None)."""
+        """Every resident entry of ``blocks`` (all for None) leaves."""
         ids = None if blocks is None else {id(block) for block in blocks}
         with self._locked():
-            for entry in list(self._entries.values()):
+            for entry in list(self._resident.values()):
                 if ids is None or entry.key[0] in ids:
-                    self._unlist(entry)
+                    self._leave(entry)
 
-    def names(self) -> set[str]:
-        """Names of the segments the table answers for."""
+    # -- return arenas ------------------------------------------------------
+    #
+    # A partial comes back the way a fragment goes out: its bytes are
+    # written once, into a parent-owned segment, and read where they lie.
+    # Each pool worker has one *return arena*.  The parent creates it on
+    # the worker's first reply that carries arrays and maps it until it
+    # leaves; the worker maps it once and keeps that mapping for its life
+    # — the one mapping a worker keeps across jobs.  Each dispatch lends
+    # the job the arena's largest free extent.  The worker pickles its
+    # reply with protocol 5, writes every out-of-band buffer (a packed
+    # partial's arrays) into the extent, and sends only the frame and
+    # the layout down the pipe.  The parent rebuilds the reply as
+    # read-only views over its own mapping and pins the region it took
+    # until the run that received it has merged.  Only the dispatcher
+    # holding a worker lends, takes from or grows its arena; any thread
+    # gives regions back.
+
+    def lend(self, pid: int):
+        """``(arena, start, capacity)``, the largest free extent of
+        worker ``pid``'s arena, for its next reply; None while it has
+        none."""
         with self._locked():
-            return {
-                entry.name
-                for entry in (*self._entries.values(), *self._unlisted)
-            }
+            arena = self._arenas.get(pid)
+            if arena is None:
+                return None
+            start, end = max(arena.free, key=lambda e: e[1] - e[0],
+                             default=(0, 0))
+            return arena, start, end - start
+
+    def take(self, arena: _Segment, start: int, used: int) -> tuple:
+        """The ``used`` bytes a reply wrote at ``start`` are held:
+        returns the lease to :meth:`give_back`."""
+        end = start + _aligned(used)
+        with self._locked():
+            for i, (lo, hi) in enumerate(arena.free):
+                if lo <= start and end <= hi:
+                    arena.free[i:i + 1] = [
+                        e for e in ((lo, start), (end, hi)) if e[0] < e[1]
+                    ]
+                    break
+            arena.pins += 1
+        return arena, start, end
+
+    def give_back(self, leases) -> None:
+        with self._locked():
+            for arena, start, end in leases:
+                merged: list = []
+                for lo, hi in sorted([*arena.free, (start, end)]):
+                    if merged and lo <= merged[-1][1]:
+                        merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+                    else:
+                        merged.append((lo, hi))
+                arena.free = merged
+                self._unpin(arena)
+            self._unmap()
+
+    def grow(self, pid: int, need: int) -> None:
+        """Worker ``pid``'s reply needed ``need`` bytes it was not lent:
+        its next one goes to a new arena twice the old one, and twice
+        what runs hold of the old one plus ``need``, rounded to pages.
+        An arena that size would pass the shm ceiling is not made: the
+        worker keeps what it has, and what does not fit comes in-band."""
+        with self._locked():
+            old = self._arenas.get(pid)
+            size = held = 0
+            if old is not None:
+                size = old.nbytes
+                held = size - sum(hi - lo for lo, hi in old.free)
+            size = max(2 * size, 2 * (held + _aligned(need)))
+            size = -(-size // mmap.PAGESIZE) * mmap.PAGESIZE
+            if size > _shm_ceiling():
+                return
+            if old is not None:
+                self._leave(old)
+            arena = self._new("arena", size, _ARENA_PREFIX)
+            arena.key, arena.listed, arena.free = pid, True, [(0, size)]
+            arena.view = arena.shm.buf.toreadonly()
+            self._arenas[pid] = arena
+
+    def retire(self, pid: int) -> None:
+        """Worker ``pid`` was discarded: its arena leaves."""
+        with self._locked():
+            arena = self._arenas.get(pid)
+            if arena is not None:
+                self._leave(arena)
 
 
-_resident = _ResidentSegments()
+_table = _SegmentTable()
 
 
 def release_resident_segments(relation=None) -> None:
@@ -384,50 +538,46 @@ def release_resident_segments(relation=None) -> None:
     segment (what :func:`shutdown_worker_pool` does).  Segments an
     in-flight run still reads go when that run ends."""
     if relation is None:
-        _resident.drop()
+        _table.drop()
         return
     blocks = [
         getattr(frag.relation, "block", None) for frag in relation.fragments
     ]
-    _resident.drop([block for block in blocks if block is not None])
+    _table.drop([block for block in blocks if block is not None])
 
 
 class _Shipment:
     """One run's fragments on the wire, from first descriptor to the
     release of every segment behind them (``with _Shipment(...)``).
 
-    ``jobs`` are ``(source, query, schema)``.  A non-empty
-    ``ColumnBlock`` source ships through the resident table: a hit pins
-    the entry and costs a descriptor; a miss encodes as ever, closes the
-    parent's mapping and hands the segment to the table, which keeps it
-    unless it cannot fit.  Everything else — row lists, segments the
-    table declined — is this run's own and unlinked at release, and
-    empty or codec-rejected fragments travel inline.
+    ``jobs`` are ``(source, query, schema)``.  Each job that ships in a
+    segment pins it, and the run's end releases every pin.  A non-empty
+    ``ColumnBlock`` source ships through the resident entries: a hit
+    pins the entry and costs a descriptor; a miss encodes as ever and
+    asks the table to keep the segment, which it does unless it cannot
+    fit.  Everything else — row lists, segments the table declined —
+    is a run segment, unlinked at the release, and empty or
+    codec-rejected fragments travel inline.
     """
 
     def __init__(self, jobs, obs, project: bool = True) -> None:
         self.jobs = jobs
         self.obs = obs
         self.project = project
-        self._segments: list = []   # per-run segments, ours to unlink
-        self._owned: dict[int, shared_memory.SharedMemory] = {}
-        self._pinned: dict[int, _Resident] = {}
+        self._pinned: dict[int, _Segment] = {}  # job index -> its segment
 
     def __enter__(self) -> "_Shipment":
         return self
 
     def __exit__(self, *_exc) -> None:
-        for entry in self._pinned.values():
-            _resident.release(entry)
-        # The parent owns every per-run segment: unlink on success,
-        # worker error, timeout, death, and FragmentFailedError alike,
-        # so /dev/shm never accumulates stray repro_mp_* files.
-        _unlink_segments(self._segments)
+        # On success, worker error, timeout, death and
+        # FragmentFailedError alike.
+        _table.release(self._pinned.values())
 
     def ship(self) -> list:
         """One descriptor per job, in job order."""
         descriptors = [self._encode(i) for i in range(len(self.jobs))]
-        self.obs.shipped(_resident.nbytes)
+        self.obs.shipped(_table.resident_bytes)
         return descriptors
 
     def _encode(self, index: int):
@@ -436,7 +586,7 @@ class _Shipment:
         if block_born:
             proj = _projection_for(query, schema) if self.project else None
             idx = None if proj is None else tuple(proj[1])
-            entry, vanished = _resident.pin(rows, idx)
+            entry, vanished = _table.pin(rows, idx)
             if vanished:
                 self.obs.resident("vanished")
             if entry is not None:
@@ -447,28 +597,19 @@ class _Shipment:
                     query, entry.ship_schema, not self.project,
                 )
             self.obs.resident("miss")
-        desc = _encode_fragment(
-            rows, query, schema, self._segments, self.project
-        )
+
+        def keep(entry: _Segment) -> None:  # known to __exit__ at once
+            self._pinned[index] = entry
+
+        desc = _encode_fragment(rows, query, schema, keep, self.project)
         if desc[0] != "shm_col":
             return desc
-        shm = self._segments[-1]
-        entry = None
+        entry = self._pinned[index]
         if block_born:
-            _kind, _name, nbytes, num_rows, _q, ship_schema, _as_rows = desc
-            entry, evicted = _resident.adopt(
-                rows, idx, shm, nbytes, num_rows, ship_schema
-            )
-        if entry is None:
-            self._owned[index] = shm
-            return desc
-        self._pinned[index] = entry
-        # Resident by name, not by mapping: workers attach by name and
-        # the parent has no further use for its own view of the bytes.
-        self._segments.pop()
-        shm.close()
-        if evicted:
-            self.obs.resident("evicted", evicted)
+            _kind, _name, _nbytes, num_rows, _q, ship_schema, _as_rows = desc
+            evicted = _table.adopt(entry, rows, idx, num_rows, ship_schema)
+            if evicted:
+                self.obs.resident("evicted", evicted)
         return desc
 
     def reencode(self, index: int):
@@ -477,8 +618,8 @@ class _Shipment:
         everyone, and the fresh segment takes its place."""
         entry = self._pinned.pop(index, None)
         if entry is not None:
-            _resident.lose(entry)
-            _resident.release(entry)
+            _table.lose(entry)
+            _table.release([entry])
         return self._encode(index)
 
     def lose(self, index: int) -> bool:
@@ -486,177 +627,10 @@ class _Shipment:
         in, resident or not.  False for an inline descriptor, which has
         nothing to lose."""
         entry = self._pinned.get(index)
-        if entry is not None:
-            _resident.lose(entry)
-            return True
-        shm = self._owned.get(index)
-        if shm is None:
+        if entry is None:
             return False
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - lost twice
-            pass
+        _table.lose(entry)
         return True
-
-
-# -- return arenas -----------------------------------------------------------
-#
-# A partial comes back the way a fragment goes out: its bytes are written
-# once, into a parent-owned segment, and read where they lie.  Each pool
-# worker has one *return arena*.  The parent creates it on the worker's
-# first reply that carries arrays, maps it once and unlinks it when it
-# discards the worker; the worker maps it once and keeps that mapping
-# for its life — the one mapping a worker keeps across jobs.  Each
-# dispatch lends the job the arena's largest free extent.  The worker
-# pickles its reply with protocol 5, writes every out-of-band buffer
-# (a packed partial's arrays) into the extent, and sends only the frame
-# and the layout down the pipe.  The parent rebuilds the reply as
-# read-only views over its own mapping and holds the region it took
-# until the run that received it has merged.
-
-# Each buffer starts on this boundary, as a segment's columns do.
-_ARENA_ALIGN = 64
-_ARENA_PREFIX = SHM_PREFIX + "arena_"
-
-
-def _aligned(nbytes: int) -> int:
-    return -(-nbytes // _ARENA_ALIGN) * _ARENA_ALIGN
-
-
-class _Arena:
-    """One return arena as the parent maps it.  ``free`` holds the
-    ``[start, end)`` extents no run holds, in order; ``leases`` counts
-    the regions runs hold."""
-
-    __slots__ = ("shm", "name", "size", "view", "free", "leases", "pid")
-
-    def __init__(self, size: int) -> None:
-        self.shm = shared_memory.SharedMemory(
-            create=True, size=size, name=_ARENA_PREFIX + secrets.token_hex(8)
-        )
-        _kept_from_children(self.shm)
-        self.name = self.shm.name
-        self.size = size
-        self.view = self.shm.buf.toreadonly()
-        self.free = [(0, size)]
-        self.leases = 0
-        self.pid = os.getpid()  # only the creator unlinks
-
-
-class _ReturnArenas:
-    """The parent's table of return arenas: pool worker pid → its arena.
-
-    Only the dispatcher holding a worker lends, takes from or grows its
-    arena; any thread gives regions back.  An arena leaves the table
-    when its worker is discarded, or when a reply outgrew it: its
-    segment is unlinked then, and the parent's mapping closed once the
-    last run holding one of its regions gives it back.  A mapping that
-    a view the caller kept still pins is closed at a later call.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._current: dict[int, _Arena] = {}
-        self._retired: list[_Arena] = []
-
-    def lend(self, pid: int):
-        """``(arena, start, capacity)``, the largest free extent of
-        worker ``pid``'s arena, for its next reply; None while it has
-        none."""
-        with self._lock:
-            arena = self._current.get(pid)
-            if arena is None:
-                return None
-            start, end = max(arena.free, key=lambda e: e[1] - e[0],
-                             default=(0, 0))
-            return arena, start, end - start
-
-    def take(self, arena: _Arena, start: int, used: int) -> tuple:
-        """The ``used`` bytes a reply wrote at ``start`` are held:
-        returns the lease to :meth:`give_back`."""
-        end = start + _aligned(used)
-        with self._lock:
-            for i, (lo, hi) in enumerate(arena.free):
-                if lo <= start and end <= hi:
-                    arena.free[i:i + 1] = [
-                        e for e in ((lo, start), (end, hi)) if e[0] < e[1]
-                    ]
-                    break
-            arena.leases += 1
-        return arena, start, end
-
-    def give_back(self, leases) -> None:
-        with self._lock:
-            for arena, start, end in leases:
-                merged: list = []
-                for lo, hi in sorted([*arena.free, (start, end)]):
-                    if merged and lo <= merged[-1][1]:
-                        merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-                    else:
-                        merged.append((lo, hi))
-                arena.free = merged
-                arena.leases -= 1
-            self._close_retired()
-
-    def grow(self, pid: int, need: int) -> None:
-        """Worker ``pid``'s reply needed ``need`` bytes it was not lent:
-        its next one goes to a new arena twice the old one, and twice
-        what runs hold of the old one plus ``need``, rounded to pages.
-        An arena that size would pass the shm ceiling is not made: the
-        worker keeps what it has, and what does not fit comes in-band."""
-        with self._lock:
-            old = self._current.get(pid)
-            size = held = 0
-            if old is not None:
-                size = old.size
-                held = size - sum(hi - lo for lo, hi in old.free)
-            size = max(2 * size, 2 * (held + _aligned(need)))
-            size = -(-size // mmap.PAGESIZE) * mmap.PAGESIZE
-            if size > _shm_ceiling():
-                return
-            self._current[pid] = _Arena(size)
-            if old is not None:
-                self._retire(old)
-
-    def retire(self, pid: int) -> None:
-        """Worker ``pid`` was discarded: its arena goes."""
-        with self._lock:
-            arena = self._current.pop(pid, None)
-            if arena is not None:
-                self._retire(arena)
-
-    def _retire(self, arena: _Arena) -> None:
-        """Lock held: unlink now, unmap when no run holds a region."""
-        if arena.pid == os.getpid():
-            try:
-                arena.shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - gone already
-                resource_tracker.unregister(arena.shm._name, "shared_memory")
-        self._retired.append(arena)
-        self._close_retired()
-
-    def _close_retired(self) -> None:
-        """Lock held: close the retired mappings nothing holds."""
-        still = []
-        for arena in self._retired:
-            if not arena.leases:
-                arena.view.release()
-                try:
-                    arena.shm.close()
-                    continue
-                except BufferError:  # a view the caller kept pins it
-                    pass
-            still.append(arena)
-        self._retired = still
-
-    def names(self) -> set[str]:
-        """Names of the arenas on the mount: one per worker that has
-        one."""
-        with self._lock:
-            return {arena.name for arena in self._current.values()}
-
-
-_arenas = _ReturnArenas()
 
 
 def _received(message, lent):
@@ -670,7 +644,7 @@ def _received(message, lent):
         _kind, layout, frame = message
         arena, start, _capacity = lent
         at, nbytes = layout[-1]
-        lease = _arenas.take(arena, start, at + nbytes - start)
+        lease = _table.take(arena, start, at + nbytes - start)
         views = [arena.view[at:at + n] for at, n in layout]
         reply = pickle.loads(frame, buffers=views)
         return reply, lease, sum(n for _at, n in layout), 0

@@ -13,7 +13,7 @@ from hypothesis.errors import NonInteractiveExampleWarning
 
 from repro.core.aggregates import AggregateSpec
 from repro.core.query import AggregateQuery
-from repro.parallel.mp_executor.wire import SHM_PREFIX, _arenas, _resident
+from repro.parallel.mp_executor.wire import SHM_PREFIX, _table
 from repro.workloads.generator import generate_uniform
 
 
@@ -48,17 +48,25 @@ def shm_segments() -> list[str]:
     )
 
 
-def owned_segments() -> set[str]:
-    """What the executor answers for between runs: the resident table's
-    segments and one return arena per pool worker that has one."""
-    return _resident.names() | _arenas.names()
+def table_segments(*kinds: str) -> list[str]:
+    """The executor's segments, sorted, once the one invariant holds:
+    the mount is exactly the segment table's names.  Every kind's, or
+    only those of ``kinds`` (``"run"``, ``"resident"``, ``"arena"``)."""
+    names = _table.names()
+    assert sorted(names) == shm_segments()
+    if not kinds:
+        return sorted(names)
+    return sorted(set().union(*(_table.names(kind) for kind in kinds)))
 
 
-def input_segments() -> list[str]:
-    """The segments on the mount that fragments ship in: every
-    ``repro_mp_*`` name but the live pool workers' return arenas."""
-    arenas = _arenas.names()
-    return [name for name in shm_segments() if name not in arenas]
+def listed(kind: str) -> list:
+    """The table's listed entries of ``kind``: resident inputs, keyed
+    ``(id(block), idx)``, or return arenas, keyed by worker pid."""
+    with _table._lock:
+        return [
+            entry for entry in _table._live.values()
+            if entry.listed and entry.kind == kind
+        ]
 
 
 def mapped_segments(pid: int) -> list[str]:
@@ -70,8 +78,8 @@ def mapped_segments(pid: int) -> list[str]:
 
 def not_its_arena(pid: int) -> list[str]:
     """What pool worker ``pid`` maps that is not the one return arena
-    the parent records for it: empty for a worker between jobs."""
-    arena = _arenas._current.get(pid)
+    the table lists for it: empty for a worker between jobs."""
+    arena = next((e for e in listed("arena") if e.key == pid), None)
     return [
         line for line in mapped_segments(pid)
         if arena is None or not line.rstrip().endswith("/" + arena.name)
@@ -79,14 +87,30 @@ def not_its_arena(pid: int) -> list[str]:
 
 
 def stray_segments() -> list[str]:
-    """Segments nobody answers for: on the mount, and owned neither by
-    the executor's resident table (which unlinks its own when their
-    blocks are collected and at ``shutdown_worker_pool()``) nor by a
-    pool worker as its return arena (unlinked when the worker is
-    discarded).  Must be empty whenever no run is in flight; after
-    ``shutdown_worker_pool()`` :func:`shm_segments` itself must be."""
-    owned = owned_segments()
-    return [name for name in shm_segments() if name not in owned]
+    """Segments on the mount that the executor's segment table does not
+    answer for.  Must be empty at every instant; after
+    ``shutdown_worker_pool()`` with no run in flight :func:`shm_segments`
+    itself must be."""
+    names = _table.names()
+    return [name for name in shm_segments() if name not in names]
+
+
+def table_at_rest() -> None:
+    """What must hold whenever no run is in flight: nothing on the mount
+    the table does not answer for, no run segment left, every entry
+    listed and unpinned, and the resident bytes add up.  A run that
+    keeps a pin or an input past its end, on any exit path, fails it."""
+    assert stray_segments() == []
+    with _table._lock:
+        entries = list(_table._live.values())
+    assert [
+        (entry.kind, entry.name)
+        for entry in entries
+        if entry.kind == "run" or not entry.listed or entry.pins
+    ] == []
+    assert _table.resident_bytes == sum(
+        entry.nbytes for entry in entries if entry.kind == "resident"
+    )
 
 
 def rows_close(actual, expected, tol: float = 1e-9) -> bool:

@@ -31,16 +31,15 @@ from repro.parallel import (
 )
 from repro.parallel.mp_executor import pool as pool_module
 from repro.parallel.mp_executor.faults import CrashFault, FaultPlan, Straggler
-from repro.parallel.mp_executor.wire import _arenas
 from repro.sql import parse_query
 from repro.workloads.generator import generate_uniform
 
 from tests.conftest import (
     mapped_segments,
     not_its_arena,
-    owned_segments,
     shm_segments,
-    stray_segments,
+    table_at_rest,
+    table_segments,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -86,7 +85,7 @@ def fresh_pool():
     shutdown_worker_pool()
     assert shm_segments() == []
     yield
-    assert stray_segments() == []
+    table_at_rest()
     shutdown_worker_pool()
     assert shm_segments() == []
 
@@ -124,7 +123,7 @@ class TestTheSameBits:
         _warm(dist, query)
         rows, registry = _pooled(dist, query)
         assert repr(rows) == want
-        assert len(_arenas.names()) == 4
+        assert len(table_segments("arena")) == 4
         assert _inband(registry) == 0
 
     def test_rep(self, dist):
@@ -147,15 +146,15 @@ class TestTheSameBits:
         still read where it lies."""
         want = repr(multiprocessing_aggregate(dist, _MERGE, processes=1))
         _warm(dist)
-        arenas_before = _arenas.names()
+        arenas_before = table_segments("arena")
         rows, registry = _pooled(
             dist, _MERGE, processes=2,
             faults=FaultPlan(seed=3, crashes=(CrashFault(2),)),
         )
         assert repr(rows) == want
         assert registry.value("mp.faults.injected.kill") == 1
-        assert _arenas.names() != arenas_before  # the dead one's went
-        assert set(shm_segments()) == owned_segments()
+        assert table_segments("arena") != arenas_before  # the dead one's went
+        assert shm_segments() == table_segments()
         for worker in pool_module._get_shared_pool().idle_workers():
             assert not_its_arena(worker.proc.pid) == []
 
@@ -225,12 +224,12 @@ class TestTheWayBack:
         assert _inband(first) == 2  # no arena before the first large reply
         _rows, warm = _pooled(small, _MERGE)
         assert _inband(warm) == 0
-        sized = _arenas.names()
+        sized = table_segments("arena")
         want = repr(multiprocessing_aggregate(large, _MERGE, processes=1))
         rows, grown = _pooled(large, _MERGE)
         assert repr(rows) == want
         assert _inband(grown) == 2
-        assert _arenas.names().isdisjoint(sized)
+        assert set(table_segments("arena")).isdisjoint(sized)
         rows, fits = _pooled(large, _MERGE)
         assert repr(rows) == want
         assert _inband(fits) == 0
@@ -253,13 +252,13 @@ class TestTheWayBack:
             rows, registry = _pooled(dist, _MERGE)
             assert repr(rows) == want
             assert _inband(registry) == 4
-            assert not _arenas.names()
+            assert not table_segments("arena")
         monkeypatch.undo()
         _warm(dist)
         rows, registry = _pooled(dist, _MERGE)
         assert repr(rows) == want
         assert _inband(registry) == 0
-        assert len(_arenas.names()) == 4
+        assert len(table_segments("arena")) == 4
 
     def test_a_failed_run_hands_back_partials_it_owns(self, dist):
         """What ``FragmentFailedError.partial_results`` salvages is

@@ -50,8 +50,11 @@ from repro.workloads.generator import generate_uniform
 from tests.conftest import (
     block_ids,
     kernel_declines,
+    listed,
     shm_segments,
     stray_segments,
+    table_at_rest,
+    table_segments,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -69,11 +72,12 @@ def nothing_after_shutdown():
 
 @pytest.fixture(autouse=True)
 def no_leaked_segments():
-    """Chaos or not, no exit path leaves a stray segment: whatever is
-    on the mount is a resident segment of a block still alive."""
+    """Chaos or not, no exit path leaves a stray segment, a run segment
+    or a pin: whatever is on the mount is a resident segment of a live
+    block or a worker's arena, unpinned."""
     assert stray_segments() == []
     yield
-    assert stray_segments() == [], "chaos run leaked shared-memory segments"
+    table_at_rest()
 
 
 @pytest.fixture(autouse=True)
@@ -374,12 +378,11 @@ class TestCircuitBreaker:
 def _only_resident_segments_of(dist):
     """Nothing stray, and what is resident is one segment per fragment
     of the one relation alive."""
-    from repro.parallel.mp_executor.wire import _resident
-
+    entries = listed("resident")
     assert stray_segments() == []
-    assert {key[0] for key in _resident._entries} == block_ids(dist)
-    assert len(shm_segments()) == len(_resident._entries)
-    assert len(_resident._entries) == len(dist.fragments)
+    assert {entry.key[0] for entry in entries} == block_ids(dist)
+    assert table_segments() == sorted(entry.name for entry in entries)
+    assert len(entries) == len(dist.fragments)
 
 
 class TestDegradedMode:

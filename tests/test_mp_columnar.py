@@ -22,7 +22,6 @@ Three layers of guarantees:
   merge results pinned as exact hex floats, not tolerances.
 """
 
-import glob
 import json
 import math
 import pathlib
@@ -40,12 +39,11 @@ from repro.parallel.mp_executor.kernel import (
     _local_phase,
 )
 from repro.parallel.mp_executor.merge import _unpack_packed
-from repro.parallel.mp_executor.wire import _arenas
 from repro.storage.columnblock import ColumnBlock
 from repro.storage.relation import BlockRelation, DistributedRelation
 from repro.storage.schema import Column, Schema
 
-from tests.conftest import assert_partials_equal
+from tests.conftest import assert_partials_equal, table_segments
 from tests.test_block_parity import _GEN  # reuse digest + workloads
 
 _GOLDEN = json.loads(
@@ -326,8 +324,4 @@ def test_no_leaked_shm_segments():
     query = AggregateQuery(("k",), (AggregateSpec("sum", "v"),))
     for strategy in ("pool", "global", "rep"):
         multiprocessing_aggregate(dist, query, 2, strategy=strategy)
-    leaked = sorted(
-        set(glob.glob("/dev/shm/repro_mp_*"))
-        - {"/dev/shm/" + name for name in _arenas.names()}
-    )
-    assert leaked == [], f"leaked shm segments: {leaked}"
+    assert table_segments() == table_segments("arena")

@@ -1,8 +1,8 @@
 """Resident segments: block-born fragments ship once.
 
 The segment written for ``(a live ColumnBlock, a projection)`` stays in
-shared memory under the parent's resident table, so a repeat run sends
-descriptors, not bytes.  What this file holds it to:
+shared memory as a resident entry of the parent's segment table, so a
+repeat run sends descriptors, not bytes.  What this file holds it to:
 
 * **Counts that repeat exactly.**  The second of two identical runs
   creates, serializes, projects and unlinks nothing and records one
@@ -16,12 +16,14 @@ descriptors, not bytes.  What this file holds it to:
   gone, injected loss — deferred to the last release while a run still
   reads the segment, and never by a forked worker.
 * **A stateful lifecycle audit.**  A hypothesis state machine interleaves
-  runs (four strategies, three projections, a substituted phase), faults
-  (injected shm loss, worker kills), segments unlinked behind the
-  table's back, dropped relations, a moving ceiling, pool shutdowns and
-  worker exits; after every step the shm mount holds exactly the
-  table's segments, nothing is pinned, the bytes add up under the
-  ceiling, and every run returned the bits of ``processes=1``.
+  runs (four strategies, three projections, a substituted phase, a
+  partial that outgrows its worker's return arena), faults (injected
+  shm loss, worker kills), segments unlinked behind the table's back,
+  dropped relations, a moving ceiling, pool shutdowns and worker exits;
+  after every step the shm mount holds exactly the segment table's
+  segments — resident, per-run and arenas alike — nothing is pinned,
+  the bytes add up under the ceiling, and every run returned the bits
+  of ``processes=1``; after a shutdown the table is empty.
 """
 
 import gc
@@ -47,7 +49,7 @@ from repro.parallel.mp_executor import pool as pool_module
 from repro.parallel.mp_executor import wire
 from repro.parallel.mp_executor.faults import CrashFault, FaultPlan
 from repro.parallel.mp_executor.kernel import _local_phase
-from repro.parallel.mp_executor.wire import _ARENA_PREFIX, _arenas, _resident
+from repro.parallel.mp_executor.wire import _ARENA_PREFIX, _table
 from repro.sql import parse_query
 from repro.storage.columnblock import ColumnBlock
 from repro.storage.relation import BlockRelation, DistributedRelation
@@ -55,11 +57,13 @@ from repro.storage.schema import Column, Schema
 
 from tests.conftest import (
     block_ids,
-    input_segments,
+    listed,
     resident_counts as _counts,
     row_bits,
     shm_segments,
     stray_segments,
+    table_at_rest,
+    table_segments,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -108,12 +112,9 @@ def _run(dist, query, registry=None, **kwargs):
     return multiprocessing_aggregate(dist, query, metrics=registry, **kwargs)
 
 
-def _table_is_consistent():
-    """What must hold of the table whenever no run is in flight."""
-    entries = list(_resident._entries.values())
-    assert _resident._unlisted == set()
-    assert [entry.pins for entry in entries] == [0] * len(entries)
-    assert _resident.nbytes == sum(entry.nbytes for entry in entries)
+def _resident_blocks() -> set[int]:
+    """``id`` of every block the table keeps a resident segment for."""
+    return {entry.key[0] for entry in listed("resident")}
 
 
 @pytest.fixture(autouse=True)
@@ -122,8 +123,7 @@ def clean_table():
     shutdown_worker_pool()
     assert shm_segments() == []
     yield
-    _table_is_consistent()
-    assert stray_segments() == []
+    table_at_rest()
     shutdown_worker_pool()
     assert shm_segments() == []
     assert multiprocessing.active_children() == []
@@ -179,8 +179,9 @@ class TestShipOnce:
         # Exactly what a per-run executor creates: one segment a fragment.
         assert calls["create"] == calls["to_bytes"] == _FRAGMENTS
         assert calls["unlink"] == 0
-        assert len(input_segments()) == _FRAGMENTS
-        assert first.value("mp.shm.resident_bytes") == _resident.nbytes > 0
+        assert len(table_segments("resident", "run")) == _FRAGMENTS
+        shipped = first.value("mp.shm.resident_bytes")
+        assert shipped == _table.resident_bytes > 0
         assert first.value("mp.phase_seconds.encode") > 0
 
         calls.update(dict.fromkeys(calls, 0))
@@ -209,7 +210,7 @@ class TestShipOnce:
         for name in ("int_key", "str_key", "where", "count"):
             _run(dist, _QUERIES[name])
         assert calls["create"] == 4 * _FRAGMENTS
-        assert len({key[1] for key in _resident._entries}) == 4
+        assert len({entry.key[1] for entry in listed("resident")}) == 4
         # A substituted phase reads full rows: COUNT(*)'s full-width
         # segments serve it, decoded in the worker.
         registry = MetricsRegistry()
@@ -237,7 +238,7 @@ class TestShipOnce:
             registry = MetricsRegistry()
             _run(dist, _QUERIES["int_key"], registry)
             assert _counts(registry) == {}
-            assert input_segments() == [] == sorted(_resident.names())
+            assert table_segments("resident", "run") == []
         assert calls["create"] == calls["unlink"] == 2 * _FRAGMENTS
 
 
@@ -250,11 +251,11 @@ class TestWaysOut:
         for dist in (keep, drop):
             _run(dist, _QUERIES["int_key"])
             _run(dist, _QUERIES["str_key"])
-        assert len(input_segments()) == 4 * _FRAGMENTS
+        assert len(table_segments("resident", "run")) == 4 * _FRAGMENTS
         del drop, dist
         gc.collect()
-        assert len(input_segments()) == 2 * _FRAGMENTS
-        assert {key[0] for key in _resident._entries} == block_ids(keep)
+        assert len(table_segments("resident", "run")) == 2 * _FRAGMENTS
+        assert _resident_blocks() == block_ids(keep)
         assert stray_segments() == []
 
     def test_a_finalizer_that_meets_a_held_lock_defers(self):
@@ -262,19 +263,21 @@ class TestWaysOut:
         table's lock; the finalizer must neither block nor be lost."""
         dist = _relation()
         _run(dist, _QUERIES["int_key"])
-        with _resident._lock:
+        with _table._lock:
             del dist
             gc.collect()
-            assert len(_resident._collected) == _FRAGMENTS
-            assert len(input_segments()) == _FRAGMENTS
-        assert _resident.names() == set()  # the next look at the table
-        assert input_segments() == []
+            assert len(_table._collected) == _FRAGMENTS
+            assert len(
+                [name for name in shm_segments() if not _an_arena(name)]
+            ) == _FRAGMENTS
+        assert _table.names("resident") == set()  # the next look at the table
+        assert table_segments("resident", "run") == []
 
     def test_a_vanished_segment_is_reencoded_without_a_retry(self, calls):
         dist = _relation()
         query = _QUERIES["int_key"]
         want = _run(dist, query)
-        gone = sorted(_resident.names())[0]
+        gone = sorted(_table.names("resident"))[0]
         os.unlink("/dev/shm/" + gone)
         registry = MetricsRegistry()
         assert _run(dist, query, registry) == want
@@ -284,8 +287,8 @@ class TestWaysOut:
         assert "mp.retries" not in registry
         assert "mp.shm.reencoded" not in registry
         assert calls["create"] == _FRAGMENTS + 1
-        assert gone not in _resident.names()
-        assert sorted(_resident.names()) == input_segments()
+        assert gone not in _table.names("resident")
+        assert table_segments("resident") == table_segments("resident", "run")
 
     def test_a_segment_lost_after_the_check_takes_the_retry(self):
         """Gone between the hit and the worker's attach: today's
@@ -294,7 +297,7 @@ class TestWaysOut:
         dist = _relation()
         query = _QUERIES["int_key"]
         want = _run(dist, query)
-        before = _resident.names()
+        before = _table.names("resident")
         registry = MetricsRegistry()
         plan = FaultPlan(seed=1, message_loss=0.4)
         log: list = []
@@ -308,9 +311,9 @@ class TestWaysOut:
         assert _counts(registry) == {
             "hit": _FRAGMENTS, "miss": len(lost),
         }
-        after = _resident.names()
+        after = _table.names("resident")
         assert len(after) == _FRAGMENTS and after != before
-        assert sorted(after) == input_segments()
+        assert sorted(after) == table_segments("resident", "run")
 
     def test_a_segment_that_cannot_fit_ships_per_run(self, monkeypatch, calls):
         monkeypatch.setattr(wire, "_RESIDENT_CEILING_BYTES", 1)
@@ -326,7 +329,7 @@ class TestWaysOut:
         first, second, third = (_relation(salt=n) for n in range(3))
         query = _QUERIES["int_key"]
         _run(first, query)
-        per_relation = _resident.nbytes
+        per_relation = _table.resident_bytes
         monkeypatch.setattr(
             wire, "_RESIDENT_CEILING_BYTES", 2 * per_relation
         )
@@ -337,11 +340,11 @@ class TestWaysOut:
         assert _counts(registry) == {
             "miss": _FRAGMENTS, "evicted": _FRAGMENTS,
         }
-        assert {key[0] for key in _resident._entries} == block_ids(
+        assert _resident_blocks() == block_ids(
             first, third
         )
-        assert _resident.nbytes <= 2 * per_relation
-        assert sorted(_resident.names()) == input_segments()
+        assert _table.resident_bytes <= 2 * per_relation
+        assert table_segments("resident") == table_segments("resident", "run")
 
     def test_what_a_run_has_pinned_is_not_evicted_under_it(
         self, monkeypatch
@@ -352,7 +355,7 @@ class TestWaysOut:
         dist = _relation()
         query = _QUERIES["int_key"]
         _run(dist, query)
-        one = _resident.nbytes // _FRAGMENTS
+        one = _table.resident_bytes // _FRAGMENTS
         shutdown_worker_pool()
         monkeypatch.setattr(wire, "_RESIDENT_CEILING_BYTES", 2 * one + 8)
         for hits in (0, 2, 2):
@@ -361,17 +364,17 @@ class TestWaysOut:
             assert _counts(registry).get("hit", 0) == hits
             assert _counts(registry)["miss"] == _FRAGMENTS - hits
             assert "evicted" not in _counts(registry)
-            assert len(input_segments()) == 2
+            assert len(table_segments("resident", "run")) == 2
 
     def test_release_by_relation_leaves_the_others(self):
         one, other = _relation(), _relation(salt=1)
         _run(one, _QUERIES["int_key"])
         _run(other, _QUERIES["int_key"])
         release_resident_segments(one)
-        assert {key[0] for key in _resident._entries} == block_ids(other)
-        assert sorted(_resident.names()) == input_segments()
+        assert _resident_blocks() == block_ids(other)
+        assert table_segments("resident") == table_segments("resident", "run")
         release_resident_segments()
-        assert input_segments() == []
+        assert table_segments("resident", "run") == []
 
     def test_shutdown_during_a_run_defers_to_its_release(self):
         """The table is cleared while a run still reads its segments:
@@ -384,8 +387,8 @@ class TestWaysOut:
         def shut_down_mid_run():
             time.sleep(0.15)
             shutdown_worker_pool()
-            seen.append((len(input_segments()), stray_segments(),
-                         len(_resident._entries)))
+            seen.append((len(table_segments("resident", "run")),
+                         stray_segments(), len(listed("resident"))))
 
         thread = threading.Thread(target=shut_down_mid_run)
         thread.start()
@@ -400,7 +403,7 @@ class TestWaysOut:
         dist = _relation()
         query = _QUERIES["int_key"]
         want = _run(dist, query)
-        names = _resident.names()
+        names = _table.names("resident")
         pool = pool_module._get_shared_pool()
         by_sentinel, by_signal = pool.idle_workers()[:2]
         by_sentinel.conn.send(None)
@@ -408,7 +411,7 @@ class TestWaysOut:
         assert by_sentinel.proc.exitcode == 0
         pool.remove_idle(by_signal)
         assert not by_signal.proc.is_alive()
-        assert sorted(names) == input_segments()
+        assert sorted(names) == table_segments("resident", "run")
         registry = MetricsRegistry()
         assert _run(dist, query, registry) == want
         assert _counts(registry) == {"hit": _FRAGMENTS}
@@ -420,14 +423,15 @@ class TestWaysOut:
         dist = _relation()
         query = _QUERIES["int_key"]
         want = _run(dist, query)
-        names = input_segments()
+        names = table_segments("resident", "run")
         child = multiprocessing.get_context("fork").Process(
             target=_clear_the_inherited_table
         )
         child.start()
         child.join(30)
         assert child.exitcode == 0
-        assert input_segments() == names == sorted(_resident.names())
+        assert table_segments("resident", "run") == names
+        assert names == table_segments("resident")
         registry = MetricsRegistry()
         assert _run(dist, query, registry) == want
         assert _counts(registry) == {"hit": _FRAGMENTS}
@@ -439,10 +443,10 @@ class TestWaysOut:
 
         program = (
             "from tests.test_mp_resident import _relation, _run, _QUERIES\n"
-            "from tests.conftest import input_segments\n"
+            "from tests.conftest import table_segments\n"
             "dist = _relation()\n"
             "_run(dist, _QUERIES['int_key'])\n"
-            "print(len(input_segments()))\n"
+            "print(len(table_segments('resident', 'run')))\n"
         )
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -459,10 +463,12 @@ class TestWaysOut:
 
 
 def _clear_the_inherited_table():
-    assert len(_resident.names()) == _FRAGMENTS
+    names = _table.names("resident")
+    assert len(names) == _FRAGMENTS
     release_resident_segments()
-    assert _resident.names() == set()
-    assert len(input_segments()) == _FRAGMENTS
+    assert _table.names("resident") == set()
+    # This copy of the table answers for them no more; the mount keeps them.
+    assert set(stray_segments()) == names
 
 
 def _slow_local_phase(job):
@@ -516,8 +522,8 @@ class TestConcurrentRuns:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        _table_is_consistent()
-        assert sorted(_resident.names()) == input_segments()
+        table_at_rest()
+        assert table_segments("resident") == table_segments("resident", "run")
 
 
 # -- the stateful lifecycle audit ---------------------------------------------
@@ -547,9 +553,10 @@ class ResidentLifecycle(RuleBasedStateMachine):
         self.relations.clear()
         self.expected.clear()
         gc.collect()
-        assert _resident.names() == set()  # every block was collected
+        assert _table.names("resident") == set()  # every block was collected
         shutdown_worker_pool()
         assert shm_segments() == []
+        assert _table.names() == set()
         assert multiprocessing.active_children() == []
 
     def _live(self, slot):
@@ -562,7 +569,7 @@ class ResidentLifecycle(RuleBasedStateMachine):
             self.expected[key] = row_bits(
                 _run(dist, _QUERIES[name], processes=1)
             )
-        before = _resident.names()
+        before = _table.names("resident")
         registry = MetricsRegistry()
         got = _run(dist, _QUERIES[name], registry, **kwargs)
         assert row_bits(got) == self.expected[key]
@@ -570,9 +577,9 @@ class ResidentLifecycle(RuleBasedStateMachine):
             # Whatever went missing was noticed at the hit, not by a
             # worker: no fault, no retry.
             assert "mp.retries" not in registry
-        if _resident.names() - before:
+        if _table.names("resident") - before:
             # A segment asked to stay, and the ceiling answered.
-            assert _resident.nbytes <= wire._shm_ceiling()
+            assert _table.resident_bytes <= wire._shm_ceiling()
             self.grandfathered = 0
 
     # -- rules ----------------------------------------------------------
@@ -608,6 +615,28 @@ class ResidentLifecycle(RuleBasedStateMachine):
         if self._live(slot):
             self._check_run(slot, name, strategy=strategy, faults=_KILL)
 
+    @rule(groups=st.sampled_from([200, 2000, 6000]))
+    def run_a_partial_that_outgrows_its_arena(self, groups):
+        """Row-born, so its segments are the run's own.  A partial of
+        up to ``groups`` groups comes in-band past its worker's arena,
+        and that worker's next reply goes to a grown one: the old arena
+        leaves the table."""
+        rows = [
+            (n % groups, "k", n % 9 - 2, n / 8, "p")
+            for n in range(2 * groups)
+        ]
+        dist = DistributedRelation(_SCHEMA, [
+            rows[f::_FRAGMENTS] for f in range(_FRAGMENTS)
+        ])
+        query = _QUERIES["int_key"]
+        want = row_bits(_run(dist, query, processes=1))
+        before = _table.names("arena")
+        registry = MetricsRegistry()
+        assert row_bits(_run(dist, query, registry)) == want
+        grown = "mp.return.inband" in registry
+        if grown and wire._RESIDENT_CEILING_BYTES == 1 << 30:
+            assert _table.names("arena") != before
+
     @rule(slot=_slots, keep=st.booleans())
     def drop_a_relation(self, slot, keep):
         self.generation += 1
@@ -623,7 +652,7 @@ class ResidentLifecycle(RuleBasedStateMachine):
         # Table order, not name order: names are random, and a replay
         # must unlink the same fragment's segment.
         names = [
-            entry.name for entry in _resident._entries.values()
+            entry.name for entry in listed("resident")
             if entry.name not in self.vanished
         ]
         if names:
@@ -634,12 +663,13 @@ class ResidentLifecycle(RuleBasedStateMachine):
     @rule(ceiling=st.sampled_from([1, 700, 2500, 1 << 30]))
     def move_the_ceiling(self, ceiling):
         wire._RESIDENT_CEILING_BYTES = ceiling
-        self.grandfathered = _resident.nbytes
+        self.grandfathered = _table.resident_bytes
 
     @rule()
     def shut_the_pool_down(self):
         shutdown_worker_pool()
         assert shm_segments() == []
+        assert _table.names() == set()
 
     @rule(by_sentinel=st.booleans())
     def a_worker_exits(self, by_sentinel):
@@ -662,16 +692,14 @@ class ResidentLifecycle(RuleBasedStateMachine):
 
     @invariant()
     def the_mount_holds_exactly_the_tables_segments(self):
-        names = _resident.names()
+        names = _table.names()
         self.vanished &= names
-        assert set(shm_segments()) == (
-            names - self.vanished
-        ) | _arenas.names()
+        assert set(shm_segments()) == names - self.vanished
 
     @invariant()
     def nothing_is_pinned_and_the_bytes_add_up(self):
-        _table_is_consistent()
-        assert _resident.nbytes <= max(
+        table_at_rest()
+        assert _table.resident_bytes <= max(
             wire._shm_ceiling(), self.grandfathered
         )
 
@@ -680,7 +708,7 @@ class ResidentLifecycle(RuleBasedStateMachine):
         live = block_ids(
             *(dist for dist in self.relations.values() if dist is not None)
         )
-        assert {key[0] for key in _resident._entries} <= live
+        assert _resident_blocks() <= live
 
 
 # A stateful example is a dozen runs: a fifth of the profile's budget

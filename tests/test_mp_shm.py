@@ -25,10 +25,12 @@ import pytest
 
 from tests.conftest import (
     assert_rows_close,
+    listed,
     mapped_segments,
     not_its_arena,
     shm_segments,
     stray_segments,
+    table_at_rest,
 )
 from tests.test_mp_executor_faults import (
     _always_raise,
@@ -48,7 +50,7 @@ from repro.parallel import mp_executor
 from repro.parallel.mp_executor.faults import FaultPlan, Straggler
 from repro.parallel.mp_executor.kernel import _local_phase
 from repro.parallel.mp_executor.pool import _get_shared_pool
-from repro.parallel.mp_executor.wire import _arenas
+from repro.storage.columnblock import ColumnBlock
 from repro.storage.schema import Column, Schema
 from repro.storage.relation import DistributedRelation
 from repro.workloads.generator import generate_uniform
@@ -68,12 +70,13 @@ def nothing_after_shutdown():
 
 @pytest.fixture(autouse=True)
 def no_leaked_segments():
-    """Every test in this module starts and must end without a stray
-    segment: whatever is on the mount is a resident segment of a block
-    that is still alive."""
+    """Every test in this module starts without a stray segment, and
+    must end with the table at rest: whatever is on the mount is a
+    resident segment of a live block or a worker's arena, and no run
+    left a segment or a pin behind."""
     assert stray_segments() == []
     yield
-    assert stray_segments() == [], "executor leaked shared-memory segments"
+    table_at_rest()
 
 
 @pytest.fixture
@@ -114,6 +117,10 @@ def _str_keyed_dist():
     return DistributedRelation(schema, [rows[i::3] for i in range(3)])
 
 
+class _Interrupted(BaseException):
+    """Not an ``Exception``: nothing on the way out catches it."""
+
+
 class TestChaosMatrixLeavesNoSegments:
     """Each executor exit path, checked for segment hygiene by the
     autouse fixture; assertions inside pin the path actually taken."""
@@ -151,6 +158,20 @@ class TestChaosMatrixLeavesNoSegments:
             dist, query, processes=2, memory_budget_bytes=1500
         )
         assert_rows_close(got, reference_aggregate(dist, query))
+
+    def test_an_interrupted_encode(self, dist, query, monkeypatch):
+        """A run segment is the run's from the moment it is made: an
+        interrupt while a block is written into it (a Ctrl-C in a large
+        copy) still releases it, and the segment leaves the mount."""
+        write = ColumnBlock.to_bytes
+
+        def cut_short(block, alloc=bytearray):
+            write(block, alloc)
+            raise _Interrupted
+
+        monkeypatch.setattr(ColumnBlock, "to_bytes", cut_short)
+        with pytest.raises(_Interrupted):
+            multiprocessing_aggregate(dist, query, processes=2)
 
     def test_shutdown_after_runs(self, dist, query):
         multiprocessing_aggregate(dist, query, processes=2)
@@ -194,7 +215,7 @@ class TestWorkersReadInPlace:
         workers = pool.idle_workers()
         assert workers
         for worker in workers:
-            assert worker.proc.pid in _arenas._current
+            assert worker.proc.pid in {e.key for e in listed("arena")}
             assert not_its_arena(worker.proc.pid) == []
             assert len(mapped_segments(worker.proc.pid)) == 1
 

@@ -38,6 +38,7 @@ from repro.parallel.mp_executor.wire import (
     _encode_fragment,
     _load_job,
     _projection_for,
+    _table,
 )
 from repro.service.config import ServiceConfig
 from repro.sql import parse_query, run_sql
@@ -94,9 +95,7 @@ _COUNT_STAR = AggregateQuery((), (AggregateSpec("count", None),))
 def segments():
     owned: list = []
     yield owned
-    for shm in owned:
-        shm.close()
-        shm.unlink()
+    _table.release(owned)
     assert glob.glob("/dev/shm/" + SHM_PREFIX + "*") == []
 
 
@@ -122,7 +121,7 @@ class TestEncodeFragment:
             else ColumnBlock.from_rows(_SCHEMA, _ROWS)
         )
         desc = _encode_fragment(
-            source, query, _SCHEMA, segments, project=project
+            source, query, _SCHEMA, segments.append, project=project
         )
         kind, name, nbytes, num_rows, _query, schema, as_rows = desc
         assert kind == "shm_col"
@@ -182,7 +181,7 @@ class TestEncodeFragment:
         [], ColumnBlock.from_rows(_SCHEMA, []),
     ], ids=["rows", "block"])
     def test_empty_fragment_is_inline(self, segments, source):
-        desc = _encode_fragment(source, _GROUPED, _SCHEMA, segments)
+        desc = _encode_fragment(source, _GROUPED, _SCHEMA, segments.append)
         assert desc == ("inline", ([], _GROUPED, _SCHEMA))
         assert segments == []
 
@@ -199,7 +198,7 @@ class TestEncodeFragment:
             ("gkey",), (AggregateSpec("count", None),
                         AggregateSpec("max", "pad"))
         )
-        desc = _encode_fragment(rows, query, _SCHEMA, segments)
+        desc = _encode_fragment(rows, query, _SCHEMA, segments.append)
         assert desc == ("inline", (rows, query, _SCHEMA))
         assert segments == []
 
@@ -221,7 +220,7 @@ def test_workers_read_aligned_columns_in_place(segments):
     rows = [(pad, gkey, val) for gkey, val, pad in _ROWS[:39]]
     mapped: list = []
     block, _query, _schema = _load_job(
-        _encode_fragment(rows, _COUNT_STAR, schema, segments), mapped
+        _encode_fragment(rows, _COUNT_STAR, schema, segments.append), mapped
     )
     assert [arr.ctypes.data % 8 for arr in block.columns] == [0, 0, 0]
     assert all(arr.flags.aligned for arr in block.columns)

@@ -12,9 +12,14 @@ import http.client
 import json
 import multiprocessing
 import os
+import pickle
 import random
+import re
+import signal
 import socket
 import statistics
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -25,10 +30,10 @@ import pytest
 
 from tests.conftest import (
     assert_rows_close,
-    input_segments,
     resident_counts,
     shm_segments,
-    stray_segments,
+    table_at_rest,
+    table_segments,
 )
 
 from repro.obs.decisions import (
@@ -44,6 +49,7 @@ from repro.obs.schema import CHROME_TRACE, QLOG_SCHEMA, validate
 from repro.parallel import reference_aggregate
 from repro.parallel.mp_executor import (
     FragmentFailedError,
+    WorkerPool,
     reset_pool_breaker,
     shutdown_worker_pool,
 )
@@ -629,7 +635,7 @@ class TestResidentSegments:
     the executor's resident segments leave with it."""
 
     @staticmethod
-    def _resident(service, outcome: str) -> int:
+    def _outcomes(service, outcome: str) -> int:
         return resident_counts(service.metrics).get(outcome, 0)
 
     def test_second_miss_hits_and_a_bump_releases(self, clean_pool):
@@ -643,25 +649,25 @@ class TestResidentSegments:
             # wire does not: all of them read (gkey, val).
             first = service.submit(SQL)
             assert not first.cache_hit
-            assert self._resident(service, "miss") == fragments
-            assert self._resident(service, "hit") == 0
-            assert len(input_segments()) == fragments
-            assert stray_segments() == []
+            assert self._outcomes(service, "miss") == fragments
+            assert self._outcomes(service, "hit") == 0
+            assert len(table_segments("resident", "run")) == fragments
+            table_at_rest()
 
             second = service.submit(SQL + " HAVING COUNT(*) > 0")
             assert not second.cache_hit
-            assert self._resident(service, "miss") == fragments
-            assert self._resident(service, "hit") == fragments
+            assert self._outcomes(service, "miss") == fragments
+            assert self._outcomes(service, "hit") == fragments
             assert service.metrics.value("mp.shm.resident_bytes") > 0
-            assert len(input_segments()) == fragments
+            assert len(table_segments("resident", "run")) == fragments
 
             service.bump_table("r")
-            assert input_segments() == []
+            assert table_segments("resident", "run") == []
             third = service.submit(SQL + " HAVING COUNT(*) > 1")
             assert not third.cache_hit
-            assert self._resident(service, "miss") == 2 * fragments
-            assert self._resident(service, "hit") == fragments
-            assert stray_segments() == []
+            assert self._outcomes(service, "miss") == 2 * fragments
+            assert self._outcomes(service, "hit") == fragments
+            table_at_rest()
             assert first.rows == second.rows == third.rows
         finally:
             assert service.drain()
@@ -676,45 +682,26 @@ class TestResidentSegments:
         service.register_table("r", old)
         try:
             service.submit(SQL)
-            assert len(input_segments()) == len(old.fragments)
+            inputs = table_segments("resident", "run")
+            assert len(inputs) == len(old.fragments)
             service.register_table("r", new)
-            assert input_segments() == []  # `old` is still referenced here
+            # `old` is still referenced here.
+            assert table_segments("resident", "run") == []
             outcome = service.submit(SQL)
             assert not outcome.cache_hit
             assert_rows_close(
                 outcome.rows, reference_aggregate(new, parse_query(SQL)[1])
             )
-            assert len(input_segments()) == len(new.fragments)
-            assert stray_segments() == []
+            assert len(table_segments("resident", "run")) == len(new.fragments)
+            table_at_rest()
         finally:
             assert service.drain()
 
     def test_sigterm_mid_miss_exits_clean(self, clean_pool):
         """A live ``repro serve`` told to stop while a miss is running
         drains, exits 0 and leaves no segment behind."""
-        import re
-        import signal
-        import subprocess
-        import sys
-
-        env = dict(os.environ)
-        src = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "src",
-        )
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--tuples", "200000", "--groups", "200", "--nodes", "4",
-             "--seed", "3", "--processes", "2"],
-            stdout=subprocess.PIPE, text=True, env=env,
-        )
+        proc, port = _serve(tuples=200_000)
         try:
-            port = int(re.search(
-                r"http://[^:]+:(\d+)", proc.stdout.readline()
-            ).group(1))
             status, warm, _ = _post(port, "/query", {"sql": SQL})
             assert status == 200 and not warm["cache_hit"]
             segments = shm_segments()
@@ -741,13 +728,190 @@ class TestResidentSegments:
         finally:
             if proc.poll() is None:
                 proc.kill()
-                proc.communicate()
+                proc.communicate(timeout=30)
         assert proc.returncode == 0
         assert "drained clean" in out
         # Served before the drain or refused by it: never left hanging.
         assert not miss.is_alive()
         assert isinstance(replies[0], OSError) or replies[0] in (200, 503)
         assert shm_segments() == []
+
+
+def _serve(tuples: int = 20_000, stderr=None):
+    """A live ``repro serve`` on a free port with two pool workers over
+    a small generated table: ``(process, port)``."""
+    env = dict(os.environ)
+    src = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src",
+    )
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--tuples", str(tuples), "--groups", "200", "--nodes", "4",
+         "--seed", "3", "--processes", "2"],
+        stdout=subprocess.PIPE, stderr=stderr, text=True, env=env,
+    )
+    port = int(re.search(
+        r"http://[^:]+:(\d+)", proc.stdout.readline()
+    ).group(1))
+    return proc, port
+
+
+def _children(pid: int) -> list[int]:
+    """The pids process ``pid`` has forked and not yet reaped."""
+    children = []
+    for task in os.listdir(f"/proc/{pid}/task"):
+        with open(f"/proc/{pid}/task/{task}/children") as listing:
+            children += [int(child) for child in listing.read().split()]
+    return children
+
+
+def _workers(pid: int) -> list[int]:
+    """Server ``pid``'s pool workers: the children it forked without an
+    exec (the resource tracker is one it exec'd)."""
+    def cmdline(of: int) -> bytes:
+        with open(f"/proc/{of}/cmdline", "rb") as line:
+            return line.read()
+
+    return [child for child in _children(pid) if cmdline(child) == cmdline(pid)]
+
+
+def _alive(pids) -> list[int]:
+    """Those of ``pids`` that still run: neither gone nor a zombie."""
+    alive = []
+    for pid in pids:
+        try:
+            with open(f"/proc/{pid}/stat") as stat:
+                state = stat.read().rsplit(")", 1)[1].split()[0]
+        except FileNotFoundError:
+            continue
+        if state not in ("Z", "X"):
+            alive.append(pid)
+    return alive
+
+
+def _binds(port: int) -> bool:
+    """Whether a new server could listen on ``port`` now."""
+    with socket.socket() as sock:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        try:
+            sock.bind(("127.0.0.1", port))
+        except OSError:
+            return False
+    return True
+
+
+class TestAServerThatDies:
+    """A worker lives no longer than its parent: it holds no socket but
+    its own pipe end, and none of the parent's signal handlers."""
+
+    @needs_shm
+    @pytest.mark.skipif(
+        not os.path.exists(f"/proc/self/task/{os.getpid()}/children"),
+        reason="needs /proc/<pid>/task/<tid>/children",
+    )
+    def test_a_killed_server_leaves_nothing(self, clean_pool):
+        """SIGKILL gives the server no last word: its workers see their
+        pipes close and exit, the resource tracker then sees its own
+        close and unlinks what the server left, and the port is free."""
+        proc, port = _serve(stderr=subprocess.DEVNULL)
+        children: list = []
+        made: list = []
+        try:
+            status, _body, _ = _post(port, "/query", {"sql": SQL})
+            assert status == 200
+            children = _children(proc.pid)
+            assert len(children) >= 2  # the workers (and the tracker)
+            made = shm_segments()
+            assert made != []
+            proc.kill()
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and (
+                _alive(children) or not _binds(port) or shm_segments()
+            ):
+                time.sleep(0.05)
+            assert _alive(children) == []
+            assert _binds(port)
+            assert shm_segments() == []
+        finally:
+            # A failed run leaves no orphan, and no segment an orphaned
+            # tracker would have unlinked.
+            proc.kill()
+            for pid in _alive(children):
+                os.kill(pid, signal.SIGKILL)
+            proc.communicate(timeout=30)
+            for name in made:
+                if os.path.exists("/dev/shm/" + name):
+                    os.unlink("/dev/shm/" + name)
+
+    @needs_shm
+    @pytest.mark.skipif(
+        not os.path.exists(f"/proc/self/task/{os.getpid()}/children"),
+        reason="needs /proc/<pid>/task/<tid>/children",
+    )
+    def test_a_worker_keeps_the_servers_stderr(self, clean_pool):
+        """Under systemd a server's stderr is a socket to the journal.
+        A worker keeps it, as it keeps every descriptor below 3: what it
+        writes there — a warning, its last traceback — reaches the
+        socket, and never a segment opened under that number."""
+        journal, stderr = socket.socketpair()
+        proc, port = _serve(stderr=stderr)
+        stderr.close()
+        try:
+            status, first, _ = _post(port, "/query", {"sql": SQL})
+            assert status == 200
+            workers = _workers(proc.pid)
+            assert len(workers) == 2
+            theirs = os.readlink(f"/proc/{proc.pid}/fd/2")
+            assert theirs.startswith("socket:")
+            for pid in workers:
+                assert [
+                    os.readlink(f"/proc/{pid}/fd/{fd}") for fd in (1, 2)
+                ] == [os.readlink(f"/proc/{proc.pid}/fd/1"), theirs]
+            # SIGINT raises KeyboardInterrupt in the idle worker's loop,
+            # and its traceback goes to stderr as the worker exits.
+            os.kill(workers[0], signal.SIGINT)
+            journal.settimeout(30)
+            heard = b""
+            while b"KeyboardInterrupt" not in heard:
+                chunk = journal.recv(1 << 16)
+                assert chunk, heard
+                heard += chunk
+            # The surviving worker's arena and the resident inputs are
+            # as they were: the same answer, read from both.
+            status, second, _ = _post(
+                port, "/query", {"sql": SQL + " HAVING COUNT(*) > 0"},
+            )
+            assert status == 200
+            assert second["rows"] == first["rows"]
+        finally:
+            proc.kill()
+            proc.communicate(timeout=30)
+            journal.close()
+
+    def test_discard_does_not_wait_out_an_inherited_handler(self):
+        """A worker forked under a SIGTERM handler — ``repro serve``
+        installs one — drops it, so ``discard``'s SIGTERM ends the worker
+        at once instead of after the join grace."""
+        previous = signal.signal(signal.SIGTERM, lambda *_: None)
+        pool = WorkerPool()
+        try:
+            worker = pool.acquire()
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        try:
+            # One job's reply: the worker is past its start.
+            worker.conn.send((len, ("inline", [1, 2]), {"heartbeat": 60.0}))
+            assert worker.conn.poll(30)
+            assert pickle.loads(worker.conn.recv_bytes())[:2] == ("ok", 2)
+            started = time.perf_counter()
+            pool.discard(worker)
+            assert time.perf_counter() - started < 1.0
+        finally:
+            pool.shutdown()
 
 
 # -- HTTP front end ------------------------------------------------------------
