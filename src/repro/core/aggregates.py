@@ -16,11 +16,57 @@ The formulas that turn moments into a final value (``finish_avg``,
 one definition each: the states' ``result()`` call them, and so does the
 mp executor's packed merge, which finishes whole merged arrays without
 building a state per group — an edit to one cannot make the two disagree.
+
+Floats follow one rule, whatever the order of the input (PostgreSQL's
+total order; ``docs/decisions.md``): NaN equals NaN and sorts after
+every number, ``-0.0`` equals ``0.0`` and is reported as ``0.0``.
+:func:`canonical` is the rule's representative of a value and
+:func:`sort_key` its order; :class:`MinState`, :class:`MaxState` and
+:class:`CountDistinctState` apply it, and SUM, AVG and VAR keep IEEE
+arithmetic, which is order-free for NaN already.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+# The one NaN the rule reports: every NaN key, MIN and MAX is this object,
+# so a dict (which matches by identity first) holds one NaN group.
+NAN = float("nan")
+
+
+def canonical(value):
+    """``value`` as the float rule reports it: any NaN is :data:`NAN`,
+    ``-0.0`` is ``0.0``, and every other value is itself."""
+    if value != value:
+        return NAN
+    if value == 0 and isinstance(value, float):
+        return 0.0
+    return value
+
+
+def canonical_key(key):
+    """A group key (a tuple, or a bare value) with every value
+    :func:`canonical`."""
+    if isinstance(key, tuple):
+        return tuple(map(canonical, key))
+    return canonical(key)
+
+
+_NAN_LAST = (1, 0)
+
+
+def _ordered(value):
+    return _NAN_LAST if value != value else (0, value)
+
+
+def sort_key(row):
+    """The rule's order for result rows and group keys: column by
+    column, NaN equal to NaN and after every number — the order
+    ``np.unique`` gives.  A bare (non-tuple) key is one column."""
+    if isinstance(row, tuple):
+        return tuple(map(_ordered, row))
+    return _ordered(row)
 
 
 def finish_avg(total, count):
@@ -122,7 +168,7 @@ class SumState(AggregateState):
 
 
 class MinState(AggregateState):
-    """SQL MIN."""
+    """SQL MIN: NaN only when every input is NaN."""
 
     __slots__ = ("value",)
 
@@ -132,8 +178,9 @@ class MinState(AggregateState):
     def update(self, value) -> None:
         if value is None:
             return
-        if self.value is None or value < self.value:
-            self.value = value
+        current = self.value
+        if current is None or value < current or current != current:
+            self.value = canonical(value)
 
     def merge(self, other: "MinState") -> None:
         self.update(other.value)
@@ -148,7 +195,7 @@ class MinState(AggregateState):
 
 
 class MaxState(AggregateState):
-    """SQL MAX."""
+    """SQL MAX: NaN when any input is NaN."""
 
     __slots__ = ("value",)
 
@@ -158,8 +205,9 @@ class MaxState(AggregateState):
     def update(self, value) -> None:
         if value is None:
             return
-        if self.value is None or value > self.value:
-            self.value = value
+        current = self.value
+        if current is None or value > current or value != value:
+            self.value = canonical(value)
 
     def merge(self, other: "MaxState") -> None:
         self.update(other.value)
@@ -267,27 +315,35 @@ class CountDistinctState(AggregateState):
 
     Exact distinct counting is what duplicate elimination needs; the set is
     bounded by the group's distinct values, which in the paper's duplicate
-    elimination scenario is small per group.
+    elimination scenario is small per group.  NaN counts once and stays
+    out of the set, as ``has_nan``: a set matches NaNs by identity, and a
+    state that crossed a process boundary holds fresh NaN objects.  The
+    set already counts ``-0.0`` and ``0.0`` once.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "has_nan")
 
     def __init__(self) -> None:
         self.values = set()
+        self.has_nan = False
 
     def update(self, value) -> None:
-        if value is not None:
+        if value != value:
+            self.has_nan = True
+        elif value is not None:
             self.values.add(value)
 
     def merge(self, other: "CountDistinctState") -> None:
         self.values |= other.values
+        self.has_nan = self.has_nan or other.has_nan
 
     def result(self) -> int:
-        return len(self.values)
+        return len(self.values) + self.has_nan
 
     def copy(self) -> "CountDistinctState":
         fresh = CountDistinctState()
         fresh.values = set(self.values)
+        fresh.has_nan = self.has_nan
         return fresh
 
 

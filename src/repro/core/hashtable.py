@@ -22,6 +22,7 @@ intermediate I/O the cost model's ``(1 - M/(S·|R|))`` terms describe.
 
 from __future__ import annotations
 
+from repro.core.aggregates import canonical_key
 from repro.resources.governor import SpillDepthExceededError
 from repro.storage.hashing import stable_hash
 
@@ -273,11 +274,14 @@ class HashAggregator:
                 max_depth=self._max_depth,
                 _depth=self._depth + 1,
             )
-            for item in self._store.drain(bucket):
-                if item[0] == "v":
-                    sub.add_values(item[1], item[2])
+            for kind, key, payload in self._store.drain(bucket):
+                # A store that pickles hands back fresh NaN objects,
+                # which a dict would keep apart.
+                key = canonical_key(key)
+                if kind == "v":
+                    sub.add_values(key, payload)
                 else:
-                    sub.add_partial(item[1], item[2])
+                    sub.add_partial(key, payload)
             yield from sub.finish()
             self.spilled_items += sub.spilled_items
             self.overflow_passes += sub.overflow_passes

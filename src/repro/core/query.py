@@ -26,25 +26,33 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from repro.core.aggregates import AggregateSpec
+from repro.core.aggregates import AggregateSpec, canonical, canonical_key
 from repro.storage.schema import Schema
 
 _SCALAR_KEY = ()
 
 
-def _key_getter(key_idx: tuple[int, ...]):
+def _key_getter(key_idx: tuple[int, ...], floats: bool):
     """A specialized ``row -> key tuple`` closure for one index layout.
 
     Equivalent to ``tuple(row[i] for i in key_idx)`` but without building
     a generator per row — the single-column and multi-column shapes run
-    at C speed (tuple display / itemgetter).
+    at C speed (tuple display / itemgetter).  With ``floats`` (a key
+    column is float) the key is canonical
+    (:func:`~repro.core.aggregates.canonical_key`); without, the closures
+    are the plain ones.
     """
     if not key_idx:
         return lambda row: _SCALAR_KEY
     if len(key_idx) == 1:
         k = key_idx[0]
+        if floats:
+            return lambda row: (canonical(row[k]),)
         return lambda row: (row[k],)
-    return itemgetter(*key_idx)
+    get = itemgetter(*key_idx)
+    if floats:
+        return lambda row: canonical_key(get(row))
+    return get
 
 
 def _values_getter(agg_idx: tuple):
@@ -113,7 +121,10 @@ class BoundQuery:
 
     This is what node programs actually execute: `key_of` extracts the
     grouping key, ``values_of`` the aggregate input values, and
-    ``matches`` evaluates the WHERE predicate.
+    ``matches`` evaluates the WHERE predicate.  Float key values come out
+    of ``key_of`` canonical (:func:`~repro.core.aggregates.canonical`),
+    so every executor groups, hashes and routes one NaN group and one
+    zero.
     """
 
     query: AggregateQuery
@@ -133,10 +144,12 @@ class BoundQuery:
         )
         self._names = self.schema.names()
         self._output_names = self.query.output_names()
+        columns = self.schema.columns
+        floats = any(columns[i].kind == "float" for i in self._key_idx)
         # Shadow the methods below with shape-specialized closures: every
         # hot loop calling ``bq.key_of(row)`` gets the fast path without
         # changing a call site.
-        self.key_of = _key_getter(self._key_idx)
+        self.key_of = _key_getter(self._key_idx, floats)
         self.values_of = _values_getter(self._agg_idx)
 
     @property
@@ -150,10 +163,9 @@ class BoundQuery:
         return self._agg_idx
 
     def key_of(self, row) -> tuple:
-        """The grouping key of a row; ``()`` for scalar aggregation."""
-        if not self._key_idx:
-            return _SCALAR_KEY
-        return tuple(row[i] for i in self._key_idx)
+        """The grouping key of a row, float values canonical; ``()`` for
+        scalar aggregation."""
+        return canonical_key(tuple(row[i] for i in self._key_idx))
 
     def values_of(self, row) -> tuple:
         """The aggregate input values (COUNT(*) sees a sentinel 1)."""

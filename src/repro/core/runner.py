@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.aggregates import sort_key
 from repro.core.algorithms import ALGORITHM_BODIES, SimConfig
 from repro.core.query import AggregateQuery
 from repro.costmodel.params import SystemParameters
@@ -132,7 +133,7 @@ def run_algorithm(
     rows: list[tuple] = []
     for node_rows in result.node_results:
         rows.extend(node_rows)
-    rows.sort()
+    rows.sort(key=sort_key)
     return AlgorithmOutcome(
         algorithm=algorithm,
         rows=rows,

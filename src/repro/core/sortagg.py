@@ -19,6 +19,12 @@ from __future__ import annotations
 
 import heapq
 
+from repro.core.aggregates import sort_key
+
+
+def _item_order(item):
+    return sort_key(item[0])
+
 
 class SortAggregator:
     """Sort-based aggregation with bounded memory and spooled runs.
@@ -27,8 +33,9 @@ class SortAggregator:
     — same ``add_values`` / ``add_partial`` / ``finish`` surface, same
     spill hooks — so node programs can swap engines via configuration.
 
-    Keys must be orderable (tuples of ints/strs, as produced by
-    BoundQuery.key_of, are).
+    Keys must be orderable under
+    :func:`~repro.core.aggregates.sort_key` (tuples of ints, floats or
+    strs, as produced by BoundQuery.key_of, are, and so is a bare value).
 
     A ``spill_store`` (same protocol as the hash aggregator's) holds the
     emitted runs out of core, one bucket per run.
@@ -70,7 +77,7 @@ class SortAggregator:
     def _emit_run(self) -> None:
         if not self._current:
             return
-        run = sorted(self._current.items())
+        run = sorted(self._current.items(), key=_item_order)
         if self._store is not None:
             run_id = self.run_count
             for item in run:
@@ -158,7 +165,7 @@ class SortAggregator:
         """Yield (key, state) in key order, merging all spooled runs."""
         if not self.run_count:
             # Common case: everything fit — one in-memory sort.
-            items = sorted(self._current.items())
+            items = sorted(self._current.items(), key=_item_order)
             self._current = {}
             yield from items
             return
@@ -171,9 +178,11 @@ class SortAggregator:
             runs = [self._store.drain(i) for i in range(self.run_count)]
         else:
             runs, self._runs = self._runs, []
-        merged = heapq.merge(*runs, key=lambda item: item[0])
+        merged = heapq.merge(*runs, key=_item_order)
         pending_key, pending_state = None, None
         for key, state in merged:
+            # Keys are canonical (BoundQuery.key_of): a NaN is the one
+            # NAN, which tuples compare equal to itself.
             if key == pending_key:
                 pending_state.merge(state)
                 continue

@@ -8,7 +8,7 @@ wrong.
 
 from __future__ import annotations
 
-from repro.core.aggregates import GroupState
+from repro.core.aggregates import GroupState, sort_key
 from repro.core.query import AggregateQuery
 from repro.storage.relation import DistributedRelation, Relation
 
@@ -17,7 +17,8 @@ def reference_aggregate(data, query: AggregateQuery) -> list[tuple]:
     """Aggregate ``data`` (a Relation or DistributedRelation) sequentially.
 
     Returns result rows (group key columns + aggregate values), sorted by
-    group key for stable comparison.
+    group key (:func:`~repro.core.aggregates.sort_key`) for stable
+    comparison.
     """
     if isinstance(data, DistributedRelation):
         relation = data.as_relation()
@@ -40,4 +41,6 @@ def reference_aggregate(data, query: AggregateQuery) -> list[tuple]:
             table[key] = state
         state.update(bq.values_of(row))
     rows = (bq.result_row(key, state) for key, state in table.items())
-    return sorted(row for row in rows if bq.passes_having(row))
+    return sorted(
+        (row for row in rows if bq.passes_having(row)), key=sort_key
+    )

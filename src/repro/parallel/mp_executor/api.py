@@ -7,6 +7,7 @@ import math
 import numbers
 import time
 
+from repro.core.aggregates import sort_key
 from repro.core.query import AggregateQuery
 from repro.obs.profile import WorkerProfile
 from repro.obs.tracer import PHASE as _CAT_PHASE
@@ -170,7 +171,8 @@ class _ObsSink:
 
     def returned(self, nbytes: int, seconds: float, inband: bool) -> None:
         """A worker's final reply is in the parent's hands: ``nbytes``
-        crossed, pipe and return arena together, and ``seconds`` went
+        is its size (``wire._received``: the same whether it crossed in
+        the return arena or down the pipe), and ``seconds`` went
         from "ready" to the partial in hand — serial in the parent,
         however many workers ran.  ``inband``: it did not fit what the
         worker's arena lent it and came down the pipe."""
@@ -342,8 +344,8 @@ def multiprocessing_aggregate(
     shipping cost, ``mp.worker_load_seconds`` for what each pool worker
     spent getting at its fragment, and ``mp.return_bytes`` /
     ``mp.phase_seconds.return`` / ``mp.return.inband`` for what the
-    partials cost on the way back (bytes through the pipe and the
-    workers' return arenas, the parent's seconds from "ready" to
+    partials cost on the way back (the replies' frames and buffers,
+    whichever way they crossed, the parent's seconds from "ready" to
     partial in hand, and the replies too large for the arena they were
     lent);
     ``profiles`` (a list) is extended with one
@@ -555,7 +557,8 @@ def _merged_rows(partials, query, bq, obs) -> list[tuple]:
     if rows is None:
         merged = _merge_sequential(ordered, query)
         rows = [bq.result_row(key, state) for key, state in merged.items()]
-        rows.sort()  # the packed merge's rows are already in key order
+        # the packed merge's rows are already in key order
+        rows.sort(key=sort_key)
     if query.having is not None:
         rows = [row for row in rows if bq.passes_having(row)]
     return rows

@@ -208,27 +208,16 @@ def _columnar_group_keys(cblock, query):
     The key payload is the wire form, ``(kind, values)`` per key column
     with ``values[g]`` group ``g``'s value — an array for int and float
     columns, decoded strings for str — and ``inv[r]`` is row ``r``'s
-    group.  Returns None when the predicate has no exact mask, or the
-    per-row path's key semantics cannot be reproduced vectorized: NaN
-    keys (Python dicts keep distinct NaN objects distinct, a sort
-    collapses them) and signed-zero float keys (the dict keeps the
-    first-seen representative, the grouping any).
+    group.  Float keys follow the float rule as ``BoundQuery.key_of``
+    does: the grouping already puts every NaN in one group and ``-0.0``
+    with ``0.0``, and a zero group's key is reported as ``0.0``.
+    Returns None when the predicate has no exact mask.
     """
-    import numpy as np
-
     cblock = _filter_block(cblock, query)
     if cblock is None:
         return None
     bq = query.bind(cblock.schema)
     columns = cblock.schema.columns
-    for i in bq.key_indexes:
-        col = cblock.columns[i]
-        if columns[i].kind == "float" and len(col):
-            if np.isnan(col).any():
-                return _decline("nan_key")
-            zeros = col == 0.0
-            if zeros.any() and np.signbit(col[zeros]).any():
-                return _decline("signed_zero_key")
     keys, inv, n_groups = _group_codes(
         [cblock.columns[i] for i in bq.key_indexes], cblock.num_rows
     )
@@ -238,6 +227,8 @@ def _columnar_group_keys(cblock, query):
         if kind == "str":
             decoded = cblock.dictionaries[i].values
             values = [decoded[c] for c in values.tolist()]
+        elif kind == "float":
+            values = values + 0.0  # -0.0 + 0.0 is 0.0
         key_payload.append((kind, values))
     return cblock, key_payload, inv, n_groups
 
@@ -248,20 +239,12 @@ def _lift(func, kind, values):
     for the one-per-row array whose fold is the group's row count.
     Int sums stay int64 under an overflow guard and become Python ints
     again; int VAR moments cast int64→float64 exactly as Python's
-    float+int add does; MIN/MAX ties are only distinguishable for signed
-    zeros.  Returns None, the reason recorded, when the fold's result
-    could differ from the per-row loop's."""
+    float+int add does; float MIN/MAX follow the float rule in the fold
+    (``merge._fold``).  Returns None, the reason recorded, when the
+    fold's result could differ from the per-row loop's."""
     import numpy as np
 
     if func in ("min", "max"):
-        if kind == "float" and len(values):
-            if np.isnan(values).any():
-                # per-row keeps first, np propagates
-                return _decline("nan_extreme")
-            zeros = values == 0.0
-            if zeros.any() and np.signbit(values[zeros]).any():
-                # -0.0/0.0 tie winner differs
-                return _decline("signed_zero_extreme")
         return f"{func}_{kind}", (values,)
     if func in ("sum", "avg"):
         if (
@@ -320,10 +303,8 @@ def _columnar_local_phase(cblock, query, admit=None):
         kind = columns[col_idx].kind
         values = cblock.columns[col_idx]
         if func == "count_distinct":
-            if kind == "float" and len(values) and np.isnan(values).any():
-                # The per-row set keeps each decoded NaN object as its
-                # own element; a unique collapses them.
-                return _decline("nan_distinct")
+            # The numbering counts every NaN once and -0.0 with 0.0,
+            # as the per-row state does.
             pairs = _distinct_pairs(inv, values)
             if kind == "str":
                 state_payload.append(

@@ -25,6 +25,8 @@ from itertools import accumulate
 
 from repro.core.aggregates import (
     GroupState,
+    canonical,
+    canonical_key,
     finish_avg,
     finish_stddev,
     finish_variance,
@@ -179,7 +181,11 @@ def _fold(op, values, inv, n_groups):
     ``bincount(weights=)``, which accumulates in input order — the
     sequential loop's — so float sums agree bit for bit; ``add_int`` is
     an int64 ``add.at`` (callers guard overflow); every group holds at
-    least one input, so no ``min``/``max`` fill survives."""
+    least one input, so no ``min``/``max`` fill survives.  Float
+    ``min``/``max`` follow the float rule (``core.aggregates``):
+    ``maximum`` propagates NaN, ``min`` folds the non-NaN inputs and
+    leaves NaN only to a group that holds nothing else, and a zero
+    extreme is reported as ``0.0``."""
     import numpy as np
 
     if op == "add_float":
@@ -188,14 +194,26 @@ def _fold(op, values, inv, n_groups):
         acc = np.zeros(n_groups, dtype=np.int64)
         np.add.at(acc, inv, values)
         return acc
-    if values.dtype.kind == "f":
-        acc = np.full(n_groups, np.inf if op == "min" else -np.inf)
-    else:
+    if values.dtype.kind != "f":
         info = np.iinfo(np.int64)
         acc = np.full(
             n_groups, info.max if op == "min" else info.min, dtype=np.int64
         )
-    (np.minimum if op == "min" else np.maximum).at(acc, inv, values)
+        (np.minimum if op == "min" else np.maximum).at(acc, inv, values)
+        return acc
+    if op == "max":
+        acc = np.full(n_groups, -np.inf)
+        with np.errstate(invalid="ignore"):  # a NaN is the answer
+            np.maximum.at(acc, inv, values)
+    else:
+        acc = np.full(n_groups, np.inf)
+        nan = np.isnan(values)
+        if nan.any():
+            numbers = ~nan
+            inv, values = inv[numbers], values[numbers]
+            acc[np.bincount(inv, minlength=n_groups) == 0] = np.nan
+        np.minimum.at(acc, inv, values)
+    acc += 0.0  # -0.0 + 0.0 is 0.0
     return acc
 
 
@@ -239,11 +257,16 @@ def _fold_tag(tag, arrays, inv, n_groups, counts=None):
 
 def _key_tuples(key_payload, n_groups: int) -> list[tuple]:
     """Per-group key tuples from a payload's ``(kind, values)`` key
-    columns; with no key column (scalar aggregation) every group's key
-    is ``()``."""
+    columns, float values canonical — what ``BoundQuery.key_of`` gives
+    the per-row loop, so the two meet in one dict entry; with no key
+    column (scalar aggregation) every group's key is ``()``."""
     if not key_payload:
         return [()] * n_groups
-    return list(zip(*(_aslist(data) for _kind, data in key_payload)))
+    return list(zip(*(
+        list(map(canonical, _aslist(data))) if kind == "float"
+        else _aslist(data)
+        for kind, data in key_payload
+    )))
 
 
 # tag -> the state attribute each of its arrays restores; the tags not
@@ -263,7 +286,7 @@ def _states_from_payload(spec, tag, data, n_groups):
         if tag == "distinct_str":
             values = [data[2][c] for c in values]
         for g, v in zip(_aslist(data[0]), values):
-            states[g].values.add(v)
+            states[g].update(v)
     elif tag in ("min_str_codes", "max_str_codes"):
         for state, c in zip(states, _aslist(data[0])):
             state.value = data[1][c]
@@ -303,11 +326,14 @@ def _merge_sequential(partials, query) -> dict[tuple, GroupState]:
     in the order given, into states built here and owned by the caller:
     the partials are never mutated (or shallow-copied), so re-running
     over the same inputs can never see aliased state from an earlier
-    merge."""
+    merge.  A per-row partial's keys are made canonical again: one that
+    crossed a pipe or a spill file holds fresh NaN objects."""
     merged: dict[tuple, GroupState] = {}
     for partial in partials:
         if _is_packed(partial):
             partial = _unpack_packed(partial, query)
+        else:
+            partial = [(canonical_key(key), state) for key, state in partial]
         for key, state in partial:
             mine = merged.get(key)
             if mine is None:
@@ -395,9 +421,9 @@ def _merge_packed(payloads, query):
     result columns are zipped into rows.
 
     Returns ``(rows, None)`` — one result row per group, in key order
-    (``rows == sorted(rows)``: keys are unique, and the kernel declines
-    the NaN and -0.0 keys whose numpy order is not Python's), HAVING not
-    yet applied, so ``len(rows)`` is the run's group count — or
+    (``rows == sorted(rows, key=sort_key)``: keys are unique, and
+    ``np.unique`` puts NaN after every number as the float rule does),
+    HAVING not yet applied, so ``len(rows)`` is the run's group count — or
     ``(None, reason)`` when exactness cannot be guaranteed
     (``int_sum_overflow``: the magnitudes could add past int64;
     ``tag_mismatch``: the payloads disagree on an aggregate's wire form),

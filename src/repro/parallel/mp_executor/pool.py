@@ -704,15 +704,15 @@ def _run_jobs_in_pool(fn_for, descriptors: list, runner: "_Runner",
                 else:
                     status = message[0]
                     if status != "beat":
-                        reply, lease, arena_bytes, need = _received(
-                            message, record.lent
+                        reply, lease, reply_bytes, need = _received(
+                            message, record.lent, len(data)
                         )
                         status, payload, profile = reply
                         if lease is not None:
                             runner.leases.append(lease)
                         if need:
                             _table.grow(record.worker.proc.pid, need)
-                        obs.returned(len(data) + arena_bytes,
+                        obs.returned(reply_bytes,
                                      time.perf_counter() - t0, bool(need))
                 if status == "beat":
                     record.last_beat = time.monotonic()

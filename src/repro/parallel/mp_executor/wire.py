@@ -633,25 +633,29 @@ class _Shipment:
         return True
 
 
-def _received(message, lent):
+def _received(message, lent, nbytes):
     """Parent side: a worker's final message, unpickled, back into
-    ``(reply, lease, arena_bytes, need)``.  ``lease`` is the region an
-    arena reply was read from (None else), ``arena_bytes`` what it
-    crossed in the arena, and ``need`` nonzero when the reply did not
-    fit what it was lent and came in-band: the bytes it needed."""
+    ``(reply, lease, reply_bytes, need)``.  ``lease`` is the region an
+    arena reply was read from (None else), ``reply_bytes`` the reply's
+    own size — its pickle frame plus its out-of-band buffers, counted
+    alike whether they crossed in the arena or in-band, or ``nbytes``
+    (the message's) when it had none — and ``need`` nonzero when the
+    reply did not fit what it was lent and came in-band: the bytes it
+    needed."""
     kind = message[0]
     if kind == "arena":
         _kind, layout, frame = message
         arena, start, _capacity = lent
-        at, nbytes = layout[-1]
-        lease = _table.take(arena, start, at + nbytes - start)
+        at, size = layout[-1]
+        lease = _table.take(arena, start, at + size - start)
         views = [arena.view[at:at + n] for at, n in layout]
         reply = pickle.loads(frame, buffers=views)
-        return reply, lease, sum(n for _at, n in layout), 0
+        return reply, lease, len(frame) + sum(n for _at, n in layout), 0
     if kind == "inband":
         _kind, need, frame, buffers = message
-        return pickle.loads(frame, buffers=buffers), None, 0, need
-    return message, None, 0, 0
+        size = len(frame) + sum(memoryview(b).nbytes for b in buffers)
+        return pickle.loads(frame, buffers=buffers), None, size, need
+    return message, None, nbytes, 0
 
 
 # -- worker side --------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.errors import NonInteractiveExampleWarning
 
-from repro.core.aggregates import AggregateSpec
+from repro.core.aggregates import AggregateSpec, sort_key
 from repro.core.query import AggregateQuery
 from repro.parallel.mp_executor.wire import SHM_PREFIX, _table
 from repro.workloads.generator import generate_uniform
@@ -113,6 +113,17 @@ def table_at_rest() -> None:
     )
 
 
+def _close(a, e, tol: float) -> bool:
+    """One value against its expectation: floats within ``tol``
+    relative, a NaN only against a NaN (``abs(nan - e) > tol`` is False,
+    so without that rule a NaN would match anything)."""
+    if isinstance(a, float) or isinstance(e, float):
+        if a != a or e != e:
+            return a != a and e != e
+        return abs(a - e) <= tol * max(1.0, abs(e))
+    return a == e
+
+
 def rows_close(actual, expected, tol: float = 1e-9) -> bool:
     """Row-set equality with relative float tolerance.
 
@@ -121,16 +132,11 @@ def rows_close(actual, expected, tol: float = 1e-9) -> bool:
     """
     if len(actual) != len(expected):
         return False
-    for row_a, row_e in zip(actual, expected):
-        if len(row_a) != len(row_e):
-            return False
-        for a, e in zip(row_a, row_e):
-            if isinstance(a, float) or isinstance(e, float):
-                if abs(a - e) > tol * max(1.0, abs(e)):
-                    return False
-            elif a != e:
-                return False
-    return True
+    return all(
+        len(row_a) == len(row_e)
+        and all(_close(a, e, tol) for a, e in zip(row_a, row_e))
+        for row_a, row_e in zip(actual, expected)
+    )
 
 
 def assert_rows_close(actual, expected, tol: float = 1e-9) -> None:
@@ -139,12 +145,7 @@ def assert_rows_close(actual, expected, tol: float = 1e-9) -> None:
     )
     for i, (row_a, row_e) in enumerate(zip(actual, expected)):
         for a, e in zip(row_a, row_e):
-            if isinstance(a, float) or isinstance(e, float):
-                assert abs(a - e) <= tol * max(1.0, abs(e)), (
-                    f"row {i}: {row_a} != {row_e}"
-                )
-            else:
-                assert a == e, f"row {i}: {row_a} != {row_e}"
+            assert _close(a, e, tol), f"row {i}: {row_a} != {row_e}"
 
 
 def row_bits(rows):
@@ -168,7 +169,7 @@ def assert_partials_equal(kernel, reference):
                     for name in dir(state)
                     if name in (
                         "count", "total", "total_sq", "value", "seen",
-                        "values",
+                        "values", "has_nan",
                     )
                 }
                 fields.append(sorted(slots.items(), key=lambda kv: kv[0]))
@@ -176,7 +177,7 @@ def assert_partials_equal(kernel, reference):
         return out
 
     got, want = canon(kernel), canon(reference)
-    assert sorted(got) == sorted(want)
+    assert sorted(got, key=sort_key) == sorted(want, key=sort_key)
     for key in want:
         for f_got, f_want in zip(got[key], want[key]):
             for (name_g, v_got), (name_w, v_want) in zip(f_got, f_want):

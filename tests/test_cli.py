@@ -597,9 +597,10 @@ class TestExplain:
         assert "sampling_decision" in text
 
     def test_mp_run_names_why_it_left_the_fast_path(self, tmp_path):
-        """One NaN-key fragment beside a clean one: the per-row phase
-        takes the first, so the parent cannot fold — both reasons are
-        the report's answer to "why was this query slow"."""
+        """A fragment whose int sum could pass int64 beside a clean one:
+        the per-row phase takes the first, so the parent cannot fold —
+        both reasons are the report's answer to "why was this query
+        slow"."""
         from repro.core.aggregates import AggregateSpec
         from repro.core.query import AggregateQuery
         from repro.obs import MetricsRegistry, mp_run_artifact
@@ -610,7 +611,7 @@ class TestExplain:
         from repro.storage.schema import Column, Schema
 
         schema = Schema([Column("k", "float"), Column("v", "int")])
-        parts = [[(float("nan"), 1), (1.0, 2)], [(1.0, 3), (2.0, 4)]]
+        parts = [[(1.5, 2**62), (1.0, 2**62)], [(1.0, 3), (2.0, 4)]]
         dist = DistributedRelation(schema, [
             BlockRelation(schema, ColumnBlock.from_rows(schema, part))
             for part in parts
@@ -630,14 +631,15 @@ class TestExplain:
             "no adaptive decisions recorded (the run never had to choose)",
             "mp.kernel.declined.* (fragment attempts that left the columnar "
             "kernel for the per-row phase):",
-            "    nan_key                  1",
+            "    int_sum_overflow         1",
             "mp.merge.fallback.* (runs whose parent left the vectorized "
             "merge for the per-key one):",
             "    mixed_partials           1",
-            # the clean fragment's float key column; no vectorized merge ran
+            # both fragments' float key columns (the overflow is found
+            # after the grouping); no vectorized merge ran
             "mp.kernel.grouping.* (key columns the fragments numbered by "
             "direct addressing (dense) or by a sort):",
-            "    sort                     1",
+            "    sort                     2",
             "mp.merge.grouping.*: none",
         ]
         # A run that never left the fast path says so.

@@ -1,5 +1,6 @@
 """Unit tests for the stable partitioning hash."""
 
+import os
 import subprocess
 import sys
 
@@ -59,15 +60,22 @@ class TestStableHash:
         )
         outs = set()
         for seed in ("1", "2"):
-            proc = subprocess.run(
-                [sys.executable, "-c", code],
-                capture_output=True,
-                text=True,
-                env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin"},
-                check=False,
-            )
-            if proc.returncode != 0:
-                pytest.skip(f"subprocess unavailable: {proc.stderr}")
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-c", code],
+                    capture_output=True,
+                    text=True,
+                    env={
+                        "PYTHONHASHSEED": seed,
+                        "PATH": "/usr/bin:/bin",
+                        # the child imports repro from where this one did
+                        "PYTHONPATH": os.pathsep.join(sys.path),
+                    },
+                    check=False,
+                )
+            except OSError as exc:
+                pytest.skip(f"subprocess unavailable: {exc}")
+            assert proc.returncode == 0, proc.stderr
             outs.add(proc.stdout.strip())
         assert len(outs) == 1
         assert outs == {str(stable_hash(("group", 42)))}

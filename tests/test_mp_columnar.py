@@ -37,6 +37,7 @@ from repro.parallel.mp_executor import (
 from repro.parallel.mp_executor.kernel import (
     _columnar_local_phase,
     _local_phase,
+    _take_declines,
 )
 from repro.parallel.mp_executor.merge import _unpack_packed
 from repro.storage.columnblock import ColumnBlock
@@ -174,36 +175,56 @@ class TestKernelParity:
         kernel, reference = _kernel_case(schema, [], query)
         assert kernel == [] and reference == []
 
-    @pytest.mark.parametrize("case", [
-        "nan_key", "negzero_key", "nan_minmax", "negzero_minmax",
-        "sum_overflow", "var_beyond_exact", "nan_distinct",
-    ])
+    @pytest.mark.parametrize("case", ["sum_overflow", "var_beyond_exact"])
     def test_guards_decline(self, case):
-        """Shapes whose vectorized result could drift must return None."""
+        """Shapes whose vectorized result could drift must return None.
+        NaN and -0.0 are not among them: the float rule holds in the
+        fold (``test_float_rule.py``)."""
         schema = Schema([
             Column("f", "float"), Column("n", "int"), Column("x", "float"),
         ])
         rows = {
-            "nan_key": [(float("nan"), 1, 1.0), (2.0, 2, 2.0)],
-            "negzero_key": [(-0.0, 1, 1.0), (0.0, 2, 2.0)],
-            "nan_minmax": [(1.0, 1, float("nan")), (1.0, 2, 2.0)],
-            "negzero_minmax": [(1.0, 1, -0.0), (1.0, 2, 0.0)],
             "sum_overflow": [(1.0, 2**62, 1.0), (1.0, 2**62, 1.0)],
             "var_beyond_exact": [(1.0, 2**53 + 1, 1.0)],
-            "nan_distinct": [(1.0, 1, float("nan"))],
         }[case]
         spec = {
-            "nan_key": AggregateSpec("count", None),
-            "negzero_key": AggregateSpec("count", None),
-            "nan_minmax": AggregateSpec("min", "x"),
-            "negzero_minmax": AggregateSpec("max", "x"),
             "sum_overflow": AggregateSpec("sum", "n"),
             "var_beyond_exact": AggregateSpec("var", "n"),
-            "nan_distinct": AggregateSpec("count_distinct", "x"),
         }[case]
         query = AggregateQuery(("f",), (spec,))
         block = ColumnBlock.from_rows(schema, rows)
         assert _columnar_local_phase(block, query) is None
+
+    @pytest.mark.parametrize("shape", [
+        "nan_key", "negzero_key", "nan_minmax", "negzero_minmax",
+        "nan_distinct",
+    ])
+    def test_nan_and_signed_zero_stay_in_the_kernel(self, shape):
+        """The shapes the kernel used to decline: NaN and -0.0 in a key,
+        under MIN/MAX and under COUNT(DISTINCT) fold in the kernel, with
+        nothing declined, to the per-row loop's partials bit for bit."""
+        schema = Schema([Column("f", "float"), Column("x", "float")])
+        nan = float("nan")
+        rows = {
+            "nan_key": [(nan, 1.0), (2.0, 2.0), (float("nan"), 3.0)],
+            "negzero_key": [(-0.0, 1.0), (0.0, 2.0), (-0.0, 3.0)],
+            "nan_minmax": [(1.0, nan), (1.0, 2.0), (2.0, nan), (2.0, nan)],
+            "negzero_minmax": [(1.0, -0.0), (1.0, 0.0), (2.0, -0.0)],
+            "nan_distinct": [(1.0, nan), (1.0, float("nan")), (1.0, -0.0),
+                             (1.0, 0.0), (2.0, nan)],
+        }[shape]
+        query = AggregateQuery(("f",), (
+            AggregateSpec("count", None), AggregateSpec("min", "x"),
+            AggregateSpec("max", "x"), AggregateSpec("count_distinct", "x"),
+        ))
+        _take_declines()
+        packed = _columnar_local_phase(
+            ColumnBlock.from_rows(schema, rows), query
+        )
+        assert _take_declines() == {}
+        assert_partials_equal(
+            _unpack_packed(packed, query), _local_phase((rows, query, schema))
+        )
 
     def test_guarded_shapes_still_correct_end_to_end(self):
         """Guard shapes fall back per-row and still match everywhere."""

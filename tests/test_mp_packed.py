@@ -490,26 +490,26 @@ class TestMergeFallbackCounters:
     """Leaving the vectorized merge for ``_unpack_packed`` + the per-key
     loop is counted by reason, and still exact."""
 
-    def test_a_nan_key_fragment_records_mixed_partials_once(self):
+    def test_an_overflowing_fragment_records_mixed_partials_once(self):
         """``mixed_partials`` means one thing: a fragment that left the
         kernel beside fragments that did not."""
-        schema = Schema([Column("k", "float"), Column("v", "int")])
-        clean = [(float(i % 5), i) for i in range(40)]
+        schema = Schema([Column("k", "int"), Column("v", "int")])
+        clean = [(i % 5, i) for i in range(40)]
         dist = _block_dist(
             schema,
-            [clean[:20], [(float("nan"), 7), (1.0, 8)], clean[20:]],
+            # |v| * rows reaches 2**63: the kernel's int64 sum could wrap
+            [clean[:20], [(1, 2**62), (6, 2**62)], clean[20:]],
         )
         query = AggregateQuery(("k",), (AggregateSpec("sum", "v"),))
-        want = sorted(map(repr, _per_row(dist, query)))
+        want = _per_row(dist, query)
         for processes in (1, 2):
             registry = MetricsRegistry()
             rows = multiprocessing_aggregate(
                 dist, query, processes, metrics=registry
             )
-            # NaN never equals NaN: compare spelled out.
-            assert sorted(map(repr, rows)) == want
+            assert rows == want
             assert merge_fallbacks(registry) == {"mixed_partials": 1}
-            assert kernel_declines(registry) == {"nan_key": 1}
+            assert kernel_declines(registry) == {"int_sum_overflow": 1}
 
     @pytest.mark.parametrize("processes", [1, 2])
     def test_the_merge_highS_statement_records_none(self, processes):
