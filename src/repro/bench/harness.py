@@ -75,44 +75,3 @@ def write_results(result: FigureResult, directory: str = "results") -> str:
     with open(txt_path, "w") as handle:
         handle.write(format_table(result) + "\n")
     return csv_path
-
-
-def figure_payload(result: FigureResult) -> dict:
-    """A FigureResult as a plain JSON-serializable dict."""
-    return {
-        "figure": result.figure,
-        "title": result.title,
-        "columns": list(result.columns),
-        "rows": [list(row) for row in result.rows],
-        "notes": result.notes,
-    }
-
-
-def write_bench_json(
-    name: str,
-    tests: list[dict],
-    figures: list[FigureResult],
-    metrics: dict,
-    directory: str = "results",
-) -> str:
-    """Write the machine-readable ``BENCH_<name>.json`` artifact.
-
-    ``tests`` is a list of ``{"nodeid", "outcome", "wall_seconds"}``
-    dicts (one per executed bench test), ``figures`` the FigureResults
-    the module regenerated, ``metrics`` a flat metrics snapshot.  The
-    document is checked against the ``repro-bench/1`` schema before
-    writing, so a malformed artifact fails loudly at the producer —
-    CI and downstream consumers can trust every file that exists.
-    """
-    from repro.obs.schema import BENCH_SCHEMA, write_artifact
-
-    doc = {
-        "schema": BENCH_SCHEMA,
-        "name": name,
-        "tests": tests,
-        "figures": [figure_payload(fig) for fig in figures],
-        "metrics": metrics,
-    }
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"BENCH_{name}.json")
-    return write_artifact(doc, BENCH_SCHEMA, path)

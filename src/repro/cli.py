@@ -9,7 +9,6 @@ params   print a parameter preset (Table 1 or the Section 5 cluster)
 plan     ask the optimizer which algorithm to use
 trace    run one algorithm traced; write Chrome/Perfetto trace JSON
 explain  render a run's adaptive decisions, judged against ground truth
-bench    compare BENCH artifacts against the committed baseline
 scale    sweep node counts and print speedup/scaleup tables
 sql      run one SQL query over a generated or saved workload
 serve    long-lived HTTP/JSON query service over the worker pool
@@ -584,107 +583,6 @@ def _cmd_explain(args, out) -> int:
     return 0
 
 
-def _cmd_bench_compare(args, out) -> int:
-    from repro.bench.regression import (
-        compare_to_baseline,
-        format_delta_table,
-        has_regression,
-    )
-
-    try:
-        deltas, missing = compare_to_baseline(
-            args.results_dir,
-            args.baseline,
-            threshold=args.threshold,
-            wall_threshold=args.wall_threshold,
-        )
-    except FileNotFoundError as exc:
-        raise CliError(
-            f"baseline not found: {exc}; seed one with "
-            "`repro bench baseline`"
-        ) from exc
-    except (ValueError, OSError) as exc:
-        raise CliError(f"cannot compare benches: {exc}") from exc
-    table = format_delta_table(
-        deltas, missing, only_interesting=not args.all_rows
-    )
-    print(table, file=out)
-    if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(
-                    format_delta_table(deltas, missing) + "\n"
-                )
-        except OSError as exc:
-            raise CliError(
-                f"cannot write delta table to {args.out!r}: {exc}"
-            ) from exc
-        print(f"wrote {args.out}", file=out)
-    if args.record:
-        import os as _os
-
-        from repro.bench.regression import (
-            append_trajectory,
-            trajectory_entry,
-        )
-        from repro.obs.schema import BENCH_SCHEMA, read_artifact
-
-        docs = {
-            name: read_artifact(
-                _os.path.join(args.results_dir, f"BENCH_{name}.json"),
-                BENCH_SCHEMA,
-            )
-            for name in sorted(set(d.bench for d in deltas))
-        }
-        if docs:
-            append_trajectory(
-                args.baseline, trajectory_entry(args.label, docs)
-            )
-            print(
-                f"appended trajectory entry {args.label!r}", file=out
-            )
-    if missing:
-        print(
-            "FAIL: missing bench artifact(s): " + ", ".join(missing),
-            file=out,
-        )
-        return 1
-    if has_regression(deltas):
-        print("FAIL: regression beyond threshold", file=out)
-        return 1
-    print("bench gate: no regression beyond threshold", file=out)
-    return 0
-
-
-def _cmd_bench_baseline(args, out) -> int:
-    from repro.bench.regression import seed_baseline
-
-    names = [n.strip() for n in args.names.split(",") if n.strip()]
-    if not names:
-        raise CliError("--names must list at least one bench")
-    try:
-        seed_baseline(
-            args.results_dir,
-            args.baseline,
-            names,
-            threshold=args.threshold,
-            label=args.label,
-        )
-    except FileNotFoundError as exc:
-        raise CliError(
-            f"bench artifact not found: {exc}; run the benchmarks first "
-            "(pytest benchmarks/ emits results/BENCH_<name>.json)"
-        ) from exc
-    except (ValueError, OSError) as exc:
-        raise CliError(f"cannot seed baseline: {exc}") from exc
-    print(
-        f"seeded {args.baseline} from {len(names)} bench artifact(s): "
-        + ", ".join(names),
-        file=out,
-    )
-    return 0
-
-
 def _cmd_compare(args, out) -> int:
     dist = _build_workload(args)
     query = _build_query(args, dist)
@@ -849,54 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the run artifact to PATH",
     )
     p_explain.set_defaults(func=_cmd_explain)
-
-    p_bench = sub.add_parser(
-        "bench", help="bench baseline / regression-gate commands"
-    )
-    bench_sub = p_bench.add_subparsers(dest="bench_command", required=True)
-    p_bcmp = bench_sub.add_parser(
-        "compare",
-        help="compare results/BENCH_*.json against the committed baseline",
-    )
-    p_bcmp.add_argument("--results-dir", default="results")
-    p_bcmp.add_argument("--baseline", default="results/baseline")
-    p_bcmp.add_argument(
-        "--threshold", type=float, default=None,
-        help="relative figure-cell increase that fails the gate "
-        "(default: the baseline index's threshold)",
-    )
-    p_bcmp.add_argument(
-        "--wall-threshold", type=float, default=None,
-        help="also gate wall_seconds_total at this relative increase "
-        "(off by default: CI wall clocks are noisy)",
-    )
-    p_bcmp.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="write the full delta table to PATH (CI artifact)",
-    )
-    p_bcmp.add_argument(
-        "--all-rows", action="store_true",
-        help="print every compared cell, not just regressions/improvements",
-    )
-    p_bcmp.add_argument(
-        "--record", action="store_true",
-        help="append a trajectory entry for this comparison",
-    )
-    p_bcmp.add_argument("--label", default="compare")
-    p_bcmp.set_defaults(func=_cmd_bench_compare)
-    p_bbase = bench_sub.add_parser(
-        "baseline",
-        help="seed results/baseline/ from current BENCH artifacts",
-    )
-    p_bbase.add_argument("--results-dir", default="results")
-    p_bbase.add_argument("--baseline", default="results/baseline")
-    p_bbase.add_argument(
-        "--names", default="fig2,table1",
-        help="comma-separated bench names (BENCH_<name>.json)",
-    )
-    p_bbase.add_argument("--threshold", type=float, default=0.10)
-    p_bbase.add_argument("--label", default="seed")
-    p_bbase.set_defaults(func=_cmd_bench_baseline)
 
     p_cmp = sub.add_parser("compare", help="simulate every algorithm")
     _add_workload_args(p_cmp)

@@ -1,4 +1,4 @@
-"""What every exported artifact must contain, declared once: the seven
+"""What every exported artifact must contain, declared once: the five
 families in :data:`SCHEMAS`, keyed by schema id, in rules one checker
 walks.  Problems read ``<field> must be ...``.  A file artifact is written
 and read through :func:`write_artifact` and :func:`read_artifact`."""
@@ -8,10 +8,8 @@ from __future__ import annotations
 import json
 import math
 
-BENCH_SCHEMA = "repro-bench/1"
 RUN_SCHEMA = "repro-run/1"
 DRIFT_SCHEMA = "repro-drift/1"
-BASELINE_SCHEMA = "repro-baseline/1"
 TRAJECTORY_SCHEMA = "repro-trajectory/1"
 QLOG_SCHEMA = "repro-qlog/1"
 CHROME_TRACE = "traceEvents"  # a Chrome trace is known by its event list
@@ -46,7 +44,6 @@ def _finite(x) -> bool:
 
 NUMBER = _rule(_finite, "a finite number")
 NON_NEGATIVE = _rule(lambda x: _finite(x) and x >= 0, "a non-negative number")
-POSITIVE = _rule(lambda x: _finite(x) and x > 0, "a positive number")
 INT = _rule(_int, "an integer")
 COUNT = _rule(lambda x: _int(x) and x >= 0, "a non-negative integer")
 STRING = _rule(lambda x: isinstance(x, str), "a string")
@@ -87,7 +84,7 @@ def _check(rule, value, where: str) -> list[str]:
     return [p for at, v, r in items for p in _check(r, v, at)]
 
 
-# -- the two checks that are not per-field ---------------------------------
+# -- the check that is not per-field ---------------------------------------
 
 _EVENT = {"name": STRING, "pid": INT, "tid": INT}
 _TIMED = dict(_EVENT, ts=NON_NEGATIVE)
@@ -104,31 +101,13 @@ def _trace_event(event, where):
     return _check(shape or {"ph": one_of(*_EVENT_BY_PHASE)}, event, where)
 
 
-def _figure(fig, where):
-    """A figure's fields, then every row as wide as its columns."""
-    row = _rule(lambda r: isinstance(r, (list, tuple)), "a list")
-    shape = {"figure": STRING, "columns": [STRING], "rows": [row]}
-    return _check(shape, fig, where) or [
-        f"{where}.rows[{j}] arity {len(r)} != {len(fig['columns'])} columns"
-        for j, r in enumerate(fig["rows"]) if len(r) != len(fig["columns"])
-    ]
-
-
 # -- the table -------------------------------------------------------------
 
 # A registry-snapshot metric, if present, by the field holding its figure.
 _VALUE = optional({"value": NON_NEGATIVE})
-_JSON_NAME = _rule(lambda f: isinstance(f, str) and f.endswith(".json"),
-                   "a .json filename")
 
 SCHEMAS = {
     CHROME_TRACE: {"traceEvents": non_empty([_trace_event])},
-    BENCH_SCHEMA: {
-        "name": TEXT, "figures": [_figure], "metrics": OBJECT,
-        "tests": [{
-            "nodeid": STRING, "outcome": STRING, "wall_seconds": NON_NEGATIVE,
-        }],
-    },
     RUN_SCHEMA: {
         "algorithm": TEXT, "elapsed_seconds": NON_NEGATIVE,
         "num_groups": COUNT, "params": OBJECT,
@@ -153,10 +132,6 @@ SCHEMAS = {
             "predicted_seconds": NON_NEGATIVE,
             "observed_seconds": NON_NEGATIVE,
         }],
-    },
-    BASELINE_SCHEMA: {
-        "benches": non_empty({str: _JSON_NAME}),
-        "threshold": optional(POSITIVE),
     },
     TRAJECTORY_SCHEMA: {
         "label": TEXT,

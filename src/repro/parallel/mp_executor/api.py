@@ -542,9 +542,8 @@ def _merged_rows(partials, query, bq, obs) -> list[tuple]:
     packed = [_is_packed(p) for p in ordered]
     if any(packed):
         # All-packed partials fold vectorized, straight to result rows.
-        # A fragment that left the kernel (a decline, a spill retry, an
-        # injected slowdown) leaves an unpacked partial among packed
-        # ones, and a guard can refuse the fold: both are counted by
+        # A fragment that left the kernel (a decline, a spill retry)
+        # leaves an unpacked partial among packed ones, and a guard can refuse the fold: both are counted by
         # reason and take the sequential merge below (same result, just
         # slower).
         reason = "mixed_partials"

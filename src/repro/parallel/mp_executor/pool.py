@@ -27,11 +27,6 @@ from repro.parallel.mp_executor.faults import (
     INJECT_SLOW,
     INJECT_STALL,
 )
-from repro.parallel.mp_executor.kernel import (
-    _decline,
-    _local_phase,
-    _per_row_phase,
-)
 from repro.parallel.mp_executor.merge import _note_seconds, _take_notes
 from repro.parallel.mp_executor.resilience import (
     _INFRA_DEATHS,
@@ -50,7 +45,6 @@ from repro.parallel.mp_executor.wire import (
     _WorkerArena,
     release_resident_segments,
 )
-from repro.storage.columnblock import ColumnBlock
 
 
 _JOIN_GRACE_SECONDS = 5.0
@@ -116,9 +110,6 @@ def _attempt(call, catch=Exception):
         error = {"type": type(exc).__name__, "message": str(exc)}
         return ("error", error, profile()), exc
     return ("ok", result, profile()), None
-
-
-_SLOW_CHUNK_ROWS = 128
 
 
 class _Heartbeat(threading.Thread):
@@ -203,35 +194,11 @@ def _run_as_batch_work() -> None:
         pass
 
 
-def _limping(rows, factor: float):
-    """``rows``, one at a time; after every ``_SLOW_CHUNK_ROWS`` of them
-    sleep off ``(factor - 1)`` of the time the consumer took over the
-    chunk."""
-    for start in range(0, len(rows), _SLOW_CHUNK_ROWS):
-        t0 = time.perf_counter()
-        yield from rows[start:start + _SLOW_CHUNK_ROWS]
-        time.sleep((factor - 1.0) * (time.perf_counter() - t0))
-
-
 def _slow_job(fn, job, factor: float):
-    """Injected straggler: run the job ``factor`` times slower.
-
-    For the built-in phase — every ungoverned run, whatever the
-    strategy name — the rows run through the per-row loop in chunks
-    (:func:`_limping`) — a limping-but-alive worker that keeps beating.
-    The accumulation order is exactly the sequential loop's, so results
-    stay bit-identical to the fault-free run.  Substituted and governed
-    phase functions are opaque: they run whole, then sleep off the
-    multiplier.
-    """
-    if fn is _local_phase:
-        rows, query, schema = job
-        _decline("injected_slow")
-        if isinstance(rows, ColumnBlock):
-            rows = rows.to_rows()
-        return _per_row_phase(
-            _limping(rows, factor), query, schema
-        )
+    """Injected straggler: run the job whole, then sleep off ``factor
+    - 1`` times its time.  The job runs exactly as a fault-free one
+    (bit-identical result, the same partial), and the heartbeat thread
+    keeps beating through the sleep: a limping-but-alive worker."""
     t0 = time.perf_counter()
     result = fn(job)
     time.sleep((factor - 1.0) * (time.perf_counter() - t0))

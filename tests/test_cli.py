@@ -739,7 +739,7 @@ class TestExplain:
 
     def test_wrong_schema_rejected(self, tmp_path):
         notrun = tmp_path / "notrun.json"
-        notrun.write_text('{"schema": "repro-bench/1"}')
+        notrun.write_text('{"schema": "repro-trajectory/1"}')
         code, text = run_cli("explain", str(notrun))
         assert code == 2
         assert "not a valid repro-run/1 artifact" in text
@@ -763,102 +763,6 @@ class TestTraceErrors:
         assert code == 2
         assert text.startswith("error:")
         assert "Traceback" not in text
-
-
-class TestBenchGate:
-    def _seed(self, tmp_path):
-        import json as _json
-
-        doc = {
-            "schema": "repro-bench/1",
-            "name": "demo",
-            "tests": [],
-            "figures": [
-                {
-                    "figure": "fig_demo",
-                    "columns": ["selectivity", "two_phase"],
-                    "rows": [[0.01, 10.0]],
-                }
-            ],
-            "metrics": {
-                "tests": 0, "failed": 0, "figures": 1,
-                "wall_seconds_total": 1.0,
-            },
-        }
-        results = tmp_path / "results"
-        results.mkdir()
-        (results / "BENCH_demo.json").write_text(_json.dumps(doc))
-        code, text = run_cli(
-            "bench", "baseline",
-            "--results-dir", str(results),
-            "--baseline", str(results / "baseline"),
-            "--names", "demo",
-        )
-        assert code == 0, text
-        return results, doc
-
-    def test_clean_compare_exits_zero(self, tmp_path):
-        results, _ = self._seed(tmp_path)
-        code, text = run_cli(
-            "bench", "compare",
-            "--results-dir", str(results),
-            "--baseline", str(results / "baseline"),
-        )
-        assert code == 0
-        assert "no regression beyond threshold" in text
-
-    def test_injected_regression_exits_one(self, tmp_path):
-        import json as _json
-
-        results, doc = self._seed(tmp_path)
-        doc["figures"][0]["rows"] = [[0.01, 15.0]]  # +50%
-        (results / "BENCH_demo.json").write_text(_json.dumps(doc))
-        delta_path = tmp_path / "delta.txt"
-        code, text = run_cli(
-            "bench", "compare",
-            "--results-dir", str(results),
-            "--baseline", str(results / "baseline"),
-            "--out", str(delta_path),
-        )
-        assert code == 1
-        assert "regression" in text
-        # The delta artifact is written even when the gate fails.
-        assert "regression" in delta_path.read_text()
-
-    def test_missing_artifact_exits_one(self, tmp_path):
-        results, _ = self._seed(tmp_path)
-        (results / "BENCH_demo.json").unlink()
-        code, text = run_cli(
-            "bench", "compare",
-            "--results-dir", str(results),
-            "--baseline", str(results / "baseline"),
-        )
-        assert code == 1
-        assert "missing" in text
-
-    def test_missing_baseline_dir_is_usage_error(self, tmp_path):
-        code, text = run_cli(
-            "bench", "compare",
-            "--results-dir", str(tmp_path),
-            "--baseline", str(tmp_path / "nowhere"),
-        )
-        assert code == 2
-        assert text.startswith("error:")
-
-    def test_record_appends_trajectory(self, tmp_path):
-        results, _ = self._seed(tmp_path)
-        code, _ = run_cli(
-            "bench", "compare",
-            "--results-dir", str(results),
-            "--baseline", str(results / "baseline"),
-            "--record", "--label", "pr-check",
-        )
-        assert code == 0
-        lines = (
-            (results / "baseline" / "TRAJECTORY.jsonl")
-            .read_text().splitlines()
-        )
-        assert len(lines) == 2  # seed + the recorded compare
 
 
 class TestPlan:

@@ -294,12 +294,15 @@ def test_beats_while_a_job_runs_and_never_after_its_reply(
     dist, monkeypatch
 ):
     """The warm pool's heartbeat threads started long before; a 20 ms
-    interval set now reaches them with the next job."""
+    interval set now reaches them with the next job.  The straggler
+    sleeps off 999 times its kernel's fraction of a millisecond: many
+    intervals."""
     _warm(dist)
     monkeypatch.setattr(pool_module, "HEARTBEAT_INTERVAL", 0.02)
     want = repr(multiprocessing_aggregate(dist, _MERGE, processes=1))
     rows, registry = _pooled(
-        dist, _MERGE, faults=FaultPlan(seed=5, stragglers=(Straggler(1, 4.0),))
+        dist, _MERGE,
+        faults=FaultPlan(seed=5, stragglers=(Straggler(1, 1000.0),)),
     )
     assert repr(rows) == want
     assert registry.value("mp.heartbeat.beats") > 0

@@ -312,15 +312,16 @@ def test_the_query_covers_every_packed_tag():
 
 if HAVE_HYPOTHESIS:
 
-    # Any finite float: both merges add in fragment order, so even
-    # order-sensitive sums must agree to the bit.  ``+ 0.0`` turns -0.0
-    # into 0.0, which the kernel would decline under MIN/MAX and as a
-    # key; ints stay where int VAR squares exactly and sums fit int64.
-    _finite = st.floats(-1e6, 1e6, allow_nan=False).map(lambda v: v + 0.0)
+    # Any finite float, -0.0 included: both merges add in fragment
+    # order, so even order-sensitive sums must agree to the bit, and
+    # ``_bits`` tells -0.0 from 0.0 in every cell (a -0.0 key or extreme
+    # is reported as 0.0 by both).  Ints stay where int VAR squares
+    # exactly and sums fit int64.
+    _finite = st.floats(-1e6, 1e6, allow_nan=False)
     _tag_row = st.tuples(
         st.integers(0, 4),
         st.sampled_from(_KEYS[:4]),
-        st.integers(-4, 4).map(lambda n: n / 4 + 0.0),
+        st.integers(-4, 4).map(lambda n: n / 4) | st.just(-0.0),
         st.integers(-(2**50), 2**50) | st.integers(-3, 3),
         _finite | st.sampled_from([0.0, 1.0, 0.1]),
         st.sampled_from(_VALS),

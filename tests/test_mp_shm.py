@@ -203,9 +203,12 @@ class TestWorkersReadInPlace:
 
     def test_a_worker_keeps_its_arena_and_nothing_else(self, query):
         # Thousands of groups a fragment: every partial goes to an arena.
+        # One fragment per worker per run: both go out at once, to two
+        # distinct workers, so no worker's arena (sized for two of its
+        # replies) is ever asked for a third within one run.
         mp_executor.shutdown_worker_pool()
         dist = generate_uniform(
-            num_tuples=40_000, num_groups=20_000, num_nodes=4, seed=21,
+            num_tuples=40_000, num_groups=20_000, num_nodes=2, seed=21,
         )
         want = multiprocessing_aggregate(dist, query, processes=1)
         for _ in range(3):

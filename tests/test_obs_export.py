@@ -12,8 +12,8 @@ from repro.core.runner import run_algorithm
 from repro.obs import Tracer
 from repro.obs.export import to_chrome_trace, write_chrome_trace
 from repro.obs.schema import (
-    BENCH_SCHEMA,
     CHROME_TRACE,
+    TRAJECTORY_SCHEMA,
     SchemaError,
     validate,
     validate_or_raise,
@@ -85,17 +85,21 @@ class TestValidators:
         assert validate({"traceEvents": [{"ph": "X"}]}, CHROME_TRACE)
 
     def test_bench_validator_flags_garbage(self):
-        assert validate({"schema": "other/9"}, BENCH_SCHEMA)
+        # The bench trajectory: one line per change, its e2e medians.
+        assert validate({"schema": "other/9"}, TRAJECTORY_SCHEMA)
         good = {
-            "schema": "repro-bench/1",
-            "name": "x",
-            "tests": [
-                {"nodeid": "a::b", "outcome": "passed", "wall_seconds": 0.1}
-            ],
-            "figures": [],
-            "metrics": {"tests": 1},
+            "schema": "repro-trajectory/1",
+            "label": "x",
+            "benches": {"e2e.scan_lowS": {
+                "tests": 1, "failed": 0, "wall_seconds_total": 0.1,
+            }},
         }
-        assert validate(good, BENCH_SCHEMA) == []
+        assert validate(good, TRAJECTORY_SCHEMA) == []
+        bad = json.loads(json.dumps(good))
+        bad["benches"]["e2e.scan_lowS"]["failed"] = "none"
+        assert validate(bad, TRAJECTORY_SCHEMA) == [
+            "benches['e2e.scan_lowS'].failed must be an integer"
+        ]
 
     def test_validate_or_raise(self):
         with pytest.raises(SchemaError) as err:

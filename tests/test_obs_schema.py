@@ -24,8 +24,6 @@ from repro.obs import (
 )
 from repro.obs import schema
 from repro.obs.schema import (
-    BASELINE_SCHEMA,
-    BENCH_SCHEMA,
     CHROME_TRACE,
     DRIFT_SCHEMA,
     QLOG_SCHEMA,
@@ -33,7 +31,6 @@ from repro.obs.schema import (
     SCHEMAS,
     TRAJECTORY_SCHEMA,
     validate,
-    validate_file,
     write_artifact,
 )
 from repro.parallel import multiprocessing_aggregate, shutdown_worker_pool
@@ -49,15 +46,6 @@ _GOOD = {
          "dur": 2.5},
         {"ph": "i", "name": "switch", "pid": 0, "tid": 1, "ts": 1.0},
     ]},
-    BENCH_SCHEMA: {
-        "schema": BENCH_SCHEMA, "name": "demo", "metrics": {},
-        "tests": [
-            {"nodeid": "a::b", "outcome": "passed", "wall_seconds": 0.5}
-        ],
-        "figures": [
-            {"figure": "f", "columns": ["x", "y"], "rows": [["a", "b"]]}
-        ],
-    },
     RUN_SCHEMA: {
         "schema": RUN_SCHEMA, "algorithm": "mp", "elapsed_seconds": 0.25,
         "num_groups": 3, "params": {},
@@ -82,10 +70,6 @@ _GOOD = {
             "observed_seconds": 1.5, "rel_error": 0.5,
         }],
     },
-    BASELINE_SCHEMA: {
-        "schema": BASELINE_SCHEMA, "benches": {"demo": "BENCH_demo.json"},
-        "threshold": 0.1,
-    },
     TRAJECTORY_SCHEMA: {
         "schema": TRAJECTORY_SCHEMA, "label": "seed",
         "benches": {
@@ -104,7 +88,7 @@ _GOOD = {
 # Keys whose absence is allowed: optional fields, and the one entry of a
 # map (removing it leaves the map empty, which is reported as such).
 _NOT_REQUIRED = {
-    "threshold", "exec_seconds", "error", "reason", "span_id", "rel_error",
+    "exec_seconds", "error", "reason", "span_id", "rel_error",
     "mp.phase_seconds.encode", "mp.phase_seconds.return", "mp.return_bytes",
     "mp.return.inband",
     "mp.worker_load_seconds", "demo",
@@ -178,22 +162,14 @@ def test_the_writer_refuses_what_json_cannot_hold(tmp_path):
 
 
 def _committed():
-    results = ROOT / "results"
-    for path in sorted(results.glob("*.json")) + sorted(
-        (results / "baseline").glob("*.json")
-    ):
-        yield pytest.param(path, None, id=str(path.relative_to(ROOT)))
-    trajectory = results / "baseline" / "TRAJECTORY.jsonl"
+    trajectory = ROOT / "results" / "baseline" / "TRAJECTORY.jsonl"
     for n, line in enumerate(trajectory.read_text().splitlines(), 1):
-        yield pytest.param(trajectory, line, id=f"TRAJECTORY.jsonl:{n}")
+        yield pytest.param(line, id=f"TRAJECTORY.jsonl:{n}")
 
 
-@pytest.mark.parametrize("path, line", list(_committed()))
-def test_every_committed_artifact_validates(path, line):
-    if line is None:
-        assert validate_file(str(path)) == []
-    else:
-        assert validate(json.loads(line), TRAJECTORY_SCHEMA) == []
+@pytest.mark.parametrize("line", list(_committed()))
+def test_every_committed_artifact_validates(line):
+    assert validate(json.loads(line), TRAJECTORY_SCHEMA) == []
 
 
 @pytest.fixture(scope="module")
@@ -265,7 +241,7 @@ def test_artifacts_are_declared_once():
     module, and no per-family validator (or alias of one) is left."""
     ids = [value for name, value in vars(schema).items()
            if name.endswith("_SCHEMA")]
-    assert len(ids) == 6
+    assert len(ids) == 4
     seen = {schema_id: [] for schema_id in ids}
     retired = []
     for path in sorted((ROOT / "src").rglob("*.py")):
